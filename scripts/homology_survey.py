@@ -44,9 +44,8 @@ def run(cfg: SurveyConfig) -> int:
             continue
         t0 = time.time()
         calc = Calculus.khat(H, cfg.max_degree)
-        rep = compare_cotor(calc, None, cfg.max_degree)
-        table = [c.name for c in rep.checks if c.name.startswith("homology_dims=")][0]
-        bare = table.split("=", 1)[1]
+        rep, table = compare_cotor(calc, None, cfg.max_degree)
+        bare = table.dims()
         cx = cobar_complex(H, trivial_modcomod(H), cfg.max_degree)
         triv = homology_dims(cx).dims()
         agree = "ok" if rep.passed else "MISMATCH vs cobar"

@@ -33,7 +33,7 @@ from .modules import (BimoduleCoalgebra, ModComod, check_ayd, check_equivariant,
                       check_module_axioms, regular_modcomod, trivial_modcomod,
                       one_dim_modcomod)
 from .reports import Report
-from .homology import cobar_complex, compare_cotor, homology_dims
+from .homology import calculus_complex, compare_cotor, homology_dims
 
 
 class CliError(Exception):
@@ -114,6 +114,33 @@ def _scalar(field: Field, v) -> object:
         raise CliError(f"bad scalar literal {v!r}: {e}")
 
 
+def _entries(doc: dict, key: str, bounds: Tuple[int, ...], field: Field):
+    """The entries ``[i_1, ..., i_r, c]`` of ``doc[key]`` as tuples with ``c``
+    parsed.  Each index must be an int in ``range(bound)``, and no index tuple
+    may appear twice: a stray or repeated entry would otherwise be folded
+    silently into a different coefficient."""
+    seen = set()
+    for entry in doc[key]:
+        *idx, c = entry
+        if len(idx) != len(bounds):
+            raise ValueError(f"{key} entry {entry!r} needs {len(bounds)} indices")
+        for i, bound in zip(idx, bounds):
+            if type(i) is not int or not 0 <= i < bound:
+                raise ValueError(f"{key} index {i!r} outside range({bound})")
+        idx = tuple(idx)
+        if idx in seen:
+            raise ValueError(f"repeated {key} entry for {list(idx)}")
+        seen.add(idx)
+        yield idx + (_scalar(field, c),)
+
+
+def _dim(doc: dict) -> int:
+    dim = int(doc["dim"])
+    if dim < 1:
+        raise ValueError(f"dim {dim} must be positive")
+    return dim
+
+
 def load_hopf_file(path: str) -> HopfAlgebra:
     """Parse a Hopf algebra from sparse structure constants.
 
@@ -123,7 +150,8 @@ def load_hopf_file(path: str) -> HopfAlgebra:
              "comul":    [[i, j, k, c], ...]   Delta(e_i) has c on e_j (x) e_k
              "counit":   [[i, c], ...],
              "antipode": [[i, j, c], ...]}     S(e_i) has c on e_j
-    Rationals are "p/q" strings; prime-field scalars plain integers.
+    Rationals are "p/q" strings; prime-field scalars plain integers.  Every
+    index must lie in range(dim), and no coefficient may be given twice.
     """
     try:
         with open(path) as fh:
@@ -136,19 +164,19 @@ def load_hopf_file(path: str) -> HopfAlgebra:
         raise CliError(f"{path}: top level must be an object")
     try:
         f = parse_field(doc["field"])
-        dim = int(doc["dim"])
+        dim = _dim(doc)
         names = doc.get("basis") or [f"e{i}" for i in range(dim)]
         mul: Dict[Tuple[int, int], Vec] = {}
-        for i, j, k, c in doc["mul"]:
-            mul.setdefault((i, j), {})[k] = _scalar(f, c)
-        unit: Vec = {i: _scalar(f, c) for i, c in doc["unit"]}
+        for i, j, k, c in _entries(doc, "mul", (dim, dim, dim), f):
+            mul.setdefault((i, j), {})[k] = c
+        unit: Vec = {i: c for i, c in _entries(doc, "unit", (dim,), f)}
         comul: List[Vec] = [dict() for _ in range(dim)]
-        for i, j, k, c in doc["comul"]:
-            comul[i][j * dim + k] = _scalar(f, c)
-        counit = {i: _scalar(f, c) for i, c in doc["counit"]}
+        for i, j, k, c in _entries(doc, "comul", (dim, dim, dim), f):
+            comul[i][j * dim + k] = c
+        counit = {i: c for i, c in _entries(doc, "counit", (dim,), f)}
         s = Matrix(dim, dim, f)
-        for i, j, c in doc["antipode"]:
-            s.data[(j, i)] = _scalar(f, c)
+        for i, j, c in _entries(doc, "antipode", (dim, dim), f):
+            s.data[(j, i)] = c
     except (KeyError, TypeError, ValueError, IndexError) as e:
         raise CliError(f"{path}: malformed Hopf spec ({e!r})")
     return HopfAlgebra(f, dim, list(names), mul, unit, comul, counit, s)
@@ -186,6 +214,8 @@ def load_module_file(path: str, H: HopfAlgebra) -> ModComod:
              "action":   [[i, a, b, c], ...]   e_i . x_a has c on x_b
              "coaction": [[a, i, b, c], ...]   rho(x_a) has c on e_i (x) x_b
              "delta": [[i, c], ...], "sigma": [[i, c], ...]}
+    Indices i range over the algebra's basis and a, b over the module's;
+    no coefficient may be given twice.
     """
     try:
         with open(path) as fh:
@@ -197,20 +227,20 @@ def load_module_file(path: str, H: HopfAlgebra) -> ModComod:
     f = H.field
     try:
         if "delta" in doc or "sigma" in doc:
-            delta = {i: _scalar(f, c) for i, c in doc["delta"]}
-            sigma = {i: _scalar(f, c) for i, c in doc["sigma"]}
+            delta = {i: c for i, c in _entries(doc, "delta", (H.dim,), f)}
+            sigma = {i: c for i, c in _entries(doc, "sigma", (H.dim,), f)}
             return one_dim_modcomod(H, delta, sigma, check=False)
-        dim = int(doc["dim"])
+        dim = _dim(doc)
         action = None
         if "action" in doc:
             action = {(i, a): {} for i in range(H.dim) for a in range(dim)}
-            for i, a, b, c in doc["action"]:
-                action[(i, a)][b] = _scalar(f, c)
+            for i, a, b, c in _entries(doc, "action", (H.dim, dim, dim), f):
+                action[(i, a)][b] = c
         coaction = None
         if "coaction" in doc:
             coaction = [dict() for _ in range(dim)]
-            for a, i, b, c in doc["coaction"]:
-                coaction[a][i * dim + b] = _scalar(f, c)
+            for a, i, b, c in _entries(doc, "coaction", (dim, H.dim, dim), f):
+                coaction[a][i * dim + b] = c
     except (KeyError, TypeError, ValueError, IndexError) as e:
         raise CliError(f"{path}: malformed module spec ({e!r})")
     return ModComod(H, dim, action, coaction, label=os.path.basename(path))
@@ -324,8 +354,6 @@ def cmd_check_module(args, started: float) -> int:
 
 
 def cmd_homology(args, started: float) -> int:
-    from .connections import coefficient_complex, connection_from_coaction
-
     H = resolve_hopf(args)
     hrep = verify_axioms(H)
     if not hrep.passed:
@@ -336,18 +364,11 @@ def cmd_homology(args, started: float) -> int:
     body: dict = {}
     ok = True
     if args.compare_cotor:
-        rep = compare_cotor(calc, X, max_degree)
+        rep, table = compare_cotor(calc, X, max_degree)
         body["checks"] = rep.to_json()
         ok = rep.passed
-    if X is None:
-        from .homology import ChainComplex
-        cx = ChainComplex(calc.field,
-                          [calc.degree_dim(n) for n in range(max_degree + 1)],
-                          [calc.differential(n) for n in range(max_degree)])
     else:
-        conn = connection_from_coaction(calc, X)
-        cx = coefficient_complex(calc, conn, max_degree)
-    table = homology_dims(cx, max_degree)
+        table = homology_dims(calculus_complex(calc, X, max_degree), max_degree)
     body["homology"] = {f"H_{n}": d for n, d in table.entries}
     return _emit(["homology"], body, ok, started)
 

@@ -152,29 +152,36 @@ def _basepoint_coadjoint(calc) -> ModComod:
                     coalgebra=calc.C, label="basepoint-coadjoint")
 
 
-def compare_cotor(calc, X: Optional[ModComod], max_degree: Optional[int] = None) -> Report:
-    """Compare the calculus-side complex with the cobar oracle.
-
-    With X None the calculus itself is the complex (degree n space
-    C^n (x) B) and the oracle coefficients are the basepoint-coadjoint
-    comodule on B; with X given, the coefficient complex of the flat
-    connection of its coaction is used.  Differentials are compared
-    entrywise and homology dimensions per degree.
-    """
+def calculus_complex(calc, X: Optional[ModComod],
+                     max_degree: Optional[int] = None) -> ChainComplex:
+    """The calculus-side complex: with X None the calculus itself (degree n
+    space C^n (x) B), with X given the coefficient complex of the flat
+    connection of its coaction."""
     from .connections import coefficient_complex, connection_from_coaction
 
     max_degree = calc.max_degree if max_degree is None else max_degree
-    rep = Report()
-    C_or_H = calc.C if calc.kind == "general" else calc.B
     if X is None:
-        side = ChainComplex(calc.field,
+        return ChainComplex(calc.field,
                             [calc.degree_dim(n) for n in range(max_degree + 1)],
                             [calc.differential(n) for n in range(max_degree)])
-        oracle_coeffs = _basepoint_coadjoint(calc)
-    else:
-        conn = connection_from_coaction(calc, X)
-        side = coefficient_complex(calc, conn, max_degree)
-        oracle_coeffs = X
+    return coefficient_complex(calc, connection_from_coaction(calc, X), max_degree)
+
+
+def compare_cotor(calc, X: Optional[ModComod],
+                  max_degree: Optional[int] = None) -> Tuple[Report, HomologyTable]:
+    """Compare the calculus-side complex with the cobar oracle.
+
+    The calculus side is ``calculus_complex(calc, X)``; the oracle
+    coefficients are the basepoint-coadjoint comodule on B when X is None,
+    and X otherwise.  Differentials are compared entrywise and homology
+    dimensions per degree.  Returns the report and the calculus side's
+    homology table.
+    """
+    max_degree = calc.max_degree if max_degree is None else max_degree
+    rep = Report()
+    C_or_H = calc.C if calc.kind == "general" else calc.B
+    side = calculus_complex(calc, X, max_degree)
+    oracle_coeffs = _basepoint_coadjoint(calc) if X is None else X
     oracle = cobar_complex(C_or_H, oracle_coeffs, max_degree)
 
     rep.add("degree_dims_equal", side.dims == oracle.dims,
@@ -187,4 +194,4 @@ def compare_cotor(calc, X: Optional[ModComod], max_degree: Optional[int] = None)
     ho = homology_dims(oracle, max_degree)
     rep.add(f"homology_dims={hs.dims()}", hs.dims() == ho.dims(),
             {"calculus": hs.dims(), "cobar": ho.dims()})
-    return rep
+    return rep, hs

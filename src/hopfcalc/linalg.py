@@ -234,11 +234,13 @@ class Matrix:
         return out
 
     def _to_scipy(self):
+        """The int64 scipy CSR form, or None when an entry is not an integer
+        or its absolute value reaches ``_INT64_SAFE``."""
         cached = getattr(self, "_sp", False)
         if cached is not False:
             return cached
         ints = self._int_entries()
-        if ints is None:
+        if ints is None or self._max_abs() >= _INT64_SAFE:
             m = None
         else:
             if ints:
@@ -325,7 +327,8 @@ class Matrix:
         if self.field != other.field:
             raise ValueError("field mismatch")
         a, b = self._to_scipy(), other._to_scipy()
-        if a is not None and b is not None:
+        if (a is not None and b is not None
+                and self._max_abs() * other._max_abs() < _INT64_SAFE):
             prod = sp.kron(a, b, format="coo")
             if self.field.char:
                 prod = prod.tocsr()
@@ -391,52 +394,17 @@ def identity_defect_witness(field: Field, terms) -> "Tuple[int, int, object] | N
     but (when the identity holds) identically zero; everything stays in
     scipy int64 when the entries are integral, with a pure-python fallback.
     """
-    sp_factors = []
-    ok = True
-    for _, factors in terms:
-        row = []
-        for fac in factors:
-            if isinstance(fac, tuple):
-                a, b = fac[0]._to_scipy(), fac[1]._to_scipy()
-                m = None if a is None or b is None else sp.kron(a, b, format="csr")
-                bound = fac[0]._max_abs() * fac[1]._max_abs()
-            else:
-                m = fac._to_scipy()
-                bound = fac._max_abs()
-            if m is None:
-                ok = False
-                break
-            row.append((m, bound))
-        if not ok:
-            break
-        sp_factors.append(row)
-    if ok:
-        acc = None
-        for (coeff, _), row in zip(terms, sp_factors):
-            m, bound = row[0]
-            for m2, bound2 in row[1:]:
-                bound = bound * bound2 * max(m.shape[1], 1)
-                if bound >= _INT64_SAFE:
-                    ok = False
-                    break
-                m = m @ m2
-                if field.char:
-                    m.data %= field.char
-                    m.eliminate_zeros()
-                    bound = field.char - 1
-            if not ok:
-                break
-            acc = m * coeff if acc is None else acc + m * coeff
-        if ok:
-            if field.char:
-                acc = acc.tocsr()
-                acc.data %= field.char
-            acc = acc.tocoo()
-            mask = acc.data != 0
-            if not mask.any():
-                return None
-            k = int(np.flatnonzero(mask)[0])
-            return (int(acc.row[k]), int(acc.col[k]), field.of(int(acc.data[k])))
+    acc = _int64_defect(field, terms)
+    if acc is not None:
+        if field.char:
+            acc = acc.tocsr()
+            acc.data %= field.char
+        acc = acc.tocoo()
+        mask = acc.data != 0
+        if not mask.any():
+            return None
+        k = int(np.flatnonzero(mask)[0])
+        return (int(acc.row[k]), int(acc.col[k]), field.of(int(acc.data[k])))
     # exact fallback for non-integral entries or overflow risk
     total = None
     for coeff, factors in terms:
@@ -447,6 +415,43 @@ def identity_defect_witness(field: Field, terms) -> "Tuple[int, int, object] | N
         m = m.scale(field.of(coeff))
         total = m if total is None else total + m
     return total.nonzero_witness()
+
+
+def _int64_defect(field: Field, terms):
+    """``sum(coeff * prod(factors))`` as an int64 scipy matrix, or None when
+    an entry is not an integer or a bound on the entries, of every partial
+    product and of the running sum, reaches ``_INT64_SAFE``."""
+    total = 0
+    acc = None
+    for coeff, factors in terms:
+        m = bound = None
+        for fac in factors:
+            pair = fac if isinstance(fac, tuple) else (fac,)
+            mats = [x._to_scipy() for x in pair]
+            if any(x is None for x in mats):
+                return None
+            fac_bound = 1
+            for x in pair:
+                fac_bound *= x._max_abs()
+            if fac_bound >= _INT64_SAFE:
+                return None
+            fac_sp = mats[0] if len(mats) == 1 else sp.kron(mats[0], mats[1], format="csr")
+            if m is None:
+                m, bound = fac_sp, fac_bound
+                continue
+            bound = bound * fac_bound * max(m.shape[1], 1)
+            if bound >= _INT64_SAFE:
+                return None
+            m = m @ fac_sp
+            if field.char:
+                m.data %= field.char
+                m.eliminate_zeros()
+                bound = field.char - 1
+        total += abs(coeff) * bound
+        if total >= _INT64_SAFE:
+            return None
+        acc = m * coeff if acc is None else acc + m * coeff
+    return acc
 
 
 def _sparse_rank(field: Field, rows: Iterable[Vec]) -> int:

@@ -4,10 +4,51 @@ import pytest
 
 from conftest import named_algebra
 
-from hopfcalc.calculus import Calculus, specialization_check, verify_dga
+from hopfcalc.calculus import Calculus, _witness, specialization_check, verify_dga
 from hopfcalc.hopf import BialgebraMorphism
-from hopfcalc.linalg import basis_vec, tensor_encode
+from hopfcalc.linalg import (Matrix, Vec, basis_vec, identity_defect_witness,
+                             tensor_decode, tensor_encode, vec_add, vec_tensor)
 from hopfcalc.modules import BimoduleCoalgebra
+
+
+def reference_product(calc: Calculus, n: int, m: int) -> Matrix:
+    """The graded product by direct enumeration, the oracle for
+    ``Calculus.product``: for u = prefix (x) b and v = c_1 (x) ... (x) c_m (x) w,
+    sum over the legs l_0 (x) ... (x) l_2m of Delta^(2m)(b) of
+
+        prefix (x) sand(l_0, c_1, l_2m) (x) ... (x) sand(l_(m-1), c_m, l_(m+1))
+               (x) l_m w."""
+    f = calc.field
+    cd, bd = calc.cdim, calc.B.dim
+    dim_u, dim_v = calc.degree_dim(n), calc.degree_dim(m)
+    out = Matrix(calc.degree_dim(n + m), dim_u * dim_v, f)
+    for cu in range(dim_u):
+        uidx = tensor_decode(cu, calc.degree_dims(n))
+        prefix = 0
+        for a in uidx[:n]:
+            prefix = prefix * cd + a
+        b = uidx[n]
+        comul = calc.B._iter_comul_basis(b, 2 * m) if m else {b: f.one()}
+        legs = [(tensor_decode(fl, [bd] * (2 * m + 1)), c) for fl, c in comul.items()]
+        for cv in range(dim_v):
+            vidx = tensor_decode(cv, calc.degree_dims(m))
+            acc: Vec = {}
+            for l, cl in legs:
+                term: Vec = {prefix: cl}
+                for k in range(1, m + 1):
+                    piece = calc._sand(l[k - 1], vidx[k - 1], l[2 * m + 1 - k])
+                    term = vec_tensor(f, term, piece, cd)
+                final = calc.B.mul.get((l[m], vidx[m]), {})
+                vec_add(f, acc, vec_tensor(f, term, final, bd))
+            out._init_column(cu * dim_v + cv, acc)
+    return out
+
+
+def three_calculi(H):
+    C = BimoduleCoalgebra.from_hopf(H)
+    return [Calculus.k(H), Calculus.khat(H),
+            Calculus.general(C, BialgebraMorphism.identity(H),
+                             BialgebraMorphism.antipode(H))]
 
 
 @pytest.mark.parametrize("name", ["kZ2", "kZ3", "dualZ2", "dualZ2_F2", "sweedler"])
@@ -45,6 +86,53 @@ def test_corrupted_differential_is_detected():
     assert not rep.passed
     bad = rep.failures()[0]
     assert bad.witness is not None
+
+
+@pytest.mark.parametrize("name", ["kZ3", "sweedler", "dualZ2", "taft327"])
+def test_products_match_the_reference_enumeration(name):
+    for calc in three_calculi(named_algebra(name)):
+        for n in range(3):
+            for m in range(3 - n):
+                assert calc.product(n, m) == reference_product(calc, n, m), (calc, n, m)
+
+
+@pytest.mark.parametrize("name", ["kZ3", "sweedler", "kS3"])
+def test_products_are_block_copies_of_the_degree_zero_row(name):
+    for calc in three_calculi(named_algebra(name)):
+        for n in range(1, 4):
+            for m in range(4 - n):
+                eye = Matrix.identity(calc.cdim ** n, calc.field)
+                assert calc.product(n, m) == eye.kron(calc.product(0, m)), (calc, n, m)
+
+
+def test_corrupted_product_gives_the_full_associativity_witnesses():
+    H = named_algebra("sweedler")
+    calc = Calculus.khat(H)
+    f = calc.field
+    p01 = calc.product(0, 1)
+    col = dict(p01.column(5))
+    k = next(iter(col)) if col else 0
+    col[k] = f.add(col.get(k, f.zero()), f.one())
+    p01.set_column(5, col)
+    rep = verify_dga(calc, max_degree=3)
+    got = [(c.name, c.witness) for c in rep.checks if c.name.startswith("associativity")]
+
+    def eye(n):
+        return Matrix.identity(calc.degree_dim(n), f)
+
+    full = []
+    for n in range(4):
+        for m in range(4 - n):
+            for l in range(4 - n - m):
+                w = identity_defect_witness(f, [
+                    (1, [calc.product(n + m, l), (calc.product(n, m), eye(l))]),
+                    (-1, [calc.product(n, m + l), (eye(n), calc.product(m, l))]),
+                ])
+                full.append((f"associativity[{n},{m},{l}]",
+                             None if w is None else _witness(calc, w, [n, m, l])))
+    assert got == full
+    failing = [name for name, w in full if w is not None]
+    assert "associativity[0,1,0]" in failing and "associativity[1,1,0]" in failing
 
 
 def test_specializations_match_matrix_for_matrix():

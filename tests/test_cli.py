@@ -50,6 +50,11 @@ def test_verify_dga_general(capsys):
     assert code == 0
 
 
+def test_verify_dga_dual_group_s3_degree_3(capsys):
+    code, doc = run(capsys, "verify-dga", "--builtin", "dualgroup:S3", "--max-degree", "3")
+    assert code == 0 and len(doc["checks"]) == 3 + 6 + 20 + 1
+
+
 def test_check_module_yd_trivial(capsys):
     code, doc = run(capsys, "check-module", "--builtin", "sweedler",
                     "--module", "trivial", "--condition", "yd")
@@ -121,6 +126,56 @@ def test_malformed_json_file_is_exit_2(capsys, tmp_path):
     path.write_text("{not json")
     code, _ = run(capsys, "verify-hopf", "--hopf", str(path))
     assert code == 2
+
+
+KZ2 = {"field": "Q", "dim": 2, "basis": ["1", "g"],
+       "mul": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]],
+       "unit": [[0, 1]], "comul": [[0, 0, 0, 1], [1, 1, 1, 1]],
+       "counit": [[0, 1], [1, 1]], "antipode": [[0, 0, 1], [1, 1, 1]]}
+TRIVIAL = {"dim": 1, "action": [[0, 0, 0, 1], [1, 0, 0, 1]], "coaction": [[0, 0, 0, 1]]}
+
+
+def _with(doc, key, entry):
+    return dict(doc, **{key: doc[key] + [entry]})
+
+
+@pytest.mark.parametrize("key,entry", [
+    ("mul", [5, 5, 0, 1]), ("mul", [0, 0, -1, 1]), ("mul", [0, 1, 1, 1]),
+    ("unit", [2, 1]), ("counit", [-1, 1]), ("comul", [1, 0, 2, 1]),
+    ("comul", [2, 0, 0, 1]), ("antipode", [0, 2, 1]), ("antipode", [-1, 0, 1]),
+])
+def test_hopf_file_with_bad_or_repeated_index_is_exit_2(capsys, tmp_path, key, entry):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(_with(KZ2, key, entry)))
+    code, _ = run(capsys, "verify-hopf", "--hopf", str(path))
+    assert code == 2
+
+
+@pytest.mark.parametrize("module", [
+    _with(TRIVIAL, "coaction", [0, 0, 1, 1]), _with(TRIVIAL, "coaction", [0, 2, 0, 1]),
+    _with(TRIVIAL, "coaction", [-1, 0, 0, 1]), _with(TRIVIAL, "coaction", [0, 0, 0, 1]),
+    _with(TRIVIAL, "action", [0, 0, 1, 1]), _with(TRIVIAL, "action", [2, 0, 0, 1]),
+    {"delta": [[0, 1], [2, 1]], "sigma": [[0, 1]]},
+    {"delta": [[0, 1], [1, 1]], "sigma": [[-1, 1]]},
+])
+@pytest.mark.parametrize("condition", ["yd", "flat"])
+def test_module_file_with_bad_or_repeated_index_is_exit_2(capsys, tmp_path, module,
+                                                          condition):
+    hpath, mpath = tmp_path / "h.json", tmp_path / "m.json"
+    hpath.write_text(json.dumps(KZ2))
+    mpath.write_text(json.dumps(module))
+    code, _ = run(capsys, "check-module", "--hopf", str(hpath), "--module", str(mpath),
+                  "--condition", condition)
+    assert code == 2
+
+
+def test_well_formed_files_still_load(capsys, tmp_path):
+    hpath, mpath = tmp_path / "h.json", tmp_path / "m.json"
+    hpath.write_text(json.dumps(KZ2))
+    mpath.write_text(json.dumps(TRIVIAL))
+    code, _ = run(capsys, "check-module", "--hopf", str(hpath), "--module", str(mpath),
+                  "--condition", "yd")
+    assert code == 0
 
 
 def test_unknown_builtin_is_exit_2(capsys):

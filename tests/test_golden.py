@@ -1,0 +1,61 @@
+"""Golden canonical output of a fixed set of CLI command lines.
+
+Each command runs in-process through ``hopfcalc.cli.main``; its exit code
+and its report body without ``timing_ms`` must equal the committed
+``golden_cli.json`` byte for byte (as sorted-key JSON).  A refactor or an
+optimization that changes a report, a witness or an exit code fails here.
+
+Regenerate the file only when a report is meant to change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from hopfcalc.cli import main
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
+
+COMMANDS = [
+    ["verify-dga", "--builtin", "group:S3", "--calculus", "k", "--max-degree", "3"],
+    ["verify-dga", "--builtin", "group:S3", "--calculus", "khat", "--max-degree", "3"],
+    ["verify-dga", "--builtin", "group:S3", "--calculus", "general",
+     "--alpha", "id", "--beta", "s", "--max-degree", "3"],
+    ["verify-dga", "--builtin", "sweedler", "--calculus", "khat", "--max-degree", "3"],
+    ["verify-dga", "--builtin", "taft:3:2", "--field", "F7", "--calculus", "k",
+     "--max-degree", "2"],
+    ["check-module", "--builtin", "sweedler", "--module", "trivial",
+     "--condition", "ayd"],
+    ["homology", "--builtin", "sweedler", "--module", "regular", "--compare-cotor",
+     "--max-degree", "3"],
+    ["homology", "--builtin", "group:S3", "--calculus", "khat", "--compare-cotor",
+     "--max-degree", "3"],
+]
+
+
+def canonical(argv):
+    """(exit code, report body without timing_ms) of one command line."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    doc = json.loads(out.getvalue())
+    doc.pop("timing_ms")
+    return {"exit": code, "body": doc}
+
+
+@pytest.mark.parametrize("argv", COMMANDS,
+                         ids=[f"{k}-{a[0]}" for k, a in enumerate(COMMANDS)])
+def test_canonical_output_matches_golden(argv):
+    golden = json.loads(GOLDEN.read_text())
+    got = canonical(argv)
+    want = golden[" ".join(argv)]
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+if __name__ == "__main__":
+    doc = {" ".join(argv): canonical(argv) for argv in COMMANDS}
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -127,6 +127,22 @@ def test_identity_defect_witness_kron_terms():
     assert w is None
 
 
+def test_identity_defect_witness_bounds_the_sum_of_terms():
+    # each term fits in int64 but their sum 2**63 + 2**63 does not
+    big = Matrix.from_rows([[2**62]], QQ)
+    assert identity_defect_witness(QQ, [(2, [big]), (2, [big])]) == (0, 0, QQ.of(2**64))
+    eye = Matrix.identity(1, QQ)
+    assert identity_defect_witness(QQ, [(1, [big, eye])] * 3) == (0, 0, QQ.of(3 * 2**62))
+
+
+def test_huge_entries_fall_back_to_exact_products():
+    huge = Matrix.from_rows([[2**63]], QQ)
+    assert huge @ Matrix.identity(1, QQ) == huge
+    half = Matrix.from_rows([[2**40]], QQ)
+    assert half.kron(half) == Matrix.from_rows([[2**80]], QQ)
+    assert identity_defect_witness(QQ, [(1, [(half, half)])]) == (0, 0, QQ.of(2**80))
+
+
 def test_set_column_replaces_and_invalidates_caches():
     m = Matrix.from_rows([[1, 2], [3, 4]], QQ)
     _ = m @ m           # populate the scipy cache
