@@ -15,10 +15,22 @@ The differential is
 
 where sand(a, c, z) is a . c . S^-1(z) for the S^-1 calculus, a . c . S(z)
 for the S calculus, and alpha(a) . c . beta(z) through the bimodule actions
-in the generalized case.  The product Omega^n (x) Omega^m -> Omega^{n+m}
-applies the same sandwich to the legs of an iterated coproduct of the B
-slot of the left factor: the j-th C leg of the right factor sits between
-the j-th legs from the outside.  It is built from two exact identities.
+in the generalized case.  Each differential is built from the one below
+it.  Write E_n(w) = I (x) w for the basepoint term, so that D_n = F_n - E_n
+with F_0(b) = sand(b_(1), I, b_(3)) (x) b_(2) and, peeling off the first C
+leg of the formula above,
+
+    F_n(c (x) w) = Delta(c) (x) w - c (x) F_{n-1}(w),
+
+that is F_n = Delta_C (x) id - id_C (x) F_{n-1}, where F_{n-1}(w) is
+column w of D_{n-1} with its I (x) w term added back.  D_n is thus cdim
+block copies of -F_{n-1} plus the Delta(c) (x) w and -I (x) w terms; the
+recursion needs no coassociativity.
+
+The product Omega^n (x) Omega^m -> Omega^{n+m} applies the same sandwich
+to the legs of an iterated coproduct of the B slot of the left factor: the
+j-th C leg of the right factor sits between the j-th legs from the
+outside.  It is built from two exact identities.
 The prefix legs of the left factor are copied untouched, so
 
     product(n, m) = I_{C^(x)n} (x) product(0, m),
@@ -170,48 +182,46 @@ class Calculus:
 
     def _build_differential(self, n: int) -> Matrix:
         f = self.field
-        cd, bd = self.cdim, self.B.dim
-        src = self.degree_dim(n)
-        tgt = self.degree_dim(n + 1)
-        front_stride = cd ** n * bd
-        neg = f.neg(f.one())
-        sign_n = f.one() if n % 2 == 0 else neg
+        p = f.char
+        src, tgt = self.degree_dim(n), self.degree_dim(n + 1)
         out = Matrix(tgt, src, f)
-        for col in range(src):
-            idx = tensor_decode(col, self.degree_dims(n))
-            acc: Vec = {}
-            # - I (x) (...)
+        data = out.data
+        ints = list(range(tgt))
+        if n == 0:
+            # F_0 = sand0
+            for b in range(src):
+                for k, v in self._sand0(b).items():
+                    data[(ints[k], ints[b])] = v
+        else:
+            cd = self.cdim
+            rest = self.degree_dim(n - 1)
+            # -F_{n-1} = -D_{n-1} - I (x) .
+            neg_prev = {k: (-v) % p if p else -v
+                        for k, v in self.differential(n - 1).data.items()}
             for u, cu in self.basepoint.items():
-                vec_add(f, acc, {u * front_stride + col: f.mul(neg, cu)})
-            # interior coproducts, alternating signs
-            sign = f.one()
-            for j in range(n):
-                prefix = 0
-                for a in idx[:j]:
-                    prefix = prefix * cd + a
-                tail = idx[j + 1:]
-                tail_dims = self.degree_dims(n)[j + 1:]
-                tail_flat = 0
-                for a, d in zip(tail, tail_dims):
-                    tail_flat = tail_flat * d + a
-                tail_stride = 1
-                for d in tail_dims:
-                    tail_stride *= d
-                for fl2, c2 in self._comul_c(idx[j]).items():
-                    fl = (prefix * cd * cd + fl2) * tail_stride + tail_flat
-                    vec_add(f, acc, {fl: f.mul(sign, c2)})
-                sign = f.neg(sign)
-            # last term: sandwich the B slot around the basepoint
-            prefix = 0
-            for a in idx[:n]:
-                prefix = prefix * cd + a
-            for fl2, c2 in self._sand0(idx[n]).items():
-                vec_add(f, acc, {prefix * cd * bd + fl2: f.mul(sign_n, c2)})
-            out._init_column(col, acc)
+                cu = f.neg(cu)
+                for w in range(rest):
+                    _accumulate(neg_prev, (u * rest + w, w), cu, p)
+            neg_prev = list(neg_prev.items())
+            # - c (x) F_{n-1}(w): one block per c
+            for c in range(cd):
+                ro, co = c * src, c * rest
+                for (r, w), v in neg_prev:
+                    data[(ints[ro + r], ints[co + w])] = v
+            # + Delta(c) (x) w
+            for c in range(cd):
+                co = c * rest
+                for fl2, c2 in self._comul_c(c).items():
+                    ro = fl2 * rest
+                    for w in range(rest):
+                        _accumulate(data, (ints[ro + w], ints[co + w]), c2, p)
+        # - I (x) .
+        for u, cu in self.basepoint.items():
+            cu = f.neg(cu)
+            ro = u * src
+            for col in range(src):
+                _accumulate(data, (ints[ro + col], ints[col]), cu, p)
         return out
-
-    def differential_apply(self, n: int, v: Vec) -> Vec:
-        return self.differential(n).apply(v)
 
     # -- the graded product ----------------------------------------------------
 
@@ -301,6 +311,18 @@ def _block_diagonal(copies: int, A: Matrix) -> Matrix:
         for (i, j), v in entries:
             data[(ints[ro + i], ints[co + j])] = v
     return out
+
+
+def _accumulate(data: dict, key, v, p: int) -> None:
+    """``data[key] += v`` for ``v`` reduced mod ``p`` (0 over Q), keeping
+    no zero entry."""
+    old = data.get(key)
+    if old is not None:
+        v = (old + v) % p if p else old + v
+    if v:
+        data[key] = v
+    elif old is not None:
+        del data[key]
 
 
 # ---------------------------------------------------------------------------

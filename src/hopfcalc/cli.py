@@ -9,9 +9,11 @@ Subcommands:
     tensor         tensor product of a YD-flat and an AYD-flat connection
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (witness in
-the report), 2 malformed input or usage error.  Reports are JSON on
-stdout and deterministic for identical inputs; wall time is carried in a
-separate "timing_ms" field that is not part of the canonical body.
+the report), 2 malformed input or usage error, 3 internal error (an
+invariant of hopfcalc itself failed, a RuntimeError; the message names
+the exception type).  Reports are JSON on stdout and deterministic for
+identical inputs; wall time is carried in a separate "timing_ms" field
+that is not part of the canonical body.
 """
 from __future__ import annotations
 
@@ -304,6 +306,8 @@ def cmd_verify_dga(args, started: float) -> int:
     if not hrep.passed:
         raise CliError(f"input fails Hopf axiom {hrep.failures()[0].name}")
     max_degree = args.max_degree or _default_max_degree()
+    if max_degree < 2:
+        raise CliError("verify-dga needs --max-degree >= 2 to see the DGA axioms")
     calc = build_cli_calculus(args, H, max_degree)
     rep = verify_dga(calc, max_degree)
     return _emit(["verify-dga", args.calculus], {"checks": rep.to_json()},
@@ -484,6 +488,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RuntimeError as e:       # an internal invariant failed, not the input
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     except Exception as e:          # malformed input must never crash the tool
         print(f"error: unexpected failure: {e!r}", file=sys.stderr)
         return 2

@@ -109,4 +109,3 @@ class Field:
 
 
 QQ = Field(0)
-GF = Field

@@ -12,7 +12,8 @@ from typing import List, Optional, Tuple, Union
 
 from .fields import Field
 from .hopf import BialgebraMorphism, HopfAlgebra
-from .linalg import Matrix, Vec, basis_vec, tensor_decode, vec_add, vec_tensor
+from .linalg import (Matrix, Vec, basis_vec, identity_defect_witness, tensor_decode,
+                     vec_add, vec_tensor)
 from .modules import BimoduleCoalgebra, ModComod, coassociativity_defects
 from .reports import Report
 
@@ -33,7 +34,8 @@ class ChainComplex:
             if (d.cols, d.rows) != (self.dims[n], self.dims[n + 1]):
                 raise ValueError(f"differential {n} has the wrong shape")
         for n in range(len(self.diffs) - 1):
-            if not (self.diffs[n + 1] @ self.diffs[n]).is_zero():
+            pair = [self.diffs[n + 1], self.diffs[n]]
+            if identity_defect_witness(self.field, [(1, pair)]) is not None:
                 raise ValueError(f"d^2 != 0 at degree {n}")
 
     @property

@@ -137,9 +137,6 @@ class HopfAlgebra:
                 return False
         return True
 
-    def basis_name(self, i: int) -> str:
-        return self.basis[i]
-
     def __repr__(self):
         return f"HopfAlgebra(dim={self.dim} over {self.field})"
 

@@ -1,11 +1,12 @@
 """Sparse exact linear and multilinear algebra.
 
 Vectors are zero-omitting dicts ``{index: scalar}``; matrices store
-``{(row, col): scalar}``.  Rank comes from exact Gaussian elimination with
-eager pivot normalization.  Matrix products and Kronecker products route
-through scipy.sparse integer arithmetic when every entry is an integer
-(always true for structure-constant tensors of the built-in algebras),
-falling back to pure-Python sparse arithmetic otherwise.
+``{(row, col): scalar}``.  Rank comes from exact sparse Gaussian
+elimination in integers: modular over F_p, fraction free over Q.  Matrix
+products and Kronecker products route through scipy.sparse integer
+arithmetic when every entry is an integer (always true for
+structure-constant tensors of the built-in algebras), falling back to
+pure-Python sparse arithmetic otherwise.
 
 Tensor indices over a list of factor dimensions are flattened big-endian
 lexicographically: ``flat = sum(idx[i] * prod(dims[i+1:]))``.  The same
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -220,18 +223,15 @@ class Matrix:
 
     # -- products -----------------------------------------------------------
 
-    def _int_entries(self):
-        """All entries as ints, or None if any is a non-integer rational."""
+    def _int_values(self):
+        """The values of ``data`` as ints, in its order, or None if one is a
+        non-integer rational."""
+        vals = self.data.values()
         if self.field.char:
-            return self.data
-        out = {}
-        for k, v in self.data.items():
-            if isinstance(v, Fraction):
-                if v.denominator != 1:
-                    return None
-                v = v.numerator
-            out[k] = v
-        return out
+            return vals
+        if any(v.denominator != 1 for v in vals):
+            return None
+        return (v.numerator for v in vals)
 
     def _to_scipy(self):
         """The int64 scipy CSR form, or None when an entry is not an integer
@@ -239,17 +239,15 @@ class Matrix:
         cached = getattr(self, "_sp", False)
         if cached is not False:
             return cached
-        ints = self._int_entries()
-        if ints is None or self._max_abs() >= _INT64_SAFE:
+        vals = self._int_values()
+        if vals is None or self._max_abs() >= _INT64_SAFE:
             m = None
         else:
-            if ints:
-                rows, cols, vals = zip(*((i, j, int(v)) for (i, j), v in ints.items()))
-            else:
-                rows, cols, vals = (), (), ()
-            m = sp.coo_matrix((np.array(vals, dtype=np.int64),
-                               (np.array(rows, dtype=np.int64),
-                                np.array(cols, dtype=np.int64))),
+            n = len(self.data)
+            ij = np.fromiter(chain.from_iterable(self.data), dtype=np.int64,
+                             count=2 * n).reshape(n, 2)
+            m = sp.coo_matrix((np.fromiter(vals, dtype=np.int64, count=n),
+                               (ij[:, 0], ij[:, 1])),
                               shape=(self.rows, self.cols)).tocsr()
         object.__setattr__(self, "_sp", m)
         return m
@@ -455,29 +453,60 @@ def _int64_defect(field: Field, terms):
 
 
 def _sparse_rank(field: Field, rows: Iterable[Vec]) -> int:
-    """Rank by sparse Gaussian elimination with eagerly normalized pivots.
+    """Rank by sparse Gaussian elimination in integers.
 
     ``rows`` may equally be the columns of the matrix (rank is transpose
     invariant); callers pass whichever orientation is sparser to reduce.
+
+    Elimination stays in the integers.  A pivot row is kept with its
+    leading entry ``a``, and a row whose entry in that column is ``coeff``
+    becomes ``(a/g)*r - (coeff/g)*pivot`` with ``g = gcd(a, coeff)``: a
+    nonzero multiple of ``r`` plus a multiple of the pivot, so the rank is
+    unchanged.  Over F_p a new pivot row is normalized to ``a = 1`` and
+    every entry is reduced mod p.  Over Q each incoming row is first scaled
+    by the lcm of its denominators, which leaves the rank unchanged too, so
+    no ``Fraction`` arithmetic follows (fraction free, in the manner of
+    Bareiss); when ``a/g`` is not +-1 the row's content (the gcd of its
+    entries) is divided out, which keeps the entries from growing.
     """
-    f = field
-    pivots: Dict[int, Vec] = {}
+    p = field.char
+    pivots: Dict[int, Tuple[int, Vec]] = {}
     rank = 0
     for row in rows:
-        r = dict(row)
+        if p:
+            r = dict(row)
+        else:
+            den = lcm(*(v.denominator for v in row.values()))
+            r = {k: v.numerator * (den // v.denominator) for k, v in row.items()}
         while r:
             lead = min(r)
+            coeff = r.pop(lead)
             piv = pivots.get(lead)
             if piv is None:
-                c = f.inv(r.pop(lead))
-                pivots[lead] = {k: f.mul(c, v) for k, v in r.items()}
+                if p:
+                    inv = pow(coeff, -1, p)
+                    r = {k: v * inv % p for k, v in r.items()}
+                    coeff = 1
+                pivots[lead] = (coeff, r)
                 rank += 1
                 break
-            coeff = r.pop(lead)
-            for k, pv in piv.items():
-                acc = f.sub(r.get(k, f.zero()), f.mul(coeff, pv))
-                if f.is_zero(acc):
-                    r.pop(k, None)
+            a, prow = piv
+            g = gcd(a, coeff)
+            sa, sc = a // g, coeff // g
+            if sa < 0:
+                sa, sc = -sa, -sc
+            if sa != 1:
+                r = {k: sa * v for k, v in r.items()}
+            for k, pv in prow.items():
+                x = r.get(k, 0) - sc * pv
+                if p:
+                    x %= p
+                if x:
+                    r[k] = x
                 else:
-                    r[k] = acc
+                    r.pop(k, None)
+            if sa != 1 and r:
+                content = gcd(*r.values())
+                if content != 1:
+                    r = {k: v // content for k, v in r.items()}
     return rank

@@ -44,6 +44,47 @@ def reference_product(calc: Calculus, n: int, m: int) -> Matrix:
     return out
 
 
+def reference_differential(calc: Calculus, n: int) -> Matrix:
+    """The differential by direct enumeration, the oracle for
+    ``Calculus.differential``: column by column, the basepoint term, the
+    interior coproducts with alternating signs and the sandwich on the B
+    slot, as in the module docstring of ``hopfcalc.calculus``."""
+    f = calc.field
+    cd, bd = calc.cdim, calc.B.dim
+    dims = calc.degree_dims(n)
+    src = calc.degree_dim(n)
+    front_stride = cd ** n * bd
+    neg = f.neg(f.one())
+    sign_n = f.one() if n % 2 == 0 else neg
+    out = Matrix(calc.degree_dim(n + 1), src, f)
+    for col in range(src):
+        idx = tensor_decode(col, dims)
+        acc: Vec = {}
+        for u, cu in calc.basepoint.items():
+            vec_add(f, acc, {u * front_stride + col: f.mul(neg, cu)})
+        sign = f.one()
+        for j in range(n):
+            prefix = 0
+            for a in idx[:j]:
+                prefix = prefix * cd + a
+            tail_flat = 0
+            tail_stride = 1
+            for a, d in zip(idx[j + 1:], dims[j + 1:]):
+                tail_flat = tail_flat * d + a
+                tail_stride *= d
+            for fl2, c2 in calc._comul_c(idx[j]).items():
+                fl = (prefix * cd * cd + fl2) * tail_stride + tail_flat
+                vec_add(f, acc, {fl: f.mul(sign, c2)})
+            sign = f.neg(sign)
+        prefix = 0
+        for a in idx[:n]:
+            prefix = prefix * cd + a
+        for fl2, c2 in calc._sand0(idx[n]).items():
+            vec_add(f, acc, {prefix * cd * bd + fl2: f.mul(sign_n, c2)})
+        out._init_column(col, acc)
+    return out
+
+
 def three_calculi(H):
     C = BimoduleCoalgebra.from_hopf(H)
     return [Calculus.k(H), Calculus.khat(H),
@@ -94,6 +135,16 @@ def test_products_match_the_reference_enumeration(name):
         for n in range(3):
             for m in range(3 - n):
                 assert calc.product(n, m) == reference_product(calc, n, m), (calc, n, m)
+
+
+@pytest.mark.parametrize("name", ["kZ3", "sweedler", "dualZ2", "dualZ2_F2", "taft327"])
+def test_differentials_match_the_reference_enumeration(name):
+    for calc in three_calculi(named_algebra(name)):
+        for n in range(4):
+            d, ref = calc.differential(n), reference_differential(calc, n)
+            assert d == ref, (calc, n)
+            # the same scalar type too: Fraction over Q, int over F_p
+            assert all(type(v) is type(ref.data[k]) for k, v in d.data.items())
 
 
 @pytest.mark.parametrize("name", ["kZ3", "sweedler", "kS3"])

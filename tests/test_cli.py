@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hopfcalc.calculus import Calculus
 from hopfcalc.cli import main
 
 
@@ -210,3 +211,59 @@ def test_max_degree_env_override(capsys, monkeypatch):
     monkeypatch.setenv("HOPFCALC_MAX_DEGREE", "zero")
     code, _ = run(capsys, "homology", "--builtin", "group:Z2")
     assert code == 2
+
+
+def test_verify_dga_below_degree_2_is_a_usage_error(capsys):
+    code = main(["verify-dga", "--builtin", "group:Z2", "--max-degree", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: verify-dga needs --max-degree >= 2 to see the DGA axioms\n"
+
+
+def _corrupt_differential(monkeypatch, degree, corrupt):
+    """Make every Calculus build its degree-``degree`` differential through
+    ``corrupt``, as if its cache held a wrong matrix."""
+    build = Calculus._build_differential
+
+    def corrupted(self, n):
+        d = build(self, n)
+        return corrupt(d) if n == degree else d
+    monkeypatch.setattr(Calculus, "_build_differential", corrupted)
+
+
+def test_internal_invariant_failure_is_exit_3(capsys, monkeypatch):
+    # a wrong degree-1 differential makes the two curvature routes disagree
+    def bump(d):
+        f = d.field
+        col = d.column(0)
+        k = min(col)
+        col[k] = f.add(col[k], f.one())
+        d.set_column(0, col)
+        return d
+    _corrupt_differential(monkeypatch, 1, bump)
+    code = main(["check-module", "--builtin", "sweedler", "--module", "regular",
+                 "--condition", "flat"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal error: RuntimeError: curvature routes disagree")
+
+
+@pytest.mark.parametrize("argv,witness,homology", [
+    (["--builtin", "sweedler", "--calculus", "k"],
+     {"degree": 2, "entry": [2, 2, "-1"]}, {"H_0": 2, "H_1": 1, "H_2": 1}),
+    (["--builtin", "taft:3:2", "--field", "F7", "--calculus", "khat"],
+     {"degree": 2, "entry": [1, 1, 6]}, {"H_0": 3, "H_1": 2, "H_2": 2}),
+])
+def test_corrupted_differential_witness_prints_as_before(capsys, monkeypatch, argv,
+                                                          witness, homology):
+    # doubling the top differential keeps d^2 = 0 and the ranks, so only
+    # differential_equal[2] fails; its witness prints a rational entry as a
+    # string and a prime-field one as an int, as before the calculus built
+    # each differential from the one below it
+    _corrupt_differential(monkeypatch, 2, lambda d: d.scale(d.field.of(2)))
+    code, doc = run(capsys, "homology", *argv, "--compare-cotor", "--max-degree", "3")
+    assert code == 1
+    failed = [c for c in doc["checks"] if c["status"] == "fail"]
+    assert failed == [{"name": "differential_equal[2]", "status": "fail",
+                       "witness": witness}]
+    assert doc["homology"] == homology

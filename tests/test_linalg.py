@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from hopfcalc.fields import Field, QQ
-from hopfcalc.linalg import (Matrix, identity_defect_witness, tensor_decode,
-                             tensor_encode, vec_add, vec_tensor)
+from hopfcalc.linalg import (Matrix, _sparse_rank, identity_defect_witness,
+                             tensor_decode, tensor_encode, vec_add, vec_tensor)
 
 F7 = Field(7)
 
@@ -40,6 +41,72 @@ def test_rank_plus_nullity(seed, rows, cols):
         m = _random_matrix(rng, rows, cols, field)
         assert m.rank() + m.kernel_dim() == cols
         assert m.rank() == m.transpose().rank()
+
+
+def fraction_rank(field, rows):
+    """Rank by sparse Gaussian elimination with eagerly normalized pivots in
+    the field's own arithmetic (``Fraction`` over Q): the oracle for
+    ``_sparse_rank``."""
+    f = field
+    pivots = {}
+    rank = 0
+    for row in rows:
+        r = dict(row)
+        while r:
+            lead = min(r)
+            piv = pivots.get(lead)
+            if piv is None:
+                c = f.inv(r.pop(lead))
+                pivots[lead] = {k: f.mul(c, v) for k, v in r.items()}
+                rank += 1
+                break
+            coeff = r.pop(lead)
+            for k, pv in piv.items():
+                acc = f.sub(r.get(k, f.zero()), f.mul(coeff, pv))
+                if f.is_zero(acc):
+                    r.pop(k, None)
+                else:
+                    r[k] = acc
+    return rank
+
+
+RANK_ENTRIES = {
+    "integer": (QQ, lambda rng: rng.randint(-6, 6)),
+    "rational": (QQ, lambda rng: Fraction(rng.randint(-6, 6), rng.randint(1, 6))),
+    "F7": (F7, lambda rng: rng.randint(-6, 6)),
+    "F2": (Field(2), lambda rng: rng.randint(0, 1)),
+}
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(sorted(RANK_ENTRIES)),
+       st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=7),
+       st.integers(min_value=0, max_value=4))
+def test_sparse_rank_matches_fraction_elimination(seed, kind, rows, cols, inner):
+    # inner > 0 makes the matrix a product through an inner dimension, so
+    # its rank is often below min(rows, cols) and its entries are larger
+    # than the leading entries they meet: pivots are rarely units
+    field, entry = RANK_ENTRIES[kind]
+    rng = random.Random(seed)
+
+    def rand(r, c):
+        return Matrix(r, c, field, {(i, j): field.of(entry(rng)) for i in range(r)
+                                    for j in range(c) if rng.random() < 0.6})
+
+    if inner:
+        m = rand(rows, inner)._matmul_python(rand(inner, cols))
+    else:
+        m = rand(rows, cols)
+    for vecs in (m.columns(), m.transpose().columns()):
+        assert _sparse_rank(field, vecs) == fraction_rank(field, vecs)
+
+
+def test_sparse_rank_with_non_unit_pivots():
+    # every leading entry is 2, 3 or 6, so each elimination step scales the
+    # row and divides its content out again
+    m = Matrix.from_rows([[2, 4, 6, 0], [3, 6, 9, 1], [6, 13, 18, 2], [3, 7, 9, 1]], QQ)
+    assert _sparse_rank(QQ, m.columns()) == fraction_rank(QQ, m.columns()) == 3
+    assert _sparse_rank(QQ, m.transpose().columns()) == 3
 
 
 @settings(max_examples=30)
