@@ -137,9 +137,9 @@ def _entries(doc: dict, key: str, bounds: Tuple[int, ...], field: Field):
 
 
 def _dim(doc: dict) -> int:
-    dim = int(doc["dim"])
-    if dim < 1:
-        raise ValueError(f"dim {dim} must be positive")
+    dim = doc["dim"]
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"dim {dim!r} must be a positive int")
     return dim
 
 
@@ -153,7 +153,8 @@ def load_hopf_file(path: str) -> HopfAlgebra:
              "counit":   [[i, c], ...],
              "antipode": [[i, j, c], ...]}     S(e_i) has c on e_j
     Rationals are "p/q" strings; prime-field scalars plain integers.  Every
-    index must lie in range(dim), and no coefficient may be given twice.
+    index must lie in range(dim), and no coefficient may be given twice;
+    "dim" is an int and "basis", when given, a list of exactly dim strings.
     """
     try:
         with open(path) as fh:
@@ -165,9 +166,14 @@ def load_hopf_file(path: str) -> HopfAlgebra:
     if not isinstance(doc, dict):
         raise CliError(f"{path}: top level must be an object")
     try:
+        if not isinstance(doc["field"], str):
+            raise TypeError(f"field {doc['field']!r} is not a string")
         f = parse_field(doc["field"])
         dim = _dim(doc)
-        names = doc.get("basis") or [f"e{i}" for i in range(dim)]
+        names = doc.get("basis", [f"e{i}" for i in range(dim)])
+        if type(names) is not list or len(names) != dim or not all(
+                isinstance(n, str) for n in names):
+            raise ValueError(f"basis must be a list of {dim} strings")
         mul: Dict[Tuple[int, int], Vec] = {}
         for i, j, k, c in _entries(doc, "mul", (dim, dim, dim), f):
             mul.setdefault((i, j), {})[k] = c
@@ -181,7 +187,7 @@ def load_hopf_file(path: str) -> HopfAlgebra:
             s.data[(j, i)] = c
     except (KeyError, TypeError, ValueError, IndexError) as e:
         raise CliError(f"{path}: malformed Hopf spec ({e!r})")
-    return HopfAlgebra(f, dim, list(names), mul, unit, comul, counit, s)
+    return HopfAlgebra(f, dim, names, mul, unit, comul, counit, s)
 
 
 def resolve_hopf(args) -> HopfAlgebra:
@@ -217,7 +223,7 @@ def load_module_file(path: str, H: HopfAlgebra) -> ModComod:
              "coaction": [[a, i, b, c], ...]   rho(x_a) has c on e_i (x) x_b
              "delta": [[i, c], ...], "sigma": [[i, c], ...]}
     Indices i range over the algebra's basis and a, b over the module's;
-    no coefficient may be given twice.
+    every command needs both tensors, and no coefficient may be given twice.
     """
     try:
         with open(path) as fh:
@@ -233,16 +239,12 @@ def load_module_file(path: str, H: HopfAlgebra) -> ModComod:
             sigma = {i: c for i, c in _entries(doc, "sigma", (H.dim,), f)}
             return one_dim_modcomod(H, delta, sigma, check=False)
         dim = _dim(doc)
-        action = None
-        if "action" in doc:
-            action = {(i, a): {} for i in range(H.dim) for a in range(dim)}
-            for i, a, b, c in _entries(doc, "action", (H.dim, dim, dim), f):
-                action[(i, a)][b] = c
-        coaction = None
-        if "coaction" in doc:
-            coaction = [dict() for _ in range(dim)]
-            for a, i, b, c in _entries(doc, "coaction", (dim, H.dim, dim), f):
-                coaction[a][i * dim + b] = c
+        action = {(i, a): {} for i in range(H.dim) for a in range(dim)}
+        for i, a, b, c in _entries(doc, "action", (H.dim, dim, dim), f):
+            action[(i, a)][b] = c
+        coaction = [dict() for _ in range(dim)]
+        for a, i, b, c in _entries(doc, "coaction", (dim, H.dim, dim), f):
+            coaction[a][i * dim + b] = c
     except (KeyError, TypeError, ValueError, IndexError) as e:
         raise CliError(f"{path}: malformed module spec ({e!r})")
     return ModComod(H, dim, action, coaction, label=os.path.basename(path))

@@ -1,6 +1,11 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hopfcalc.calculus import Calculus
 from hopfcalc.cli import main
@@ -170,6 +175,47 @@ def test_module_file_with_bad_or_repeated_index_is_exit_2(capsys, tmp_path, modu
     assert code == 2
 
 
+# a wrong product e_g e_g = 2 e_1 fails associativity, whose witness names
+# the basis elements of the failing tuple
+_BAD_MUL = [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 2]]
+
+
+@pytest.mark.parametrize("spec", [
+    dict(KZ2, basis=["e"], mul=_BAD_MUL), dict(KZ2, basis=5), dict(KZ2, basis=["1", 2]),
+    dict(KZ2, field=7), dict(KZ2, dim=2.5), dict(KZ2, dim="2"),
+], ids=["short-basis", "basis-int", "basis-non-string", "field-int", "dim-float",
+        "dim-string"])
+@pytest.mark.parametrize("command", [["verify-hopf"],
+                                     ["check-module", "--module", "trivial",
+                                      "--condition", "yd"]])
+def test_hopf_file_with_bad_field_dim_or_basis_is_malformed(capsys, tmp_path, spec,
+                                                            command):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(spec))
+    code = main([command[0], "--hopf", str(path), *command[1:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "malformed Hopf spec" in err and "unexpected failure" not in err
+
+
+@pytest.mark.parametrize("drop", ["action", "coaction"])
+@pytest.mark.parametrize("command", [
+    ["check-module", "--module", "M", "--condition", "flat"],
+    ["homology", "--module", "M", "--max-degree", "2"],
+    ["tensor", "--yd-module", "trivial", "--ayd-module", "M"],
+])
+def test_module_file_without_action_or_coaction_is_malformed(capsys, tmp_path, drop,
+                                                             command):
+    hpath, mpath = tmp_path / "h.json", tmp_path / "m.json"
+    hpath.write_text(json.dumps(KZ2))
+    mpath.write_text(json.dumps({k: v for k, v in TRIVIAL.items() if k != drop}))
+    argv = [str(mpath) if a == "M" else a for a in command]
+    code = main([argv[0], "--hopf", str(hpath), *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "malformed module spec" in err and "unexpected failure" not in err
+
+
 def test_well_formed_files_still_load(capsys, tmp_path):
     hpath, mpath = tmp_path / "h.json", tmp_path / "m.json"
     hpath.write_text(json.dumps(KZ2))
@@ -267,3 +313,87 @@ def test_corrupted_differential_witness_prints_as_before(capsys, monkeypatch, ar
     assert failed == [{"name": "differential_equal[2]", "status": "fail",
                        "witness": witness}]
     assert doc["homology"] == homology
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: mutated specs must exit 0, 1 or 2, never with an unexpected failure
+
+# the regular module-comodule of kZ2: e_i . x_a = x_{i+a}, rho(x_a) = e_a (x) x_a
+REGULAR = {"dim": 2, "action": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]],
+           "coaction": [[0, 0, 0, 1], [1, 1, 1, 1]]}
+# replacement values kept small: a "dim" above 4 is not explored here
+_VALUES = [None, True, -1, 0, 1, 3, 4, 2.5, "2", "x", "1/2", [], {}, [0], [[0, 0]],
+           ["1"], ["a", "b", "c"]]
+_SCALARS = ["1/2", "-3/4", 0.5, "0.5", "1/0", "abc", "", None, True, [1], "7"]
+
+
+@st.composite
+def mutated(draw, base):
+    """``base`` with one to three mutations: a key dropped, a value of
+    another type, an index out of range, an entry repeated, or a
+    non-integral or malformed scalar."""
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        keys = sorted(doc)
+        if not keys:
+            break
+        key = draw(st.sampled_from(keys))
+        entries = doc[key]
+        kind = draw(st.sampled_from(["drop", "retype", "index", "repeat", "scalar"]))
+        if kind == "drop":
+            del doc[key]
+        elif kind == "retype" or not (isinstance(entries, list) and entries
+                                      and all(isinstance(e, list) and e for e in entries)):
+            doc[key] = draw(st.sampled_from(_VALUES))
+        else:
+            entry = draw(st.sampled_from(entries))
+            if kind == "repeat":
+                entries.append(list(entry))
+            elif kind == "scalar":
+                entry[-1] = draw(st.sampled_from(_SCALARS))
+            elif len(entry) > 1:
+                pos = draw(st.integers(0, len(entry) - 2))
+                entry[pos] = draw(st.sampled_from([-1, 2, 3, 5]))
+    return doc
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean_exits(hopf, module):
+    with tempfile.TemporaryDirectory() as tmp:
+        hpath, mpath = f"{tmp}/h.json", f"{tmp}/m.json"
+        with open(hpath, "w") as fh:
+            json.dump(hopf, fh)
+        with open(mpath, "w") as fh:
+            json.dump(module, fh)
+        for argv in (["verify-hopf", "--hopf", hpath],
+                     ["check-module", "--hopf", hpath, "--module", mpath,
+                      "--condition", "flat", "--max-degree", "2"]):
+            code, err = _run_quietly(argv)
+            assert code in (0, 1, 2), (argv, err)
+            assert "unexpected failure" not in err and "Traceback" not in err, err
+
+
+_FUZZ = settings(max_examples=150, derandomize=True, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+@_FUZZ
+@given(mutated(KZ2))
+@example(dict(KZ2, basis=["e"], mul=_BAD_MUL))
+@example(dict(KZ2, basis=5))
+@example(dict(KZ2, field=7))
+@example(dict(KZ2, dim=2.5))
+def test_mutated_hopf_spec_exits_cleanly(spec):
+    _assert_clean_exits(spec, REGULAR)
+
+
+@_FUZZ
+@given(mutated(REGULAR))
+def test_mutated_module_spec_exits_cleanly(module):
+    _assert_clean_exits(KZ2, module)

@@ -1,6 +1,7 @@
 """Golden canonical output of a fixed set of CLI command lines.
 
-Each command runs in-process through ``hopfcalc.cli.main``; its exit code
+Each command runs in-process through ``hopfcalc.cli.main``, from the root
+of the repository (spec paths are relative to it); its exit code
 and its report body without ``timing_ms`` must equal the committed
 ``golden_cli.json`` byte for byte (as sorted-key JSON).  A refactor or an
 optimization that changes a report, a witness or an exit code fails here.
@@ -18,7 +19,8 @@ import pytest
 
 from hopfcalc.cli import main
 
-GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden_cli.json"
 
 COMMANDS = [
     ["verify-dga", "--builtin", "group:S3", "--calculus", "k", "--max-degree", "3"],
@@ -34,13 +36,16 @@ COMMANDS = [
      "--max-degree", "3"],
     ["homology", "--builtin", "group:S3", "--calculus", "khat", "--compare-cotor",
      "--max-degree", "3"],
+    ["verify-hopf", "--hopf", "tests/sweedler_bad_comul.json"],
+    ["verify-hopf", "--hopf", "tests/kz3_half_mul.json"],
+    ["verify-hopf", "--builtin", "taft:3:2", "--field", "F7"],
 ]
 
 
 def canonical(argv):
     """(exit code, report body without timing_ms) of one command line."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.chdir(ROOT), contextlib.redirect_stdout(out):
         code = main(list(argv))
     doc = json.loads(out.getvalue())
     doc.pop("timing_ms")

@@ -1,14 +1,20 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import named_algebra, ACCEPTANCE_ALGEBRAS
 
 from hopfcalc.fields import Field, QQ
-from hopfcalc.hopf import (BialgebraMorphism, build_group_algebra, build_sweedler,
-                           build_taft, check_group_table, cyclic_table, permute_basis,
-                           symmetric_table, verify_axioms, verify_morphism)
-from hopfcalc.linalg import Matrix, basis_vec
+from hopfcalc.hopf import (BialgebraMorphism, HopfAlgebra, build_dual_group_algebra,
+                           build_group_algebra, build_sweedler, build_taft,
+                           check_group_table, cyclic_table, permute_basis, symmetric_table,
+                           tensor_square_multiply, verify_axioms, verify_morphism)
+from hopfcalc.linalg import (Matrix, Vec, basis_vec, vec_add, vec_eq, vec_scale, vec_sub,
+                             vec_tensor)
 from hopfcalc.modules import enumerate_characters, enumerate_grouplikes
+from hopfcalc.reports import Report
 
 
 ALL_NAMES = ACCEPTANCE_ALGEBRAS + ["kZ4", "dualZ2_F2"]
@@ -135,3 +141,174 @@ def test_iterated_coproduct_bracketing_independence():
         base = H.comultiply_iter(basis_vec(f, i), 2)
         for slot in range(3):
             assert H.expand_slot(base, 3, slot) == H.comultiply_iter(basis_vec(f, i), 3)
+
+
+# ---------------------------------------------------------------------------
+# verify_axioms against the reference enumeration
+
+
+def reference_verify_axioms(H):
+    """The enumeration ``verify_axioms`` replaced: every side of every axiom
+    built as a field-valued sparse vector through the algebra's own maps,
+    compared with ``vec_eq``, and S^-1 checked by matrix products."""
+    f = H.field
+    rep = Report()
+    d = H.dim
+    ebasis = [basis_vec(f, i) for i in range(d)]
+
+    def scan(name, pairs, lhs, rhs):
+        for t in pairs:
+            a, b = lhs(*t), rhs(*t)
+            if not vec_eq(f, a, b):
+                rep.add(name, False,
+                        {"basis": [H.basis[i] for i in t], "defect": vec_sub(f, a, b)})
+                return
+        rep.add(name, True)
+
+    idx = range(d)
+    scan("associativity", itertools.product(idx, idx, idx),
+         lambda i, j, k: H.multiply(H.mul.get((i, j), {}), ebasis[k]),
+         lambda i, j, k: H.multiply(ebasis[i], H.mul.get((j, k), {})))
+    scan("unit", itertools.product(idx),
+         lambda i: H.multiply(H.unit, ebasis[i]), lambda i: ebasis[i])
+    scan("unit_right", itertools.product(idx),
+         lambda i: H.multiply(ebasis[i], H.unit), lambda i: ebasis[i])
+    scan("coassociativity", itertools.product(idx),
+         lambda i: H.expand_slot(H.comul[i], 2, 0),
+         lambda i: H.expand_slot(H.comul[i], 2, 1))
+
+    def counit_side(i, right):
+        out: Vec = {}
+        for fl, c in H.comul[i].items():
+            a, b = divmod(fl, d)
+            eps = H.counit.get(b if right else a)
+            if eps is not None:
+                vec_add(f, out, {(a if right else b): f.mul(eps, c)})
+        return out
+
+    scan("counit", itertools.product(idx), lambda i: counit_side(i, False),
+         lambda i: ebasis[i])
+    scan("counit_right", itertools.product(idx), lambda i: counit_side(i, True),
+         lambda i: ebasis[i])
+    scan("comul_is_algebra_map", itertools.product(idx, idx),
+         lambda i, j: H.comultiply(H.mul.get((i, j), {})),
+         lambda i, j: tensor_square_multiply(H, H.comul[i], H.comul[j]))
+    scan("comul_of_unit", [()],
+         lambda: H.comultiply(H.unit), lambda: vec_tensor(f, H.unit, H.unit, d))
+    scan("counit_is_algebra_map", itertools.product(idx, idx),
+         lambda i, j: {0: H.counit_of(H.mul.get((i, j), {}))},
+         lambda i, j: {0: f.mul(H.counit.get(i, f.zero()), H.counit.get(j, f.zero()))})
+    scan("counit_of_unit", [()], lambda: {0: H.counit_of(H.unit)}, lambda: {0: f.one()})
+
+    def convolve(i, left):
+        out: Vec = {}
+        for fl, c in H.comul[i].items():
+            a, b = divmod(fl, d)
+            if left:
+                term = H.multiply(H.antipode.apply(ebasis[a]), ebasis[b])
+            else:
+                term = H.multiply(ebasis[a], H.antipode.apply(ebasis[b]))
+            vec_add(f, out, term, c)
+        return out
+
+    scan("antipode_left", itertools.product(idx), lambda i: convolve(i, True),
+         lambda i: vec_scale(f, H.unit, H.counit.get(i, f.zero())))
+    scan("antipode_right", itertools.product(idx), lambda i: convolve(i, False),
+         lambda i: vec_scale(f, H.unit, H.counit.get(i, f.zero())))
+
+    sinv = H.antipode_inverse()
+    if sinv is not None:
+        ident = Matrix.identity(d, f)
+        ok = (sinv @ H.antipode == ident) and (H.antipode @ sinv == ident)
+        rep.add("antipode_inverse", ok, None if ok else {"defect": "S^-1 S != id"})
+    return rep
+
+
+def _raw(rep):
+    """Every check with its raw witness, defect entries sorted and typed."""
+    out = []
+    for c in rep.checks:
+        w = c.witness
+        if isinstance(w, dict) and isinstance(w.get("defect"), dict):
+            w = dict(w, defect=sorted((k, type(v).__name__, v)
+                                      for k, v in w["defect"].items()))
+        out.append((c.name, c.passed, w))
+    return out
+
+
+def _assert_matches_reference(H):
+    got, want = verify_axioms(H), reference_verify_axioms(H)
+    assert got.to_json() == want.to_json()
+    assert _raw(got) == _raw(want)
+    return got
+
+
+def _builtins():
+    F2, F3, F5, F7 = Field(2), Field(3), Field(5), Field(7)
+    s3, names = symmetric_table(3)
+    out = [named_algebra(n) for n in ALL_NAMES]
+    out += [build_group_algebra(cyclic_table(2), F2),
+            build_dual_group_algebra(cyclic_table(3), F3), build_sweedler(F3), build_sweedler(F5), build_group_algebra(s3, F5, names),
+            build_dual_group_algebra(s3, QQ), build_taft(2, -1, F5), build_taft(3, 2, F7),
+            build_group_algebra(cyclic_table(4), F7), build_taft(2, -1, QQ)]
+    return out
+
+
+def test_builtins_and_relabelings_match_the_reference():
+    algebras = _builtins()
+    rng = random.Random(11)
+    for _ in range(20):
+        H = rng.choice(algebras)
+        perm = list(range(H.dim))
+        rng.shuffle(perm)
+        algebras.append(permute_basis(H, perm))
+    for H in algebras:
+        assert _assert_matches_reference(H).passed
+
+
+_AXIOMS = ["associativity", "unit", "unit_right", "coassociativity", "counit",
+           "counit_right", "comul_is_algebra_map", "comul_of_unit",
+           "counit_is_algebra_map", "counit_of_unit", "antipode_left", "antipode_right"]
+
+
+def mutate_entry(H, rng, values):
+    """A copy of H with one entry of mul, comul, unit, counit or the antipode
+    set to one of ``values`` (a zero is kept as an explicit entry, except in
+    the antipode matrix, which prunes it)."""
+    f, d = H.field, H.dim
+    mul = {k: dict(v) for k, v in H.mul.items()}
+    unit, counit = dict(H.unit), dict(H.counit)
+    comul = [dict(v) for v in H.comul]
+    antipode = dict(H.antipode.data)
+    c = f.of(rng.choice(values))
+    which = rng.choice(["mul", "comul", "unit", "counit", "antipode"])
+    if which == "mul":
+        mul.setdefault((rng.randrange(d), rng.randrange(d)), {})[rng.randrange(d)] = c
+    elif which == "comul":
+        comul[rng.randrange(d)][rng.randrange(d * d)] = c
+    elif which == "unit":
+        unit[rng.randrange(d)] = c
+    elif which == "counit":
+        counit[rng.randrange(d)] = c
+    else:
+        antipode[(rng.randrange(d), rng.randrange(d))] = c
+    return HopfAlgebra(f, d, list(H.basis), mul, unit, comul, counit,
+                       Matrix(d, d, f, antipode))
+
+
+def test_single_entry_mutations_match_the_reference():
+    F7 = Field(7)
+    rational = [0, 1, -1, 2, "1/2", "-3/2"]
+    cases = ([(named_algebra(n), rational)
+              for n in ("kZ2", "kZ3", "kS3", "dualZ2", "sweedler")]
+             + [(named_algebra("taft327"), range(7)), (build_sweedler(F7), range(7)),
+                (build_dual_group_algebra(cyclic_table(3), F7), range(7))])
+    rng = random.Random(5)
+    failed, failing = set(), 0
+    for k in range(600):
+        H, values = cases[k % len(cases)]
+        rep = _assert_matches_reference(mutate_entry(H, rng, values))
+        failed |= {c.name for c in rep.failures()}
+        failing += not rep.passed
+    assert failed == set(_AXIOMS)
+    assert failing >= 400
