@@ -41,8 +41,14 @@ A_{m-1} by peeling off the outermost pair of legs:
     A_m(b (x) c (x) w) = sum sand(b_(1), c, b_(3)) (x) A_{m-1}(b_(2) (x) w)
 
 over Delta^(2)(b) = b_(1) (x) b_(2) (x) b_(3), with A_0 the multiplication
-of B.  A leg whose sandwich is zero is dropped before it meets
-A_{m-1}.  The recursion is exact only when B is coassociative; the CLI
+of B.  In matrix form, with the sandwich matrix T: B (x) C -> C (x) B,
+T(b (x) c) = sum sand(b_(1), c, b_(3)) (x) b_(2), built once,
+
+    A_m = (I_C (x) A_{m-1}) . (T (x) I_{Omega^(m-1)}),
+
+so every product is a Kronecker product or a matrix product of A_0, T
+and identities, and stays in int64 CSR whenever they are integral.
+The recursion is exact only when B is coassociative; the CLI
 checks that with ``verify_axioms`` before it builds a calculus.  The block
 structure also makes the associativity defect at (n, m, l) equal to
 I_{C^(x)n} (x) the defect at (0, m, l), so ``verify_dga`` computes it once
@@ -100,6 +106,7 @@ class Calculus:
         self._prod: Dict[Tuple[int, int], Matrix] = {}
         self._sand_cache: Dict[Tuple[int, int, int], Vec] = {}
         self._sand0_cache: Dict[int, Vec] = {}
+        self._sandwich: Optional[Matrix] = None
 
     # -- constructors --------------------------------------------------------
 
@@ -197,7 +204,7 @@ class Calculus:
             rest = self.degree_dim(n - 1)
             # -F_{n-1} = -D_{n-1} - I (x) .
             neg_prev = {k: (-v) % p if p else -v
-                        for k, v in self.differential(n - 1).data.items()}
+                        for k, v in self.differential(n - 1).entries()}
             for u, cu in self.basepoint.items():
                 cu = f.neg(cu)
                 for w in range(rest):
@@ -236,54 +243,37 @@ class Calculus:
         return p
 
     def _build_product(self, n: int, m: int) -> Matrix:
-        if n:
-            return _block_diagonal(self.cdim ** n, self.product(0, m))
         f = self.field
-        p = f.char
-        cd, bd = self.cdim, self.B.dim
-        dim_v = self.degree_dim(m)
-        out = Matrix(dim_v, bd * dim_v, f)
-        data = out.data
-        ints = list(range(max(out.rows, out.cols)))
+        if n:
+            return Matrix.identity(self.cdim ** n, f).kron(self.product(0, m))
         if m == 0:
-            for (b, w), prod in self.B.mul.items():
-                j = ints[b * bd + w]
-                for k, c in prod.items():
-                    if not f.is_zero(c):
-                        data[(ints[k], j)] = c
-            return out
-        rest = self.degree_dim(m - 1)
-        prev = self.product(0, m - 1).columns()
-        for b in range(bd):
-            legs = []
-            for fl, cl in self.B._iter_comul_basis(b, 2).items():
-                b12, b3 = divmod(fl, bd)
-                b1, b2 = divmod(b12, bd)
-                legs.append((b1, b2 * rest, b3, cl))
-            for c in range(cd):
-                # the live legs: sand(b_(1), c, b_(3)) (x) A_{m-1}(b_(2) (x) .)
-                terms = []
-                for b1, off, b3, cl in legs:
-                    piece = self._sand(b1, c, b3)
-                    if piece:
-                        terms.append((off, [(s * rest, f.mul(cl, cs))
-                                            for s, cs in piece.items()]))
-                base = (b * cd + c) * rest
-                for w in range(rest):
-                    acc: Vec = {}
-                    for off, coeffs in terms:
-                        col = prev[off + w]
-                        for so, k in coeffs:
-                            for r, cr in col.items():
-                                i = so + r
-                                acc[i] = acc.get(i, 0) + k * cr
-                    j = ints[base + w]
-                    for i, v in acc.items():
-                        if p:
-                            v %= p
-                        if v:
-                            data[(ints[i], j)] = v
-        return out
+            bd = self.B.dim
+            return Matrix.from_columns_csr(
+                [self.B.mul.get((b, w), {}) for b in range(bd) for w in range(bd)], bd, f)
+        return (Matrix.identity(self.cdim, f).kron(self.product(0, m - 1))
+                @ self._sandwich_matrix().kron(
+                    Matrix.identity(self.degree_dim(m - 1), f)))
+
+    def _sandwich_matrix(self) -> Matrix:
+        """T: B (x) C -> C (x) B, T(b (x) c) = sum sand(b_(1), c, b_(3)) (x) b_(2)
+        over Delta^(2)(b), built once."""
+        if self._sandwich is None:
+            cd, bd = self.cdim, self.B.dim
+            cols = []
+            for b in range(bd):
+                legs = []
+                for fl, cl in self.B._iter_comul_basis(b, 2).items():
+                    b12, b3 = divmod(fl, bd)
+                    legs.append((*divmod(b12, bd), b3, cl))
+                for c in range(cd):
+                    col: Vec = {}
+                    for b1, b2, b3, cl in legs:
+                        for s, cs in self._sand(b1, c, b3).items():
+                            i = s * bd + b2
+                            col[i] = col.get(i, 0) + cl * cs
+                    cols.append(col)
+            self._sandwich = Matrix.from_columns_csr(cols, cd * bd, self.field)
+        return self._sandwich
 
     def product_apply(self, u: Vec, n: int, v: Vec, m: int) -> Vec:
         p = self.product(n, m)
@@ -297,20 +287,6 @@ class Calculus:
 
     def __repr__(self):
         return f"Calculus({self.kind}, B dim {self.B.dim}, C dim {self.cdim})"
-
-
-def _block_diagonal(copies: int, A: Matrix) -> Matrix:
-    """I_copies (x) A.  Every entry's row and column index is taken from one
-    shared list of ints instead of being made afresh."""
-    out = Matrix(copies * A.rows, copies * A.cols, A.field)
-    data = out.data
-    ints = list(range(max(out.rows, out.cols)))
-    entries = list(A.data.items())
-    for k in range(copies):
-        ro, co = k * A.rows, k * A.cols
-        for (i, j), v in entries:
-            data[(ints[ro + i], ints[co + j])] = v
-    return out
 
 
 def _accumulate(data: dict, key, v, p: int) -> None:
@@ -330,8 +306,8 @@ def _accumulate(data: dict, key, v, p: int) -> None:
 
 
 def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
-    """d^2 = 0, graded Leibniz and product associativity, all as exact sparse
-    matrix identities across the materialized degrees.
+    """d^2 = 0, graded Leibniz, product associativity and the graded unit,
+    all as exact sparse matrix identities across the materialized degrees.
 
     Associativity is computed at n = 0 for each (m, l) and carried to every
     n by the block structure of the products (module docstring); the
@@ -384,16 +360,14 @@ def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
                 rep.add(f"associativity[{n},{m},{l}]", w is None,
                         None if w is None else _witness(calc, w, [n, m, l]))
 
-    one = calc.unit_element()
-    ok = True
-    for n in range(max_degree + 1):
-        for i in range(calc.degree_dim(n)):
-            e = basis_vec(f, i)
-            if calc.product_apply(one, 0, e, n) != e or calc.product_apply(e, n, one, 0) != e:
-                ok = False
-                break
-        if not ok:
-            break
+    # the unit u, a B x 1 column, is a two-sided identity in every degree:
+    # product(0, n) (u (x) I) = I = product(n, 0) (I (x) u)
+    u = Matrix.from_columns_csr([calc.unit_element()], calc.B.dim, f)
+    ok = all(identity_defect_witness(f, [(1, [calc.product(0, n), (u, eye(n))]),
+                                         (-1, [eye(n)])]) is None
+             and identity_defect_witness(f, [(1, [calc.product(n, 0), (eye(n), u)]),
+                                             (-1, [eye(n)])]) is None
+             for n in range(max_degree + 1))
     rep.add("graded_unit", ok)
     return rep
 

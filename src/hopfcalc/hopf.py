@@ -46,12 +46,6 @@ class HopfAlgebra:
                     vec_add(f, out, prod, f.mul(ci, cj))
         return out
 
-    def multiply_all(self, *vecs: Vec) -> Vec:
-        out = self.unit
-        for v in vecs:
-            out = self.multiply(out, v)
-        return out
-
     def comultiply(self, u: Vec) -> Vec:
         f = self.field
         out: Vec = {}
@@ -553,7 +547,7 @@ def permute_basis(H: HopfAlgebra, perm: Sequence[int],
     mul = {(a, b): rv(H.mul.get((perm[a], perm[b]), {})) for a in range(d) for b in range(d)}
     comul = [rt(H.comul[perm[a]]) for a in range(d)]
     counit = {inv[i]: c for i, c in H.counit.items()}
-    antipode = Matrix(d, d, f, {(inv[i], inv[j]): v for (i, j), v in H.antipode.data.items()})
+    antipode = Matrix(d, d, f, {(inv[i], inv[j]): v for (i, j), v in H.antipode.entries()})
     table = None
     if H.group_table is not None:
         table = [[inv[H.group_table[perm[a]][perm[b]]] for b in range(d)] for a in range(d)]

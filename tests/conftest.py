@@ -7,12 +7,14 @@ of their coactions.  Mutations are seeded so runs are reproducible.
 """
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 
-from hopfcalc.fields import Field
+from hopfcalc.fields import QQ, Field
 from hopfcalc.hopf import (HopfAlgebra, build_dual_group_algebra, build_group_algebra,
                            build_sweedler, build_taft, cyclic_table, symmetric_table)
+from hopfcalc.linalg import Matrix
 from hopfcalc.modules import (ModComod, coadjoint_comodule, enumerate_characters,
                               enumerate_grouplikes, one_dim_modcomod, regular_modcomod,
                               trivial_modcomod)
@@ -37,7 +39,27 @@ def named_algebra(name: str) -> HopfAlgebra:
         return build_sweedler()
     if name == "taft327":
         return build_taft(3, 2, Field(7))
+    if name == "kZ3_scaled":
+        return scaled_kZ3()
     raise KeyError(name)
+
+
+def scaled_kZ3() -> HopfAlgebra:
+    """kZ3 in the basis h_i = s_i g^i with s = (1, 2, 3): h_i h_j =
+    (s_i s_j / s_(i+j)) h_(i+j), Delta(h_i) = (1/s_i) h_i (x) h_i and
+    eps(h_i) = s_i.  Its multiplication is not integral (h_1 h_1 =
+    (4/3) h_2), so the products of its calculi take the exact ``Fraction``
+    path of ``Matrix.kron`` and ``@``.  (With s = (1, 2, 2) every product
+    constant would be an integer, and the sandwich of a group algebra
+    cancels any rescaling.)"""
+    s = [1, 2, 3]
+    mul = {(i, j): {(i + j) % 3: Fraction(s[i] * s[j], s[(i + j) % 3])}
+           for i in range(3) for j in range(3)}
+    comul = [{4 * i: Fraction(1, s[i])} for i in range(3)]
+    counit = {i: Fraction(s[i]) for i in range(3)}
+    antipode = Matrix(3, 3, QQ, {(-i % 3, i): Fraction(s[i], s[-i % 3]) for i in range(3)})
+    return HopfAlgebra(QQ, 3, ["h0", "h1", "h2"], mul, {0: QQ.one()}, comul, counit,
+                       antipode)
 
 
 ACCEPTANCE_ALGEBRAS = ["kZ2", "kZ3", "kS3", "dualZ2", "sweedler", "taft327"]

@@ -85,6 +85,28 @@ def reference_differential(calc: Calculus, n: int) -> Matrix:
     return out
 
 
+def reference_graded_unit(calc: Calculus, max_degree: int) -> bool:
+    """The unit as a two-sided identity, basis vector by basis vector through
+    ``product_apply``: the oracle for the ``graded_unit`` line of
+    ``verify_dga``."""
+    f = calc.field
+    one = calc.unit_element()
+    for n in range(max_degree + 1):
+        for i in range(calc.degree_dim(n)):
+            e = basis_vec(f, i)
+            if calc.product_apply(one, 0, e, n) != e or calc.product_apply(e, n, one, 0) != e:
+                return False
+    return True
+
+
+def graded_unit_line(calc: Calculus, max_degree: int) -> str:
+    """The status of the ``graded_unit`` line, which carries no witness."""
+    rep = verify_dga(calc, max_degree=max_degree)
+    line = next(c for c in rep.checks if c.name == "graded_unit")
+    assert line.witness is None
+    return line.status
+
+
 def three_calculi(H):
     C = BimoduleCoalgebra.from_hopf(H)
     return [Calculus.k(H), Calculus.khat(H),
@@ -92,7 +114,8 @@ def three_calculi(H):
                              BialgebraMorphism.antipode(H))]
 
 
-@pytest.mark.parametrize("name", ["kZ2", "kZ3", "dualZ2", "dualZ2_F2", "sweedler"])
+@pytest.mark.parametrize("name", ["kZ2", "kZ3", "dualZ2", "dualZ2_F2", "sweedler",
+                                  "kZ3_scaled"])
 def test_dga_axioms_hold_for_both_hopf_calculi(name):
     H = named_algebra(name)
     for calc in (Calculus.k(H), Calculus.khat(H)):
@@ -129,7 +152,7 @@ def test_corrupted_differential_is_detected():
     assert bad.witness is not None
 
 
-@pytest.mark.parametrize("name", ["kZ3", "sweedler", "dualZ2", "taft327"])
+@pytest.mark.parametrize("name", ["kZ3", "sweedler", "dualZ2", "taft327", "kZ3_scaled"])
 def test_products_match_the_reference_enumeration(name):
     for calc in three_calculi(named_algebra(name)):
         for n in range(3):
@@ -184,6 +207,38 @@ def test_corrupted_product_gives_the_full_associativity_witnesses():
     assert got == full
     failing = [name for name, w in full if w is not None]
     assert "associativity[0,1,0]" in failing and "associativity[1,1,0]" in failing
+
+
+@pytest.mark.parametrize("name", ["kZ2", "kZ3", "kZ4", "kS3", "dualZ2", "dualZ2_F2",
+                                  "sweedler", "taft327", "kZ3_scaled"])
+def test_graded_unit_line_matches_the_reference_loop(name):
+    for calc in three_calculi(named_algebra(name)):
+        want = "pass" if reference_graded_unit(calc, 3) else "fail"
+        assert graded_unit_line(calc, 3) == want == "pass", calc
+
+
+def test_graded_unit_fails_with_the_reference_on_a_corrupted_product():
+    for name in ("kZ3", "sweedler", "kZ3_scaled"):
+        for calc in three_calculi(named_algebra(name)):
+            f = calc.field
+            p01 = calc.product(0, 1)
+            # column 0 is e_0 (x) (the first basis vector of degree 1), and
+            # e_0 is the unit of these algebras
+            col = p01.column(0)
+            col[1] = f.add(col.get(1, f.zero()), f.one())
+            p01.set_column(0, col)
+            assert reference_graded_unit(calc, 3) is False
+            assert graded_unit_line(calc, 3) == "fail", calc
+
+
+def test_scaled_kZ3_products_take_the_exact_path():
+    # the structure constants of A_0 are not integral, so Matrix.kron and @
+    # fall back to Fraction arithmetic and return dict-stored products
+    for calc in three_calculi(named_algebra("kZ3_scaled")):
+        for nm in ((0, 0), (0, 1), (1, 1), (0, 2)):
+            p = calc.product(*nm)
+            assert p._to_csr() is None
+            assert any(v.denominator != 1 for _, v in p.entries()), (calc, nm)
 
 
 def test_specializations_match_matrix_for_matrix():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from hopfcalc.fields import Field, QQ
@@ -224,3 +225,119 @@ def test_vec_tensor_layout():
     f = QQ
     v = vec_tensor(f, {1: f.of(2)}, {0: f.of(3)}, 4)
     assert v == {4: f.of(6)}
+
+
+def test_a_write_through_data_is_seen_by_every_later_read():
+    # the int64 form cached by a product used to outlive a write through
+    # .data: the defect below came out None and m @ I lost the entry
+    m = Matrix.from_rows([[1, 0], [0, 1]], QQ)
+    eye = Matrix.identity(2, QQ)
+    _ = m @ eye
+    m.data[(0, 1)] = Fraction(5)
+    assert identity_defect_witness(QQ, [(1, [m]), (-1, [eye])]) == (0, 1, QQ.of(5))
+    assert (m @ eye).get(0, 1) == 5
+    # the same for a kernel result, stored as CSR until .data is read
+    k = eye.kron(eye)
+    assert k.apply({0: QQ.one()}) == {0: QQ.one()}
+    k.data[(1, 0)] = Fraction(2**63)
+    assert k.apply({0: QQ.one()}) == {0: QQ.one(), 1: QQ.of(2**63)}
+    assert (k @ Matrix.identity(4, QQ)).get(1, 0) == 2**63
+
+
+def dict_kron(a: Matrix, b: Matrix) -> Matrix:
+    """The Kronecker product entry by entry, in the field's arithmetic: the
+    oracle for the int64 kernel of ``Matrix.kron``."""
+    f = a.field
+    data = {}
+    for (i, j), u in a.entries():
+        for (k, l), v in b.entries():
+            data[(i * b.rows + k, j * b.cols + l)] = f.mul(u, v)
+    return Matrix(a.rows * b.rows, a.cols * b.cols, f, data)
+
+
+def _kernel_operands(rng, field):
+    """Two CSR-stored matrices, made by the kernels from random dict ones
+    with shapes from 0 to 4 (empty rows, columns and matrices included)."""
+    shape = [rng.randint(0, 4) for _ in range(3)]
+    density = rng.choice([0.0, 0.3, 0.7])
+    a = _random_matrix(rng, shape[0], shape[1], field, density)
+    b = _random_matrix(rng, shape[1], shape[2], field, density)
+    return a.kron(Matrix.identity(1, field)), Matrix.identity(1, field).kron(b)
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_kron_kernel_matches_the_dict_loop(seed):
+    rng = random.Random(seed)
+    for field in (QQ, F7):
+        for _ in range(3):
+            rows = [rng.randint(0, 4) for _ in range(4)]
+            a = _random_matrix(rng, rows[0], rows[1], field, rng.choice([0.0, 0.3, 0.8]))
+            b = _random_matrix(rng, rows[2], rows[3], field, rng.choice([0.0, 0.3, 0.8]))
+            got = a.kron(b)
+            assert got._dict is None            # stored as CSR
+            assert got == dict_kron(a, b)
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_a_csr_result_equals_its_dict_twin(seed):
+    rng = random.Random(seed)
+    for field in (QQ, F7):
+        a, b = _kernel_operands(rng, field)
+        for got, twin in ((a @ b, a._matmul_python(b)), (a.kron(b), dict_kron(a, b))):
+            assert got._dict is None and twin._dict is not None
+            assert got == twin and twin == got
+            assert got.columns() == twin.columns()
+            assert [got.column(j) for j in range(got.cols)] == twin.columns()
+            assert dict(got.entries()) == twin.data
+            doubled = got.kron(Matrix.from_rows([[2]], field))
+            assert (got == doubled) == (twin == doubled) == twin.is_zero()
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_apply_keeps_values_and_scalar_types(seed):
+    # a kernel result used to be a dict of ints; apply on it gave Fractions
+    # over Q and ints over F_p, and still does from the CSR
+    rng = random.Random(seed)
+    for field in (QQ, F7):
+        a, b = _kernel_operands(rng, field)
+        m = a @ b
+        twin = Matrix(m.rows, m.cols, field, {k: int(v) for k, v in m.entries()})
+        v = {j: field.of(rng.randint(-3, 3)) for j in range(m.cols) if rng.random() < 0.6}
+        v = {j: c for j, c in v.items() if not field.is_zero(c)}
+        got, want = m.apply(v), twin.apply(v)
+        assert got == want
+        assert [type(x) for x in got.values()] == [type(x) for x in want.values()]
+        assert all(type(x) is (int if field.char else Fraction) for x in got.values())
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_fp_entries_stay_reduced(seed):
+    rng = random.Random(seed)
+    for p in (2, 7):
+        field = Field(p)
+        a, b = _kernel_operands(rng, field)
+        for m in (a @ b, a.kron(b), b.kron(a), (a @ b) @ Matrix.identity(b.cols, field)):
+            assert all(0 < v < p for _, v in m.entries())
+
+
+def test_no_kernel_writes_to_an_operand():
+    rng = random.Random(11)
+    for field in (QQ, F7):
+        a = _random_matrix(rng, 3, 4, field).kron(Matrix.identity(2, field))
+        b = Matrix.identity(2, field).kron(_random_matrix(rng, 4, 3, field))
+        eye = Matrix.identity(6, field)
+        one = Matrix.identity(1, field)
+        before = [[x.copy() for x in m._csr] for m in (a, b, eye)]
+        _ = (a @ b, a.kron(b), b.kron(eye), a.apply({0: field.one()}), a.columns(),
+             a.get(1, 2), a == b, a.nonzero_witness(), a - a,
+             identity_defect_witness(field, [(1, [a, b]), (-1, [a, (b, one)]),
+                                             (3, [(eye, one), a @ b])]))
+        after = [m._csr for m in (a, b, eye)]
+        assert all(np.array_equal(x, y)
+                   for xs, ys in zip(before, after) for x, y in zip(xs, ys))
+        # the identity's CSR may be shared between matrices; it stays the identity
+        assert eye == Matrix(6, 6, field, {(i, i): field.one() for i in range(6)})
