@@ -16,16 +16,26 @@ The differential is
 where sand(a, c, z) is a . c . S^-1(z) for the S^-1 calculus, a . c . S(z)
 for the S calculus, and alpha(a) . c . beta(z) through the bimodule actions
 in the generalized case.  Each differential is built from the one below
-it.  Write E_n(w) = I (x) w for the basepoint term, so that D_n = F_n - E_n
-with F_0(b) = sand(b_(1), I, b_(3)) (x) b_(2) and, peeling off the first C
-leg of the formula above,
+it.  With g the basepoint I as a C x 1 column, the basepoint term is
+g (x) I, so that D_n = F_n - g (x) I_(Omega^n) with F_0(b) =
+sand(b_(1), I, b_(3)) (x) b_(2) and, peeling off the first C leg of the
+formula above,
 
     F_n(c (x) w) = Delta(c) (x) w - c (x) F_{n-1}(w),
 
-that is F_n = Delta_C (x) id - id_C (x) F_{n-1}, where F_{n-1}(w) is
-column w of D_{n-1} with its I (x) w term added back.  D_n is thus cdim
-block copies of -F_{n-1} plus the Delta(c) (x) w and -I (x) w terms; the
-recursion needs no coassociativity.
+that is F_n = Delta_C (x) I_(Omega^(n-1)) - I_C (x) F_{n-1}.  Putting
+F_{n-1} = D_{n-1} + g (x) I back in, both basepoint terms become
+Kronecker products with I_(Omega^(n-1)):
+
+    D_n = E (x) I_(Omega^(n-1)) - I_C (x) D_{n-1},
+    E = Delta_C - I_C (x) g - g (x) I_C,
+
+with D_{n-1} read from the cache and E a C (x) C x C matrix.  So D_n stays
+in int64 CSR whenever the structure constants are integral, and the
+recursion needs no coassociativity.  D_0 is built from its B columns
+sand0(b) - I (x) b, which need the sandwich at the basepoint only;
+writing F_0 as T (I_B (x) g) with the sandwich matrix T below would need
+the sandwich at every c of C.
 
 The product Omega^n (x) Omega^m -> Omega^{n+m} applies the same sandwich
 to the legs of an iterated coproduct of the B slot of the left factor: the
@@ -52,7 +62,8 @@ The recursion is exact only when B is coassociative; the CLI
 checks that with ``verify_axioms`` before it builds a calculus.  The block
 structure also makes the associativity defect at (n, m, l) equal to
 I_{C^(x)n} (x) the defect at (0, m, l), so ``verify_dga`` computes it once
-per (m, l) while it is zero.
+per (m, l) while it is zero; ``connections.coefficient_complex`` uses
+product(n, 1) only through product(0, 1) and never builds it.
 """
 from __future__ import annotations
 
@@ -188,47 +199,28 @@ class Calculus:
         return m
 
     def _build_differential(self, n: int) -> Matrix:
+        """D_0 = F_0 - g (x) I_B from the sand0 columns, and D_n = E (x) I -
+        I_C (x) D_{n-1} (module docstring)."""
         f = self.field
-        p = f.char
-        src, tgt = self.degree_dim(n), self.degree_dim(n + 1)
-        out = Matrix(tgt, src, f)
-        data = out.data
-        ints = list(range(tgt))
+        cd, bd = self.cdim, self.B.dim
+        # from_columns_csr drops the zeros these subtractions leave
         if n == 0:
-            # F_0 = sand0
-            for b in range(src):
-                for k, v in self._sand0(b).items():
-                    data[(ints[k], ints[b])] = v
-        else:
-            cd = self.cdim
-            rest = self.degree_dim(n - 1)
-            # -F_{n-1} = -D_{n-1} - I (x) .
-            neg_prev = {k: (-v) % p if p else -v
-                        for k, v in self.differential(n - 1).entries()}
+            cols = [dict(self._sand0(b)) for b in range(bd)]
+            for b, col in enumerate(cols):
+                for u, cu in self.basepoint.items():
+                    col[u * bd + b] = f.sub(col.get(u * bd + b, 0), cu)
+            return Matrix.from_columns_csr(cols, cd * bd, f)
+        # E = Delta_C - I_C (x) g - g (x) I_C
+        cols = [dict(self._comul_c(c)) for c in range(cd)]
+        for c, col in enumerate(cols):
             for u, cu in self.basepoint.items():
-                cu = f.neg(cu)
-                for w in range(rest):
-                    _accumulate(neg_prev, (u * rest + w, w), cu, p)
-            neg_prev = list(neg_prev.items())
-            # - c (x) F_{n-1}(w): one block per c
-            for c in range(cd):
-                ro, co = c * src, c * rest
-                for (r, w), v in neg_prev:
-                    data[(ints[ro + r], ints[co + w])] = v
-            # + Delta(c) (x) w
-            for c in range(cd):
-                co = c * rest
-                for fl2, c2 in self._comul_c(c).items():
-                    ro = fl2 * rest
-                    for w in range(rest):
-                        _accumulate(data, (ints[ro + w], ints[co + w]), c2, p)
-        # - I (x) .
-        for u, cu in self.basepoint.items():
-            cu = f.neg(cu)
-            ro = u * src
-            for col in range(src):
-                _accumulate(data, (ints[ro + col], ints[col]), cu, p)
-        return out
+                for k in (c * cd + u, u * cd + c):
+                    col[k] = f.sub(col.get(k, 0), cu)
+        E = Matrix.from_columns_csr(cols, cd * cd, f)
+        # D_{n-1} is read from the cache, so a corrupted cached differential
+        # reaches every degree above it
+        return (E.kron(Matrix.identity(self.degree_dim(n - 1), f))
+                - Matrix.identity(cd, f).kron(self.differential(n - 1)))
 
     # -- the graded product ----------------------------------------------------
 
@@ -287,18 +279,6 @@ class Calculus:
 
     def __repr__(self):
         return f"Calculus({self.kind}, B dim {self.B.dim}, C dim {self.cdim})"
-
-
-def _accumulate(data: dict, key, v, p: int) -> None:
-    """``data[key] += v`` for ``v`` reduced mod ``p`` (0 over Q), keeping
-    no zero entry."""
-    old = data.get(key)
-    if old is not None:
-        v = (old + v) % p if p else old + v
-    if v:
-        data[key] = v
-    elif old is not None:
-        del data[key]
 
 
 # ---------------------------------------------------------------------------

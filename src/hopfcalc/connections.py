@@ -8,17 +8,19 @@ Coactions and connections determine each other through
 
 and the compatibility conditions of modules.py translate exactly into the
 Leibniz property of nabla, flatness into coassociativity; the defect
-tensors agree entry for entry, which the test suite pins down.
+tensors agree entry for entry, which the test suite pins down.  The
+coefficient complex of a flat connection is a product of calculus
+matrices, D_n and product(0, 1), with the action and nabla
+(``coefficient_complex``).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .calculus import Calculus
 from .homology import ChainComplex
-from .linalg import Matrix, Vec, basis_vec, tensor_decode, vec_add, vec_sub, vec_tensor
+from .linalg import Matrix, Vec, basis_vec, vec_add, vec_sub, vec_tensor
 from .modules import Bimodule, DefectReport, ModComod, oslash_action
 from .reports import Report
 
@@ -193,31 +195,44 @@ def coefficient_complex(calc: Calculus, conn: Connection,
                         max_degree: Optional[int] = None) -> ChainComplex:
     """The complex on C^n (x) X whose differential is the graded-Leibniz
     extension of the flat connection, built through the calculus matrices
-    (independently of the cobar construction it is compared against)."""
+    (independently of the cobar construction it is compared against).
+
+    The degree-n representative of c (x) x is (c (x) 1) (x) x, and its image
+    d(c (x) 1) (x)_B x + (-1)^n (c (x) 1) . nabla(x) is identified into
+    C^(n+1) (x) X by acting with the B slot.  With u the unit as a B x 1
+    column, L_n = I_(C^n) (x) u and ``act`` the action X <- B (x) X, that is
+
+        d_X^n = (I_(C^(n+1)) (x) act) (D_n L_n (x) I_X) + (-1)^n I_(C^n) (x) K,
+        K = (I_C (x) act) (product(0, 1) (u (x) I_C (x) u) (x) I_X) nabla,
+
+    using product(n, 1) = I_(C^n) (x) product(0, 1).  product(n, 1) itself
+    is never built: for Taft(3,2) at n = 4 it has 8.3 M entries.  The
+    calculus side goes through D_n and product(0, 1), never through the
+    recursion of D_n with rho in place of F_0: that recursion is the cobar
+    oracle itself."""
     if not is_flat(conn):
         raise ValueError("connection is not flat")
     X = conn.X
     max_degree = calc.max_degree if max_degree is None else max_degree
     f = calc.field
     cd, bd, xd = calc.cdim, calc.B.dim, X.dim
+
+    def eye(n):
+        return Matrix.identity(n, f)
+
+    act = Matrix.from_columns_csr(
+        [X.action.get((b, x), {}) for b in range(bd) for x in range(xd)], xd, f)
+    u = Matrix.from_columns_csr([calc.unit_element()], bd, f)
     dims = [cd ** n * xd for n in range(max_degree + 1)]
     diffs: List[Matrix] = []
     for n in range(max_degree):
-        sign = f.one() if n % 2 == 0 else f.neg(f.one())
-        d = Matrix(dims[n + 1], dims[n], f)
-        for col in range(dims[n]):
-            head, x = divmod(col, xd)
-            rep: Vec = {head * bd + u: cu for u, cu in calc.B.unit.items()}
-            dpart = calc.differential(n).apply(rep)
-            acc = identify(calc, X, {fl * xd + x: c for fl, c in dpart.items()})
-            for fl2, c2 in conn.nabla.column(x).items():
-                ci, x2 = divmod(fl2, xd)
-                rep2: Vec = {ci * bd + u: cu for u, cu in calc.B.unit.items()}
-                prod = calc.product_apply(rep, n, rep2, 1)
-                lifted = {fl3 * xd + x2: c3 for fl3, c3 in prod.items()}
-                vec_add(f, acc, identify(calc, X, lifted), f.mul(sign, c2))
-            d._init_column(col, acc)
-        diffs.append(d)
+        if n == 0:      # so that an empty complex builds no product
+            lift = calc.product(0, 1) @ u.kron(eye(cd)).kron(u)
+            K = eye(cd).kron(act) @ lift.kron(eye(xd)) @ conn.nabla
+        dl = calc.differential(n) @ eye(cd ** n).kron(u)
+        d = eye(cd ** (n + 1)).kron(act) @ dl.kron(eye(xd))
+        tail = eye(cd ** n).kron(K)
+        diffs.append(d - tail if n % 2 else d + tail)
     return ChainComplex(f, dims, diffs)
 
 

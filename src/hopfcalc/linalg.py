@@ -5,12 +5,14 @@ stored in one of two forms.  A kernel result -- a Kronecker product, a
 matrix product, an identity, or a matrix built by ``from_columns_csr`` --
 stores its canonical int64 CSR: column indices sorted within each row, no
 duplicate and no explicit zero, entries reduced to [0, p) over F_p.
-Anything else stores a dict ``{(row, col): scalar}``.  Reads
-(``entries``, ``columns``, ``apply``, ``get``, ``==``, ...) work on
+A sum, a difference or a multiple of such matrices
+stores its CSR too.  Anything else stores a dict ``{(row, col): scalar}``.
+Reads (``entries``, ``columns``, ``apply``, ``get``, ``==``, ...) work on
 either form and leave it as it is; an entry read from the CSR is a Python
 int.  The first access to ``Matrix.data`` turns a matrix into the dict
 form for good and drops its CSR and every cache, so a write through
-``data`` is always seen.
+``data`` is always seen; its values are field scalars (``Fraction`` over
+Q), as in a matrix that was built as a dict.
 
 The kernels work on int64 CSR arrays when every entry is an integer
 (always true for the structure constants of the built-in algebras) and a
@@ -31,6 +33,7 @@ silently disagree otherwise.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain
 from math import gcd, lcm
@@ -171,19 +174,29 @@ def _csr_matmul(a: CSR, b: CSR, rows: int, cols: int, p: int) -> CSR:
     idx = np.empty(nnz, dtype=np.int64)
     val = np.empty(nnz, dtype=np.int64)
     _sparsetools.csr_matmat(rows, cols, *a, *b, ptr, idx, val)
-    if p:
-        val %= p
-        _sparsetools.csr_eliminate_zeros(rows, cols, ptr, idx, val)
-    return _trimmed(ptr, idx, val)
+    return _reduced((ptr, idx, val), rows, cols, p)
 
 
-def _csr_add(a: CSR, b: CSR, rows: int, cols: int) -> CSR:
-    """``a + b`` with no zero kept; canonical when both are."""
+def _csr_add(a: CSR, b: CSR, rows: int, cols: int, minus: bool = False) -> CSR:
+    """``a + b`` (``a - b`` when ``minus``) with no zero kept; canonical when
+    both are.  The routine reads the shapes from its arguments only, so a
+    caller checks that both operands have them."""
     nnz = len(a[2]) + len(b[2])
     ptr = np.empty(rows + 1, dtype=np.int64)
     idx = np.empty(nnz, dtype=np.int64)
     val = np.empty(nnz, dtype=np.int64)
-    _sparsetools.csr_plus_csr(rows, cols, *a, *b, ptr, idx, val)
+    op = _sparsetools.csr_minus_csr if minus else _sparsetools.csr_plus_csr
+    op(rows, cols, *a, *b, ptr, idx, val)
+    return _trimmed(ptr, idx, val)
+
+
+def _reduced(csr: CSR, rows: int, cols: int, p: int) -> CSR:
+    """``csr``, a kernel's scratch arrays, with its entries reduced mod ``p``
+    (0 over Q) and the zeros that leaves dropped, in place; trimmed."""
+    ptr, idx, val = csr
+    if p:
+        val %= p
+        _sparsetools.csr_eliminate_zeros(rows, cols, ptr, idx, val)
     return _trimmed(ptr, idx, val)
 
 
@@ -237,8 +250,7 @@ class Matrix:
         """The entries as a mutable dict ``{(row, col): scalar}``.  Access
         turns the matrix into the dict form for good and drops every cached
         form, so a write through it is seen by every later read."""
-        if self._dict is None:
-            self._dict = dict(self.entries())
+        self._dict = self._as_dict()
         self._drop_caches()
         return self._dict
 
@@ -252,9 +264,13 @@ class Matrix:
         return zip(zip(rows.tolist(), idx.tolist()), val.tolist())
 
     def _as_dict(self) -> Dict[Tuple[int, int], object]:
-        """The entries as a dict to read, not to write: the stored dict, or
-        one built from the CSR."""
-        return self._dict if self._dict is not None else dict(self.entries())
+        """The entries as a dict of field scalars to read, not to write: the
+        stored dict, or one built from the CSR."""
+        if self._dict is not None:
+            return self._dict
+        if self.field.char:
+            return dict(self.entries())
+        return {k: Fraction(v) for k, v in self.entries()}
 
     def _nnz(self) -> int:
         return len(self._dict) if self._dict is not None else len(self._csr[2])
@@ -386,15 +402,22 @@ class Matrix:
         return self._as_dict() == other._as_dict()
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, self.field.sub)
+        return self._combine(other, True)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, self.field.add)
+        return self._combine(other, False)
 
-    def _combine(self, other: "Matrix", op) -> "Matrix":
+    def _combine(self, other: "Matrix", minus: bool) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         f = self.field
+        a, b = self._to_csr(), other._to_csr()
+        if (a is not None and b is not None
+                and self._max_abs() + other._max_abs() < _INT64_SAFE):
+            ptr, idx, val = _reduced(_csr_add(a, b, self.rows, self.cols, minus),
+                                     self.rows, self.cols, f.char)
+            return Matrix._of_csr(self.rows, self.cols, f, (ptr, idx.copy(), val.copy()))
+        op = f.sub if minus else f.add
         data = dict(self._as_dict())
         for k, v in other.entries():
             acc = op(data.get(k, f.zero()), v)
@@ -405,7 +428,18 @@ class Matrix:
         return Matrix(self.rows, self.cols, f, data)
 
     def scale(self, c) -> "Matrix":
+        """``c`` times the matrix, for a field scalar ``c``."""
         f = self.field
+        a = self._to_csr()
+        if (a is not None and Fraction(c).denominator == 1
+                and abs(int(c)) * self._max_abs() < _INT64_SAFE):
+            c = int(c) % f.char if f.char else int(c)
+            if not c:
+                a = (np.zeros(self.rows + 1, dtype=np.int64), a[1][:0], a[2][:0])
+            # over F_p, c and every entry are units, so no product is 0
+            val = a[2] * c % f.char if f.char else a[2] * c
+            return Matrix._of_csr(self.rows, self.cols, f, (a[0], a[1], val),
+                                  None if f.char else abs(c) * self._max_abs())
         return Matrix(self.rows, self.cols, f,
                       {k: f.mul(c, v) for k, v in self.entries()})
 

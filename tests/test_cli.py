@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hopfcalc.calculus import Calculus
 from hopfcalc.cli import main
+from hopfcalc.linalg import Matrix
 
 
 def run(capsys, *argv):
@@ -313,6 +314,25 @@ def test_corrupted_differential_witness_prints_as_before(capsys, monkeypatch, ar
     assert failed == [{"name": "differential_equal[2]", "status": "fail",
                        "witness": witness}]
     assert doc["homology"] == homology
+
+
+def test_witness_of_an_entry_only_the_calculus_side_holds_prints_as_a_string(
+        capsys, monkeypatch):
+    # an entry the cobar oracle does not have is read from the int64 CSR of
+    # the difference as an int; over Q it still prints as a rational string
+    rows = []
+
+    def add_lone_entry(d):
+        f = d.field
+        rows.append(min(set(range(d.rows)) - set(d.column(0))))
+        return d + Matrix(d.rows, d.cols, f, {(rows[0], 0): f.of(3)})
+    _corrupt_differential(monkeypatch, 0, add_lone_entry)
+    code, doc = run(capsys, "homology", "--builtin", "sweedler", "--calculus", "k",
+                    "--compare-cotor", "--max-degree", "1")
+    assert code == 1
+    line = next(c for c in doc["checks"] if c["name"] == "differential_equal[0]")
+    assert line == {"name": "differential_equal[0]", "status": "fail",
+                    "witness": {"degree": 0, "entry": [rows[0], 0, "3"]}}
 
 
 # ---------------------------------------------------------------------------

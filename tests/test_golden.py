@@ -39,6 +39,11 @@ COMMANDS = [
     ["verify-hopf", "--hopf", "tests/sweedler_bad_comul.json"],
     ["verify-hopf", "--hopf", "tests/kz3_half_mul.json"],
     ["verify-hopf", "--builtin", "taft:3:2", "--field", "F7"],
+    ["homology", "--builtin", "taft:3:2", "--field", "F7", "--calculus", "k",
+     "--module", "regular", "--compare-cotor", "--max-degree", "3"],
+    ["homology", "--builtin", "dualgroup:Z3", "--calculus", "general",
+     "--module", "regular", "--compare-cotor", "--max-degree", "4"],
+    ["homology", "--builtin", "sweedler", "--calculus", "k", "--max-degree", "6"],
 ]
 
 

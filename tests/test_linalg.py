@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfcalc.fields import Field, QQ
@@ -293,6 +294,43 @@ def test_a_csr_result_equals_its_dict_twin(seed):
             assert dict(got.entries()) == twin.data
             doubled = got.kron(Matrix.from_rows([[2]], field))
             assert (got == doubled) == (twin == doubled) == twin.is_zero()
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_sums_and_multiples_of_csr_operands_stay_canonical_csr(seed):
+    rng = random.Random(seed)
+    for field in (QQ, F7, Field(2)):
+        a, _ = _kernel_operands(rng, field)
+        b = _random_matrix(rng, a.rows, a.cols, field).kron(Matrix.identity(1, field))
+        minus_one = field.neg(field.one())
+        cases = [(a + b, b, field.one()), (a - b, b, minus_one), (a - a, a, minus_one)]
+        cases += [(b.scale(c), None, c) for c in map(field.of, (0, 1, -1, 3))]
+        for got, other, c in cases:
+            # the same entries, entry by entry in the field's arithmetic
+            base = a if other is not None else Matrix.zero(b.rows, b.cols, field)
+            other = b if other is None else other
+            keys = {k for k, _ in base.entries()} | {k for k, _ in other.entries()}
+            twin = Matrix(a.rows, a.cols, field,
+                          {(i, j): field.add(base.get(i, j), field.mul(c, other.get(i, j)))
+                           for i, j in keys})
+            assert got._dict is None
+            assert all(np.array_equal(x, y) for x, y in zip(got._csr, twin._to_csr()))
+            assert all(type(v) is type(field.one()) for v in got.data.values())
+
+
+def test_sums_and_multiples_check_shapes_and_bounds():
+    a = Matrix.identity(2, QQ)
+    with pytest.raises(ValueError):
+        a + Matrix.identity(3, QQ)
+    with pytest.raises(ValueError):
+        a - Matrix.identity(1, QQ).kron(Matrix.zero(2, 3, QQ))
+    # past the int64 bound, and for a non-integral multiple, the exact path
+    big = Matrix.from_rows([[2**61, 1]], QQ).kron(Matrix.identity(1, QQ))
+    assert (big + big).data == {(0, 0): Fraction(2**62), (0, 1): Fraction(2)}
+    assert (big - big).is_zero()
+    assert big.scale(QQ.of(4)).get(0, 0) == 2**63
+    assert big.scale(QQ.of("1/3")).data == {(0, 0): Fraction(2**61, 3), (0, 1): Fraction(1, 3)}
 
 
 @settings(max_examples=30)
