@@ -52,7 +52,8 @@ A_{m-1} by peeling off the outermost pair of legs:
 
 over Delta^(2)(b) = b_(1) (x) b_(2) (x) b_(3), with A_0 the multiplication
 of B.  In matrix form, with the sandwich matrix T: B (x) C -> C (x) B,
-T(b (x) c) = sum sand(b_(1), c, b_(3)) (x) b_(2), built once,
+T(b (x) c) = sum sand(b_(1), c, b_(3)) (x) b_(2), built once from its
+columns ``sandwich(b, c)``,
 
     A_m = (I_C (x) A_{m-1}) . (T (x) I_{Omega^(m-1)}),
 
@@ -116,7 +117,7 @@ class Calculus:
         self._diff: Dict[int, Matrix] = {}
         self._prod: Dict[Tuple[int, int], Matrix] = {}
         self._sand_cache: Dict[Tuple[int, int, int], Vec] = {}
-        self._sand0_cache: Dict[int, Vec] = {}
+        self._sandwich_cols: Dict[Tuple[int, int], Vec] = {}
         self._sandwich: Optional[Matrix] = None
 
     # -- constructors --------------------------------------------------------
@@ -170,21 +171,26 @@ class Calculus:
             self._sand_cache[key] = out
         return out
 
+    def sandwich(self, b: int, c: int) -> Vec:
+        """Column (b, c) of the sandwich matrix T: B (x) C -> C (x) B,
+        sum sand(b_(1), c, b_(3)) (x) b_(2) over Delta^(2)(b)."""
+        key = (b, c)
+        out = self._sandwich_cols.get(key)
+        if out is None:
+            f, bd = self.field, self.B.dim
+            out = {}
+            for fl, cl in self.B._iter_comul_basis(b, 2).items():
+                b12, b3 = divmod(fl, bd)
+                b1, b2 = divmod(b12, bd)
+                vec_add(f, out, {s * bd + b2: v for s, v in self._sand(b1, c, b3).items()}, cl)
+            self._sandwich_cols[key] = out
+        return out
+
     def _sand0(self, b: int) -> Vec:
         """sand(b_(1), I, b_(3)) (x) b_(2), an element of C (x) B."""
-        out = self._sand0_cache.get(b)
-        if out is None:
-            f = self.field
-            bdim = self.B.dim
-            out = {}
-            for fl, c in self.B._iter_comul_basis(b, 2).items():
-                b12, b3 = divmod(fl, bdim)
-                b1, b2 = divmod(b12, bdim)
-                wrap: Vec = {}
-                for i, ci in self.basepoint.items():
-                    vec_add(f, wrap, self._sand(b1, i, b3), ci)
-                vec_add(f, out, vec_tensor(f, wrap, basis_vec(f, b2), bdim), c)
-            self._sand0_cache[b] = out
+        out: Vec = {}
+        for i, ci in self.basepoint.items():
+            vec_add(self.field, out, self.sandwich(b, i), ci)
         return out
 
     # -- the differential ----------------------------------------------------
@@ -247,35 +253,15 @@ class Calculus:
                     Matrix.identity(self.degree_dim(m - 1), f)))
 
     def _sandwich_matrix(self) -> Matrix:
-        """T: B (x) C -> C (x) B, T(b (x) c) = sum sand(b_(1), c, b_(3)) (x) b_(2)
-        over Delta^(2)(b), built once."""
+        """T from its ``sandwich`` columns, built once."""
         if self._sandwich is None:
-            cd, bd = self.cdim, self.B.dim
-            cols = []
-            for b in range(bd):
-                legs = []
-                for fl, cl in self.B._iter_comul_basis(b, 2).items():
-                    b12, b3 = divmod(fl, bd)
-                    legs.append((*divmod(b12, bd), b3, cl))
-                for c in range(cd):
-                    col: Vec = {}
-                    for b1, b2, b3, cl in legs:
-                        for s, cs in self._sand(b1, c, b3).items():
-                            i = s * bd + b2
-                            col[i] = col.get(i, 0) + cl * cs
-                    cols.append(col)
-            self._sandwich = Matrix.from_columns_csr(cols, cd * bd, self.field)
+            self._sandwich = Matrix.from_columns_csr(
+                [self.sandwich(b, c) for b in range(self.B.dim) for c in range(self.cdim)],
+                self.cdim * self.B.dim, self.field)
         return self._sandwich
 
     def product_apply(self, u: Vec, n: int, v: Vec, m: int) -> Vec:
-        p = self.product(n, m)
-        f = self.field
-        dim_v = self.degree_dim(m)
-        t: Vec = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                t[i * dim_v + j] = f.mul(ci, cj)
-        return p.apply(t)
+        return self.product(n, m).apply(vec_tensor(self.field, u, v, self.degree_dim(m)))
 
     def __repr__(self):
         return f"Calculus({self.kind}, B dim {self.B.dim}, C dim {self.cdim})"

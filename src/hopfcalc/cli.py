@@ -24,16 +24,15 @@ import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
-from .calculus import Calculus, specialization_check, verify_dga
+from .calculus import Calculus, verify_dga
 from .fields import Field
 from .hopf import (BialgebraMorphism, HopfAlgebra, build_dual_group_algebra,
-                   build_group_algebra, build_sweedler, build_taft, check_group_table,
-                   cyclic_table, symmetric_table, verify_axioms)
+                   build_group_algebra, build_sweedler, build_taft, cyclic_table,
+                   symmetric_table, verify_axioms)
 from .linalg import Matrix, Vec
 from .modules import (BimoduleCoalgebra, ModComod, check_ayd, check_equivariant,
                       check_stable, check_yd, coadjoint_comodule, coassociativity_defects,
-                      check_module_axioms, regular_modcomod, trivial_modcomod,
-                      one_dim_modcomod)
+                      regular_modcomod, trivial_modcomod, one_dim_modcomod)
 from .reports import Report
 from .homology import calculus_complex, compare_cotor, homology_dims
 
@@ -56,28 +55,32 @@ def _default_max_degree() -> int:
 
 
 def parse_field(s: str) -> Field:
-    if s == "Q":
-        return Field(0)
-    if s.startswith("F"):
-        try:
-            return Field(int(s[1:]))
-        except ValueError as e:
-            raise CliError(f"bad field descriptor {s!r}: {e}")
-    raise CliError(f"bad field descriptor {s!r} (expected Q or F<p>)")
+    try:
+        return Field.parse(s)
+    except ValueError as e:
+        raise CliError(f"bad field descriptor {s!r}: {e}")
 
 
-def _load_cayley(path: str) -> Tuple[List[List[int]], Optional[List[str]]]:
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise CliError(f"{path} is not valid JSON: {e}")
+
+
+def _load_cayley(path: str) -> Tuple[List[List[int]], Optional[List[str]]]:
+    doc = _read_json(path)
     table = doc.get("table") if isinstance(doc, dict) else doc
     if not isinstance(table, list):
         raise CliError(f"{path}: expected a Cayley table")
     names = doc.get("names") if isinstance(doc, dict) else None
+    # basis names key the "character" and "grouplike" objects of a report
+    if names is not None and not (type(names) is list and len(names) == len(table)
+                                  and all(isinstance(n, str) for n in names)):
+        raise CliError(f"{path}: names must be a list of {len(table)} strings")
     return table, names
 
 
@@ -156,13 +159,7 @@ def load_hopf_file(path: str) -> HopfAlgebra:
     index must lie in range(dim), and no coefficient may be given twice;
     "dim" is an int and "basis", when given, a list of exactly dim strings.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise CliError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
-        raise CliError(f"{path} is not valid JSON: {e}")
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise CliError(f"{path}: top level must be an object")
     try:
@@ -225,13 +222,7 @@ def load_module_file(path: str, H: HopfAlgebra) -> ModComod:
     Indices i range over the algebra's basis and a, b over the module's;
     every command needs both tensors, and no coefficient may be given twice.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise CliError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
-        raise CliError(f"{path} is not valid JSON: {e}")
+    doc = _read_json(path)
     f = H.field
     try:
         if "delta" in doc or "sigma" in doc:
@@ -284,11 +275,10 @@ def build_cli_calculus(args, H: HopfAlgebra, max_degree: int) -> Calculus:
 
 
 def _emit(command: List[str], body: dict, ok: bool, started: float) -> int:
-    body = {"command": command, "status": "pass" if ok else "fail", **body}
-    canonical = json.dumps(body, indent=2, sort_keys=True, default=str)
-    doc = json.loads(canonical)
-    doc["timing_ms"] = int((time.time() - started) * 1000)
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    # every key of a body is a string, so timing_ms sorts in among them
+    body = {"command": command, "status": "pass" if ok else "fail", **body,
+            "timing_ms": int((time.time() - started) * 1000)}
+    print(json.dumps(body, indent=2, sort_keys=True, default=str))
     return 0 if ok else 1
 
 
@@ -426,6 +416,14 @@ def _add_hopf_args(p):
     p.add_argument("--field", default="Q", help="Q or F<p> (built-ins only)")
 
 
+def _add_calculus_args(p):
+    p.add_argument("--calculus", default="k", choices=["k", "khat", "general"])
+    p.add_argument("--max-degree", type=int)
+    p.add_argument("--coalgebra", default="regular")
+    p.add_argument("--alpha", default="id")
+    p.add_argument("--beta", default="s")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hopfcalc",
                                  description="exact checks for differential calculi "
@@ -438,11 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-dga", help="verify d^2, Leibniz and associativity")
     _add_hopf_args(p)
-    p.add_argument("--calculus", default="k", choices=["k", "khat", "general"])
-    p.add_argument("--max-degree", type=int)
-    p.add_argument("--coalgebra", default="regular")
-    p.add_argument("--alpha", default="id")
-    p.add_argument("--beta", default="s")
+    _add_calculus_args(p)
     p.set_defaults(fn=cmd_verify_dga)
 
     p = sub.add_parser("check-module", help="compatibility conditions of a module")
@@ -451,22 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trivial|regular|coadjoint or a module spec file")
     p.add_argument("--condition", required=True,
                    choices=["ayd", "yd", "stable", "equivariant", "connection", "flat"])
-    p.add_argument("--calculus", default="k", choices=["k", "khat", "general"])
-    p.add_argument("--max-degree", type=int)
-    p.add_argument("--coalgebra", default="regular")
-    p.add_argument("--alpha", default="id")
-    p.add_argument("--beta", default="s")
+    _add_calculus_args(p)
     p.set_defaults(fn=cmd_check_module)
 
     p = sub.add_parser("homology", help="homology dimensions, optionally vs the cobar oracle")
     _add_hopf_args(p)
     p.add_argument("--module", help="trivial|regular|coadjoint or a module spec file")
-    p.add_argument("--calculus", default="k", choices=["k", "khat", "general"])
-    p.add_argument("--max-degree", type=int)
+    _add_calculus_args(p)
     p.add_argument("--compare-cotor", action="store_true")
-    p.add_argument("--coalgebra", default="regular")
-    p.add_argument("--alpha", default="id")
-    p.add_argument("--beta", default="s")
     p.set_defaults(fn=cmd_homology)
 
     p = sub.add_parser("tensor", help="tensor a YD-flat with an AYD-flat connection")

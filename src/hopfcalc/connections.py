@@ -21,7 +21,8 @@ from typing import Dict, List, Optional, Tuple
 from .calculus import Calculus
 from .homology import ChainComplex
 from .linalg import Matrix, Vec, basis_vec, vec_add, vec_sub, vec_tensor
-from .modules import Bimodule, DefectReport, ModComod, oslash_action
+from .modules import (Bimodule, DefectReport, ModComod, b_slot_act,
+                      coassociativity_defects, oslash_action, sandwich_act)
 from .reports import Report
 
 
@@ -109,25 +110,13 @@ def check_connection(conn: Connection) -> DefectReport:
     defects: Dict[tuple, Vec] = {}
     d0 = calc.differential(0)
     for i in range(B.dim):
-        legs3 = B._iter_comul_basis(i, 2)
         dterm_raw = d0.column(i)            # in C (x) B
         for a in range(xd):
             lhs = conn.nabla.apply(X.act(basis_vec(f, i), basis_vec(f, a)))
-            rhs: Vec = {}
             # b . nabla(x), the sandwich action on the C slot
-            for fl, c in legs3.items():
-                b12, b3 = divmod(fl, B.dim)
-                b1, b2 = divmod(b12, B.dim)
-                for fl2, c2 in conn.nabla.column(a).items():
-                    ci, x0 = divmod(fl2, xd)
-                    left = calc._sand(b1, ci, b3)
-                    right = X.act(basis_vec(f, b2), basis_vec(f, x0))
-                    vec_add(f, rhs, vec_tensor(f, left, right, xd), f.mul(c, c2))
+            rhs = sandwich_act(calc, X, i, conn.nabla.column(a))
             # d(b) (x)_B x via the identification
-            for fl, c in dterm_raw.items():
-                ci, b2 = divmod(fl, B.dim)
-                for x2, c2 in X.action.get((b2, a), {}).items():
-                    vec_add(f, rhs, {ci * xd + x2: f.mul(c, c2)})
+            vec_add(f, rhs, b_slot_act(X, [(f.one(), dterm_raw, a)]))
             d = vec_sub(f, lhs, rhs)
             if d:
                 defects[(i, a)] = d
@@ -168,19 +157,11 @@ def curvature(conn: Connection) -> Curvature:
     calc, X = conn.calc, conn.X
     f = calc.field
     cd, xd = calc.cdim, X.dim
-    rho = coaction_from_connection(conn)
+    defects = coassociativity_defects(coaction_from_connection(conn))
     R = Matrix(cd * cd * xd, xd, f)
     for a in range(xd):
         direct = _extend_degree1(conn, conn.nabla.column(a))
-        lhs: Vec = {}
-        rhs: Vec = {}
-        for fl, c in rho.coaction[a].items():
-            ci, xb = divmod(fl, xd)
-            for fl2, c2 in calc._comul_c(ci).items():
-                vec_add(f, lhs, {fl2 * xd + xb: f.mul(c, c2)})
-            for fl2, c2 in rho.coaction[xb].items():
-                vec_add(f, rhs, {ci * cd * xd + fl2: f.mul(c, c2)})
-        formula = vec_sub(f, lhs, rhs)
+        formula = defects.get((a,), {})
         if vec_sub(f, direct, formula):
             raise RuntimeError("curvature routes disagree; calculus is inconsistent")
         R._init_column(a, formula)

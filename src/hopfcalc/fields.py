@@ -35,10 +35,6 @@ class Field:
         if self.char != 0 and not is_prime(self.char):
             raise ValueError(f"characteristic must be 0 or prime, got {self.char}")
 
-    @property
-    def is_rational(self) -> bool:
-        return self.char == 0
-
     # -- element construction -------------------------------------------------
 
     def zero(self):
@@ -82,9 +78,6 @@ class Field:
             raise ZeroDivisionError("inverse of 0")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return (a % self.char == 0) if self.char else a == 0
 
@@ -95,14 +88,13 @@ class Field:
 
     @staticmethod
     def parse(name: str) -> "Field":
-        """Parse a field descriptor: 'Q' or 'Fp' (e.g. 'F7')."""
-        name = name.strip()
-        if name in ("Q", "QQ", "0"):
+        """Parse a field descriptor: 'Q' or 'F<p>' (e.g. 'F7')."""
+        if name == "Q":
             return QQ
-        if name.startswith("F"):
-            p = int(name[1:])
-            return Field(p)
-        raise ValueError(f"unknown field descriptor {name!r}")
+        digits = name[1:]
+        if name[:1] == "F" and digits.isascii() and digits.isdigit() and int(digits):
+            return Field(int(digits))
+        raise ValueError("expected Q or F<p>")
 
     def __str__(self):
         return "Q" if self.char == 0 else f"F{self.char}"

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import Field
-from .linalg import (Matrix, Vec, basis_vec, tensor_decode, tensor_encode,
-                     vec_add, vec_eq, vec_scale, vec_sub, vec_tensor)
+from .linalg import (Matrix, Vec, basis_vec, bilinear, linear, pairing,
+                     tensor_decode, vec_add, vec_eq, vec_scale, vec_sub, vec_tensor)
 from .reports import Report
 
 
@@ -37,33 +37,13 @@ class HopfAlgebra:
     # -- structure maps ------------------------------------------------------
 
     def multiply(self, u: Vec, v: Vec) -> Vec:
-        f = self.field
-        out: Vec = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                prod = self.mul.get((i, j))
-                if prod:
-                    vec_add(f, out, prod, f.mul(ci, cj))
-        return out
+        return bilinear(self.field, self.mul, u, v)
 
     def comultiply(self, u: Vec) -> Vec:
-        f = self.field
-        out: Vec = {}
-        for i, c in u.items():
-            vec_add(f, out, self.comul[i], c)
-        return out
+        return linear(self.field, self.comul, u)
 
     def counit_of(self, u: Vec):
-        f = self.field
-        acc = f.zero()
-        for i, c in u.items():
-            eps = self.counit.get(i)
-            if eps is not None:
-                acc = f.add(acc, f.mul(eps, c))
-        return acc
-
-    def antipode_of(self, u: Vec) -> Vec:
-        return self.antipode.apply(u)
+        return pairing(self.field, self.counit, u)
 
     def antipode_inverse(self) -> Optional[Matrix]:
         """Exact inverse of S, or None when S is singular."""

@@ -22,9 +22,18 @@ pure-Python sparse arithmetic.  The kernels call scipy's compiled
 sparsetools routines on the arrays directly: the ``scipy.sparse`` classes
 wrap each call in checks and conversions that cost more than the
 arithmetic on the small matrices of most verdicts (a 16 x 16 product on a
-2-vCPU VM: ~110 us through ``csr_matrix``, ~9 us direct).  Rank comes from exact
-sparse Gaussian elimination in integers: modular over F_p, fraction free
-over Q.
+2-vCPU VM: ~110 us through ``csr_matrix``, ~9 us direct).
+
+On sparse vectors each operation has one kernel: ``bilinear`` applies a
+bilinear map given on basis pairs (a multiplication, an action),
+``linear`` a linear map given by its basis images (a coproduct, a
+coaction), ``pairing`` a covector (a counit, a character), and
+``column_echelon`` is the field echelon behind
+``Matrix.inverse`` and the coordinates of ``echelon_coords``.  Rank is
+the exception, ``_sparse_rank``: exact sparse Gaussian elimination in
+integers, modular over F_p and fraction free over Q, kept apart from the
+field echelon because it is the hot path of homology and never builds a
+``Fraction``.
 
 Tensor indices over a list of factor dimensions are flattened big-endian
 lexicographically: ``flat = sum(idx[i] * prod(dims[i+1:]))``.  The same
@@ -126,6 +135,78 @@ def vec_tensor(field: Field, a: Vec, b: Vec, dim_b: int) -> Vec:
 
 def basis_vec(field: Field, i: int) -> Vec:
     return {i: field.one()}
+
+
+def bilinear(field: Field, table: Dict[Tuple[int, int], Vec], u: Vec, v: Vec) -> Vec:
+    """The bilinear map with ``table[(i, j)]`` the image of the basis pair
+    (i, j), applied to ``(u, v)``; a missing pair maps to 0."""
+    out: Vec = {}
+    for i, ci in u.items():
+        for j, cj in v.items():
+            img = table.get((i, j))
+            if img:
+                vec_add(field, out, img, field.mul(ci, cj))
+    return out
+
+
+def linear(field: Field, cols: Sequence[Vec], v: Vec) -> Vec:
+    """The linear map with ``cols[i]`` the image of basis vector i, applied
+    to ``v``."""
+    out: Vec = {}
+    for i, c in v.items():
+        vec_add(field, out, cols[i], c)
+    return out
+
+
+def pairing(field: Field, w: Dict[int, object], v: Vec):
+    """The covector with values ``w`` on the basis, evaluated at ``v``."""
+    acc = field.zero()
+    for i, c in v.items():
+        acc = field.add(acc, field.mul(w.get(i, field.zero()), c))
+    return acc
+
+
+def column_echelon(field: Field, cols: Iterable[Vec]) -> Tuple[List[Vec], List[int]]:
+    """Reduced (echelon) basis of the column space, with pivot rows: each
+    basis vector is 1 at its pivot, the smallest row it touches, and 0 at
+    every other pivot; sorted by pivot."""
+    basis: List[Vec] = []
+    pivots: List[int] = []
+    for col in cols:
+        r = {k: v for k, v in col.items() if not field.is_zero(v)}
+        for b, p in zip(basis, pivots):
+            c = r.get(p)
+            if c is not None:
+                vec_add(field, r, b, field.neg(c))
+        if not r:
+            continue
+        p = min(r)
+        scale = field.inv(r[p])
+        r = {k: field.mul(scale, v) for k, v in r.items()}
+        for i, (b, bp) in enumerate(zip(basis, pivots)):
+            c = b.get(p)
+            if c is not None:
+                nb = dict(b)
+                vec_add(field, nb, r, field.neg(c))
+                basis[i] = nb
+        basis.append(r)
+        pivots.append(p)
+    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
+    return [basis[i] for i in order], [pivots[i] for i in order]
+
+
+def echelon_coords(field: Field, v: Vec, basis: List[Vec],
+                   pivots: List[int]) -> Vec | None:
+    """The coordinates of ``v`` in a ``column_echelon`` basis, or None
+    when ``v`` is not in its span."""
+    coords: Vec = {}
+    rest = {k: c for k, c in v.items() if not field.is_zero(c)}
+    for i, (b, p) in enumerate(zip(basis, pivots)):
+        c = rest.get(p)
+        if c is not None:
+            coords[i] = c
+            vec_add(field, rest, b, field.neg(c))
+    return None if rest else coords
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +411,6 @@ class Matrix:
                     data[(i, j)] = v
         return cls(rows, len(cols), field, data)
 
-    def set_column(self, j: int, col: Vec) -> None:
-        data = self.data
-        for key in [k for k in data if k[1] == j]:
-            del data[key]
-        self._init_column(j, col)
-
     def _init_column(self, j: int, col: Vec) -> None:
         """Write a column known to be empty, skipping the stale-entry scan.
         Only for freshly built matrices whose columns are set once."""
@@ -443,10 +518,6 @@ class Matrix:
         return Matrix(self.rows, self.cols, f,
                       {k: f.mul(c, v) for k, v in self.entries()})
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, self.field,
-                      {(j, i): v for (i, j), v in self.entries()})
-
     # -- products -----------------------------------------------------------
 
     def _to_csr(self) -> "CSR | None":
@@ -553,33 +624,20 @@ class Matrix:
     def rank(self) -> int:
         return _sparse_rank(self.field, self.columns())
 
-    def kernel_dim(self) -> int:
-        return self.cols - self.rank()
-
     def inverse(self) -> "Matrix | None":
-        """Exact inverse, or None if singular.  Dense elimination; the only
-        matrices inverted here are antipodes of dimension <= ~36."""
-        if self.rows != self.cols:
+        """Exact inverse, or None if singular.  The stacked columns [A; I]
+        span the graph {(Ax, x)}; their reduced column echelon has the
+        pivots 0..n-1 exactly when A is invertible, and then basis vector k
+        is (e_k, A^-1 e_k)."""
+        n, f = self.rows, self.field
+        if n != self.cols:
             return None
-        f = self.field
-        n = self.rows
-        a = [[self.get(i, j) for j in range(n)] for i in range(n)]
-        inv = [[f.one() if i == j else f.zero() for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not f.is_zero(a[r][col])), None)
-            if piv is None:
-                return None
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            scale = f.inv(a[col][col])
-            a[col] = [f.mul(scale, x) for x in a[col]]
-            inv[col] = [f.mul(scale, x) for x in inv[col]]
-            for r in range(n):
-                if r != col and not f.is_zero(a[r][col]):
-                    c = a[r][col]
-                    a[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(a[r], a[col])]
-                    inv[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(inv[r], inv[col])]
-        return Matrix.from_rows(inv, f)
+        basis, pivots = column_echelon(
+            f, ({**col, n + j: f.one()} for j, col in enumerate(self.columns())))
+        if pivots != list(range(n)):
+            return None
+        return Matrix.from_columns([{i - n: v for i, v in b.items() if i >= n}
+                                    for b in basis], n, f)
 
     def nonzero_witness(self) -> Tuple[int, int, object] | None:
         """The first nonzero entry (row, col, value) in row-major order, or
@@ -679,6 +737,10 @@ def _int64_defect(field: Field, terms) -> "CSR | None":
 
 def _sparse_rank(field: Field, rows: Iterable[Vec]) -> int:
     """Rank by sparse Gaussian elimination in integers.
+
+    Kept apart from ``column_echelon``: it is most of a homology run
+    (~2.2 s of the 2.65 s that the 17 ``cotor_homology`` benchmark lines
+    spend in-process on a 2-vCPU VM), and it never builds a ``Fraction``.
 
     ``rows`` may equally be the columns of the matrix (rank is transpose
     invariant); callers pass whichever orientation is sparser to reduce.

@@ -6,6 +6,14 @@ stability, the generalized (alpha, beta)-equivariance over a bimodule
 coalgebra, the sandwich bimodule action on tensor products, and the
 conjugation-groupoid grading of comodules over group algebras.
 
+Each compatibility check reads the sandwich of its calculus,
+``Calculus.sandwich``: AYD (S^-1) from K = ``Calculus.k``, YD (S) from
+K-hat = ``Calculus.khat``, and (alpha, beta)-equivariance from
+``Calculus.general``.  Those are the columns of the sandwich matrix that
+builds the calculus's products, so a module passes exactly when its
+connection satisfies the Leibniz rule there
+(``connections.check_connection`` uses the same ``sandwich_act``).
+
 A coaction candidate is *not* required to be coassociative at construction
 time: the flat-connection correspondence needs non-coassociative candidates
 to be representable, so coassociativity is a separately reported check.
@@ -13,13 +21,14 @@ to be representable, so coassociativity is a separately reported check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .fields import Field
 from .hopf import BialgebraMorphism, HopfAlgebra
-from .linalg import (Matrix, Vec, basis_vec, tensor_decode, vec_add, vec_eq,
-                     vec_scale, vec_sub, vec_tensor)
+from .linalg import (Matrix, Vec, basis_vec, bilinear, column_echelon, echelon_coords,
+                     linear, pairing, tensor_decode, vec_add, vec_eq, vec_scale,
+                     vec_sub, vec_tensor)
 from .reports import Report
 
 
@@ -49,31 +58,13 @@ class BimoduleCoalgebra:
                    mul, mul_r, dict(H.unit))
 
     def lact(self, b: Vec, c: Vec) -> Vec:
-        f = self.field
-        out: Vec = {}
-        for i, ci in b.items():
-            for a, ca in c.items():
-                img = self.left.get((i, a))
-                if img:
-                    vec_add(f, out, img, f.mul(ci, ca))
-        return out
+        return bilinear(self.field, self.left, b, c)
 
     def ract(self, c: Vec, b: Vec) -> Vec:
-        f = self.field
-        out: Vec = {}
-        for a, ca in c.items():
-            for i, ci in b.items():
-                img = self.right.get((a, i))
-                if img:
-                    vec_add(f, out, img, f.mul(ca, ci))
-        return out
+        return bilinear(self.field, self.right, c, b)
 
     def comultiply(self, c: Vec) -> Vec:
-        f = self.field
-        out: Vec = {}
-        for a, ca in c.items():
-            vec_add(f, out, self.comul[a], ca)
-        return out
+        return linear(self.field, self.comul, c)
 
 
 def verify_bimodule_coalgebra(C: BimoduleCoalgebra) -> Report:
@@ -162,9 +153,7 @@ def verify_bimodule_coalgebra(C: BimoduleCoalgebra) -> Report:
     gl = C.comultiply(C.grouplike)
     rep.add("basepoint_grouplike",
             vec_eq(f, gl, vec_tensor(f, C.grouplike, C.grouplike, d)))
-    eps = f.zero()
-    for a, c in C.grouplike.items():
-        eps = f.add(eps, f.mul(C.counit.get(a, f.zero()), c))
+    eps = pairing(f, C.counit, C.grouplike)
     # a coalgebra map k -> C forces counit value 1 on the basepoint; report
     # the value as a warning rather than a failure
     rep.add(f"basepoint_counit_value={f.to_str(eps)}", True)
@@ -197,23 +186,12 @@ class ModComod:
     def act(self, h: Vec, x: Vec) -> Vec:
         if self.action is None:
             raise ValueError("module has no action")
-        f = self.field
-        out: Vec = {}
-        for i, ci in h.items():
-            for a, ca in x.items():
-                img = self.action.get((i, a))
-                if img:
-                    vec_add(f, out, img, f.mul(ci, ca))
-        return out
+        return bilinear(self.field, self.action, h, x)
 
     def coact(self, x: Vec) -> Vec:
         if self.coaction is None:
             raise ValueError("module has no coaction")
-        f = self.field
-        out: Vec = {}
-        for a, c in x.items():
-            vec_add(f, out, self.coaction[a], c)
-        return out
+        return linear(self.field, self.coaction, x)
 
     def copy_with(self, action=None, coaction=None, label=None) -> "ModComod":
         return ModComod(self.algebra, self.dim,
@@ -321,28 +299,38 @@ def check_comodule_axioms(X: ModComod) -> Report:
 # compatibility conditions
 
 
-def _sandwich_compat(X: ModComod, conjugator: Matrix, name: str) -> DefectReport:
-    """Common core of the two Hopf compatibility checks: compares
-    rho(h x) against h_(1) x_(-1) conj(h_(3)) (x) h_(2) x_(0)."""
+def b_slot_act(X: ModComod, terms) -> Vec:
+    """The sum of coeff * v (x)_B x in C (x) X over the (coeff, v, x) of
+    ``terms``: c (x) b.x over the terms c (x) b of v in C (x) B."""
     f = X.field
-    H = X.algebra
+    bd, xd, zero = X.algebra.dim, X.dim, f.zero()
+    out: Vec = {}
+    for coeff, v, x in terms:
+        for fl, cv in v.items():
+            c, b = divmod(fl, bd)
+            cc = f.mul(coeff, cv)
+            for y, cy in X.action.get((b, x), {}).items():
+                k = c * xd + y
+                out[k] = f.add(out.get(k, zero), f.mul(cc, cy))
+    return {k: v for k, v in out.items() if not f.is_zero(v)}
+
+
+def sandwich_act(calc, X: ModComod, b: int, t: Vec) -> Vec:
+    """The sandwich action of the basis element b on t in C (x) X: the
+    ``calc.sandwich`` column (b, c) (x)_B x over the terms c (x) x of t."""
+    return b_slot_act(X, ((ct, calc.sandwich(b, fl // X.dim), fl % X.dim)
+                          for fl, ct in t.items()))
+
+
+def _compat_defects(calc, X: ModComod, name: str) -> DefectReport:
+    """rho(b x) against b . rho(x) = sand(b_(1), x_(-1), b_(3)) (x)
+    b_(2) x_(0), for every basis pair (b, x)."""
+    f = X.field
     defects: Dict[tuple, Vec] = {}
-    dX = X.dim
-    for i in range(H.dim):
-        legs3 = H.comultiply_iter(basis_vec(f, i), 2)
+    for i in range(calc.B.dim):
         for a in range(X.dim):
             lhs = X.coact(X.act(basis_vec(f, i), basis_vec(f, a)))
-            rhs: Vec = {}
-            for fl, c in legs3.items():
-                h12, h3 = divmod(fl, H.dim)
-                h1, h2 = divmod(h12, H.dim)
-                tail = conjugator.apply(basis_vec(f, h3))
-                for fl2, c2 in X.coaction[a].items():
-                    xm, x0 = divmod(fl2, dX)
-                    left = H.multiply(H.multiply(basis_vec(f, h1), basis_vec(f, xm)), tail)
-                    right = X.act(basis_vec(f, h2), basis_vec(f, x0))
-                    vec_add(f, rhs, vec_tensor(f, left, right, dX), f.mul(c, c2))
-            d = vec_sub(f, lhs, rhs)
+            d = vec_sub(f, lhs, sandwich_act(calc, X, i, X.coaction[a]))
             if d:
                 defects[(i, a)] = d
     return DefectReport(name, defects)
@@ -350,15 +338,22 @@ def _sandwich_compat(X: ModComod, conjugator: Matrix, name: str) -> DefectReport
 
 def check_ayd(X: ModComod) -> DefectReport:
     """The S^-1 sandwich compatibility (coefficients of Hopf-cyclic theory)."""
-    sinv = X.algebra.antipode_inverse()
-    if sinv is None:
-        raise ValueError("antipode is not invertible")
-    return _sandwich_compat(X, sinv, "ayd")
+    from .calculus import Calculus
+    return _compat_defects(Calculus.k(X.algebra), X, "ayd")
 
 
 def check_yd(X: ModComod) -> DefectReport:
     """The S sandwich (Yetter-Drinfeld) compatibility."""
-    return _sandwich_compat(X, X.algebra.antipode, "yd")
+    from .calculus import Calculus
+    return _compat_defects(Calculus.khat(X.algebra), X, "yd")
+
+
+def check_equivariant(X: ModComod, C: BimoduleCoalgebra,
+                      alpha: BialgebraMorphism, beta: BialgebraMorphism) -> DefectReport:
+    """The (alpha, beta)-equivariance condition over a bimodule coalgebra:
+    rho(b x) = alpha(b_(1)) x_(-1) beta(b_(3)) (x) b_(2) x_(0)."""
+    from .calculus import Calculus
+    return _compat_defects(Calculus.general(C, alpha, beta), X, "equivariant")
 
 
 def check_stable(X: ModComod) -> bool:
@@ -372,35 +367,6 @@ def check_stable(X: ModComod) -> bool:
         if not vec_eq(f, acc, basis_vec(f, a)):
             return False
     return True
-
-
-def check_equivariant(X: ModComod, C: BimoduleCoalgebra,
-                      alpha: BialgebraMorphism, beta: BialgebraMorphism) -> DefectReport:
-    """The (alpha, beta)-equivariance condition over a bimodule coalgebra:
-    rho(b x) = alpha(b_(1)) x_(-1) beta(b_(3)) (x) b_(2) x_(0)."""
-    f = X.field
-    B = C.B
-    dX = X.dim
-    defects: Dict[tuple, Vec] = {}
-    for i in range(B.dim):
-        legs3 = B.comultiply_iter(basis_vec(f, i), 2)
-        for a in range(X.dim):
-            lhs = X.coact(X.act(basis_vec(f, i), basis_vec(f, a)))
-            rhs: Vec = {}
-            for fl, c in legs3.items():
-                b12, b3 = divmod(fl, B.dim)
-                b1, b2 = divmod(b12, B.dim)
-                av = alpha.apply(basis_vec(f, b1))
-                bv = beta.apply(basis_vec(f, b3))
-                for fl2, c2 in X.coaction[a].items():
-                    xm, x0 = divmod(fl2, dX)
-                    left = C.ract(C.lact(av, basis_vec(f, xm)), bv)
-                    right = X.act(basis_vec(f, b2), basis_vec(f, x0))
-                    vec_add(f, rhs, vec_tensor(f, left, right, dX), f.mul(c, c2))
-            d = vec_sub(f, lhs, rhs)
-            if d:
-                defects[(i, a)] = d
-    return DefectReport("equivariant", defects)
 
 
 # ---------------------------------------------------------------------------
@@ -432,24 +398,10 @@ class Bimodule:
         return cls(H, X.dim, {k: dict(v) for k, v in X.action.items()}, right)
 
     def lact(self, h: Vec, x: Vec) -> Vec:
-        f = self.algebra.field
-        out: Vec = {}
-        for i, ci in h.items():
-            for a, ca in x.items():
-                img = self.left.get((i, a))
-                if img:
-                    vec_add(f, out, img, f.mul(ci, ca))
-        return out
+        return bilinear(self.algebra.field, self.left, h, x)
 
     def ract(self, x: Vec, h: Vec) -> Vec:
-        f = self.algebra.field
-        out: Vec = {}
-        for a, ca in x.items():
-            for i, ci in h.items():
-                img = self.right.get((a, i))
-                if img:
-                    vec_add(f, out, img, f.mul(ca, ci))
-        return out
+        return bilinear(self.algebra.field, self.right, x, h)
 
 
 def oslash_action(slots: List[Bimodule], h: Vec, t: Vec,
@@ -565,41 +517,26 @@ def regular_modcomod(H: HopfAlgebra) -> ModComod:
 
 
 def coadjoint_comodule(H: HopfAlgebra) -> ModComod:
-    """H with the coadjoint coaction h -> h_(1) S^-1(h_(3)) (x) h_(2)."""
-    f = H.field
-    sinv = H.antipode_inverse()
-    if sinv is None:
-        raise ValueError("antipode is not invertible")
-    coaction: List[Vec] = []
-    for i in range(H.dim):
-        acc: Vec = {}
-        for fl, c in H.comultiply_iter(basis_vec(f, i), 2).items():
-            h12, h3 = divmod(fl, H.dim)
-            h1, h2 = divmod(h12, H.dim)
-            wrap = H.multiply(basis_vec(f, h1), sinv.apply(basis_vec(f, h3)))
-            vec_add(f, acc, vec_tensor(f, wrap, basis_vec(f, h2), H.dim), c)
-        coaction.append(acc)
-    return ModComod(H, H.dim, None, coaction, label="coadjoint")
+    """H with the coadjoint coaction h -> h_(1) S^-1(h_(3)) (x) h_(2): the
+    cobar oracle's coefficients for the bare S^-1 calculus."""
+    from .calculus import Calculus
+    from .homology import _basepoint_coadjoint
+    X = _basepoint_coadjoint(Calculus.k(H))
+    X.label = "coadjoint"
+    return X
 
 
 def is_character(H: HopfAlgebra, delta: Dict[int, object]) -> bool:
     f = H.field
-    if not f.is_zero(f.sub(_covector_val(f, delta, H.unit), f.one())):
+    if not f.is_zero(f.sub(pairing(f, delta, H.unit), f.one())):
         return False
     for i in range(H.dim):
         for j in range(H.dim):
-            lhs = _covector_val(f, delta, H.mul.get((i, j), {}))
+            lhs = pairing(f, delta, H.mul.get((i, j), {}))
             rhs = f.mul(delta.get(i, f.zero()), delta.get(j, f.zero()))
             if not f.is_zero(f.sub(lhs, rhs)):
                 return False
     return True
-
-
-def _covector_val(f: Field, delta, v: Vec):
-    acc = f.zero()
-    for i, c in v.items():
-        acc = f.add(acc, f.mul(delta.get(i, f.zero()), c))
-    return acc
 
 
 def is_grouplike(H: HopfAlgebra, sigma: Vec) -> bool:
@@ -766,7 +703,7 @@ def groupoid_decompose(X: ModComod) -> GroupoidReport:
     basis: Dict[int, List[Vec]] = {}
     pivots: Dict[int, List[int]] = {}
     for g in range(n):
-        vecs, pivs = _reduced_column_basis(f, projections[g].columns())
+        vecs, pivs = column_echelon(f, projections[g].columns())
         basis[g] = vecs
         pivots[g] = pivs
     if sum(len(v) for v in basis.values()) != dX:
@@ -780,8 +717,8 @@ def groupoid_decompose(X: ModComod) -> GroupoidReport:
             cols = []
             for v in basis[g]:
                 img = X.act(basis_vec(f, h), v)
-                coords = _coords_in_reduced_basis(f, img, basis.get(target, []),
-                                                  pivots.get(target, []))
+                coords = echelon_coords(f, img, basis.get(target, []),
+                                        pivots.get(target, []))
                 if coords is None:
                     return GroupoidReport(
                         False,
@@ -790,45 +727,6 @@ def groupoid_decompose(X: ModComod) -> GroupoidReport:
                 cols.append(coords)
             blocks[(h, g)] = Matrix.from_columns(cols, len(basis.get(target, [])), f)
     return GroupoidReport(True, data=GroupoidData(dims, blocks), grading_basis=basis)
-
-
-def _reduced_column_basis(f: Field, cols: List[Vec]) -> Tuple[List[Vec], List[int]]:
-    """Reduced (echelon) basis of the column space, with pivot rows."""
-    basis: List[Vec] = []
-    pivots: List[int] = []
-    for col in cols:
-        r = dict(col)
-        for b, p in zip(basis, pivots):
-            c = r.get(p)
-            if c is not None:
-                vec_add(f, r, b, f.neg(c))
-        if not r:
-            continue
-        p = min(r)
-        scale = f.inv(r[p])
-        r = {k: f.mul(scale, v) for k, v in r.items()}
-        for i, (b, bp) in enumerate(zip(basis, pivots)):
-            c = b.get(p)
-            if c is not None:
-                nb = dict(b)
-                vec_add(f, nb, r, f.neg(c))
-                basis[i] = nb
-        basis.append(r)
-        pivots.append(p)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [basis[i] for i in order], [pivots[i] for i in order]
-
-
-def _coords_in_reduced_basis(f: Field, v: Vec, basis: List[Vec],
-                             pivots: List[int]) -> Optional[Vec]:
-    coords: Vec = {}
-    rest = dict(v)
-    for i, (b, p) in enumerate(zip(basis, pivots)):
-        c = rest.get(p)
-        if c is not None:
-            coords[i] = c
-            vec_add(f, rest, b, f.neg(c))
-    return None if rest else coords
 
 
 def modcomod_from_groupoid(H: HopfAlgebra, data: GroupoidData) -> ModComod:

@@ -20,6 +20,25 @@ from hopfcalc.modules import (ModComod, coadjoint_comodule, enumerate_characters
                               trivial_modcomod)
 
 
+# matrix operations that only the tests use
+
+
+def set_column(m: Matrix, j: int, col) -> None:
+    """Replace column j of ``m`` in place, through ``Matrix.data``."""
+    data = m.data
+    for key in [k for k in data if k[1] == j]:
+        del data[key]
+    m._init_column(j, col)
+
+
+def transpose(m: Matrix) -> Matrix:
+    return Matrix(m.cols, m.rows, m.field, {(j, i): v for (i, j), v in m.entries()})
+
+
+def kernel_dim(m: Matrix) -> int:
+    return m.cols - m.rank()
+
+
 @functools.lru_cache(maxsize=None)
 def named_algebra(name: str) -> HopfAlgebra:
     if name == "kZ2":

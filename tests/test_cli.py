@@ -7,6 +7,8 @@ import tempfile
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from conftest import set_column
+
 from hopfcalc.calculus import Calculus
 from hopfcalc.cli import main
 from hopfcalc.linalg import Matrix
@@ -42,6 +44,16 @@ def test_verify_hopf_file_with_broken_antipode_fails(capsys, tmp_path):
     assert code == 1
     assert doc["status"] == "fail"
     assert any(c["status"] == "fail" for c in doc["checks"])
+
+
+def test_verify_hopf_file_with_densely_listed_antipode_passes(capsys, tmp_path):
+    # kZ2 with every antipode entry listed, the zeros included
+    spec = dict(KZ2, antipode=[[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]])
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(spec))
+    code, doc = run(capsys, "verify-hopf", "--hopf", str(path))
+    assert code == 0
+    assert doc["status"] == "pass"
 
 
 def test_verify_dga_khat(capsys):
@@ -231,6 +243,18 @@ def test_unknown_builtin_is_exit_2(capsys):
     assert code == 2
 
 
+def test_cayley_file_names_must_be_strings(capsys, tmp_path):
+    # basis names key the "character" and "grouplike" objects of a report
+    path = tmp_path / "z2.json"
+    for names in ([0, 1], ["e"]):
+        path.write_text(json.dumps({"table": [[0, 1], [1, 0]], "names": names}))
+        assert main(["verify-hopf", "--builtin", f"group:{path}"]) == 2
+        assert "names must be a list of 2 strings" in capsys.readouterr().err
+    path.write_text(json.dumps({"table": [[0, 1], [1, 0]], "names": ["e", "g"]}))
+    code, doc = run(capsys, "verify-hopf", "--builtin", f"group:{path}")
+    assert code == 0 and doc["status"] == "pass"
+
+
 def test_unknown_subcommand_is_exit_2(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -285,7 +309,7 @@ def test_internal_invariant_failure_is_exit_3(capsys, monkeypatch):
         col = d.column(0)
         k = min(col)
         col[k] = f.add(col[k], f.one())
-        d.set_column(0, col)
+        set_column(d, 0, col)
         return d
     _corrupt_differential(monkeypatch, 1, bump)
     code = main(["check-module", "--builtin", "sweedler", "--module", "regular",

@@ -14,8 +14,9 @@ f5_elems = st.integers(min_value=0, max_value=4)
 def test_field_parse_and_str():
     assert Field.parse("Q") == QQ
     assert Field.parse("F7") == Field(7)
-    with pytest.raises(ValueError):
-        Field.parse("F6")
+    for bad in ("F6", "F0", "F", "F 7", "F+7", "F1_1", "QQ", "0", " Q", "R"):
+        with pytest.raises(ValueError):
+            Field.parse(bad)
     assert str(QQ) == "Q"
     assert str(F5) == "F5"
 

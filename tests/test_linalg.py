@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import kernel_dim, named_algebra, set_column, transpose
+
 from hopfcalc.fields import Field, QQ
 from hopfcalc.linalg import (Matrix, _sparse_rank, identity_defect_witness,
                              tensor_decode, tensor_encode, vec_add, vec_tensor)
@@ -41,8 +43,8 @@ def test_rank_plus_nullity(seed, rows, cols):
     rng = random.Random(seed)
     for field in (QQ, F7):
         m = _random_matrix(rng, rows, cols, field)
-        assert m.rank() + m.kernel_dim() == cols
-        assert m.rank() == m.transpose().rank()
+        assert m.rank() + kernel_dim(m) == cols
+        assert m.rank() == transpose(m).rank()
 
 
 def fraction_rank(field, rows):
@@ -99,7 +101,7 @@ def test_sparse_rank_matches_fraction_elimination(seed, kind, rows, cols, inner)
         m = rand(rows, inner)._matmul_python(rand(inner, cols))
     else:
         m = rand(rows, cols)
-    for vecs in (m.columns(), m.transpose().columns()):
+    for vecs in (m.columns(), transpose(m).columns()):
         assert _sparse_rank(field, vecs) == fraction_rank(field, vecs)
 
 
@@ -108,7 +110,7 @@ def test_sparse_rank_with_non_unit_pivots():
     # row and divides its content out again
     m = Matrix.from_rows([[2, 4, 6, 0], [3, 6, 9, 1], [6, 13, 18, 2], [3, 7, 9, 1]], QQ)
     assert _sparse_rank(QQ, m.columns()) == fraction_rank(QQ, m.columns()) == 3
-    assert _sparse_rank(QQ, m.transpose().columns()) == 3
+    assert _sparse_rank(QQ, transpose(m).columns()) == 3
 
 
 @settings(max_examples=30)
@@ -169,6 +171,67 @@ def test_inverse_of_singular_is_none():
     assert m.inverse() is None
 
 
+def reference_inverse(m: Matrix):
+    """Dense Gauss-Jordan elimination in the field's arithmetic, or None
+    when singular: the oracle for the echelon ``Matrix.inverse``."""
+    if m.rows != m.cols:
+        return None
+    f = m.field
+    n = m.rows
+    a = [[m.get(i, j) for j in range(n)] for i in range(n)]
+    inv = [[f.one() if i == j else f.zero() for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not f.is_zero(a[r][col])), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        scale = f.inv(a[col][col])
+        a[col] = [f.mul(scale, x) for x in a[col]]
+        inv[col] = [f.mul(scale, x) for x in inv[col]]
+        for r in range(n):
+            if r != col and not f.is_zero(a[r][col]):
+                c = a[r][col]
+                a[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(a[r], a[col])]
+                inv[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(inv[r], inv[col])]
+    return Matrix.from_rows(inv, f)
+
+
+NAMED_ALGEBRAS = ["kZ2", "kZ3", "kZ4", "kS3", "dualZ2", "dualZ2_F2", "sweedler",
+                  "taft327", "kZ3_scaled"]
+
+
+def test_inverse_of_every_named_antipode_matches_gauss_jordan():
+    for name in NAMED_ALGEBRAS:
+        S = named_algebra(name).antipode
+        inv = S.inverse()
+        assert inv is not None and inv == reference_inverse(S)
+        assert S @ inv == Matrix.identity(S.rows, S.field)
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_inverse_matches_gauss_jordan(seed):
+    # sparse draws are mostly singular, dense ones mostly invertible
+    rng = random.Random(seed)
+    for field in (QQ, Field(5)):
+        for n in range(6):
+            m = _random_matrix(rng, n, n, field, rng.choice([0.3, 0.6, 0.9]))
+            want = reference_inverse(m)
+            got = m.inverse()
+            assert (got is None) == (want is None)
+            assert got == want
+            # the same matrix stored as int64 CSR
+            assert m.kron(Matrix.identity(1, field)).inverse() == want
+            # and with its zeros written through .data, as a --hopf file
+            # that lists its antipode densely stores them
+            for i in range(n):
+                for j in range(n):
+                    m.data.setdefault((i, j), field.zero())
+            assert m.inverse() == want
+    assert Matrix.zero(2, 3, QQ).inverse() is None
+
+
 @settings(max_examples=25)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_identity_defect_witness_matches_direct(seed):
@@ -215,7 +278,7 @@ def test_huge_entries_fall_back_to_exact_products():
 def test_set_column_replaces_and_invalidates_caches():
     m = Matrix.from_rows([[1, 2], [3, 4]], QQ)
     _ = m @ m           # populate the scipy cache
-    m.set_column(0, {1: QQ.of(5)})
+    set_column(m, 0, {1: QQ.of(5)})
     assert m.get(0, 0) == QQ.zero()
     assert m.get(1, 0) == QQ.of(5)
     expect = Matrix.from_rows([[0, 2], [5, 4]], QQ)

@@ -1,10 +1,12 @@
 import itertools
 import random
 
-from conftest import base_corpus, mutated_corpus, named_algebra
+import pytest
+
+from conftest import ACCEPTANCE_ALGEBRAS, base_corpus, mutated_corpus, named_algebra
 
 from hopfcalc.hopf import BialgebraMorphism
-from hopfcalc.linalg import Matrix, basis_vec
+from hopfcalc.linalg import Matrix, basis_vec, vec_add, vec_sub, vec_tensor
 from hopfcalc.modules import (Bimodule, BimoduleCoalgebra, ModComod, check_ayd,
                               check_equivariant, check_lemma_sandwich_action,
                               check_comodule_axioms, check_stable,
@@ -85,6 +87,55 @@ def test_equivariance_specializes_to_ayd_and_yd():
             eq_yd = check_equivariant(X, C, ident, s)
             yd = check_yd(X)
             assert eq_yd.passed == yd.passed and eq_yd.defects == yd.defects
+
+
+def reference_sandwich_compat(X, conjugator):
+    """The defects of rho(h x) against h_(1) x_(-1) conj(h_(3)) (x) h_(2)
+    x_(0), by a loop of its own over the Hopf algebra's structure maps:
+    the oracle for ``check_ayd`` (conj = S^-1) and ``check_yd`` (conj = S),
+    which read the sandwich of their calculus."""
+    f = X.field
+    H = X.algebra
+    defects = {}
+    dX = X.dim
+    for i in range(H.dim):
+        legs3 = H.comultiply_iter(basis_vec(f, i), 2)
+        for a in range(X.dim):
+            lhs = X.coact(X.act(basis_vec(f, i), basis_vec(f, a)))
+            rhs = {}
+            for fl, c in legs3.items():
+                h12, h3 = divmod(fl, H.dim)
+                h1, h2 = divmod(h12, H.dim)
+                tail = conjugator.apply(basis_vec(f, h3))
+                for fl2, c2 in X.coaction[a].items():
+                    xm, x0 = divmod(fl2, dX)
+                    left = H.multiply(H.multiply(basis_vec(f, h1), basis_vec(f, xm)), tail)
+                    right = X.act(basis_vec(f, h2), basis_vec(f, x0))
+                    vec_add(f, rhs, vec_tensor(f, left, right, dX), f.mul(c, c2))
+            d = vec_sub(f, lhs, rhs)
+            if d:
+                defects[(i, a)] = d
+    return defects
+
+
+@pytest.mark.parametrize("name", ACCEPTANCE_ALGEBRAS + ["kZ3_scaled"])
+def test_compat_checks_match_the_reference_loop(name):
+    # the acceptance corpus: the base modules and nine seeded mutations;
+    # kZ3_scaled has non-integral structure constants
+    H = named_algebra(name)
+    corpus = base_corpus(H) + mutated_corpus(H, 9, seed=17)
+    failing = 0
+    for X in corpus:
+        ayd, yd = check_ayd(X), check_yd(X)
+        assert ayd.defects == reference_sandwich_compat(X, H.antipode_inverse())
+        assert yd.defects == reference_sandwich_compat(X, H.antipode)
+        failing += not ayd.passed
+    assert failing
+
+
+def test_compat_check_of_a_comodule_without_action_is_a_value_error():
+    with pytest.raises(ValueError, match="module has no action"):
+        check_ayd(coadjoint_comodule(named_algebra("kS3")))
 
 
 def test_oslash_degenerate_case_is_plain_action():
