@@ -15,13 +15,12 @@ from .modules import (BimoduleCoalgebra, GroupoidData, ModComod, check_ayd,
                       check_equivariant, check_stable, check_yd, coadjoint_comodule,
                       coassociativity_defects, enumerate_characters, enumerate_grouplikes,
                       groupoid_decompose, modcomod_from_groupoid, one_dim_modcomod,
-                      oslash_action, regular_modcomod, trivial_modcomod,
-                      verify_bimodule_coalgebra)
+                      regular_modcomod, trivial_modcomod, verify_bimodule_coalgebra)
 from .calculus import Calculus, specialization_check, verify_dga
 from .homology import ChainComplex, HomologyTable, cobar_complex, compare_cotor, homology_dims
 from .connections import (Connection, Curvature, check_connection,
                           check_dg_module_structure, coaction_from_connection,
                           coefficient_complex, connection_from_coaction, curvature,
-                          is_flat, tensor_connection)
+                          is_flat, sandwich_action, tensor_connection)
 
 __version__ = "0.1.0"

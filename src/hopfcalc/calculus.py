@@ -147,6 +147,10 @@ class Calculus:
     def unit_element(self) -> Vec:
         return dict(self.B.unit)
 
+    def unit_column(self) -> Matrix:
+        """The unit as a B x 1 column."""
+        return Matrix.from_columns_csr([self.B.unit], self.B.dim, self.field)
+
     # -- structural building blocks ------------------------------------------
 
     def _comul_c(self, c: int) -> Vec:
@@ -328,7 +332,7 @@ def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
 
     # the unit u, a B x 1 column, is a two-sided identity in every degree:
     # product(0, n) (u (x) I) = I = product(n, 0) (I (x) u)
-    u = Matrix.from_columns_csr([calc.unit_element()], calc.B.dim, f)
+    u = calc.unit_column()
     ok = all(identity_defect_witness(f, [(1, [calc.product(0, n), (u, eye(n))]),
                                          (-1, [eye(n)])]) is None
              and identity_defect_witness(f, [(1, [calc.product(n, 0), (eye(n), u)]),

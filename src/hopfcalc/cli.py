@@ -31,8 +31,9 @@ from .hopf import (BialgebraMorphism, HopfAlgebra, build_dual_group_algebra,
                    symmetric_table, verify_axioms)
 from .linalg import Matrix, Vec
 from .modules import (BimoduleCoalgebra, ModComod, check_ayd, check_equivariant,
-                      check_stable, check_yd, coadjoint_comodule, coassociativity_defects,
-                      regular_modcomod, trivial_modcomod, one_dim_modcomod)
+                      check_module_axioms, check_stable, check_yd, coadjoint_comodule,
+                      coassociativity_defects, regular_modcomod, trivial_modcomod,
+                      one_dim_modcomod)
 from .reports import Report
 from .homology import calculus_complex, compare_cotor, homology_dims
 
@@ -221,6 +222,9 @@ def load_module_file(path: str, H: HopfAlgebra) -> ModComod:
              "delta": [[i, c], ...], "sigma": [[i, c], ...]}
     Indices i range over the algebra's basis and a, b over the module's;
     every command needs both tensors, and no coefficient may be given twice.
+    The action must be associative and unital (``check_module_axioms``):
+    a module is checked on loading, as an algebra is against the Hopf
+    axioms.
     """
     doc = _read_json(path)
     f = H.field
@@ -228,17 +232,22 @@ def load_module_file(path: str, H: HopfAlgebra) -> ModComod:
         if "delta" in doc or "sigma" in doc:
             delta = {i: c for i, c in _entries(doc, "delta", (H.dim,), f)}
             sigma = {i: c for i, c in _entries(doc, "sigma", (H.dim,), f)}
-            return one_dim_modcomod(H, delta, sigma, check=False)
-        dim = _dim(doc)
-        action = {(i, a): {} for i in range(H.dim) for a in range(dim)}
-        for i, a, b, c in _entries(doc, "action", (H.dim, dim, dim), f):
-            action[(i, a)][b] = c
-        coaction = [dict() for _ in range(dim)]
-        for a, i, b, c in _entries(doc, "coaction", (dim, H.dim, dim), f):
-            coaction[a][i * dim + b] = c
+            X = one_dim_modcomod(H, delta, sigma, check=False)
+        else:
+            dim = _dim(doc)
+            action = {(i, a): {} for i in range(H.dim) for a in range(dim)}
+            for i, a, b, c in _entries(doc, "action", (H.dim, dim, dim), f):
+                action[(i, a)][b] = c
+            coaction = [dict() for _ in range(dim)]
+            for a, i, b, c in _entries(doc, "coaction", (dim, H.dim, dim), f):
+                coaction[a][i * dim + b] = c
+            X = ModComod(H, dim, action, coaction, label=os.path.basename(path))
     except (KeyError, TypeError, ValueError, IndexError) as e:
         raise CliError(f"{path}: malformed module spec ({e!r})")
-    return ModComod(H, dim, action, coaction, label=os.path.basename(path))
+    rep = check_module_axioms(X)
+    if not rep.passed:
+        raise CliError(f"{path}: module action fails {rep.failures()[0].name}")
+    return X
 
 
 def _morphism(H: HopfAlgebra, name: str) -> BialgebraMorphism:

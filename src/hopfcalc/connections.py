@@ -8,10 +8,14 @@ Coactions and connections determine each other through
 
 and the compatibility conditions of modules.py translate exactly into the
 Leibniz property of nabla, flatness into coassociativity; the defect
-tensors agree entry for entry, which the test suite pins down.  The
-coefficient complex of a flat connection is a product of calculus
-matrices, D_n and product(0, 1), with the action and nabla
-(``coefficient_complex``).
+tensors agree entry for entry, which the test suite pins down.
+
+B acts on Omega^n (x)_B X = C^n (x) X by left multiplication by
+Omega^0 = B in the calculus, read through the action: that is the
+sandwich action M_n (``sandwich_action``), the one construction of it.
+The coefficient complex of a flat connection, the extension of nabla
+behind its curvature, and the DG-module check are products of calculus
+matrices, D_n and product(0, n), with the action and nabla.
 """
 from __future__ import annotations
 
@@ -20,9 +24,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .calculus import Calculus
 from .homology import ChainComplex
-from .linalg import Matrix, Vec, basis_vec, vec_add, vec_sub, vec_tensor
-from .modules import (Bimodule, DefectReport, ModComod, b_slot_act,
-                      coassociativity_defects, oslash_action, sandwich_act)
+from .linalg import Matrix, Vec, basis_vec, column_witness, vec_add, vec_sub, vec_tensor
+from .modules import (DefectReport, ModComod, action_matrix, add_action_axioms, b_slot_act,
+                      check_ayd, coassociativity_defects, sandwich_act)
 from .reports import Report
 
 
@@ -44,27 +48,6 @@ class Curvature:
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
-
-
-def identify(calc: Calculus, X: ModComod, v: Vec) -> Vec:
-    """The basis identification C^n (x) B (x) X -> C^n (x) X sending the
-    B slot into the module by acting: c... (x) b (x) x -> c... (x) bx.
-
-    Centralized because every route from calculus matrices to coefficient
-    spaces passes through it, and a slip here flips signs silently.
-    """
-    f = calc.field
-    bd, xd = calc.B.dim, X.dim
-    out: Vec = {}
-    for fl, c in v.items():
-        head, bx = divmod(fl, bd * xd)
-        b, x = divmod(bx, xd)
-        img = X.action.get((b, x))
-        if not img:
-            continue
-        for x2, c2 in img.items():
-            vec_add(f, out, {head * xd + x2: f.mul(c, c2)})
-    return out
 
 
 def connection_from_coaction(calc: Calculus, X: ModComod) -> Connection:
@@ -123,48 +106,65 @@ def check_connection(conn: Connection) -> DefectReport:
     return DefectReport("connection", defects)
 
 
-def _extend_degree1(conn: Connection, v: Vec) -> Vec:
-    """The extension of nabla to C (x) X -> C (x) C (x) X by the graded
-    Leibniz rule, computed through the calculus matrices: the degree-1
-    representative of c (x) x is (c (x) 1) (x) x, and
+def sandwich_action(calc: Calculus, act: Matrix, n: int) -> Matrix:
+    """M_n: C^n (x) X <- B (x) C^n (x) X, the action of B = Omega^0 on
+    Omega^n (x)_B X = C^n (x) X by left multiplication in the calculus,
+    read through the action ``act``: X <- B (x) X.  With u the unit as a
+    B x 1 column,
 
-        nabla_hat((c (x) 1) (x) x) = d(c (x) 1) (x)_B x
-                                     - (c (x) 1) . nabla(x) identified.
-    """
-    calc, X = conn.calc, conn.X
+        M_n = (I_(C^n) (x) act) ((product(0, n) (I_(B (x) C^n) (x) u)) (x) I_X).
+
+    For the S^-1 calculus, b sends c^1 (x) ... (x) c^n (x) x to
+    b_(1) c^1 S^-1(b_(2n+1)) (x) ... (x) b_(n+1) x (S for the S calculus),
+    the sandwich action of Hajac, Khalkhali, Rangipour and Sommerhaeuser;
+    M_0 is ``act`` itself."""
     f = calc.field
-    bd, xd, cd = calc.B.dim, X.dim, calc.cdim
-    out: Vec = {}
-    for fl, coeff in v.items():
-        c, x = divmod(fl, xd)
-        rep: Vec = {c * bd + u: cu for u, cu in calc.B.unit.items()}
-        dpart = calc.differential(1).apply(rep)
-        lifted = {fl2 * xd + x: c2 for fl2, c2 in dpart.items()}
-        vec_add(f, out, identify(calc, X, lifted), coeff)
-        for fl2, c2 in conn.nabla.column(x).items():
-            c2i, x2 = divmod(fl2, xd)
-            rep2: Vec = {c2i * bd + u: cu for u, cu in calc.B.unit.items()}
-            prod = calc.product_apply(rep, 1, rep2, 1)
-            lifted = {fl3 * xd + x2: c3 for fl3, c3 in prod.items()}
-            vec_add(f, out, identify(calc, X, lifted), f.neg(f.mul(coeff, c2)))
-    return out
+    cn = calc.cdim ** n
+    lift = calc.product(0, n) @ Matrix.identity(calc.B.dim * cn, f).kron(calc.unit_column())
+    return (Matrix.identity(cn, f).kron(act)
+            @ lift.kron(Matrix.identity(act.rows, f)))
+
+
+def _leibniz_term(calc: Calculus, act: Matrix, nabla: Matrix) -> Matrix:
+    """K = M_1 (u (x) I_(C (x) X)) nabla: x -> 1 . nabla(x), the term
+    (c (x) 1) . nabla(x) of the graded Leibniz rule with its C^n prefix
+    dropped."""
+    return (sandwich_action(calc, act, 1)
+            @ calc.unit_column().kron(Matrix.identity(calc.cdim * act.rows, calc.field))
+            @ nabla)
+
+
+def _coefficient_differential(calc: Calculus, act: Matrix, K: Matrix, n: int) -> Matrix:
+    """d_X^n = (I_(C^(n+1)) (x) act) (D_n L_n (x) I_X) + (-1)^n I_(C^n) (x) K
+    (``coefficient_complex``)."""
+    f, cd = calc.field, calc.cdim
+
+    def eye(k):
+        return Matrix.identity(k, f)
+
+    dl = calc.differential(n) @ eye(cd ** n).kron(calc.unit_column())
+    d = eye(cd ** (n + 1)).kron(act) @ dl.kron(eye(act.rows))
+    tail = eye(cd ** n).kron(K)
+    return d - tail if n % 2 else d + tail
 
 
 def curvature(conn: Connection) -> Curvature:
     """R = nabla_hat o nabla, computed two independent ways and asserted
-    equal: through the calculus matrices, and by the closed coassociativity
-    formula (Delta_C (x) id) rho - (id (x) rho) rho."""
+    equal: through the calculus matrices, with nabla_hat the degree-1
+    differential of ``coefficient_complex``, and by the closed
+    coassociativity formula (Delta_C (x) id) rho - (id (x) rho) rho."""
     calc, X = conn.calc, conn.X
-    f = calc.field
-    cd, xd = calc.cdim, X.dim
     defects = coassociativity_defects(coaction_from_connection(conn))
-    R = Matrix(cd * cd * xd, xd, f)
-    for a in range(xd):
-        direct = _extend_degree1(conn, conn.nabla.column(a))
-        formula = defects.get((a,), {})
-        if vec_sub(f, direct, formula):
-            raise RuntimeError("curvature routes disagree; calculus is inconsistent")
-        R._init_column(a, formula)
+    R = Matrix.from_columns([defects.get((a,), {}) for a in range(X.dim)],
+                            calc.cdim * calc.cdim * X.dim, calc.field)
+    if conn.nabla.is_zero():        # then so is the direct route, without D_1
+        direct = Matrix.zero(R.rows, R.cols, calc.field)
+    else:
+        act = action_matrix(X)
+        K = _leibniz_term(calc, act, conn.nabla)
+        direct = _coefficient_differential(calc, act, K, 1) @ conn.nabla
+    if direct != R:
+        raise RuntimeError("curvature routes disagree; calculus is inconsistent")
     return Curvature(R)
 
 
@@ -184,37 +184,25 @@ def coefficient_complex(calc: Calculus, conn: Connection,
     column, L_n = I_(C^n) (x) u and ``act`` the action X <- B (x) X, that is
 
         d_X^n = (I_(C^(n+1)) (x) act) (D_n L_n (x) I_X) + (-1)^n I_(C^n) (x) K,
-        K = (I_C (x) act) (product(0, 1) (u (x) I_C (x) u) (x) I_X) nabla,
+        K = M_1 (u (x) I_(C (x) X)) nabla,
 
-    using product(n, 1) = I_(C^n) (x) product(0, 1).  product(n, 1) itself
-    is never built: for Taft(3,2) at n = 4 it has 8.3 M entries.  The
+    with M_1 the ``sandwich_action`` of B on C (x) X, because
+    product(n, 1) = I_(C^n) (x) product(0, 1).  product(n, 1) itself is
+    never built: for Taft(3,2) at n = 4 it has 8.3 M entries.  The
     calculus side goes through D_n and product(0, 1), never through the
     recursion of D_n with rho in place of F_0: that recursion is the cobar
     oracle itself."""
     if not is_flat(conn):
         raise ValueError("connection is not flat")
-    X = conn.X
     max_degree = calc.max_degree if max_degree is None else max_degree
-    f = calc.field
-    cd, bd, xd = calc.cdim, calc.B.dim, X.dim
-
-    def eye(n):
-        return Matrix.identity(n, f)
-
-    act = Matrix.from_columns_csr(
-        [X.action.get((b, x), {}) for b in range(bd) for x in range(xd)], xd, f)
-    u = Matrix.from_columns_csr([calc.unit_element()], bd, f)
-    dims = [cd ** n * xd for n in range(max_degree + 1)]
+    act = action_matrix(conn.X)
+    dims = [calc.cdim ** n * conn.X.dim for n in range(max_degree + 1)]
     diffs: List[Matrix] = []
     for n in range(max_degree):
         if n == 0:      # so that an empty complex builds no product
-            lift = calc.product(0, 1) @ u.kron(eye(cd)).kron(u)
-            K = eye(cd).kron(act) @ lift.kron(eye(xd)) @ conn.nabla
-        dl = calc.differential(n) @ eye(cd ** n).kron(u)
-        d = eye(cd ** (n + 1)).kron(act) @ dl.kron(eye(xd))
-        tail = eye(cd ** n).kron(K)
-        diffs.append(d - tail if n % 2 else d + tail)
-    return ChainComplex(f, dims, diffs)
+            K = _leibniz_term(calc, act, conn.nabla)
+        diffs.append(_coefficient_differential(calc, act, K, n))
+    return ChainComplex(calc.field, dims, diffs)
 
 
 def tensor_connection(conn_yd: Connection, conn_ayd: Connection) -> Connection:
@@ -296,7 +284,9 @@ def check_dg_module_structure(calc: Calculus, conn: Connection,
                               max_degree: int = 2) -> Report:
     """Over a cocommutative Hopf algebra the coefficient complex of a flat
     connection is a differential graded module for the sandwich action on
-    each C^n (x) X; over a non-cocommutative one the statement does not
+    each C^n (x) X: d_n M_n = M_(n+1) (I_B (x) d_n), with a failure
+    witnessed at the first basis (b, t) of B (x) C^n (x) X where the
+    sides differ.  Over a non-cocommutative algebra the statement does not
     apply and is reported as such."""
     rep = Report()
     H = calc.B
@@ -308,24 +298,27 @@ def check_dg_module_structure(calc: Calculus, conn: Connection,
     if max_degree + 1 > calc.max_degree:
         raise ValueError("calculus not materialized deep enough")
     f = calc.field
-    X = conn.X
-    conj = calc._conj
     cx = coefficient_complex(calc, conn, max_degree + 1)
+    act = action_matrix(conn.X)
+    M = [sandwich_action(calc, act, n) for n in range(max_degree + 2)]
     for n in range(max_degree + 1):
-        slots = [Bimodule.regular(H)] * n + [Bimodule.from_left_module(X)]
-        slots_up = [Bimodule.regular(H)] * (n + 1) + [Bimodule.from_left_module(X)]
         d = cx.diffs[n]
-        ok, wit = True, None
-        for i in range(H.dim):
-            for fl in range(cx.dims[n]):
-                t = basis_vec(f, fl)
-                lhs = d.apply(oslash_action(slots, basis_vec(f, i), t, conj))
-                rhs = oslash_action(slots_up, basis_vec(f, i), d.apply(t), conj)
-                dd = vec_sub(f, lhs, rhs)
-                if dd:
-                    ok, wit = False, {"basis": (i, fl), "degree": n, "defect": dd}
-                    break
-            if not ok:
-                break
-        rep.add(f"dg_module_degree[{n}]", ok, wit)
+        w = column_witness(d @ M[n], M[n + 1] @ Matrix.identity(H.dim, f).kron(d),
+                           [H.dim, cx.dims[n]])
+        if w is not None:
+            w["degree"] = n
+        rep.add(f"dg_module_degree[{n}]", w is None, w)
+    return rep
+
+
+def check_lemma_sandwich_action(X: ModComod) -> Report:
+    """The sandwich action h.(g (x) x) = h_(1) g S^-1(h_(3)) (x) h_(2) x on
+    H (x) X, M_1 of the S^-1 calculus: (a) it is an associative unital
+    action; (b) rho_X is a map of modules for it, which is the S^-1
+    compatibility condition ``check_ayd``."""
+    rep = Report()
+    add_action_axioms(rep, "sandwich_action", X.algebra,
+                      sandwich_action(Calculus.k(X.algebra, 1), action_matrix(X), 1))
+    d = check_ayd(X)
+    rep.add("coaction_is_module_map", d.passed, d.witness())
     return rep

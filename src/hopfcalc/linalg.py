@@ -651,6 +651,19 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field}, nnz={self._nnz()})"
 
 
+def column_witness(lhs: Matrix, rhs: Matrix, dims: Sequence[int]) -> "dict | None":
+    """None when ``lhs == rhs``; otherwise the witness ``{"basis",
+    "defect"}`` of the first column where they differ: its index decoded
+    over ``dims``, and that column of lhs - rhs, the one difference
+    computed."""
+    if lhs == rhs:
+        return None
+    d, f = lhs - rhs, lhs.field
+    j = min(j for (_, j), _ in d.entries())
+    return {"basis": tensor_decode(j, dims),
+            "defect": {i: f.of(v) for i, v in d.column(j).items()}}
+
+
 def identity_defect_witness(field: Field, terms) -> "Tuple[int, int, object] | None":
     """First nonzero entry of ``sum(coeff * prod(factors))``, or None.
 

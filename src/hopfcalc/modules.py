@@ -3,8 +3,15 @@
 Covers the two sandwich compatibility conditions (the S^-1 flavour used by
 Hopf-cyclic coefficients and the S flavour of Yetter-Drinfeld theory),
 stability, the generalized (alpha, beta)-equivariance over a bimodule
-coalgebra, the sandwich bimodule action on tensor products, and the
-conjugation-groupoid grading of comodules over group algebras.
+coalgebra, the action axioms, and the conjugation-groupoid grading of
+comodules over group algebras.
+
+An action is also a matrix, X <- B (x) X (``action_matrix``), and
+``add_action_axioms`` checks associativity and unitality as two matrix
+identities on it.  The B-module structure on the coefficient spaces
+C^n (x) X of a connection is left multiplication by Omega^0 = B in the
+calculus, read through the action (``connections.sandwich_action``); it
+is checked by the same function.
 
 Each compatibility check reads the sandwich of its calculus,
 ``Calculus.sandwich``: AYD (S^-1) from K = ``Calculus.k``, YD (S) from
@@ -26,9 +33,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .fields import Field
 from .hopf import BialgebraMorphism, HopfAlgebra
-from .linalg import (Matrix, Vec, basis_vec, bilinear, column_echelon, echelon_coords,
-                     linear, pairing, tensor_decode, vec_add, vec_eq, vec_scale,
-                     vec_sub, vec_tensor)
+from .linalg import (Matrix, Vec, basis_vec, bilinear, column_echelon, column_witness,
+                     echelon_coords, linear, pairing, vec_add, vec_eq, vec_sub, vec_tensor)
 from .reports import Report
 
 
@@ -232,22 +238,30 @@ class DefectReport:
 # structure-map axioms (reported separately; see module docstring)
 
 
+def action_matrix(X: ModComod) -> Matrix:
+    """The action as the matrix X <- B (x) X."""
+    return Matrix.from_columns_csr([X.action.get((b, x), {}) for b in range(X.algebra.dim)
+                                    for x in range(X.dim)], X.dim, X.field)
+
+
+def add_action_axioms(rep: Report, name: str, B: HopfAlgebra, M: Matrix) -> None:
+    """Add to ``rep`` that M: V <- B (x) V is an action of B: associative,
+    M (mu (x) I_V) = M (I_B (x) M), witnessed at the first failing basis
+    (i, j, v) of B (x) B (x) V, and unital, M (u (x) I_V) = I_V, with mu
+    the multiplication and u the unit as a B x 1 column."""
+    f, bd, vd = B.field, B.dim, M.rows
+    mu = Matrix.from_columns_csr([B.mul.get((i, j), {}) for i in range(bd)
+                                  for j in range(bd)], bd, f)
+    u = Matrix.from_columns_csr([B.unit], bd, f)
+    eye = Matrix.identity(vd, f)
+    w = column_witness(M @ mu.kron(eye), M @ Matrix.identity(bd, f).kron(M), [bd, bd, vd])
+    rep.add(f"{name}_associative", w is None, w)
+    rep.add(f"{name}_unital", M @ u.kron(eye) == eye)
+
+
 def check_module_axioms(X: ModComod) -> Report:
-    f = X.field
-    B = X.algebra
     rep = Report()
-    eb = [basis_vec(f, i) for i in range(B.dim)]
-    ex = [basis_vec(f, a) for a in range(X.dim)]
-    ok, wit = True, None
-    for i, j, a in itertools.product(range(B.dim), range(B.dim), range(X.dim)):
-        lhs = X.act(B.mul.get((i, j), {}), ex[a])
-        rhs = X.act(eb[i], X.act(eb[j], ex[a]))
-        if not vec_eq(f, lhs, rhs):
-            ok, wit = False, {"basis": (i, j, a), "defect": vec_sub(f, lhs, rhs)}
-            break
-    rep.add("action_associative", ok, wit)
-    rep.add("action_unital", all(vec_eq(f, X.act(B.unit, ex[a]), ex[a])
-                                 for a in range(X.dim)))
+    add_action_axioms(rep, "action", X.algebra, action_matrix(X))
     return rep
 
 
@@ -367,121 +381,6 @@ def check_stable(X: ModComod) -> bool:
         if not vec_eq(f, acc, basis_vec(f, a)):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# sandwich bimodule action on tensor products
-
-
-@dataclass
-class Bimodule:
-    """An H-bimodule given by left and right action tensors."""
-
-    algebra: HopfAlgebra
-    dim: int
-    left: Dict[Tuple[int, int], Vec]
-    right: Dict[Tuple[int, int], Vec]
-
-    @classmethod
-    def regular(cls, H: HopfAlgebra) -> "Bimodule":
-        act = {(i, j): dict(v) for (i, j), v in H.mul.items()}
-        return cls(H, H.dim, act, act)
-
-    @classmethod
-    def from_left_module(cls, X: ModComod) -> "Bimodule":
-        # trivial right action through the counit; only the left action is
-        # used when the module sits in the last tensor slot
-        H = X.algebra
-        f = H.field
-        right = {(a, i): vec_scale(f, basis_vec(f, a), H.counit.get(i, f.zero()))
-                 for a in range(X.dim) for i in range(H.dim)}
-        return cls(H, X.dim, {k: dict(v) for k, v in X.action.items()}, right)
-
-    def lact(self, h: Vec, x: Vec) -> Vec:
-        return bilinear(self.algebra.field, self.left, h, x)
-
-    def ract(self, x: Vec, h: Vec) -> Vec:
-        return bilinear(self.algebra.field, self.right, x, h)
-
-
-def oslash_action(slots: List[Bimodule], h: Vec, t: Vec,
-                  conjugator: Optional[Matrix] = None) -> Vec:
-    """The sandwich left action on X_0 (x) ... (x) X_n.
-
-    Slot i < n receives h_(i+1) . x^i . S^-1(h_(2n+1-i)); the last slot
-    receives h_(n+1) . x^n.  ``conjugator`` defaults to the inverse antipode;
-    pass the antipode itself for the S-flavoured variant.
-    """
-    if not slots:
-        raise ValueError("need at least one slot")
-    H = slots[0].algebra
-    f = H.field
-    if conjugator is None:
-        conjugator = H.antipode_inverse()
-        if conjugator is None:
-            raise ValueError("antipode is not invertible")
-    n = len(slots) - 1
-    dims = [s.dim for s in slots]
-    out: Vec = {}
-    legs = H.comultiply_iter(h, 2 * n) if n > 0 else dict(h)
-    hdim = H.dim
-    for fl_h, ch in legs.items():
-        hidx = tensor_decode(fl_h, [hdim] * (2 * n + 1))
-        for fl_t, ct in t.items():
-            tidx = tensor_decode(fl_t, dims)
-            coeff = f.mul(ch, ct)
-            pieces: List[Vec] = []
-            for i in range(n):
-                v = slots[i].lact(basis_vec(f, hidx[i]), basis_vec(f, tidx[i]))
-                v = slots[i].ract(v, conjugator.apply(basis_vec(f, hidx[2 * n - i])))
-                pieces.append(v)
-            pieces.append(slots[n].lact(basis_vec(f, hidx[n]), basis_vec(f, tidx[n])))
-            acc = pieces[0]
-            for k in range(1, n + 1):
-                acc = vec_tensor(f, acc, pieces[k], dims[k])
-            vec_add(f, out, acc, coeff)
-    return out
-
-
-def check_lemma_sandwich_action(X: ModComod) -> Report:
-    """The sandwich action h.(g (x) x) = h_(1) g S^-1(h_(3)) (x) h_(2) x on
-    H (x) X: (a) it is an associative unital action; (b) rho_X is a map of
-    modules for it.  (b) is equivalent to the S^-1 compatibility condition."""
-    f = X.field
-    H = X.algebra
-    rep = Report()
-    slots = [Bimodule.regular(H), Bimodule.from_left_module(X)]
-
-    def act(h: Vec, t: Vec) -> Vec:
-        return oslash_action(slots, h, t)
-
-    eb = [basis_vec(f, i) for i in range(H.dim)]
-    ok, wit = True, None
-    dims = H.dim * X.dim
-    for i, j, fl in itertools.product(range(H.dim), range(H.dim), range(dims)):
-        t = basis_vec(f, fl)
-        lhs = act(H.mul.get((i, j), {}), t)
-        rhs = act(eb[i], act(eb[j], t))
-        if not vec_eq(f, lhs, rhs):
-            ok, wit = False, {"basis": (i, j, fl), "defect": vec_sub(f, lhs, rhs)}
-            break
-    rep.add("sandwich_action_associative", ok, wit)
-    rep.add("sandwich_action_unital",
-            all(vec_eq(f, act(H.unit, basis_vec(f, fl)), basis_vec(f, fl))
-                for fl in range(dims)))
-
-    ok, wit = True, None
-    for i in range(H.dim):
-        for a in range(X.dim):
-            lhs = X.coact(X.act(eb[i], basis_vec(f, a)))
-            rhs = act(eb[i], X.coaction[a])
-            if not vec_eq(f, lhs, rhs):
-                ok, wit = False, {"basis": (i, a), "defect": vec_sub(f, lhs, rhs)}
-                break
-        if not ok:
-            break
-    rep.add("coaction_is_module_map", ok, wit)
-    return rep
 
 
 # ---------------------------------------------------------------------------

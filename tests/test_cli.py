@@ -188,6 +188,34 @@ def test_module_file_with_bad_or_repeated_index_is_exit_2(capsys, tmp_path, modu
     assert code == 2
 
 
+# g . x = 2x is not an action of k[Z2], since g . (g . x) = 4x but g g = 1;
+# nor is the one-dimensional action of delta(g) = 2, which is no character
+@pytest.mark.parametrize("module", [
+    {"dim": 1, "action": [[0, 0, 0, 1], [1, 0, 0, 2]], "coaction": [[0, 0, 0, 1]]},
+    {"delta": [[0, 1], [1, 2]], "sigma": [[0, 1]]},
+], ids=["explicit", "delta"])
+def test_module_file_whose_action_is_not_an_action_is_exit_2(capsys, tmp_path, module):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(module))
+    code = main(["check-module", "--builtin", "group:Z2", "--module", str(path),
+                 "--condition", "yd"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {path}: module action fails action_associative\n"
+
+
+def test_flat_check_and_homology_at_max_degree_1(capsys):
+    # the curvature needs product(0, 1) only, so degree 1 is deep enough
+    argv = ["check-module", "--builtin", "group:Z2", "--module", "regular",
+            "--condition", "flat"]
+    code, doc = run(capsys, *argv, "--max-degree", "1")
+    assert code == 0
+    assert doc["checks"] == run(capsys, *argv, "--max-degree", "2")[1]["checks"]
+    code, doc = run(capsys, "homology", "--builtin", "group:Z2", "--module", "regular",
+                    "--max-degree", "1")
+    assert code == 0 and doc["homology"] == {"H_0": 1}
+
+
 # a wrong product e_g e_g = 2 e_1 fails associativity, whose witness names
 # the basis elements of the failing tuple
 _BAD_MUL = [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 2]]

@@ -14,7 +14,7 @@ from conftest import named_algebra
 from test_calculus import reference_differential, three_calculi
 
 from hopfcalc import cli
-from hopfcalc.connections import coefficient_complex, connection_from_coaction, identify
+from hopfcalc.connections import coefficient_complex, connection_from_coaction
 from hopfcalc.fields import Field
 from hopfcalc.homology import _basepoint_coadjoint, cobar_complex
 from hopfcalc.linalg import Matrix, Vec, tensor_decode, vec_add
@@ -33,6 +33,20 @@ CASES = [
     ("group:Z4", "Q", "general", None), ("sweedler", "Q", "k", None),
     ("taft:3:2", "F7", "k", None),
 ]
+
+
+def identify(calc, X, v: Vec) -> Vec:
+    """The basis identification C^n (x) B (x) X -> C^n (x) X sending the
+    B slot into the module by acting: c... (x) b (x) x -> c... (x) bx."""
+    f = calc.field
+    bd, xd = calc.B.dim, X.dim
+    out: Vec = {}
+    for fl, c in v.items():
+        head, bx = divmod(fl, bd * xd)
+        b, x = divmod(bx, xd)
+        for x2, c2 in X.action.get((b, x), {}).items():
+            vec_add(f, out, {head * xd + x2: f.mul(c, c2)})
+    return out
 
 
 def reference_coefficient_complex(calc, conn, max_degree):

@@ -1,20 +1,136 @@
 import itertools
 import random
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
 from conftest import ACCEPTANCE_ALGEBRAS, base_corpus, mutated_corpus, named_algebra
 
-from hopfcalc.hopf import BialgebraMorphism
-from hopfcalc.linalg import Matrix, basis_vec, vec_add, vec_sub, vec_tensor
-from hopfcalc.modules import (Bimodule, BimoduleCoalgebra, ModComod, check_ayd,
-                              check_equivariant, check_lemma_sandwich_action,
-                              check_comodule_axioms, check_stable,
-                              check_yd, coadjoint_comodule, coassociativity_defects,
-                              groupoid_decompose, modcomod_from_groupoid,
-                              one_dim_modcomod, oslash_action, regular_modcomod,
+from hopfcalc.calculus import Calculus
+from hopfcalc.connections import check_lemma_sandwich_action, sandwich_action
+from hopfcalc.hopf import BialgebraMorphism, HopfAlgebra
+from hopfcalc.linalg import (Matrix, Vec, basis_vec, bilinear, tensor_decode, vec_add,
+                             vec_eq, vec_scale, vec_sub, vec_tensor)
+from hopfcalc.modules import (BimoduleCoalgebra, ModComod, action_matrix, check_ayd,
+                              check_equivariant, check_comodule_axioms, check_module_axioms,
+                              check_stable, check_yd, coadjoint_comodule,
+                              coassociativity_defects, groupoid_decompose,
+                              modcomod_from_groupoid, one_dim_modcomod, regular_modcomod,
                               trivial_modcomod, verify_bimodule_coalgebra,
                               enumerate_characters, enumerate_grouplikes, GroupoidData)
+from hopfcalc.reports import Report
+
+
+# ---------------------------------------------------------------------------
+# references: the sandwich action and the action axioms, one basis vector
+# at a time
+
+
+@dataclass
+class Slot:
+    """An H-bimodule given by left and right action tensors: one tensor
+    slot of ``reference_oslash_action``."""
+
+    algebra: HopfAlgebra
+    dim: int
+    left: Dict[Tuple[int, int], Vec]
+    right: Dict[Tuple[int, int], Vec]
+
+    @classmethod
+    def regular(cls, H: HopfAlgebra) -> "Slot":
+        act = {(i, j): dict(v) for (i, j), v in H.mul.items()}
+        return cls(H, H.dim, act, act)
+
+    @classmethod
+    def from_left_module(cls, X: ModComod) -> "Slot":
+        # trivial right action through the counit; only the left action is
+        # used when the module sits in the last tensor slot
+        H = X.algebra
+        f = H.field
+        right = {(a, i): vec_scale(f, basis_vec(f, a), H.counit.get(i, f.zero()))
+                 for a in range(X.dim) for i in range(H.dim)}
+        return cls(H, X.dim, {k: dict(v) for k, v in X.action.items()}, right)
+
+    def lact(self, h: Vec, x: Vec) -> Vec:
+        return bilinear(self.algebra.field, self.left, h, x)
+
+    def ract(self, x: Vec, h: Vec) -> Vec:
+        return bilinear(self.algebra.field, self.right, x, h)
+
+
+def reference_oslash_action(slots: List[Slot], h: Vec, t: Vec,
+                            conjugator: Optional[Matrix] = None) -> Vec:
+    """The sandwich left action on X_0 (x) ... (x) X_n, from the iterated
+    coproduct: slot i < n receives h_(i+1) . x^i . S^-1(h_(2n+1-i)); the
+    last slot receives h_(n+1) . x^n.  ``conjugator`` defaults to the
+    inverse antipode; pass the antipode itself for the S-flavoured
+    variant.  The oracle for ``sandwich_action``."""
+    H = slots[0].algebra
+    f = H.field
+    if conjugator is None:
+        conjugator = H.antipode_inverse()
+    n = len(slots) - 1
+    dims = [s.dim for s in slots]
+    out: Vec = {}
+    legs = H.comultiply_iter(h, 2 * n) if n > 0 else dict(h)
+    hdim = H.dim
+    for fl_h, ch in legs.items():
+        hidx = tensor_decode(fl_h, [hdim] * (2 * n + 1))
+        for fl_t, ct in t.items():
+            tidx = tensor_decode(fl_t, dims)
+            coeff = f.mul(ch, ct)
+            pieces: List[Vec] = []
+            for i in range(n):
+                v = slots[i].lact(basis_vec(f, hidx[i]), basis_vec(f, tidx[i]))
+                v = slots[i].ract(v, conjugator.apply(basis_vec(f, hidx[2 * n - i])))
+                pieces.append(v)
+            pieces.append(slots[n].lact(basis_vec(f, hidx[n]), basis_vec(f, tidx[n])))
+            acc = pieces[0]
+            for k in range(1, n + 1):
+                acc = vec_tensor(f, acc, pieces[k], dims[k])
+            vec_add(f, out, acc, coeff)
+    return out
+
+
+def reference_module_axioms(X: ModComod) -> Report:
+    """The oracle for ``check_module_axioms``: associativity and unitality
+    of the action, one basis triple at a time."""
+    f = X.field
+    B = X.algebra
+    rep = Report()
+    eb = [basis_vec(f, i) for i in range(B.dim)]
+    ex = [basis_vec(f, a) for a in range(X.dim)]
+    ok, wit = True, None
+    for i, j, a in itertools.product(range(B.dim), range(B.dim), range(X.dim)):
+        lhs = X.act(B.mul.get((i, j), {}), ex[a])
+        rhs = X.act(eb[i], X.act(eb[j], ex[a]))
+        if not vec_eq(f, lhs, rhs):
+            ok, wit = False, {"basis": (i, j, a), "defect": vec_sub(f, lhs, rhs)}
+            break
+    rep.add("action_associative", ok, wit)
+    rep.add("action_unital", all(vec_eq(f, X.act(B.unit, ex[a]), ex[a])
+                                 for a in range(X.dim)))
+    return rep
+
+
+def mutate_action(X: ModComod, rng: random.Random) -> ModComod:
+    """Add 1 to one seeded entry of the action tensor."""
+    f = X.field
+    action = {k: dict(v) for k, v in X.action.items()}
+    key = (rng.randrange(X.algebra.dim), rng.randrange(X.dim))
+    b = rng.randrange(X.dim)
+    col = action.setdefault(key, {})
+    val = f.add(col.get(b, f.zero()), f.one())
+    if f.is_zero(val):
+        del col[b]
+    else:
+        col[b] = val
+    return X.copy_with(action=action, label=X.label + "+act")
+
+
+def checks(rep: Report):
+    return [(c.name, c.passed, c.witness) for c in rep.checks]
 
 
 def test_trivial_is_yd_everywhere_and_stable():
@@ -139,13 +255,14 @@ def test_compat_check_of_a_comodule_without_action_is_a_value_error():
 
 
 def test_oslash_degenerate_case_is_plain_action():
+    # M_0 is the action itself
     H = named_algebra("sweedler")
     f = H.field
     X = regular_modcomod(H)
-    slots = [Bimodule.from_left_module(X)]
+    M = sandwich_action(Calculus.k(H), action_matrix(X), 0)
     for i in range(H.dim):
         for a in range(X.dim):
-            got = oslash_action(slots, basis_vec(f, i), basis_vec(f, a))
+            got = M.apply(basis_vec(f, i * X.dim + a))
             assert got == X.act(basis_vec(f, i), basis_vec(f, a))
 
 
@@ -153,11 +270,11 @@ def test_oslash_conjugates_group_elements():
     # h(a (x) b) = h a h^-1 (x) h b for grouplike h
     H = named_algebra("kS3")
     f = H.field
-    slots = [Bimodule.regular(H), Bimodule.regular(H)]
+    M = sandwich_action(Calculus.k(H), action_matrix(regular_modcomod(H)), 1)
     table = H.group_table
     inv = [next(j for j in range(6) if table[i][j] == 0) for i in range(6)]
     for h, a, b in itertools.product(range(6), repeat=3):
-        got = oslash_action(slots, basis_vec(f, h), {a * 6 + b: f.one()})
+        got = M.apply({(h * 6 + a) * 6 + b: f.one()})
         expect = {table[table[h][a]][inv[h]] * 6 + table[h][b]: f.one()}
         assert got == expect
 
@@ -165,11 +282,10 @@ def test_oslash_conjugates_group_elements():
 def test_oslash_unit_acts_as_identity():
     H = named_algebra("sweedler")
     f = H.field
-    slots = [Bimodule.regular(H), Bimodule.regular(H),
-             Bimodule.from_left_module(trivial_modcomod(H))]
+    M = sandwich_action(Calculus.k(H), action_matrix(trivial_modcomod(H)), 2)
     for fl in range(H.dim * H.dim):
         t = basis_vec(f, fl)
-        assert oslash_action(slots, H.unit, t) == t
+        assert M.apply(vec_tensor(f, H.unit, t, H.dim * H.dim)) == t
 
 
 def test_oslash_is_not_monoidal_on_ayd_modules():
@@ -181,11 +297,9 @@ def test_oslash_is_not_monoidal_on_ayd_modules():
     X = coadjoint_comodule(H)
     X.action = {k: dict(v) for k, v in H.mul.items()}
     assert check_ayd(X).passed
-    slots = [Bimodule.regular(H), Bimodule.from_left_module(X)]
-    action = {}
-    for i in range(H.dim):
-        for fl in range(H.dim * X.dim):
-            action[(i, fl)] = oslash_action(slots, basis_vec(f, i), basis_vec(f, fl))
+    M = sandwich_action(Calculus.k(H), action_matrix(X), 1)
+    dim = H.dim * X.dim
+    action = {(i, fl): M.column(i * dim + fl) for i in range(H.dim) for fl in range(dim)}
     coaction = []
     for a in range(H.dim):
         for b in range(X.dim):
@@ -203,6 +317,26 @@ def test_oslash_is_not_monoidal_on_ayd_modules():
     assert not check_ayd(T).passed
 
 
+@pytest.mark.parametrize("name", ACCEPTANCE_ALGEBRAS + ["kZ3_scaled"])
+def test_sandwich_action_matches_reference_oslash_action(name):
+    # every basis image of M_n, for the trivial module up to n = 2 and the
+    # regular one up to n = 1, over both Hopf calculi; kZ3_scaled takes the
+    # Fraction path of the calculus products
+    H = named_algebra(name)
+    f = H.field
+    for calc, conj in ((Calculus.k(H, 2), H.antipode_inverse()),
+                       (Calculus.khat(H, 2), H.antipode)):
+        for X, top in ((trivial_modcomod(H), 2), (regular_modcomod(H), 1)):
+            for n in range(top + 1):
+                M = sandwich_action(calc, action_matrix(X), n)
+                slots = [Slot.regular(H)] * n + [Slot.from_left_module(X)]
+                span = H.dim ** n * X.dim
+                for i, fl in itertools.product(range(H.dim), range(span)):
+                    want = reference_oslash_action(slots, basis_vec(f, i),
+                                                   basis_vec(f, fl), conj)
+                    assert M.column(i * span + fl) == want, (name, calc, X, n, i, fl)
+
+
 def test_lemma_sandwich_action_equivalence():
     H = named_algebra("sweedler")
     for X in base_corpus(H) + mutated_corpus(H, 8, seed=11):
@@ -213,6 +347,20 @@ def test_lemma_sandwich_action_equivalence():
         assert by_name["sandwich_action_associative"].passed
         assert by_name["sandwich_action_unital"].passed
         assert by_name["coaction_is_module_map"].passed == check_ayd(X).passed
+
+
+@pytest.mark.parametrize("name", ACCEPTANCE_ALGEBRAS + ["kZ3_scaled"])
+def test_module_axioms_match_the_reference_loop(name):
+    H = named_algebra(name)
+    rng = random.Random(23)
+    base = [X for X in base_corpus(H) if X.action is not None]
+    corpus = base + [mutate_action(base[k % len(base)], rng) for k in range(6)]
+    failing = 0
+    for X in corpus:
+        rep = check_module_axioms(X)
+        assert checks(rep) == checks(reference_module_axioms(X)), X.label
+        failing += not rep.passed
+    assert failing
 
 
 def test_coadjoint_collapses_for_group_algebras():
