@@ -30,12 +30,12 @@ Kronecker products with I_(Omega^(n-1)):
     D_n = E (x) I_(Omega^(n-1)) - I_C (x) D_{n-1},
     E = Delta_C - I_C (x) g - g (x) I_C,
 
-with D_{n-1} read from the cache and E a C (x) C x C matrix.  So D_n stays
-in int64 CSR whenever the structure constants are integral, and the
-recursion needs no coassociativity.  D_0 is built from its B columns
-sand0(b) - I (x) b, which need the sandwich at the basepoint only;
-writing F_0 as T (I_B (x) g) with the sandwich matrix T below would need
-the sandwich at every c of C.
+with D_{n-1} read from the cache and E a C (x) C x C matrix built from
+Delta_C and g.  So D_n stays in int64 CSR whenever the structure
+constants are integral, and the recursion needs no coassociativity.
+D_0 reads the sandwich matrix T below at the basepoint:
+
+    D_0 = T (I_B (x) g) - g (x) I_B.
 
 The product Omega^n (x) Omega^m -> Omega^{n+m} applies the same sandwich
 to the legs of an iterated coproduct of the B slot of the left factor: the
@@ -51,20 +51,30 @@ A_{m-1} by peeling off the outermost pair of legs:
     A_m(b (x) c (x) w) = sum sand(b_(1), c, b_(3)) (x) A_{m-1}(b_(2) (x) w)
 
 over Delta^(2)(b) = b_(1) (x) b_(2) (x) b_(3), with A_0 the multiplication
-of B.  In matrix form, with the sandwich matrix T: B (x) C -> C (x) B,
-T(b (x) c) = sum sand(b_(1), c, b_(3)) (x) b_(2), built once from its
-columns ``sandwich(b, c)``,
+mu of B.  In matrix form, with the sandwich matrix T: B (x) C -> C (x) B,
+T(b (x) c) = sum sand(b_(1), c, b_(3)) (x) b_(2),
 
-    A_m = (I_C (x) A_{m-1}) . (T (x) I_{Omega^(m-1)}),
+    A_m = (I_C (x) A_{m-1}) . (T (x) I_{Omega^(m-1)}).
 
-so every product is a Kronecker product or a matrix product of A_0, T
-and identities, and stays in int64 CSR whenever they are integral.
+T itself is a product of structure matrices, built once:
+
+    T = (R (x) I_B) (I_C (x) flip_(B,B)) (L (x) Delta_B)
+        (I_B (x) flip_(B,C)) (Delta_B (x) I_C),
+
+with flip the tensor flip, L(a (x) c) = alpha(a) c and R(c (x) z) =
+c beta(z) (L = mu and R = mu (I (x) S^-1), resp. mu (I (x) S), for the two
+Hopf calculi); its legs come in the bracketing (I (x) Delta) Delta.  So
+every differential and every product is a Kronecker product, a sum or a
+matrix product of structure matrices and identities, and stays in int64
+CSR whenever they are integral.  T is the one copy of the sandwich: the
+sandwich action of ``connections.sandwich_action``, and through it every
+compatibility and Leibniz check, read it too.
 The recursion is exact only when B is coassociative; the CLI
 checks that with ``verify_axioms`` before it builds a calculus.  The block
 structure also makes the associativity defect at (n, m, l) equal to
 I_{C^(x)n} (x) the defect at (0, m, l), so ``verify_dga`` computes it once
 per (m, l) while it is zero; ``connections.coefficient_complex`` uses
-product(n, 1) only through product(0, 1) and never builds it.
+product(n, 1) only through T and never builds it.
 """
 from __future__ import annotations
 
@@ -72,8 +82,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .fields import Field
 from .hopf import BialgebraMorphism, HopfAlgebra
-from .linalg import (Matrix, Vec, basis_vec, identity_defect_witness,
-                     tensor_decode, vec_add, vec_tensor)
+from .linalg import Matrix, Vec, bilinear_matrix, identity_defect_witness, tensor_decode
 from .modules import BimoduleCoalgebra
 from .reports import Report
 
@@ -116,8 +125,6 @@ class Calculus:
             self.basepoint = dict(C.grouplike)
         self._diff: Dict[int, Matrix] = {}
         self._prod: Dict[Tuple[int, int], Matrix] = {}
-        self._sand_cache: Dict[Tuple[int, int, int], Vec] = {}
-        self._sandwich_cols: Dict[Tuple[int, int], Vec] = {}
         self._sandwich: Optional[Matrix] = None
 
     # -- constructors --------------------------------------------------------
@@ -144,59 +151,6 @@ class Calculus:
     def degree_dims(self, n: int) -> List[int]:
         return [self.cdim] * n + [self.B.dim]
 
-    def unit_element(self) -> Vec:
-        return dict(self.B.unit)
-
-    def unit_column(self) -> Matrix:
-        """The unit as a B x 1 column."""
-        return Matrix.from_columns_csr([self.B.unit], self.B.dim, self.field)
-
-    # -- structural building blocks ------------------------------------------
-
-    def _comul_c(self, c: int) -> Vec:
-        if self.kind == "general":
-            return self.C.comul[c]
-        return self.B.comul[c]
-
-    def _sand(self, a: int, c: int, z: int) -> Vec:
-        """alpha(e_a) . e_c . beta(e_z) in C (the sandwich on one slot)."""
-        key = (a, c, z)
-        out = self._sand_cache.get(key)
-        if out is None:
-            f = self.field
-            if self.kind == "general":
-                out = self.C.ract(self.C.lact(self.alpha.apply(basis_vec(f, a)),
-                                              basis_vec(f, c)),
-                                  self.beta.apply(basis_vec(f, z)))
-            else:
-                out = self.B.multiply(
-                    self.B.multiply(basis_vec(f, a), basis_vec(f, c)),
-                    self._conj.apply(basis_vec(f, z)))
-            self._sand_cache[key] = out
-        return out
-
-    def sandwich(self, b: int, c: int) -> Vec:
-        """Column (b, c) of the sandwich matrix T: B (x) C -> C (x) B,
-        sum sand(b_(1), c, b_(3)) (x) b_(2) over Delta^(2)(b)."""
-        key = (b, c)
-        out = self._sandwich_cols.get(key)
-        if out is None:
-            f, bd = self.field, self.B.dim
-            out = {}
-            for fl, cl in self.B._iter_comul_basis(b, 2).items():
-                b12, b3 = divmod(fl, bd)
-                b1, b2 = divmod(b12, bd)
-                vec_add(f, out, {s * bd + b2: v for s, v in self._sand(b1, c, b3).items()}, cl)
-            self._sandwich_cols[key] = out
-        return out
-
-    def _sand0(self, b: int) -> Vec:
-        """sand(b_(1), I, b_(3)) (x) b_(2), an element of C (x) B."""
-        out: Vec = {}
-        for i, ci in self.basepoint.items():
-            vec_add(self.field, out, self.sandwich(b, i), ci)
-        return out
-
     # -- the differential ----------------------------------------------------
 
     def differential(self, n: int) -> Matrix:
@@ -209,28 +163,20 @@ class Calculus:
         return m
 
     def _build_differential(self, n: int) -> Matrix:
-        """D_0 = F_0 - g (x) I_B from the sand0 columns, and D_n = E (x) I -
-        I_C (x) D_{n-1} (module docstring)."""
-        f = self.field
-        cd, bd = self.cdim, self.B.dim
-        # from_columns_csr drops the zeros these subtractions leave
+        """D_0 = T (I_B (x) g) - g (x) I_B and D_n = E (x) I - I_C (x) D_{n-1}
+        (module docstring)."""
+        f, cd = self.field, self.cdim
+        g = Matrix.from_columns_csr([self.basepoint], cd, f)
         if n == 0:
-            cols = [dict(self._sand0(b)) for b in range(bd)]
-            for b, col in enumerate(cols):
-                for u, cu in self.basepoint.items():
-                    col[u * bd + b] = f.sub(col.get(u * bd + b, 0), cu)
-            return Matrix.from_columns_csr(cols, cd * bd, f)
-        # E = Delta_C - I_C (x) g - g (x) I_C
-        cols = [dict(self._comul_c(c)) for c in range(cd)]
-        for c, col in enumerate(cols):
-            for u, cu in self.basepoint.items():
-                for k in (c * cd + u, u * cd + c):
-                    col[k] = f.sub(col.get(k, 0), cu)
-        E = Matrix.from_columns_csr(cols, cd * cd, f)
+            eye_b = Matrix.identity(self.B.dim, f)
+            return self._sandwich_matrix() @ eye_b.kron(g) - g.kron(eye_b)
+        eye_c = Matrix.identity(cd, f)
+        E = (Matrix.from_columns_csr((self.C or self.B).comul, cd * cd, f)
+             - eye_c.kron(g) - g.kron(eye_c))
         # D_{n-1} is read from the cache, so a corrupted cached differential
         # reaches every degree above it
         return (E.kron(Matrix.identity(self.degree_dim(n - 1), f))
-                - Matrix.identity(cd, f).kron(self.differential(n - 1)))
+                - eye_c.kron(self.differential(n - 1)))
 
     # -- the graded product ----------------------------------------------------
 
@@ -249,23 +195,32 @@ class Calculus:
         if n:
             return Matrix.identity(self.cdim ** n, f).kron(self.product(0, m))
         if m == 0:
-            bd = self.B.dim
-            return Matrix.from_columns_csr(
-                [self.B.mul.get((b, w), {}) for b in range(bd) for w in range(bd)], bd, f)
+            return self.B.mul_matrix()
         return (Matrix.identity(self.cdim, f).kron(self.product(0, m - 1))
                 @ self._sandwich_matrix().kron(
                     Matrix.identity(self.degree_dim(m - 1), f)))
 
     def _sandwich_matrix(self) -> Matrix:
-        """T from its ``sandwich`` columns, built once."""
+        """T: C (x) B <- B (x) C from the structure matrices, built once
+        (module docstring)."""
         if self._sandwich is None:
-            self._sandwich = Matrix.from_columns_csr(
-                [self.sandwich(b, c) for b in range(self.B.dim) for c in range(self.cdim)],
-                self.cdim * self.B.dim, self.field)
-        return self._sandwich
+            f, B, bd, cd = self.field, self.B, self.B.dim, self.cdim
 
-    def product_apply(self, u: Vec, n: int, v: Vec, m: int) -> Vec:
-        return self.product(n, m).apply(vec_tensor(self.field, u, v, self.degree_dim(m)))
+            def eye(n):
+                return Matrix.identity(n, f)
+
+            if self.kind == "general":
+                C = self.C
+                L = bilinear_matrix(f, C.left, bd, cd, cd) @ self.alpha.matrix.kron(eye(cd))
+                R = bilinear_matrix(f, C.right, cd, bd, cd) @ eye(cd).kron(self.beta.matrix)
+            else:
+                L = B.mul_matrix()
+                R = L @ eye(bd).kron(self._conj)
+            delta = Matrix.from_columns_csr(B.comul, bd * bd, f)
+            self._sandwich = (R.kron(eye(bd)) @ eye(cd).kron(Matrix.flip(bd, bd, f))
+                              @ L.kron(delta) @ eye(bd).kron(Matrix.flip(bd, cd, f))
+                              @ delta.kron(eye(cd)))
+        return self._sandwich
 
     def __repr__(self):
         return f"Calculus({self.kind}, B dim {self.B.dim}, C dim {self.cdim})"
@@ -332,7 +287,7 @@ def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
 
     # the unit u, a B x 1 column, is a two-sided identity in every degree:
     # product(0, n) (u (x) I) = I = product(n, 0) (I (x) u)
-    u = calc.unit_column()
+    u = calc.B.unit_column()
     ok = all(identity_defect_witness(f, [(1, [calc.product(0, n), (u, eye(n))]),
                                          (-1, [eye(n)])]) is None
              and identity_defect_witness(f, [(1, [calc.product(n, 0), (eye(n), u)]),

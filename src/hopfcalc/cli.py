@@ -42,17 +42,26 @@ class CliError(Exception):
     """Usage or input error; surfaces as exit code 2."""
 
 
+def _max_degree(text: str) -> int:
+    """A degree cutoff, from ``--max-degree`` or ``HOPFCALC_MAX_DEGREE``:
+    an integer >= 1."""
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if v < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return v
+
+
 def _default_max_degree() -> int:
     env = os.environ.get("HOPFCALC_MAX_DEGREE")
     if env is None:
         return 3
     try:
-        v = int(env)
-    except ValueError:
-        raise CliError(f"HOPFCALC_MAX_DEGREE={env!r} is not an integer")
-    if v < 1:
-        raise CliError("HOPFCALC_MAX_DEGREE must be >= 1")
-    return v
+        return _max_degree(env)
+    except argparse.ArgumentTypeError as e:
+        raise CliError(f"HOPFCALC_MAX_DEGREE: {e}")
 
 
 def parse_field(s: str) -> Field:
@@ -427,7 +436,7 @@ def _add_hopf_args(p):
 
 def _add_calculus_args(p):
     p.add_argument("--calculus", default="k", choices=["k", "khat", "general"])
-    p.add_argument("--max-degree", type=int)
+    p.add_argument("--max-degree", type=_max_degree)
     p.add_argument("--coalgebra", default="regular")
     p.add_argument("--alpha", default="id")
     p.add_argument("--beta", default="s")
@@ -468,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hopf_args(p)
     p.add_argument("--yd-module", required=True)
     p.add_argument("--ayd-module", required=True)
-    p.add_argument("--max-degree", type=int)
+    p.add_argument("--max-degree", type=_max_degree)
     p.set_defaults(fn=cmd_tensor)
     return ap
 

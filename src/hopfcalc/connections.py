@@ -12,10 +12,11 @@ tensors agree entry for entry, which the test suite pins down.
 
 B acts on Omega^n (x)_B X = C^n (x) X by left multiplication by
 Omega^0 = B in the calculus, read through the action: that is the
-sandwich action M_n (``sandwich_action``), the one construction of it.
-The coefficient complex of a flat connection, the extension of nabla
-behind its curvature, and the DG-module check are products of calculus
-matrices, D_n and product(0, n), with the action and nabla.
+sandwich action M_n (``sandwich_action``), the one construction of it,
+built from the calculus's sandwich matrix T alone.  The Leibniz check of
+a connection, the coefficient complex of a flat one, the extension of
+nabla behind its curvature, and the DG-module check are products of
+calculus matrices, D_n and M_n, with the action and nabla.
 """
 from __future__ import annotations
 
@@ -24,9 +25,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .calculus import Calculus
 from .homology import ChainComplex
-from .linalg import Matrix, Vec, basis_vec, column_witness, vec_add, vec_sub, vec_tensor
-from .modules import (DefectReport, ModComod, action_matrix, add_action_axioms, b_slot_act,
-                      check_ayd, coassociativity_defects, sandwich_act)
+from .linalg import Matrix, Vec, column_witness, vec_add, vec_sub, vec_tensor
+from .modules import (DefectReport, ModComod, action_matrix, add_action_axioms, check_ayd,
+                      coaction_matrix, coassociativity_defects)
 from .reports import Report
 
 
@@ -38,9 +39,6 @@ class Connection:
     X: ModComod
     nabla: Matrix                   # X -> C (x) X
 
-    def apply(self, v: Vec) -> Vec:
-        return self.nabla.apply(v)
-
 
 @dataclass
 class Curvature:
@@ -50,79 +48,70 @@ class Curvature:
         return self.matrix.is_zero()
 
 
+def _basepoint_term(calc: Calculus, xd: int) -> Matrix:
+    """g (x) I_X: x -> I (x) x, with g the basepoint I as a C x 1 column."""
+    f = calc.field
+    return Matrix.from_columns_csr([calc.basepoint], calc.cdim, f).kron(Matrix.identity(xd, f))
+
+
 def connection_from_coaction(calc: Calculus, X: ModComod) -> Connection:
-    """nabla(x) = rho(x) - I (x) x; rho need not be coassociative."""
+    """nabla = rho - g (x) I_X, that is nabla(x) = rho(x) - I (x) x; rho
+    need not be coassociative."""
     if X.coaction is None:
         raise ValueError("module has no coaction candidate")
-    f = calc.field
-    xd = X.dim
-    nabla = Matrix(calc.cdim * xd, xd, f)
-    for a in range(xd):
-        col = dict(X.coaction[a])
-        for i, ci in calc.basepoint.items():
-            vec_add(f, col, {i * xd + a: f.neg(ci)})
-        nabla._init_column(a, col)
-    return Connection(calc, X, nabla)
+    return Connection(calc, X, coaction_matrix(X) - _basepoint_term(calc, X.dim))
 
 
 def coaction_from_connection(conn: Connection) -> ModComod:
-    """Inverse direction: rho(x) = nabla(x) + I (x) x."""
-    calc, X = conn.calc, conn.X
-    f = calc.field
-    xd = X.dim
-    coaction: List[Vec] = []
-    for a in range(xd):
-        col = conn.nabla.column(a)
-        for i, ci in calc.basepoint.items():
-            vec_add(f, col, {i * xd + a: ci})
-        coaction.append(col)
-    out = X.copy_with(coaction=coaction)
+    """Inverse direction: rho = nabla + g (x) I_X."""
+    calc, f = conn.calc, conn.calc.field
+    rho = conn.nabla + _basepoint_term(calc, conn.X.dim)
+    out = conn.X.copy_with(coaction=[{i: f.of(v) for i, v in col.items()}
+                                     for col in rho.columns()])
     out.coalgebra = calc.C
     return out
 
 
 def check_connection(conn: Connection) -> DefectReport:
-    """Leibniz property of nabla against the degree-0 differential:
-    defect(b, x) = nabla(bx) - b.nabla(x) - d(b) (x)_B x in C (x) X."""
+    """Leibniz property of nabla against the degree-0 differential,
+    nabla(bx) = b.nabla(x) + d(b) (x)_B x for every basis pair (b, x),
+    as one matrix identity on B (x) X:
+
+        nabla . act = M_1 (I_B (x) nabla) + (I_C (x) act) (D_0 (x) I_X)."""
     calc, X = conn.calc, conn.X
     if X.action is None:
         raise ValueError("connection check needs the module action")
-    f = calc.field
-    B = calc.B
-    xd = X.dim
-    defects: Dict[tuple, Vec] = {}
-    d0 = calc.differential(0)
-    for i in range(B.dim):
-        dterm_raw = d0.column(i)            # in C (x) B
-        for a in range(xd):
-            lhs = conn.nabla.apply(X.act(basis_vec(f, i), basis_vec(f, a)))
-            # b . nabla(x), the sandwich action on the C slot
-            rhs = sandwich_act(calc, X, i, conn.nabla.column(a))
-            # d(b) (x)_B x via the identification
-            vec_add(f, rhs, b_slot_act(X, [(f.one(), dterm_raw, a)]))
-            d = vec_sub(f, lhs, rhs)
-            if d:
-                defects[(i, a)] = d
-    return DefectReport("connection", defects)
+    f, bd, xd = calc.field, calc.B.dim, X.dim
+    act = action_matrix(X)
+    rhs = (sandwich_action(calc, act, 1) @ Matrix.identity(bd, f).kron(conn.nabla)
+           + Matrix.identity(calc.cdim, f).kron(act)
+           @ calc.differential(0).kron(Matrix.identity(xd, f)))
+    return DefectReport("connection", conn.nabla @ act, rhs, [bd, xd])
 
 
 def sandwich_action(calc: Calculus, act: Matrix, n: int) -> Matrix:
     """M_n: C^n (x) X <- B (x) C^n (x) X, the action of B = Omega^0 on
     Omega^n (x)_B X = C^n (x) X by left multiplication in the calculus,
-    read through the action ``act``: X <- B (x) X.  With u the unit as a
-    B x 1 column,
+    read through the action ``act``: X <- B (x) X.  With T the sandwich
+    matrix of the calculus,
 
-        M_n = (I_(C^n) (x) act) ((product(0, n) (I_(B (x) C^n) (x) u)) (x) I_X).
+        M_n = (I_(C^n) (x) act) (S_n (x) I_X),
+        S_0 = I_B,  S_k = (I_C (x) S_(k-1)) (T (x) I_(C^(k-1))).
+
+    S_n: C^n (x) B <- B (x) C^n is product(0, n) (I_(B (x) C^n) (x) u),
+    with u the unit: the A_m recursion of the calculus at w = c (x) 1.  No
+    product is built.
 
     For the S^-1 calculus, b sends c^1 (x) ... (x) c^n (x) x to
     b_(1) c^1 S^-1(b_(2n+1)) (x) ... (x) b_(n+1) x (S for the S calculus),
     the sandwich action of Hajac, Khalkhali, Rangipour and Sommerhaeuser;
     M_0 is ``act`` itself."""
-    f = calc.field
-    cn = calc.cdim ** n
-    lift = calc.product(0, n) @ Matrix.identity(calc.B.dim * cn, f).kron(calc.unit_column())
-    return (Matrix.identity(cn, f).kron(act)
-            @ lift.kron(Matrix.identity(act.rows, f)))
+    f, cd = calc.field, calc.cdim
+    T = calc._sandwich_matrix()
+    S = Matrix.identity(calc.B.dim, f)
+    for k in range(1, n + 1):
+        S = Matrix.identity(cd, f).kron(S) @ T.kron(Matrix.identity(cd ** (k - 1), f))
+    return Matrix.identity(cd ** n, f).kron(act) @ S.kron(Matrix.identity(act.rows, f))
 
 
 def _leibniz_term(calc: Calculus, act: Matrix, nabla: Matrix) -> Matrix:
@@ -130,7 +119,7 @@ def _leibniz_term(calc: Calculus, act: Matrix, nabla: Matrix) -> Matrix:
     (c (x) 1) . nabla(x) of the graded Leibniz rule with its C^n prefix
     dropped."""
     return (sandwich_action(calc, act, 1)
-            @ calc.unit_column().kron(Matrix.identity(calc.cdim * act.rows, calc.field))
+            @ calc.B.unit_column().kron(Matrix.identity(calc.cdim * act.rows, calc.field))
             @ nabla)
 
 
@@ -142,7 +131,7 @@ def _coefficient_differential(calc: Calculus, act: Matrix, K: Matrix, n: int) ->
     def eye(k):
         return Matrix.identity(k, f)
 
-    dl = calc.differential(n) @ eye(cd ** n).kron(calc.unit_column())
+    dl = calc.differential(n) @ eye(cd ** n).kron(calc.B.unit_column())
     d = eye(cd ** (n + 1)).kron(act) @ dl.kron(eye(act.rows))
     tail = eye(cd ** n).kron(K)
     return d - tail if n % 2 else d + tail
@@ -189,9 +178,9 @@ def coefficient_complex(calc: Calculus, conn: Connection,
     with M_1 the ``sandwich_action`` of B on C (x) X, because
     product(n, 1) = I_(C^n) (x) product(0, 1).  product(n, 1) itself is
     never built: for Taft(3,2) at n = 4 it has 8.3 M entries.  The
-    calculus side goes through D_n and product(0, 1), never through the
-    recursion of D_n with rho in place of F_0: that recursion is the cobar
-    oracle itself."""
+    calculus side goes through D_n and the sandwich matrix T, never through
+    the recursion of D_n with rho in place of F_0: that recursion is the
+    cobar oracle itself."""
     if not is_flat(conn):
         raise ValueError("connection is not flat")
     max_degree = calc.max_degree if max_degree is None else max_degree

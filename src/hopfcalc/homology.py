@@ -132,10 +132,13 @@ def _basepoint_coadjoint(calc) -> ModComod:
     coaction: List[Vec] = []
     for i in range(B.dim):
         acc: Vec = {}
-        for fl, c in B._iter_comul_basis(i, 2).items():
-            b12, b3 = divmod(fl, B.dim)
-            b1, b2 = divmod(b12, B.dim)
-            vec_add(f, acc, vec_tensor(f, wrap(b1, b3), basis_vec(f, b2), B.dim), c)
+        # the legs of (I (x) Delta) Delta (e_i)
+        for fl, c in B.comul[i].items():
+            b1, b23 = divmod(fl, B.dim)
+            for fl2, c2 in B.comul[b23].items():
+                b2, b3 = divmod(fl2, B.dim)
+                vec_add(f, acc, vec_tensor(f, wrap(b1, b3), basis_vec(f, b2), B.dim),
+                        f.mul(c, c2))
         coaction.append(acc)
     return ModComod(B, B.dim, None, coaction,
                     coalgebra=calc.C, label="basepoint-coadjoint")

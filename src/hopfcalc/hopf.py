@@ -15,8 +15,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import Field
-from .linalg import (Matrix, Vec, basis_vec, bilinear, linear, pairing,
-                     tensor_decode, vec_add, vec_eq, vec_scale, vec_sub, vec_tensor)
+from .linalg import (Matrix, Vec, basis_vec, bilinear, bilinear_matrix, linear, pairing,
+                     vec_add, vec_eq, vec_scale, vec_sub, vec_tensor)
 from .reports import Report
 
 
@@ -31,7 +31,6 @@ class HopfAlgebra:
     counit: Dict[int, object]           # covector
     antipode: Matrix
     group_table: Optional[List[List[int]]] = None   # set by group builders
-    _iter_comul_cache: dict = dc_field(default_factory=dict, repr=False)
     _antipode_inv: object = dc_field(default=False, repr=False)
 
     # -- structure maps ------------------------------------------------------
@@ -51,56 +50,13 @@ class HopfAlgebra:
             self._antipode_inv = self.antipode.inverse()
         return self._antipode_inv
 
-    def comultiply_iter(self, u: Vec, n: int) -> Vec:
-        """Iterated coproduct: an element of H^{(x)(n+1)}.
+    def mul_matrix(self) -> Matrix:
+        """The multiplication as the matrix H <- H (x) H."""
+        return bilinear_matrix(self.field, self.mul, self.dim, self.dim, self.dim)
 
-        Computed by expanding the last tensor leg; coassociativity makes any
-        other bracketing agree (a tested property, not an assumption).
-        """
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        if n == 0:
-            return dict(u)
-        f = self.field
-        out: Vec = {}
-        for i, c in u.items():
-            vec_add(f, out, self._iter_comul_basis(i, n), c)
-        return out
-
-    def _iter_comul_basis(self, i: int, n: int) -> Vec:
-        key = (i, n)
-        cached = self._iter_comul_cache.get(key)
-        if cached is None:
-            if n == 1:
-                cached = self.comul[i]
-            else:
-                prev = self._iter_comul_basis(i, n - 1)  # in H^{(x)n}
-                cached = self.expand_slot(prev, n, n - 1)
-            self._iter_comul_cache[key] = cached
-        return cached
-
-    def expand_slot(self, t: Vec, nfactors: int, slot: int) -> Vec:
-        """Apply the coproduct to one tensor leg: H^{(x)n} -> H^{(x)(n+1)}."""
-        f = self.field
-        d = self.dim
-        dims = [d] * nfactors
-        out: Vec = {}
-        for flat, c in t.items():
-            idx = tensor_decode(flat, dims)
-            head = 0
-            for a in idx[:slot]:
-                head = head * d + a
-            tail = idx[slot + 1:]
-            for pair_flat, cc in self.comul[idx[slot]].items():
-                new = head * d * d + pair_flat
-                for a in tail:
-                    new = new * d + a
-                acc = f.add(out.get(new, f.zero()), f.mul(c, cc))
-                if f.is_zero(acc):
-                    out.pop(new, None)
-                else:
-                    out[new] = acc
-        return out
+    def unit_column(self) -> Matrix:
+        """The unit as an H x 1 column."""
+        return Matrix.from_columns_csr([self.unit], self.dim, self.field)
 
     def is_commutative(self) -> bool:
         return all(vec_eq(self.field, self.mul.get((i, j), {}), self.mul.get((j, i), {}))

@@ -25,7 +25,8 @@ arithmetic on the small matrices of most verdicts (a 16 x 16 product on a
 2-vCPU VM: ~110 us through ``csr_matrix``, ~9 us direct).
 
 On sparse vectors each operation has one kernel: ``bilinear`` applies a
-bilinear map given on basis pairs (a multiplication, an action),
+bilinear map given on basis pairs (a multiplication, an action) and
+``bilinear_matrix`` turns the same table into a matrix,
 ``linear`` a linear map given by its basis images (a coproduct, a
 coaction), ``pairing`` a covector (a counit, a character), and
 ``column_echelon`` is the field echelon behind
@@ -365,6 +366,14 @@ class Matrix:
         return cls._of_csr(n, n, field, _identity_csr(n), min(n, 1))
 
     @classmethod
+    def flip(cls, m: int, n: int, field: Field) -> "Matrix":
+        """The tensor flip N (x) M <- M (x) N, e_i (x) e_j -> e_j (x) e_i."""
+        # row j * m + i holds its one entry, at column i * n + j
+        idx = (np.arange(m, dtype=np.int64) * n + np.arange(n, dtype=np.int64)[:, None]).ravel()
+        return cls._of_csr(m * n, m * n, field, (np.arange(m * n + 1, dtype=np.int64), idx,
+                                                 np.ones(m * n, dtype=np.int64)), min(m * n, 1))
+
+    @classmethod
     def from_columns_csr(cls, cols: List[Vec], rows: int, field: Field) -> "Matrix":
         """``from_columns``, stored as canonical int64 CSR when every entry
         is an integer below ``_INT64_SAFE`` in absolute value.  Taken column
@@ -651,17 +660,33 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field}, nnz={self._nnz()})"
 
 
+def bilinear_matrix(field: Field, table: Dict[Tuple[int, int], Vec], left: int,
+                    right: int, rows: int) -> Matrix:
+    """The bilinear map of ``table`` (``bilinear``) as the matrix
+    rows <- left (x) right."""
+    return Matrix.from_columns_csr([table.get((i, j), {}) for i in range(left)
+                                    for j in range(right)], rows, field)
+
+
+def column_defects(lhs: Matrix, rhs: Matrix, dims: Sequence[int],
+                   first: bool = False) -> Dict[tuple, Vec]:
+    """The nonzero columns of lhs - rhs, only the first when ``first``,
+    each keyed by its index decoded over ``dims``, values through
+    ``field.of``; lhs - rhs is computed only when the sides differ."""
+    if lhs == rhs:
+        return {}
+    d, f = lhs - rhs, lhs.field
+    js = sorted({j for (_, j), _ in d.entries()})
+    return {tensor_decode(j, dims): {i: f.of(v) for i, v in d.column(j).items()}
+            for j in (js[:1] if first else js)}
+
+
 def column_witness(lhs: Matrix, rhs: Matrix, dims: Sequence[int]) -> "dict | None":
     """None when ``lhs == rhs``; otherwise the witness ``{"basis",
-    "defect"}`` of the first column where they differ: its index decoded
-    over ``dims``, and that column of lhs - rhs, the one difference
-    computed."""
-    if lhs == rhs:
-        return None
-    d, f = lhs - rhs, lhs.field
-    j = min(j for (_, j), _ in d.entries())
-    return {"basis": tensor_decode(j, dims),
-            "defect": {i: f.of(v) for i, v in d.column(j).items()}}
+    "defect"}`` of the first column where they differ (``column_defects``)."""
+    for basis, defect in column_defects(lhs, rhs, dims, first=True).items():
+        return {"basis": basis, "defect": defect}
+    return None
 
 
 def identity_defect_witness(field: Field, terms) -> "Tuple[int, int, object] | None":

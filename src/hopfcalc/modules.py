@@ -13,13 +13,18 @@ C^n (x) X of a connection is left multiplication by Omega^0 = B in the
 calculus, read through the action (``connections.sandwich_action``); it
 is checked by the same function.
 
-Each compatibility check reads the sandwich of its calculus,
-``Calculus.sandwich``: AYD (S^-1) from K = ``Calculus.k``, YD (S) from
-K-hat = ``Calculus.khat``, and (alpha, beta)-equivariance from
-``Calculus.general``.  Those are the columns of the sandwich matrix that
-builds the calculus's products, so a module passes exactly when its
-connection satisfies the Leibniz rule there
-(``connections.check_connection`` uses the same ``sandwich_act``).
+Each compatibility check is one matrix identity on B (x) X,
+
+    rho . act = M_1 (I_B (x) rho),
+
+with M_1 the sandwich action of its calculus on C (x) X
+(``connections.sandwich_action``), which reads the sandwich matrix that
+builds the calculus's products: AYD (S^-1) over K = ``Calculus.k``, YD (S)
+over K-hat = ``Calculus.khat``, and (alpha, beta)-equivariance over
+``Calculus.general``.  So a module passes exactly when its connection
+satisfies the Leibniz rule there (``connections.check_connection``
+reads the same M_1).  Column (b, x) of the difference of the two sides is
+the defect rho(b x) - b . rho(x).
 
 A coaction candidate is *not* required to be coassociative at construction
 time: the flat-connection correspondence needs non-coassociative candidates
@@ -27,14 +32,16 @@ to be representable, so coassociativity is a separately reported check.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .fields import Field
 from .hopf import BialgebraMorphism, HopfAlgebra
-from .linalg import (Matrix, Vec, basis_vec, bilinear, column_echelon, column_witness,
-                     echelon_coords, linear, pairing, vec_add, vec_eq, vec_sub, vec_tensor)
+from .linalg import (Matrix, Vec, basis_vec, bilinear, bilinear_matrix, column_defects,
+                     column_echelon, column_witness, echelon_coords, linear, pairing, vec_add,
+                     vec_eq, vec_sub, vec_tensor)
 from .reports import Report
 
 
@@ -194,11 +201,6 @@ class ModComod:
             raise ValueError("module has no action")
         return bilinear(self.field, self.action, h, x)
 
-    def coact(self, x: Vec) -> Vec:
-        if self.coaction is None:
-            raise ValueError("module has no coaction")
-        return linear(self.field, self.coaction, x)
-
     def copy_with(self, action=None, coaction=None, label=None) -> "ModComod":
         return ModComod(self.algebra, self.dim,
                         action if action is not None else
@@ -214,21 +216,26 @@ class ModComod:
 
 @dataclass
 class DefectReport:
-    """Outcome of a bilinear compatibility check: the full defect tensor per
-    basis pair, so equalities of defects (not just booleans) can be asserted."""
+    """Outcome of a bilinear compatibility check, the matrix identity
+    lhs = rhs on B (x) X: the defect at a basis pair (b, x) is that column
+    of lhs - rhs, so equalities of defects (not just booleans) can be
+    asserted.  The difference is computed only when the sides differ."""
 
     name: str
-    defects: Dict[tuple, Vec]
+    lhs: Matrix
+    rhs: Matrix
+    dims: List[int]             # [B, X], to decode a column into (b, x)
+
+    @functools.cached_property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs
 
     @property
-    def passed(self) -> bool:
-        return not self.defects
+    def defects(self) -> Dict[tuple, Vec]:
+        return {} if self.passed else column_defects(self.lhs, self.rhs, self.dims)
 
     def witness(self):
-        if not self.defects:
-            return None
-        key = min(self.defects)
-        return {"basis": key, "defect": self.defects[key]}
+        return None if self.passed else column_witness(self.lhs, self.rhs, self.dims)
 
     def __repr__(self):
         return f"DefectReport({self.name}: {'pass' if self.passed else f'{len(self.defects)} defects'})"
@@ -240,8 +247,9 @@ class DefectReport:
 
 def action_matrix(X: ModComod) -> Matrix:
     """The action as the matrix X <- B (x) X."""
-    return Matrix.from_columns_csr([X.action.get((b, x), {}) for b in range(X.algebra.dim)
-                                    for x in range(X.dim)], X.dim, X.field)
+    if X.action is None:
+        raise ValueError("module has no action")
+    return bilinear_matrix(X.field, X.action, X.algebra.dim, X.dim, X.dim)
 
 
 def add_action_axioms(rep: Report, name: str, B: HopfAlgebra, M: Matrix) -> None:
@@ -250,13 +258,11 @@ def add_action_axioms(rep: Report, name: str, B: HopfAlgebra, M: Matrix) -> None
     (i, j, v) of B (x) B (x) V, and unital, M (u (x) I_V) = I_V, with mu
     the multiplication and u the unit as a B x 1 column."""
     f, bd, vd = B.field, B.dim, M.rows
-    mu = Matrix.from_columns_csr([B.mul.get((i, j), {}) for i in range(bd)
-                                  for j in range(bd)], bd, f)
-    u = Matrix.from_columns_csr([B.unit], bd, f)
     eye = Matrix.identity(vd, f)
-    w = column_witness(M @ mu.kron(eye), M @ Matrix.identity(bd, f).kron(M), [bd, bd, vd])
+    w = column_witness(M @ B.mul_matrix().kron(eye), M @ Matrix.identity(bd, f).kron(M),
+                       [bd, bd, vd])
     rep.add(f"{name}_associative", w is None, w)
-    rep.add(f"{name}_unital", M @ u.kron(eye) == eye)
+    rep.add(f"{name}_unital", M @ B.unit_column().kron(eye) == eye)
 
 
 def check_module_axioms(X: ModComod) -> Report:
@@ -265,26 +271,20 @@ def check_module_axioms(X: ModComod) -> Report:
     return rep
 
 
+def coaction_matrix(X: ModComod) -> Matrix:
+    """The coaction as the matrix C (x) X <- X."""
+    if X.coaction is None:
+        raise ValueError("module has no coaction")
+    return Matrix.from_columns_csr(X.coaction, X.codim * X.dim, X.field)
+
+
 def coassociativity_defects(X: ModComod) -> Dict[tuple, Vec]:
     """Per-basis defect of (Delta_C (x) id) rho - (id (x) rho) rho."""
-    f = X.field
-    dc = X.codim
-    C = X.coalgebra
-    out: Dict[tuple, Vec] = {}
-    for a in range(X.dim):
-        lhs: Vec = {}
-        rhs: Vec = {}
-        for fl, c in X.coaction[a].items():
-            ci, xb = divmod(fl, X.dim)
-            cm = C.comul[ci] if C is not None else X.algebra.comul[ci]
-            for fl2, c2 in cm.items():
-                vec_add(f, lhs, {fl2 * X.dim + xb: f.mul(c, c2)})
-            for fl2, c2 in X.coaction[xb].items():
-                vec_add(f, rhs, {ci * dc * X.dim + fl2: f.mul(c, c2)})
-        d = vec_sub(f, lhs, rhs)
-        if d:
-            out[(a,)] = d
-    return out
+    f, cd, xd = X.field, X.codim, X.dim
+    rho = coaction_matrix(X)
+    delta = Matrix.from_columns_csr((X.coalgebra or X.algebra).comul, cd * cd, f)
+    return column_defects(delta.kron(Matrix.identity(xd, f)) @ rho,
+                          Matrix.identity(cd, f).kron(rho) @ rho, [xd])
 
 
 def check_comodule_axioms(X: ModComod) -> Report:
@@ -293,19 +293,11 @@ def check_comodule_axioms(X: ModComod) -> Report:
     defects = coassociativity_defects(X)
     rep.add("coaction_coassociative", not defects,
             None if not defects else {"basis": min(defects), "defect": defects[min(defects)]})
-    counit = X.coalgebra.counit if X.coalgebra is not None else X.algebra.counit
-    ok = True
-    for a in range(X.dim):
-        acc: Vec = {}
-        for fl, c in X.coaction[a].items():
-            ci, xb = divmod(fl, X.dim)
-            eps = counit.get(ci)
-            if eps is not None:
-                vec_add(f, acc, {xb: f.mul(eps, c)})
-        if not vec_eq(f, acc, basis_vec(f, a)):
-            ok = False
-            break
-    rep.add("coaction_counital", ok)
+    # (eps (x) id) rho = id, with eps the counit as a 1 x C row
+    counit = (X.coalgebra or X.algebra).counit
+    eps = Matrix.from_columns_csr([{0: counit.get(c, f.zero())} for c in range(X.codim)], 1, f)
+    eye = Matrix.identity(X.dim, f)
+    rep.add("coaction_counital", eps.kron(eye) @ coaction_matrix(X) == eye)
     return rep
 
 
@@ -313,41 +305,16 @@ def check_comodule_axioms(X: ModComod) -> Report:
 # compatibility conditions
 
 
-def b_slot_act(X: ModComod, terms) -> Vec:
-    """The sum of coeff * v (x)_B x in C (x) X over the (coeff, v, x) of
-    ``terms``: c (x) b.x over the terms c (x) b of v in C (x) B."""
-    f = X.field
-    bd, xd, zero = X.algebra.dim, X.dim, f.zero()
-    out: Vec = {}
-    for coeff, v, x in terms:
-        for fl, cv in v.items():
-            c, b = divmod(fl, bd)
-            cc = f.mul(coeff, cv)
-            for y, cy in X.action.get((b, x), {}).items():
-                k = c * xd + y
-                out[k] = f.add(out.get(k, zero), f.mul(cc, cy))
-    return {k: v for k, v in out.items() if not f.is_zero(v)}
-
-
-def sandwich_act(calc, X: ModComod, b: int, t: Vec) -> Vec:
-    """The sandwich action of the basis element b on t in C (x) X: the
-    ``calc.sandwich`` column (b, c) (x)_B x over the terms c (x) x of t."""
-    return b_slot_act(X, ((ct, calc.sandwich(b, fl // X.dim), fl % X.dim)
-                          for fl, ct in t.items()))
-
-
 def _compat_defects(calc, X: ModComod, name: str) -> DefectReport:
-    """rho(b x) against b . rho(x) = sand(b_(1), x_(-1), b_(3)) (x)
-    b_(2) x_(0), for every basis pair (b, x)."""
-    f = X.field
-    defects: Dict[tuple, Vec] = {}
-    for i in range(calc.B.dim):
-        for a in range(X.dim):
-            lhs = X.coact(X.act(basis_vec(f, i), basis_vec(f, a)))
-            d = vec_sub(f, lhs, sandwich_act(calc, X, i, X.coaction[a]))
-            if d:
-                defects[(i, a)] = d
-    return DefectReport(name, defects)
+    """rho . act = M_1 (I_B (x) rho): rho(b x) against b . rho(x) =
+    sand(b_(1), x_(-1), b_(3)) (x) b_(2) x_(0), for every basis pair
+    (b, x) at once."""
+    from .connections import sandwich_action
+    act, rho = action_matrix(X), coaction_matrix(X)
+    f, bd = X.field, X.algebra.dim
+    return DefectReport(name, rho @ act,
+                        sandwich_action(calc, act, 1) @ Matrix.identity(bd, f).kron(rho),
+                        [bd, X.dim])
 
 
 def check_ayd(X: ModComod) -> DefectReport:
@@ -371,16 +338,9 @@ def check_equivariant(X: ModComod, C: BimoduleCoalgebra,
 
 
 def check_stable(X: ModComod) -> bool:
-    """True iff acting with x_(-1) on x_(0) returns x, for all basis x."""
-    f = X.field
-    for a in range(X.dim):
-        acc: Vec = {}
-        for fl, c in X.coaction[a].items():
-            hm, x0 = divmod(fl, X.dim)
-            vec_add(f, acc, X.act(basis_vec(f, hm), basis_vec(f, x0)), c)
-        if not vec_eq(f, acc, basis_vec(f, a)):
-            return False
-    return True
+    """True iff acting with x_(-1) on x_(0) returns x, for all basis x:
+    act . rho = I_X."""
+    return action_matrix(X) @ coaction_matrix(X) == Matrix.identity(X.dim, X.field)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ from fractions import Fraction
 
 import pytest
 
+from hopfcalc.calculus import Calculus
 from hopfcalc.fields import QQ, Field
 from hopfcalc.hopf import (HopfAlgebra, build_dual_group_algebra, build_group_algebra,
                            build_sweedler, build_taft, cyclic_table, symmetric_table)
-from hopfcalc.linalg import Matrix
+from hopfcalc.linalg import Matrix, Vec, tensor_decode, vec_tensor
 from hopfcalc.modules import (ModComod, coadjoint_comodule, enumerate_characters,
                               enumerate_grouplikes, one_dim_modcomod, regular_modcomod,
                               trivial_modcomod)
@@ -37,6 +38,52 @@ def transpose(m: Matrix) -> Matrix:
 
 def kernel_dim(m: Matrix) -> int:
     return m.cols - m.rank()
+
+
+# algebra and calculus operations that only the tests use
+
+
+def expand_slot(H: HopfAlgebra, t: Vec, nfactors: int, slot: int) -> Vec:
+    """Apply the coproduct to one tensor leg: H^{(x)n} -> H^{(x)(n+1)}."""
+    f = H.field
+    d = H.dim
+    dims = [d] * nfactors
+    out: Vec = {}
+    for flat, c in t.items():
+        idx = tensor_decode(flat, dims)
+        head = 0
+        for a in idx[:slot]:
+            head = head * d + a
+        tail = idx[slot + 1:]
+        for pair_flat, cc in H.comul[idx[slot]].items():
+            new = head * d * d + pair_flat
+            for a in tail:
+                new = new * d + a
+            acc = f.add(out.get(new, f.zero()), f.mul(c, cc))
+            if f.is_zero(acc):
+                out.pop(new, None)
+            else:
+                out[new] = acc
+    return out
+
+
+def comultiply_iter(H: HopfAlgebra, u: Vec, n: int) -> Vec:
+    """The iterated coproduct of u, an element of H^{(x)(n+1)}, by
+    expanding the last tensor leg: the bracketing (I (x) Delta) Delta for
+    n = 2."""
+    out = dict(u)
+    for k in range(1, n + 1):
+        out = expand_slot(H, out, k, k - 1)
+    return out
+
+
+def product_apply(calc: Calculus, u: Vec, n: int, v: Vec, m: int) -> Vec:
+    """The graded product of u in degree n and v in degree m."""
+    return calc.product(n, m).apply(vec_tensor(calc.field, u, v, calc.degree_dim(m)))
+
+
+def unit_element(calc: Calculus) -> Vec:
+    return dict(calc.B.unit)
 
 
 @functools.lru_cache(maxsize=None)

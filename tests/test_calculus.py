@@ -1,14 +1,49 @@
+import functools
 import itertools
 
 import pytest
 
-from conftest import named_algebra, set_column
+from conftest import (ACCEPTANCE_ALGEBRAS, comultiply_iter, named_algebra, product_apply,
+                      set_column, unit_element)
 
 from hopfcalc.calculus import Calculus, _witness, specialization_check, verify_dga
 from hopfcalc.hopf import BialgebraMorphism
 from hopfcalc.linalg import (Matrix, Vec, basis_vec, identity_defect_witness,
                              tensor_decode, tensor_encode, vec_add, vec_tensor)
 from hopfcalc.modules import BimoduleCoalgebra
+
+
+def reference_sand(calc: Calculus, a: int, c: int, z: int) -> Vec:
+    """alpha(e_a) . e_c . beta(e_z) in C, through the structure maps one
+    basis vector at a time: the sandwich on one slot (a . c . S^-1(z) for
+    the S^-1 calculus, a . c . S(z) for the S calculus)."""
+    f = calc.field
+    if calc.kind == "general":
+        C = calc.C
+        return C.ract(C.lact(calc.alpha.apply(basis_vec(f, a)), basis_vec(f, c)),
+                      calc.beta.apply(basis_vec(f, z)))
+    return calc.B.multiply(calc.B.multiply(basis_vec(f, a), basis_vec(f, c)),
+                           calc._conj.apply(basis_vec(f, z)))
+
+
+def reference_sandwich_matrix(calc: Calculus) -> Matrix:
+    """The sandwich matrix column by column, the oracle for
+    ``Calculus._sandwich_matrix``: column (b, c) is the sum of
+    reference_sand(b_(1), c, b_(3)) (x) b_(2) over Delta^(2)(b)."""
+    f = calc.field
+    cd, bd = calc.cdim, calc.B.dim
+    cols = []
+    for b in range(bd):
+        legs = comultiply_iter(calc.B, basis_vec(f, b), 2)
+        for c in range(cd):
+            col: Vec = {}
+            for fl, cl in legs.items():
+                b12, b3 = divmod(fl, bd)
+                b1, b2 = divmod(b12, bd)
+                vec_add(f, col, {s * bd + b2: v
+                                 for s, v in reference_sand(calc, b1, c, b3).items()}, cl)
+            cols.append(col)
+    return Matrix.from_columns(cols, cd * bd, f)
 
 
 def reference_product(calc: Calculus, n: int, m: int) -> Matrix:
@@ -20,6 +55,7 @@ def reference_product(calc: Calculus, n: int, m: int) -> Matrix:
                (x) l_m w."""
     f = calc.field
     cd, bd = calc.cdim, calc.B.dim
+    sand = functools.cache(functools.partial(reference_sand, calc))
     dim_u, dim_v = calc.degree_dim(n), calc.degree_dim(m)
     out = Matrix(calc.degree_dim(n + m), dim_u * dim_v, f)
     for cu in range(dim_u):
@@ -28,7 +64,7 @@ def reference_product(calc: Calculus, n: int, m: int) -> Matrix:
         for a in uidx[:n]:
             prefix = prefix * cd + a
         b = uidx[n]
-        comul = calc.B._iter_comul_basis(b, 2 * m) if m else {b: f.one()}
+        comul = comultiply_iter(calc.B, basis_vec(f, b), 2 * m)
         legs = [(tensor_decode(fl, [bd] * (2 * m + 1)), c) for fl, c in comul.items()]
         for cv in range(dim_v):
             vidx = tensor_decode(cv, calc.degree_dims(m))
@@ -36,7 +72,7 @@ def reference_product(calc: Calculus, n: int, m: int) -> Matrix:
             for l, cl in legs:
                 term: Vec = {prefix: cl}
                 for k in range(1, m + 1):
-                    piece = calc._sand(l[k - 1], vidx[k - 1], l[2 * m + 1 - k])
+                    piece = sand(l[k - 1], vidx[k - 1], l[2 * m + 1 - k])
                     term = vec_tensor(f, term, piece, cd)
                 final = calc.B.mul.get((l[m], vidx[m]), {})
                 vec_add(f, acc, vec_tensor(f, term, final, bd))
@@ -51,6 +87,8 @@ def reference_differential(calc: Calculus, n: int) -> Matrix:
     slot, as in the module docstring of ``hopfcalc.calculus``."""
     f = calc.field
     cd, bd = calc.cdim, calc.B.dim
+    comul_c = calc.C.comul if calc.kind == "general" else calc.B.comul
+    sandwich = reference_sandwich_matrix(calc)
     dims = calc.degree_dims(n)
     src = calc.degree_dim(n)
     front_stride = cd ** n * bd
@@ -72,15 +110,17 @@ def reference_differential(calc: Calculus, n: int) -> Matrix:
             for a, d in zip(idx[j + 1:], dims[j + 1:]):
                 tail_flat = tail_flat * d + a
                 tail_stride *= d
-            for fl2, c2 in calc._comul_c(idx[j]).items():
+            for fl2, c2 in comul_c[idx[j]].items():
                 fl = (prefix * cd * cd + fl2) * tail_stride + tail_flat
                 vec_add(f, acc, {fl: f.mul(sign, c2)})
             sign = f.neg(sign)
         prefix = 0
         for a in idx[:n]:
             prefix = prefix * cd + a
-        for fl2, c2 in calc._sand0(idx[n]).items():
-            vec_add(f, acc, {prefix * cd * bd + fl2: f.mul(sign_n, c2)})
+        # sand(b_(1), I, b_(3)) (x) b_(2): the sandwich at the basepoint
+        for u, cu in calc.basepoint.items():
+            for fl2, c2 in sandwich.column(idx[n] * cd + u).items():
+                vec_add(f, acc, {prefix * cd * bd + fl2: f.mul(sign_n, f.mul(cu, c2))})
         out._init_column(col, acc)
     return out
 
@@ -90,11 +130,11 @@ def reference_graded_unit(calc: Calculus, max_degree: int) -> bool:
     ``product_apply``: the oracle for the ``graded_unit`` line of
     ``verify_dga``."""
     f = calc.field
-    one = calc.unit_element()
+    one = unit_element(calc)
     for n in range(max_degree + 1):
         for i in range(calc.degree_dim(n)):
             e = basis_vec(f, i)
-            if calc.product_apply(one, 0, e, n) != e or calc.product_apply(e, n, one, 0) != e:
+            if product_apply(calc, one, 0, e, n) != e or product_apply(calc, e, n, one, 0) != e:
                 return False
     return True
 
@@ -112,6 +152,15 @@ def three_calculi(H):
     return [Calculus.k(H), Calculus.khat(H),
             Calculus.general(C, BialgebraMorphism.identity(H),
                              BialgebraMorphism.antipode(H))]
+
+
+def four_calculi(H):
+    """``three_calculi`` and the generalized calculus with alpha = S and
+    beta = S^-1, whose alpha slot is not the identity, so that a sandwich
+    that ignores alpha shows."""
+    return three_calculi(H) + [Calculus.general(
+        BimoduleCoalgebra.from_hopf(H), BialgebraMorphism.antipode(H),
+        BialgebraMorphism.antipode_inverse(H))]
 
 
 @pytest.mark.parametrize("name", ["kZ2", "kZ3", "dualZ2", "dualZ2_F2", "sweedler",
@@ -152,9 +201,16 @@ def test_corrupted_differential_is_detected():
     assert bad.witness is not None
 
 
+@pytest.mark.parametrize("name", ACCEPTANCE_ALGEBRAS + ["kZ3_scaled"])
+def test_sandwich_matrix_matches_the_reference_loop(name):
+    # kZ3_scaled takes the Fraction path of Matrix.kron and @
+    for calc in four_calculi(named_algebra(name)):
+        assert calc._sandwich_matrix() == reference_sandwich_matrix(calc), calc
+
+
 @pytest.mark.parametrize("name", ["kZ3", "sweedler", "dualZ2", "taft327", "kZ3_scaled"])
 def test_products_match_the_reference_enumeration(name):
-    for calc in three_calculi(named_algebra(name)):
+    for calc in four_calculi(named_algebra(name)):
         for n in range(3):
             for m in range(3 - n):
                 assert calc.product(n, m) == reference_product(calc, n, m), (calc, n, m)
@@ -162,7 +218,7 @@ def test_products_match_the_reference_enumeration(name):
 
 @pytest.mark.parametrize("name", ["kZ3", "sweedler", "dualZ2", "dualZ2_F2", "taft327"])
 def test_differentials_match_the_reference_enumeration(name):
-    for calc in three_calculi(named_algebra(name)):
+    for calc in four_calculi(named_algebra(name)):
         for n in range(4):
             d, ref = calc.differential(n), reference_differential(calc, n)
             assert d == ref, (calc, n)
@@ -274,10 +330,10 @@ def test_degree_one_factors_generate():
             d = H.dim
             for idx in itertools.product(range(d), repeat=3):
                 c1, c2, b = idx
-                u = calc.product_apply(
-                    {tensor_encode([c1], [d]) * d + 0: f.one()}, 1,
+                u = product_apply(
+                    calc, {tensor_encode([c1], [d]) * d + 0: f.one()}, 1,
                     {tensor_encode([c2], [d]) * d + 0: f.one()}, 1)
-                u = calc.product_apply(u, 2, basis_vec(f, b), 0)
+                u = product_apply(calc, u, 2, basis_vec(f, b), 0)
                 assert u == {tensor_encode([c1, c2, b], [d, d, d]): f.one()}
 
 
@@ -285,12 +341,12 @@ def test_unit_element_is_two_sided_identity():
     H = named_algebra("dualZ2")
     calc = Calculus.k(H)
     f = H.field
-    one = calc.unit_element()
+    one = unit_element(calc)
     for n in range(3):
         for i in range(calc.degree_dim(n)):
             e = basis_vec(f, i)
-            assert calc.product_apply(one, 0, e, n) == e
-            assert calc.product_apply(e, n, one, 0) == e
+            assert product_apply(calc, one, 0, e, n) == e
+            assert product_apply(calc, e, n, one, 0) == e
 
 
 def test_rejects_unknown_kind_and_missing_antipode_inverse():

@@ -216,6 +216,29 @@ def test_flat_check_and_homology_at_max_degree_1(capsys):
     assert code == 0 and doc["homology"] == {"H_0": 1}
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-dga", "--builtin", "group:Z2"],
+    ["check-module", "--builtin", "group:Z2", "--module", "regular", "--condition", "flat"],
+    ["homology", "--builtin", "group:Z2"],
+    ["tensor", "--builtin", "group:Z2", "--yd-module", "trivial", "--ayd-module", "trivial"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_degree_below_1_is_a_usage_error(capsys, argv, value):
+    # --max-degree 0 used to fall back to the default cutoff, and -1 to
+    # surface as an unexpected failure
+    code = main([*argv, "--max-degree", value])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert "argument --max-degree: must be >= 1" in captured.err
+
+
+def test_max_degree_env_below_1_has_the_option_rule(capsys, monkeypatch):
+    monkeypatch.setenv("HOPFCALC_MAX_DEGREE", "0")
+    code = main(["homology", "--builtin", "group:Z2"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: HOPFCALC_MAX_DEGREE: must be >= 1\n"
+
+
 # a wrong product e_g e_g = 2 e_1 fails associativity, whose witness names
 # the basis elements of the failing tuple
 _BAD_MUL = [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 2]]

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import base_corpus, mutated_corpus, named_algebra
-from test_modules import Slot, checks, reference_oslash_action
+from test_modules import Slot, checks, reference_oslash_action, reference_sandwich_compat
 
 from hopfcalc.calculus import Calculus
 from hopfcalc.connections import (check_connection, check_dg_module_structure,
@@ -55,6 +55,25 @@ def test_connection_condition_matches_module_conditions(name):
         rc = check_connection(connection_from_coaction(general, X))
         re = check_equivariant(X, C, ident, s)
         assert rc.passed == re.passed and rc.defects == re.defects
+
+
+@pytest.mark.parametrize("name", ["sweedler", "taft327", "kZ3_scaled"])
+def test_equivariance_and_connection_with_alpha_not_id_match_the_reference_loop(name):
+    # the alpha slot of the sandwich: (alpha, beta) over {S, S^-1}^2, the
+    # equivariance defects against the reference loop, and the connection's
+    # Leibniz defects against the same loop (the correspondence theorem)
+    H = named_algebra(name)
+    C = BimoduleCoalgebra.from_hopf(H)
+    s, sinv = BialgebraMorphism.antipode(H), BialgebraMorphism.antipode_inverse(H)
+    failing = 0
+    for X in _corpus(H):
+        for alpha, beta in ((s, sinv), (sinv, s), (s, s), (sinv, sinv)):
+            want = reference_sandwich_compat(X, beta.matrix, alpha.matrix)
+            assert check_equivariant(X, C, alpha, beta).defects == want, X.label
+            conn = connection_from_coaction(Calculus.general(C, alpha, beta), X)
+            assert check_connection(conn).defects == want, X.label
+            failing += bool(want)
+    assert failing
 
 
 def test_flat_iff_coassociative():

@@ -10,7 +10,7 @@ import argparse
 
 import pytest
 
-from conftest import named_algebra
+from conftest import named_algebra, product_apply
 from test_calculus import reference_differential, three_calculi
 
 from hopfcalc import cli
@@ -69,7 +69,7 @@ def reference_coefficient_complex(calc, conn, max_degree):
             for fl2, c2 in conn.nabla.column(x).items():
                 ci, x2 = divmod(fl2, xd)
                 rep2: Vec = {ci * bd + u: cu for u, cu in calc.B.unit.items()}
-                prod = calc.product_apply(rep, n, rep2, 1)
+                prod = product_apply(calc, rep, n, rep2, 1)
                 lifted = {fl3 * xd + x2: c3 for fl3, c3 in prod.items()}
                 vec_add(f, acc, identify(calc, X, lifted), f.mul(sign, c2))
             d._init_column(col, acc)

@@ -44,6 +44,16 @@ COMMANDS = [
     ["homology", "--builtin", "dualgroup:Z3", "--calculus", "general",
      "--module", "regular", "--compare-cotor", "--max-degree", "4"],
     ["homology", "--builtin", "sweedler", "--calculus", "k", "--max-degree", "6"],
+    # failing sandwich checks, one per reader of the sandwich matrix
+    ["check-module", "--builtin", "sweedler", "--module", "coadjoint", "--condition", "yd"],
+    ["check-module", "--builtin", "taft:3:2", "--field", "F7", "--module", "regular",
+     "--condition", "connection", "--calculus", "khat"],
+    ["check-module", "--builtin", "sweedler", "--module", "regular",
+     "--condition", "connection", "--calculus", "general"],
+    ["check-module", "--builtin", "taft:3:2", "--field", "F7", "--module", "regular",
+     "--condition", "equivariant", "--alpha", "id", "--beta", "sinv"],
+    ["verify-dga", "--builtin", "sweedler", "--calculus", "general", "--alpha", "s",
+     "--beta", "sinv", "--max-degree", "2"],
 ]
 
 

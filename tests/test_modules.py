@@ -5,13 +5,14 @@ from typing import Dict, List, Optional, Tuple
 
 import pytest
 
-from conftest import ACCEPTANCE_ALGEBRAS, base_corpus, mutated_corpus, named_algebra
+from conftest import (ACCEPTANCE_ALGEBRAS, base_corpus, comultiply_iter, mutated_corpus,
+                      named_algebra)
 
 from hopfcalc.calculus import Calculus
 from hopfcalc.connections import check_lemma_sandwich_action, sandwich_action
 from hopfcalc.hopf import BialgebraMorphism, HopfAlgebra
-from hopfcalc.linalg import (Matrix, Vec, basis_vec, bilinear, tensor_decode, vec_add,
-                             vec_eq, vec_scale, vec_sub, vec_tensor)
+from hopfcalc.linalg import (Matrix, Vec, basis_vec, bilinear, linear, tensor_decode,
+                             vec_add, vec_eq, vec_scale, vec_sub, vec_tensor)
 from hopfcalc.modules import (BimoduleCoalgebra, ModComod, action_matrix, check_ayd,
                               check_equivariant, check_comodule_axioms, check_module_axioms,
                               check_stable, check_yd, coadjoint_comodule,
@@ -73,7 +74,7 @@ def reference_oslash_action(slots: List[Slot], h: Vec, t: Vec,
     n = len(slots) - 1
     dims = [s.dim for s in slots]
     out: Vec = {}
-    legs = H.comultiply_iter(h, 2 * n) if n > 0 else dict(h)
+    legs = comultiply_iter(H, h, 2 * n)
     hdim = H.dim
     for fl_h, ch in legs.items():
         hidx = tensor_decode(fl_h, [hdim] * (2 * n + 1))
@@ -205,19 +206,21 @@ def test_equivariance_specializes_to_ayd_and_yd():
             assert eq_yd.passed == yd.passed and eq_yd.defects == yd.defects
 
 
-def reference_sandwich_compat(X, conjugator):
-    """The defects of rho(h x) against h_(1) x_(-1) conj(h_(3)) (x) h_(2)
-    x_(0), by a loop of its own over the Hopf algebra's structure maps:
-    the oracle for ``check_ayd`` (conj = S^-1) and ``check_yd`` (conj = S),
-    which read the sandwich of their calculus."""
+def reference_sandwich_compat(X, conjugator, alpha=None):
+    """The defects of rho(h x) against alpha(h_(1)) x_(-1) conj(h_(3)) (x)
+    h_(2) x_(0), by a loop of its own over the Hopf algebra's structure
+    maps: the oracle for ``check_ayd`` (conj = S^-1) and ``check_yd``
+    (conj = S), which read the sandwich of their calculus, and, with the
+    matrix ``alpha`` (default the identity), for ``check_equivariant`` over
+    the regular bimodule coalgebra."""
     f = X.field
     H = X.algebra
     defects = {}
     dX = X.dim
     for i in range(H.dim):
-        legs3 = H.comultiply_iter(basis_vec(f, i), 2)
+        legs3 = comultiply_iter(H, basis_vec(f, i), 2)
         for a in range(X.dim):
-            lhs = X.coact(X.act(basis_vec(f, i), basis_vec(f, a)))
+            lhs = linear(f, X.coaction, X.act(basis_vec(f, i), basis_vec(f, a)))
             rhs = {}
             for fl, c in legs3.items():
                 h12, h3 = divmod(fl, H.dim)
@@ -225,7 +228,8 @@ def reference_sandwich_compat(X, conjugator):
                 tail = conjugator.apply(basis_vec(f, h3))
                 for fl2, c2 in X.coaction[a].items():
                     xm, x0 = divmod(fl2, dX)
-                    left = H.multiply(H.multiply(basis_vec(f, h1), basis_vec(f, xm)), tail)
+                    head = basis_vec(f, h1) if alpha is None else alpha.column(h1)
+                    left = H.multiply(H.multiply(head, basis_vec(f, xm)), tail)
                     right = X.act(basis_vec(f, h2), basis_vec(f, x0))
                     vec_add(f, rhs, vec_tensor(f, left, right, dX), f.mul(c, c2))
             d = vec_sub(f, lhs, rhs)
