@@ -1,7 +1,9 @@
 """Sweep the built-in Hopf algebras through every structural check.
 
-For each algebra: Hopf axioms, DGA axioms of the three calculi, and the
-specialization of the generalized calculus to the two Hopf calculi.
+For each algebra: Hopf axioms, the bimodule coalgebra and the two
+morphisms the generalized calculus is built from, DGA axioms of the three
+calculi, and the specialization of the generalized calculus to the two
+Hopf calculi.
 Prints one line per check family and exits nonzero on any failure.
 """
 import argparse
@@ -14,8 +16,8 @@ from hopfcalc.calculus import Calculus, specialization_check, verify_dga
 from hopfcalc.fields import Field
 from hopfcalc.hopf import (BialgebraMorphism, build_dual_group_algebra,
                            build_group_algebra, build_sweedler, build_taft,
-                           cyclic_table, symmetric_table, verify_axioms)
-from hopfcalc.modules import BimoduleCoalgebra
+                           cyclic_table, symmetric_table, verify_axioms, verify_morphism)
+from hopfcalc.modules import BimoduleCoalgebra, verify_bimodule_coalgebra
 
 
 @dataclass
@@ -49,9 +51,12 @@ def run(cfg: SurveyConfig) -> int:
         if H.antipode_inverse() is not None:
             calcs.append(("K", Calculus.k(H, cfg.max_degree)))
         C = BimoduleCoalgebra.from_hopf(H)
-        calcs.append(("General(id,S)",
-                      Calculus.general(C, BialgebraMorphism.identity(H),
-                                       BialgebraMorphism.antipode(H), cfg.max_degree)))
+        alpha, beta = BialgebraMorphism.identity(H), BialgebraMorphism.antipode(H)
+        ok = all(rep.passed for rep in (verify_bimodule_coalgebra(C), verify_morphism(alpha),
+                                         verify_morphism(beta)))
+        line.append(f"(C, id, S) {'ok' if ok else 'FAIL'}")
+        failures += not ok
+        calcs.append(("General(id,S)", Calculus.general(C, alpha, beta, cfg.max_degree)))
         for cname, calc in calcs:
             rep = verify_dga(calc, cfg.max_degree)
             line.append(f"{cname} {'ok' if rep.passed else 'FAIL'}")

@@ -216,7 +216,7 @@ class Calculus:
             else:
                 L = B.mul_matrix()
                 R = L @ eye(bd).kron(self._conj)
-            delta = Matrix.from_columns_csr(B.comul, bd * bd, f)
+            delta = B.comul_matrix()
             self._sandwich = (R.kron(eye(bd)) @ eye(cd).kron(Matrix.flip(bd, bd, f))
                               @ L.kron(delta) @ eye(bd).kron(Matrix.flip(bd, cd, f))
                               @ delta.kron(eye(cd)))

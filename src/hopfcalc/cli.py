@@ -32,8 +32,7 @@ from .hopf import (BialgebraMorphism, HopfAlgebra, build_dual_group_algebra,
 from .linalg import Matrix, Vec
 from .modules import (BimoduleCoalgebra, ModComod, check_ayd, check_equivariant,
                       check_module_axioms, check_stable, check_yd, coadjoint_comodule,
-                      coassociativity_defects, regular_modcomod, trivial_modcomod,
-                      one_dim_modcomod)
+                      regular_modcomod, trivial_modcomod, one_dim_modcomod)
 from .reports import Report
 from .homology import calculus_complex, compare_cotor, homology_dims
 
@@ -189,12 +188,13 @@ def load_hopf_file(path: str) -> HopfAlgebra:
         for i, j, k, c in _entries(doc, "comul", (dim, dim, dim), f):
             comul[i][j * dim + k] = c
         counit = {i: c for i, c in _entries(doc, "counit", (dim,), f)}
-        s = Matrix(dim, dim, f)
+        s: List[Vec] = [dict() for _ in range(dim)]
         for i, j, c in _entries(doc, "antipode", (dim, dim), f):
-            s.data[(j, i)] = c
+            s[i][j] = c
     except (KeyError, TypeError, ValueError, IndexError) as e:
         raise CliError(f"{path}: malformed Hopf spec ({e!r})")
-    return HopfAlgebra(f, dim, names, mul, unit, comul, counit, s)
+    return HopfAlgebra(f, dim, names, mul, unit, comul, counit,
+                       Matrix.from_columns_csr(s, dim, f))
 
 
 def resolve_hopf(args) -> HopfAlgebra:
@@ -325,7 +325,7 @@ def cmd_verify_dga(args, started: float) -> int:
 
 
 def cmd_check_module(args, started: float) -> int:
-    from .connections import check_connection, connection_from_coaction, is_flat
+    from .connections import check_connection, connection_from_coaction, curvature
 
     H = resolve_hopf(args)
     hrep = verify_axioms(H)
@@ -356,11 +356,8 @@ def cmd_check_module(args, started: float) -> int:
             d = check_connection(conn)
             checks.add("connection", d.passed, d.witness())
         else:
-            defects = coassociativity_defects(X)
-            flat = is_flat(conn)
-            checks.add("flat", flat,
-                       None if flat else {"basis": min(defects),
-                                          "defect": defects[min(defects)]})
+            w = curvature(conn).witness()
+            checks.add("flat", w is None, w)
     else:
         raise CliError(f"unknown condition {cond!r}")
     return _emit(["check-module", cond], {"checks": checks.to_json()},
@@ -412,7 +409,7 @@ def cmd_tensor(args, started: float) -> int:
     d = check_connection(conn)
     rep.add("tensor_connection", d.passed, d.witness())
     rep.add("tensor_flat", is_flat(conn))
-    d = check_ayd(conn.X)
+    d = check_ayd(conn.X, conn.calc)
     rep.add("tensor_ayd", d.passed, d.witness())
     body: dict = {"checks": rep.to_json(), "result_dim": conn.X.dim}
     if conn.X.dim == 1:

@@ -16,16 +16,18 @@ sandwich action M_n (``sandwich_action``), the one construction of it,
 built from the calculus's sandwich matrix T alone.  The Leibniz check of
 a connection, the coefficient complex of a flat one, the extension of
 nabla behind its curvature, and the DG-module check are products of
-calculus matrices, D_n and M_n, with the action and nabla.
+calculus matrices, D_n and M_n, with the action and nabla; the tensor of a
+YD-flat with an AYD-flat connection is one of structure matrices, the two
+actions and the two connections (``tensor_connection``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from .calculus import Calculus
 from .homology import ChainComplex
-from .linalg import Matrix, Vec, column_witness, vec_add, vec_sub, vec_tensor
+from .linalg import Matrix, Vec, column_witness
 from .modules import (DefectReport, ModComod, action_matrix, add_action_axioms, check_ayd,
                       coaction_matrix, coassociativity_defects)
 from .reports import Report
@@ -43,9 +45,16 @@ class Connection:
 @dataclass
 class Curvature:
     matrix: Matrix                  # X -> C (x) C (x) X
+    leibniz: Optional[Matrix] = None    # K and d_X^1 of the direct route,
+    d1: Optional[Matrix] = None         # None when nabla = 0
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
+
+    def witness(self) -> Optional[dict]:
+        """The first nonzero column of R, or None."""
+        R = self.matrix
+        return column_witness(R, Matrix.zero(R.rows, R.cols, R.field), [R.cols])
 
 
 def _basepoint_term(calc: Calculus, xd: int) -> Matrix:
@@ -62,13 +71,20 @@ def connection_from_coaction(calc: Calculus, X: ModComod) -> Connection:
     return Connection(calc, X, coaction_matrix(X) - _basepoint_term(calc, X.dim))
 
 
+def _coaction(conn: Connection) -> Matrix:
+    """rho = nabla + g (x) I_X as a matrix."""
+    return conn.nabla + _basepoint_term(conn.calc, conn.X.dim)
+
+
+def _field_columns(m: Matrix) -> List[Vec]:
+    """The columns of ``m`` as a tensor table stores them: field scalars."""
+    return [{i: m.field.of(v) for i, v in col.items()} for col in m.columns()]
+
+
 def coaction_from_connection(conn: Connection) -> ModComod:
     """Inverse direction: rho = nabla + g (x) I_X."""
-    calc, f = conn.calc, conn.calc.field
-    rho = conn.nabla + _basepoint_term(calc, conn.X.dim)
-    out = conn.X.copy_with(coaction=[{i: f.of(v) for i, v in col.items()}
-                                     for col in rho.columns()])
-    out.coalgebra = calc.C
+    out = conn.X.copy_with(coaction=_field_columns(_coaction(conn)))
+    out.coalgebra = conn.calc.C
     return out
 
 
@@ -146,26 +162,27 @@ def curvature(conn: Connection) -> Curvature:
     defects = coassociativity_defects(coaction_from_connection(conn))
     R = Matrix.from_columns([defects.get((a,), {}) for a in range(X.dim)],
                             calc.cdim * calc.cdim * X.dim, calc.field)
+    K = d1 = None
     if conn.nabla.is_zero():        # then so is the direct route, without D_1
         direct = Matrix.zero(R.rows, R.cols, calc.field)
     else:
         act = action_matrix(X)
         K = _leibniz_term(calc, act, conn.nabla)
-        direct = _coefficient_differential(calc, act, K, 1) @ conn.nabla
+        d1 = _coefficient_differential(calc, act, K, 1)
+        direct = d1 @ conn.nabla
     if direct != R:
         raise RuntimeError("curvature routes disagree; calculus is inconsistent")
-    return Curvature(R)
+    return Curvature(R, K, d1)
 
 
 def is_flat(conn: Connection) -> bool:
     return curvature(conn).is_zero()
 
 
-def coefficient_complex(calc: Calculus, conn: Connection,
-                        max_degree: Optional[int] = None) -> ChainComplex:
+def coefficient_complex(conn: Connection, max_degree: Optional[int] = None) -> ChainComplex:
     """The complex on C^n (x) X whose differential is the graded-Leibniz
-    extension of the flat connection, built through the calculus matrices
-    (independently of the cobar construction it is compared against).
+    extension of the flat connection, built through the matrices of its
+    calculus (independently of the cobar construction it is compared against).
 
     The degree-n representative of c (x) x is (c (x) 1) (x) x, and its image
     d(c (x) 1) (x)_B x + (-1)^n (c (x) 1) . nabla(x) is identified into
@@ -180,8 +197,10 @@ def coefficient_complex(calc: Calculus, conn: Connection,
     never built: for Taft(3,2) at n = 4 it has 8.3 M entries.  The
     calculus side goes through D_n and the sandwich matrix T, never through
     the recursion of D_n with rho in place of F_0: that recursion is the
-    cobar oracle itself."""
-    if not is_flat(conn):
+    cobar oracle itself.  K and d_X^1 are read from the flatness check's
+    curvature when it built them."""
+    calc, R = conn.calc, curvature(conn)
+    if not R.is_zero():
         raise ValueError("connection is not flat")
     max_degree = calc.max_degree if max_degree is None else max_degree
     act = action_matrix(conn.X)
@@ -189,20 +208,24 @@ def coefficient_complex(calc: Calculus, conn: Connection,
     diffs: List[Matrix] = []
     for n in range(max_degree):
         if n == 0:      # so that an empty complex builds no product
-            K = _leibniz_term(calc, act, conn.nabla)
-        diffs.append(_coefficient_differential(calc, act, K, n))
+            K = R.leibniz if R.leibniz is not None else _leibniz_term(calc, act, conn.nabla)
+        diffs.append(R.d1 if n == 1 and R.d1 is not None
+                     else _coefficient_differential(calc, act, K, n))
     return ChainComplex(calc.field, dims, diffs)
 
 
 def tensor_connection(conn_yd: Connection, conn_ayd: Connection) -> Connection:
     """Tensor of a flat connection over the S calculus with a flat one over
-    the S^-1 calculus, with the switch
+    the S^-1 calculus (Hajac, Khalkhali, Rangipour and Sommerhaeuser), on
+    X (x) X' over the S^-1 calculus, with the diagonal action
+    (act (x) act') (I_H (x) flip_(H,X) (x) I) (Delta (x) I) and the connection
+    nabla (x) I + (Sigma (x) I) (I_X (x) nabla'), Sigma the switch
 
-        sigma(x (x) h) = x_{{-1}} h (x) x_{{0}} + h (x) x
+        Sigma = (mu (x) I_X) (I_H (x) flip_(X,H)) (nabla (x) I_H) + flip_(X,H),
 
-    (double braces: the components of nabla).  The result lives over the
-    S^-1 calculus on X (x) X' with the diagonal action, and its coaction is
-    the componentwise product of the two coactions."""
+    Sigma(x (x) h) = x_{{-1}} h (x) x_{{0}} + h (x) x (double braces: the
+    components of nabla).  Its coaction must be the componentwise product
+    of the two coactions; a disagreement is an internal error."""
     if conn_yd.calc.kind != "khat" or conn_ayd.calc.kind != "k":
         raise ValueError("expected (S-calculus connection, S^-1-calculus connection)")
     H = conn_yd.calc.B
@@ -210,62 +233,29 @@ def tensor_connection(conn_yd: Connection, conn_ayd: Connection) -> Connection:
         raise ValueError("connections live over different algebras")
     if not (is_flat(conn_yd) and is_flat(conn_ayd)):
         raise ValueError("both inputs must be flat")
-    f = H.field
+    f, hd = H.field, H.dim
     X, Xp = conn_yd.X, conn_ayd.X
     dx, dy = X.dim, Xp.dim
-    dim = dx * dy
 
-    action: Dict[Tuple[int, int], Vec] = {}
-    for i in range(H.dim):
-        for a in range(dx):
-            for b in range(dy):
-                acc: Vec = {}
-                for fl, c in H.comul[i].items():
-                    h1, h2 = divmod(fl, H.dim)
-                    left = X.action.get((h1, a), {})
-                    right = Xp.action.get((h2, b), {})
-                    vec_add(f, acc, vec_tensor(f, left, right, dy), c)
-                action[(i, a * dy + b)] = acc
+    def eye(n):
+        return Matrix.identity(n, f)
 
-    nabla = Matrix(H.dim * dim, dim, f)
-    for a in range(dx):
-        na = conn_yd.nabla.column(a)
-        for b in range(dy):
-            col: Vec = {}
-            for fl, c in na.items():
-                h, a2 = divmod(fl, dx)
-                col[h * dim + a2 * dy + b] = c
-            for fl, c in conn_ayd.nabla.column(b).items():
-                hp, b2 = divmod(fl, dy)
-                # sigma(x (x) h') (x) x': first summand conjugates through
-                # the components of nabla_X, the second passes x through
-                for fl2, c2 in na.items():
-                    k, a2 = divmod(fl2, dx)
-                    prod = H.mul.get((k, hp), {})
-                    for h2, c3 in prod.items():
-                        vec_add(f, col, {h2 * dim + a2 * dy + b2: f.mul(f.mul(c, c2), c3)})
-                vec_add(f, col, {hp * dim + a * dy + b2: c})
-            nabla._init_column(a * dy + b, col)
+    act = (action_matrix(X).kron(action_matrix(Xp))
+           @ eye(hd).kron(Matrix.flip(hd, dx, f)).kron(eye(dy))
+           @ H.comul_matrix().kron(eye(dx * dy)))
+    flip_xh = Matrix.flip(dx, hd, f)
+    switch = H.mul_matrix().kron(eye(dx)) @ eye(hd).kron(flip_xh) @ conn_yd.nabla.kron(eye(hd))
+    nabla = (conn_yd.nabla.kron(eye(dy))
+             + (switch + flip_xh).kron(eye(dy)) @ eye(dx).kron(conn_ayd.nabla))
 
-    Xt = ModComod(H, dim, action, None, label=f"tensor({X.label},{Xp.label})")
+    action = {divmod(j, dx * dy): col for j, col in enumerate(_field_columns(act))}
+    Xt = ModComod(H, dx * dy, action, None, label=f"tensor({X.label},{Xp.label})")
     conn = Connection(conn_ayd.calc, Xt, nabla)
-    Xt.coaction = coaction_from_connection(conn).coaction
-
-    # the recovered coaction must be the componentwise product of the inputs
-    rho_x = coaction_from_connection(conn_yd).coaction
-    rho_y = coaction_from_connection(conn_ayd).coaction
-    for a in range(dx):
-        for b in range(dy):
-            expect: Vec = {}
-            for fl, c in rho_x[a].items():
-                h1, a2 = divmod(fl, dx)
-                for fl2, c2 in rho_y[b].items():
-                    h2, b2 = divmod(fl2, dy)
-                    for h3, c3 in H.mul.get((h1, h2), {}).items():
-                        vec_add(f, expect,
-                                {h3 * dim + a2 * dy + b2: f.mul(f.mul(c, c2), c3)})
-            if vec_sub(f, Xt.coaction[a * dy + b], expect):
-                raise RuntimeError("tensor coaction disagrees with the product formula")
+    rho = _coaction(conn)
+    if rho != (H.mul_matrix().kron(eye(dx * dy)) @ eye(hd).kron(flip_xh).kron(eye(dy))
+               @ _coaction(conn_yd).kron(_coaction(conn_ayd))):
+        raise RuntimeError("tensor coaction disagrees with the product formula")
+    Xt.coaction = _field_columns(rho)
     return conn
 
 
@@ -287,7 +277,7 @@ def check_dg_module_structure(calc: Calculus, conn: Connection,
     if max_degree + 1 > calc.max_degree:
         raise ValueError("calculus not materialized deep enough")
     f = calc.field
-    cx = coefficient_complex(calc, conn, max_degree + 1)
+    cx = coefficient_complex(conn, max_degree + 1)
     act = action_matrix(conn.X)
     M = [sandwich_action(calc, act, n) for n in range(max_degree + 2)]
     for n in range(max_degree + 1):
@@ -305,9 +295,9 @@ def check_lemma_sandwich_action(X: ModComod) -> Report:
     H (x) X, M_1 of the S^-1 calculus: (a) it is an associative unital
     action; (b) rho_X is a map of modules for it, which is the S^-1
     compatibility condition ``check_ayd``."""
-    rep = Report()
+    rep, calc = Report(), Calculus.k(X.algebra, 1)
     add_action_axioms(rep, "sandwich_action", X.algebra,
-                      sandwich_action(Calculus.k(X.algebra, 1), action_matrix(X), 1))
-    d = check_ayd(X)
+                      sandwich_action(calc, action_matrix(X), 1))
+    d = check_ayd(X, calc)
     rep.add("coaction_is_module_map", d.passed, d.witness())
     return rep

@@ -156,7 +156,7 @@ def calculus_complex(calc, X: Optional[ModComod],
         return ChainComplex(calc.field,
                             [calc.degree_dim(n) for n in range(max_degree + 1)],
                             [calc.differential(n) for n in range(max_degree)])
-    return coefficient_complex(calc, connection_from_coaction(calc, X), max_degree)
+    return coefficient_complex(connection_from_coaction(calc, X), max_degree)
 
 
 def compare_cotor(calc, X: Optional[ModComod],

@@ -7,6 +7,13 @@ into index tables of plain scalars and checks every tuple on them; it is the
 oracle all builders are validated against.  The enumeration through the
 algebra's own maps that it replaced is `reference_verify_axioms` in the
 tests, which check it against that reference.
+
+The tables stay because every CLI verdict runs `verify_axioms`.  As matrix
+identities it gave every report of the reference test and the golden set,
+but took 1.6-2.0 ms against 0.25-0.65 ms on k[Z2], k[Z3], k^Z2 and Sweedler
+(2-vCPU VM): a numpy call costs more than the arithmetic on such tiny
+matrices.  The rarer structure checks, (co)commutativity and
+`verify_morphism`, are matrix identities.
 """
 from __future__ import annotations
 
@@ -15,8 +22,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import Field
-from .linalg import (Matrix, Vec, basis_vec, bilinear, bilinear_matrix, linear, pairing,
-                     vec_add, vec_eq, vec_scale, vec_sub, vec_tensor)
+from .linalg import (Matrix, Vec, basis_vec, bilinear, bilinear_matrix, column_witness,
+                     pairing_matrix, vec_scale, vec_tensor)
 from .reports import Report
 
 
@@ -38,12 +45,6 @@ class HopfAlgebra:
     def multiply(self, u: Vec, v: Vec) -> Vec:
         return bilinear(self.field, self.mul, u, v)
 
-    def comultiply(self, u: Vec) -> Vec:
-        return linear(self.field, self.comul, u)
-
-    def counit_of(self, u: Vec):
-        return pairing(self.field, self.counit, u)
-
     def antipode_inverse(self) -> Optional[Matrix]:
         """Exact inverse of S, or None when S is singular."""
         if self._antipode_inv is False:
@@ -58,17 +59,17 @@ class HopfAlgebra:
         """The unit as an H x 1 column."""
         return Matrix.from_columns_csr([self.unit], self.dim, self.field)
 
+    def comul_matrix(self) -> Matrix:
+        """The comultiplication as the matrix H (x) H <- H."""
+        return Matrix.from_columns_csr(self.comul, self.dim * self.dim, self.field)
+
     def is_commutative(self) -> bool:
-        return all(vec_eq(self.field, self.mul.get((i, j), {}), self.mul.get((j, i), {}))
-                   for i in range(self.dim) for j in range(i + 1, self.dim))
+        mu = self.mul_matrix()
+        return mu @ Matrix.flip(self.dim, self.dim, self.field) == mu
 
     def is_cocommutative(self) -> bool:
-        d = self.dim
-        for i in range(d):
-            flipped = {(fl % d) * d + fl // d: c for fl, c in self.comul[i].items()}
-            if not vec_eq(self.field, flipped, self.comul[i]):
-                return False
-        return True
+        delta = self.comul_matrix()
+        return Matrix.flip(self.dim, self.dim, self.field) @ delta == delta
 
     def __repr__(self):
         return f"HopfAlgebra(dim={self.dim} over {self.field})"
@@ -169,31 +170,6 @@ def verify_axioms(H: HopfAlgebra) -> Report:
     return rep
 
 
-def tensor_square_multiply(H: HopfAlgebra, s: Vec, t: Vec) -> Vec:
-    """Componentwise product on H (x) H: (a(x)b)(c(x)d) = ac (x) bd."""
-    f = H.field
-    d = H.dim
-    out: Vec = {}
-    for fl1, c1 in s.items():
-        a, b = divmod(fl1, d)
-        for fl2, c2 in t.items():
-            cc, dd = divmod(fl2, d)
-            left = H.mul.get((a, cc))
-            right = H.mul.get((b, dd))
-            if not left or not right:
-                continue
-            coeff = f.mul(c1, c2)
-            for i, ci in left.items():
-                for j, cj in right.items():
-                    k = i * d + j
-                    acc = f.add(out.get(k, f.zero()), f.mul(coeff, f.mul(ci, cj)))
-                    if f.is_zero(acc):
-                        out.pop(k, None)
-                    else:
-                        out[k] = acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # bialgebra morphisms (the alpha / beta of the equivariant calculus)
 
@@ -227,45 +203,24 @@ class BialgebraMorphism:
 
 
 def verify_morphism(m: BialgebraMorphism) -> Report:
-    """Check the (op-cop) bialgebra morphism equations on all basis pairs."""
-    S, T = m.source, m.target
-    f = S.field
-    rep = Report()
-    opcop = m.variant == "opcop"
-    ebasis = [basis_vec(f, i) for i in range(S.dim)]
-    fb = [m.apply(e) for e in ebasis]
+    """The (op-cop) bialgebra morphism equations on F = ``m.matrix`` as
+    matrix identities, with a flip after F (x) F in the op-cop case; a
+    failure is witnessed at the first basis tuple, by name, that differs."""
+    S, T, F = m.source, m.target, m.matrix
+    f, rep = S.field, Report()
+    FF = F.kron(F)
+    if m.variant == "opcop":
+        FF = Matrix.flip(T.dim, T.dim, f) @ FF
 
-    ok, wit = True, None
-    for i in range(S.dim):
-        for j in range(S.dim):
-            lhs = m.apply(S.mul.get((i, j), {}))
-            rhs = T.multiply(fb[j], fb[i]) if opcop else T.multiply(fb[i], fb[j])
-            if not vec_eq(f, lhs, rhs):
-                ok, wit = False, {"basis": [S.basis[i], S.basis[j]],
-                                  "defect": vec_sub(f, lhs, rhs)}
-                break
-        if not ok:
-            break
-    rep.add("multiplicative", ok, wit)
-    rep.add("preserves_unit", vec_eq(f, m.apply(S.unit), T.unit))
+    def add(name, lhs, rhs, dims):
+        w = column_witness(lhs, rhs, dims)
+        rep.add(name, w is None, w and {**w, "basis": [S.basis[i] for i in w["basis"]]})
 
-    ok, wit = True, None
-    dT = T.dim
-    for i in range(S.dim):
-        lhs = T.comultiply(fb[i])
-        rhs: Vec = {}
-        for fl, c in S.comul[i].items():
-            a, b = divmod(fl, S.dim)
-            pair = vec_tensor(f, fb[b], fb[a], dT) if opcop else vec_tensor(f, fb[a], fb[b], dT)
-            vec_add(f, rhs, pair, c)
-        if not vec_eq(f, lhs, rhs):
-            ok, wit = False, {"basis": [S.basis[i]], "defect": vec_sub(f, lhs, rhs)}
-            break
-    rep.add("comultiplicative", ok, wit)
-
-    ok = all(f.is_zero(f.sub(T.counit_of(fb[i]), S.counit.get(i, f.zero())))
-             for i in range(S.dim))
-    rep.add("preserves_counit", ok)
+    add("multiplicative", F @ S.mul_matrix(), T.mul_matrix() @ FF, [S.dim, S.dim])
+    rep.add("preserves_unit", F @ S.unit_column() == T.unit_column())
+    add("comultiplicative", T.comul_matrix() @ F, FF @ S.comul_matrix(), [S.dim])
+    rep.add("preserves_counit", pairing_matrix(f, T.counit, T.dim) @ F
+            == pairing_matrix(f, S.counit, S.dim))
     return rep
 
 
@@ -337,7 +292,7 @@ def build_group_algebra(table: Sequence[Sequence[int]], field: Field = None,
     mul = {(i, j): {table[i][j]: one} for i in range(n) for j in range(n)}
     comul = [{i * n + i: one} for i in range(n)]
     counit = {i: one for i in range(n)}
-    antipode = Matrix(n, n, f, {(inverses[i], i): one for i in range(n)})
+    antipode = Matrix.from_columns_csr([{inverses[i]: one} for i in range(n)], n, f)
     basis = names or (["e"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)])
     return HopfAlgebra(f, n, basis, mul, {0: one}, comul, counit, antipode,
                        group_table=[list(r) for r in table])
@@ -365,7 +320,7 @@ def build_dual_group_algebra(table: Sequence[Sequence[int]], field: Field = None
                     t[a * n + b] = one
         comul.append(t)
     counit = {ident: one}
-    antipode = Matrix(n, n, f, {(inverses[i], i): one for i in range(n)})
+    antipode = Matrix.from_columns_csr([{inverses[i]: one} for i in range(n)], n, f)
     basis = names or [f"d{i}" for i in range(n)]
     return HopfAlgebra(f, n, basis, mul, unit, comul, counit, antipode)
 
@@ -417,33 +372,35 @@ def build_taft(n: int, q, field: Field) -> HopfAlgebra:
     counit = {mono(i, 0): one for i in range(n)}
 
     # assemble a provisional algebra so we can compute Delta and S by
-    # multiplying out generator images
+    # multiplying out generator images: Delta(g^i x^j) = Delta(g)^i
+    # Delta(x)^j, right multiplication by a (x) b in H (x) H being R_a (x) R_b
+    # with R_h = mu (I (x) h) right multiplication by h on H
     H = HopfAlgebra(f, dim, [], mul, unit, [], counit, Matrix.identity(dim, f))
-    delta_g = {mono(1, 0) * dim + mono(1, 0): one}
-    delta_x = {mono(0, 1) * dim + mono(0, 0): one, mono(1, 0) * dim + mono(0, 1): one}
-    comul: List[Vec] = []
-    for i in range(n):
-        for j in range(n):
-            t = vec_tensor(f, unit, unit, dim)
-            for _ in range(i):
-                t = tensor_square_multiply(H, t, delta_g)
-            for _ in range(j):
-                t = tensor_square_multiply(H, t, delta_x)
-            comul.append(t)
-    H.comul = comul
+    mu, eye = H.mul_matrix(), Matrix.identity(dim, f)
 
+    def right(i: int, j: int) -> Matrix:
+        return mu @ eye.kron(Matrix.from_columns_csr([{mono(i, j): one}], dim, f))
+
+    if n > 1:       # Taft(1) is the ground field: no g or x to multiply by
+        by_g = right(1, 0).kron(right(1, 0))
+        by_x = right(0, 1).kron(eye) + right(1, 0).kron(right(0, 1))
     s_g = basis_vec(f, mono((n - 1) % n, 0))
     s_x = vec_scale(f, H.multiply(s_g, basis_vec(f, mono(0, 1))), f.neg(one))
-    antipode = Matrix(dim, dim, f)
+    comul: List[Vec] = []
+    antipode: List[Vec] = []
     for i in range(n):
         for j in range(n):
-            img = H.unit
-            for _ in range(j):         # S is an anti-homomorphism: x-part first
-                img = H.multiply(img, s_x)
+            t, img = vec_tensor(f, unit, unit, dim), unit
+            for _ in range(i):
+                t = by_g.apply(t)
+            for _ in range(j):
+                t = by_x.apply(t)
+                img = H.multiply(img, s_x)     # S is an anti-homomorphism: x-part first
             for _ in range(i):
                 img = H.multiply(img, s_g)
-            antipode._init_column(mono(i, j), img)
-    H.antipode = antipode
+            comul.append(t)
+            antipode.append(img)
+    H.comul, H.antipode = comul, Matrix.from_columns_csr(antipode, dim, f)
 
     names = []
     for i in range(n):
@@ -483,7 +440,7 @@ def permute_basis(H: HopfAlgebra, perm: Sequence[int],
     mul = {(a, b): rv(H.mul.get((perm[a], perm[b]), {})) for a in range(d) for b in range(d)}
     comul = [rt(H.comul[perm[a]]) for a in range(d)]
     counit = {inv[i]: c for i, c in H.counit.items()}
-    antipode = Matrix(d, d, f, {(inv[i], inv[j]): v for (i, j), v in H.antipode.entries()})
+    antipode = Matrix.from_columns_csr([rv(H.antipode.column(p)) for p in perm], d, f)
     table = None
     if H.group_table is not None:
         table = [[inv[H.group_table[perm[a]][perm[b]]] for b in range(d)] for a in range(d)]

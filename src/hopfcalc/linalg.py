@@ -27,8 +27,9 @@ arithmetic on the small matrices of most verdicts (a 16 x 16 product on a
 On sparse vectors each operation has one kernel: ``bilinear`` applies a
 bilinear map given on basis pairs (a multiplication, an action) and
 ``bilinear_matrix`` turns the same table into a matrix,
-``linear`` a linear map given by its basis images (a coproduct, a
-coaction), ``pairing`` a covector (a counit, a character), and
+``Matrix.from_columns_csr`` a linear map given by its basis images (a
+coproduct, a coaction), ``pairing`` evaluates a covector (a counit, a
+character) and ``pairing_matrix`` turns it into a row, and
 ``column_echelon`` is the field echelon behind
 ``Matrix.inverse`` and the coordinates of ``echelon_coords``.  Rank is
 the exception, ``_sparse_rank``: exact sparse Gaussian elimination in
@@ -121,10 +122,6 @@ def vec_sub(field: Field, a: Vec, b: Vec) -> Vec:
     return out
 
 
-def vec_eq(field: Field, a: Vec, b: Vec) -> bool:
-    return not vec_sub(field, a, b)
-
-
 def vec_tensor(field: Field, a: Vec, b: Vec, dim_b: int) -> Vec:
     """Tensor product of sparse vectors, b indexed within a block of dim_b."""
     out: Vec = {}
@@ -147,15 +144,6 @@ def bilinear(field: Field, table: Dict[Tuple[int, int], Vec], u: Vec, v: Vec) ->
             img = table.get((i, j))
             if img:
                 vec_add(field, out, img, field.mul(ci, cj))
-    return out
-
-
-def linear(field: Field, cols: Sequence[Vec], v: Vec) -> Vec:
-    """The linear map with ``cols[i]`` the image of basis vector i, applied
-    to ``v``."""
-    out: Vec = {}
-    for i, c in v.items():
-        vec_add(field, out, cols[i], c)
     return out
 
 
@@ -420,14 +408,6 @@ class Matrix:
                     data[(i, j)] = v
         return cls(rows, len(cols), field, data)
 
-    def _init_column(self, j: int, col: Vec) -> None:
-        """Write a column known to be empty, skipping the stale-entry scan.
-        Only for freshly built matrices whose columns are set once."""
-        data = self.data
-        for i, v in col.items():
-            if not self.field.is_zero(v):
-                data[(i, j)] = v
-
     def column(self, j: int) -> Vec:
         return dict(self._column(j))
 
@@ -666,6 +646,11 @@ def bilinear_matrix(field: Field, table: Dict[Tuple[int, int], Vec], left: int,
     rows <- left (x) right."""
     return Matrix.from_columns_csr([table.get((i, j), {}) for i in range(left)
                                     for j in range(right)], rows, field)
+
+
+def pairing_matrix(field: Field, w: Dict[int, object], dim: int) -> Matrix:
+    """The covector ``w`` of ``pairing`` as a 1 x dim row."""
+    return Matrix.from_columns_csr([{0: w.get(i, field.zero())} for i in range(dim)], 1, field)
 
 
 def column_defects(lhs: Matrix, rhs: Matrix, dims: Sequence[int],

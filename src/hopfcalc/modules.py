@@ -11,7 +11,8 @@ An action is also a matrix, X <- B (x) X (``action_matrix``), and
 identities on it.  The B-module structure on the coefficient spaces
 C^n (x) X of a connection is left multiplication by Omega^0 = B in the
 calculus, read through the action (``connections.sandwich_action``); it
-is checked by the same function.
+is checked by the same function, and the bimodule coalgebra behind the
+generalized calculus by matrix identities too (``verify_bimodule_coalgebra``).
 
 Each compatibility check is one matrix identity on B (x) X,
 
@@ -24,7 +25,9 @@ over K-hat = ``Calculus.khat``, and (alpha, beta)-equivariance over
 ``Calculus.general``.  So a module passes exactly when its connection
 satisfies the Leibniz rule there (``connections.check_connection``
 reads the same M_1).  Column (b, x) of the difference of the two sides is
-the defect rho(b x) - b . rho(x).
+the defect rho(b x) - b . rho(x).  ``check_ayd`` also takes the S^-1
+calculus a caller already holds, so that its sandwich matrix is built
+once.
 
 A coaction candidate is *not* required to be coassociative at construction
 time: the flat-connection correspondence needs non-coassociative candidates
@@ -33,15 +36,13 @@ to be representable, so coassociativity is a separately reported check.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .fields import Field
 from .hopf import BialgebraMorphism, HopfAlgebra
 from .linalg import (Matrix, Vec, basis_vec, bilinear, bilinear_matrix, column_defects,
-                     column_echelon, column_witness, echelon_coords, linear, pairing, vec_add,
-                     vec_eq, vec_sub, vec_tensor)
+                     column_echelon, column_witness, echelon_coords, pairing, pairing_matrix)
 from .reports import Report
 
 
@@ -76,100 +77,52 @@ class BimoduleCoalgebra:
     def ract(self, c: Vec, b: Vec) -> Vec:
         return bilinear(self.field, self.right, c, b)
 
-    def comultiply(self, c: Vec) -> Vec:
-        return linear(self.field, self.comul, c)
-
 
 def verify_bimodule_coalgebra(C: BimoduleCoalgebra) -> Report:
     """Coassociativity, counit, bimodule axioms, the bimodule-coalgebra
-    compatibility of Delta_C, and grouplikeness of the basepoint.
+    compatibility of Delta_C and grouplikeness of the basepoint, each a
+    matrix identity on the actions L: C <- B (x) C, R: C <- C (x) B and the
+    structure matrices.  Delta_C is a bimodule map when Delta_C L_3 =
+    (L_3 (x) L_3) P (Delta_B (x) Delta_C (x) Delta_B), with L_3 = R (L (x) I_B)
+    and P the permutation b1 b2 c1 c2 p1 p2 -> b1 c1 p1 b2 c2 p2; the right
+    side is computed as (R (x) R) (I_C (x) flip_(C,B) (x) I_B) (W (x) Delta_B),
+    W = (L (x) L) (I_B (x) flip_(B,C) (x) I_C) (Delta_B (x) Delta_C), so that
+    nothing is built on (B (x) C (x) B)^(x)2.  A failure of coassociativity
+    is witnessed at the first basis vector a of C, of the bimodule map at
+    the first (i, a, j).
 
     A basepoint with counit value != 1 is reported as a warning check (it
     cannot arise from a coalgebra map k -> C) but does not fail the report.
     """
-    f = C.field
-    B = C.B
-    d = C.dim
+    f, B, d, bd = C.field, C.B, C.dim, C.B.dim
     rep = Report()
-    eb = [basis_vec(f, i) for i in range(B.dim)]
-    ec = [basis_vec(f, a) for a in range(d)]
 
-    def expand(t: Vec, slot: int) -> Vec:
-        out: Vec = {}
-        for fl, coeff in t.items():
-            a, b = divmod(fl, d)
-            if slot == 0:
-                for fl2, c2 in C.comul[a].items():
-                    vec_add(f, out, {fl2 * d + b: f.mul(coeff, c2)})
-            else:
-                for fl2, c2 in C.comul[b].items():
-                    vec_add(f, out, {a * d * d + fl2: f.mul(coeff, c2)})
-        return out
+    def eye(n):
+        return Matrix.identity(n, f)
 
-    ok, wit = True, None
-    for a in range(d):
-        l, r = expand(C.comul[a], 0), expand(C.comul[a], 1)
-        if not vec_eq(f, l, r):
-            ok, wit = False, {"basis": a, "defect": vec_sub(f, l, r)}
-            break
-    rep.add("coassociativity", ok, wit)
+    delta, eps = Matrix.from_columns_csr(C.comul, d * d, f), pairing_matrix(f, C.counit, d)
+    L, R = bilinear_matrix(f, C.left, bd, d, d), bilinear_matrix(f, C.right, d, bd, d)
+    mu, u, g = B.mul_matrix(), B.unit_column(), Matrix.from_columns_csr([C.grouplike], d, f)
 
-    ok = True
-    for a in range(d):
-        l: Vec = {}
-        r: Vec = {}
-        for fl, c in C.comul[a].items():
-            u, v = divmod(fl, d)
-            vec_add(f, l, {v: f.mul(C.counit.get(u, f.zero()), c)})
-            vec_add(f, r, {u: f.mul(C.counit.get(v, f.zero()), c)})
-        if not (vec_eq(f, l, ec[a]) and vec_eq(f, r, ec[a])):
-            ok = False
-            break
-    rep.add("counit", ok)
+    w = column_witness(delta.kron(eye(d)) @ delta, eye(d).kron(delta) @ delta, [d])
+    rep.add("coassociativity", w is None, w and {**w, "basis": w["basis"][0]})
+    rep.add("counit", eps.kron(eye(d)) @ delta == eye(d) == eye(d).kron(eps) @ delta)
+    rep.add("left_action_associative", L @ mu.kron(eye(d)) == L @ eye(bd).kron(L))
+    rep.add("right_action_associative", R @ eye(d).kron(mu) == R @ R.kron(eye(bd)))
+    rep.add("actions_commute", L @ eye(bd).kron(R) == R @ L.kron(eye(bd)))
+    rep.add("actions_unital", L @ u.kron(eye(d)) == eye(d) == R @ eye(d).kron(u))
 
-    ok = all(vec_eq(f, C.lact(B.mul.get((i, j), {}), ec[a]),
-                    C.lact(eb[i], C.lact(eb[j], ec[a])))
-             for i, j, a in itertools.product(range(B.dim), range(B.dim), range(d)))
-    rep.add("left_action_associative", ok)
-    ok = all(vec_eq(f, C.ract(ec[a], B.mul.get((i, j), {})),
-                    C.ract(C.ract(ec[a], eb[i]), eb[j]))
-             for i, j, a in itertools.product(range(B.dim), range(B.dim), range(d)))
-    rep.add("right_action_associative", ok)
-    ok = all(vec_eq(f, C.lact(eb[i], C.ract(ec[a], eb[j])),
-                    C.ract(C.lact(eb[i], ec[a]), eb[j]))
-             for i, j, a in itertools.product(range(B.dim), range(B.dim), range(d)))
-    rep.add("actions_commute", ok)
-    ok = all(vec_eq(f, C.lact(B.unit, ec[a]), ec[a]) and
-             vec_eq(f, C.ract(ec[a], B.unit), ec[a]) for a in range(d))
-    rep.add("actions_unital", ok)
+    delta_b = B.comul_matrix()
+    W = L.kron(L) @ eye(bd).kron(Matrix.flip(bd, d, f)).kron(eye(d)) @ delta_b.kron(delta)
+    rhs = R.kron(R) @ eye(d).kron(Matrix.flip(d, bd, f)).kron(eye(bd)) @ W.kron(delta_b)
+    w = column_witness(delta @ R @ L.kron(eye(bd)), rhs, [bd, d, bd])
+    rep.add("comul_is_bimodule_map", w is None, w)
 
-    # Delta_C(b c b') = b_(1) c_(1) b'_(1) (x) b_(2) c_(2) b'_(2)
-    ok, wit = True, None
-    for i, a, j in itertools.product(range(B.dim), range(d), range(B.dim)):
-        lhs = C.comultiply(C.ract(C.lact(eb[i], ec[a]), eb[j]))
-        rhs: Vec = {}
-        for fl_b, cb in B.comul[i].items():
-            b1, b2 = divmod(fl_b, B.dim)
-            for fl_c, cc in C.comul[a].items():
-                c1, c2 = divmod(fl_c, d)
-                for fl_p, cp in B.comul[j].items():
-                    p1, p2 = divmod(fl_p, B.dim)
-                    first = C.ract(C.lact(eb[b1], ec[c1]), eb[p1])
-                    second = C.ract(C.lact(eb[b2], ec[c2]), eb[p2])
-                    vec_add(f, rhs, vec_tensor(f, first, second, d),
-                            f.mul(cb, f.mul(cc, cp)))
-        if not vec_eq(f, lhs, rhs):
-            ok, wit = False, {"basis": (i, a, j), "defect": vec_sub(f, lhs, rhs)}
-            break
-    rep.add("comul_is_bimodule_map", ok, wit)
-
-    gl = C.comultiply(C.grouplike)
-    rep.add("basepoint_grouplike",
-            vec_eq(f, gl, vec_tensor(f, C.grouplike, C.grouplike, d)))
-    eps = pairing(f, C.counit, C.grouplike)
+    rep.add("basepoint_grouplike", delta @ g == g.kron(g))
+    eps_g = pairing(f, C.counit, C.grouplike)
     # a coalgebra map k -> C forces counit value 1 on the basepoint; report
     # the value as a warning rather than a failure
-    rep.add(f"basepoint_counit_value={f.to_str(eps)}", True)
+    rep.add(f"basepoint_counit_value={f.to_str(eps_g)}", True)
     return rep
 
 
@@ -294,8 +247,7 @@ def check_comodule_axioms(X: ModComod) -> Report:
     rep.add("coaction_coassociative", not defects,
             None if not defects else {"basis": min(defects), "defect": defects[min(defects)]})
     # (eps (x) id) rho = id, with eps the counit as a 1 x C row
-    counit = (X.coalgebra or X.algebra).counit
-    eps = Matrix.from_columns_csr([{0: counit.get(c, f.zero())} for c in range(X.codim)], 1, f)
+    eps = pairing_matrix(f, (X.coalgebra or X.algebra).counit, X.codim)
     eye = Matrix.identity(X.dim, f)
     rep.add("coaction_counital", eps.kron(eye) @ coaction_matrix(X) == eye)
     return rep
@@ -317,10 +269,11 @@ def _compat_defects(calc, X: ModComod, name: str) -> DefectReport:
                         [bd, X.dim])
 
 
-def check_ayd(X: ModComod) -> DefectReport:
-    """The S^-1 sandwich compatibility (coefficients of Hopf-cyclic theory)."""
+def check_ayd(X: ModComod, calc=None) -> DefectReport:
+    """The S^-1 sandwich compatibility (coefficients of Hopf-cyclic theory),
+    over ``calc``, an S^-1 calculus over X's algebra, or a new one."""
     from .calculus import Calculus
-    return _compat_defects(Calculus.k(X.algebra), X, "ayd")
+    return _compat_defects(calc or Calculus.k(X.algebra), X, "ayd")
 
 
 def check_yd(X: ModComod) -> DefectReport:
@@ -349,7 +302,6 @@ def check_stable(X: ModComod) -> bool:
 
 def trivial_modcomod(H: HopfAlgebra) -> ModComod:
     """1-dimensional: action through the counit, coaction through the unit."""
-    f = H.field
     action = {(i, 0): ({0: H.counit[i]} if i in H.counit else {}) for i in range(H.dim)}
     coaction = [dict(H.unit)]      # X has dim 1, so C (x) X indices = C indices
     return ModComod(H, 1, action, coaction, label="trivial")
@@ -386,23 +338,19 @@ def coadjoint_comodule(H: HopfAlgebra) -> ModComod:
 
 
 def is_character(H: HopfAlgebra, delta: Dict[int, object]) -> bool:
+    """delta, a 1 x H row, is unital and multiplicative: delta u = 1 and
+    delta mu = delta (x) delta."""
     f = H.field
-    if not f.is_zero(f.sub(pairing(f, delta, H.unit), f.one())):
-        return False
-    for i in range(H.dim):
-        for j in range(H.dim):
-            lhs = pairing(f, delta, H.mul.get((i, j), {}))
-            rhs = f.mul(delta.get(i, f.zero()), delta.get(j, f.zero()))
-            if not f.is_zero(f.sub(lhs, rhs)):
-                return False
-    return True
+    d = pairing_matrix(f, delta, H.dim)
+    return d @ H.unit_column() == Matrix.identity(1, f) and d @ H.mul_matrix() == d.kron(d)
 
 
 def is_grouplike(H: HopfAlgebra, sigma: Vec) -> bool:
+    """sigma, an H x 1 column, has counit 1 and Delta sigma = sigma (x) sigma."""
     f = H.field
-    if f.is_zero(f.sub(H.counit_of(sigma), f.one())):
-        return vec_eq(f, H.comultiply(sigma), vec_tensor(f, sigma, sigma, H.dim))
-    return False
+    s = Matrix.from_columns_csr([sigma], H.dim, f)
+    return (pairing_matrix(f, H.counit, H.dim) @ s == Matrix.identity(1, f)
+            and H.comul_matrix() @ s == s.kron(s))
 
 
 def enumerate_characters(H: HopfAlgebra) -> List[Dict[int, object]]:
@@ -536,20 +484,10 @@ def groupoid_decompose(X: ModComod) -> GroupoidReport:
     table = H.group_table
     inverse = [next(j for j in range(n) if table[i][j] == 0) for i in range(n)]
 
-    projections: List[Matrix] = []
-    for g in range(n):
-        data = {}
-        for a in range(dX):
-            for fl, c in X.coaction[a].items():
-                hg, b = divmod(fl, dX)
-                if hg == g:
-                    data[(b, a)] = c
-        projections.append(Matrix(dX, dX, f, data))
-
-    total = projections[0]
-    for g in range(1, n):
-        total = total + projections[g]
-    if total != Matrix.identity(dX, f):
+    # P_g = (e_g^* (x) I_X) rho, the component of rho at g
+    rho, eye = coaction_matrix(X), Matrix.identity(dX, f)
+    projections = [pairing_matrix(f, {g: f.one()}, n).kron(eye) @ rho for g in range(n)]
+    if sum(projections[1:], projections[0]) != eye:
         return GroupoidReport(False, "coaction is not counital: projections do not sum to the identity")
     for g in range(n):
         for h in range(n):

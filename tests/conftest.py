@@ -15,7 +15,7 @@ from hopfcalc.calculus import Calculus
 from hopfcalc.fields import QQ, Field
 from hopfcalc.hopf import (HopfAlgebra, build_dual_group_algebra, build_group_algebra,
                            build_sweedler, build_taft, cyclic_table, symmetric_table)
-from hopfcalc.linalg import Matrix, Vec, tensor_decode, vec_tensor
+from hopfcalc.linalg import Matrix, Vec, pairing, tensor_decode, vec_add, vec_sub, vec_tensor
 from hopfcalc.modules import (ModComod, coadjoint_comodule, enumerate_characters,
                               enumerate_grouplikes, one_dim_modcomod, regular_modcomod,
                               trivial_modcomod)
@@ -24,12 +24,22 @@ from hopfcalc.modules import (ModComod, coadjoint_comodule, enumerate_characters
 # matrix operations that only the tests use
 
 
+def init_column(m: Matrix, j: int, col) -> None:
+    """Write column j of ``m``, known to be empty, through ``Matrix.data``,
+    skipping the stale-entry scan of ``set_column``.  Only for freshly built
+    matrices whose columns are set once."""
+    data = m.data
+    for i, v in col.items():
+        if not m.field.is_zero(v):
+            data[(i, j)] = v
+
+
 def set_column(m: Matrix, j: int, col) -> None:
     """Replace column j of ``m`` in place, through ``Matrix.data``."""
     data = m.data
     for key in [k for k in data if k[1] == j]:
         del data[key]
-    m._init_column(j, col)
+    init_column(m, j, col)
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -65,6 +75,28 @@ def expand_slot(H: HopfAlgebra, t: Vec, nfactors: int, slot: int) -> Vec:
             else:
                 out[new] = acc
     return out
+
+
+def linear(field: Field, cols, v: Vec) -> Vec:
+    """The linear map with ``cols[i]`` the image of basis vector i, applied
+    to ``v``."""
+    out: Vec = {}
+    for i, c in v.items():
+        vec_add(field, out, cols[i], c)
+    return out
+
+
+def vec_eq(field: Field, a: Vec, b: Vec) -> bool:
+    return not vec_sub(field, a, b)
+
+
+def comultiply(H: HopfAlgebra, u: Vec) -> Vec:
+    """Delta(u) in H (x) H, one basis vector of u at a time."""
+    return linear(H.field, H.comul, u)
+
+
+def counit_of(H: HopfAlgebra, u: Vec):
+    return pairing(H.field, H.counit, u)
 
 
 def comultiply_iter(H: HopfAlgebra, u: Vec, n: int) -> Vec:

@@ -3,8 +3,8 @@ import itertools
 
 import pytest
 
-from conftest import (ACCEPTANCE_ALGEBRAS, comultiply_iter, named_algebra, product_apply,
-                      set_column, unit_element)
+from conftest import (ACCEPTANCE_ALGEBRAS, comultiply_iter, init_column, named_algebra,
+                      product_apply, set_column, unit_element)
 
 from hopfcalc.calculus import Calculus, _witness, specialization_check, verify_dga
 from hopfcalc.hopf import BialgebraMorphism
@@ -76,7 +76,7 @@ def reference_product(calc: Calculus, n: int, m: int) -> Matrix:
                     term = vec_tensor(f, term, piece, cd)
                 final = calc.B.mul.get((l[m], vidx[m]), {})
                 vec_add(f, acc, vec_tensor(f, term, final, bd))
-            out._init_column(cu * dim_v + cv, acc)
+            init_column(out, cu * dim_v + cv, acc)
     return out
 
 
@@ -121,7 +121,7 @@ def reference_differential(calc: Calculus, n: int) -> Matrix:
         for u, cu in calc.basepoint.items():
             for fl2, c2 in sandwich.column(idx[n] * cd + u).items():
                 vec_add(f, acc, {prefix * cd * bd + fl2: f.mul(sign_n, f.mul(cu, c2))})
-        out._init_column(col, acc)
+        init_column(out, col, acc)
     return out
 
 

@@ -2,6 +2,8 @@ import contextlib
 import copy
 import io
 import json
+import pathlib
+import sys
 import tempfile
 
 import pytest
@@ -12,6 +14,8 @@ from conftest import set_column
 from hopfcalc.calculus import Calculus
 from hopfcalc.cli import main
 from hopfcalc.linalg import Matrix
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -138,6 +142,58 @@ def test_tensor_rejects_non_ayd_partner(capsys):
     code, _ = run(capsys, "tensor", "--builtin", "sweedler",
                   "--yd-module", "trivial", "--ayd-module", "trivial")
     assert code in (1, 2)
+
+
+def count_calls(monkeypatch, owner, name, counted=lambda *args: True):
+    """Wrap ``owner.name`` (every hopfcalc module's binding of it, for a
+    function) so that the calls for which ``counted(*args)`` holds are
+    counted; returns the list the wrapper appends to."""
+    calls = []
+    orig = getattr(owner, name)
+
+    def wrapper(*args, **kw):
+        if counted(*args):
+            calls.append(args)
+        return orig(*args, **kw)
+
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, wrapper)
+    for mod in [m for k, m in sys.modules.items() if k.startswith("hopfcalc")]:
+        for key, val in list(vars(mod).items()):
+            if val is orig:
+                monkeypatch.setattr(mod, key, wrapper)
+    return calls
+
+
+def test_tensor_builds_the_sandwich_matrix_once(capsys, monkeypatch):
+    # check_ayd reads the sandwich matrix of the calculus tensor_connection
+    # used, rather than building its own
+    builds = count_calls(monkeypatch, Calculus, "_sandwich_matrix",
+                         lambda calc: calc._sandwich is None)
+    code, _ = run(capsys, "tensor", "--builtin", "sweedler", "--yd-module", "trivial",
+                  "--ayd-module", "trivial")
+    assert code == 1 and len(builds) == 1
+
+
+def test_coefficient_complex_builds_its_leibniz_term_once(capsys, monkeypatch):
+    # K and d_X^1 of the flatness check are the complex's own
+    import hopfcalc.connections
+    calls = count_calls(monkeypatch, hopfcalc.connections, "_leibniz_term")
+    code, _ = run(capsys, "homology", "--builtin", "sweedler", "--module", "regular",
+                  "--compare-cotor", "--max-degree", "3")
+    assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("module,code", [("tests/sweedler_curved.json", 1), ("regular", 0)])
+def test_flat_check_computes_the_coassociativity_defects_once(capsys, monkeypatch, module,
+                                                              code):
+    # the witness comes from the curvature's defect columns
+    import hopfcalc.modules
+    calls = count_calls(monkeypatch, hopfcalc.modules, "coassociativity_defects")
+    with contextlib.chdir(ROOT):
+        got, _ = run(capsys, "check-module", "--builtin", "sweedler", "--module", module,
+                     "--condition", "flat")
+    assert got == code and len(calls) == 1
 
 
 def test_malformed_json_file_is_exit_2(capsys, tmp_path):

@@ -54,6 +54,13 @@ COMMANDS = [
      "--condition", "equivariant", "--alpha", "id", "--beta", "sinv"],
     ["verify-dga", "--builtin", "sweedler", "--calculus", "general", "--alpha", "s",
      "--beta", "sinv", "--max-degree", "2"],
+    # the tensor of a YD-flat with an AYD-flat connection, and a curved one
+    ["tensor", "--builtin", "group:S3", "--yd-module", "coadjoint", "--ayd-module", "trivial"],
+    ["tensor", "--builtin", "dualgroup:Z3", "--yd-module", "trivial",
+     "--ayd-module", "coadjoint"],
+    ["tensor", "--builtin", "sweedler", "--yd-module", "trivial", "--ayd-module", "trivial"],
+    ["check-module", "--builtin", "sweedler", "--module", "tests/sweedler_curved.json",
+     "--condition", "flat"],
 ]
 
 

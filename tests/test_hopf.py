@@ -4,14 +4,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import named_algebra, ACCEPTANCE_ALGEBRAS, comultiply_iter, expand_slot
+from conftest import (named_algebra, ACCEPTANCE_ALGEBRAS, comultiply, comultiply_iter, counit_of,
+                      expand_slot, vec_eq)
 
 from hopfcalc.fields import Field, QQ
 from hopfcalc.hopf import (BialgebraMorphism, HopfAlgebra, build_dual_group_algebra,
                            build_group_algebra, build_sweedler, build_taft,
                            check_group_table, cyclic_table, permute_basis, symmetric_table,
-                           tensor_square_multiply, verify_axioms, verify_morphism)
-from hopfcalc.linalg import (Matrix, Vec, basis_vec, vec_add, vec_eq, vec_scale, vec_sub,
+                           verify_axioms, verify_morphism)
+from hopfcalc.linalg import (Matrix, Vec, basis_vec, vec_add, vec_scale, vec_sub,
                              vec_tensor)
 from hopfcalc.modules import enumerate_characters, enumerate_grouplikes
 from hopfcalc.reports import Report
@@ -79,6 +80,26 @@ def test_taft_antipode_order():
     assert order == 6
 
 
+@pytest.mark.parametrize("n,q,p", [(1, 1, 5), (2, -1, 5), (4, 2, 5), (5, 4, 11), (7, 7, 29)])
+def test_taft_coproduct_is_the_product_of_the_generator_coproducts(n, q, p):
+    # Delta(g^i x^j) = Delta(g)^i Delta(x)^j, multiplied out term by term
+    f = Field(p)
+    H = build_taft(n, q, f)
+    one = f.one()
+    delta_g = {n * n * n + n: one} if n > 1 else {}
+    delta_x = {1 * n * n: one, n * n * n + 1: one} if n > 1 else {}
+    for i in range(n):
+        for j in range(n):
+            t = {0: one}
+            for _ in range(i):
+                t = tensor_square_multiply(H, t, delta_g)
+            for _ in range(j):
+                t = tensor_square_multiply(H, t, delta_x)
+            assert vec_eq(f, H.comul[i * n + j], t), (i, j)
+    if n <= 4:
+        assert verify_axioms(H).passed
+
+
 def test_commutativity_flags():
     assert named_algebra("kZ3").is_commutative()
     assert named_algebra("kZ3").is_cocommutative()
@@ -133,6 +154,82 @@ def test_morphisms():
     assert verify_morphism(BialgebraMorphism.antipode_inverse(H)).passed
 
 
+def reference_verify_morphism(m: BialgebraMorphism) -> Report:
+    """The oracle for ``verify_morphism``: the (op-cop) bialgebra morphism
+    equations basis pair by basis pair, through the algebras' own maps."""
+    S, T = m.source, m.target
+    f = S.field
+    rep = Report()
+    opcop = m.variant == "opcop"
+    ebasis = [basis_vec(f, i) for i in range(S.dim)]
+    fb = [m.apply(e) for e in ebasis]
+
+    ok, wit = True, None
+    for i in range(S.dim):
+        for j in range(S.dim):
+            lhs = m.apply(S.mul.get((i, j), {}))
+            rhs = T.multiply(fb[j], fb[i]) if opcop else T.multiply(fb[i], fb[j])
+            if not vec_eq(f, lhs, rhs):
+                ok, wit = False, {"basis": [S.basis[i], S.basis[j]],
+                                  "defect": vec_sub(f, lhs, rhs)}
+                break
+        if not ok:
+            break
+    rep.add("multiplicative", ok, wit)
+    rep.add("preserves_unit", vec_eq(f, m.apply(S.unit), T.unit))
+
+    ok, wit = True, None
+    dT = T.dim
+    for i in range(S.dim):
+        lhs = comultiply(T, fb[i])
+        rhs: Vec = {}
+        for fl, c in S.comul[i].items():
+            a, b = divmod(fl, S.dim)
+            pair = vec_tensor(f, fb[b], fb[a], dT) if opcop else vec_tensor(f, fb[a], fb[b], dT)
+            vec_add(f, rhs, pair, c)
+        if not vec_eq(f, lhs, rhs):
+            ok, wit = False, {"basis": [S.basis[i]], "defect": vec_sub(f, lhs, rhs)}
+            break
+    rep.add("comultiplicative", ok, wit)
+
+    ok = all(f.is_zero(f.sub(counit_of(T, fb[i]), S.counit.get(i, f.zero())))
+             for i in range(S.dim))
+    rep.add("preserves_counit", ok)
+    return rep
+
+
+_MORPHISM_CHECKS = ["multiplicative", "preserves_unit", "comultiplicative", "preserves_counit"]
+
+
+def test_morphism_corruptions_match_the_reference():
+    # the identity, S and S^-1 of each algebra, the Fraction path of kZ3
+    # in a rescaled basis included, with one entry of the matrix set to a
+    # seeded value: the matrix identities against the per-basis loop,
+    # check for check and witness for witness, and every check seen failing
+    rng = random.Random(23)
+    failed, cases = set(), 0
+    for name in ACCEPTANCE_ALGEBRAS + ["kZ3_scaled"]:
+        H = named_algebra(name)
+        f = H.field
+        values = range(f.char) if f.char else [0, 1, -1, 2, "1/2"]
+        for make in (BialgebraMorphism.identity, BialgebraMorphism.antipode,
+                     BialgebraMorphism.antipode_inverse):
+            m = make(H)
+            assert checks_typed(verify_morphism(m)) == checks_typed(reference_verify_morphism(m))
+            assert verify_morphism(m).passed
+            for _ in range(12):
+                data = {k: f.of(v) for k, v in m.matrix.entries()}
+                data[(rng.randrange(H.dim), rng.randrange(H.dim))] = f.of(rng.choice(values))
+                bad = BialgebraMorphism(H, H, Matrix(H.dim, H.dim, f, data), m.variant)
+                got = verify_morphism(bad)
+                assert got.to_json() == reference_verify_morphism(bad).to_json()
+                assert checks_typed(got) == checks_typed(reference_verify_morphism(bad))
+                failed |= {c.name for c in got.failures()}
+                cases += not got.passed
+    assert failed == set(_MORPHISM_CHECKS)
+    assert cases >= 100
+
+
 def test_iterated_coproduct_bracketing_independence():
     # expanding any slot of Delta^(n-1) gives Delta^(n)
     H = named_algebra("sweedler")
@@ -145,6 +242,31 @@ def test_iterated_coproduct_bracketing_independence():
 
 # ---------------------------------------------------------------------------
 # verify_axioms against the reference enumeration
+
+
+def tensor_square_multiply(H: HopfAlgebra, s: Vec, t: Vec) -> Vec:
+    """Componentwise product on H (x) H: (a(x)b)(c(x)d) = ac (x) bd."""
+    f = H.field
+    d = H.dim
+    out: Vec = {}
+    for fl1, c1 in s.items():
+        a, b = divmod(fl1, d)
+        for fl2, c2 in t.items():
+            cc, dd = divmod(fl2, d)
+            left = H.mul.get((a, cc))
+            right = H.mul.get((b, dd))
+            if not left or not right:
+                continue
+            coeff = f.mul(c1, c2)
+            for i, ci in left.items():
+                for j, cj in right.items():
+                    k = i * d + j
+                    acc = f.add(out.get(k, f.zero()), f.mul(coeff, f.mul(ci, cj)))
+                    if f.is_zero(acc):
+                        out.pop(k, None)
+                    else:
+                        out[k] = acc
+    return out
 
 
 def reference_verify_axioms(H):
@@ -191,14 +313,14 @@ def reference_verify_axioms(H):
     scan("counit_right", itertools.product(idx), lambda i: counit_side(i, True),
          lambda i: ebasis[i])
     scan("comul_is_algebra_map", itertools.product(idx, idx),
-         lambda i, j: H.comultiply(H.mul.get((i, j), {})),
+         lambda i, j: comultiply(H, H.mul.get((i, j), {})),
          lambda i, j: tensor_square_multiply(H, H.comul[i], H.comul[j]))
     scan("comul_of_unit", [()],
-         lambda: H.comultiply(H.unit), lambda: vec_tensor(f, H.unit, H.unit, d))
+         lambda: comultiply(H, H.unit), lambda: vec_tensor(f, H.unit, H.unit, d))
     scan("counit_is_algebra_map", itertools.product(idx, idx),
-         lambda i, j: {0: H.counit_of(H.mul.get((i, j), {}))},
+         lambda i, j: {0: counit_of(H, H.mul.get((i, j), {}))},
          lambda i, j: {0: f.mul(H.counit.get(i, f.zero()), H.counit.get(j, f.zero()))})
-    scan("counit_of_unit", [()], lambda: {0: H.counit_of(H.unit)}, lambda: {0: f.one()})
+    scan("counit_of_unit", [()], lambda: {0: counit_of(H, H.unit)}, lambda: {0: f.one()})
 
     def convolve(i, left):
         out: Vec = {}
@@ -224,7 +346,7 @@ def reference_verify_axioms(H):
     return rep
 
 
-def _raw(rep):
+def checks_typed(rep):
     """Every check with its raw witness, defect entries sorted and typed."""
     out = []
     for c in rep.checks:
@@ -239,7 +361,7 @@ def _raw(rep):
 def _assert_matches_reference(H):
     got, want = verify_axioms(H), reference_verify_axioms(H)
     assert got.to_json() == want.to_json()
-    assert _raw(got) == _raw(want)
+    assert checks_typed(got) == checks_typed(want)
     return got
 
 

@@ -6,13 +6,14 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 
 from conftest import (ACCEPTANCE_ALGEBRAS, base_corpus, comultiply_iter, mutated_corpus,
-                      named_algebra)
+                      linear, named_algebra, vec_eq)
+from test_hopf import checks_typed
 
 from hopfcalc.calculus import Calculus
 from hopfcalc.connections import check_lemma_sandwich_action, sandwich_action
 from hopfcalc.hopf import BialgebraMorphism, HopfAlgebra
-from hopfcalc.linalg import (Matrix, Vec, basis_vec, bilinear, linear, tensor_decode,
-                             vec_add, vec_eq, vec_scale, vec_sub, vec_tensor)
+from hopfcalc.linalg import (Matrix, Vec, basis_vec, bilinear, pairing, tensor_decode,
+                             vec_add, vec_scale, vec_sub, vec_tensor)
 from hopfcalc.modules import (BimoduleCoalgebra, ModComod, action_matrix, check_ayd,
                               check_equivariant, check_comodule_axioms, check_module_axioms,
                               check_stable, check_yd, coadjoint_comodule,
@@ -258,6 +259,17 @@ def test_compat_check_of_a_comodule_without_action_is_a_value_error():
         check_ayd(coadjoint_comodule(named_algebra("kS3")))
 
 
+def test_check_ayd_reads_the_calculus_it_is_given():
+    # a held S^-1 calculus gives the report of a fresh one
+    H = named_algebra("sweedler")
+    calc = Calculus.k(H)
+    for X in base_corpus(H) + mutated_corpus(H, 4, seed=2):
+        if X.action is None:
+            continue
+        held, fresh = check_ayd(X, calc), check_ayd(X)
+        assert (held.passed, held.defects) == (fresh.passed, fresh.defects)
+
+
 def test_oslash_degenerate_case_is_plain_action():
     # M_0 is the action itself
     H = named_algebra("sweedler")
@@ -393,6 +405,156 @@ def test_bimodule_coalgebra_from_hopf():
     for name in ("kZ3", "sweedler"):
         C = BimoduleCoalgebra.from_hopf(named_algebra(name))
         assert verify_bimodule_coalgebra(C).passed
+
+
+def reference_verify_bimodule_coalgebra(C: BimoduleCoalgebra) -> Report:
+    """The oracle for ``verify_bimodule_coalgebra``: every axiom basis
+    tuple by basis tuple, through the actions and the coproduct applied to
+    one sparse vector at a time."""
+    f = C.field
+    B = C.B
+    d = C.dim
+    rep = Report()
+    eb = [basis_vec(f, i) for i in range(B.dim)]
+    ec = [basis_vec(f, a) for a in range(d)]
+
+    def comultiply(c: Vec) -> Vec:
+        return linear(f, C.comul, c)
+
+    def expand(t: Vec, slot: int) -> Vec:
+        out: Vec = {}
+        for fl, coeff in t.items():
+            a, b = divmod(fl, d)
+            if slot == 0:
+                for fl2, c2 in C.comul[a].items():
+                    vec_add(f, out, {fl2 * d + b: f.mul(coeff, c2)})
+            else:
+                for fl2, c2 in C.comul[b].items():
+                    vec_add(f, out, {a * d * d + fl2: f.mul(coeff, c2)})
+        return out
+
+    ok, wit = True, None
+    for a in range(d):
+        l, r = expand(C.comul[a], 0), expand(C.comul[a], 1)
+        if not vec_eq(f, l, r):
+            ok, wit = False, {"basis": a, "defect": vec_sub(f, l, r)}
+            break
+    rep.add("coassociativity", ok, wit)
+
+    ok = True
+    for a in range(d):
+        l: Vec = {}
+        r: Vec = {}
+        for fl, c in C.comul[a].items():
+            u, v = divmod(fl, d)
+            vec_add(f, l, {v: f.mul(C.counit.get(u, f.zero()), c)})
+            vec_add(f, r, {u: f.mul(C.counit.get(v, f.zero()), c)})
+        if not (vec_eq(f, l, ec[a]) and vec_eq(f, r, ec[a])):
+            ok = False
+            break
+    rep.add("counit", ok)
+
+    ok = all(vec_eq(f, C.lact(B.mul.get((i, j), {}), ec[a]),
+                    C.lact(eb[i], C.lact(eb[j], ec[a])))
+             for i, j, a in itertools.product(range(B.dim), range(B.dim), range(d)))
+    rep.add("left_action_associative", ok)
+    ok = all(vec_eq(f, C.ract(ec[a], B.mul.get((i, j), {})),
+                    C.ract(C.ract(ec[a], eb[i]), eb[j]))
+             for i, j, a in itertools.product(range(B.dim), range(B.dim), range(d)))
+    rep.add("right_action_associative", ok)
+    ok = all(vec_eq(f, C.lact(eb[i], C.ract(ec[a], eb[j])),
+                    C.ract(C.lact(eb[i], ec[a]), eb[j]))
+             for i, j, a in itertools.product(range(B.dim), range(B.dim), range(d)))
+    rep.add("actions_commute", ok)
+    ok = all(vec_eq(f, C.lact(B.unit, ec[a]), ec[a]) and
+             vec_eq(f, C.ract(ec[a], B.unit), ec[a]) for a in range(d))
+    rep.add("actions_unital", ok)
+
+    # Delta_C(b c b') = b_(1) c_(1) b'_(1) (x) b_(2) c_(2) b'_(2)
+    ok, wit = True, None
+    for i, a, j in itertools.product(range(B.dim), range(d), range(B.dim)):
+        lhs = comultiply(C.ract(C.lact(eb[i], ec[a]), eb[j]))
+        rhs: Vec = {}
+        for fl_b, cb in B.comul[i].items():
+            b1, b2 = divmod(fl_b, B.dim)
+            for fl_c, cc in C.comul[a].items():
+                c1, c2 = divmod(fl_c, d)
+                for fl_p, cp in B.comul[j].items():
+                    p1, p2 = divmod(fl_p, B.dim)
+                    first = C.ract(C.lact(eb[b1], ec[c1]), eb[p1])
+                    second = C.ract(C.lact(eb[b2], ec[c2]), eb[p2])
+                    vec_add(f, rhs, vec_tensor(f, first, second, d),
+                            f.mul(cb, f.mul(cc, cp)))
+        if not vec_eq(f, lhs, rhs):
+            ok, wit = False, {"basis": (i, a, j), "defect": vec_sub(f, lhs, rhs)}
+            break
+    rep.add("comul_is_bimodule_map", ok, wit)
+
+    gl = comultiply(C.grouplike)
+    rep.add("basepoint_grouplike",
+            vec_eq(f, gl, vec_tensor(f, C.grouplike, C.grouplike, d)))
+    eps = pairing(f, C.counit, C.grouplike)
+    rep.add(f"basepoint_counit_value={f.to_str(eps)}", True)
+    return rep
+
+
+_BIMODULE_COALGEBRA_CHECKS = ["coassociativity", "counit", "left_action_associative",
+                              "right_action_associative", "actions_commute",
+                              "actions_unital", "comul_is_bimodule_map",
+                              "basepoint_grouplike"]
+
+
+def mutate_bimodule_coalgebra(C: BimoduleCoalgebra, rng: random.Random,
+                              values) -> BimoduleCoalgebra:
+    """A copy of C with one seeded entry of the left or right action, the
+    coproduct, the counit or the basepoint set to one of ``values``."""
+    f, bd, d = C.field, C.B.dim, C.dim
+    left = {k: dict(v) for k, v in C.left.items()}
+    right = {k: dict(v) for k, v in C.right.items()}
+    comul, counit, g = [dict(t) for t in C.comul], dict(C.counit), dict(C.grouplike)
+    c = f.of(rng.choice(values))
+    which = rng.choice(["left", "right", "comul", "counit", "grouplike"])
+    if which == "left":
+        left.setdefault((rng.randrange(bd), rng.randrange(d)), {})[rng.randrange(d)] = c
+    elif which == "right":
+        right.setdefault((rng.randrange(d), rng.randrange(bd)), {})[rng.randrange(d)] = c
+    elif which == "comul":
+        comul[rng.randrange(d)][rng.randrange(d * d)] = c
+    elif which == "counit":
+        counit[rng.randrange(d)] = c
+    else:
+        g[rng.randrange(d)] = c
+    return BimoduleCoalgebra(C.B, d, comul, counit, left, right, g)
+
+
+@pytest.mark.parametrize("name", ["kZ2", "kZ3", "kS3", "dualZ2", "sweedler", "kZ3_scaled",
+                                  "taft327"])
+def test_bimodule_coalgebra_corruptions_match_the_reference(name):
+    # the regular bimodule coalgebra of each algebra and single-entry
+    # corruptions of it: the matrix identities against the per-basis loop,
+    # check for check and witness for witness
+    H = named_algebra(name)
+    f = H.field
+    values = range(f.char) if f.char else [0, 1, -1, 2, "1/2"]
+    C = BimoduleCoalgebra.from_hopf(H)
+    rng = random.Random(sum(map(ord, name)))
+    for D in [C] + [mutate_bimodule_coalgebra(C, rng, values)
+                    for _ in range({"taft327": 10, "kS3": 12}.get(name, 30))]:
+        got, want = verify_bimodule_coalgebra(D), reference_verify_bimodule_coalgebra(D)
+        assert got.to_json() == want.to_json()
+        assert checks_typed(got) == checks_typed(want)
+
+
+def test_every_bimodule_coalgebra_check_fails_on_some_corruption():
+    H = named_algebra("kZ3")
+    C = BimoduleCoalgebra.from_hopf(H)
+    rng = random.Random(3)
+    failed = set()
+    for _ in range(60):
+        failed |= {c.name for c in
+                   verify_bimodule_coalgebra(mutate_bimodule_coalgebra(C, rng, [0, 2, -1]))
+                   .failures()}
+    assert failed == set(_BIMODULE_COALGEBRA_CHECKS)
 
 
 def test_groupoid_trivial_module_sits_at_identity():
