@@ -23,10 +23,9 @@ from hopfcalc.modules import BimoduleCoalgebra, verify_bimodule_coalgebra
 @dataclass
 class SurveyConfig:
     max_degree: int = 3
-    skip_slow: bool = False
 
 
-def builtins(cfg: SurveyConfig):
+def builtins():
     yield "k[Z/2]", build_group_algebra(cyclic_table(2))
     yield "k[Z/3]", build_group_algebra(cyclic_table(3))
     yield "k[Z/4]", build_group_algebra(cyclic_table(4))
@@ -35,13 +34,12 @@ def builtins(cfg: SurveyConfig):
     yield "k^{Z/2}", build_dual_group_algebra(cyclic_table(2))
     yield "k^{Z/2} over F2", build_dual_group_algebra(cyclic_table(2), Field(2))
     yield "Sweedler H4", build_sweedler()
-    if not cfg.skip_slow:
-        yield "Taft(3, 2, F7)", build_taft(3, 2, Field(7))
+    yield "Taft(3, 2, F7)", build_taft(3, 2, Field(7))
 
 
 def run(cfg: SurveyConfig) -> int:
     failures = 0
-    for name, H in builtins(cfg):
+    for name, H in builtins():
         t0 = time.time()
         rep = verify_axioms(H)
         line = [f"hopf axioms {'ok' if rep.passed else 'FAIL'}"]
@@ -72,10 +70,8 @@ def run(cfg: SurveyConfig) -> int:
 def main(argv: List[str] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-degree", type=int, default=3)
-    ap.add_argument("--skip-slow", action="store_true",
-                    help="skip the dimension-9 Taft algebra")
     args = ap.parse_args(argv)
-    return run(SurveyConfig(max_degree=args.max_degree, skip_slow=args.skip_slow))
+    return run(SurveyConfig(max_degree=args.max_degree))
 
 
 if __name__ == "__main__":

@@ -72,13 +72,16 @@ compatibility and Leibniz check, read it too.
 The recursion is exact only when B is coassociative; the CLI
 checks that with ``verify_axioms`` before it builds a calculus.  The block
 structure also makes the associativity defect at (n, m, l) equal to
-I_{C^(x)n} (x) the defect at (0, m, l), so ``verify_dga`` computes it once
-per (m, l) while it is zero; ``connections.coefficient_complex`` uses
-product(n, 1) only through T and never builds it.
+I_{C^(x)n} (x) the defect at (0, m, l), and the recursion makes every
+(0, m, l) line follow from the lines (0, 0, 0) and (0, 0, 1) when mu has
+the unit on the right; so ``verify_dga`` computes those two lines and the
+unit, and every other line only when one of them fails (its docstring has
+the proof).  ``connections.coefficient_complex`` uses product(n, 1) only
+through T and never builds it.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .fields import Field
 from .hopf import BialgebraMorphism, HopfAlgebra
@@ -147,9 +150,6 @@ class Calculus:
 
     def degree_dim(self, n: int) -> int:
         return self.cdim ** n * self.B.dim
-
-    def degree_dims(self, n: int) -> List[int]:
-        return [self.cdim] * n + [self.B.dim]
 
     # -- the differential ----------------------------------------------------
 
@@ -234,9 +234,38 @@ def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
     """d^2 = 0, graded Leibniz, product associativity and the graded unit,
     all as exact sparse matrix identities across the materialized degrees.
 
-    Associativity is computed at n = 0 for each (m, l) and carried to every
-    n by the block structure of the products (module docstring); the
-    products must therefore be the ones ``Calculus.product`` builds."""
+    Associativity in every degree follows from its two lowest lines and
+    the right unit.  With A_m = product(0, m), mu = A_0 and T the sandwich
+    matrix, so that A_m = (I_C (x) A_{m-1}) (T (x) I):
+
+    * associativity[0,0,0] is mu (mu (x) I) = mu (I (x) mu);
+    * associativity[0,0,1] is A_1 (mu (x) I) = A_1 (I_B (x) A_1).  Put the
+      unit u in its last B slot: with mu (I_B (x) u) = I, A_1 (I (x) u) = T,
+      and what is left is the multiplicativity of T,
+      T (mu (x) I_C) = (I_C (x) mu) (T (x) I_B) (I_B (x) T);
+    * then induction on l along A_l = (I_C (x) A_{l-1}) (T (x) I) gives
+      A_l (mu (x) I) = A_l (I_B (x) A_l), that is every associativity[0,0,l]:
+      multiplicativity moves mu through T, the induction hypothesis through
+      A_{l-1}, and the two T's recombine into I_B (x) A_l.  No
+      coassociativity is used;
+    * unrolling the recursion m times, A_{m+l} = (I_(C^m) (x) A_l)
+      (T_m (x) I) with T_m moving b through the m C legs by T, and
+      A_m = (I_(C^m) (x) mu) (T_m (x) I_B); both sides of
+      associativity[0,m,l] are then I_(C^m) (x) (a side of
+      associativity[0,0,l]) after T_m (x) I, so it holds;
+    * associativity[n,m,l] is I_(C^n) (x) associativity[0,m,l], since
+      product(n, m) = I_(C^n) (x) A_m (module docstring).
+
+    So the two low lines and mu (I_B (x) u) = I, the n = 0 half of the
+    right unit of ``graded_unit``, are computed first; when all three hold,
+    every other associativity line passes without being computed.  When
+    one fails, every line is computed: at n = 0 for each (m, l), and at
+    n > 0 only where the (0, m, l) line fails, for its own witness.
+
+    The inference covers the products that ``Calculus.product`` builds by
+    its recursion from the cached A_0, A_1 and T; a cached product(0, m)
+    with m >= 2, or product(n, m) with n > 0, corrupted by hand is not
+    seen.  A corrupted product(0, 1) is checked by associativity[0,0,1]."""
     max_degree = calc.max_degree if max_degree is None else max_degree
     if max_degree < 2:
         raise ValueError("need max_degree >= 2 to see the DGA axioms")
@@ -245,6 +274,26 @@ def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
 
     def eye(n):
         return Matrix.identity(calc.degree_dim(n), f)
+
+    def associativity_defect(n, m, l):
+        return identity_defect_witness(f, [
+            (1, [calc.product(n + m, l), (calc.product(n, m), eye(l))]),
+            (-1, [calc.product(n, m + l), (eye(n), calc.product(m, l))]),
+        ])
+
+    # the unit u, a B x 1 column, is a two-sided identity in every degree:
+    # product(0, n) (u (x) I) = I = product(n, 0) (I (x) u)
+    u = calc.B.unit_column()
+
+    def unit_holds(n, left):
+        side = (u, eye(n)) if left else (eye(n), u)
+        prod = calc.product(0, n) if left else calc.product(n, 0)
+        return identity_defect_witness(f, [(1, [prod, side]), (-1, [eye(n)])]) is None
+
+    # (m, l) -> witness of the defect at n = 0, the two low lines first
+    at_zero = {(0, l): associativity_defect(0, 0, l) for l in (0, 1)}
+    right_unit = unit_holds(0, left=False)
+    inferred = right_unit and all(w is None for w in at_zero.values())
 
     for n in range(max_degree):
         w = identity_defect_witness(
@@ -263,21 +312,13 @@ def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
             rep.add(f"leibniz[{n},{m}]", w is None,
                     None if w is None else _witness(calc, w, [n, m]))
 
-    def associativity_defect(n, m, l):
-        return identity_defect_witness(f, [
-            (1, [calc.product(n + m, l), (calc.product(n, m), eye(l))]),
-            (-1, [calc.product(n, m + l), (eye(n), calc.product(m, l))]),
-        ])
-
-    at_zero = {}        # (m, l) -> witness of the defect at n = 0
     for n in range(max_degree + 1):
         for m in range(max_degree + 1 - n):
             for l in range(max_degree + 1 - n - m):
-                # defect(n, m, l) = I_{C^n} (x) defect(0, m, l), so it is zero
-                # when that one is; a nonzero one is computed in full for
-                # its own witness
                 if n == 0:
-                    w = at_zero[(m, l)] = associativity_defect(0, m, l)
+                    if (m, l) not in at_zero:
+                        at_zero[(m, l)] = None if inferred else associativity_defect(0, m, l)
+                    w = at_zero[(m, l)]
                 elif at_zero[(m, l)] is None:
                     w = None
                 else:
@@ -285,14 +326,8 @@ def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
                 rep.add(f"associativity[{n},{m},{l}]", w is None,
                         None if w is None else _witness(calc, w, [n, m, l]))
 
-    # the unit u, a B x 1 column, is a two-sided identity in every degree:
-    # product(0, n) (u (x) I) = I = product(n, 0) (I (x) u)
-    u = calc.B.unit_column()
-    ok = all(identity_defect_witness(f, [(1, [calc.product(0, n), (u, eye(n))]),
-                                         (-1, [eye(n)])]) is None
-             and identity_defect_witness(f, [(1, [calc.product(n, 0), (eye(n), u)]),
-                                             (-1, [eye(n)])]) is None
-             for n in range(max_degree + 1))
+    ok = (right_unit and all(unit_holds(n, left=True) for n in range(max_degree + 1))
+          and all(unit_holds(n, left=False) for n in range(1, max_degree + 1)))
     rep.add("graded_unit", ok)
     return rep
 

@@ -22,14 +22,14 @@ actions and the two connections (``tensor_connection``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .calculus import Calculus
 from .homology import ChainComplex
 from .linalg import Matrix, Vec, column_witness
-from .modules import (DefectReport, ModComod, action_matrix, add_action_axioms, check_ayd,
-                      coaction_matrix, coassociativity_defects)
+from .modules import (DefectReport, ModComod, action_matrix, coaction_matrix,
+                      coassociativity_defects)
 from .reports import Report
 
 
@@ -40,6 +40,14 @@ class Connection:
     calc: Calculus
     X: ModComod
     nabla: Matrix                   # X -> C (x) X
+    _m1: Optional[Matrix] = field(default=None, repr=False, compare=False)
+
+    def sandwich_action(self) -> Matrix:
+        """M_1 of the calculus on C (x) X (``sandwich_action``), built once
+        for the Leibniz check, the curvature and the module's compatibility."""
+        if self._m1 is None:
+            self._m1 = sandwich_action(self.calc, action_matrix(self.X), 1)
+        return self._m1
 
 
 @dataclass
@@ -99,7 +107,7 @@ def check_connection(conn: Connection) -> DefectReport:
         raise ValueError("connection check needs the module action")
     f, bd, xd = calc.field, calc.B.dim, X.dim
     act = action_matrix(X)
-    rhs = (sandwich_action(calc, act, 1) @ Matrix.identity(bd, f).kron(conn.nabla)
+    rhs = (conn.sandwich_action() @ Matrix.identity(bd, f).kron(conn.nabla)
            + Matrix.identity(calc.cdim, f).kron(act)
            @ calc.differential(0).kron(Matrix.identity(xd, f)))
     return DefectReport("connection", conn.nabla @ act, rhs, [bd, xd])
@@ -130,13 +138,14 @@ def sandwich_action(calc: Calculus, act: Matrix, n: int) -> Matrix:
     return Matrix.identity(cd ** n, f).kron(act) @ S.kron(Matrix.identity(act.rows, f))
 
 
-def _leibniz_term(calc: Calculus, act: Matrix, nabla: Matrix) -> Matrix:
+def _leibniz_term(conn: Connection) -> Matrix:
     """K = M_1 (u (x) I_(C (x) X)) nabla: x -> 1 . nabla(x), the term
     (c (x) 1) . nabla(x) of the graded Leibniz rule with its C^n prefix
     dropped."""
-    return (sandwich_action(calc, act, 1)
-            @ calc.B.unit_column().kron(Matrix.identity(calc.cdim * act.rows, calc.field))
-            @ nabla)
+    calc = conn.calc
+    return (conn.sandwich_action()
+            @ calc.B.unit_column().kron(Matrix.identity(calc.cdim * conn.X.dim, calc.field))
+            @ conn.nabla)
 
 
 def _coefficient_differential(calc: Calculus, act: Matrix, K: Matrix, n: int) -> Matrix:
@@ -167,7 +176,7 @@ def curvature(conn: Connection) -> Curvature:
         direct = Matrix.zero(R.rows, R.cols, calc.field)
     else:
         act = action_matrix(X)
-        K = _leibniz_term(calc, act, conn.nabla)
+        K = _leibniz_term(conn)
         d1 = _coefficient_differential(calc, act, K, 1)
         direct = d1 @ conn.nabla
     if direct != R:
@@ -208,7 +217,7 @@ def coefficient_complex(conn: Connection, max_degree: Optional[int] = None) -> C
     diffs: List[Matrix] = []
     for n in range(max_degree):
         if n == 0:      # so that an empty complex builds no product
-            K = R.leibniz if R.leibniz is not None else _leibniz_term(calc, act, conn.nabla)
+            K = R.leibniz if R.leibniz is not None else _leibniz_term(conn)
         diffs.append(R.d1 if n == 1 and R.d1 is not None
                      else _coefficient_differential(calc, act, K, n))
     return ChainComplex(calc.field, dims, diffs)
@@ -289,15 +298,3 @@ def check_dg_module_structure(calc: Calculus, conn: Connection,
         rep.add(f"dg_module_degree[{n}]", w is None, w)
     return rep
 
-
-def check_lemma_sandwich_action(X: ModComod) -> Report:
-    """The sandwich action h.(g (x) x) = h_(1) g S^-1(h_(3)) (x) h_(2) x on
-    H (x) X, M_1 of the S^-1 calculus: (a) it is an associative unital
-    action; (b) rho_X is a map of modules for it, which is the S^-1
-    compatibility condition ``check_ayd``."""
-    rep, calc = Report(), Calculus.k(X.algebra, 1)
-    add_action_axioms(rep, "sandwich_action", X.algebra,
-                      sandwich_action(calc, action_matrix(X), 1))
-    d = check_ayd(X, calc)
-    rep.add("coaction_is_module_map", d.passed, d.witness())
-    return rep

@@ -12,7 +12,7 @@ The tables stay because every CLI verdict runs `verify_axioms`.  As matrix
 identities it gave every report of the reference test and the golden set,
 but took 1.6-2.0 ms against 0.25-0.65 ms on k[Z2], k[Z3], k^Z2 and Sweedler
 (2-vCPU VM): a numpy call costs more than the arithmetic on such tiny
-matrices.  The rarer structure checks, (co)commutativity and
+matrices.  The rarer structure checks, cocommutativity and
 `verify_morphism`, are matrix identities.
 """
 from __future__ import annotations
@@ -62,10 +62,6 @@ class HopfAlgebra:
     def comul_matrix(self) -> Matrix:
         """The comultiplication as the matrix H (x) H <- H."""
         return Matrix.from_columns_csr(self.comul, self.dim * self.dim, self.field)
-
-    def is_commutative(self) -> bool:
-        mu = self.mul_matrix()
-        return mu @ Matrix.flip(self.dim, self.dim, self.field) == mu
 
     def is_cocommutative(self) -> bool:
         delta = self.comul_matrix()

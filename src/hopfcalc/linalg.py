@@ -390,16 +390,6 @@ class Matrix:
         return cls._of_csr(rows, len(cols), field, (ptr, idx, val), maxabs)
 
     @classmethod
-    def from_rows(cls, rows: List[List[object]], field: Field) -> "Matrix":
-        data = {}
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                v = field.of(v)
-                if not field.is_zero(v):
-                    data[(i, j)] = v
-        return cls(len(rows), len(rows[0]) if rows else 0, field, data)
-
-    @classmethod
     def from_columns(cls, cols: List[Vec], rows: int, field: Field) -> "Matrix":
         data = {}
         for j, col in enumerate(cols):

@@ -240,40 +240,29 @@ def coassociativity_defects(X: ModComod) -> Dict[tuple, Vec]:
                           Matrix.identity(cd, f).kron(rho) @ rho, [xd])
 
 
-def check_comodule_axioms(X: ModComod) -> Report:
-    f = X.field
-    rep = Report()
-    defects = coassociativity_defects(X)
-    rep.add("coaction_coassociative", not defects,
-            None if not defects else {"basis": min(defects), "defect": defects[min(defects)]})
-    # (eps (x) id) rho = id, with eps the counit as a 1 x C row
-    eps = pairing_matrix(f, (X.coalgebra or X.algebra).counit, X.codim)
-    eye = Matrix.identity(X.dim, f)
-    rep.add("coaction_counital", eps.kron(eye) @ coaction_matrix(X) == eye)
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # compatibility conditions
 
 
-def _compat_defects(calc, X: ModComod, name: str) -> DefectReport:
+def _compat_defects(calc, X: ModComod, name: str, m1: Optional[Matrix] = None) -> DefectReport:
     """rho . act = M_1 (I_B (x) rho): rho(b x) against b . rho(x) =
     sand(b_(1), x_(-1), b_(3)) (x) b_(2) x_(0), for every basis pair
-    (b, x) at once."""
+    (b, x) at once.  ``m1`` is M_1 of ``calc`` on C (x) X when the caller
+    has built it."""
     from .connections import sandwich_action
     act, rho = action_matrix(X), coaction_matrix(X)
     f, bd = X.field, X.algebra.dim
-    return DefectReport(name, rho @ act,
-                        sandwich_action(calc, act, 1) @ Matrix.identity(bd, f).kron(rho),
-                        [bd, X.dim])
+    if m1 is None:
+        m1 = sandwich_action(calc, act, 1)
+    return DefectReport(name, rho @ act, m1 @ Matrix.identity(bd, f).kron(rho), [bd, X.dim])
 
 
-def check_ayd(X: ModComod, calc=None) -> DefectReport:
+def check_ayd(X: ModComod, calc=None, m1: Optional[Matrix] = None) -> DefectReport:
     """The S^-1 sandwich compatibility (coefficients of Hopf-cyclic theory),
-    over ``calc``, an S^-1 calculus over X's algebra, or a new one."""
+    over ``calc``, an S^-1 calculus over X's algebra, or a new one, with
+    its sandwich action ``m1`` when the caller has it."""
     from .calculus import Calculus
-    return _compat_defects(calc or Calculus.k(X.algebra), X, "ayd")
+    return _compat_defects(calc or Calculus.k(X.algebra), X, "ayd", m1)
 
 
 def check_yd(X: ModComod) -> DefectReport:

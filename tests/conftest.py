@@ -12,16 +12,31 @@ from fractions import Fraction
 import pytest
 
 from hopfcalc.calculus import Calculus
+from hopfcalc.connections import sandwich_action
 from hopfcalc.fields import QQ, Field
 from hopfcalc.hopf import (HopfAlgebra, build_dual_group_algebra, build_group_algebra,
                            build_sweedler, build_taft, cyclic_table, symmetric_table)
-from hopfcalc.linalg import Matrix, Vec, pairing, tensor_decode, vec_add, vec_sub, vec_tensor
-from hopfcalc.modules import (ModComod, coadjoint_comodule, enumerate_characters,
-                              enumerate_grouplikes, one_dim_modcomod, regular_modcomod,
-                              trivial_modcomod)
+from hopfcalc.linalg import (Matrix, Vec, pairing, pairing_matrix, tensor_decode, vec_add,
+                             vec_sub, vec_tensor)
+from hopfcalc.modules import (ModComod, action_matrix, add_action_axioms, check_ayd,
+                              coadjoint_comodule, coaction_matrix, coassociativity_defects,
+                              enumerate_characters, enumerate_grouplikes, one_dim_modcomod,
+                              regular_modcomod, trivial_modcomod)
+from hopfcalc.reports import Report
 
 
 # matrix operations that only the tests use
+
+
+def from_rows(rows, field: Field) -> Matrix:
+    """The matrix with the given rows of field scalars."""
+    data = {}
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            v = field.of(v)
+            if not field.is_zero(v):
+                data[(i, j)] = v
+    return Matrix(len(rows), len(rows[0]) if rows else 0, field, data)
 
 
 def init_column(m: Matrix, j: int, col) -> None:
@@ -109,6 +124,16 @@ def comultiply_iter(H: HopfAlgebra, u: Vec, n: int) -> Vec:
     return out
 
 
+def is_commutative(H: HopfAlgebra) -> bool:
+    mu = H.mul_matrix()
+    return mu @ Matrix.flip(H.dim, H.dim, H.field) == mu
+
+
+def degree_dims(calc: Calculus, n: int):
+    """The tensor legs of degree n: C^(x)n (x) B."""
+    return [calc.cdim] * n + [calc.B.dim]
+
+
 def product_apply(calc: Calculus, u: Vec, n: int, v: Vec, m: int) -> Vec:
     """The graded product of u in degree n and v in degree m."""
     return calc.product(n, m).apply(vec_tensor(calc.field, u, v, calc.degree_dim(m)))
@@ -116,6 +141,37 @@ def product_apply(calc: Calculus, u: Vec, n: int, v: Vec, m: int) -> Vec:
 
 def unit_element(calc: Calculus) -> Vec:
     return dict(calc.B.unit)
+
+
+# module checks that only the tests use
+
+
+def check_comodule_axioms(X: ModComod) -> Report:
+    """Coassociativity (witness: the first failing basis vector) and
+    counitality of the coaction."""
+    f = X.field
+    rep = Report()
+    defects = coassociativity_defects(X)
+    rep.add("coaction_coassociative", not defects,
+            None if not defects else {"basis": min(defects), "defect": defects[min(defects)]})
+    # (eps (x) id) rho = id, with eps the counit as a 1 x C row
+    eps = pairing_matrix(f, (X.coalgebra or X.algebra).counit, X.codim)
+    eye = Matrix.identity(X.dim, f)
+    rep.add("coaction_counital", eps.kron(eye) @ coaction_matrix(X) == eye)
+    return rep
+
+
+def check_lemma_sandwich_action(X: ModComod) -> Report:
+    """The sandwich action h.(g (x) x) = h_(1) g S^-1(h_(3)) (x) h_(2) x on
+    H (x) X, M_1 of the S^-1 calculus: (a) it is an associative unital
+    action; (b) rho_X is a map of modules for it, which is the S^-1
+    compatibility condition ``check_ayd``."""
+    rep, calc = Report(), Calculus.k(X.algebra, 1)
+    add_action_axioms(rep, "sandwich_action", X.algebra,
+                      sandwich_action(calc, action_matrix(X), 1))
+    d = check_ayd(X, calc)
+    rep.add("coaction_is_module_map", d.passed, d.witness())
+    return rep
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,16 +1,25 @@
+import argparse
+import ast
+import dataclasses
 import functools
 import itertools
+import pathlib
+import random
 
 import pytest
 
-from conftest import (ACCEPTANCE_ALGEBRAS, comultiply_iter, init_column, named_algebra,
-                      product_apply, set_column, unit_element)
+from conftest import (ACCEPTANCE_ALGEBRAS, comultiply_iter, degree_dims, from_rows,
+                      init_column, named_algebra, product_apply, set_column, unit_element)
 
+from hopfcalc import cli
 from hopfcalc.calculus import Calculus, _witness, specialization_check, verify_dga
-from hopfcalc.hopf import BialgebraMorphism
+from hopfcalc.fields import Field
+from hopfcalc.hopf import BialgebraMorphism, permute_basis
 from hopfcalc.linalg import (Matrix, Vec, basis_vec, identity_defect_witness,
                              tensor_decode, tensor_encode, vec_add, vec_tensor)
 from hopfcalc.modules import BimoduleCoalgebra
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def reference_sand(calc: Calculus, a: int, c: int, z: int) -> Vec:
@@ -59,7 +68,7 @@ def reference_product(calc: Calculus, n: int, m: int) -> Matrix:
     dim_u, dim_v = calc.degree_dim(n), calc.degree_dim(m)
     out = Matrix(calc.degree_dim(n + m), dim_u * dim_v, f)
     for cu in range(dim_u):
-        uidx = tensor_decode(cu, calc.degree_dims(n))
+        uidx = tensor_decode(cu, degree_dims(calc, n))
         prefix = 0
         for a in uidx[:n]:
             prefix = prefix * cd + a
@@ -67,7 +76,7 @@ def reference_product(calc: Calculus, n: int, m: int) -> Matrix:
         comul = comultiply_iter(calc.B, basis_vec(f, b), 2 * m)
         legs = [(tensor_decode(fl, [bd] * (2 * m + 1)), c) for fl, c in comul.items()]
         for cv in range(dim_v):
-            vidx = tensor_decode(cv, calc.degree_dims(m))
+            vidx = tensor_decode(cv, degree_dims(calc, m))
             acc: Vec = {}
             for l, cl in legs:
                 term: Vec = {prefix: cl}
@@ -89,7 +98,7 @@ def reference_differential(calc: Calculus, n: int) -> Matrix:
     cd, bd = calc.cdim, calc.B.dim
     comul_c = calc.C.comul if calc.kind == "general" else calc.B.comul
     sandwich = reference_sandwich_matrix(calc)
-    dims = calc.degree_dims(n)
+    dims = degree_dims(calc, n)
     src = calc.degree_dim(n)
     front_stride = cd ** n * bd
     neg = f.neg(f.one())
@@ -184,7 +193,7 @@ def test_degree_dims():
     H = named_algebra("sweedler")
     calc = Calculus.k(H)
     assert [calc.degree_dim(n) for n in range(4)] == [4, 16, 64, 256]
-    assert calc.degree_dims(2) == [4, 4, 4]
+    assert degree_dims(calc, 2) == [4, 4, 4]
 
 
 def test_corrupted_differential_is_detected():
@@ -235,6 +244,51 @@ def test_products_are_block_copies_of_the_degree_zero_row(name):
                 assert calc.product(n, m) == eye.kron(calc.product(0, m)), (calc, n, m)
 
 
+def reference_associativity_lines(calc: Calculus, max_degree: int):
+    """Every associativity[n,m,l] line computed in full, as (name, status,
+    witness): the oracle for the lines ``verify_dga`` emits, inferred ones
+    included."""
+    f = calc.field
+
+    def eye(n):
+        return Matrix.identity(calc.degree_dim(n), f)
+
+    out = []
+    for n in range(max_degree + 1):
+        for m in range(max_degree + 1 - n):
+            for l in range(max_degree + 1 - n - m):
+                w = identity_defect_witness(f, [
+                    (1, [calc.product(n + m, l), (calc.product(n, m), eye(l))]),
+                    (-1, [calc.product(n, m + l), (eye(n), calc.product(m, l))]),
+                ])
+                out.append((f"associativity[{n},{m},{l}]", "pass" if w is None else "fail",
+                            None if w is None else _witness(calc, w, [n, m, l])))
+    return out
+
+
+def associativity_lines(calc: Calculus, max_degree: int):
+    rep = verify_dga(calc, max_degree=max_degree)
+    return [(c.name, c.status, c.witness) for c in rep.checks
+            if c.name.startswith("associativity")]
+
+
+def takes_the_inferred_path(calc: Calculus) -> bool:
+    """The hypotheses of ``verify_dga``'s inference, computed here: the two
+    lowest associativity lines and the right unit mu (I_B (x) u) = I."""
+    f, bd = calc.field, calc.B.dim
+    low = reference_associativity_lines(calc, 1)
+    right_unit = (calc.product(0, 0) @ Matrix.identity(bd, f).kron(calc.B.unit_column())
+                  == Matrix.identity(bd, f))
+    return right_unit and all(status == "pass" for name, status, _ in low
+                              if name in ("associativity[0,0,0]", "associativity[0,0,1]"))
+
+
+def assert_lines_match_the_oracle(calc: Calculus, max_degree: int):
+    got = associativity_lines(calc, max_degree)
+    assert got == reference_associativity_lines(calc, max_degree), calc
+    return got
+
+
 def test_corrupted_product_gives_the_full_associativity_witnesses():
     H = named_algebra("sweedler")
     calc = Calculus.khat(H)
@@ -246,23 +300,140 @@ def test_corrupted_product_gives_the_full_associativity_witnesses():
     set_column(p01, 5, col)
     rep = verify_dga(calc, max_degree=3)
     got = [(c.name, c.witness) for c in rep.checks if c.name.startswith("associativity")]
-
-    def eye(n):
-        return Matrix.identity(calc.degree_dim(n), f)
-
-    full = []
-    for n in range(4):
-        for m in range(4 - n):
-            for l in range(4 - n - m):
-                w = identity_defect_witness(f, [
-                    (1, [calc.product(n + m, l), (calc.product(n, m), eye(l))]),
-                    (-1, [calc.product(n, m + l), (eye(n), calc.product(m, l))]),
-                ])
-                full.append((f"associativity[{n},{m},{l}]",
-                             None if w is None else _witness(calc, w, [n, m, l])))
+    full = [(name, w) for name, _, w in reference_associativity_lines(calc, 3)]
     assert got == full
     failing = [name for name, w in full if w is not None]
     assert "associativity[0,1,0]" in failing and "associativity[1,1,0]" in failing
+
+
+def test_golden_dga_lines_match_the_full_oracle():
+    # the Taft(3,2) line at degree 4 is checked at degree 3: its full
+    # oracle takes ~35 s and 2.7 GB, and its golden entry was captured with
+    # every n = 0 line computed
+    from test_golden import COMMANDS
+    for argv in COMMANDS:
+        if argv[0] == "verify-dga":
+            args = cli.build_parser().parse_args(argv)
+            D = min(args.max_degree, 3)
+            calc = cli.build_cli_calculus(args, cli.resolve_hopf(args), D)
+            assert_lines_match_the_oracle(calc, D)
+
+
+@pytest.mark.parametrize("name", ACCEPTANCE_ALGEBRAS + ["kZ3_scaled"])
+def test_associativity_lines_match_the_full_oracle(name):
+    # kZ3_scaled takes the Fraction path
+    for calc in four_calculi(named_algebra(name)):
+        assert_lines_match_the_oracle(calc, 3)
+
+
+def _dga_cases():
+    """The (algebra, field, calculus, degree) cases of the benchmark's
+    ``dga_certify`` workload, read from its source without importing it."""
+    tree = ast.parse((ROOT / "verdictbench" / "workloads.py").read_text())
+    node = next(n for n in tree.body if isinstance(n, ast.Assign)
+                and getattr(n.targets[0], "id", None) == "DGA_CASES")
+    return ast.literal_eval(node.value)
+
+
+def test_benchmark_dga_cases_match_the_full_oracle():
+    cases = _dga_cases()
+    assert len(cases) == 19
+    rng = random.Random(12)
+    for name, field, kind, D in cases:
+        H = cli.builtin_hopf(name, Field.parse(field))
+        H = permute_basis(H, rng.sample(range(H.dim), H.dim))
+        calc = cli.build_cli_calculus(argparse.Namespace(calculus=kind), H, D)
+        assert_lines_match_the_oracle(calc, D)
+
+
+def _add_one(rng: random.Random, m: Matrix) -> Matrix:
+    """``m`` with 1 added to one seeded entry, in place."""
+    f = m.field
+    i, j = rng.randrange(m.rows), rng.randrange(m.cols)
+    col = dict(m.column(j))
+    col[i] = f.add(col.get(i, f.zero()), f.one())
+    set_column(m, j, col)
+    return m
+
+
+# (algebra, seeded corruptions of each kind, degree)
+CORRUPTED = [("kZ3", 2, 3), ("sweedler", 2, 3), ("dualZ2", 2, 3), ("kS3", 1, 3),
+             ("taft327", 1, 2)]
+
+
+def _corrupted_calculi(rng: random.Random):
+    """(what, calculus, degree) with one seeded entry corrupted at the
+    root: the sandwich matrix T (before any product is built), alpha and
+    beta of a generalized calculus, mu, the unit, and D_0."""
+    for name, reps, D in CORRUPTED:
+        H = named_algebra(name)
+        f = H.field
+        for _ in range(reps):
+            for calc in four_calculi(H):
+                _add_one(rng, calc._sandwich_matrix())
+                yield f"{name} T", calc, D
+            for calc in four_calculi(H):
+                _add_one(rng, calc.differential(0))
+                yield f"{name} D_0", calc, D
+            C = BimoduleCoalgebra.from_hopf(H)
+            for slot in ("alpha", "beta"):
+                maps = {"alpha": BialgebraMorphism.identity(H),
+                        "beta": BialgebraMorphism.antipode(H)}
+                m = maps[slot]
+                copy = Matrix(m.matrix.rows, m.matrix.cols, f, dict(m.matrix.entries()))
+                maps[slot] = BialgebraMorphism(H, H, _add_one(rng, copy), m.variant)
+                yield f"{name} {slot}", Calculus.general(C, maps["alpha"], maps["beta"]), D
+            mul = {key: dict(v) for key, v in H.mul.items()}
+            key = (rng.randrange(H.dim), rng.randrange(H.dim))
+            t = rng.randrange(H.dim)
+            col = mul.setdefault(key, {})
+            col[t] = f.add(col.get(t, f.zero()), f.one())
+            unit = dict(H.unit)
+            u = rng.randrange(H.dim)
+            unit[u] = f.add(unit.get(u, f.zero()), f.one())
+            for what, B in (("mu", dataclasses.replace(H, mul=mul)),
+                            ("unit", dataclasses.replace(H, unit=unit))):
+                for calc in four_calculi(B):
+                    yield f"{name} {what}", calc, D
+
+
+def test_corruptions_at_the_root_match_the_full_oracle():
+    paths = {True: [], False: []}
+    for what, calc, D in _corrupted_calculi(random.Random(5)):
+        inferred = takes_the_inferred_path(calc)
+        lines = assert_lines_match_the_oracle(calc, D)
+        paths[inferred].append((what, all(status == "pass" for _, status, _ in lines)))
+    # both paths are taken; every inferred case passes by the docstring's
+    # proof, and some full-path case fails
+    assert paths[True] and all(ok for _, ok in paths[True])
+    assert paths[False] and not all(ok for _, ok in paths[False])
+
+
+def test_a_product_without_a_right_unit_takes_the_full_path():
+    # mu(e_0 (x) e_0) = e_0 and 0 otherwise is associative but has no right
+    # unit; with this T both low lines hold and associativity[0,0,2] fails,
+    # so the inference needs the unit
+    H = named_algebra("dualZ2_F2")
+    f = H.field
+    calc = Calculus.k(H)
+    calc._prod[(0, 0)] = from_rows([[1, 0, 0, 0], [0, 0, 0, 0]], f)
+    calc._sandwich = from_rows([[0, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [1, 0, 0, 1]], f)
+    assert not takes_the_inferred_path(calc)
+    lines = assert_lines_match_the_oracle(calc, 3)
+    status = {name: s for name, s, _ in lines}
+    assert status["associativity[0,0,0]"] == status["associativity[0,0,1]"] == "pass"
+    assert status["associativity[0,0,2]"] == "fail"
+
+
+def test_verify_dga_infers_the_higher_associativity_lines(monkeypatch):
+    # d^2 (4) + Leibniz (10) + the two low lines + the right unit at n = 0
+    # + the rest of graded_unit (9); every line passes
+    import hopfcalc.linalg
+    from test_cli import count_calls
+    calls = count_calls(monkeypatch, hopfcalc.linalg, "identity_defect_witness")
+    rep = verify_dga(Calculus.khat(named_algebra("sweedler"), 4), 4)
+    assert rep.passed and len(rep.checks) == 4 + 10 + 35 + 1
+    assert len(calls) == 26
 
 
 @pytest.mark.parametrize("name", ["kZ2", "kZ3", "kZ4", "kS3", "dualZ2", "dualZ2_F2",

@@ -175,6 +175,17 @@ def test_tensor_builds_the_sandwich_matrix_once(capsys, monkeypatch):
     assert code == 1 and len(builds) == 1
 
 
+@pytest.mark.parametrize("modules,code", [(("group:S3", "coadjoint", "trivial"), 0),
+                                          (("sweedler", "trivial", "trivial"), 1)])
+def test_tensor_builds_the_sandwich_action_once(capsys, monkeypatch, modules, code):
+    # check_connection and check_ayd read the one M_1 of the tensor connection
+    import hopfcalc.connections
+    calls = count_calls(monkeypatch, hopfcalc.connections, "sandwich_action")
+    name, yd, ayd = modules
+    got, _ = run(capsys, "tensor", "--builtin", name, "--yd-module", yd, "--ayd-module", ayd)
+    assert got == code and len(calls) == 1
+
+
 def test_coefficient_complex_builds_its_leibniz_term_once(capsys, monkeypatch):
     # K and d_X^1 of the flatness check are the complex's own
     import hopfcalc.connections

@@ -61,6 +61,7 @@ COMMANDS = [
     ["tensor", "--builtin", "sweedler", "--yd-module", "trivial", "--ayd-module", "trivial"],
     ["check-module", "--builtin", "sweedler", "--module", "tests/sweedler_curved.json",
      "--condition", "flat"],
+    ["verify-dga", "--builtin", "taft:3:2", "--field", "F7", "--max-degree", "4"],
 ]
 
 

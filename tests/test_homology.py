@@ -1,13 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import named_algebra
+from conftest import from_rows, named_algebra
 
 from hopfcalc.calculus import Calculus
 from hopfcalc.homology import (ChainComplex, HomologyTable, cobar_complex,
                                compare_cotor, homology_dims)
 from hopfcalc.hopf import permute_basis
-from hopfcalc.linalg import Matrix
 from hopfcalc.modules import trivial_modcomod
 
 
@@ -65,15 +64,15 @@ def test_homology_invariant_under_basis_permutation(perm):
 
 def test_chain_complex_rejects_nonsquaring_differential():
     from hopfcalc.fields import QQ
-    d0 = Matrix.from_rows([[1], [0]], QQ)
-    d1 = Matrix.from_rows([[1, 0]], QQ)
+    d0 = from_rows([[1], [0]], QQ)
+    d1 = from_rows([[1, 0]], QQ)
     with pytest.raises(ValueError):
         ChainComplex(QQ, [1, 2, 1], [d0, d1])
 
 
 def test_chain_complex_rejects_shape_mismatch():
     from hopfcalc.fields import QQ
-    d0 = Matrix.from_rows([[1], [0]], QQ)
+    d0 = from_rows([[1], [0]], QQ)
     with pytest.raises(ValueError):
         ChainComplex(QQ, [1, 3], [d0])
 

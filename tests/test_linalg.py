@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import kernel_dim, named_algebra, set_column, transpose
+from conftest import from_rows, kernel_dim, named_algebra, set_column, transpose
 
 from hopfcalc.fields import Field, QQ
 from hopfcalc.linalg import (Matrix, _sparse_rank, identity_defect_witness,
@@ -108,7 +108,7 @@ def test_sparse_rank_matches_fraction_elimination(seed, kind, rows, cols, inner)
 def test_sparse_rank_with_non_unit_pivots():
     # every leading entry is 2, 3 or 6, so each elimination step scales the
     # row and divides its content out again
-    m = Matrix.from_rows([[2, 4, 6, 0], [3, 6, 9, 1], [6, 13, 18, 2], [3, 7, 9, 1]], QQ)
+    m = from_rows([[2, 4, 6, 0], [3, 6, 9, 1], [6, 13, 18, 2], [3, 7, 9, 1]], QQ)
     assert _sparse_rank(QQ, m.columns()) == fraction_rank(QQ, m.columns()) == 3
     assert _sparse_rank(QQ, transpose(m).columns()) == 3
 
@@ -142,8 +142,8 @@ def test_matmul_with_fractions_falls_back(seed):
 
 
 def test_kron_is_big_endian():
-    a = Matrix.from_rows([[1, 2], [0, 1]], QQ)
-    b = Matrix.from_rows([[0, 1], [1, 0]], QQ)
+    a = from_rows([[1, 2], [0, 1]], QQ)
+    b = from_rows([[0, 1], [1, 0]], QQ)
     k = a.kron(b)
     # entry ((i,k),(j,l)) = a[i,j] b[k,l] with row index i*2+k
     for i in range(2):
@@ -194,7 +194,7 @@ def reference_inverse(m: Matrix):
                 c = a[r][col]
                 a[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(a[r], a[col])]
                 inv[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(inv[r], inv[col])]
-    return Matrix.from_rows(inv, f)
+    return from_rows(inv, f)
 
 
 NAMED_ALGEBRAS = ["kZ2", "kZ3", "kZ4", "kS3", "dualZ2", "dualZ2_F2", "sweedler",
@@ -252,7 +252,7 @@ def test_identity_defect_witness_matches_direct(seed):
 
 def test_identity_defect_witness_kron_terms():
     f = QQ
-    a = Matrix.from_rows([[1, 1], [0, 1]], f)
+    a = from_rows([[1, 1], [0, 1]], f)
     eye = Matrix.identity(3, f)
     direct = a.kron(eye)
     w = identity_defect_witness(f, [(1, [(a, eye)]), (-1, [direct])])
@@ -261,27 +261,27 @@ def test_identity_defect_witness_kron_terms():
 
 def test_identity_defect_witness_bounds_the_sum_of_terms():
     # each term fits in int64 but their sum 2**63 + 2**63 does not
-    big = Matrix.from_rows([[2**62]], QQ)
+    big = from_rows([[2**62]], QQ)
     assert identity_defect_witness(QQ, [(2, [big]), (2, [big])]) == (0, 0, QQ.of(2**64))
     eye = Matrix.identity(1, QQ)
     assert identity_defect_witness(QQ, [(1, [big, eye])] * 3) == (0, 0, QQ.of(3 * 2**62))
 
 
 def test_huge_entries_fall_back_to_exact_products():
-    huge = Matrix.from_rows([[2**63]], QQ)
+    huge = from_rows([[2**63]], QQ)
     assert huge @ Matrix.identity(1, QQ) == huge
-    half = Matrix.from_rows([[2**40]], QQ)
-    assert half.kron(half) == Matrix.from_rows([[2**80]], QQ)
+    half = from_rows([[2**40]], QQ)
+    assert half.kron(half) == from_rows([[2**80]], QQ)
     assert identity_defect_witness(QQ, [(1, [(half, half)])]) == (0, 0, QQ.of(2**80))
 
 
 def test_set_column_replaces_and_invalidates_caches():
-    m = Matrix.from_rows([[1, 2], [3, 4]], QQ)
+    m = from_rows([[1, 2], [3, 4]], QQ)
     _ = m @ m           # populate the scipy cache
     set_column(m, 0, {1: QQ.of(5)})
     assert m.get(0, 0) == QQ.zero()
     assert m.get(1, 0) == QQ.of(5)
-    expect = Matrix.from_rows([[0, 2], [5, 4]], QQ)
+    expect = from_rows([[0, 2], [5, 4]], QQ)
     assert m @ m == expect @ expect
 
 
@@ -294,7 +294,7 @@ def test_vec_tensor_layout():
 def test_a_write_through_data_is_seen_by_every_later_read():
     # the int64 form cached by a product used to outlive a write through
     # .data: the defect below came out None and m @ I lost the entry
-    m = Matrix.from_rows([[1, 0], [0, 1]], QQ)
+    m = from_rows([[1, 0], [0, 1]], QQ)
     eye = Matrix.identity(2, QQ)
     _ = m @ eye
     m.data[(0, 1)] = Fraction(5)
@@ -355,7 +355,7 @@ def test_a_csr_result_equals_its_dict_twin(seed):
             assert got.columns() == twin.columns()
             assert [got.column(j) for j in range(got.cols)] == twin.columns()
             assert dict(got.entries()) == twin.data
-            doubled = got.kron(Matrix.from_rows([[2]], field))
+            doubled = got.kron(from_rows([[2]], field))
             assert (got == doubled) == (twin == doubled) == twin.is_zero()
 
 
@@ -389,7 +389,7 @@ def test_sums_and_multiples_check_shapes_and_bounds():
     with pytest.raises(ValueError):
         a - Matrix.identity(1, QQ).kron(Matrix.zero(2, 3, QQ))
     # past the int64 bound, and for a non-integral multiple, the exact path
-    big = Matrix.from_rows([[2**61, 1]], QQ).kron(Matrix.identity(1, QQ))
+    big = from_rows([[2**61, 1]], QQ).kron(Matrix.identity(1, QQ))
     assert (big + big).data == {(0, 0): Fraction(2**62), (0, 1): Fraction(2)}
     assert (big - big).is_zero()
     assert big.scale(QQ.of(4)).get(0, 0) == 2**63

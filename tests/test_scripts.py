@@ -14,7 +14,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("argv", [
-    ["scripts/verify_builtins.py", "--skip-slow", "--max-degree", "2"],
+    ["scripts/verify_builtins.py"],
     ["scripts/homology_survey.py", "--only", "Z/2", "--max-degree", "2"],
 ], ids=["verify_builtins", "homology_survey"])
 def test_script_exits_0(argv):
