@@ -53,7 +53,10 @@ def _max_degree(text: str) -> int:
     return v
 
 
-def _default_max_degree() -> int:
+def _max_degree_of(args) -> int:
+    """``--max-degree``, else ``HOPFCALC_MAX_DEGREE``, else 3."""
+    if args.max_degree:
+        return args.max_degree
     env = os.environ.get("HOPFCALC_MAX_DEGREE")
     if env is None:
         return 3
@@ -206,6 +209,15 @@ def resolve_hopf(args) -> HopfAlgebra:
     raise CliError("need --builtin or --hopf")
 
 
+def _checked_hopf(args) -> HopfAlgebra:
+    """The input algebra, which must pass the Hopf axioms."""
+    H = resolve_hopf(args)
+    hrep = verify_axioms(H)
+    if not hrep.passed:
+        raise CliError(f"input fails Hopf axiom {hrep.failures()[0].name}")
+    return H
+
+
 def resolve_module(args, H: HopfAlgebra, name_attr: str = "module") -> ModComod:
     name = getattr(args, name_attr, None)
     if not name:
@@ -311,11 +323,8 @@ def cmd_verify_hopf(args, started: float) -> int:
 
 
 def cmd_verify_dga(args, started: float) -> int:
-    H = resolve_hopf(args)
-    hrep = verify_axioms(H)
-    if not hrep.passed:
-        raise CliError(f"input fails Hopf axiom {hrep.failures()[0].name}")
-    max_degree = args.max_degree or _default_max_degree()
+    H = _checked_hopf(args)
+    max_degree = _max_degree_of(args)
     if max_degree < 2:
         raise CliError("verify-dga needs --max-degree >= 2 to see the DGA axioms")
     calc = build_cli_calculus(args, H, max_degree)
@@ -327,10 +336,7 @@ def cmd_verify_dga(args, started: float) -> int:
 def cmd_check_module(args, started: float) -> int:
     from .connections import check_connection, connection_from_coaction, curvature
 
-    H = resolve_hopf(args)
-    hrep = verify_axioms(H)
-    if not hrep.passed:
-        raise CliError(f"input fails Hopf axiom {hrep.failures()[0].name}")
+    H = _checked_hopf(args)
     X = resolve_module(args, H)
     cond = args.condition
     checks = Report()
@@ -349,7 +355,7 @@ def cmd_check_module(args, started: float) -> int:
         d = check_equivariant(X, C, alpha, beta)
         checks.add("equivariant", d.passed, d.witness())
     elif cond in ("connection", "flat"):
-        max_degree = args.max_degree or _default_max_degree()
+        max_degree = _max_degree_of(args)
         calc = build_cli_calculus(args, H, max_degree)
         conn = connection_from_coaction(calc, X)
         if cond == "connection":
@@ -365,11 +371,8 @@ def cmd_check_module(args, started: float) -> int:
 
 
 def cmd_homology(args, started: float) -> int:
-    H = resolve_hopf(args)
-    hrep = verify_axioms(H)
-    if not hrep.passed:
-        raise CliError(f"input fails Hopf axiom {hrep.failures()[0].name}")
-    max_degree = args.max_degree or _default_max_degree()
+    H = _checked_hopf(args)
+    max_degree = _max_degree_of(args)
     calc = build_cli_calculus(args, H, max_degree)
     X = resolve_module(args, H) if args.module else None
     body: dict = {}
@@ -388,11 +391,8 @@ def cmd_tensor(args, started: float) -> int:
     from .connections import (check_connection, connection_from_coaction, is_flat,
                               tensor_connection)
 
-    H = resolve_hopf(args)
-    hrep = verify_axioms(H)
-    if not hrep.passed:
-        raise CliError(f"input fails Hopf axiom {hrep.failures()[0].name}")
-    max_degree = args.max_degree or _default_max_degree()
+    H = _checked_hopf(args)
+    max_degree = _max_degree_of(args)
     try:
         ck = Calculus.k(H, max_degree)
     except ValueError as e:

@@ -135,15 +135,18 @@ def reference_differential(calc: Calculus, n: int) -> Matrix:
 
 
 def reference_graded_unit(calc: Calculus, max_degree: int) -> bool:
-    """The unit as a two-sided identity, basis vector by basis vector through
-    ``product_apply``: the oracle for the ``graded_unit`` line of
-    ``verify_dga``."""
+    """The unit as a two-sided identity, basis vector by basis vector
+    through product(0, n) and product(n, 0): the oracle for the
+    ``graded_unit`` line of ``verify_dga``."""
     f = calc.field
     one = unit_element(calc)
     for n in range(max_degree + 1):
+        # product(n, 0) is built on demand, so once per degree
+        left, right = calc.product(0, n), calc.product(n, 0)
         for i in range(calc.degree_dim(n)):
             e = basis_vec(f, i)
-            if product_apply(calc, one, 0, e, n) != e or product_apply(calc, e, n, one, 0) != e:
+            if (left.apply(vec_tensor(f, one, e, calc.degree_dim(n))) != e
+                    or right.apply(vec_tensor(f, e, one, calc.degree_dim(0))) != e):
                 return False
     return True
 
@@ -244,39 +247,53 @@ def test_products_are_block_copies_of_the_degree_zero_row(name):
                 assert calc.product(n, m) == eye.kron(calc.product(0, m)), (calc, n, m)
 
 
-def reference_associativity_lines(calc: Calculus, max_degree: int):
-    """Every associativity[n,m,l] line computed in full, as (name, status,
-    witness): the oracle for the lines ``verify_dga`` emits, inferred ones
-    included."""
+def reference_inferred_lines(calc: Calculus, max_degree: int):
+    """Every leibniz[n,m] and associativity[n,m,l] line computed in full, as
+    (name, status, witness) in report order: the oracle for the lines
+    ``verify_dga`` emits, inferred ones included."""
     f = calc.field
+    product = functools.lru_cache(maxsize=None)(calc.product)
+    d = calc.differential
 
     def eye(n):
         return Matrix.identity(calc.degree_dim(n), f)
 
+    def line(family, degs, terms):
+        w = identity_defect_witness(f, terms)
+        return (f"{family}[{','.join(map(str, degs))}]", "pass" if w is None else "fail",
+                None if w is None else _witness(calc, w, list(degs)))
+
     out = []
+    for n in range(max_degree):
+        for m in range(max_degree - n):
+            sign = 1 if n % 2 == 0 else -1
+            out.append(line("leibniz", (n, m), [
+                (1, [d(n + m), product(n, m)]),
+                (-1, [product(n + 1, m), (d(n), eye(m))]),
+                (-sign, [product(n, m + 1), (eye(n), d(m))]),
+            ]))
     for n in range(max_degree + 1):
         for m in range(max_degree + 1 - n):
             for l in range(max_degree + 1 - n - m):
-                w = identity_defect_witness(f, [
-                    (1, [calc.product(n + m, l), (calc.product(n, m), eye(l))]),
-                    (-1, [calc.product(n, m + l), (eye(n), calc.product(m, l))]),
-                ])
-                out.append((f"associativity[{n},{m},{l}]", "pass" if w is None else "fail",
-                            None if w is None else _witness(calc, w, [n, m, l])))
+                out.append(line("associativity", (n, m, l), [
+                    (1, [product(n + m, l), (product(n, m), eye(l))]),
+                    (-1, [product(n, m + l), (eye(n), product(m, l))]),
+                ]))
     return out
 
 
-def associativity_lines(calc: Calculus, max_degree: int):
+def inferred_lines(calc: Calculus, max_degree: int):
     rep = verify_dga(calc, max_degree=max_degree)
     return [(c.name, c.status, c.witness) for c in rep.checks
-            if c.name.startswith("associativity")]
+            if c.name.startswith(("leibniz", "associativity"))]
 
 
 def takes_the_inferred_path(calc: Calculus) -> bool:
-    """The hypotheses of ``verify_dga``'s inference, computed here: the two
-    lowest associativity lines and the right unit mu (I_B (x) u) = I."""
+    """The hypotheses of ``verify_dga``'s associativity inference, computed
+    here: the two lowest associativity lines and the right unit
+    mu (I_B (x) u) = I."""
     f, bd = calc.field, calc.B.dim
-    low = reference_associativity_lines(calc, 1)
+    low = reference_inferred_lines(calc, 1)
     right_unit = (calc.product(0, 0) @ Matrix.identity(bd, f).kron(calc.B.unit_column())
                   == Matrix.identity(bd, f))
     return right_unit and all(status == "pass" for name, status, _ in low
@@ -284,8 +301,8 @@ def takes_the_inferred_path(calc: Calculus) -> bool:
 
 
 def assert_lines_match_the_oracle(calc: Calculus, max_degree: int):
-    got = associativity_lines(calc, max_degree)
-    assert got == reference_associativity_lines(calc, max_degree), calc
+    got = inferred_lines(calc, max_degree)
+    assert got == reference_inferred_lines(calc, max_degree), calc
     return got
 
 
@@ -300,7 +317,8 @@ def test_corrupted_product_gives_the_full_associativity_witnesses():
     set_column(p01, 5, col)
     rep = verify_dga(calc, max_degree=3)
     got = [(c.name, c.witness) for c in rep.checks if c.name.startswith("associativity")]
-    full = [(name, w) for name, _, w in reference_associativity_lines(calc, 3)]
+    full = [(name, w) for name, _, w in reference_inferred_lines(calc, 3)
+            if name.startswith("associativity")]
     assert got == full
     failing = [name for name, w in full if w is not None]
     assert "associativity[0,1,0]" in failing and "associativity[1,1,0]" in failing
@@ -399,14 +417,21 @@ def _corrupted_calculi(rng: random.Random):
 
 def test_corruptions_at_the_root_match_the_full_oracle():
     paths = {True: [], False: []}
+    leibniz_above_zero = []
     for what, calc, D in _corrupted_calculi(random.Random(5)):
         inferred = takes_the_inferred_path(calc)
         lines = assert_lines_match_the_oracle(calc, D)
-        paths[inferred].append((what, all(status == "pass" for _, status, _ in lines)))
-    # both paths are taken; every inferred case passes by the docstring's
-    # proof, and some full-path case fails
+        paths[inferred].append((what, all(status == "pass" for name, status, _ in lines
+                                          if name.startswith("associativity"))))
+        leibniz_above_zero += [what for name, status, _ in lines
+                               if name.startswith("leibniz") and not name.startswith("leibniz[0,")
+                               and status == "fail"]
+    # both associativity paths are taken; every inferred case passes by the
+    # docstring's proof, and some full-path case fails
     assert paths[True] and all(ok for _, ok in paths[True])
     assert paths[False] and not all(ok for _, ok in paths[False])
+    # some Leibniz line above n = 0 fails, so its full-path witness is compared
+    assert leibniz_above_zero
 
 
 def test_a_product_without_a_right_unit_takes_the_full_path():
@@ -416,7 +441,7 @@ def test_a_product_without_a_right_unit_takes_the_full_path():
     H = named_algebra("dualZ2_F2")
     f = H.field
     calc = Calculus.k(H)
-    calc._prod[(0, 0)] = from_rows([[1, 0, 0, 0], [0, 0, 0, 0]], f)
+    calc._prod[0] = from_rows([[1, 0, 0, 0], [0, 0, 0, 0]], f)
     calc._sandwich = from_rows([[0, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [1, 0, 0, 1]], f)
     assert not takes_the_inferred_path(calc)
     lines = assert_lines_match_the_oracle(calc, 3)
@@ -426,14 +451,24 @@ def test_a_product_without_a_right_unit_takes_the_full_path():
 
 
 def test_verify_dga_infers_the_higher_associativity_lines(monkeypatch):
-    # d^2 (4) + Leibniz (10) + the two low lines + the right unit at n = 0
-    # + the rest of graded_unit (9); every line passes
+    # d^2 (4) + leibniz[0,m] (4) + the two low lines + the right unit at
+    # n = 0 + the left unit (5); every line passes
     import hopfcalc.linalg
     from test_cli import count_calls
     calls = count_calls(monkeypatch, hopfcalc.linalg, "identity_defect_witness")
     rep = verify_dga(Calculus.khat(named_algebra("sweedler"), 4), 4)
     assert rep.passed and len(rep.checks) == 4 + 10 + 35 + 1
-    assert len(calls) == 26
+    assert len(calls) == 16
+
+
+def test_a_passing_verify_dga_builds_only_the_degree_zero_products(monkeypatch):
+    # A_0..A_4 and nothing else: no product(n, m) with n > 0 is cached
+    from test_cli import count_calls
+    calls = count_calls(monkeypatch, Calculus, "_build_product")
+    calc = Calculus.khat(named_algebra("sweedler"), 4)
+    assert verify_dga(calc, 4).passed
+    assert len(calls) == 5
+    assert sorted(calc._prod) == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("name", ["kZ2", "kZ3", "kZ4", "kS3", "dualZ2", "dualZ2_F2",

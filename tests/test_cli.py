@@ -306,6 +306,19 @@ def test_max_degree_env_below_1_has_the_option_rule(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: HOPFCALC_MAX_DEGREE: must be >= 1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-dga"],
+    ["check-module", "--module", "trivial", "--condition", "ayd"],
+    ["homology"],
+    ["tensor", "--yd-module", "trivial", "--ayd-module", "trivial"],
+], ids=lambda argv: argv[0])
+def test_input_failing_a_hopf_axiom_is_rejected(capsys, argv):
+    code = main([*argv, "--hopf", str(ROOT / "tests" / "sweedler_bad_comul.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == "error: input fails Hopf axiom coassociativity\n"
+
+
 # a wrong product e_g e_g = 2 e_1 fails associativity, whose witness names
 # the basis elements of the failing tuple
 _BAD_MUL = [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 2]]

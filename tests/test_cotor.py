@@ -10,14 +10,14 @@ import argparse
 
 import pytest
 
-from conftest import init_column, named_algebra, product_apply
+from conftest import init_column, named_algebra
 from test_calculus import reference_differential, three_calculi
 
 from hopfcalc import cli
 from hopfcalc.connections import coefficient_complex, connection_from_coaction
 from hopfcalc.fields import Field
 from hopfcalc.homology import _basepoint_coadjoint, cobar_complex
-from hopfcalc.linalg import Matrix, Vec, tensor_decode, vec_add
+from hopfcalc.linalg import Matrix, Vec, tensor_decode, vec_add, vec_tensor
 from hopfcalc.modules import coadjoint_comodule, regular_modcomod, trivial_modcomod
 
 # (algebra, field, calculus, coefficients) of the verdicts of the
@@ -61,6 +61,7 @@ def reference_coefficient_complex(calc, conn, max_degree):
     for n in range(max_degree):
         sign = f.one() if n % 2 == 0 else f.neg(f.one())
         d = Matrix(dims[n + 1], dims[n], f)
+        prod = calc.product(n, 1)   # built on demand, so once per degree
         for col in range(dims[n]):
             head, x = divmod(col, xd)
             rep: Vec = {head * bd + u: cu for u, cu in calc.B.unit.items()}
@@ -69,8 +70,8 @@ def reference_coefficient_complex(calc, conn, max_degree):
             for fl2, c2 in conn.nabla.column(x).items():
                 ci, x2 = divmod(fl2, xd)
                 rep2: Vec = {ci * bd + u: cu for u, cu in calc.B.unit.items()}
-                prod = product_apply(calc, rep, n, rep2, 1)
-                lifted = {fl3 * xd + x2: c3 for fl3, c3 in prod.items()}
+                lifted = {fl3 * xd + x2: c3 for fl3, c3 in
+                          prod.apply(vec_tensor(f, rep, rep2, calc.degree_dim(1))).items()}
                 vec_add(f, acc, identify(calc, X, lifted), f.mul(sign, c2))
             init_column(d, col, acc)
         diffs.append(d)
