@@ -4,6 +4,12 @@ Structure constants in, sparse exact linear algebra throughout: Hopf
 algebra verification, the three differential graded calculi, the
 module-comodule / flat-connection correspondences, and Cotor homology via
 the two-sided cobar complex.
+
+Importing the package imports every submodule but the command line front
+end, and stays eager: code that wraps the package's functions from
+outside (``verdictbench/spans.py``) finds every module in ``sys.modules``
+after ``import hopfcalc``.  Start-up time is kept down where it is
+spent instead, in ``linalg``'s load of scipy's compiled routines.
 """
 
 from .fields import Field, QQ

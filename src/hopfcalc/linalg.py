@@ -22,7 +22,14 @@ pure-Python sparse arithmetic.  The kernels call scipy's compiled
 sparsetools routines on the arrays directly: the ``scipy.sparse`` classes
 wrap each call in checks and conversions that cost more than the
 arithmetic on the small matrices of most verdicts (a 16 x 16 product on a
-2-vCPU VM: ~110 us through ``csr_matrix``, ~9 us direct).
+2-vCPU VM: ~110 us through ``csr_matrix``, ~9 us direct).  That compiled
+``_sparsetools`` extension is all scipy supplies.  It is loaded by file
+path (``_load_sparsetools``), which skips the ``scipy.sparse`` package
+init, ~300 ms of a command's start-up, and falls back to the package
+import when the direct load fails.  What start-up still costs is numpy
+(90-130 ms), ``site`` (45-60 ms, the environment's ``.pth`` files) and,
+where no valid ``__pycache__`` exists, 50-90 ms compiling hopfcalc's
+sources, on a 2-vCPU VM.
 
 On sparse vectors each operation has one kernel: ``bilinear`` applies a
 bilinear map given on basis pairs (a multiplication, an action) and
@@ -44,14 +51,17 @@ silently disagree otherwise.
 """
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from itertools import accumulate, chain
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import _sparsetools
 
 from .fields import Field
 
@@ -64,6 +74,51 @@ CSR = Tuple[np.ndarray, np.ndarray, np.ndarray]
 # Threshold above which an int64 product might overflow; beyond it we fall
 # back to exact Python arithmetic.
 _INT64_SAFE = 2**62
+
+# The sparsetools routines the kernels call.
+_SPARSETOOLS_ROUTINES = ("coo_tocsr", "csr_matmat_maxnnz", "csr_matmat", "csr_plus_csr",
+                         "csr_minus_csr", "csr_eliminate_zeros", "csr_sort_indices",
+                         "csr_tocsc")
+
+
+def _load_sparsetools():
+    """scipy's compiled ``_sparsetools`` extension, loaded from its file.
+
+    The file is found through scipy's package path, which ``find_spec``
+    reads without importing ``scipy``, so the ``scipy.sparse`` package
+    init (~300 ms, most of a command's start-up) never runs.  The
+    extension registers itself in ``sys.modules`` as it loads; that entry
+    is put back as it was, so a later ``import scipy.sparse`` loads the
+    module in its usual place.  When the file is missing, fails to load or
+    lacks a routine of ``_SPARSETOOLS_ROUTINES``, the package import
+    supplies the module: a change of scipy's layout costs start-up time,
+    never an answer."""
+    name = "scipy.sparse._sparsetools"
+    spec = importlib.util.find_spec("scipy")
+    folders = (spec.submodule_search_locations or []) if spec is not None else []
+    for path in (os.path.join(folder, "sparse", "_sparsetools" + suffix)
+                 for folder in folders for suffix in EXTENSION_SUFFIXES):
+        if not os.path.isfile(path):
+            continue
+        prior = sys.modules.get(name)
+        loader = ExtensionFileLoader(name, path)
+        try:
+            module = loader.create_module(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+        except (ImportError, OSError):
+            continue
+        finally:
+            if prior is None:
+                sys.modules.pop(name, None)
+            else:
+                sys.modules[name] = prior
+        if all(hasattr(module, routine) for routine in _SPARSETOOLS_ROUTINES):
+            return module
+    from scipy.sparse import _sparsetools
+    return _sparsetools
+
+
+_sparsetools = _load_sparsetools()
 
 
 # ---------------------------------------------------------------------------

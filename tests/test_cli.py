@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import set_column
 
+from hopfcalc import cli
 from hopfcalc.calculus import Calculus
 from hopfcalc.cli import main
 from hopfcalc.linalg import Matrix
@@ -572,3 +574,57 @@ def test_mutated_hopf_spec_exits_cleanly(spec):
 @given(mutated(REGULAR))
 def test_mutated_module_spec_exits_cleanly(module):
     _assert_clean_exits(KZ2, module)
+
+
+# A valid line of each subcommand, for the parser tests below.
+VALID_LINES = {
+    "verify-hopf": ["--builtin", "sweedler"],
+    "verify-dga": ["--builtin", "sweedler", "--calculus", "general", "--alpha", "s",
+                   "--max-degree", "2"],
+    "check-module": ["--builtin", "sweedler", "--module", "trivial", "--condition", "ayd"],
+    "homology": ["--hopf", "h.json", "--module", "regular", "--compare-cotor"],
+    "tensor": ["--builtin", "group:S3", "--yd-module", "coadjoint",
+               "--ayd-module", "trivial", "--max-degree", "2"],
+}
+
+
+def _parsed(parser, argv):
+    """Exit code, standard output and error, and namespace of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace, code = vars(parser.parse_args(argv)), 0
+        except SystemExit as e:
+            namespace, code = None, e.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+@pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+def test_one_subcommand_parser_parses_as_the_full_one(command):
+    valid = [command] + VALID_LINES[command]
+    # exit code of each line: only check-module and tensor require a module
+    lines = [(valid, 0), ([command, "-h"], 0), (valid + ["--condition", "bogus"], 2),
+             (valid + ["--calculus", "bogus"], 2),
+             ([command, "--builtin", "sweedler"], 2 if command in ("check-module", "tensor")
+              else 0),
+             (valid + ["--frobnicate"], 2), (valid + ["--max-degree", "0"], 2)]
+    for argv, code in lines:
+        full = _parsed(cli.build_parser(), argv)
+        assert full[0] == code, argv
+        assert _parsed(cli.build_parser(command), argv) == full, argv
+
+
+@pytest.mark.parametrize("argv,built", [
+    (["check-module"] + VALID_LINES["check-module"], 1),
+    (["-h"], 5),
+    ([], 5),
+    (["frobnicate"], 5),
+    (["--builtin", "sweedler", "verify-hopf"], 5),
+])
+def test_main_builds_only_the_parser_it_runs(capsys, monkeypatch, argv, built):
+    # main calls build_parser through the module global, which the
+    # benchmark's span recorder wraps
+    calls = count_calls(monkeypatch, cli, "build_parser")
+    subparsers = count_calls(monkeypatch, argparse._SubParsersAction, "add_parser")
+    main(argv)
+    assert len(calls) == 1 and len(subparsers) == built
