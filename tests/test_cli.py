@@ -627,4 +627,5 @@ def test_main_builds_only_the_parser_it_runs(capsys, monkeypatch, argv, built):
     calls = count_calls(monkeypatch, cli, "build_parser")
     subparsers = count_calls(monkeypatch, argparse._SubParsersAction, "add_parser")
     main(argv)
-    assert len(calls) == 1 and len(subparsers) == built
+    assert calls == [("check-module",) if built == 1 else (None,)]
+    assert len(subparsers) == built
