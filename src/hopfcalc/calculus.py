@@ -167,12 +167,12 @@ class Calculus:
         """D_0 = T (I_B (x) g) - g (x) I_B and D_n = E (x) I - I_C (x) D_{n-1}
         (module docstring)."""
         f, cd = self.field, self.cdim
-        g = Matrix.from_columns_csr([self.basepoint], cd, f)
+        g = Matrix.from_columns([self.basepoint], cd, f)
         if n == 0:
             eye_b = Matrix.identity(self.B.dim, f)
             return self._sandwich_matrix() @ eye_b.kron(g) - g.kron(eye_b)
         eye_c = Matrix.identity(cd, f)
-        E = (Matrix.from_columns_csr((self.C or self.B).comul, cd * cd, f)
+        E = (Matrix.from_columns((self.C or self.B).comul, cd * cd, f)
              - eye_c.kron(g) - g.kron(eye_c))
         # D_{n-1} is read from the cache, so a corrupted cached differential
         # reaches every degree above it

@@ -197,7 +197,7 @@ def load_hopf_file(path: str) -> HopfAlgebra:
     except (KeyError, TypeError, ValueError, IndexError) as e:
         raise CliError(f"{path}: malformed Hopf spec ({e!r})")
     return HopfAlgebra(f, dim, names, mul, unit, comul, counit,
-                       Matrix.from_columns_csr(s, dim, f))
+                       Matrix.from_columns(s, dim, f))
 
 
 def resolve_hopf(args) -> HopfAlgebra:

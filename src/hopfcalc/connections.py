@@ -68,7 +68,7 @@ class Curvature:
 def _basepoint_term(calc: Calculus, xd: int) -> Matrix:
     """g (x) I_X: x -> I (x) x, with g the basepoint I as a C x 1 column."""
     f = calc.field
-    return Matrix.from_columns_csr([calc.basepoint], calc.cdim, f).kron(Matrix.identity(xd, f))
+    return Matrix.from_columns([calc.basepoint], calc.cdim, f).kron(Matrix.identity(xd, f))
 
 
 def connection_from_coaction(calc: Calculus, X: ModComod) -> Connection:

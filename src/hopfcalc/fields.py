@@ -45,6 +45,8 @@ class Field:
 
     def of(self, n) -> object:
         """Coerce an int, Fraction, or 'p/q' string into this field."""
+        if type(n) is (int if self.char else Fraction):
+            return n % self.char if self.char else n    # the common case, kept fast
         if isinstance(n, str):
             n = Fraction(n)
         if self.char == 0:

@@ -99,9 +99,9 @@ def cobar_complex(C: Union[HopfAlgebra, BimoduleCoalgebra], X: ModComod,
     def eye(n):
         return Matrix.identity(n, f)
 
-    g = Matrix.from_columns_csr([I], cd, f)
-    delta = Matrix.from_columns_csr(comul, cd * cd, f)
-    rho = Matrix.from_columns_csr(X.coaction, cd * xd, f)
+    g = Matrix.from_columns([I], cd, f)
+    delta = Matrix.from_columns(comul, cd * cd, f)
+    rho = Matrix.from_columns(X.coaction, cd * xd, f)
     dims = [cd ** n * xd for n in range(max_degree + 1)]
     diffs: List[Matrix] = []
     for n in range(max_degree):

@@ -57,11 +57,11 @@ class HopfAlgebra:
 
     def unit_column(self) -> Matrix:
         """The unit as an H x 1 column."""
-        return Matrix.from_columns_csr([self.unit], self.dim, self.field)
+        return Matrix.from_columns([self.unit], self.dim, self.field)
 
     def comul_matrix(self) -> Matrix:
         """The comultiplication as the matrix H (x) H <- H."""
-        return Matrix.from_columns_csr(self.comul, self.dim * self.dim, self.field)
+        return Matrix.from_columns(self.comul, self.dim * self.dim, self.field)
 
     def is_cocommutative(self) -> bool:
         delta = self.comul_matrix()
@@ -288,7 +288,7 @@ def build_group_algebra(table: Sequence[Sequence[int]], field: Field = None,
     mul = {(i, j): {table[i][j]: one} for i in range(n) for j in range(n)}
     comul = [{i * n + i: one} for i in range(n)]
     counit = {i: one for i in range(n)}
-    antipode = Matrix.from_columns_csr([{inverses[i]: one} for i in range(n)], n, f)
+    antipode = Matrix.from_columns([{inverses[i]: one} for i in range(n)], n, f)
     basis = names or (["e"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)])
     return HopfAlgebra(f, n, basis, mul, {0: one}, comul, counit, antipode,
                        group_table=[list(r) for r in table])
@@ -316,7 +316,7 @@ def build_dual_group_algebra(table: Sequence[Sequence[int]], field: Field = None
                     t[a * n + b] = one
         comul.append(t)
     counit = {ident: one}
-    antipode = Matrix.from_columns_csr([{inverses[i]: one} for i in range(n)], n, f)
+    antipode = Matrix.from_columns([{inverses[i]: one} for i in range(n)], n, f)
     basis = names or [f"d{i}" for i in range(n)]
     return HopfAlgebra(f, n, basis, mul, unit, comul, counit, antipode)
 
@@ -375,7 +375,7 @@ def build_taft(n: int, q, field: Field) -> HopfAlgebra:
     mu, eye = H.mul_matrix(), Matrix.identity(dim, f)
 
     def right(i: int, j: int) -> Matrix:
-        return mu @ eye.kron(Matrix.from_columns_csr([{mono(i, j): one}], dim, f))
+        return mu @ eye.kron(Matrix.from_columns([{mono(i, j): one}], dim, f))
 
     if n > 1:       # Taft(1) is the ground field: no g or x to multiply by
         by_g = right(1, 0).kron(right(1, 0))
@@ -396,7 +396,7 @@ def build_taft(n: int, q, field: Field) -> HopfAlgebra:
                 img = H.multiply(img, s_g)
             comul.append(t)
             antipode.append(img)
-    H.comul, H.antipode = comul, Matrix.from_columns_csr(antipode, dim, f)
+    H.comul, H.antipode = comul, Matrix.from_columns(antipode, dim, f)
 
     names = []
     for i in range(n):
@@ -436,7 +436,7 @@ def permute_basis(H: HopfAlgebra, perm: Sequence[int],
     mul = {(a, b): rv(H.mul.get((perm[a], perm[b]), {})) for a in range(d) for b in range(d)}
     comul = [rt(H.comul[perm[a]]) for a in range(d)]
     counit = {inv[i]: c for i, c in H.counit.items()}
-    antipode = Matrix.from_columns_csr([rv(H.antipode.column(p)) for p in perm], d, f)
+    antipode = Matrix.from_columns([rv(H.antipode.column(p)) for p in perm], d, f)
     table = None
     if H.group_table is not None:
         table = [[inv[H.group_table[perm[a]][perm[b]]] for b in range(d)] for a in range(d)]

@@ -1,40 +1,37 @@
 """Sparse exact linear and multilinear algebra.
 
 Vectors are zero-omitting dicts ``{index: scalar}``.  A ``Matrix`` is
-stored in one of two forms.  A kernel result -- a Kronecker product, a
-matrix product, an identity, or a matrix built by ``from_columns_csr`` --
-stores its canonical int64 CSR: column indices sorted within each row, no
-duplicate and no explicit zero, entries reduced to [0, p) over F_p.
-A sum, a difference or a multiple of such matrices
-stores its CSR too.  Anything else stores a dict ``{(row, col): scalar}``.
-Reads (``entries``, ``columns``, ``apply``, ``get``, ``==``, ...) work on
-either form and leave it as it is; an entry read from the CSR is a Python
-int.  The first access to ``Matrix.data`` turns a matrix into the dict
-form for good and drops its CSR and every cache, so a write through
-``data`` is always seen; its values are field scalars (``Fraction`` over
-Q), as in a matrix that was built as a dict.
+stored one way, as canonical CSR: column indices sorted within each row,
+no duplicate and no zero.  Its value array has one of two types, which
+its entries decide.  It is int64, reduced to [0, p) over F_p, when every
+entry is an integer below ``_INT64_SAFE`` in absolute value (always true
+for the structure constants of the built-in algebras); otherwise it is an
+object array of field scalars, the exact fallback.  Reads (``entries``,
+``columns``, ``apply``, ``get``, ``==``, ...) give an int64 entry as a
+Python int.  ``Matrix.data`` builds a new dict ``{(row, col): scalar}``
+of field scalars (``Fraction`` over Q) on each call, and writing to it
+changes nothing.
 
-The kernels work on int64 CSR arrays when every entry is an integer
-(always true for the structure constants of the built-in algebras) and a
-bound on the result stays below ``_INT64_SAFE``; a dict operand is
-converted once and its CSR cached.  Otherwise they fall back to
-pure-Python sparse arithmetic.  The kernels call scipy's compiled
-sparsetools routines on the arrays directly: the ``scipy.sparse`` classes
-wrap each call in checks and conversions that cost more than the
-arithmetic on the small matrices of most verdicts (a 16 x 16 product on a
-2-vCPU VM: ~110 us through ``csr_matrix``, ~9 us direct).  That compiled
-``_sparsetools`` extension is all scipy supplies.  It is loaded by file
-path (``_load_sparsetools``), which skips the ``scipy.sparse`` package
-init, ~300 ms of a command's start-up, and falls back to the package
-import when the direct load fails.  What start-up still costs is numpy
-(90-130 ms), ``site`` (45-60 ms, the environment's ``.pth`` files) and,
-where no valid ``__pycache__`` exists, 50-90 ms compiling hopfcalc's
-sources, on a 2-vCPU VM.
+The kernels work on the int64 arrays when both operands have them and a
+bound on the result stays below ``_INT64_SAFE``.  Otherwise they fall
+back to pure-Python sparse arithmetic, whose result goes through the
+constructor and so takes the value type its entries decide.  The kernels
+call scipy's compiled sparsetools routines on the arrays directly: the
+``scipy.sparse`` classes wrap each call in checks and conversions that
+cost more than the arithmetic on the small matrices of most verdicts (a
+16 x 16 product on a 2-vCPU VM: ~110 us through ``csr_matrix``, ~9 us
+direct).  That compiled ``_sparsetools`` extension is all scipy supplies.
+It is loaded by file path (``_load_sparsetools``), which skips the
+``scipy.sparse`` package init, ~300 ms of a command's start-up, and
+falls back to the package import when the direct load fails.  What
+start-up still costs is numpy (90-130 ms), ``site`` (45-60 ms, the
+environment's ``.pth`` files) and, where no valid ``__pycache__``
+exists, 50-90 ms compiling hopfcalc's sources, on a 2-vCPU VM.
 
 On sparse vectors each operation has one kernel: ``bilinear`` applies a
 bilinear map given on basis pairs (a multiplication, an action) and
 ``bilinear_matrix`` turns the same table into a matrix,
-``Matrix.from_columns_csr`` a linear map given by its basis images (a
+``Matrix.from_columns`` a linear map given by its basis images (a
 coproduct, a coaction), ``pairing`` evaluates a covector (a counit, a
 character) and ``pairing_matrix`` turns it into a row, and
 ``column_echelon`` is the field echelon behind
@@ -169,12 +166,6 @@ def vec_scale(field: Field, v: Vec, coeff) -> Vec:
     if field.is_zero(coeff):
         return {}
     return {i: field.mul(coeff, c) for i, c in v.items()}
-
-
-def vec_sub(field: Field, a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    vec_add(field, out, b, field.neg(field.one()))
-    return out
 
 
 def vec_tensor(field: Field, a: Vec, b: Vec, dim_b: int) -> Vec:
@@ -335,70 +326,75 @@ def _trimmed(ptr, idx, val) -> CSR:
 # matrices
 
 
-class Matrix:
-    """Zero-omitting sparse matrix over an exact field, stored as a dict or
-    as canonical int64 CSR (module docstring)."""
+def _value_array(vals: List) -> np.ndarray:
+    """Field scalars as an int64 array when each is an integer below
+    ``_INT64_SAFE`` in absolute value, otherwise as an object array."""
+    if all(v.denominator == 1 and -_INT64_SAFE < v.numerator < _INT64_SAFE for v in vals):
+        return np.fromiter((v.numerator for v in vals), dtype=np.int64, count=len(vals))
+    return np.array(vals, dtype=object)
 
-    __slots__ = ("rows", "cols", "field", "_dict", "_csr", "_maxabs", "_csc", "_cols")
+
+class Matrix:
+    """Zero-omitting sparse matrix over an exact field, stored as canonical
+    CSR with int64 or object values (module docstring)."""
+
+    __slots__ = ("rows", "cols", "field", "_csr", "_maxabs", "_csc", "_cols")
 
     def __init__(self, rows: int, cols: int, field: Field,
                  data: Dict[Tuple[int, int], object] | None = None):
-        self.rows, self.cols, self.field = rows, cols, field
-        # prune explicit zeros so equality is structural
-        self._dict = ({k: v for k, v in data.items() if not field.is_zero(v)}
-                      if data else {})
-        self._drop_caches()
+        """The matrix with the entries ``{(row, col): value}`` of ``data``:
+        every index is checked (``ValueError``), each value is taken into
+        the field and the zeros are dropped."""
+        data = data or {}
+        n = len(data)
+        ij = np.fromiter(chain.from_iterable(data), dtype=np.int64,
+                         count=2 * n).reshape(n, 2)
+        # the sparsetools routines do not check indices
+        if n and (ij.min() < 0 or ij[:, 0].max() >= rows or ij[:, 1].max() >= cols):
+            raise ValueError("matrix entry index out of range")
+        val = _value_array([field.of(v) for v in data.values()])
+        order = np.argsort(ij[:, 0] * cols + ij[:, 1])
+        order = order[val[order] != 0]
+        ptr = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ij[order, 0], minlength=rows), out=ptr[1:])
+        self._store(rows, cols, field, (ptr, ij[order, 1], val[order]))
 
-    def _drop_caches(self) -> None:
-        # _csr is the storage when _dict is None; otherwise it caches the
-        # dict's int64 form: False until computed, None when there is none
-        self._csr = False
-        self._maxabs = self._csc = self._cols = None
+    def _store(self, rows: int, cols: int, field: Field, csr: CSR,
+               maxabs: int | None = None) -> None:
+        """Store the canonical CSR ``csr``, made read-only; ``maxabs`` is its
+        largest absolute entry when already known."""
+        for a in csr:
+            a.flags.writeable = False
+        self.rows, self.cols, self.field = rows, cols, field
+        self._csr, self._maxabs = csr, maxabs
+        self._csc = self._cols = None
 
     @classmethod
     def _of_csr(cls, rows: int, cols: int, field: Field, csr: CSR,
                 maxabs: int | None = None) -> "Matrix":
-        """A matrix stored as the canonical CSR ``csr``, made read-only;
-        ``maxabs`` is its largest absolute entry when already known."""
-        for a in csr:
-            a.flags.writeable = False
+        """A matrix stored as the canonical int64 CSR ``csr`` (``_store``)."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m.field = rows, cols, field
-        m._dict = None
-        m._csr = csr
-        m._maxabs = maxabs
-        m._csc = m._cols = None
+        m._store(rows, cols, field, csr, maxabs)
         return m
 
     @property
     def data(self) -> Dict[Tuple[int, int], object]:
-        """The entries as a mutable dict ``{(row, col): scalar}``.  Access
-        turns the matrix into the dict form for good and drops every cached
-        form, so a write through it is seen by every later read."""
-        self._dict = self._as_dict()
-        self._drop_caches()
-        return self._dict
+        """The entries as a new dict ``{(row, col): scalar}`` of field
+        scalars (``Fraction`` over Q) on each call; writing to it changes
+        nothing."""
+        if self.field.char or self._to_csr() is None:
+            return dict(self.entries())
+        return {k: Fraction(v) for k, v in self.entries()}
 
     def entries(self) -> Iterable[Tuple[Tuple[int, int], object]]:
-        """The nonzero entries as ``((row, col), scalar)`` pairs, in
-        row-major order for the CSR form; reading them changes nothing."""
-        if self._dict is not None:
-            return self._dict.items()
+        """The nonzero entries as ``((row, col), scalar)`` pairs in row-major
+        order; an int64 entry is read as a Python int."""
         ptr, idx, val = self._csr
         rows = np.repeat(np.arange(self.rows), ptr[1:] - ptr[:-1])
         return zip(zip(rows.tolist(), idx.tolist()), val.tolist())
 
-    def _as_dict(self) -> Dict[Tuple[int, int], object]:
-        """The entries as a dict of field scalars to read, not to write: the
-        stored dict, or one built from the CSR."""
-        if self._dict is not None:
-            return self._dict
-        if self.field.char:
-            return dict(self.entries())
-        return {k: Fraction(v) for k, v in self.entries()}
-
     def _nnz(self) -> int:
-        return len(self._dict) if self._dict is not None else len(self._csr[2])
+        return len(self._csr[2])
 
     @classmethod
     def zero(cls, rows: int, cols: int, field: Field) -> "Matrix":
@@ -417,86 +413,70 @@ class Matrix:
                                                  np.ones(m * n, dtype=np.int64)), min(m * n, 1))
 
     @classmethod
-    def from_columns_csr(cls, cols: List[Vec], rows: int, field: Field) -> "Matrix":
-        """``from_columns``, stored as canonical int64 CSR when every entry
-        is an integer below ``_INT64_SAFE`` in absolute value.  Taken column
-        by column, the entries of each row arrive in column order, so no
-        sort is needed."""
+    def from_columns(cls, cols: List[Vec], rows: int, field: Field) -> "Matrix":
+        """The matrix with the columns ``cols`` of field scalars; every row
+        index is checked (``ValueError``).  Taken column by column, the
+        entries of each row arrive in column order, so the int64 form needs
+        no sort; a value that is not an integer below ``_INT64_SAFE`` in
+        absolute value sends the columns to the constructor instead."""
         p = field.char
-        by_row: List[List[Tuple[int, int]]] = [[] for _ in range(rows)]
+        by_row: List[List[Tuple[int, object]]] = [[] for _ in range(rows)]
         for j, col in enumerate(cols):
             for i, v in col.items():
+                if not 0 <= i < rows:
+                    raise ValueError("matrix entry index out of range")
                 if p:
                     v %= p
-                elif v.denominator != 1:
-                    return cls.from_columns(cols, rows, field)
-                else:
-                    v = v.numerator
                 if v:
                     by_row[i].append((j, v))
         entries = [e for r in by_row for e in r]
-        maxabs = max((abs(v) for _, v in entries), default=0)
-        if maxabs >= _INT64_SAFE:
-            return cls.from_columns(cols, rows, field)
+        val = _value_array([v for _, v in entries])
+        if val.dtype == object:
+            return cls(rows, len(cols), field,
+                       {(i, j): v for j, col in enumerate(cols) for i, v in col.items()})
         ptr = np.array(list(accumulate((len(r) for r in by_row), initial=0)),
                        dtype=np.int64)
         idx = np.array([j for j, _ in entries], dtype=np.int64)
-        val = np.array([v for _, v in entries], dtype=np.int64)
-        return cls._of_csr(rows, len(cols), field, (ptr, idx, val), maxabs)
-
-    @classmethod
-    def from_columns(cls, cols: List[Vec], rows: int, field: Field) -> "Matrix":
-        data = {}
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                if not field.is_zero(v):
-                    data[(i, j)] = v
-        return cls(rows, len(cols), field, data)
+        return cls._of_csr(rows, len(cols), field, (ptr, idx, val))
 
     def column(self, j: int) -> Vec:
         return dict(self._column(j))
 
     def columns(self) -> List[Vec]:
-        if self._dict is None:
-            ptr, idx, val = (a.tolist() for a in self._csc_arrays())
-            return [dict(zip(idx[s:e], val[s:e])) for s, e in zip(ptr, ptr[1:])]
-        out: List[Vec] = [dict() for _ in range(self.cols)]
-        for (i, j), v in self._dict.items():
-            out[j][i] = v
-        return out
+        ptr, idx, val = (a.tolist() for a in self._csc_arrays())
+        return [dict(zip(idx[s:e], val[s:e])) for s, e in zip(ptr, ptr[1:])]
 
     def _column(self, j: int) -> Vec:
-        """Column j, cached and not to be written; the CSR form converts
-        only the columns asked for."""
-        cols = self._cols
-        if cols is None:
-            cols = self._cols = ([None] * self.cols if self._dict is None
-                                 else self.columns())
-        col = cols[j]
+        """Column j, cached and not to be written; only the columns asked
+        for are converted."""
+        if self._cols is None:
+            self._cols = [None] * self.cols
+        col = self._cols[j]
         if col is None:
             ptr, idx, val = self._csc_arrays()
             s, e = ptr[j], ptr[j + 1]
-            col = cols[j] = dict(zip(idx[s:e].tolist(), val[s:e].tolist()))
+            col = self._cols[j] = dict(zip(idx[s:e].tolist(), val[s:e].tolist()))
         return col
 
     def _csc_arrays(self) -> CSR:
-        """The CSC form of the stored CSR, rows sorted within each column."""
+        """The CSC form of the stored CSR, rows sorted within each column.
+        ``csr_tocsc`` moves the entry numbers, which then carry the values
+        of either type."""
         if self._csc is None:
             ptr, idx, val = self._csr
             n = len(val)
-            csc = (np.empty(self.cols + 1, dtype=np.int64),
-                   np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
-            _sparsetools.csr_tocsc(self.rows, self.cols, ptr, idx, val, *csc)
-            self._csc = csc
+            cptr, crow, perm = (np.empty(self.cols + 1, dtype=np.int64),
+                                np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
+            _sparsetools.csr_tocsc(self.rows, self.cols, ptr, idx,
+                                   np.arange(n, dtype=np.int64), cptr, crow, perm)
+            self._csc = (cptr, crow, val[perm])
         return self._csc
 
     def get(self, i: int, j: int):
-        if self._dict is not None:
-            return self._dict.get((i, j), self.field.zero())
         ptr, idx, val = self._csr
         s, e = ptr[i], ptr[i + 1]
         k = s + int(np.searchsorted(idx[s:e], j))
-        return int(val[k]) if k < e and idx[k] == j else self.field.zero()
+        return val[k:k + 1].tolist()[0] if k < e and idx[k] == j else self.field.zero()
 
     def is_zero(self) -> bool:
         return self._nnz() == 0
@@ -506,9 +486,7 @@ class Matrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        if self._dict is None and other._dict is None:
-            return all(np.array_equal(x, y) for x, y in zip(self._csr, other._csr))
-        return self._as_dict() == other._as_dict()
+        return all(np.array_equal(x, y) for x, y in zip(self._csr, other._csr))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self._combine(other, True)
@@ -527,13 +505,9 @@ class Matrix:
                                      self.rows, self.cols, f.char)
             return Matrix._of_csr(self.rows, self.cols, f, (ptr, idx.copy(), val.copy()))
         op = f.sub if minus else f.add
-        data = dict(self._as_dict())
+        data = self.data
         for k, v in other.entries():
-            acc = op(data.get(k, f.zero()), v)
-            if f.is_zero(acc):
-                data.pop(k, None)
-            else:
-                data[k] = acc
+            data[k] = op(data.get(k, f.zero()), v)
         return Matrix(self.rows, self.cols, f, data)
 
     def scale(self, c) -> "Matrix":
@@ -555,41 +529,9 @@ class Matrix:
     # -- products -----------------------------------------------------------
 
     def _to_csr(self) -> "CSR | None":
-        """The canonical int64 CSR: the storage of a kernel result, or the
-        dict form converted once and cached.  None when an entry is not an
-        integer or its absolute value reaches ``_INT64_SAFE``."""
-        if self._csr is False:
-            self._csr = self._dict_to_csr()
-        return self._csr
-
-    def _dict_to_csr(self) -> "CSR | None":
-        d = self._dict
-        p = self.field.char
-        vals = d.values()
-        if not p:
-            if any(v.denominator != 1 for v in vals):
-                return None
-            vals = (v.numerator for v in vals)
-        n = len(d)
-        try:
-            val = np.fromiter(vals, dtype=np.int64, count=n)
-        except OverflowError:
-            return None
-        if p:
-            val %= p
-        elif n and (val.max() >= _INT64_SAFE or val.min() <= -_INT64_SAFE):
-            return None
-        ij = np.fromiter(chain.from_iterable(d), dtype=np.int64,
-                         count=2 * n).reshape(n, 2)
-        # the sparsetools routines do not check indices
-        if n and (ij.min() < 0 or ij[:, 0].max() >= self.rows
-                  or ij[:, 1].max() >= self.cols):
-            raise ValueError("matrix entry index out of range")
-        order = np.argsort(ij[:, 0] * self.cols + ij[:, 1])
-        order = order[val[order] != 0]      # a zero written through .data
-        ptr = np.zeros(self.rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ij[order, 0], minlength=self.rows), out=ptr[1:])
-        return ptr, ij[order, 1], val[order]
+        """The stored CSR when its values are int64, None when they are
+        objects."""
+        return self._csr if self._csr[2].dtype == np.int64 else None
 
     def _max_abs(self) -> int:
         """The largest absolute entry of the int64 form, which must exist."""
@@ -676,8 +618,7 @@ class Matrix:
     def nonzero_witness(self) -> Tuple[int, int, object] | None:
         """The first nonzero entry (row, col, value) in row-major order, or
         None if the matrix is 0."""
-        ordered = self.entries() if self._dict is None else sorted(self._dict.items())
-        for (i, j), v in ordered:
+        for (i, j), v in self.entries():
             return (i, j, v)
         return None
 
@@ -689,13 +630,13 @@ def bilinear_matrix(field: Field, table: Dict[Tuple[int, int], Vec], left: int,
                     right: int, rows: int) -> Matrix:
     """The bilinear map of ``table`` (``bilinear``) as the matrix
     rows <- left (x) right."""
-    return Matrix.from_columns_csr([table.get((i, j), {}) for i in range(left)
+    return Matrix.from_columns([table.get((i, j), {}) for i in range(left)
                                     for j in range(right)], rows, field)
 
 
 def pairing_matrix(field: Field, w: Dict[int, object], dim: int) -> Matrix:
     """The covector ``w`` of ``pairing`` as a 1 x dim row."""
-    return Matrix.from_columns_csr([{0: w.get(i, field.zero())} for i in range(dim)], 1, field)
+    return Matrix.from_columns([{0: w.get(i, field.zero())} for i in range(dim)], 1, field)
 
 
 def column_defects(lhs: Matrix, rhs: Matrix, dims: Sequence[int],
@@ -748,7 +689,8 @@ def identity_defect_witness(field: Field, terms) -> "Tuple[int, int, object] | N
             m = m._matmul_python(m2)
         m = m.scale(field.of(coeff))
         total = m if total is None else total + m
-    return total.nonzero_witness()
+    w = total.nonzero_witness()
+    return None if w is None else (w[0], w[1], field.of(w[2]))
 
 
 def _int64_defect(field: Field, terms) -> "CSR | None":

@@ -100,9 +100,9 @@ def verify_bimodule_coalgebra(C: BimoduleCoalgebra) -> Report:
     def eye(n):
         return Matrix.identity(n, f)
 
-    delta, eps = Matrix.from_columns_csr(C.comul, d * d, f), pairing_matrix(f, C.counit, d)
+    delta, eps = Matrix.from_columns(C.comul, d * d, f), pairing_matrix(f, C.counit, d)
     L, R = bilinear_matrix(f, C.left, bd, d, d), bilinear_matrix(f, C.right, d, bd, d)
-    mu, u, g = B.mul_matrix(), B.unit_column(), Matrix.from_columns_csr([C.grouplike], d, f)
+    mu, u, g = B.mul_matrix(), B.unit_column(), Matrix.from_columns([C.grouplike], d, f)
 
     w = column_witness(delta.kron(eye(d)) @ delta, eye(d).kron(delta) @ delta, [d])
     rep.add("coassociativity", w is None, w and {**w, "basis": w["basis"][0]})
@@ -228,14 +228,14 @@ def coaction_matrix(X: ModComod) -> Matrix:
     """The coaction as the matrix C (x) X <- X."""
     if X.coaction is None:
         raise ValueError("module has no coaction")
-    return Matrix.from_columns_csr(X.coaction, X.codim * X.dim, X.field)
+    return Matrix.from_columns(X.coaction, X.codim * X.dim, X.field)
 
 
 def coassociativity_defects(X: ModComod) -> Dict[tuple, Vec]:
     """Per-basis defect of (Delta_C (x) id) rho - (id (x) rho) rho."""
     f, cd, xd = X.field, X.codim, X.dim
     rho = coaction_matrix(X)
-    delta = Matrix.from_columns_csr((X.coalgebra or X.algebra).comul, cd * cd, f)
+    delta = Matrix.from_columns((X.coalgebra or X.algebra).comul, cd * cd, f)
     return column_defects(delta.kron(Matrix.identity(xd, f)) @ rho,
                           Matrix.identity(cd, f).kron(rho) @ rho, [xd])
 
@@ -337,7 +337,7 @@ def is_character(H: HopfAlgebra, delta: Dict[int, object]) -> bool:
 def is_grouplike(H: HopfAlgebra, sigma: Vec) -> bool:
     """sigma, an H x 1 column, has counit 1 and Delta sigma = sigma (x) sigma."""
     f = H.field
-    s = Matrix.from_columns_csr([sigma], H.dim, f)
+    s = Matrix.from_columns([sigma], H.dim, f)
     return (pairing_matrix(f, H.counit, H.dim) @ s == Matrix.identity(1, f)
             and H.comul_matrix() @ s == s.kron(s))
 

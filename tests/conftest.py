@@ -17,7 +17,7 @@ from hopfcalc.fields import QQ, Field
 from hopfcalc.hopf import (HopfAlgebra, build_dual_group_algebra, build_group_algebra,
                            build_sweedler, build_taft, cyclic_table, symmetric_table)
 from hopfcalc.linalg import (Matrix, Vec, pairing, pairing_matrix, tensor_decode, vec_add,
-                             vec_sub, vec_tensor)
+                             vec_tensor)
 from hopfcalc.modules import (ModComod, action_matrix, add_action_axioms, check_ayd,
                               coadjoint_comodule, coaction_matrix, coassociativity_defects,
                               enumerate_characters, enumerate_grouplikes, one_dim_modcomod,
@@ -39,22 +39,11 @@ def from_rows(rows, field: Field) -> Matrix:
     return Matrix(len(rows), len(rows[0]) if rows else 0, field, data)
 
 
-def init_column(m: Matrix, j: int, col) -> None:
-    """Write column j of ``m``, known to be empty, through ``Matrix.data``,
-    skipping the stale-entry scan of ``set_column``.  Only for freshly built
-    matrices whose columns are set once."""
-    data = m.data
-    for i, v in col.items():
-        if not m.field.is_zero(v):
-            data[(i, j)] = v
-
-
-def set_column(m: Matrix, j: int, col) -> None:
-    """Replace column j of ``m`` in place, through ``Matrix.data``."""
-    data = m.data
-    for key in [k for k in data if k[1] == j]:
-        del data[key]
-    init_column(m, j, col)
+def with_column(m: Matrix, j: int, col) -> Matrix:
+    """A new matrix: ``m`` with column j replaced by ``col``."""
+    cols = m.columns()
+    cols[j] = col
+    return Matrix.from_columns(cols, m.rows, m.field)
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -98,6 +87,12 @@ def linear(field: Field, cols, v: Vec) -> Vec:
     out: Vec = {}
     for i, c in v.items():
         vec_add(field, out, cols[i], c)
+    return out
+
+
+def vec_sub(field: Field, a: Vec, b: Vec) -> Vec:
+    out = dict(a)
+    vec_add(field, out, b, field.neg(field.one()))
     return out
 
 

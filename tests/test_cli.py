@@ -10,7 +10,7 @@ import tempfile
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import set_column
+from conftest import with_column
 
 from hopfcalc import cli
 from hopfcalc.calculus import Calculus
@@ -442,8 +442,7 @@ def test_internal_invariant_failure_is_exit_3(capsys, monkeypatch):
         col = d.column(0)
         k = min(col)
         col[k] = f.add(col[k], f.one())
-        set_column(d, 0, col)
-        return d
+        return with_column(d, 0, col)
     _corrupt_differential(monkeypatch, 1, bump)
     code = main(["check-module", "--builtin", "sweedler", "--module", "regular",
                  "--condition", "flat"])

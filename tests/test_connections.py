@@ -1,7 +1,7 @@
 import pytest
 
-from conftest import (ACCEPTANCE_ALGEBRAS, base_corpus, init_column, mutated_corpus,
-                      named_algebra)
+from conftest import (ACCEPTANCE_ALGEBRAS, base_corpus, mutated_corpus, named_algebra,
+                      vec_sub)
 from test_modules import Slot, checks, reference_oslash_action, reference_sandwich_compat
 
 from hopfcalc.calculus import Calculus
@@ -10,7 +10,7 @@ from hopfcalc.connections import (check_connection, check_dg_module_structure,
                                   connection_from_coaction, curvature, is_flat,
                                   tensor_connection)
 from hopfcalc.hopf import BialgebraMorphism
-from hopfcalc.linalg import Matrix, basis_vec, vec_add, vec_sub, vec_tensor
+from hopfcalc.linalg import Matrix, basis_vec, vec_add, vec_tensor
 from hopfcalc.modules import (BimoduleCoalgebra, check_ayd, check_equivariant,
                               check_yd, coassociativity_defects, one_dim_modcomod,
                               trivial_modcomod)
@@ -179,7 +179,7 @@ def reference_tensor_connection(conn_yd, conn_ayd):
                     vec_add(f, acc, vec_tensor(f, left, right, dy), c)
                 action[(i, a * dy + b)] = acc
 
-    nabla = Matrix(H.dim * dim, dim, f)
+    cols = []
     for a in range(dx):
         na = conn_yd.nabla.column(a)
         for b in range(dy):
@@ -196,7 +196,8 @@ def reference_tensor_connection(conn_yd, conn_ayd):
                     for h2, c3 in H.mul.get((k, hp), {}).items():
                         vec_add(f, col, {h2 * dim + a2 * dy + b2: f.mul(f.mul(c, c2), c3)})
                 vec_add(f, col, {hp * dim + a * dy + b2: c})
-            init_column(nabla, a * dy + b, col)
+            cols.append(col)
+    nabla = Matrix.from_columns(cols, H.dim * dim, f)
 
     # the componentwise product of the two coactions
     rho_x = coaction_from_connection(conn_yd).coaction

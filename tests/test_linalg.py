@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import from_rows, kernel_dim, named_algebra, set_column, transpose
+from conftest import from_rows, kernel_dim, named_algebra, transpose
 
 from hopfcalc.fields import Field, QQ
 from hopfcalc.linalg import (Matrix, _sparse_rank, identity_defect_witness,
@@ -27,13 +27,17 @@ def test_tensor_encode_decode_round_trip(dims, data):
     assert tensor_encode(idx, dims) == flat
 
 
-def _random_matrix(rng, rows, cols, field, density=0.4):
+def _random_entries(rng, rows, cols, field, density=0.4):
     data = {}
     for i in range(rows):
         for j in range(cols):
             if rng.random() < density:
                 data[(i, j)] = field.of(rng.randint(-4, 4))
-    return Matrix(rows, cols, field, data)
+    return data
+
+
+def _random_matrix(rng, rows, cols, field, density=0.4):
+    return Matrix(rows, cols, field, _random_entries(rng, rows, cols, field, density))
 
 
 @settings(max_examples=40)
@@ -156,11 +160,12 @@ def test_kron_is_big_endian():
 def test_inverse_round_trip():
     rng = random.Random(5)
     for field in (QQ, F7):
-        m = Matrix.identity(5, field)
+        data = {(i, i): field.one() for i in range(5)}
         for _ in range(10):
             i, j = rng.randrange(5), rng.randrange(5)
             if i != j:
-                m.data[(i, j)] = field.of(rng.randint(1, 3))
+                data[(i, j)] = field.of(rng.randint(1, 3))
+        m = Matrix(5, 5, field, data)
         inv = m.inverse()
         assert inv is not None
         assert m @ inv == Matrix.identity(5, field)
@@ -221,14 +226,13 @@ def test_inverse_matches_gauss_jordan(seed):
             got = m.inverse()
             assert (got is None) == (want is None)
             assert got == want
-            # the same matrix stored as int64 CSR
+            # the same matrix as a kernel result
             assert m.kron(Matrix.identity(1, field)).inverse() == want
-            # and with its zeros written through .data, as a --hopf file
-            # that lists its antipode densely stores them
-            for i in range(n):
-                for j in range(n):
-                    m.data.setdefault((i, j), field.zero())
-            assert m.inverse() == want
+            # and built from dense columns with their zeros, as from a
+            # --hopf file that lists its antipode densely
+            dense = Matrix.from_columns([{i: m.get(i, j) for i in range(n)}
+                                         for j in range(n)], n, field)
+            assert dense == m and dense.inverse() == want
     assert Matrix.zero(2, 3, QQ).inverse() is None
 
 
@@ -275,48 +279,98 @@ def test_huge_entries_fall_back_to_exact_products():
     assert identity_defect_witness(QQ, [(1, [(half, half)])]) == (0, 0, QQ.of(2**80))
 
 
-def test_set_column_replaces_and_invalidates_caches():
-    m = from_rows([[1, 2], [3, 4]], QQ)
-    _ = m @ m           # populate the scipy cache
-    set_column(m, 0, {1: QQ.of(5)})
-    assert m.get(0, 0) == QQ.zero()
-    assert m.get(1, 0) == QQ.of(5)
-    expect = from_rows([[0, 2], [5, 4]], QQ)
-    assert m @ m == expect @ expect
-
-
 def test_vec_tensor_layout():
     f = QQ
     v = vec_tensor(f, {1: f.of(2)}, {0: f.of(3)}, 4)
     assert v == {4: f.of(6)}
 
 
-def test_a_write_through_data_is_seen_by_every_later_read():
-    # the int64 form cached by a product used to outlive a write through
-    # .data: the defect below came out None and m @ I lost the entry
-    m = from_rows([[1, 0], [0, 1]], QQ)
+def test_a_write_to_data_changes_nothing():
+    # .data is a new dict on each call; writing to it used to change the
+    # matrix, and now leaves it, ==, @ and the defect check as they were
     eye = Matrix.identity(2, QQ)
-    _ = m @ eye
-    m.data[(0, 1)] = Fraction(5)
-    assert identity_defect_witness(QQ, [(1, [m]), (-1, [eye])]) == (0, 1, QQ.of(5))
-    assert (m @ eye).get(0, 1) == 5
-    # the same for a kernel result, stored as CSR until .data is read
-    k = eye.kron(eye)
-    assert k.apply({0: QQ.one()}) == {0: QQ.one()}
-    k.data[(1, 0)] = Fraction(2**63)
-    assert k.apply({0: QQ.one()}) == {0: QQ.one(), 1: QQ.of(2**63)}
-    assert (k @ Matrix.identity(4, QQ)).get(1, 0) == 2**63
+    for rows in ([[1, 0], [0, 1]], [[1, 0], [0, "1/2"]], [[2**62, 0], [0, 1]]):
+        m = from_rows(rows, QQ)
+        before = (m.data, m @ eye, identity_defect_witness(QQ, [(1, [m]), (-1, [eye])]))
+        data = m.data
+        assert data == before[0] and data is not m.data
+        data[(0, 1)] = Fraction(5)
+        del data[(0, 0)]
+        assert m.data == before[0] and m == from_rows(rows, QQ)
+        assert m @ eye == before[1] == m
+        assert identity_defect_witness(QQ, [(1, [m]), (-1, [eye])]) == before[2]
 
 
-def dict_kron(a: Matrix, b: Matrix) -> Matrix:
-    """The Kronecker product entry by entry, in the field's arithmetic: the
-    oracle for the int64 kernel of ``Matrix.kron``."""
-    f = a.field
-    data = {}
-    for (i, j), u in a.entries():
-        for (k, l), v in b.entries():
-            data[(i * b.rows + k, j * b.cols + l)] = f.mul(u, v)
-    return Matrix(a.rows * b.rows, a.cols * b.cols, f, data)
+class Ref:
+    """The tests-only dict reference for ``Matrix``: the nonzero entries
+    ``{(row, col): scalar}`` of a rows x cols matrix, with every operation
+    computed entry by entry in the field's arithmetic."""
+
+    def __init__(self, field, rows, cols, data):
+        self.f, self.rows, self.cols = field, rows, cols
+        self.d = {k: field.of(v) for k, v in data.items() if not field.is_zero(field.of(v))}
+
+    def matrix(self) -> Matrix:
+        return Matrix(self.rows, self.cols, self.f, self.d)
+
+    def kron(self, o: "Ref") -> "Ref":
+        return Ref(self.f, self.rows * o.rows, self.cols * o.cols,
+                   {(i * o.rows + k, j * o.cols + l): self.f.mul(u, v)
+                    for (i, j), u in self.d.items() for (k, l), v in o.d.items()})
+
+    def __matmul__(self, o: "Ref") -> "Ref":
+        f, out = self.f, {}
+        for (i, k), u in self.d.items():
+            for (k2, j), v in o.d.items():
+                if k == k2:
+                    out[(i, j)] = f.add(out.get((i, j), f.zero()), f.mul(u, v))
+        return Ref(f, self.rows, o.cols, out)
+
+    def plus(self, o: "Ref", c) -> "Ref":
+        """``self + c * o``."""
+        out = dict(self.d)
+        for k, v in o.d.items():
+            out[k] = self.f.add(out.get(k, self.f.zero()), self.f.mul(c, v))
+        return Ref(self.f, self.rows, self.cols, out)
+
+    def columns(self):
+        out = [{} for _ in range(self.cols)]
+        for (i, j), v in self.d.items():
+            out[j][i] = v
+        return out
+
+    def witness(self):
+        """The first nonzero entry in row-major order, or None."""
+        return min(((i, j, v) for (i, j), v in self.d.items()), default=None)
+
+    def value_type(self):
+        """The value type a Matrix with these entries must have."""
+        ints = all(v.denominator == 1 and abs(v) < 2**62 for v in self.d.values())
+        return np.int64 if ints else object
+
+
+def assert_matches(got: Matrix, ref: Ref) -> None:
+    """``got`` has the entries, the field scalars and the value type of ``ref``."""
+    assert (got.rows, got.cols) == (ref.rows, ref.cols)
+    assert got._csr[2].dtype == ref.value_type()
+    data = got.data
+    assert data == ref.d
+    assert all(type(v) is type(ref.f.one()) for v in data.values())
+
+
+# operand kinds: int64 values, and object values forced by one entry
+SPECIAL = {"int64": None, "big": 2**62, "half": Fraction(1, 2)}
+KINDS = [(QQ, "int64"), (F7, "int64"), (Field(2), "int64"), (QQ, "big"), (QQ, "half")]
+
+
+def _ref(rng, field, rows, cols, special=None, density=None):
+    """A random Ref with shapes and density as ``_kernel_operands``; a
+    ``special`` value, when given, sits at (0, 0) of a nonempty matrix."""
+    density = rng.choice([0.0, 0.3, 0.7]) if density is None else density
+    data = _random_entries(rng, rows, cols, field, density)
+    if special is not None and rows and cols:
+        data[(0, 0)] = field.of(special)
+    return Ref(field, rows, cols, data)
 
 
 def _kernel_operands(rng, field):
@@ -333,30 +387,68 @@ def _kernel_operands(rng, field):
 @given(st.integers(min_value=0, max_value=10**6))
 def test_kron_kernel_matches_the_dict_loop(seed):
     rng = random.Random(seed)
-    for field in (QQ, F7):
+    for field, kind in KINDS:
         for _ in range(3):
             rows = [rng.randint(0, 4) for _ in range(4)]
-            a = _random_matrix(rng, rows[0], rows[1], field, rng.choice([0.0, 0.3, 0.8]))
-            b = _random_matrix(rng, rows[2], rows[3], field, rng.choice([0.0, 0.3, 0.8]))
-            got = a.kron(b)
-            assert got._dict is None            # stored as CSR
-            assert got == dict_kron(a, b)
+            ra = _ref(rng, field, rows[0], rows[1], SPECIAL[kind], rng.choice([0.0, 0.3, 0.8]))
+            rb = _ref(rng, field, rows[2], rows[3], None, rng.choice([0.0, 0.3, 0.8]))
+            a, b = ra.matrix(), rb.matrix()
+            assert a._csr[2].dtype == ra.value_type()
+            for got, ref in ((a.kron(b), ra.kron(rb)), (b.kron(a), rb.kron(ra))):
+                assert_matches(got, ref)
+                assert got == ref.matrix()
 
 
 @settings(max_examples=30)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_a_csr_result_equals_its_dict_twin(seed):
+    # every operation on int64 operands and on object ones (a 2**62 or a
+    # 1/2 entry in the first operand), against the dict reference
     rng = random.Random(seed)
-    for field in (QQ, F7):
-        a, b = _kernel_operands(rng, field)
-        for got, twin in ((a @ b, a._matmul_python(b)), (a.kron(b), dict_kron(a, b))):
-            assert got._dict is None and twin._dict is not None
-            assert got == twin and twin == got
-            assert got.columns() == twin.columns()
-            assert [got.column(j) for j in range(got.cols)] == twin.columns()
-            assert dict(got.entries()) == twin.data
+    for field, kind in KINDS:
+        r, k, c = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 4)
+        ra = _ref(rng, field, r, k, SPECIAL[kind])
+        rb, rc, rd = _ref(rng, field, k, c), _ref(rng, field, r, k), _ref(rng, field, r, c)
+        a, b, cm, d = (x.matrix() for x in (ra, rb, rc, rd))
+        assert a._csr[2].dtype == (np.int64 if kind == "int64" else object)
+        cases = [(a @ b, ra @ rb), (a._matmul_python(b), ra @ rb),
+                 (a.kron(b), ra.kron(rb)), (b.kron(a), rb.kron(ra)),
+                 (a + cm, ra.plus(rc, field.one())), (cm - a, rc.plus(ra, field.neg(field.one()))),
+                 (a - a, ra.plus(ra, field.neg(field.one())))]
+        cases += [(a.scale(x), Ref(field, r, k, {}).plus(ra, x))
+                  for x in map(field.of, (0, 1, -1, 3, "1/3", 2**62))]
+        for got, ref in cases:
+            assert_matches(got, ref)
+            assert got == ref.matrix() and ref.matrix() == got
+            assert got.columns() == ref.columns()
+            assert [got.column(j) for j in range(got.cols)] == ref.columns()
+            assert got.nonzero_witness() == ref.witness()
             doubled = got.kron(from_rows([[2]], field))
-            assert (got == doubled) == (twin == doubled) == twin.is_zero()
+            assert (got == doubled) == (not ref.d)
+        for m, ref in ((a, ra), (b, rb), (a @ b, ra @ rb)):
+            assert m.rank() == fraction_rank(field, ref.columns())
+        # an invertible square matrix: a unit upper triangle with the special entry
+        n = rng.randint(1, 4)
+        rs = Ref(field, n, n, {**{(i, i): field.one() for i in range(n)},
+                               **{(i, j): field.of(rng.randint(-3, 3))
+                                  for i in range(n) for j in range(i + 1, n)}})
+        if SPECIAL[kind] is not None:
+            rs.d[(0, 0)] = field.of(SPECIAL[kind])
+        s = rs.matrix()
+        inv, want = s.inverse(), reference_inverse(s)
+        assert want is not None and inv == want
+        assert_matches(inv, Ref(field, n, n, dict(want.entries())))
+        assert s @ inv == Matrix.identity(n, field)
+        # the defect a @ b - d: on int64 operands its witness is the first
+        # entry in scipy's order, on object ones the first in row-major order
+        ref = (ra @ rb).plus(rd, field.neg(field.one()))
+        w = identity_defect_witness(field, [(1, [a, b]), (-1, [d])])
+        assert (w is None) == (not ref.d)
+        if w is not None:
+            i, j, v = w
+            assert ref.d[(i, j)] == v and type(v) is type(field.one())
+            if kind != "int64":
+                assert w == ref.witness()
 
 
 @settings(max_examples=30)
@@ -377,8 +469,8 @@ def test_sums_and_multiples_of_csr_operands_stay_canonical_csr(seed):
             twin = Matrix(a.rows, a.cols, field,
                           {(i, j): field.add(base.get(i, j), field.mul(c, other.get(i, j)))
                            for i, j in keys})
-            assert got._dict is None
-            assert all(np.array_equal(x, y) for x, y in zip(got._csr, twin._to_csr()))
+            assert got._csr[2].dtype == np.int64
+            assert all(np.array_equal(x, y) for x, y in zip(got._csr, twin._csr))
             assert all(type(v) is type(field.one()) for v in got.data.values())
 
 
@@ -394,6 +486,34 @@ def test_sums_and_multiples_check_shapes_and_bounds():
     assert (big - big).is_zero()
     assert big.scale(QQ.of(4)).get(0, 0) == 2**63
     assert big.scale(QQ.of("1/3")).data == {(0, 0): Fraction(2**61, 3), (0, 1): Fraction(1, 3)}
+
+
+def test_a_negative_row_index_is_rejected():
+    # from_columns used to put the entry at row rows - 1
+    for value in (3, Fraction(1, 2)):
+        with pytest.raises(ValueError):
+            Matrix.from_columns([{-1: value}, {0: 1}], 2, QQ)
+    with pytest.raises(ValueError):
+        Matrix(2, 2, QQ, {(0, -1): 3})
+
+
+def test_an_entry_outside_the_shape_is_rejected_on_the_exact_path():
+    # a Fraction entry at (5, 0) of a 2 x 1 matrix used to be kept, and
+    # kron with I_2 carried it to (10, 0) and (11, 1) of a 4 x 2 matrix
+    with pytest.raises(ValueError):
+        Matrix.from_columns([{5: Fraction(1, 2)}], 2, QQ).kron(Matrix.identity(2, QQ))
+    for key in ((2, 0), (0, 1)):
+        with pytest.raises(ValueError):
+            Matrix(2, 1, QQ, {key: Fraction(1, 2)})
+
+
+def test_an_unreduced_residue_equals_its_reduction():
+    # over F_7, 9 and 2 used to differ under == and agree after kron with I_1
+    a, b = Matrix(1, 1, F7, {(0, 0): 9}), Matrix(1, 1, F7, {(0, 0): 2})
+    one = Matrix.identity(1, F7)
+    assert a == b and a.kron(one) == b.kron(one)
+    assert a.data == {(0, 0): 2} and a.get(0, 0) == 2
+    assert Matrix(1, 1, F7, {(0, 0): 7}).is_zero()
 
 
 @settings(max_examples=30)

@@ -7,14 +7,14 @@ import pytest
 
 from conftest import (ACCEPTANCE_ALGEBRAS, base_corpus, check_comodule_axioms,
                       check_lemma_sandwich_action, comultiply_iter, mutated_corpus, linear,
-                      named_algebra, vec_eq)
+                      named_algebra, vec_eq, vec_sub)
 from test_hopf import checks_typed
 
 from hopfcalc.calculus import Calculus
 from hopfcalc.connections import sandwich_action
 from hopfcalc.hopf import BialgebraMorphism, HopfAlgebra
 from hopfcalc.linalg import (Matrix, Vec, basis_vec, bilinear, pairing, tensor_decode,
-                             vec_add, vec_scale, vec_sub, vec_tensor)
+                             vec_add, vec_scale, vec_tensor)
 from hopfcalc.modules import (BimoduleCoalgebra, ModComod, action_matrix, check_ayd,
                               check_equivariant, check_module_axioms,
                               check_stable, check_yd, coadjoint_comodule,

@@ -16,7 +16,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("argv", [
     ["scripts/verify_builtins.py"],
     ["scripts/homology_survey.py", "--only", "Z/2", "--max-degree", "2"],
-], ids=["verify_builtins", "homology_survey"])
+    ["scripts/src_lines.py"],
+], ids=["verify_builtins", "homology_survey", "src_lines"])
 def test_script_exits_0(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
