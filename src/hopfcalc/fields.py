@@ -45,12 +45,12 @@ class Field:
 
     def of(self, n) -> object:
         """Coerce an int, Fraction, or 'p/q' string into this field."""
-        if type(n) is (int if self.char else Fraction):
-            return n % self.char if self.char else n    # the common case, kept fast
+        if self.char == 0:
+            return n if type(n) is Fraction else Fraction(n)
+        if type(n) is int:
+            return n % self.char
         if isinstance(n, str):
             n = Fraction(n)
-        if self.char == 0:
-            return Fraction(n)
         if isinstance(n, Fraction):
             if n.denominator % self.char == 0:
                 raise ZeroDivisionError(f"{n} has no image in F_{self.char}")

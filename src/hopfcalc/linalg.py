@@ -329,8 +329,10 @@ def _trimmed(ptr, idx, val) -> CSR:
 def _value_array(vals: List) -> np.ndarray:
     """Field scalars as an int64 array when each is an integer below
     ``_INT64_SAFE`` in absolute value, otherwise as an object array."""
-    if all(v.denominator == 1 and -_INT64_SAFE < v.numerator < _INT64_SAFE for v in vals):
-        return np.fromiter((v.numerator for v in vals), dtype=np.int64, count=len(vals))
+    nums = [v.numerator for v in vals
+            if v.denominator == 1 and -_INT64_SAFE < v.numerator < _INT64_SAFE]
+    if len(nums) == len(vals):
+        return np.array(nums, dtype=np.int64)
     return np.array(vals, dtype=object)
 
 
@@ -398,7 +400,8 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int, field: Field) -> "Matrix":
-        return cls(rows, cols, field)
+        ptr, empty = np.zeros(rows + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return cls._of_csr(rows, cols, field, (ptr, empty, empty), 0)
 
     @classmethod
     def identity(cls, n: int, field: Field) -> "Matrix":
@@ -476,7 +479,7 @@ class Matrix:
         ptr, idx, val = self._csr
         s, e = ptr[i], ptr[i + 1]
         k = s + int(np.searchsorted(idx[s:e], j))
-        return val[k:k + 1].tolist()[0] if k < e and idx[k] == j else self.field.zero()
+        return val.item(k) if k < e and idx[k] == j else self.field.zero()
 
     def is_zero(self) -> bool:
         return self._nnz() == 0

@@ -374,8 +374,9 @@ def _ref(rng, field, rows, cols, special=None, density=None):
 
 
 def _kernel_operands(rng, field):
-    """Two CSR-stored matrices, made by the kernels from random dict ones
-    with shapes from 0 to 4 (empty rows, columns and matrices included)."""
+    """Two int64 kernel results (a Kronecker product with I_1) of random
+    matrices with shapes from 0 to 4 (empty rows, columns and matrices
+    included)."""
     shape = [rng.randint(0, 4) for _ in range(3)]
     density = rng.choice([0.0, 0.3, 0.7])
     a = _random_matrix(rng, shape[0], shape[1], field, density)
