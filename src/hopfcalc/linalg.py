@@ -64,8 +64,9 @@ from .fields import Field
 
 Vec = Dict[int, object]
 
-# A CSR triple (indptr, indices, data) of int64 arrays; its Matrix keeps the
-# shape.
+# A CSR triple (indptr, indices, data): int64 index arrays, and values that
+# are int64 or, in a Matrix that holds the exact fallback, objects; its
+# Matrix keeps the shape.
 CSR = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # Threshold above which an int64 product might overflow; beyond it we fall
@@ -247,7 +248,7 @@ def echelon_coords(field: Field, v: Vec, basis: List[Vec],
 # ---------------------------------------------------------------------------
 # int64 CSR kernels
 #
-# Each takes and returns CSR triples.  They never write to an operand: a
+# Each takes and returns int64 CSR triples.  They never write to an operand: a
 # Matrix stores its CSR read-only, and an identity's CSR is shared.
 
 
