@@ -86,7 +86,8 @@ def _read_json(path: str):
 def _load_cayley(path: str) -> Tuple[List[List[int]], Optional[List[str]]]:
     doc = _read_json(path)
     table = doc.get("table") if isinstance(doc, dict) else doc
-    if not isinstance(table, list):
+    if not (type(table) is list and all(type(row) is list and all(type(x) is int for x in row)
+                                        for row in table)):
         raise CliError(f"{path}: expected a Cayley table")
     names = doc.get("names") if isinstance(doc, dict) else None
     # basis names key the "character" and "grouplike" objects of a report
@@ -125,6 +126,11 @@ def builtin_hopf(name: str, field: Field) -> HopfAlgebra:
 
 
 def _scalar(field: Field, v) -> object:
+    """A scalar of an input file, an int or a "p/q" string, in the field.  A
+    float or a bool is refused: ``Field.of`` would truncate 1.5 to 1 over
+    F_p, take 0.1 as its binary fraction over Q and ``true`` as 1."""
+    if type(v) not in (int, str):
+        raise CliError(f"bad scalar literal {v!r}: expected an int or a 'p/q' string")
     try:
         return field.of(v)
     except (ValueError, ZeroDivisionError, TypeError) as e:

@@ -84,6 +84,15 @@ def verify_axioms(H: HopfAlgebra) -> Report:
     summed with plain ``+``/``*`` and each entry reduced mod p once.  The
     report lists one entry per axiom, with a witness basis tuple and the
     defect on the first failure found.
+
+    The ``antipode_inverse`` line cannot fail.  ``H.antipode_inverse()`` is
+    ``Matrix.inverse``, which returns a matrix T only when the reduced
+    column echelon of the stacked columns [S; I] has the pivots 0..n-1.
+    Each of its basis vectors lies in their span {(S x, x)}, and basis
+    vector k is (e_k, T e_k); so S T e_k = e_k for every k.  The
+    elimination is exact, so S T = I holds exactly, and for a square
+    matrix over a field T S = I follows.  The line is still computed, as a
+    check on the elimination.
     """
     f, d, p = H.field, H.dim, H.field.char
     rep = Report()

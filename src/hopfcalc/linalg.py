@@ -33,13 +33,12 @@ bilinear map given on basis pairs (a multiplication, an action) and
 ``bilinear_matrix`` turns the same table into a matrix,
 ``Matrix.from_columns`` a linear map given by its basis images (a
 coproduct, a coaction), ``pairing`` evaluates a covector (a counit, a
-character) and ``pairing_matrix`` turns it into a row, and
-``column_echelon`` is the field echelon behind
-``Matrix.inverse`` and the coordinates of ``echelon_coords``.  Rank is
-the exception, ``_sparse_rank``: exact sparse Gaussian elimination in
-integers, modular over F_p and fraction free over Q, kept apart from the
-field echelon because it is the hot path of homology and never builds a
-``Fraction``.
+character) and ``pairing_matrix`` turns it into a row.  Elimination has
+one forward pass, ``_echelon``: exact sparse Gaussian elimination in
+integers, modular over F_p and fraction free over Q, which never builds
+a ``Fraction``.  ``Matrix.rank`` counts its pivot rows; ``column_echelon``
+reduces them, by back substitution in the field, to the reduced column
+echelon basis behind ``Matrix.inverse`` and ``groupoid_decompose``.
 
 Tensor indices over a list of factor dimensions are flattened big-endian
 lexicographically: ``flat = sum(idx[i] * prod(dims[i+1:]))``.  The same
@@ -56,7 +55,7 @@ from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from itertools import accumulate, chain
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -205,44 +204,25 @@ def pairing(field: Field, w: Dict[int, object], v: Vec):
 def column_echelon(field: Field, cols: Iterable[Vec]) -> Tuple[List[Vec], List[int]]:
     """Reduced (echelon) basis of the column space, with pivot rows: each
     basis vector is 1 at its pivot, the smallest row it touches, and 0 at
-    every other pivot; sorted by pivot."""
-    basis: List[Vec] = []
-    pivots: List[int] = []
-    for col in cols:
-        r = {k: v for k, v in col.items() if not field.is_zero(v)}
-        for b, p in zip(basis, pivots):
-            c = r.get(p)
-            if c is not None:
-                vec_add(field, r, b, field.neg(c))
-        if not r:
-            continue
-        p = min(r)
-        scale = field.inv(r[p])
-        r = {k: field.mul(scale, v) for k, v in r.items()}
-        for i, (b, bp) in enumerate(zip(basis, pivots)):
-            c = b.get(p)
-            if c is not None:
-                nb = dict(b)
-                vec_add(field, nb, r, field.neg(c))
-                basis[i] = nb
-        basis.append(r)
-        pivots.append(p)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [basis[i] for i in order], [pivots[i] for i in order]
+    every other pivot; sorted by pivot.  A subspace has exactly one such
+    basis.  The columns hold nonzero field scalars, as a ``Matrix``'s do.
 
-
-def echelon_coords(field: Field, v: Vec, basis: List[Vec],
-                   pivots: List[int]) -> Vec | None:
-    """The coordinates of ``v`` in a ``column_echelon`` basis, or None
-    when ``v`` is not in its span."""
-    coords: Vec = {}
-    rest = {k: c for k, c in v.items() if not field.is_zero(c)}
-    for i, (b, p) in enumerate(zip(basis, pivots)):
-        c = rest.get(p)
-        if c is not None:
-            coords[i] = c
-            vec_add(field, rest, b, field.neg(c))
-    return None if rest else coords
+    The pivot rows of ``_echelon`` are reduced from the last pivot up: each
+    is divided by its leading entry and loses the reduced vectors of the
+    later pivots it touches, which are 0 at every other pivot."""
+    f = field
+    pivots = _echelon(f, cols)
+    basis: Dict[int, Vec] = {}
+    for lead in sorted(pivots, reverse=True):
+        a, rest = pivots[lead]
+        inv = f.inv(f.of(a))
+        r = {k: f.mul(inv, f.of(v)) for k, v in rest.items()}
+        for q in [k for k in r if k in basis]:
+            vec_add(f, r, basis[q], f.neg(r[q]))
+        r[lead] = f.one()
+        basis[lead] = r
+    leads = sorted(basis)
+    return [basis[q] for q in leads], leads
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +427,12 @@ class Matrix:
         return dict(self._column(j))
 
     def columns(self) -> List[Vec]:
+        return list(self._iter_columns())
+
+    def _iter_columns(self) -> Iterator[Vec]:
+        """The columns as new dicts, built one at a time."""
         ptr, idx, val = (a.tolist() for a in self._csc_arrays())
-        return [dict(zip(idx[s:e], val[s:e])) for s, e in zip(ptr, ptr[1:])]
+        return (dict(zip(idx[s:e], val[s:e])) for s, e in zip(ptr, ptr[1:]))
 
     def _column(self, j: int) -> Vec:
         """Column j, cached and not to be written; only the columns asked
@@ -602,7 +586,7 @@ class Matrix:
     # -- elimination ---------------------------------------------------------
 
     def rank(self) -> int:
-        return _sparse_rank(self.field, self.columns())
+        return len(_echelon(self.field, self._iter_columns()))
 
     def inverse(self) -> "Matrix | None":
         """Exact inverse, or None if singular.  The stacked columns [A; I]
@@ -749,36 +733,40 @@ def _int64_defect(field: Field, terms) -> "CSR | None":
     return acc
 
 
-def _sparse_rank(field: Field, rows: Iterable[Vec]) -> int:
-    """Rank by sparse Gaussian elimination in integers.
+def _echelon(field: Field, cols: Iterable[Vec]) -> Dict[int, Tuple[int, Vec]]:
+    """The pivot rows ``{lead: (a, rest)}`` of a forward Gaussian
+    elimination of ``cols`` in integers: one per dimension of their span.
 
-    Kept apart from ``column_echelon``: it is most of a homology run
-    (~2.2 s of the 2.65 s that the 17 ``cotor_homology`` benchmark lines
-    spend in-process on a 2-vCPU VM), and it never builds a ``Fraction``.
+    ``cols`` hold nonzero field scalars, over F_p ints in [0, p), as a
+    ``Matrix``'s columns do; rows or columns alike, since only their span
+    matters.  Pivot row ``(a, rest)`` stands for the vector
+    ``a * e_lead + rest``.  Its invariants:
 
-    ``rows`` may equally be the columns of the matrix (rank is transpose
-    invariant); callers pass whichever orientation is sparser to reduce.
+    - ``a`` and every value of ``rest`` are nonzero ints, and every index
+      of ``rest`` is above ``lead``; so the leads differ and the pivot rows
+      are a basis of the span of ``cols``.
+    - Over F_p, ``a`` is 1 and the values of ``rest`` lie in [1, p).
+    - Over Q, a pivot row is an integer vector in the span: no
+      ``Fraction`` is built.
 
-    Elimination stays in the integers.  A pivot row is kept with its
-    leading entry ``a``, and a row whose entry in that column is ``coeff``
-    becomes ``(a/g)*r - (coeff/g)*pivot`` with ``g = gcd(a, coeff)``: a
-    nonzero multiple of ``r`` plus a multiple of the pivot, so the rank is
+    A vector whose entry at a pivot's lead is ``coeff`` becomes
+    ``(a/g)*r - (coeff/g)*pivot`` with ``g = gcd(a, coeff)``: a nonzero
+    multiple of ``r`` plus a multiple of the pivot, so the span is
     unchanged.  Over F_p a new pivot row is normalized to ``a = 1`` and
-    every entry is reduced mod p.  Over Q each incoming row is first scaled
-    by the lcm of its denominators, which leaves the rank unchanged too, so
-    no ``Fraction`` arithmetic follows (fraction free, in the manner of
-    Bareiss); when ``a/g`` is not +-1 the row's content (the gcd of its
-    entries) is divided out, which keeps the entries from growing.
+    every entry is reduced mod p.  Over Q each incoming vector is first
+    scaled by the lcm of its denominators, which leaves the span unchanged
+    too, so no ``Fraction`` arithmetic follows (fraction free, in the
+    manner of Bareiss); when ``a/g`` is not +-1 the row's content (the gcd
+    of its entries) is divided out, which keeps the entries from growing.
     """
     p = field.char
     pivots: Dict[int, Tuple[int, Vec]] = {}
-    rank = 0
-    for row in rows:
+    for col in cols:
         if p:
-            r = dict(row)
+            r = dict(col)
         else:
-            den = lcm(*(v.denominator for v in row.values()))
-            r = {k: v.numerator * (den // v.denominator) for k, v in row.items()}
+            den = lcm(*(v.denominator for v in col.values()))
+            r = {k: v.numerator * (den // v.denominator) for k, v in col.items()}
         while r:
             lead = min(r)
             coeff = r.pop(lead)
@@ -789,7 +777,6 @@ def _sparse_rank(field: Field, rows: Iterable[Vec]) -> int:
                     r = {k: v * inv % p for k, v in r.items()}
                     coeff = 1
                 pivots[lead] = (coeff, r)
-                rank += 1
                 break
             a, prow = piv
             g = gcd(a, coeff)
@@ -810,4 +797,4 @@ def _sparse_rank(field: Field, rows: Iterable[Vec]) -> int:
                 content = gcd(*r.values())
                 if content != 1:
                     r = {k: v // content for k, v in r.items()}
-    return rank
+    return pivots

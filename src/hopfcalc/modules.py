@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 from .fields import Field
 from .hopf import BialgebraMorphism, HopfAlgebra
 from .linalg import (Matrix, Vec, basis_vec, bilinear, bilinear_matrix, column_defects,
-                     column_echelon, column_witness, echelon_coords, pairing, pairing_matrix)
+                     column_echelon, column_witness, pairing, pairing_matrix)
 from .reports import Report
 
 
@@ -463,6 +463,15 @@ def groupoid_decompose(X: ModComod) -> GroupoidReport:
     Replays the basis argument of the guiding example: the coaction of a
     group algebra is a family of complementary idempotent projections; the
     split fails exactly when those matrix identities fail.
+
+    Grade t has the reduced echelon basis of its projection's image
+    (``column_echelon``), the columns of a matrix B_t that is 1 at its own
+    pivot rows (the smallest row of each column) and 0 at the others.  So
+    E_t, the 0/1 matrix that picks out those rows, has E_t B_t = I: a
+    vector v lies in grade t exactly when B_t E_t v = v, and E_t v are its
+    coordinates.  The block of (h, g) is E_t act_h B_g, with t = h g h^-1,
+    once B_t E_t act_h B_g = act_h B_g.  The action is read only when some
+    grade is nonzero: a zero-dimensional comodule needs none.
     """
     H = X.algebra
     if H.group_table is None:
@@ -486,32 +495,27 @@ def groupoid_decompose(X: ModComod) -> GroupoidReport:
                 return GroupoidReport(
                     False, f"coaction components are not orthogonal idempotents at ({g},{h})")
 
-    basis: Dict[int, List[Vec]] = {}
-    pivots: Dict[int, List[int]] = {}
-    for g in range(n):
-        vecs, pivs = column_echelon(f, projections[g].columns())
-        basis[g] = vecs
-        pivots[g] = pivs
+    basis = {g: column_echelon(f, projections[g].columns())[0] for g in range(n)}
     if sum(len(v) for v in basis.values()) != dX:
         return GroupoidReport(False, "grading blocks do not fill the space")
 
     dims = {g: len(basis[g]) for g in range(n) if basis[g]}
+    B = {t: Matrix.from_columns(vs, dX, f) for t, vs in basis.items()}
+    E = {t: Matrix(len(vs), dX, f, {(k, min(v)): 1 for k, v in enumerate(vs)})
+         for t, vs in basis.items()}
+    act = action_matrix(X) if dims else None
     blocks: Dict[Tuple[int, int], Matrix] = {}
     for h in range(n):
-        for g in list(dims):
+        e_h = Matrix.from_columns([basis_vec(f, h)], n, f)
+        for g in dims:
             target = table[table[h][g]][inverse[h]]
-            cols = []
-            for v in basis[g]:
-                img = X.act(basis_vec(f, h), v)
-                coords = echelon_coords(f, img, basis.get(target, []),
-                                        pivots.get(target, []))
-                if coords is None:
-                    return GroupoidReport(
-                        False,
-                        f"action of {H.basis[h]} does not map grade {H.basis[g]} "
-                        f"into grade {H.basis[target]}")
-                cols.append(coords)
-            blocks[(h, g)] = Matrix.from_columns(cols, len(basis.get(target, [])), f)
+            img = act @ e_h.kron(B[g])
+            blocks[(h, g)] = E[target] @ img
+            if B[target] @ blocks[(h, g)] != img:
+                return GroupoidReport(
+                    False,
+                    f"action of {H.basis[h]} does not map grade {H.basis[g]} "
+                    f"into grade {H.basis[target]}")
     return GroupoidReport(True, data=GroupoidData(dims, blocks), grading_basis=basis)
 
 

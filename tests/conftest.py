@@ -54,6 +54,34 @@ def kernel_dim(m: Matrix) -> int:
     return m.cols - m.rank()
 
 
+def reference_column_echelon(field: Field, cols):
+    """Reduced (echelon) basis of the column space, with pivot rows, by
+    Gauss-Jordan elimination in the field's arithmetic, one column at a
+    time: the oracle for ``linalg.column_echelon``."""
+    basis, pivots = [], []
+    for col in cols:
+        r = {k: v for k, v in col.items() if not field.is_zero(v)}
+        for b, p in zip(basis, pivots):
+            c = r.get(p)
+            if c is not None:
+                vec_add(field, r, b, field.neg(c))
+        if not r:
+            continue
+        p = min(r)
+        scale = field.inv(r[p])
+        r = {k: field.mul(scale, v) for k, v in r.items()}
+        for i, (b, bp) in enumerate(zip(basis, pivots)):
+            c = b.get(p)
+            if c is not None:
+                nb = dict(b)
+                vec_add(field, nb, r, field.neg(c))
+                basis[i] = nb
+        basis.append(r)
+        pivots.append(p)
+    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
+    return [basis[i] for i in order], [pivots[i] for i in order]
+
+
 # algebra and calculus operations that only the tests use
 
 

@@ -388,6 +388,32 @@ def test_cayley_file_names_must_be_strings(capsys, tmp_path):
     assert code == 0 and doc["status"] == "pass"
 
 
+@pytest.mark.parametrize("field,scalar", [("F7", 1.5), ("F7", True), ("F7", 1.0),
+                                          ("Q", 0.1), ("Q", 1.0), ("Q", True), ("Q", False)])
+def test_float_or_bool_scalar_is_exit_2(capsys, tmp_path, field, scalar):
+    # Field.of took 1.5 as 1 over F7, true as 1 and 0.1 as the binary
+    # fraction 3602879701896397/36028797018963968 over Q: a float or a bool
+    # in place of the mul coefficient 1 of g g = 1 passed, or failed an axiom
+    hpath, mpath = tmp_path / "h.json", tmp_path / "m.json"
+    hpath.write_text(json.dumps(dict(KZ2, field=field, mul=KZ2["mul"][:3] + [[1, 1, 0, scalar]])))
+    assert main(["verify-hopf", "--hopf", str(hpath)]) == 2
+    assert f"bad scalar literal {scalar!r}" in capsys.readouterr().err
+    hpath.write_text(json.dumps(dict(KZ2, field=field)))
+    mpath.write_text(json.dumps(dict(TRIVIAL, coaction=[[0, 0, 0, scalar]])))
+    assert main(["check-module", "--hopf", str(hpath), "--module", str(mpath),
+                 "--condition", "yd"]) == 2
+    assert f"bad scalar literal {scalar!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table", [[[0, 1], [1, False]], [[0, 1], [1, 0.0]], [[0, 1], 5]])
+def test_cayley_table_entries_must_be_ints(capsys, tmp_path, table):
+    # false == 0 made the first table k[Z2]; 0.0 and 5 crashed check_group_table
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({"table": table}))
+    assert main(["verify-hopf", "--builtin", f"group:{path}"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: expected a Cayley table\n"
+
+
 def test_unknown_subcommand_is_exit_2(capsys):
     assert main(["frobnicate"]) == 2
 

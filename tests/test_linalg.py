@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import from_rows, kernel_dim, named_algebra, transpose
+from conftest import from_rows, kernel_dim, named_algebra, reference_column_echelon, transpose
 
 from hopfcalc.fields import Field, QQ
-from hopfcalc.linalg import (Matrix, _sparse_rank, identity_defect_witness,
+from hopfcalc.linalg import (Matrix, column_echelon, identity_defect_witness,
                              tensor_decode, tensor_encode, vec_add, vec_tensor)
 
 F7 = Field(7)
@@ -54,7 +54,7 @@ def test_rank_plus_nullity(seed, rows, cols):
 def fraction_rank(field, rows):
     """Rank by sparse Gaussian elimination with eagerly normalized pivots in
     the field's own arithmetic (``Fraction`` over Q): the oracle for
-    ``_sparse_rank``."""
+    ``Matrix.rank``."""
     f = field
     pivots = {}
     rank = 0
@@ -78,22 +78,26 @@ def fraction_rank(field, rows):
     return rank
 
 
+# "big" entries reach beyond 2**62, so those matrices hold object values
 RANK_ENTRIES = {
     "integer": (QQ, lambda rng: rng.randint(-6, 6)),
     "rational": (QQ, lambda rng: Fraction(rng.randint(-6, 6), rng.randint(1, 6))),
+    "big": (QQ, lambda rng: rng.randint(-6, 6) * 2**62 + rng.randint(-2, 2)),
+    "F5": (Field(5), lambda rng: rng.randint(-6, 6)),
     "F7": (F7, lambda rng: rng.randint(-6, 6)),
     "F2": (Field(2), lambda rng: rng.randint(0, 1)),
 }
 
+RANK_DRAWS = (st.integers(min_value=0, max_value=10**6), st.sampled_from(sorted(RANK_ENTRIES)),
+              st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=7),
+              st.integers(min_value=0, max_value=4))
 
-@settings(max_examples=60)
-@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(sorted(RANK_ENTRIES)),
-       st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=7),
-       st.integers(min_value=0, max_value=4))
-def test_sparse_rank_matches_fraction_elimination(seed, kind, rows, cols, inner):
-    # inner > 0 makes the matrix a product through an inner dimension, so
-    # its rank is often below min(rows, cols) and its entries are larger
-    # than the leading entries they meet: pivots are rarely units
+
+def rank_matrix(seed, kind, rows, cols, inner):
+    """A random matrix of ``kind``; ``inner > 0`` makes it a product through
+    an inner dimension, so its rank is often below min(rows, cols) and its
+    entries are larger than the leading entries they meet: pivots are
+    rarely units."""
     field, entry = RANK_ENTRIES[kind]
     rng = random.Random(seed)
 
@@ -101,20 +105,37 @@ def test_sparse_rank_matches_fraction_elimination(seed, kind, rows, cols, inner)
         return Matrix(r, c, field, {(i, j): field.of(entry(rng)) for i in range(r)
                                     for j in range(c) if rng.random() < 0.6})
 
-    if inner:
-        m = rand(rows, inner)._matmul_python(rand(inner, cols))
-    else:
-        m = rand(rows, cols)
-    for vecs in (m.columns(), transpose(m).columns()):
-        assert _sparse_rank(field, vecs) == fraction_rank(field, vecs)
+    return rand(rows, inner)._matmul_python(rand(inner, cols)) if inner else rand(rows, cols)
+
+
+@settings(max_examples=60)
+@given(*RANK_DRAWS)
+def test_sparse_rank_matches_fraction_elimination(seed, kind, rows, cols, inner):
+    m = rank_matrix(seed, kind, rows, cols, inner)
+    for x in (m, transpose(m)):
+        assert x.rank() == fraction_rank(x.field, x.columns())
 
 
 def test_sparse_rank_with_non_unit_pivots():
     # every leading entry is 2, 3 or 6, so each elimination step scales the
-    # row and divides its content out again
-    m = from_rows([[2, 4, 6, 0], [3, 6, 9, 1], [6, 13, 18, 2], [3, 7, 9, 1]], QQ)
-    assert _sparse_rank(QQ, m.columns()) == fraction_rank(QQ, m.columns()) == 3
-    assert _sparse_rank(QQ, transpose(m).columns()) == 3
+    # row and divides its content out again; so does the 2**62 multiple
+    for scale in (1, 2**62):
+        m = from_rows([[2, 4, 6, 0], [3, 6, 9, 1], [6, 13, 18, 2], [3, 7, 9, 1]], QQ)
+        m = m.scale(QQ.of(scale))
+        assert m.rank() == fraction_rank(QQ, m.columns()) == 3
+        assert transpose(m).rank() == 3
+
+
+@settings(max_examples=60)
+@given(*RANK_DRAWS)
+def test_column_echelon_matches_the_reference(seed, kind, rows, cols, inner):
+    m = rank_matrix(seed, kind, rows, cols, inner)
+    one = type(m.field.one())
+    for x in (m, transpose(m)):
+        basis, pivots = column_echelon(x.field, x.columns())
+        assert (basis, pivots) == reference_column_echelon(x.field, x.columns())
+        assert len(pivots) == x.rank()
+        assert all(type(v) is one for b in basis for v in b.values())
 
 
 @settings(max_examples=30)

@@ -6,8 +6,9 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 
 from conftest import (ACCEPTANCE_ALGEBRAS, base_corpus, check_comodule_axioms,
-                      check_lemma_sandwich_action, comultiply_iter, mutated_corpus, linear,
-                      named_algebra, vec_eq, vec_sub)
+                      check_lemma_sandwich_action, comultiply_iter, mutate_coaction,
+                      mutated_corpus, linear, named_algebra, reference_column_echelon, vec_eq,
+                      vec_sub)
 from test_hopf import checks_typed
 
 from hopfcalc.calculus import Calculus
@@ -21,7 +22,8 @@ from hopfcalc.modules import (BimoduleCoalgebra, ModComod, action_matrix, check_
                               coassociativity_defects, groupoid_decompose,
                               modcomod_from_groupoid, one_dim_modcomod, regular_modcomod,
                               trivial_modcomod, verify_bimodule_coalgebra,
-                              enumerate_characters, enumerate_grouplikes, GroupoidData)
+                              coaction_matrix, enumerate_characters, enumerate_grouplikes,
+                              pairing_matrix, GroupoidData, GroupoidReport)
 from hopfcalc.reports import Report
 
 
@@ -558,9 +560,100 @@ def test_every_bimodule_coalgebra_check_fails_on_some_corruption():
     assert failed == set(_BIMODULE_COALGEBRA_CHECKS)
 
 
+def reference_groupoid_decompose(X: ModComod) -> GroupoidReport:
+    """``groupoid_decompose`` one basis vector at a time: each image of a
+    grade's basis vector is reduced against the target grade's echelon basis
+    (``reference_column_echelon``), and its coordinates are the multiples
+    taken off."""
+    H = X.algebra
+    f, n, dX, table = H.field, H.dim, X.dim, H.group_table
+    inverse = [next(j for j in range(n) if table[i][j] == 0) for i in range(n)]
+    rho, eye = coaction_matrix(X), Matrix.identity(dX, f)
+    projections = [pairing_matrix(f, {g: f.one()}, n).kron(eye) @ rho for g in range(n)]
+    if sum(projections[1:], projections[0]) != eye:
+        return GroupoidReport(False, "coaction is not counital: projections do not sum to the identity")
+    for g in range(n):
+        for h in range(n):
+            prod = projections[g] @ projections[h]
+            expect = projections[g] if g == h else Matrix.zero(dX, dX, f)
+            if prod != expect:
+                return GroupoidReport(
+                    False, f"coaction components are not orthogonal idempotents at ({g},{h})")
+    basis, pivots = {}, {}
+    for g in range(n):
+        basis[g], pivots[g] = reference_column_echelon(f, projections[g].columns())
+    if sum(len(v) for v in basis.values()) != dX:
+        return GroupoidReport(False, "grading blocks do not fill the space")
+    dims = {g: len(basis[g]) for g in range(n) if basis[g]}
+    blocks = {}
+    for h in range(n):
+        for g in list(dims):
+            target = table[table[h][g]][inverse[h]]
+            cols = []
+            for v in basis[g]:
+                rest = X.act(basis_vec(f, h), v)
+                coords = {}
+                for i, (b, p) in enumerate(zip(basis[target], pivots[target])):
+                    c = rest.get(p)
+                    if c is not None:
+                        coords[i] = c
+                        vec_add(f, rest, b, f.neg(c))
+                if rest:
+                    return GroupoidReport(
+                        False,
+                        f"action of {H.basis[h]} does not map grade {H.basis[g]} "
+                        f"into grade {H.basis[target]}")
+                cols.append(coords)
+            blocks[(h, g)] = Matrix.from_columns(cols, len(basis[target]), f)
+    return GroupoidReport(True, data=GroupoidData(dims, blocks), grading_basis=basis)
+
+
+def decompose(X: ModComod) -> GroupoidReport:
+    """``groupoid_decompose(X)``, after checking that it equals the
+    reference: ``ok``, ``reason``, ``dims``, ``blocks`` and
+    ``grading_basis``."""
+    got, want = groupoid_decompose(X), reference_groupoid_decompose(X)
+    assert (got.ok, got.reason) == (want.ok, want.reason)
+    assert got.grading_basis == want.grading_basis
+    assert (got.data is None) == (want.data is None)
+    if got.data is not None:
+        assert got.data.dims == want.data.dims
+        assert got.data.blocks == want.data.blocks
+    return got
+
+
+def conjugation_modcomod(H: HopfAlgebra) -> ModComod:
+    """The regular comodule rho = Delta, grading M_g = span(g), with the
+    conjugation action h . g = h g h^-1."""
+    table = H.group_table
+    inv = [next(j for j in range(H.dim) if table[i][j] == 0) for i in range(H.dim)]
+    Y = regular_modcomod(H)
+    Y.action = {(h, g): {table[table[h][g]][inv[h]]: H.field.one()}
+                for h in range(H.dim) for g in range(H.dim)}
+    return Y
+
+
+def random_groupoid_data(H: HopfAlgebra, dims, rng: random.Random) -> GroupoidData:
+    """Random diagonal block data on the grades ``dims``, which must be
+    closed under conjugation; identity blocks at e."""
+    f, table = H.field, H.group_table
+    inv = [next(j for j in range(H.dim) if table[i][j] == 0) for i in range(H.dim)]
+    blocks = {}
+    for h in range(H.dim):
+        for g in dims:
+            t = table[table[h][g]][inv[h]]
+            rows, cols = dims[t], dims[g]
+            blocks[(h, g)] = Matrix(rows, cols, f,
+                                    {(r, c): f.of(rng.randint(1, 3)) for r in range(rows)
+                                     for c in range(cols) if r == c})
+    for g in dims:
+        blocks[(0, g)] = Matrix.identity(dims[g], f)
+    return GroupoidData(dims, blocks)
+
+
 def test_groupoid_trivial_module_sits_at_identity():
     H = named_algebra("kS3")
-    rep = groupoid_decompose(trivial_modcomod(H))
+    rep = decompose(trivial_modcomod(H))
     assert rep.ok
     assert rep.data.dims == {0: 1}
 
@@ -570,18 +663,11 @@ def test_groupoid_regular_comodule_conjugation():
     X = coadjoint_comodule(H)
     X.action = {k: dict(v) for k, v in H.mul.items()}
     # rho^coad over a group algebra is trivial, so the grading collapses to e
-    rep = groupoid_decompose(X)
+    rep = decompose(X)
     assert rep.ok and rep.data.dims == {0: 6}
     # the regular comodule rho = Delta grades M_g = span(g); conjugation action
-    Y = regular_modcomod(H)
-    table = H.group_table
-    inv = [next(j for j in range(6) if table[i][j] == 0) for i in range(6)]
-    conj_action = {}
-    for h in range(6):
-        for g in range(6):
-            conj_action[(h, g)] = {table[table[h][g]][inv[h]]: H.field.one()}
-    Y.action = conj_action
-    rep = groupoid_decompose(Y)
+    Y = conjugation_modcomod(H)
+    rep = decompose(Y)
     assert rep.ok
     assert rep.data.dims == {g: 1 for g in range(6)}
     assert check_ayd(Y).passed
@@ -589,37 +675,65 @@ def test_groupoid_regular_comodule_conjugation():
 
 def test_groupoid_round_trip():
     H = named_algebra("kS3")
-    f = H.field
-    rng = random.Random(7)
-    table = H.group_table
-    inv = [next(j for j in range(6) if table[i][j] == 0) for i in range(6)]
     # random block data on a conjugacy-closed grade set: e and the 3-cycles
     dims = {0: 2, 3: 1, 4: 1}
-    blocks = {}
-    for h in range(6):
-        for g in dims:
-            t = table[table[h][g]][inv[h]]
-            rows, cols = dims[t], dims[g]
-            m = Matrix(rows, cols, f,
-                       {(r, c): f.of(rng.randint(1, 3)) for r in range(rows)
-                        for c in range(cols) if r == c})
-            blocks[(h, g)] = m
-    for g in dims:
-        blocks[(0, g)] = Matrix.identity(dims[g], f)
-    X = modcomod_from_groupoid(H, GroupoidData(dims, blocks))
-    rep = groupoid_decompose(X)
-    assert rep.ok
-    assert rep.data.dims == dims
-    for key, m in rep.data.blocks.items():
-        assert m == blocks[key]
+    for seed in (7, 8, 9, 10, 11):
+        data = random_groupoid_data(H, dims, random.Random(seed))
+        rep = decompose(modcomod_from_groupoid(H, data))
+        assert rep.ok
+        assert rep.data.dims == dims
+        for key, m in rep.data.blocks.items():
+            assert m == data.blocks[key]
 
 
 def test_groupoid_rejects_broken_grading():
     H = named_algebra("kS3")
     X = regular_modcomod(H)     # action by multiplication does not conjugate
-    rep = groupoid_decompose(X)
+    rep = decompose(X)
     assert not rep.ok
     assert "does not map grade" in rep.reason
+
+
+def shift_coaction(X: ModComod, rng: random.Random) -> ModComod:
+    """Add 1 to one seeded entry of the coaction at a grade g and -1 to the
+    same entry at another grade: the projections still sum to the
+    identity, so the split fails, if at all, past the counit."""
+    f = X.field
+    Y = X.copy_with(label=X.label + "+shift")
+    a, b = rng.randrange(X.dim), rng.randrange(X.dim)
+    for grade, c in zip(rng.sample(range(X.codim), 2), (f.one(), f.neg(f.one()))):
+        fl = grade * X.dim + b
+        val = f.add(Y.coaction[a].get(fl, f.zero()), c)
+        if f.is_zero(val):
+            del Y.coaction[a][fl]
+        else:
+            Y.coaction[a][fl] = val
+    return Y
+
+
+GROUPOID_REASONS = ("not counital", "not orthogonal idempotents", "does not map grade")
+
+
+@pytest.mark.parametrize("name,dims", [("kS3", {0: 2, 3: 1, 4: 1}), ("kZ3", {0: 1, 1: 2, 2: 1})])
+def test_groupoid_matches_the_reference_on_mutated_modules(name, dims):
+    # coactions mutated by one entry (not counital) or shifted between two
+    # grades (not idempotent, or a new grading the action does not respect),
+    # and actions mutated by one entry
+    H = named_algebra(name)
+    rng = random.Random(sum(map(ord, name)))
+    coadjoint = coadjoint_comodule(H)
+    coadjoint.action = {k: dict(v) for k, v in H.mul.items()}
+    bases = [trivial_modcomod(H), coadjoint, conjugation_modcomod(H), regular_modcomod(H),
+             modcomod_from_groupoid(H, random_groupoid_data(H, dims, rng))]
+    reached = {"coaction": set(), "action": set()}
+    for k in range(40):
+        X = bases[k % len(bases)]
+        for kind, Y in (("coaction", mutate_coaction(X, rng)), ("coaction", shift_coaction(X, rng)),
+                        ("action", mutate_action(X, rng))):
+            reason = decompose(Y).reason
+            reached[kind].add(next((r for r in GROUPOID_REASONS if r in reason), reason))
+    assert reached["coaction"] >= set(GROUPOID_REASONS)
+    assert reached["action"] == {"", "does not map grade"}
 
 
 def test_mutations_break_something():
