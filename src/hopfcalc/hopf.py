@@ -1,19 +1,20 @@
 """Finite-dimensional Hopf algebras presented by structure constants.
 
 An algebra here is a basis together with sparse tensors for multiplication,
-unit, comultiplication, counit and antipode.  Every axiom is a finite
-statement about basis tuples.  `verify_axioms` reads the structure maps once
-into index tables of plain scalars and checks every tuple on them; it is the
-oracle all builders are validated against.  The enumeration through the
-algebra's own maps that it replaced is `reference_verify_axioms` in the
-tests, which check it against that reference.
+unit, comultiplication, counit and antipode.  Every axiom is an identity of
+the structure matrices mu, u, Delta, eps and S: `verify_axioms` checks the
+thirteen of a Hopf algebra with an invertible antipode and
+`verify_morphism` the equations of a bialgebra map, each witnessed by the
+first column in which its sides differ, decoded to the first failing basis
+tuple.  The per-tuple enumeration through the algebra's own maps is
+`reference_verify_axioms` in the tests, the oracle it is checked against.
 
-The tables stay because every CLI verdict runs `verify_axioms`.  As matrix
-identities it gave every report of the reference test and the golden set,
-but took 1.6-2.0 ms against 0.25-0.65 ms on k[Z2], k[Z3], k^Z2 and Sweedler
-(2-vCPU VM): a numpy call costs more than the arithmetic on such tiny
-matrices.  The rarer structure checks, cocommutativity and
-`verify_morphism`, are matrix identities.
+Every CLI verdict runs `verify_axioms`, and on tiny algebras a numpy call
+costs more than the arithmetic.  Per call, S^-1 included (best of 5 x 7 x
+200 on a 2-vCPU VM), the identities take 0.76-0.85 ms on k[Z2], k[Z3], k^Z2
+and Sweedler, where the per-tuple scans of scalar tables they replaced took
+0.18-0.43 ms, and 0.95 and 1.4 ms on k[S3] and Taft(3,2)/F7, where the scans
+took 1.0 and 2.4 ms.  That is the price of one path for every size.
 """
 from __future__ import annotations
 
@@ -75,15 +76,37 @@ class HopfAlgebra:
 # axiom verification
 
 
-def verify_axioms(H: HopfAlgebra) -> Report:
-    """Check every Hopf-algebra axiom on all basis tuples.
+def _add_identity(rep: Report, names: Sequence[str], name: str, lhs: Matrix, rhs: Matrix,
+                  dims: Sequence[int]) -> None:
+    """Add the check ``name``, lhs == rhs, to ``rep``; on failure its witness
+    is ``column_witness``'s first differing column, with the basis indices
+    mapped to ``names``."""
+    w = column_witness(lhs, rhs, dims)
+    rep.add(name, w is None, w and {**w, "basis": [names[i] for i in w["basis"]]})
 
-    The structure maps are read once into index tables of plain scalars: an
-    int where integral, else the exact Fraction.  Both sides of an axiom on
-    one basis tuple are lists of (index, scalar) terms; their difference is
-    summed with plain ``+``/``*`` and each entry reduced mod p once.  The
-    report lists one entry per axiom, with a witness basis tuple and the
-    defect on the first failure found.
+
+def verify_axioms(H: HopfAlgebra) -> Report:
+    """Check every Hopf-algebra axiom as an identity of structure matrices.
+
+    With mu = ``H.mul_matrix()``, u = ``H.unit_column()``, Delta =
+    ``H.comul_matrix()``, eps the counit as a 1 x d row, S the antipode and
+    I = I_H, the lines are, in order:
+
+    - associativity: mu(mu (x) I) = mu(I (x) mu)
+    - unit, unit_right: mu(u (x) I) = I and mu(I (x) u) = I
+    - coassociativity: (Delta (x) I)Delta = (I (x) Delta)Delta
+    - counit, counit_right: (eps (x) I)Delta = I and (I (x) eps)Delta = I
+    - comul_is_algebra_map: Delta mu = (mu (x) mu)(I (x) flip (x) I)(Delta (x) Delta)
+    - comul_of_unit: Delta u = u (x) u
+    - counit_is_algebra_map: eps mu = eps (x) eps
+    - counit_of_unit: eps u = 1
+    - antipode_left, antipode_right: mu(S (x) I)Delta = u eps = mu(I (x) S)Delta
+    - antipode_inverse: S^-1 S = I = S S^-1, when S is invertible.
+
+    A failing line's witness is its first differing column (``_add_identity``):
+    the column index decoded over [d]*k into basis names, which is the
+    first failing basis tuple in ``itertools.product`` order, and the
+    column of lhs - rhs as the defect.
 
     The ``antipode_inverse`` line cannot fail.  ``H.antipode_inverse()`` is
     ``Matrix.inverse``, which returns a matrix T only when the reduced
@@ -94,83 +117,30 @@ def verify_axioms(H: HopfAlgebra) -> Report:
     matrix over a field T S = I follows.  The line is still computed, as a
     check on the elimination.
     """
-    f, d, p = H.field, H.dim, H.field.char
-    rep = Report()
-    idx = range(d)
+    f, d, rep = H.field, H.dim, Report()
+    mu, u, delta, S = H.mul_matrix(), H.unit_column(), H.comul_matrix(), H.antipode
+    eps, I = pairing_matrix(f, H.counit, d), Matrix.identity(d, f)
 
-    def plain(c):
-        return int(c) if c.denominator == 1 else c
+    def check(name, lhs, rhs, k):
+        _add_identity(rep, H.basis, name, lhs, rhs, [d] * k)
 
-    def table(vecs):
-        return [[(k, plain(c)) for k, c in v.items()] for v in vecs]
-
-    mul = [table(H.mul.get((i, j), {}) for j in idx) for i in idx]
-    unit = table([H.unit])[0]
-    comul = [[(fl // d, fl % d, c) for fl, c in v] for v in table(H.comul)]
-    eps = [plain(H.counit.get(i, 0)) for i in idx]
-    S = table(H.antipode.columns())
-    e = [[(i, 1)] for i in idx]
-
-    def defect(lhs, rhs) -> Vec:
-        acc: Vec = {}
-        for k, c in lhs:
-            acc[k] = acc.get(k, 0) + c
-        for k, c in rhs:
-            acc[k] = acc.get(k, 0) - c
-        return {k: f.of(c) for k, c in acc.items() if (c % p if p else c)}
-
-    def scan(name, tuples, lhs, rhs):
-        for t in tuples:
-            wit = defect(lhs(*t), rhs(*t))
-            if wit:
-                rep.add(name, False, {"basis": [H.basis[i] for i in t], "defect": wit})
-                return
-        rep.add(name, True)
-
-    singles, pairs = [(i,) for i in idx], list(itertools.product(idx, idx))
-    scan("associativity", itertools.product(idx, idx, idx),
-         lambda i, j, k: [(n, c * x) for m, c in mul[i][j] for n, x in mul[m][k]],
-         lambda i, j, k: [(n, c * x) for m, c in mul[j][k] for n, x in mul[i][m]])
-    scan("unit", singles, lambda i: [(n, c * x) for m, c in unit for n, x in mul[m][i]],
-         lambda i: e[i])
-    scan("unit_right", singles,
-         lambda i: [(n, c * x) for m, c in unit for n, x in mul[i][m]], lambda i: e[i])
-    scan("coassociativity", singles,
-         lambda i: [((a1 * d + a2) * d + b, c * c2)
-                    for a, b, c in comul[i] for a1, a2, c2 in comul[a]],
-         lambda i: [((a * d + b1) * d + b2, c * c2)
-                    for a, b, c in comul[i] for b1, b2, c2 in comul[b]])
-    scan("counit", singles, lambda i: [(b, eps[a] * c) for a, b, c in comul[i]],
-         lambda i: e[i])
-    scan("counit_right", singles, lambda i: [(a, eps[b] * c) for a, b, c in comul[i]],
-         lambda i: e[i])
-    scan("comul_is_algebra_map", pairs,
-         lambda i, j: [(a * d + b, c * c2) for m, c in mul[i][j] for a, b, c2 in comul[m]],
-         lambda i, j: [(k * d + l, c * c2 * x * y)
-                       for a, b, c in comul[i] for a2, b2, c2 in comul[j]
-                       for k, x in mul[a][a2] for l, y in mul[b][b2]])
-    scan("comul_of_unit", [()],
-         lambda: [(a * d + b, c * c2) for m, c in unit for a, b, c2 in comul[m]],
-         lambda: [(k * d + l, x * y) for k, x in unit for l, y in unit])
-    scan("counit_is_algebra_map", pairs,
-         lambda i, j: [(0, eps[m] * c) for m, c in mul[i][j]],
-         lambda i, j: [(0, eps[i] * eps[j])])
-    scan("counit_of_unit", [()], lambda: [(0, eps[m] * c) for m, c in unit],
-         lambda: [(0, 1)])
-    scan("antipode_left", singles,
-         lambda i: [(n, c * y * x) for a, b, c in comul[i]
-                    for s, y in S[a] for n, x in mul[s][b]],
-         lambda i: [(m, eps[i] * c) for m, c in unit])
-    scan("antipode_right", singles,
-         lambda i: [(n, c * y * x) for a, b, c in comul[i]
-                    for s, y in S[b] for n, x in mul[a][s]],
-         lambda i: [(m, eps[i] * c) for m, c in unit])
-
+    check("associativity", mu @ mu.kron(I), mu @ I.kron(mu), 3)
+    check("unit", mu @ u.kron(I), I, 1)
+    check("unit_right", mu @ I.kron(u), I, 1)
+    check("coassociativity", delta.kron(I) @ delta, I.kron(delta) @ delta, 1)
+    check("counit", eps.kron(I) @ delta, I, 1)
+    check("counit_right", I.kron(eps) @ delta, I, 1)
+    check("comul_is_algebra_map", delta @ mu, mu.kron(mu) @ (
+        I.kron(Matrix.flip(d, d, f)).kron(I) @ delta.kron(delta)), 2)
+    check("comul_of_unit", delta @ u, u.kron(u), 0)
+    check("counit_is_algebra_map", eps @ mu, eps.kron(eps), 2)
+    check("counit_of_unit", eps @ u, Matrix.identity(1, f), 0)
+    u_eps = u @ eps
+    check("antipode_left", mu @ (S.kron(I) @ delta), u_eps, 1)
+    check("antipode_right", mu @ (I.kron(S) @ delta), u_eps, 1)
     sinv = H.antipode_inverse()
     if sinv is not None:
-        T = table(sinv.columns())
-        ok = not any(defect([(k, c * c2) for j, c in B[i] for k, c2 in A[j]], e[i])
-                     for A, B in ((T, S), (S, T)) for i in idx)
+        ok = sinv @ S == I == S @ sinv
         rep.add("antipode_inverse", ok, None if ok else {"defect": "S^-1 S != id"})
     return rep
 
@@ -217,13 +187,11 @@ def verify_morphism(m: BialgebraMorphism) -> Report:
     if m.variant == "opcop":
         FF = Matrix.flip(T.dim, T.dim, f) @ FF
 
-    def add(name, lhs, rhs, dims):
-        w = column_witness(lhs, rhs, dims)
-        rep.add(name, w is None, w and {**w, "basis": [S.basis[i] for i in w["basis"]]})
-
-    add("multiplicative", F @ S.mul_matrix(), T.mul_matrix() @ FF, [S.dim, S.dim])
+    _add_identity(rep, S.basis, "multiplicative", F @ S.mul_matrix(), T.mul_matrix() @ FF,
+                  [S.dim, S.dim])
     rep.add("preserves_unit", F @ S.unit_column() == T.unit_column())
-    add("comultiplicative", T.comul_matrix() @ F, FF @ S.comul_matrix(), [S.dim])
+    _add_identity(rep, S.basis, "comultiplicative", T.comul_matrix() @ F,
+                  FF @ S.comul_matrix(), [S.dim])
     rep.add("preserves_counit", pairing_matrix(f, T.counit, T.dim) @ F
             == pairing_matrix(f, S.counit, S.dim))
     return rep

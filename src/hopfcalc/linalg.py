@@ -347,7 +347,7 @@ class Matrix:
         """Store the canonical CSR ``csr``, made read-only; ``maxabs`` is its
         largest absolute entry when already known."""
         for a in csr:
-            a.flags.writeable = False
+            a.setflags(write=False)
         self.rows, self.cols, self.field = rows, cols, field
         self._csr, self._maxabs = csr, maxabs
         self._csc = self._cols = None
@@ -474,7 +474,9 @@ class Matrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        return all(np.array_equal(x, y) for x, y in zip(self._csr, other._csr))
+        (p, i, v), (q, j, w) = self._csr, other._csr
+        # the index arrays are int64, so equal bytes mean equal indices
+        return p.tobytes() == q.tobytes() and i.tobytes() == j.tobytes() and np.array_equal(v, w)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self._combine(other, True)

@@ -15,6 +15,7 @@ from conftest import with_column
 from hopfcalc import cli
 from hopfcalc.calculus import Calculus
 from hopfcalc.cli import main
+from hopfcalc.hopf import verify_axioms
 from hopfcalc.linalg import Matrix
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -50,6 +51,19 @@ def test_verify_hopf_file_with_broken_antipode_fails(capsys, tmp_path):
     assert code == 1
     assert doc["status"] == "fail"
     assert any(c["status"] == "fail" for c in doc["checks"])
+
+
+def test_every_verify_hopf_line_fails_in_a_golden_entry(capsys):
+    # a line that no committed input fails is a line no test shows can fail;
+    # the one exception is antipode_inverse, proved unfailable in the
+    # verify_axioms docstring
+    _, doc = run(capsys, "verify-hopf", "--builtin", "sweedler")
+    emitted = [c["name"] for c in doc["checks"]]
+    golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
+    failed = {c["name"] for argv, entry in golden.items() if argv.startswith("verify-hopf ")
+              for c in entry["body"]["checks"] if c["status"] == "fail"}
+    assert [n for n in emitted if n not in failed] == ["antipode_inverse"]
+    assert "The ``antipode_inverse`` line cannot fail." in verify_axioms.__doc__
 
 
 def test_verify_hopf_file_with_densely_listed_antipode_passes(capsys, tmp_path):

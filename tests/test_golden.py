@@ -62,6 +62,9 @@ COMMANDS = [
     ["check-module", "--builtin", "sweedler", "--module", "tests/sweedler_curved.json",
      "--condition", "flat"],
     ["verify-dga", "--builtin", "taft:3:2", "--field", "F7", "--max-degree", "4"],
+    # a unit of 2 and a stray e (x) g in Delta(g) over F5; a unit of 2^63 over Q
+    ["verify-hopf", "--hopf", "tests/kz2_f5_bad_unit.json"],
+    ["verify-hopf", "--hopf", "tests/kz2_huge_unit.json"],
 ]
 
 

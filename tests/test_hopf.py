@@ -12,7 +12,8 @@ from hopfcalc.hopf import (BialgebraMorphism, HopfAlgebra, build_dual_group_alge
                            build_group_algebra, build_sweedler, build_taft,
                            check_group_table, cyclic_table, permute_basis, symmetric_table,
                            verify_axioms, verify_morphism)
-from hopfcalc.linalg import Matrix, Vec, basis_vec, vec_add, vec_scale, vec_tensor
+from hopfcalc.linalg import (Matrix, Vec, basis_vec, pairing_matrix, vec_add, vec_scale,
+                             vec_tensor)
 from hopfcalc.modules import enumerate_characters, enumerate_grouplikes
 from hopfcalc.reports import Report
 
@@ -433,3 +434,17 @@ def test_single_entry_mutations_match_the_reference():
         failing += not rep.passed
     assert failed == set(_AXIOMS)
     assert failing >= 400
+
+    # entries of 2^62 and beyond leave int64 for object values, so the
+    # exact fallback of kron, @, == and column_defects meets the reference
+    huge = [2**62, -2**62, -2**63, 3 * 2**61]
+    failed, exact = set(), 0
+    for k in range(100):
+        H = mutate_entry(cases[k % 5][0], rng, huge)
+        rep = _assert_matches_reference(H)
+        failed |= {c.name for c in rep.failures()}
+        exact += any(m._to_csr() is None for m in (
+            H.mul_matrix(), H.unit_column(), H.comul_matrix(), H.antipode,
+            pairing_matrix(H.field, H.counit, H.dim)))
+    assert failed == set(_AXIOMS)
+    assert exact >= 90
