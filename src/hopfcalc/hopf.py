@@ -10,11 +10,16 @@ tuple.  The per-tuple enumeration through the algebra's own maps is
 `reference_verify_axioms` in the tests, the oracle it is checked against.
 
 Every CLI verdict runs `verify_axioms`, and on tiny algebras a numpy call
-costs more than the arithmetic.  Per call, S^-1 included (best of 5 x 7 x
-200 on a 2-vCPU VM), the identities take 0.76-0.85 ms on k[Z2], k[Z3], k^Z2
-and Sweedler, where the per-tuple scans of scalar tables they replaced took
-0.18-0.43 ms, and 0.95 and 1.4 ms on k[S3] and Taft(3,2)/F7, where the scans
-took 1.0 and 2.4 ms.  That is the price of one path for every size.
+costs more than the arithmetic.  Per call, S^-1 included (best of 5 rounds
+of 7 x 200 on a 2-vCPU VM), the identities take 0.63-0.71 ms on k[Z2],
+k[Z3], k^Z2 and Sweedler, where the per-tuple scans of scalar tables they
+replaced took 0.16-0.36 ms, and 0.77 and 1.0 ms on k[S3] and
+Taft(3,2)/F7, where the scans took 0.72 and 1.7 ms.  On large algebras
+they are faster and hold more: `verify-hopf` on Taft(10,2)/F11 (d = 100)
+takes 0.5-0.6 s at 79 MB peak RSS, where the scans took 1.8-3.3 s at
+36 MB, and on Taft(12,2)/F13 (d = 144) 0.9-1.0 s at 165 MB against 6.2 s
+at 40 MB.  Their largest operands, in associativity, coassociativity and
+comul_is_algebra_map, have d^3 rows or columns.
 """
 from __future__ import annotations
 
@@ -103,6 +108,17 @@ def verify_axioms(H: HopfAlgebra) -> Report:
     - antipode_left, antipode_right: mu(S (x) I)Delta = u eps = mu(I (x) S)Delta
     - antipode_inverse: S^-1 S = I = S S^-1, when S is invertible.
 
+    The right side of comul_is_algebra_map is contracted one index at a time
+    rather than multiplied out: its column (i, j) is the sum of
+    mu(e_a, e_y) (x) mu(e_b, e_y') over the terms e_a (x) e_b of Delta(e_i)
+    and e_y (x) e_y' of Delta(e_j), summed over a, then y, then (b, y'),
+    with ``Matrix.regroup`` moving the free axes between rows and columns
+    (the comments list them, rows | columns).  No operand has more than
+    d^3 rows or columns.  In a monomial basis such as Taft's, where a
+    product of basis elements has at most one term, none has more than
+    d nnz(Delta) or nnz(Delta)^2 entries, while mu (x) mu and
+    I (x) flip (x) I would hold d^4.
+
     A failing line's witness is its first differing column (``_add_identity``):
     the column index decoded over [d]*k into basis names, which is the
     first failing basis tuple in ``itertools.product`` order, and the
@@ -130,8 +146,10 @@ def verify_axioms(H: HopfAlgebra) -> Report:
     check("coassociativity", delta.kron(I) @ delta, I.kron(delta) @ delta, 1)
     check("counit", eps.kron(I) @ delta, I, 1)
     check("counit_right", I.kron(eps) @ delta, I, 1)
-    check("comul_is_algebra_map", delta @ mu, mu.kron(mu) @ (
-        I.kron(Matrix.flip(d, d, f)).kron(I) @ delta.kron(delta)), 2)
+    rhs = mu.regroup([d] * 3, [0, 2, 1], 2) @ delta.regroup([d] * 3, [0, 1, 2], 1)  # [m y|b i]
+    rhs = I.kron(delta.regroup([d] * 3, [1, 2, 0], 2)) @ rhs          # [m y' j|b i]
+    rhs = mu @ rhs.regroup([d] * 5, [3, 1, 0, 4, 2], 2)               # [m'|m i j]
+    check("comul_is_algebra_map", delta @ mu, rhs.regroup([d] * 4, [1, 0, 2, 3], 2), 2)
     check("comul_of_unit", delta @ u, u.kron(u), 0)
     check("counit_is_algebra_map", eps @ mu, eps.kron(eps), 2)
     check("counit_of_unit", eps @ u, Matrix.identity(1, f), 0)

@@ -54,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from itertools import accumulate, chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -123,26 +123,15 @@ _sparsetools = _load_sparsetools()
 
 
 def tensor_encode(indices: Sequence[int], dims: Sequence[int]) -> int:
-    """Flatten a multi-index big-endian lexicographically."""
-    if len(indices) != len(dims):
-        raise ValueError("index/dimension length mismatch")
-    flat = 0
-    for idx, d in zip(indices, dims):
-        if not 0 <= idx < d:
-            raise IndexError(f"index {idx} out of range for dimension {d}")
-        flat = flat * d + idx
-    return flat
+    """Flatten a multi-index big-endian lexicographically; an index out of
+    range, or a length that differs from ``dims``, is a ``ValueError``."""
+    return int(np.ravel_multi_index(tuple(indices), dims))
 
 
 def tensor_decode(flat: int, dims: Sequence[int]) -> Tuple[int, ...]:
-    """Inverse of :func:`tensor_encode`."""
-    out = []
-    for d in reversed(dims):
-        out.append(flat % d)
-        flat //= d
-    if flat:
-        raise IndexError("flat index out of range")
-    return tuple(reversed(out))
+    """Inverse of :func:`tensor_encode`; a flat index out of range is a
+    ``ValueError``."""
+    return tuple(int(i) for i in np.unravel_index(flat, dims))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +344,7 @@ class Matrix:
     @classmethod
     def _of_csr(cls, rows: int, cols: int, field: Field, csr: CSR,
                 maxabs: int | None = None) -> "Matrix":
-        """A matrix stored as the canonical int64 CSR ``csr`` (``_store``)."""
+        """A matrix stored as the canonical CSR ``csr`` (``_store``)."""
         m = cls.__new__(cls)
         m._store(rows, cols, field, csr, maxabs)
         return m
@@ -584,6 +573,24 @@ class Matrix:
             for (k, l), v in theirs:
                 data[(i * other.rows + k, j * other.cols + l)] = f.mul(u, v)
         return Matrix(rows, cols, f, data)
+
+    def regroup(self, dims: Sequence[int], order: Sequence[int], nrows: int) -> "Matrix":
+        """The same entries with the tensor axes permuted.  Read as a tensor
+        whose axes have the sizes ``dims``, those of the row index first,
+        each index big-endian (``tensor_encode``), the result has the axes
+        ``order``: the first ``nrows`` of them index its rows and the rest
+        its columns.  No value changes, so one path serves both value types."""
+        if prod(dims) != self.rows * self.cols:
+            raise ValueError("axis sizes do not match the shape")
+        ptr, idx, val = self._csr
+        axes = np.unravel_index(np.repeat(np.arange(self.rows), np.diff(ptr)) * self.cols + idx,
+                                dims)
+        new = [dims[k] for k in order]
+        flat = np.ravel_multi_index([axes[k] for k in order], new)
+        perm = np.argsort(flat)
+        flat, rows, cols = flat[perm], prod(new[:nrows]), prod(new[nrows:])
+        ptr = np.searchsorted(flat, np.arange(0, (rows + 1) * cols, cols))
+        return Matrix._of_csr(rows, cols, self.field, (ptr, flat % cols, val[perm]), self._maxabs)
 
     # -- elimination ---------------------------------------------------------
 

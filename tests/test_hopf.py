@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -374,6 +375,19 @@ def _builtins():
             build_dual_group_algebra(s3, QQ), build_taft(2, -1, F5), build_taft(3, 2, F7),
             build_group_algebra(cyclic_table(4), F7), build_taft(2, -1, QQ)]
     return out
+
+
+def test_comul_is_algebra_map_holds_no_operand_of_d4_entries():
+    # (mu (x) mu) and I (x) flip (x) I hold d^4 entries in a monomial basis,
+    # ~300 MB traced at Taft(7) over F29 (d = 49); the contraction takes ~4 MB
+    H = build_taft(7, 16, Field(29))
+    tracemalloc.start()
+    try:
+        assert verify_axioms(H).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_builtins_and_relabelings_match_the_reference():

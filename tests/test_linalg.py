@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -25,6 +27,20 @@ def test_tensor_encode_decode_round_trip(dims, data):
     idx = tensor_decode(flat, dims)
     assert all(0 <= i < d for i, d in zip(idx, dims))
     assert tensor_encode(idx, dims) == flat
+    # the big-endian loop numpy's ravel/unravel replaced, as the reference
+    ref, rest = [], flat
+    for d in reversed(dims):
+        rest, i = divmod(rest, d)
+        ref.append(i)
+    assert idx == tuple(reversed(ref)) and all(type(i) is int for i in idx)
+
+
+def test_a_tensor_index_out_of_range_is_a_value_error():
+    for call in (lambda: tensor_encode([2], [2]), lambda: tensor_encode([0], [2, 2]),
+                 lambda: tensor_decode(4, [2, 2]), lambda: tensor_decode(-1, [2])):
+        with pytest.raises(ValueError):
+            call()
+    assert tensor_decode(0, []) == () and tensor_encode([], []) == 0
 
 
 def _random_entries(rng, rows, cols, field, density=0.4):
@@ -419,6 +435,37 @@ def test_kron_kernel_matches_the_dict_loop(seed):
             for got, ref in ((a.kron(b), ra.kron(rb)), (b.kron(a), rb.kron(ra))):
                 assert_matches(got, ref)
                 assert got == ref.matrix()
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_regroup_moves_each_entry_to_its_permuted_index(seed):
+    # int64 and object values; the reference reads the indices off
+    # itertools.product, which lists multi-indices big-endian
+    rng = random.Random(seed)
+    for field, kind in KINDS:
+        dims = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        split = rng.randint(0, len(dims))
+        ra = _ref(rng, field, prod(dims[:split]), prod(dims[split:]), SPECIAL[kind])
+        order, nrows = rng.sample(range(len(dims)), len(dims)), rng.randint(0, len(dims))
+        new = [dims[k] for k in order]
+        old = list(itertools.product(*map(range, dims)))
+        pos = {t: k for k, t in enumerate(itertools.product(*map(range, new)))}
+        cols = prod(new[nrows:])
+        want = {divmod(pos[tuple(old[i * ra.cols + j][k] for k in order)], cols): v
+                for (i, j), v in ra.d.items()}
+        assert_matches(ra.matrix().regroup(dims, order, nrows),
+                       Ref(field, prod(new[:nrows]), cols, want))
+
+
+def test_regroup_checks_the_axis_sizes_and_turns_the_identity_into_the_flip():
+    with pytest.raises(ValueError):
+        Matrix.identity(4, QQ).regroup([2, 3, 4], [1, 0, 2], 2)
+    for m, n in [(1, 1), (1, 3), (2, 3), (3, 2)]:
+        flip = Matrix(m * n, m * n, F7, {(j * m + i, i * n + j): 1
+                                          for i in range(m) for j in range(n)})
+        assert Matrix.flip(m, n, F7) == flip
+        assert Matrix.identity(m * n, F7).regroup([m, n, m * n], [1, 0, 2], 2) == flip
 
 
 @settings(max_examples=30)
