@@ -280,7 +280,25 @@ def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
     recursions of ``Calculus``, which includes every CLI input.  A cached
     A_m with m >= 2, or D_n with n >= 1, corrupted by hand is not seen by
     the inferred lines; a corrupted A_1 is checked by
-    associativity[0,0,1]."""
+    associativity[0,0,1].
+
+    The ``graded_unit`` line cannot fail on input the CLI accepts.  It is
+    mu (I_B (x) u) = I together with A_n (u (x) I) = I for every n; the CLI
+    builds a calculus only on input that passes ``verify_axioms``, whose
+    ``unit_right`` and ``unit`` lines are the first and the case n = 0.
+    For n >= 1, A_n = (I_C (x) A_{n-1}) (T (x) I) gives
+    A_n (u (x) I) = (I_C (x) A_{n-1}) (T (u (x) I_C) (x) I), so
+    T (u (x) I_C) = I_C (x) u gives I_C (x) A_{n-1} (u (x) I), which is I by
+    induction.  By ``comul_of_unit`` the legs of 1 are 1 (x) 1 (x) 1, so
+    T (1 (x) c) = alpha(1) . c . beta(1) (x) 1.  In every calculus the CLI
+    builds, alpha and beta are among id, S and S^-1 (the S^-1 and S calculi
+    have alpha = id and beta = S^-1, resp. S), and S(1) = 1: by
+    ``antipode_left``, ``comul_of_unit`` and ``unit_right``,
+    S(1) = S(1) 1 = eps(1) 1, and eps(1) = 1 is ``counit_of_unit``; so
+    S^-1(1) = 1 too.  The actions of C = H on itself are the product, and
+    the ``unit`` and ``unit_right`` lines give 1 . c . 1 = c.  Every step
+    is exact, so the identities hold exactly.  The line is still computed,
+    as a check on the products."""
     max_degree = calc.max_degree if max_degree is None else max_degree
     if max_degree < 2:
         raise ValueError("need max_degree >= 2 to see the DGA axioms")

@@ -39,6 +39,11 @@ integers, modular over F_p and fraction free over Q, which never builds
 a ``Fraction``.  ``Matrix.rank`` counts its pivot rows; ``column_echelon``
 reduces them, by back substitution in the field, to the reduced column
 echelon basis behind ``Matrix.inverse`` and ``groupoid_decompose``.
+``identity_defect_witness``, behind every DGA line, builds the defect of a
+matrix identity with the ``Matrix`` operators alone (``kron``, ``@``,
+``scale``, ``+``, ``==``, ``-``), so it has no kernel of its own; its
+witness is the first nonzero entry of the defect in row-major order,
+whichever value type the arithmetic took.
 
 Tensor indices over a list of factor dimensions are flattened big-endian
 lexicographically: ``flat = sum(idx[i] * prod(dims[i+1:]))``.  The same
@@ -287,9 +292,14 @@ def _reduced(csr: CSR, rows: int, cols: int, p: int) -> CSR:
 
 
 def _trimmed(ptr, idx, val) -> CSR:
-    """The arrays cut to their ``ptr[-1]`` entries, as views."""
+    """The arrays cut to their ``ptr[-1]`` entries in place, so that a
+    stored result keeps no scratch space alive.  They are a kernel's own
+    scratch arrays: nothing else refers to them, so no view is left
+    pointing into a buffer that the resize moves."""
     n = int(ptr[-1])
-    return ptr, idx[:n], val[:n]
+    idx.resize(n, refcheck=False)
+    val.resize(n, refcheck=False)
+    return ptr, idx, val
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +344,8 @@ class Matrix:
     def _store(self, rows: int, cols: int, field: Field, csr: CSR,
                maxabs: int | None = None) -> None:
         """Store the canonical CSR ``csr``, made read-only; ``maxabs`` is its
-        largest absolute entry when already known."""
+        largest absolute entry when already known, read over Q only
+        (``_max_abs``)."""
         for a in csr:
             a.setflags(write=False)
         self.rows, self.cols, self.field = rows, cols, field
@@ -464,8 +475,7 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
         (p, i, v), (q, j, w) = self._csr, other._csr
-        # the index arrays are int64, so equal bytes mean equal indices
-        return p.tobytes() == q.tobytes() and i.tobytes() == j.tobytes() and np.array_equal(v, w)
+        return np.array_equal(p, q) and np.array_equal(i, j) and np.array_equal(v, w)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self._combine(other, True)
@@ -482,7 +492,7 @@ class Matrix:
                 and self._max_abs() + other._max_abs() < _INT64_SAFE):
             ptr, idx, val = _reduced(_csr_add(a, b, self.rows, self.cols, minus),
                                      self.rows, self.cols, f.char)
-            return Matrix._of_csr(self.rows, self.cols, f, (ptr, idx.copy(), val.copy()))
+            return Matrix._of_csr(self.rows, self.cols, f, (ptr, idx, val))
         op = f.sub if minus else f.add
         data = self.data
         for k, v in other.entries():
@@ -501,7 +511,7 @@ class Matrix:
             # over F_p, c and every entry are units, so no product is 0
             val = a[2] * c % f.char if f.char else a[2] * c
             return Matrix._of_csr(self.rows, self.cols, f, (a[0], a[1], val),
-                                  None if f.char else abs(c) * self._max_abs())
+                                  abs(c) * self._max_abs())
         return Matrix(self.rows, self.cols, f,
                       {k: f.mul(c, v) for k, v in self.entries()})
 
@@ -513,7 +523,11 @@ class Matrix:
         return self._csr if self._csr[2].dtype == np.int64 else None
 
     def _max_abs(self) -> int:
-        """The largest absolute entry of the int64 form, which must exist."""
+        """A bound on the absolute entries of the int64 form, which must
+        exist: p - 1 over F_p, where every entry lies in [0, p), so that no
+        entry is read; over Q the largest absolute entry."""
+        if self.field.char:
+            return self.field.char - 1
         if self._maxabs is None:
             val = self._to_csr()[2]
             self._maxabs = int(np.abs(val).max()) if len(val) else 0
@@ -529,8 +543,6 @@ class Matrix:
         if (a is not None and b is not None and self._max_abs()
                 * max(other._max_abs(), 1) * max(self.cols, 1) < _INT64_SAFE):
             ptr, idx, val = _csr_matmul(a, b, self.rows, other.cols, self.field.char)
-            # copies, so that a stored result keeps no scratch buffer alive
-            idx, val = idx.copy(), val.copy()
             _sparsetools.csr_sort_indices(self.rows, ptr, idx, val)
             return Matrix._of_csr(self.rows, other.cols, self.field, (ptr, idx, val))
         return self._matmul_python(other)
@@ -565,8 +577,7 @@ class Matrix:
         if bound is not None and bound < _INT64_SAFE:
             # over Q the bound is the largest entry of the product
             return Matrix._of_csr(rows, cols, f, _csr_kron(
-                a, (self.rows, self.cols), b, (other.rows, other.cols), f.char),
-                None if f.char else bound)
+                a, (self.rows, self.cols), b, (other.rows, other.cols), f.char), bound)
         theirs = list(other.entries())
         data = {}
         for (i, j), u in self.entries():
@@ -658,88 +669,34 @@ def column_witness(lhs: Matrix, rhs: Matrix, dims: Sequence[int]) -> "dict | Non
 
 
 def identity_defect_witness(field: Field, terms) -> "Tuple[int, int, object] | None":
-    """First nonzero entry of ``sum(coeff * prod(factors))``, or None.
+    """The first nonzero entry (row, col, value) in row-major order of
+    ``sum(coeff * prod(factors))``, or None when the sum is 0.
 
     ``terms`` is a list of ``(coeff, factors)`` with integer coefficients;
-    each factor is a Matrix or a pair ``(A, B)`` standing for their Kronecker
-    product.  Used by the DGA verifiers, where the defect matrices are huge
-    but (when the identity holds) identically zero; everything stays in
-    int64 CSR when the entries are integral, with a pure-python fallback.
-    """
-    acc = _int64_defect(field, terms)
-    if acc is not None:
-        ptr, idx, val = acc
-        if field.char:
-            val = val % field.char
-        nonzero = np.flatnonzero(val)
-        if not len(nonzero):
-            return None
-        k = int(nonzero[0])
-        row = int(np.searchsorted(ptr, k, side="right")) - 1
-        return (row, int(idx[k]), field.of(int(val[k])))
-    # exact fallback for non-integral entries or overflow risk
-    total = None
+    each factor is a Matrix or a pair ``(A, B)`` standing for ``A.kron(B)``,
+    and a term is the product of its factors through ``@``.  The terms with
+    a positive coefficient are summed into one side and the others into the
+    other, a side with no term being 0; the sides are compared with ``==``,
+    and only when they differ is their difference built.  Every step is a
+    ``Matrix`` operator, which picks int64 or exact arithmetic and checks
+    the int64 bounds, so the DGA verifiers' defects, huge but 0 when the
+    identity holds, stay in int64 CSR whenever their entries allow."""
+    sides = [None, None]
     for coeff, factors in terms:
-        mats = [f[0].kron(f[1]) if isinstance(f, tuple) else f for f in factors]
-        m = mats[0]
-        for m2 in mats[1:]:
-            m = m._matmul_python(m2)
-        m = m.scale(field.of(coeff))
-        total = m if total is None else total + m
-    w = total.nonzero_witness()
-    return None if w is None else (w[0], w[1], field.of(w[2]))
-
-
-def _int64_defect(field: Field, terms) -> "CSR | None":
-    """``sum(coeff * prod(factors))`` as int64 CSR arrays, or None when an
-    entry is not an integer or a bound on the entries, of every partial
-    product and of the running sum, reaches ``_INT64_SAFE``.  Products and
-    sums leave the column indices of a row in scipy's order, so the first
-    nonzero entry of the result is the one scipy's own operators give."""
-    p = field.char
-    total = 0
-    acc = shape = None
-    for coeff, factors in terms:
-        m = bound = None
+        m = None
         for fac in factors:
-            pair = fac if isinstance(fac, tuple) else (fac,)
-            mats = [x._to_csr() for x in pair]
-            if any(x is None for x in mats):
-                return None
-            fac_bound = 1
-            for x in pair:
-                fac_bound *= x._max_abs()
-            if fac_bound >= _INT64_SAFE:
-                return None
-            if len(pair) == 1:
-                fac_csr, fac_shape = mats[0], (fac.rows, fac.cols)
-            else:
-                x, y = pair
-                fac_csr = _csr_kron(mats[0], (x.rows, x.cols), mats[1], (y.rows, y.cols), p)
-                fac_shape = (x.rows * y.rows, x.cols * y.cols)
-            if m is None:
-                m, bound, m_shape = fac_csr, fac_bound, fac_shape
-                continue
-            if m_shape[1] != fac_shape[0]:
-                raise ValueError("shape mismatch in matrix product")
-            bound = bound * fac_bound * max(m_shape[1], 1)
-            if bound >= _INT64_SAFE:
-                return None
-            m_shape = (m_shape[0], fac_shape[1])
-            m = _csr_matmul(m, fac_csr, *m_shape, p)
-            if p:
-                bound = p - 1
-        total += abs(coeff) * bound
-        if total >= _INT64_SAFE:
-            return None
-        term = (m[0], m[1], m[2] * coeff)
-        if acc is None:
-            acc, shape = term, m_shape
-        elif shape != m_shape:
-            raise ValueError("shape mismatch")
-        else:
-            acc = _csr_add(acc, term, *shape)
-    return acc
+            fac = fac[0].kron(fac[1]) if isinstance(fac, tuple) else fac
+            m = fac if m is None else m @ fac
+        if abs(coeff) != 1:
+            m = m.scale(field.of(abs(coeff)))
+        k = coeff < 0
+        sides[k] = m if sides[k] is None else sides[k] + m
+    some = sides[0] if sides[0] is not None else sides[1]
+    lhs, rhs = (Matrix.zero(some.rows, some.cols, field) if s is None else s for s in sides)
+    if lhs == rhs:
+        return None
+    i, j, v = (lhs - rhs).nonzero_witness()
+    return i, j, field.of(v)
 
 
 def _echelon(field: Field, cols: Iterable[Vec]) -> Dict[int, Tuple[int, Vec]]:

@@ -338,6 +338,31 @@ def test_golden_dga_lines_match_the_full_oracle():
             assert_lines_match_the_oracle(calc, D)
 
 
+def test_defect_witnesses_are_the_first_entry_in_row_major_order():
+    # the four failing associativity lines of a golden entry whose int64
+    # witnesses were once the first entry in scipy's unsorted column order:
+    # each is the first entry of the defect built with the Python product
+    argv = ["verify-dga", "--builtin", "sweedler", "--calculus", "general", "--alpha", "s",
+            "--beta", "sinv", "--max-degree", "2"]
+    args = cli.build_parser().parse_args(argv)
+    calc = cli.build_cli_calculus(args, cli.resolve_hopf(args), 2)
+    f, product = calc.field, calc.product
+
+    def eye(n):
+        return Matrix.identity(calc.degree_dim(n), f)
+
+    for (n, m, l), column in [((0, 0, 1), (1, 2, 5)), ((0, 0, 2), (1, 2, 21)),
+                              ((0, 1, 1), (1, 2, 5)), ((1, 0, 1), (1, 2, 5))]:
+        lhs = product(n + m, l)._matmul_python(product(n, m).kron(eye(l)))
+        rhs = product(n, m + l)._matmul_python(eye(n).kron(product(m, l)))
+        defect = (lhs - rhs).data
+        first = min(defect)
+        w = identity_defect_witness(f, [(1, [product(n + m, l), (product(n, m), eye(l))]),
+                                        (-1, [product(n, m + l), (eye(n), product(m, l))])])
+        assert w == (*first, defect[first])
+        assert _witness(calc, w, [n, m, l])["column"] == column
+
+
 @pytest.mark.parametrize("name", ACCEPTANCE_ALGEBRAS + ["kZ3_scaled"])
 def test_associativity_lines_match_the_full_oracle(name):
     # kZ3_scaled takes the Fraction path

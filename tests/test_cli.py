@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from conftest import with_column
 
 from hopfcalc import cli
-from hopfcalc.calculus import Calculus
+from hopfcalc.calculus import Calculus, verify_dga
 from hopfcalc.cli import main
 from hopfcalc.hopf import verify_axioms
 from hopfcalc.linalg import Matrix
@@ -64,6 +64,20 @@ def test_every_verify_hopf_line_fails_in_a_golden_entry(capsys):
               for c in entry["body"]["checks"] if c["status"] == "fail"}
     assert [n for n in emitted if n not in failed] == ["antipode_inverse"]
     assert "The ``antipode_inverse`` line cannot fail." in verify_axioms.__doc__
+
+
+def test_every_verify_dga_line_fails_in_a_golden_entry(capsys):
+    # the verify-dga slice of the same audit, by line family; the one
+    # exception is graded_unit, proved unfailable in the verify_dga docstring
+    _, doc = run(capsys, "verify-dga", "--builtin", "sweedler", "--max-degree", "2")
+    emitted = list(dict.fromkeys(c["name"].split("[")[0] for c in doc["checks"]))
+    assert emitted == ["d_squared_zero", "leibniz", "associativity", "graded_unit"]
+    golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
+    failed = {c["name"].split("[")[0] for argv, entry in golden.items()
+              if argv.startswith("verify-dga ")
+              for c in entry["body"]["checks"] if c["status"] == "fail"}
+    assert [n for n in emitted if n not in failed] == ["graded_unit"]
+    assert "The ``graded_unit`` line cannot fail on input the CLI accepts." in verify_dga.__doc__
 
 
 def test_verify_hopf_file_with_densely_listed_antipode_passes(capsys, tmp_path):

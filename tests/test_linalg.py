@@ -276,19 +276,28 @@ def test_inverse_matches_gauss_jordan(seed):
 @settings(max_examples=25)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_identity_defect_witness_matches_direct(seed):
+    # the witness is the first entry of the defect in row-major order, for
+    # +-1 and +-2 coefficients, for terms of one sign only (the value keeps
+    # its sign) and for an int64 term against an object-valued one
     rng = random.Random(seed)
     for field in (QQ, F7):
         a = _random_matrix(rng, 4, 5, field)
         b = _random_matrix(rng, 5, 3, field)
         c = _random_matrix(rng, 4, 3, field)
-        direct = (a @ b) - c
-        w = identity_defect_witness(field, [(1, [a, b]), (-1, [c])])
-        assert (w is None) == direct.is_zero()
-        if w is not None:
-            i, j, v = w
-            assert not field.is_zero(direct.get(i, j))
+        odd = Matrix(4, 3, field, {(rng.randrange(4), rng.randrange(3)): field.of("1/2"),
+                                   (rng.randrange(4), rng.randrange(3)): field.of(2**63)})
+        ab, two, minus = a @ b, field.of(2), field.of(-1)
+        for terms, direct in [([(1, [a, b]), (-1, [c])], ab - c),
+                              ([(-1, [a, b])], ab.scale(minus)),
+                              ([(-1, [a, b]), (-2, [c])], ab.scale(minus) - c.scale(two)),
+                              ([(2, [a, b]), (-2, [c])], ab.scale(two) - c.scale(two)),
+                              ([(1, [a, b]), (-1, [odd])], ab - odd)]:
+            w = identity_defect_witness(field, terms)
+            assert w == direct.nonzero_witness()
+            assert w is None or type(w[2]) is type(field.one())
         # the identity variant: a@b - a@b == 0
         assert identity_defect_witness(field, [(1, [a, b]), (-1, [a, b])]) is None
+        assert identity_defect_witness(field, [(2, [a, b]), (-1, [ab]), (-1, [a, b])]) is None
 
 
 def test_identity_defect_witness_kron_terms():
@@ -298,6 +307,11 @@ def test_identity_defect_witness_kron_terms():
     direct = a.kron(eye)
     w = identity_defect_witness(f, [(1, [(a, eye)]), (-1, [direct])])
     assert w is None
+    # a negative side alone keeps its sign; an object-valued term beside an int64 one
+    assert identity_defect_witness(f, [(-1, [(a, eye)])]) == (0, 0, f.of(-1))
+    assert identity_defect_witness(f, [(-2, [(a, eye)]), (-2, [direct])]) == (0, 0, f.of(-4))
+    half = from_rows([["1/2", 0], [0, 1]], f)
+    assert identity_defect_witness(f, [(1, [(a, eye)]), (-1, [(half, eye)])]) == (0, 0, f.of("1/2"))
 
 
 def test_identity_defect_witness_bounds_the_sum_of_terms():
@@ -508,16 +522,11 @@ def test_a_csr_result_equals_its_dict_twin(seed):
         assert want is not None and inv == want
         assert_matches(inv, Ref(field, n, n, dict(want.entries())))
         assert s @ inv == Matrix.identity(n, field)
-        # the defect a @ b - d: on int64 operands its witness is the first
-        # entry in scipy's order, on object ones the first in row-major order
+        # the defect a @ b - d: its witness is the first entry in row-major order
         ref = (ra @ rb).plus(rd, field.neg(field.one()))
         w = identity_defect_witness(field, [(1, [a, b]), (-1, [d])])
-        assert (w is None) == (not ref.d)
-        if w is not None:
-            i, j, v = w
-            assert ref.d[(i, j)] == v and type(v) is type(field.one())
-            if kind != "int64":
-                assert w == ref.witness()
+        assert w == ref.witness()
+        assert w is None or type(w[2]) is type(field.one())
 
 
 @settings(max_examples=30)
@@ -612,6 +621,9 @@ def test_fp_entries_stay_reduced(seed):
         a, b = _kernel_operands(rng, field)
         for m in (a @ b, a.kron(b), b.kron(a), (a @ b) @ Matrix.identity(b.cols, field)):
             assert all(0 < v < p for _, v in m.entries())
+        # the zeros a reduction drops leave no scratch space alive in the result
+        for m in (a @ b, a + a, a - a):
+            assert all(x.base is None for x in m._csr[1:])
 
 
 def test_no_kernel_writes_to_an_operand():
