@@ -603,6 +603,16 @@ class Matrix:
         ptr = np.searchsorted(flat, np.arange(0, (rows + 1) * cols, cols))
         return Matrix._of_csr(rows, cols, self.field, (ptr, flat % cols, val[perm]), self._maxabs)
 
+    def submatrix(self, rows: np.ndarray, cols: np.ndarray) -> "Matrix":
+        """The entries in the rows and the columns where the boolean masks
+        ``rows`` and ``cols`` hold, renumbered in order."""
+        ptr, idx, val = self._csr
+        keep = np.repeat(rows, np.diff(ptr)) & cols[idx]
+        # the kept entries before each row, read at the rows kept and the end
+        ptr = np.concatenate(([0], np.cumsum(keep)))[ptr][np.append(rows, True)]
+        return Matrix._of_csr(int(rows.sum()), int(cols.sum()), self.field,
+                              (ptr, (np.cumsum(cols) - 1)[idx[keep]], val[keep]))
+
     # -- elimination ---------------------------------------------------------
 
     def rank(self) -> int:

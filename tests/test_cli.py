@@ -15,6 +15,7 @@ from conftest import with_column
 from hopfcalc import cli
 from hopfcalc.calculus import Calculus, verify_dga
 from hopfcalc.cli import main
+from hopfcalc.homology import compare_cotor
 from hopfcalc.hopf import verify_axioms
 from hopfcalc.linalg import Matrix
 
@@ -78,6 +79,28 @@ def test_every_verify_dga_line_fails_in_a_golden_entry(capsys):
               for c in entry["body"]["checks"] if c["status"] == "fail"}
     assert [n for n in emitted if n not in failed] == ["graded_unit"]
     assert "The ``graded_unit`` line cannot fail on input the CLI accepts." in verify_dga.__doc__
+
+
+def test_every_homology_line_is_proved_in_the_compare_cotor_docstring(capsys):
+    # the homology slice of the same audit: no golden entry fails a line
+    # of compare_cotor, and its docstring proves that none can fail on
+    # input the CLI accepts
+    _, doc = run(capsys, "homology", "--builtin", "sweedler", "--compare-cotor",
+                 "--max-degree", "2")
+    emitted = list(dict.fromkeys(c["name"].split("[")[0].split("=")[0] for c in doc["checks"]))
+    assert emitted == ["degree_dims_equal", "differential_equal", "homology_dims"]
+    golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
+    assert not [c for argv, entry in golden.items() if argv.startswith("homology ")
+                for c in entry["body"].get("checks", []) if c["status"] == "fail"]
+    proofs = " ".join(compare_cotor.__doc__.split())
+    for sentence in ["The ``degree_dims_equal`` line cannot fail: both sides are cd^n * xd.",
+                     "The ``differential_equal`` lines cannot fail on input the CLI accepts:"
+                     " the two sides agree by the paper's theorem, and only a differential"
+                     " corrupted by hand differs.",
+                     "The ``homology_dims`` line cannot fail when every differential matches:"
+                     " equal matrices have equal ranks, so one table is computed and used"
+                     " for both sides."]:
+        assert sentence in proofs
 
 
 def test_verify_hopf_file_with_densely_listed_antipode_passes(capsys, tmp_path):
@@ -524,6 +547,29 @@ def test_corrupted_differential_witness_prints_as_before(capsys, monkeypatch, ar
     assert failed == [{"name": "differential_equal[2]", "status": "fail",
                        "witness": witness}]
     assert doc["homology"] == homology
+
+
+def test_differential_that_breaks_the_degenerate_subcomplex_is_exit_3(capsys, monkeypatch):
+    # adding row k of d_1, which has the basepoint leg (e_0 (x) ...), to a
+    # row with no such leg keeps d^2 = 0 and every rank, but maps a tensor
+    # with the basepoint leg outside the span of such tensors
+    def shear(d):
+        f = d.field
+        k = min(d.column(0))
+        i = (1 * 4 + 1) * 4       # e_1 (x) e_1 (x) e_0 in C (x) C (x) B
+        return (Matrix.identity(d.rows, f) + Matrix(d.rows, d.rows, f, {(i, k): 1})) @ d
+    _corrupt_differential(monkeypatch, 1, shear)
+    argv = ["homology", "--builtin", "sweedler", "--calculus", "k", "--max-degree", "2"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal error: RuntimeError: tensors with a basepoint leg")
+    # against the oracle the sheared differential is a failed line, and the
+    # calculus side is ranked on its full matrices
+    code, doc = run(capsys, *argv, "--compare-cotor")
+    assert code == 1
+    assert [c["name"] for c in doc["checks"] if c["status"] == "fail"] == ["differential_equal[1]"]
+    assert doc["homology"] == {"H_0": 2, "H_1": 1}
 
 
 def test_witness_of_an_entry_only_the_calculus_side_holds_prints_as_a_string(

@@ -1,13 +1,27 @@
+import argparse
+import ast
+import contextlib
+import io
+import json
+import pathlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import from_rows, named_algebra
+from conftest import (ACCEPTANCE_ALGEBRAS, base_corpus, from_rows, named_algebra,
+                      scaled_kZ3)
 
+from hopfcalc import cli, homology
 from hopfcalc.calculus import Calculus
+from hopfcalc.connections import connection_from_coaction, is_flat
+from hopfcalc.fields import QQ, Field
 from hopfcalc.homology import (ChainComplex, HomologyTable, cobar_complex,
                                compare_cotor, homology_dims)
-from hopfcalc.hopf import permute_basis
-from hopfcalc.modules import trivial_modcomod
+from hopfcalc.hopf import BialgebraMorphism, permute_basis
+from hopfcalc.modules import BimoduleCoalgebra, regular_modcomod, trivial_modcomod
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_calculus_homology_of_group_algebra_z2():
@@ -89,3 +103,140 @@ def test_homology_table_formatting():
     t = HomologyTable([(0, 2), (1, 0)])
     assert t.dims() == [2, 0]
     assert "2" in str(t)
+
+
+# ---------------------------------------------------------------------------
+# the normalized complex against the full ranks
+
+
+def reference_homology_dims(cx: ChainComplex, max_degree=None):
+    """dim H_n from the ranks of the full differentials of ``cx``, its
+    basepoint ignored: the oracle of the normalized ranks of
+    ``homology_dims``."""
+    top = cx.max_degree if max_degree is None else min(max_degree, cx.max_degree)
+    ranks = [0] + [cx.diffs[n].rank() for n in range(top)]
+    return [cx.dims[n] - ranks[n] - ranks[n + 1] for n in range(top)]
+
+
+@pytest.fixture
+def normalized_tables(monkeypatch):
+    """Checks every ``homology_dims`` call, from the CLI and from
+    ``compare_cotor`` alike, against ``reference_homology_dims``; the list
+    it returns collects the tables of the calls on a cobar complex."""
+    seen = []
+
+    def checked(cx, max_degree=None):
+        table = homology_dims(cx, max_degree)
+        assert table.dims() == reference_homology_dims(cx, max_degree)
+        if cx.basepoint is not None:
+            seen.append(table.dims())
+        return table
+    monkeypatch.setattr(homology, "homology_dims", checked)
+    monkeypatch.setattr(cli, "homology_dims", checked)
+    return seen
+
+
+def _cotor_cases():
+    """``COTOR_CASES`` of the benchmark's workloads, read from its source
+    without importing the benchmark."""
+    tree = ast.parse((ROOT / "verdictbench" / "workloads.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and node.targets[0].id == "COTOR_CASES")
+
+
+def _homology_verdict(H, calc_kind, coeffs, D, compare):
+    """What ``hopfcalc homology`` computes for these arguments on ``H``."""
+    calc = cli.build_cli_calculus(argparse.Namespace(calculus=calc_kind), H, D)
+    X = cli.resolve_module(argparse.Namespace(module=coeffs), H) if coeffs else None
+    if compare:
+        rep, table = homology.compare_cotor(calc, X, D)
+        assert rep.passed, str(rep)
+        return table
+    return homology.homology_dims(homology.calculus_complex(calc, X, D), D)
+
+
+def test_normalized_ranks_match_the_full_oracle_on_the_golden_entries(normalized_tables):
+    golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
+    commands = [argv for argv in golden if argv.startswith("homology ")]
+    assert len(commands) == 5
+    for argv in commands:
+        with contextlib.chdir(ROOT), contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv.split()) == golden[argv]["exit"]
+    assert len(normalized_tables) == 5
+
+
+def test_normalized_ranks_match_the_full_oracle_on_the_acceptance_cases(normalized_tables):
+    from test_acceptance import MAX_DEGREE, calc_for
+    for name in ACCEPTANCE_ALGEBRAS:
+        for kind in ("k", "khat", "general_s"):
+            calc = calc_for(name, kind)
+            compare_cotor(calc, None, MAX_DEGREE)
+            for X in base_corpus(named_algebra(name)):
+                if (X.action is not None and X.coaction is not None
+                        and is_flat(connection_from_coaction(calc, X))):
+                    compare_cotor(calc, X, MAX_DEGREE)
+    D2 = named_algebra("dualZ2_F2")
+    homology.homology_dims(cobar_complex(D2, trivial_modcomod(D2), MAX_DEGREE))
+    for name in ("kZ2", "dualZ2"):
+        compare_cotor(calc_for(name, "khat"), None, MAX_DEGREE)
+    assert len(normalized_tables) > 3 * len(ACCEPTANCE_ALGEBRAS)
+
+
+@pytest.mark.parametrize("case", _cotor_cases(),
+                         ids=lambda c: "-".join(map(str, c[:5])))
+def test_normalized_ranks_match_the_full_oracle_on_the_cotor_cases(normalized_tables, case):
+    name, field, calc_kind, coeffs, D, compare = case
+    H = cli.builtin_hopf(name, Field.parse(field))
+    perm = random.Random(19).sample(range(H.dim), H.dim)
+    tables = [_homology_verdict(A, calc_kind, coeffs, D, compare)
+              for A in (H, permute_basis(H, perm))]
+    assert tables[0].dims() == tables[1].dims()
+    assert len(normalized_tables) == 2
+
+
+def test_normalized_ranks_match_the_full_oracle_on_the_exact_path(normalized_tables):
+    # kZ3_scaled has Fraction entries in every differential above degree 0
+    H = scaled_kZ3()
+    for calc in (Calculus.k(H, 3), Calculus.khat(H, 3)):
+        for X in (None, trivial_modcomod(H), regular_modcomod(H)):
+            compare_cotor(calc, X, 3)
+    assert len(normalized_tables) == 6
+
+
+@pytest.mark.parametrize("name,field", [("dualgroup:Z2", "Q"), ("dualgroup:Z2", "F2"),
+                                        ("dualgroup:S3", "Q")])
+def test_normalized_ranks_match_the_full_oracle_off_a_basis_vector(normalized_tables,
+                                                                   name, field):
+    # the unit of a dual group algebra, its basepoint, is the sum of the
+    # basis, so the differentials are conjugated before the submatrix
+    H = cli.builtin_hopf(name, Field.parse(field))
+    assert len(H.unit) == H.dim > 1
+    degree = 3 if H.dim > 2 else 4
+    homology.homology_dims(cobar_complex(H, trivial_modcomod(H), degree))
+    compare_cotor(Calculus.khat(H, degree), None, degree)
+    compare_cotor(Calculus.k(H, degree), regular_modcomod(H), degree)
+    general = Calculus.general(BimoduleCoalgebra.from_hopf(H), BialgebraMorphism.identity(H),
+                               BialgebraMorphism.antipode(H), degree)
+    compare_cotor(general, regular_modcomod(H), degree)
+    assert len(normalized_tables) == 4
+
+
+def test_degenerate_tensors_outside_a_subcomplex_are_an_internal_error():
+    # C of dimension 2 with basepoint e_0 and X of dimension 1: d_1 sends
+    # e_0, which has the basepoint leg, to e_1 (x) e_1, which has none;
+    # d_1 d_0 = 0 since d_0 hits only e_1
+    d0 = from_rows([[0], [1]], QQ)
+    d1 = from_rows([[0, 0], [0, 0], [0, 0], [1, 0]], QQ)
+    cx = ChainComplex(QQ, [1, 2, 4], [d0, d1], ({0: QQ.one()}, 2))
+    assert reference_homology_dims(cx) == [0, 0]
+    with pytest.raises(RuntimeError, match="not a subcomplex"):
+        homology_dims(cx)
+
+
+def test_negative_homology_dimension_is_an_internal_error():
+    # d_1 d_0 != 0 gets past no constructor; build the complex without one
+    cx = ChainComplex.__new__(ChainComplex)
+    cx.field, cx.dims, cx.basepoint = QQ, [1, 1, 1], None
+    cx.diffs = [from_rows([[1]], QQ), from_rows([[1]], QQ)]
+    with pytest.raises(RuntimeError, match="negative homology dimension"):
+        homology_dims(cx)

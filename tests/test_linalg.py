@@ -132,6 +132,21 @@ def test_sparse_rank_matches_fraction_elimination(seed, kind, rows, cols, inner)
         assert x.rank() == fraction_rank(x.field, x.columns())
 
 
+@settings(max_examples=40)
+@given(*RANK_DRAWS)
+def test_submatrix_matches_the_entries_it_selects(seed, kind, rows, cols, inner):
+    m = rank_matrix(seed, kind, rows, cols, inner)
+    rng = random.Random(seed)
+    keep_rows = np.array([rng.random() < 0.6 for _ in range(rows)])
+    keep_cols = np.array([rng.random() < 0.6 for _ in range(cols)])
+    new_row, new_col = np.cumsum(keep_rows) - 1, np.cumsum(keep_cols) - 1
+    want = Matrix(int(keep_rows.sum()), int(keep_cols.sum()), m.field,
+                  {(int(new_row[i]), int(new_col[j])): v for (i, j), v in m.entries()
+                   if keep_rows[i] and keep_cols[j]})
+    got = m.submatrix(keep_rows, keep_cols)
+    assert got == want and got.data == want.data
+
+
 def test_sparse_rank_with_non_unit_pivots():
     # every leading entry is 2, 3 or 6, so each elimination step scales the
     # row and divides its content out again; so does the 2**62 multiple
