@@ -169,6 +169,30 @@ def test_homology_with_cotor_comparison(capsys):
     assert doc["homology"] == {"H_0": 2, "H_1": 0, "H_2": 0}
 
 
+# kZ2 on the basis [g, 1], its unit listed densely: the 0 coefficient of g
+# comes first, so the basepoint's support starts at index 1
+KZ2_DENSE_UNIT = {"field": "Q", "dim": 2, "basis": ["g", "1"],
+                  "mul": [[0, 0, 1, 1], [0, 1, 0, 1], [1, 0, 0, 1], [1, 1, 1, 1]],
+                  "unit": [[0, 0], [1, 1]], "comul": [[0, 0, 0, 1], [1, 1, 1, 1]],
+                  "counit": [[0, 1], [1, 1]], "antipode": [[0, 0, 1], [1, 1, 1]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--calculus", "k"],
+    ["--calculus", "khat", "--module", "regular"],
+    ["--calculus", "general", "--alpha", "id", "--beta", "s"],
+])
+@pytest.mark.parametrize("compare", [[], ["--compare-cotor"]])
+def test_homology_of_a_hopf_file_with_densely_listed_unit(capsys, tmp_path, argv, compare):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(KZ2_DENSE_UNIT))
+    tail = [*argv, *compare, "--max-degree", "3"]
+    code, doc = run(capsys, "homology", "--hopf", str(path), *tail)
+    _, builtin = run(capsys, "homology", "--builtin", "group:Z2", *tail)
+    assert code == 0
+    assert doc["homology"] == builtin["homology"]
+
+
 def test_homology_of_module_coefficients(capsys):
     code, doc = run(capsys, "homology", "--builtin", "dualgroup:Z2",
                     "--field", "F2", "--calculus", "khat", "--module", "trivial",
