@@ -73,12 +73,16 @@ compatibility and Leibniz check, read it too.
 The recursion is exact only when B is coassociative; the CLI
 checks that with ``verify_axioms`` before it builds a calculus.  The block
 structure also makes every Leibniz, associativity and right-unit line at
-n > 0 equal to +-I_{C^(x)n} (x) its line at n = 0, and the recursion makes
-every (0, m, l) associativity line follow from the lines (0, 0, 0) and
-(0, 0, 1) when mu has the unit on the right; so ``verify_dga`` computes
-the lines at n = 0, and the others only for a witness (its docstring has
-the proofs).  ``connections.coefficient_complex`` uses product(n, 1) only
-through T and never builds it.
+n > 0 equal to +-I_{C^(x)n} (x) its line at n = 0, and the recursions make
+the rest follow from a few low identities: every (0, m, l) associativity
+line from (0, 0, 0) and (0, 0, 1), every leibniz[0,m] from leibniz[0,0]
+and leibniz[0,1], both when mu has the unit on the right; every d^2 line
+from the one at degree 0 and Z = (E (x) I_C - I_C (x) E) E; and the left
+unit in every degree from A_1 and T (u (x) I_C) = I_C (x) u.  So
+``verify_dga`` computes these low identities, which read only T, D_0,
+D_1 and A_0..A_2, and computes the other lines only when one of them
+fails (its docstring has the proofs).  ``connections.coefficient_complex``
+uses product(n, 1) only through T and never builds it.
 """
 from __future__ import annotations
 
@@ -130,6 +134,7 @@ class Calculus:
         self._diff: Dict[int, Matrix] = {}
         self._prod: Dict[int, Matrix] = {}
         self._sandwich: Optional[Matrix] = None
+        self._reduced_comul: Optional[Matrix] = None
 
     # -- constructors --------------------------------------------------------
 
@@ -166,18 +171,15 @@ class Calculus:
     def _build_differential(self, n: int) -> Matrix:
         """D_0 = T (I_B (x) g) - g (x) I_B and D_n = E (x) I - I_C (x) D_{n-1}
         (module docstring)."""
-        f, cd = self.field, self.cdim
-        g = Matrix.from_columns([self.basepoint], cd, f)
+        f = self.field
         if n == 0:
+            g = Matrix.from_columns([self.basepoint], self.cdim, f)
             eye_b = Matrix.identity(self.B.dim, f)
             return self._sandwich_matrix() @ eye_b.kron(g) - g.kron(eye_b)
-        eye_c = Matrix.identity(cd, f)
-        E = (Matrix.from_columns((self.C or self.B).comul, cd * cd, f)
-             - eye_c.kron(g) - g.kron(eye_c))
         # D_{n-1} is read from the cache, so a corrupted cached differential
         # reaches every degree above it
-        return (E.kron(Matrix.identity(self.degree_dim(n - 1), f))
-                - eye_c.kron(self.differential(n - 1)))
+        return (self._reduced_comul_matrix().kron(Matrix.identity(self.degree_dim(n - 1), f))
+                - Matrix.identity(self.cdim, f).kron(self.differential(n - 1)))
 
     # -- the graded product ----------------------------------------------------
 
@@ -223,6 +225,16 @@ class Calculus:
                               @ L.kron(delta) @ eye(bd).kron(Matrix.flip(bd, cd, f))
                               @ delta.kron(eye(cd)))
         return self._sandwich
+
+    def _reduced_comul_matrix(self) -> Matrix:
+        """E = Delta_C - I_C (x) g - g (x) I_C: C (x) C <- C, built once
+        (module docstring)."""
+        if self._reduced_comul is None:
+            f, cd = self.field, self.cdim
+            g, eye_c = Matrix.from_columns([self.basepoint], cd, f), Matrix.identity(cd, f)
+            self._reduced_comul = (Matrix.from_columns((self.C or self.B).comul, cd * cd, f)
+                                   - eye_c.kron(g) - g.kron(eye_c))
+        return self._reduced_comul
 
     def __repr__(self):
         return f"Calculus({self.kind}, B dim {self.B.dim}, C dim {self.cdim})"
@@ -276,11 +288,47 @@ def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
     three hold, every other associativity line passes without being
     computed, and when one fails, every line at n = 0 is.
 
+    Leibniz at n = 0 follows from leibniz[0,0], leibniz[0,1] and the right
+    unit.  Let K: B (x) C -> C (x) C (x) B be
+
+        K = (E (x) I_B) T - (I_C (x) T) (D_0 (x) I_C)
+            - (I_C (x) T) (T (x) I_C) (I_B (x) E) - (I_C (x) D_0) T,
+
+    which does not depend on m.  For m >= 1, expand D_m, A_m, A_{m+1} and
+    P(1, m) = I_C (x) A_m by their recursions and move each T and E past
+    the identities: the D_{m-1} terms regroup into L(0, m-1), and what is
+    left factors through K,
+
+        L(0, m) = (I_(C (x) C) (x) A_{m-1}) (K (x) I)
+                  - (I_C (x) L(0, m-1)) (T (x) I).
+
+    With L(0, 0) = 0, L(0, 1) = (I_(C (x) C) (x) mu) (K (x) I_B); put u in
+    its last B slot and mu (I_B (x) u) = I gives back K.  So
+    L(0, 0) = L(0, 1) = 0 forces K = 0, and then every L(0, m) = 0 by
+    induction on m.  Neither coassociativity nor associativity is used.
+    So leibniz[0,0] and leibniz[0,1] are computed; when both hold with the
+    right unit, every other leibniz[0,m] passes without being computed,
+    and when one fails, every one is.
+
+    d^2 = 0 follows from d_squared_zero[0] and one identity on C.  Write
+    D_{n+1} D_n with D_k = E (x) I - I_C (x) D_{k-1} for both factors and
+    multiply out: the two E (x) D_{n-1} terms cancel, and for n >= 1
+
+        D_{n+1} D_n = Z (x) I + I_C (x) D_n D_{n-1},
+        Z = (E (x) I_C - I_C (x) E) E: C -> C (x) C (x) C.
+
+    This holds for any D_0, so when d_squared_zero[0] holds and Z = 0,
+    every d_squared_zero[n] passes by induction without being computed;
+    when one of the two fails, every d_squared_zero[n] is.  Z is no line
+    of the report.
+
     The inference covers the differentials and products built by the
-    recursions of ``Calculus``, which includes every CLI input.  A cached
-    A_m with m >= 2, or D_n with n >= 1, corrupted by hand is not seen by
-    the inferred lines; a corrupted A_1 is checked by
-    associativity[0,0,1].
+    recursions of ``Calculus``, which includes every CLI input.  The lines
+    it computes read T, D_0, D_1 and A_0..A_2 only.  A cached D_n with
+    n >= 2, or A_m with m >= 3, corrupted by hand is not seen by the
+    inferred lines; a corrupted D_1, A_1 or A_2 is read by the computed
+    ones, and a corrupted A_1 is checked by associativity[0,0,1] and by the
+    left unit.
 
     The ``graded_unit`` line cannot fail on input the CLI accepts.  It is
     mu (I_B (x) u) = I together with A_n (u (x) I) = I for every n; the CLI
@@ -297,8 +345,11 @@ def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
     S(1) = S(1) 1 = eps(1) 1, and eps(1) = 1 is ``counit_of_unit``; so
     S^-1(1) = 1 too.  The actions of C = H on itself are the product, and
     the ``unit`` and ``unit_right`` lines give 1 . c . 1 = c.  Every step
-    is exact, so the identities hold exactly.  The line is still computed,
-    as a check on the products."""
+    is exact, so the identities hold exactly.  The line is still computed
+    from its low identities, as a check on the products: the right unit,
+    mu (u (x) I) = I, A_1 (u (x) I) = I and T (u (x) I_C) = I_C (x) u.
+    When all four hold, every A_n (u (x) I) = I by the induction above;
+    when one fails, A_n (u (x) I) = I is computed at every degree."""
     max_degree = calc.max_degree if max_degree is None else max_degree
     if max_degree < 2:
         raise ValueError("need max_degree >= 2 to see the DGA axioms")
@@ -344,11 +395,22 @@ def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
     right_unit = unit_holds(0, (eye(0), u))
     inferred = right_unit and all(w is None for w in at_zero.values())
 
-    for n in range(max_degree):
-        add("d_squared_zero", (n,), identity_defect_witness(
-            f, [(1, [calc.differential(n + 1), calc.differential(n)])]))
+    def d_squared(n):
+        return identity_defect_witness(f, [(1, [calc.differential(n + 1), calc.differential(n)])])
 
-    leibniz_at_zero = [leibniz_defect(0, m) for m in range(max_degree)]
+    # d_squared_zero[n >= 1] follows from d_squared_zero[0] and Z = 0
+    E, eye_c = calc._reduced_comul_matrix(), Matrix.identity(calc.cdim, f)
+    squares = [d_squared(0)]
+    z_holds = squares[0] is None and identity_defect_witness(
+        f, [(1, [(E, eye_c), E]), (-1, [(eye_c, E), E])]) is None
+    squares += [None if z_holds else d_squared(n) for n in range(1, max_degree)]
+    for n, w in enumerate(squares):
+        add("d_squared_zero", (n,), w)
+
+    # leibniz[0,m >= 2] follows from leibniz[0,0], leibniz[0,1] and the right unit
+    leibniz_at_zero = [leibniz_defect(0, m) for m in (0, 1)]
+    k_holds = right_unit and leibniz_at_zero == [None, None]
+    leibniz_at_zero += [None if k_holds else leibniz_defect(0, m) for m in range(2, max_degree)]
     for n in range(max_degree):
         for m in range(max_degree - n):
             add_lifted("leibniz", leibniz_defect, leibniz_at_zero[m], n, m)
@@ -360,7 +422,11 @@ def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
                     at_zero[(m, l)] = None if inferred else associativity_defect(0, m, l)
                 add_lifted("associativity", associativity_defect, at_zero[(m, l)], n, m, l)
 
-    ok = right_unit and all(unit_holds(n, (u, eye(n))) for n in range(max_degree + 1))
+    # T (u (x) I_C) = I_C (x) u carries the left unit from A_1 to every A_n
+    ok = right_unit and all(unit_holds(n, (u, eye(n))) for n in (0, 1)) and (
+        identity_defect_witness(
+            f, [(1, [calc._sandwich_matrix(), (u, eye_c)]), (-1, [(eye_c, u)])]) is None
+        or all(unit_holds(n, (u, eye(n))) for n in range(2, max_degree + 1)))
     rep.add("graded_unit", ok)
     return rep
 

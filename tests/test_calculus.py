@@ -249,9 +249,11 @@ def test_products_are_block_copies_of_the_degree_zero_row(name):
 
 
 def reference_inferred_lines(calc: Calculus, max_degree: int):
-    """Every leibniz[n,m] and associativity[n,m,l] line computed in full, as
-    (name, status, witness) in report order: the oracle for the lines
-    ``verify_dga`` emits, inferred ones included."""
+    """Every line of ``verify_dga``'s report computed in full, as (name,
+    status, witness) in report order: every d_squared_zero[n],
+    leibniz[n,m] and associativity[n,m,l], and ``graded_unit`` through
+    ``reference_graded_unit``.  The oracle for the lines ``verify_dga``
+    emits, inferred ones included."""
     f = calc.field
     product = functools.lru_cache(maxsize=None)(calc.product)
     d = calc.differential
@@ -264,7 +266,7 @@ def reference_inferred_lines(calc: Calculus, max_degree: int):
         return (f"{family}[{','.join(map(str, degs))}]", "pass" if w is None else "fail",
                 None if w is None else _witness(calc, w, list(degs)))
 
-    out = []
+    out = [line("d_squared_zero", (n,), [(1, [d(n + 1), d(n)])]) for n in range(max_degree)]
     for n in range(max_degree):
         for m in range(max_degree - n):
             sign = 1 if n % 2 == 0 else -1
@@ -280,13 +282,15 @@ def reference_inferred_lines(calc: Calculus, max_degree: int):
                     (1, [product(n + m, l), (product(n, m), eye(l))]),
                     (-1, [product(n, m + l), (eye(n), product(m, l))]),
                 ]))
+    out.append(("graded_unit", "pass" if reference_graded_unit(calc, max_degree) else "fail",
+                None))
     return out
 
 
 def inferred_lines(calc: Calculus, max_degree: int):
+    """Every line of ``verify_dga``'s report, as (name, status, witness)."""
     rep = verify_dga(calc, max_degree=max_degree)
-    return [(c.name, c.status, c.witness) for c in rep.checks
-            if c.name.startswith(("leibniz", "associativity"))]
+    return [(c.name, c.status, c.witness) for c in rep.checks]
 
 
 def takes_the_inferred_path(calc: Calculus) -> bool:
@@ -407,7 +411,9 @@ CORRUPTED = [("kZ3", 2, 3), ("sweedler", 2, 3), ("dualZ2", 2, 3), ("kS3", 1, 3),
 def _corrupted_calculi(rng: random.Random):
     """(what, calculus, degree) with one seeded entry corrupted at the
     root: the sandwich matrix T (before any product is built), alpha and
-    beta of a generalized calculus, mu, the unit, and D_0."""
+    beta of a generalized calculus, mu, the unit, D_0, and Delta_C of a
+    generalized calculus, which only E, and through it D_n for n >= 1,
+    reads."""
     for name, reps, D in CORRUPTED:
         H = named_algebra(name)
         f = H.field
@@ -437,25 +443,43 @@ def _corrupted_calculi(rng: random.Random):
                             ("unit", dataclasses.replace(H, unit=unit))):
                 for calc in four_calculi(B):
                     yield f"{name} {what}", calc, D
+            comul = [dict(v) for v in C.comul]
+            c, t = rng.randrange(C.dim), rng.randrange(C.dim ** 2)
+            comul[c][t] = f.add(comul[c].get(t, f.zero()), f.one())
+            for calc in four_calculi(H)[2:]:
+                yield (f"{name} Delta_C",
+                       Calculus.general(dataclasses.replace(C, comul=comul), calc.alpha, calc.beta),
+                       D)
 
 
 def test_corruptions_at_the_root_match_the_full_oracle():
     paths = {True: [], False: []}
-    leibniz_above_zero = []
+    leibniz_above_zero, leibniz_above_one, squares_above_zero = [], [], []
     for what, calc, D in _corrupted_calculi(random.Random(5)):
         inferred = takes_the_inferred_path(calc)
         lines = assert_lines_match_the_oracle(calc, D)
         paths[inferred].append((what, all(status == "pass" for name, status, _ in lines
                                           if name.startswith("associativity"))))
-        leibniz_above_zero += [what for name, status, _ in lines
-                               if name.startswith("leibniz") and not name.startswith("leibniz[0,")
-                               and status == "fail"]
+        failing = [name for name, status, _ in lines if status == "fail"]
+        leibniz_above_zero += [what for name in failing
+                               if name.startswith("leibniz") and not name.startswith("leibniz[0,")]
+        leibniz_above_one += [what for name in failing
+                              if name.startswith("leibniz[0,") and name not in
+                              ("leibniz[0,0]", "leibniz[0,1]")]
+        if "d_squared_zero[0]" not in failing:
+            squares_above_zero += [what for name in failing if name.startswith("d_squared_zero")]
     # both associativity paths are taken; every inferred case passes by the
     # docstring's proof, and some full-path case fails
     assert paths[True] and all(ok for _, ok in paths[True])
     assert paths[False] and not all(ok for _, ok in paths[False])
     # some Leibniz line above n = 0 fails, so its full-path witness is compared
     assert leibniz_above_zero
+    # some leibniz[0,m] with m >= 2 fails, so the full path past the two low
+    # Leibniz lines is compared
+    assert leibniz_above_one
+    # a corrupted Delta_C leaves d_squared_zero[0] holding and breaks Z, so
+    # the full d_squared_zero[n >= 1] witnesses are compared
+    assert any(what.endswith("Delta_C") for what in squares_above_zero)
 
 
 def test_a_product_without_a_right_unit_takes_the_full_path():
@@ -474,25 +498,60 @@ def test_a_product_without_a_right_unit_takes_the_full_path():
     assert status["associativity[0,0,2]"] == "fail"
 
 
+def test_leibniz_without_a_right_unit_takes_the_full_path():
+    # the product of the test above, D_0 = 0 and a T for which both low
+    # Leibniz lines hold and leibniz[0,2] fails: K = 0 is read off
+    # leibniz[0,1] through the right unit, so the inference needs it
+    H = named_algebra("dualZ2_F2")
+    f = H.field
+    calc = Calculus.k(H)
+    calc._prod[0] = from_rows([[1, 0, 0, 0], [0, 0, 0, 0]], f)
+    calc._sandwich = from_rows([[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 1, 1], [0, 1, 0, 1]], f)
+    calc._diff[0] = Matrix.zero(4, 2, f)
+    status = {name: s for name, s, _ in assert_lines_match_the_oracle(calc, 3)}
+    assert status["leibniz[0,0]"] == status["leibniz[0,1]"] == "pass"
+    assert status["leibniz[0,2]"] == "fail"
+
+
+def test_graded_unit_reads_the_sandwich_at_the_unit():
+    # T corrupted at u (x) c after A_1 is cached: A_1 (u (x) I) = I still
+    # holds, and the left unit fails from A_2 on, which only
+    # T (u (x) I_C) = I_C (x) u among the low identities sees.  A_1 is no
+    # longer built from T, so only this line is compared with its oracle
+    for name in ("kZ3", "sweedler"):
+        for calc in three_calculi(named_algebra(name)):
+            calc.product(0, 1)
+            T = calc._sandwich_matrix()
+            col = T.column(0)
+            col[1] = calc.field.add(col.get(1, calc.field.zero()), calc.field.one())
+            calc._sandwich = with_column(T, 0, col)
+            assert reference_graded_unit(calc, 3) is False
+            assert graded_unit_line(calc, 3) == "fail", calc
+
+
 def test_verify_dga_infers_the_higher_associativity_lines(monkeypatch):
-    # d^2 (4) + leibniz[0,m] (4) + the two low lines + the right unit at
-    # n = 0 + the left unit (5); every line passes
+    # d_squared_zero[0] and Z + leibniz[0,0] and leibniz[0,1] + the two low
+    # associativity lines + the right unit + the left unit on mu and A_1 and
+    # T (u (x) I_C) = I_C (x) u; every line passes
     import hopfcalc.linalg
     from test_cli import count_calls
     calls = count_calls(monkeypatch, hopfcalc.linalg, "identity_defect_witness")
     rep = verify_dga(Calculus.khat(named_algebra("sweedler"), 4), 4)
     assert rep.passed and len(rep.checks) == 4 + 10 + 35 + 1
-    assert len(calls) == 16
+    assert len(calls) == 10
 
 
 def test_a_passing_verify_dga_builds_only_the_degree_zero_products(monkeypatch):
-    # A_0..A_4 and nothing else: no product(n, m) with n > 0 is cached
+    # A_0..A_2, D_0 and D_1 and nothing else, whatever the degree: no
+    # product(n, m) with n > 0 is cached
     from test_cli import count_calls
-    calls = count_calls(monkeypatch, Calculus, "_build_product")
-    calc = Calculus.khat(named_algebra("sweedler"), 4)
-    assert verify_dga(calc, 4).passed
-    assert len(calls) == 5
-    assert sorted(calc._prod) == [0, 1, 2, 3, 4]
+    products = count_calls(monkeypatch, Calculus, "_build_product")
+    differentials = count_calls(monkeypatch, Calculus, "_build_differential")
+    for D in (4, 6):
+        calc = Calculus.khat(named_algebra("sweedler"), D)
+        assert verify_dga(calc, D).passed
+        assert sorted(calc._prod) == [0, 1, 2] and sorted(calc._diff) == [0, 1]
+    assert len(products) == 2 * 3 and len(differentials) == 2 * 2
 
 
 @pytest.mark.parametrize("name", ["kZ2", "kZ3", "kZ4", "kS3", "dualZ2", "dualZ2_F2",

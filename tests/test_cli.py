@@ -81,6 +81,24 @@ def test_every_verify_dga_line_fails_in_a_golden_entry(capsys):
     assert "The ``graded_unit`` line cannot fail on input the CLI accepts." in verify_dga.__doc__
 
 
+def test_every_check_module_line_fails_in_a_golden_entry(capsys):
+    # the check-module slice of the same audit: each condition, as the help
+    # lists them, emits one line named after it, and every one fails in
+    # some golden entry
+    assert main(["check-module", "--help"]) == 0
+    usage = " ".join(capsys.readouterr().out.split())
+    conditions = usage.split("--condition {", 1)[1].split("}", 1)[0].split(",")
+    assert "stable" in conditions
+    golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
+    emitted, failed = set(), set()
+    for argv, entry in golden.items():
+        if argv.startswith("check-module "):
+            emitted.update(c["name"] for c in entry["body"]["checks"])
+            failed.update(c["name"] for c in entry["body"]["checks"] if c["status"] == "fail")
+    assert sorted(emitted) == sorted(conditions)
+    assert failed == emitted
+
+
 def test_every_homology_line_is_proved_in_the_compare_cotor_docstring(capsys):
     # the homology slice of the same audit: no golden entry fails a line
     # of compare_cotor, and its docstring proves that none can fail on

@@ -65,6 +65,8 @@ COMMANDS = [
     # a unit of 2 and a stray e (x) g in Delta(g) over F5; a unit of 2^63 over Q
     ["verify-hopf", "--hopf", "tests/kz2_f5_bad_unit.json"],
     ["verify-hopf", "--hopf", "tests/kz2_huge_unit.json"],
+    # the regular module of Sweedler's algebra is not stable
+    ["check-module", "--builtin", "sweedler", "--module", "regular", "--condition", "stable"],
 ]
 
 
