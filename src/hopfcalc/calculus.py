@@ -353,6 +353,9 @@ def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
     max_degree = calc.max_degree if max_degree is None else max_degree
     if max_degree < 2:
         raise ValueError("need max_degree >= 2 to see the DGA axioms")
+    if max_degree > calc.max_degree:
+        # the inferred lines build nothing at the top degrees, so say it here
+        raise ValueError(f"degree {max_degree} outside materialized range 0..{calc.max_degree}")
     f = calc.field
     rep = Report()
 

@@ -638,6 +638,14 @@ def test_unit_element_is_two_sided_identity():
             assert product_apply(calc, e, n, one, 0) == e
 
 
+def test_verify_dga_rejects_degrees_above_the_calculus():
+    # a passing verdict builds nothing above degree 2, so the range is
+    # checked up front, not by the first differential or product out of it
+    calc = Calculus.khat(named_algebra("sweedler"), 3)
+    with pytest.raises(ValueError, match="outside materialized range"):
+        verify_dga(calc, 4)
+
+
 def test_rejects_unknown_kind_and_missing_antipode_inverse():
     H = named_algebra("sweedler")
     with pytest.raises(ValueError):
