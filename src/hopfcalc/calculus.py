@@ -348,8 +348,9 @@ def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
     is exact, so the identities hold exactly.  The line is still computed
     from its low identities, as a check on the products: the right unit,
     mu (u (x) I) = I, A_1 (u (x) I) = I and T (u (x) I_C) = I_C (x) u.
-    When all four hold, every A_n (u (x) I) = I by the induction above;
-    when one fails, A_n (u (x) I) = I is computed at every degree."""
+    When all four hold, every A_n (u (x) I) = I by the induction above.
+    When one of the first three fails, so does the line; when only the
+    last fails, A_n (u (x) I) = I is computed at every degree n >= 2."""
     max_degree = calc.max_degree if max_degree is None else max_degree
     if max_degree < 2:
         raise ValueError("need max_degree >= 2 to see the DGA axioms")
