@@ -33,12 +33,25 @@ bilinear map given on basis pairs (a multiplication, an action) and
 ``bilinear_matrix`` turns the same table into a matrix,
 ``Matrix.from_columns`` a linear map given by its basis images (a
 coproduct, a coaction), ``pairing`` evaluates a covector (a counit, a
-character) and ``pairing_matrix`` turns it into a row.  Elimination has
-one forward pass, ``_echelon``: exact sparse Gaussian elimination in
-integers, modular over F_p and fraction free over Q, which never builds
-a ``Fraction``.  ``Matrix.rank`` counts its pivot rows; ``column_echelon``
-reduces them, by back substitution in the field, to the reduced column
-echelon basis behind ``Matrix.inverse`` and ``groupoid_decompose``.
+character) and ``pairing_matrix`` turns it into a row.
+
+Elimination has one forward pass, ``_echelon``: exact sparse Gaussian
+elimination in integers, modular over F_p and fraction free over Q, run
+on a matrix's CSC arrays in rounds.  A column's lead is its first stored
+row.  A lead that no pivot has yet takes its lowest-indexed column as its
+pivot; then every other column is reduced by the pivot at its lead, all
+at once (``_reduce``): gather the pivot entries, scale them, sort by
+(column, row), sum each run with ``np.add.reduceat``, reduce mod p and
+drop the zeros.  Pivots never change and each reduction raises a
+column's lead, so the span is kept and at most ``rows`` rounds run.  Over
+Q a round that scales some column divides out the content of every column
+(``np.gcd.reduceat``), and once a bound on a round's products reaches
+``_INT64_SAFE`` the values move from int64 to object arrays, on which the
+same numpy calls run in exact Python integers.  ``Matrix.rank`` counts
+the pivots; ``column_echelon`` reduces them, by back substitution in
+rounds of the same kernel, to the reduced column echelon basis behind
+``Matrix.inverse`` and ``groupoid_decompose``.
+
 ``identity_defect_witness``, behind every DGA line, builds the defect of a
 matrix identity with the ``Matrix`` operators alone (``kron``, ``@``,
 ``scale``, ``+``, ``==``, ``-``), so it has no kernel of its own; its
@@ -59,8 +72,8 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from itertools import accumulate, chain
-from math import gcd, lcm, prod
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from math import prod
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -195,30 +208,6 @@ def pairing(field: Field, w: Dict[int, object], v: Vec):
     return acc
 
 
-def column_echelon(field: Field, cols: Iterable[Vec]) -> Tuple[List[Vec], List[int]]:
-    """Reduced (echelon) basis of the column space, with pivot rows: each
-    basis vector is 1 at its pivot, the smallest row it touches, and 0 at
-    every other pivot; sorted by pivot.  A subspace has exactly one such
-    basis.  The columns hold nonzero field scalars, as a ``Matrix``'s do.
-
-    The pivot rows of ``_echelon`` are reduced from the last pivot up: each
-    is divided by its leading entry and loses the reduced vectors of the
-    later pivots it touches, which are 0 at every other pivot."""
-    f = field
-    pivots = _echelon(f, cols)
-    basis: Dict[int, Vec] = {}
-    for lead in sorted(pivots, reverse=True):
-        a, rest = pivots[lead]
-        inv = f.inv(f.of(a))
-        r = {k: f.mul(inv, f.of(v)) for k, v in rest.items()}
-        for q in [k for k in r if k in basis]:
-            vec_add(f, r, basis[q], f.neg(r[q]))
-        r[lead] = f.one()
-        basis[lead] = r
-    leads = sorted(basis)
-    return [basis[q] for q in leads], leads
-
-
 # ---------------------------------------------------------------------------
 # int64 CSR kernels
 #
@@ -289,6 +278,17 @@ def _reduced(csr: CSR, rows: int, cols: int, p: int) -> CSR:
         val %= p
         _sparsetools.csr_eliminate_zeros(rows, cols, ptr, idx, val)
     return _trimmed(ptr, idx, val)
+
+
+def _transposed(rows: int, cols: int, ptr: np.ndarray, idx: np.ndarray) -> CSR:
+    """The CSR pattern (ptr, idx) of a rows x cols matrix transposed, indices
+    sorted, with the number of the entry each comes from in place of its
+    value: so it carries values of either type."""
+    n = len(idx)
+    out = (np.empty(cols + 1, dtype=np.int64), np.empty(n, dtype=np.int64),
+           np.empty(n, dtype=np.int64))
+    _sparsetools.csr_tocsc(rows, cols, ptr, idx, np.arange(n, dtype=np.int64), *out)
+    return out
 
 
 def _trimmed(ptr, idx, val) -> CSR:
@@ -427,12 +427,9 @@ class Matrix:
         return dict(self._column(j))
 
     def columns(self) -> List[Vec]:
-        return list(self._iter_columns())
-
-    def _iter_columns(self) -> Iterator[Vec]:
-        """The columns as new dicts, built one at a time."""
+        """The columns as new dicts."""
         ptr, idx, val = (a.tolist() for a in self._csc_arrays())
-        return (dict(zip(idx[s:e], val[s:e])) for s, e in zip(ptr, ptr[1:]))
+        return [dict(zip(idx[s:e], val[s:e])) for s, e in zip(ptr, ptr[1:])]
 
     def _column(self, j: int) -> Vec:
         """Column j, cached and not to be written; only the columns asked
@@ -451,13 +448,8 @@ class Matrix:
         ``csr_tocsc`` moves the entry numbers, which then carry the values
         of either type."""
         if self._csc is None:
-            ptr, idx, val = self._csr
-            n = len(val)
-            cptr, crow, perm = (np.empty(self.cols + 1, dtype=np.int64),
-                                np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
-            _sparsetools.csr_tocsc(self.rows, self.cols, ptr, idx,
-                                   np.arange(n, dtype=np.int64), cptr, crow, perm)
-            self._csc = (cptr, crow, val[perm])
+            ptr, idx, perm = _transposed(self.rows, self.cols, *self._csr[:2])
+            self._csc = (ptr, idx, self._csr[2][perm])
         return self._csc
 
     def get(self, i: int, j: int):
@@ -616,22 +608,25 @@ class Matrix:
     # -- elimination ---------------------------------------------------------
 
     def rank(self) -> int:
-        return len(_echelon(self.field, self._iter_columns()))
+        return int(np.count_nonzero(_echelon(self)[1]))
 
     def inverse(self) -> "Matrix | None":
         """Exact inverse, or None if singular.  The stacked columns [A; I]
         span the graph {(Ax, x)}; their reduced column echelon has the
         pivots 0..n-1 exactly when A is invertible, and then basis vector k
         is (e_k, A^-1 e_k)."""
-        n, f = self.rows, self.field
+        n = self.rows
         if n != self.cols:
             return None
-        basis, pivots = column_echelon(
-            f, ({**col, n + j: f.one()} for j, col in enumerate(self.columns())))
+        (ptr, idx, val), (eptr, eidx, ones) = self._csr, _identity_csr(n)
+        basis, pivots = column_echelon(Matrix._of_csr(2 * n, n, self.field, (
+            np.concatenate((ptr, ptr[-1] + eptr[1:])), np.concatenate((idx, eidx)),
+            np.concatenate((val, ones)))))
         if pivots != list(range(n)):
             return None
-        return Matrix.from_columns([{i - n: v for i, v in b.items() if i >= n}
-                                    for b in basis], n, f)
+        # the rows n..2n-1 of the basis
+        ptr, idx, val = basis._csr
+        return Matrix._of_csr(n, n, self.field, (ptr[n:] - ptr[n], idx[ptr[n]:], val[ptr[n]:]))
 
     def nonzero_witness(self) -> Tuple[int, int, object] | None:
         """The first nonzero entry (row, col, value) in row-major order, or
@@ -709,68 +704,169 @@ def identity_defect_witness(field: Field, terms) -> "Tuple[int, int, object] | N
     return i, j, field.of(v)
 
 
-def _echelon(field: Field, cols: Iterable[Vec]) -> Dict[int, Tuple[int, Vec]]:
-    """The pivot rows ``{lead: (a, rest)}`` of a forward Gaussian
-    elimination of ``cols`` in integers: one per dimension of their span.
+def _runs(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The start and the length of each run of equal values in ``x``."""
+    edge = np.empty(len(x) + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(x[1:], x[:-1], out=edge[1:-1])
+    edge = edge.nonzero()[0]
+    return edge[:-1], edge[1:] - edge[:-1]
 
-    ``cols`` hold nonzero field scalars, over F_p ints in [0, p), as a
-    ``Matrix``'s columns do; rows or columns alike, since only their span
-    matters.  Pivot row ``(a, rest)`` stands for the vector
-    ``a * e_lead + rest``.  Its invariants:
 
-    - ``a`` and every value of ``rest`` are nonzero ints, and every index
-      of ``rest`` is above ``lead``; so the leads differ and the pivot rows
-      are a basis of the span of ``cols``.
-    - Over F_p, ``a`` is 1 and the values of ``rest`` lie in [1, p).
-    - Over Q, a pivot row is an integer vector in the span: no
-      ``Fraction`` is built.
+def _spans(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The positions start[k] .. start[k] + length[k] - 1, for each k in turn."""
+    end = length.cumsum()
+    return np.arange(end[-1] if len(end) else 0) + (start - end + length).repeat(length)
 
-    A vector whose entry at a pivot's lead is ``coeff`` becomes
-    ``(a/g)*r - (coeff/g)*pivot`` with ``g = gcd(a, coeff)``: a nonzero
-    multiple of ``r`` plus a multiple of the pivot, so the span is
-    unchanged.  Over F_p a new pivot row is normalized to ``a = 1`` and
-    every entry is reduced mod p.  Over Q each incoming vector is first
-    scaled by the lcm of its denominators, which leaves the span unchanged
-    too, so no ``Fraction`` arithmetic follows (fraction free, in the
-    manner of Bareiss); when ``a/g`` is not +-1 the row's content (the gcd
-    of its entries) is divided out, which keeps the entries from growing.
-    """
-    p = field.char
-    pivots: Dict[int, Tuple[int, Vec]] = {}
-    for col in cols:
-        if p:
-            r = dict(col)
-        else:
-            den = lcm(*(v.denominator for v in col.values()))
-            r = {k: v.numerator * (den // v.denominator) for k, v in col.items()}
-        while r:
-            lead = min(r)
-            coeff = r.pop(lead)
-            piv = pivots.get(lead)
-            if piv is None:
-                if p:
-                    inv = pow(coeff, -1, p)
-                    r = {k: v * inv % p for k, v in r.items()}
-                    coeff = 1
-                pivots[lead] = (coeff, r)
-                break
-            a, prow = piv
-            g = gcd(a, coeff)
-            sa, sc = a // g, coeff // g
-            if sa < 0:
-                sa, sc = -sa, -sc
-            if sa != 1:
-                r = {k: sa * v for k, v in r.items()}
-            for k, pv in prow.items():
-                x = r.get(k, 0) - sc * pv
-                if p:
-                    x %= p
-                if x:
-                    r[k] = x
-                else:
-                    r.pop(k, None)
-            if sa != 1 and r:
-                content = gcd(*r.values())
-                if content != 1:
-                    r = {k: v // content for k, v in r.items()}
-    return pivots
+
+def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """The inverses a^(p-2) mod p of the units ``a`` of F_p (Fermat)."""
+    out, e = np.ones_like(a), p - 2
+    while e:
+        if e & 1:
+            out = out * a % p
+        a, e = a * a % p, e >> 1
+    return out
+
+
+def _reduce(rows: int, p: int, col, row, val, first, cnt, coeff, lead, start, length,
+            src_row, src_val):
+    """One elimination round on the columns of (col, row, val), sorted by
+    (col, row).  Column k, its ``cnt[k]`` entries from ``first[k]`` on,
+    becomes (a/g) * itself - (c/g) * its source, with c = ``coeff[k]``,
+    a = ``lead[k]`` and g = gcd(a, c) of the sign of a; its source is the
+    entries start[k] .. start[k] + length[k] - 1 of (src_row, src_val).
+    ``lead`` is None when every source is 1 at its lead, and then a = g = 1.
+    Both parts are sorted by (col, row) together and each run is summed
+    (``np.add.reduceat``); the sums are reduced mod p and the zeros
+    dropped.  Over Q, when some a/g is not 1, every column's content (the
+    gcd of its entries) is divided out, which keeps the entries from
+    growing.
+
+    Int64 values stay int64 while 2 * (largest source entry) * (largest
+    entry of the columns), which bounds every product and sum of the
+    round, is below ``_INT64_SAFE``; otherwise they become objects first,
+    on which the same numpy calls run in exact Python integers."""
+    at = _spans(start, length)
+    add = src_val[at]
+    if lead is None:
+        add = -coeff.repeat(length) * add
+    else:
+        if val.dtype == np.int64 and 2 * int(abs(add).max()) * int(abs(val).max()) >= _INT64_SAFE:
+            val, add = val.astype(object), add.astype(object)
+        g = np.gcd(lead, coeff) * np.sign(lead)
+        lead, coeff = lead // g, coeff // g
+        val, add = val * lead.repeat(cnt), -coeff.repeat(length) * add
+    key = np.concatenate((col * rows + row, col[first].repeat(length) * rows + src_row[at]))
+    order = key.argsort(kind="stable")
+    key = key[order]
+    run = _runs(key)[0]
+    val = np.add.reduceat(np.concatenate((val, add))[order], run)
+    if p:
+        val %= p
+    nonzero = val != 0
+    col, row = np.divmod(key[run[nonzero]], rows)
+    val = val[nonzero]
+    if lead is not None and (lead != 1).any():
+        first, cnt = _runs(col)
+        val = val // np.gcd.reduceat(abs(val), first).repeat(cnt)
+    return col, row, val
+
+
+def _echelon(m: Matrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pivot columns of a forward Gaussian elimination of the columns of
+    ``m`` in integers, one per dimension of their span, as (start, length,
+    row, val): the pivot with lead i, if there is one, is entries start[i] ..
+    start[i] + length[i] - 1 of (row, val), rows ascending, so its lead, the
+    smallest row it touches, first.  Over F_p every pivot is 1 at its lead,
+    and the values are objects when p^2 reaches ``_INT64_SAFE``.  Over Q a
+    pivot is an integer vector in the span and no ``Fraction`` is built
+    (fraction free, in the manner of Bareiss): a column given in fractions is
+    first scaled by the lcm of its denominators.
+
+    The elimination runs on the CSC arrays in rounds.  Each active column's
+    lead is its first stored row.  Where no pivot has that lead yet, the
+    lowest-indexed column with it becomes the pivot, over F_p divided by its
+    leading entry, and leaves the active columns.  Every other active column
+    is then reduced by the pivot at its lead, all at once (``_reduce``):
+    r <- (a/g) r - (c/g) pivot, with a the pivot's leading entry, c the
+    column's and g = gcd(a, c).  That is a nonzero multiple of r plus a
+    multiple of a pivot, so the span is preserved; the entry at the lead
+    cancels and no smaller row appears, so the lead rises, and a column that
+    reaches 0 leaves.  Pivots never change, so at most ``m.rows`` rounds
+    reduce, and at most as many make pivots, one or more each.  Over Q a
+    round that scales some column (a/g not 1) divides the content of every
+    column out, and a round whose products a bound cannot keep below
+    ``_INT64_SAFE`` moves the values to objects first (``_reduce``)."""
+    p, rows = m.field.char, m.rows
+    ptr, row, val = m._csc_arrays()
+    col = np.arange(m.cols).repeat(ptr[1:] - ptr[:-1])
+    if not p and val.dtype == object:
+        first, cnt = _runs(col)
+        den = np.array([v.denominator for v in val], dtype=object)
+        val = _value_array([v.numerator for v in val * np.lcm.reduceat(den, first).repeat(cnt)])
+    elif p * p >= _INT64_SAFE:
+        val = val.astype(object)
+    start, length = np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64)
+    prow, pval = row[:0], val[:0]
+    while len(col):
+        first, cnt = _runs(col)
+        lead = row[first]
+        new = (length[lead] == 0).nonzero()[0]
+        if not len(new):
+            at = start[lead]
+            col, row, val = _reduce(rows, p, col, row, val, first, cnt, val[first],
+                                    None if p else pval[at], at, length[lead], prow, pval)
+            continue
+        # the lowest-indexed column at each lead without a pivot
+        new = new[lead[new].argsort(kind="stable")]
+        new = new[_runs(lead[new])[0]]
+        at = _spans(first[new], cnt[new])
+        piv = val[at] * _inverse_mod(val[first[new]], p).repeat(cnt[new]) % p if p else val[at]
+        start[lead[new]] = len(prow) + cnt[new].cumsum() - cnt[new]
+        length[lead[new]] = cnt[new]
+        prow, pval = np.concatenate((prow, row[at])), np.concatenate((pval, piv))
+        keep = np.ones(len(col), dtype=bool)
+        keep[at] = False
+        col, row, val = col[keep], row[keep], val[keep]
+    return start, length, prow, pval
+
+
+def column_echelon(m: Matrix) -> Tuple[Matrix, List[int]]:
+    """The reduced (echelon) basis of the column space of ``m``, as the
+    columns of a matrix, with its pivot rows: basis vector k is 1 at pivot
+    k, the smallest row it touches, and 0 at every other pivot; sorted by
+    pivot.  A subspace has exactly one such basis.
+
+    The pivot columns of ``_echelon`` are divided by their leading entries
+    (over Q into ``Fraction``s), then reduced in rounds of ``_reduce`` as
+    well: each that has an entry at another pivot's lead loses, at the
+    first such entry, that multiple of that pivot as the round found it.
+    No lead changes, and an entry is cleared without changing any above
+    it, so the first such row rises and at most ``m.rows`` rounds run."""
+    p, rows = m.field.char, m.rows
+    start, length, prow, pval = _echelon(m)
+    leads = length.nonzero()[0]
+    k, cnt = len(leads), length[leads]
+    at = _spans(start[leads], cnt)
+    col, row, val = np.arange(k).repeat(cnt), prow[at], pval[at]
+    if not p:
+        val = np.frompyfunc(Fraction, 2, 1)(val, pval[start[leads]].repeat(cnt))
+    pivot = (length > 0).cumsum() - 1     # at a lead row: the number of its pivot
+    while True:
+        first, cnt = _runs(col)
+        hit = length[row] > 0
+        hit[first] = False
+        hit = hit.nonzero()[0]
+        if not len(hit):
+            break
+        hit = hit[_runs(col[hit])[0]]       # the first per column
+        src = pivot[row[hit]]
+        coeff, src_start, src_len = (np.zeros(k, dtype=val.dtype), np.zeros_like(cnt),
+                                     np.zeros_like(cnt))
+        coeff[col[hit]], src_start[col[hit]], src_len[col[hit]] = val[hit], first[src], cnt[src]
+        col, row, val = _reduce(rows, p, col, row, val, first, cnt, coeff, None, src_start,
+                                src_len, row, val)
+    ptr, idx, perm = _transposed(k, rows, np.append(first, len(col)), row)
+    val = val[perm] if val.dtype == np.int64 else _value_array(val[perm].tolist())
+    return Matrix._of_csr(rows, k, m.field, (ptr, idx, val)), leads.tolist()

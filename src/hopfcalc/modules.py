@@ -495,14 +495,12 @@ def groupoid_decompose(X: ModComod) -> GroupoidReport:
                 return GroupoidReport(
                     False, f"coaction components are not orthogonal idempotents at ({g},{h})")
 
-    basis = {g: column_echelon(f, projections[g].columns())[0] for g in range(n)}
-    if sum(len(v) for v in basis.values()) != dX:
+    B, pivots = zip(*(column_echelon(P) for P in projections))
+    if sum(map(len, pivots)) != dX:
         return GroupoidReport(False, "grading blocks do not fill the space")
 
-    dims = {g: len(basis[g]) for g in range(n) if basis[g]}
-    B = {t: Matrix.from_columns(vs, dX, f) for t, vs in basis.items()}
-    E = {t: Matrix(len(vs), dX, f, {(k, min(v)): 1 for k, v in enumerate(vs)})
-         for t, vs in basis.items()}
+    dims = {g: len(q) for g, q in enumerate(pivots) if q}
+    E = [Matrix(len(q), dX, f, {(k, i): 1 for k, i in enumerate(q)}) for q in pivots]
     act = action_matrix(X) if dims else None
     blocks: Dict[Tuple[int, int], Matrix] = {}
     for h in range(n):
@@ -516,6 +514,8 @@ def groupoid_decompose(X: ModComod) -> GroupoidReport:
                     False,
                     f"action of {H.basis[h]} does not map grade {H.basis[g]} "
                     f"into grade {H.basis[target]}")
+    basis = {g: [{i: f.of(v) for i, v in col.items()} for col in b.columns()]
+             for g, b in enumerate(B)}
     return GroupoidReport(True, data=GroupoidData(dims, blocks), grading_basis=basis)
 
 

@@ -8,6 +8,7 @@ of their coactions.  Mutations are seeded so runs are reproducible.
 import functools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -52,6 +53,60 @@ def transpose(m: Matrix) -> Matrix:
 
 def kernel_dim(m: Matrix) -> int:
     return m.cols - m.rank()
+
+
+def reference_echelon(field: Field, cols):
+    """The pivot rows ``{lead: (a, rest)}`` of a forward Gaussian
+    elimination of ``cols`` in integers, one column at a time in dicts:
+    the oracle of the rank, ``len`` of it, for ``Matrix.rank``.
+
+    ``cols`` hold nonzero field scalars, as a ``Matrix``'s columns do.
+    Pivot row ``(a, rest)`` stands for ``a * e_lead + rest``, every index
+    of ``rest`` above ``lead``.  A vector whose entry at a pivot's lead is
+    ``coeff`` becomes ``(a/g)*r - (coeff/g)*pivot`` with ``g = gcd(a,
+    coeff)``.  Over F_p a new pivot row is normalized to ``a = 1`` and
+    every entry is reduced mod p; over Q each vector is first scaled by the
+    lcm of its denominators, and when ``a/g`` is not +-1 its content is
+    divided out."""
+    p = field.char
+    pivots = {}
+    for col in cols:
+        if p:
+            r = dict(col)
+        else:
+            den = lcm(*(v.denominator for v in col.values()))
+            r = {k: v.numerator * (den // v.denominator) for k, v in col.items()}
+        while r:
+            lead = min(r)
+            coeff = r.pop(lead)
+            piv = pivots.get(lead)
+            if piv is None:
+                if p:
+                    inv = pow(coeff, -1, p)
+                    r = {k: v * inv % p for k, v in r.items()}
+                    coeff = 1
+                pivots[lead] = (coeff, r)
+                break
+            a, prow = piv
+            g = gcd(a, coeff)
+            sa, sc = a // g, coeff // g
+            if sa < 0:
+                sa, sc = -sa, -sc
+            if sa != 1:
+                r = {k: sa * v for k, v in r.items()}
+            for k, pv in prow.items():
+                x = r.get(k, 0) - sc * pv
+                if p:
+                    x %= p
+                if x:
+                    r[k] = x
+                else:
+                    r.pop(k, None)
+            if sa != 1 and r:
+                content = gcd(*r.values())
+                if content != 1:
+                    r = {k: v // content for k, v in r.items()}
+    return pivots
 
 
 def reference_column_echelon(field: Field, cols):

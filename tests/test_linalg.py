@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import from_rows, kernel_dim, named_algebra, reference_column_echelon, transpose
 
+from hopfcalc import linalg
 from hopfcalc.fields import Field, QQ
 from hopfcalc.linalg import (Matrix, column_echelon, identity_defect_witness,
                              tensor_decode, tensor_encode, vec_add, vec_tensor)
@@ -94,7 +95,10 @@ def fraction_rank(field, rows):
     return rank
 
 
-# "big" entries reach beyond 2**62, so those matrices hold object values
+# "big" entries reach beyond 2**62, so those matrices hold object values;
+# over F_2147483647 products of entries near p reach (p - 1)**2 ~ 2**62, and
+# over F_4294967311 they pass 2**64, so elimination runs on object values
+P31 = 2**31 - 1
 RANK_ENTRIES = {
     "integer": (QQ, lambda rng: rng.randint(-6, 6)),
     "rational": (QQ, lambda rng: Fraction(rng.randint(-6, 6), rng.randint(1, 6))),
@@ -102,6 +106,9 @@ RANK_ENTRIES = {
     "F5": (Field(5), lambda rng: rng.randint(-6, 6)),
     "F7": (F7, lambda rng: rng.randint(-6, 6)),
     "F2": (Field(2), lambda rng: rng.randint(0, 1)),
+    "F2147483647": (Field(P31), lambda rng: rng.choice([rng.randint(-6, 6), rng.randrange(P31)])),
+    "F4294967311": (Field(2**32 + 15), lambda rng: rng.choice([rng.randint(-6, 6),
+                                                              rng.randrange(2**32)])),
 }
 
 RANK_DRAWS = (st.integers(min_value=0, max_value=10**6), st.sampled_from(sorted(RANK_ENTRIES)),
@@ -161,12 +168,73 @@ def test_sparse_rank_with_non_unit_pivots():
 @given(*RANK_DRAWS)
 def test_column_echelon_matches_the_reference(seed, kind, rows, cols, inner):
     m = rank_matrix(seed, kind, rows, cols, inner)
-    one = type(m.field.one())
     for x in (m, transpose(m)):
-        basis, pivots = column_echelon(x.field, x.columns())
-        assert (basis, pivots) == reference_column_echelon(x.field, x.columns())
-        assert len(pivots) == x.rank()
-        assert all(type(v) is one for b in basis for v in b.values())
+        assert_echelon_matches(x)
+
+
+def assert_echelon_matches(m: Matrix) -> None:
+    """``rank`` and ``column_echelon`` of ``m`` against ``fraction_rank`` and
+    ``reference_column_echelon``; the basis is stored canonically."""
+    basis, pivots = column_echelon(m)
+    want, want_pivots = reference_column_echelon(m.field, m.columns())
+    assert pivots == want_pivots and basis.columns() == want
+    assert basis == Matrix.from_columns(want, m.rows, m.field)
+    assert (basis.rows, basis.cols) == (m.rows, len(pivots))
+    assert m.rank() == len(pivots) == fraction_rank(m.field, m.columns())
+
+
+def test_echelon_of_empty_and_zero_matrices():
+    for field in (QQ, F7):
+        for rows, cols in ((0, 0), (0, 4), (4, 0), (3, 5)):
+            m = Matrix.zero(rows, cols, field)
+            assert m.rank() == 0
+            assert_echelon_matches(m)
+        assert Matrix.zero(0, 0, field).inverse() == Matrix.zero(0, 0, field)
+        assert Matrix.zero(3, 3, field).inverse() is None
+
+
+def _spy_rounds(monkeypatch):
+    """The value type of every elimination round's operand, in order."""
+    seen = []
+    inner = linalg._reduce
+
+    def spy(rows, p, col, row, val, *rest):
+        seen.append(val.dtype)
+        return inner(rows, p, col, row, val, *rest)
+    monkeypatch.setattr(linalg, "_reduce", spy)
+    return seen
+
+
+def test_a_q_elimination_leaves_int64_partway(monkeypatch):
+    # entries near 2**30 with non-unit leads: the first round fits int64, and
+    # the fraction-free products of the rounds after it do not
+    rng = random.Random(3)
+    m = Matrix(6, 6, QQ, {(i, j): QQ.of(rng.randrange(2**29, 2**30)) for i in range(6)
+                          for j in range(6)})
+    assert m._csr[2].dtype == np.int64
+    seen = _spy_rounds(monkeypatch)
+    for x in (m, transpose(m)):
+        assert_echelon_matches(x)
+        assert reference_inverse(x) == x.inverse()
+    assert seen[0] == np.int64 and object in seen
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational", "F7", "F2", "F2147483647",
+                                  "F4294967311"])
+def test_echelon_of_larger_sparse_matrices_takes_several_rounds(monkeypatch, kind):
+    # 30 x 24 draws at 15 % density, and a band whose columns all start at
+    # row 0, so that several columns share a lead in one round
+    field, entry = RANK_ENTRIES[kind]
+    rng = random.Random(21)
+    band = Matrix(30, 24, field, {**{(0, j): field.of(rng.randint(1, 6)) for j in range(24)},
+                                  **{(j + 1, j): field.of(entry(rng)) for j in range(24)},
+                                  **{(j + 2, j): field.one() for j in range(24)}})
+    seen = _spy_rounds(monkeypatch)
+    for m in [band] + [_random_matrix(rng, 30, 24, field, 0.15) for _ in range(3)]:
+        for x in (m, transpose(m), m @ transpose(m)):
+            del seen[:]
+            assert_echelon_matches(x)
+            assert len(seen) > 2
 
 
 @settings(max_examples=30)

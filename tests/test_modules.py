@@ -615,6 +615,8 @@ def decompose(X: ModComod) -> GroupoidReport:
     got, want = groupoid_decompose(X), reference_groupoid_decompose(X)
     assert (got.ok, got.reason) == (want.ok, want.reason)
     assert got.grading_basis == want.grading_basis
+    assert all(type(v) is type(X.algebra.field.one())
+               for vs in (got.grading_basis or {}).values() for b in vs for v in b.values())
     assert (got.data is None) == (want.data is None)
     if got.data is not None:
         assert got.data.dims == want.data.dims
