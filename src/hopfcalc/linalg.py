@@ -821,10 +821,10 @@ def _echelon(m: Matrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         # the lowest-indexed column at each lead without a pivot
         new = new[lead[new].argsort(kind="stable")]
         new = new[_runs(lead[new])[0]]
-        at = _spans(first[new], cnt[new])
-        piv = val[at] * _inverse_mod(val[first[new]], p).repeat(cnt[new]) % p if p else val[at]
-        start[lead[new]] = len(prow) + cnt[new].cumsum() - cnt[new]
-        length[lead[new]] = cnt[new]
+        new_lead, new_cnt = lead[new], cnt[new]
+        at = _spans(first[new], new_cnt)
+        piv = val[at] * _inverse_mod(val[first[new]], p).repeat(new_cnt) % p if p else val[at]
+        start[new_lead], length[new_lead] = len(prow) + new_cnt.cumsum() - new_cnt, new_cnt
         prow, pval = np.concatenate((prow, row[at])), np.concatenate((pval, piv))
         keep = np.ones(len(col), dtype=bool)
         keep[at] = False
@@ -838,20 +838,19 @@ def column_echelon(m: Matrix) -> Tuple[Matrix, List[int]]:
     k, the smallest row it touches, and 0 at every other pivot; sorted by
     pivot.  A subspace has exactly one such basis.
 
-    The pivot columns of ``_echelon`` are divided by their leading entries
-    (over Q into ``Fraction``s), then reduced in rounds of ``_reduce`` as
-    well: each that has an entry at another pivot's lead loses, at the
-    first such entry, that multiple of that pivot as the round found it.
-    No lead changes, and an entry is cleared without changing any above
-    it, so the first such row rises and at most ``m.rows`` rounds run."""
+    Back substitution runs on the pivot columns of ``_echelon`` in rounds
+    of ``_reduce`` as well: each pivot column that has an entry at another
+    pivot's lead is reduced, at the first such entry, by that pivot as the
+    round found it.  No lead changes, and an entry is cleared without
+    changing any above it, so the first such row rises and at most
+    ``m.rows`` rounds run.  Each column is then divided by its leading
+    entry, over Q into ``Fraction``s only where a division is not exact."""
     p, rows = m.field.char, m.rows
     start, length, prow, pval = _echelon(m)
     leads = length.nonzero()[0]
     k, cnt = len(leads), length[leads]
     at = _spans(start[leads], cnt)
     col, row, val = np.arange(k).repeat(cnt), prow[at], pval[at]
-    if not p:
-        val = np.frompyfunc(Fraction, 2, 1)(val, pval[start[leads]].repeat(cnt))
     pivot = (length > 0).cumsum() - 1     # at a lead row: the number of its pivot
     while True:
         first, cnt = _runs(col)
@@ -861,12 +860,16 @@ def column_echelon(m: Matrix) -> Tuple[Matrix, List[int]]:
         if not len(hit):
             break
         hit = hit[_runs(col[hit])[0]]       # the first per column
-        src = pivot[row[hit]]
-        coeff, src_start, src_len = (np.zeros(k, dtype=val.dtype), np.zeros_like(cnt),
-                                     np.zeros_like(cnt))
-        coeff[col[hit]], src_start[col[hit]], src_len[col[hit]] = val[hit], first[src], cnt[src]
-        col, row, val = _reduce(rows, p, col, row, val, first, cnt, coeff, None, src_start,
-                                src_len, row, val)
+        src, tgt = pivot[row[hit]], col[hit]
+        coeff, lead = np.zeros(k, dtype=val.dtype), np.ones(k, dtype=val.dtype)
+        src_start, src_len = np.zeros_like(cnt), np.zeros_like(cnt)
+        coeff[tgt], lead[tgt], src_start[tgt], src_len[tgt] = (val[hit], val[first[src]],
+                                                                first[src], cnt[src])
+        col, row, val = _reduce(rows, p, col, row, val, first, cnt, coeff, None if p else lead,
+                                src_start, src_len, row, val)
+    if not p:
+        lead = val[first].repeat(cnt)
+        val = val // lead if not (val % lead).any() else np.frompyfunc(Fraction, 2, 1)(val, lead)
     ptr, idx, perm = _transposed(k, rows, np.append(first, len(col)), row)
     val = val[perm] if val.dtype == np.int64 else _value_array(val[perm].tolist())
     return Matrix._of_csr(rows, k, m.field, (ptr, idx, val)), leads.tolist()
