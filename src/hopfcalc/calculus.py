@@ -82,7 +82,8 @@ unit in every degree from A_1 and T (u (x) I_C) = I_C (x) u.  So
 ``verify_dga`` computes these low identities, which read only T, D_0,
 D_1 and A_0..A_2, and computes the other lines only when one of them
 fails (its docstring has the proofs).  ``connections.coefficient_complex``
-uses product(n, 1) only through T and never builds it.
+uses product(n, 1) only through T and D_n only through D_n L_n, which
+``differential_at_unit`` builds from D_0 and E; it builds neither.
 """
 from __future__ import annotations
 
@@ -132,6 +133,7 @@ class Calculus:
             self.cdim = C.dim
             self.basepoint = dict(C.grouplike)
         self._diff: Dict[int, Matrix] = {}
+        self._diff_at_unit: Dict[int, Matrix] = {}
         self._prod: Dict[int, Matrix] = {}
         self._sandwich: Optional[Matrix] = None
         self._reduced_comul: Optional[Matrix] = None
@@ -180,6 +182,25 @@ class Calculus:
         # reaches every degree above it
         return (self._reduced_comul_matrix().kron(Matrix.identity(self.degree_dim(n - 1), f))
                 - Matrix.identity(self.cdim, f).kron(self.differential(n - 1)))
+
+    def differential_at_unit(self, n: int) -> Matrix:
+        """D_n L_n: C^(n+1) (x) B <- C^n, L_n = I_(C^n) (x) u, from the cache;
+        dl_0 = D_0 u and dl_n = E (x) L_(n-1) - I_C (x) dl_(n-1)
+        (``connections._coefficient_differential`` has the proof).  D_n
+        itself is not built for n > 0."""
+        if not 0 <= n <= self.max_degree:
+            raise ValueError(f"degree {n} outside materialized range 0..{self.max_degree}")
+        dl = self._diff_at_unit.get(n)
+        if dl is None:
+            f, u = self.field, self.B.unit_column()
+            if n == 0:
+                dl = self.differential(0) @ u
+            else:
+                lift = Matrix.identity(self.cdim ** (n - 1), f).kron(u)
+                dl = (self._reduced_comul_matrix().kron(lift)
+                      - Matrix.identity(self.cdim, f).kron(self.differential_at_unit(n - 1)))
+            self._diff_at_unit[n] = dl
+        return dl
 
     # -- the graded product ----------------------------------------------------
 

@@ -10,18 +10,38 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# The first thirteen primes.  As Miller-Rabin bases they decide primality
+# exactly below _PRIME_LIMIT, ~3.3e24 (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Whether ``n`` is prime, by deterministic Miller-Rabin on the bases
+    ``_PRIME_BASES``: exact below ``_PRIME_LIMIT``, a ``ValueError`` from
+    there on.  Each base costs O(log n) multiplications, where trial
+    division took O(sqrt n) steps and hung on p = 2^61 - 1."""
+    if n >= _PRIME_LIMIT:
+        raise ValueError(f"primality is decided only below {_PRIME_LIMIT}, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

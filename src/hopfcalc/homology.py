@@ -103,7 +103,9 @@ def _normalized(cx: ChainComplex, top: int) -> Tuple[List[int], List[Matrix]]:
     (M^-1)^(n+1) (x) I_X . d_n . M^n (x) I_X on the rows and columns with
     no leg j0.  An entry in a row with no leg j0 at a column with one
     would put W outside the subcomplex, which the argument above excludes:
-    it is an internal error (``RuntimeError``)."""
+    it is an internal error (``RuntimeError``).  The check and the quotient
+    come from one mask pass over each differential (``submatrix`` with
+    ``closed``)."""
     g, f, xd = cx.basepoint, cx.field, cx.dims[0]
     cd, j0 = cx.dims[1] // xd, min(g)
     has_g = [np.zeros(1, dtype=bool)]       # has_g[n][i]: C^n index i has a leg j0
@@ -116,11 +118,14 @@ def _normalized(cx: ChainComplex, top: int) -> Tuple[List[int], List[Matrix]]:
         lift, proj = (list(accumulate([A] * top, lambda P, A: A.kron(P),
                                       initial=Matrix.identity(xd, f))) for A in (M, M.inverse()))
         diffs = [proj[n + 1] @ d @ lift[n] for n, d in enumerate(diffs)]
+    quotients = []
     for n, d in enumerate(diffs):
-        if not d.submatrix(~has_g[n + 1], has_g[n]).is_zero():
-            raise RuntimeError(f"tensors with a basepoint leg are not a subcomplex at degree {n}")
-    return ([int((~m).sum()) for m in has_g],
-            [d.submatrix(~has_g[n + 1], ~has_g[n]) for n, d in enumerate(diffs)])
+        try:
+            quotients.append(d.submatrix(~has_g[n + 1], ~has_g[n], closed=True))
+        except ValueError:
+            raise RuntimeError("tensors with a basepoint leg are not a subcomplex"
+                               f" at degree {n}") from None
+    return [int((~m).sum()) for m in has_g], quotients
 
 
 def cobar_complex(C: Union[HopfAlgebra, BimoduleCoalgebra], X: ModComod,

@@ -227,17 +227,29 @@ def _csr_kron(a: CSR, a_shape: Tuple[int, int], b: CSR, b_shape: Tuple[int, int]
     reduced mod ``p`` (0 over Q).  Entry e of ``a`` at (i, j) and entry f of
     ``b`` at (k, l) give the entry at (i * b_rows + k, j * b_cols + l);
     listed with e major, the entries of each row come in column order, so
-    the counting pass of ``coo_tocsr`` leaves them canonical."""
+    the counting pass of ``coo_tocsr`` leaves them canonical.
+
+    When every row of ``a`` has at most one entry (I (x) A, the largest
+    Kronecker products of the coefficient complexes), or ``b`` has one
+    row, the e-major list is already in row order: row i of ``a`` then
+    gives the rows i * b_rows .. (i + 1) * b_rows - 1 in turn, or the one
+    row i.  So ptr is the running sum of the row counts, ``a``'s times
+    ``b``'s, and the counting pass is skipped."""
     ap, aj, ax = a
     bp, bj, bx = b
     (a_rows, a_cols), (b_rows, b_cols) = a_shape, b_shape
     rows = a_rows * b_rows
-    row = ((np.arange(a_rows) * b_rows).repeat(ap[1:] - ap[:-1])[:, None]
-           + np.arange(b_rows).repeat(bp[1:] - bp[:-1])).ravel()
+    a_cnt, b_cnt = ap[1:] - ap[:-1], bp[1:] - bp[:-1]
     col = (aj[:, None] * b_cols + bj).ravel()
     val = (ax[:, None] * bx).ravel()
     if p:
         val %= p
+    if b_rows == 1 or not (a_cnt > 1).any():
+        ptr = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum((a_cnt[:, None] * b_cnt).ravel(), out=ptr[1:])
+        return ptr, col, val
+    row = ((np.arange(a_rows) * b_rows).repeat(a_cnt)[:, None]
+           + np.arange(b_rows).repeat(b_cnt)).ravel()
     n = len(val)
     out = (np.empty(rows + 1, dtype=np.int64), np.empty(n, dtype=np.int64),
            np.empty(n, dtype=np.int64))
@@ -466,8 +478,13 @@ class Matrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
+        # the index arrays are int64 (``CSR``), and so are the values of most
+        # matrices: their bytes compare several times faster than
+        # np.array_equal on the small matrices of most verdicts
         (p, i, v), (q, j, w) = self._csr, other._csr
-        return np.array_equal(p, q) and np.array_equal(i, j) and np.array_equal(v, w)
+        return (p.tobytes() == q.tobytes() and i.tobytes() == j.tobytes()
+                and (v.tobytes() == w.tobytes() if v.dtype == w.dtype == np.int64
+                     else np.array_equal(v, w)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self._combine(other, True)
@@ -595,11 +612,18 @@ class Matrix:
         ptr = np.searchsorted(flat, np.arange(0, (rows + 1) * cols, cols))
         return Matrix._of_csr(rows, cols, self.field, (ptr, flat % cols, val[perm]), self._maxabs)
 
-    def submatrix(self, rows: np.ndarray, cols: np.ndarray) -> "Matrix":
+    def submatrix(self, rows: np.ndarray, cols: np.ndarray, closed: bool = False) -> "Matrix":
         """The entries in the rows and the columns where the boolean masks
-        ``rows`` and ``cols`` hold, renumbered in order."""
+        ``rows`` and ``cols`` hold, renumbered in order.  With ``closed``, an
+        entry in a kept row and a dropped column is a ``ValueError``: the
+        quotient map of a complex by a subcomplex spanned by the dropped
+        coordinates is such a submatrix.  One mask pass serves both."""
         ptr, idx, val = self._csr
-        keep = np.repeat(rows, np.diff(ptr)) & cols[idx]
+        keep = np.repeat(rows, np.diff(ptr))
+        in_cols = cols[idx]
+        if closed and (keep & ~in_cols).any():
+            raise ValueError("a kept row has an entry in a dropped column")
+        keep &= in_cols
         # the kept entries before each row, read at the rows kept and the end
         ptr = np.concatenate(([0], np.cumsum(keep)))[ptr][np.append(rows, True)]
         return Matrix._of_csr(int(rows.sum()), int(cols.sum()), self.field,
@@ -660,9 +684,10 @@ def column_defects(lhs: Matrix, rhs: Matrix, dims: Sequence[int],
     if lhs == rhs:
         return {}
     d, f = lhs - rhs, lhs.field
-    js = sorted({j for (_, j), _ in d.entries()})
+    idx = d._csr[1]         # the column of each entry; not empty, as lhs != rhs
+    js = [int(idx.min())] if first else np.unique(idx).tolist()
     return {tensor_decode(j, dims): {i: f.of(v) for i, v in d.column(j).items()}
-            for j in (js[:1] if first else js)}
+            for j in js}
 
 
 def column_witness(lhs: Matrix, rhs: Matrix, dims: Sequence[int]) -> "dict | None":
@@ -797,7 +822,9 @@ def _echelon(m: Matrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     reduce, and at most as many make pivots, one or more each.  Over Q a
     round that scales some column (a/g not 1) divides the content of every
     column out, and a round whose products a bound cannot keep below
-    ``_INT64_SAFE`` moves the values to objects first (``_reduce``)."""
+    ``_INT64_SAFE`` moves the values to objects first (``_reduce``).  Only
+    an arithmetic fault leaves every lead where it was, and then the loop
+    would never end: a round that raised no lead is a ``RuntimeError``."""
     p, rows = m.field.char, m.rows
     ptr, row, val = m._csc_arrays()
     col = np.arange(m.cols).repeat(ptr[1:] - ptr[:-1])
@@ -809,9 +836,15 @@ def _echelon(m: Matrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         val = val.astype(object)
     start, length = np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64)
     prow, pval = row[:0], val[:0]
+    prev = None
     while len(col):
         first, cnt = _runs(col)
         lead = row[first]
+        # no lead falls, whatever the values; and a pivot round removes a
+        # column, so the same leads again mean a round that cancelled none
+        if prev is not None and np.array_equal(lead, prev):
+            raise RuntimeError("an elimination round raised no column's lead")
+        prev = lead
         new = (length[lead] == 0).nonzero()[0]
         if not len(new):
             at = start[lead]
@@ -843,8 +876,10 @@ def column_echelon(m: Matrix) -> Tuple[Matrix, List[int]]:
     pivot's lead is reduced, at the first such entry, by that pivot as the
     round found it.  No lead changes, and an entry is cleared without
     changing any above it, so the first such row rises and at most
-    ``m.rows`` rounds run.  Each column is then divided by its leading
-    entry, over Q into ``Fraction``s only where a division is not exact."""
+    ``m.rows`` rounds run; a round after which none rose is a
+    ``RuntimeError``, as in ``_echelon``.  Each column is then divided by
+    its leading entry, over Q into ``Fraction``s only where a division is
+    not exact."""
     p, rows = m.field.char, m.rows
     start, length, prow, pval = _echelon(m)
     leads = length.nonzero()[0]
@@ -852,6 +887,7 @@ def column_echelon(m: Matrix) -> Tuple[Matrix, List[int]]:
     at = _spans(start[leads], cnt)
     col, row, val = np.arange(k).repeat(cnt), prow[at], pval[at]
     pivot = (length > 0).cumsum() - 1     # at a lead row: the number of its pivot
+    prev = None
     while True:
         first, cnt = _runs(col)
         hit = length[row] > 0
@@ -860,7 +896,9 @@ def column_echelon(m: Matrix) -> Tuple[Matrix, List[int]]:
         if not len(hit):
             break
         hit = hit[_runs(col[hit])[0]]       # the first per column
-        src, tgt = pivot[row[hit]], col[hit]
+        if prev is not None and np.array_equal(row[hit], prev):
+            raise RuntimeError("a back substitution round cleared no entry")
+        src, tgt, prev = pivot[row[hit]], col[hit], row[hit]
         coeff, lead = np.zeros(k, dtype=val.dtype), np.ones(k, dtype=val.dtype)
         src_start, src_len = np.zeros_like(cnt), np.zeros_like(cnt)
         coeff[tgt], lead[tgt], src_start[tgt], src_len[tgt] = (val[hit], val[first[src]],

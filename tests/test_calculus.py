@@ -239,6 +239,21 @@ def test_differentials_match_the_reference_enumeration(name):
             assert all(type(v) is type(ref_data[k]) for k, v in d.data.items())
 
 
+@pytest.mark.parametrize("name", ["kZ3", "sweedler", "dualZ2", "dualZ2_F2", "kS3", "taft327",
+                                  "kZ3_scaled"])
+def test_differential_at_unit_matches_the_full_product(name):
+    # the tests-only oracle of D_n L_n's own recursion: the full D_n times
+    # L_n = I_(C^n) (x) u, in every degree of the calculus
+    for calc in four_calculi(named_algebra(name)):
+        u = calc.B.unit_column()
+        for n in range(calc.max_degree + 1):
+            lift = Matrix.identity(calc.cdim ** n, calc.field).kron(u)
+            got, want = calc.differential_at_unit(n), calc.differential(n) @ lift
+            assert got == want and got.data == want.data, (calc, n)
+        with pytest.raises(ValueError, match="outside materialized range"):
+            calc.differential_at_unit(calc.max_degree + 1)
+
+
 @pytest.mark.parametrize("name", ["kZ3", "sweedler", "kS3"])
 def test_products_are_block_copies_of_the_degree_zero_row(name):
     for calc in three_calculi(named_algebra(name)):

@@ -290,6 +290,22 @@ def test_coefficient_complex_builds_its_leibniz_term_once(capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["homology", "--builtin", "sweedler", "--module", "regular", "--compare-cotor",
+     "--max-degree", "4"],
+    ["homology", "--builtin", "taft:3:2", "--field", "F7", "--calculus", "khat",
+     "--module", "trivial", "--compare-cotor", "--max-degree", "3"],
+    ["check-module", "--builtin", "sweedler", "--module", "regular", "--condition", "flat"],
+])
+def test_a_coefficient_complex_builds_only_the_degree_zero_differential(
+        capsys, monkeypatch, argv):
+    # D_n L_n comes from its own recursion on D_0 and E, so no D_n with
+    # n > 0 is built, while the oracle comparison still passes
+    builds = count_calls(monkeypatch, Calculus, "_build_differential")
+    code, _ = run(capsys, *argv)
+    assert code == 0 and [args[1] for args in builds] == [0]
+
+
 @pytest.mark.parametrize("module,code", [("tests/sweedler_curved.json", 1), ("regular", 0)])
 def test_flat_check_computes_the_coassociativity_defects_once(capsys, monkeypatch, module,
                                                               code):
@@ -536,6 +552,17 @@ def test_max_degree_env_override(capsys, monkeypatch):
     assert code == 2
 
 
+def test_a_large_prime_field_is_decided_at_once(capsys):
+    # 2^61 - 1 took trial division minutes; past the range where Miller-Rabin
+    # on the bases 2..41 is exact, a field is refused as bad input
+    code, doc = run(capsys, "verify-hopf", "--builtin", "sweedler",
+                    "--field", "F2305843009213693951")
+    assert code == 0 and doc["status"] == "pass"
+    code = main(["verify-hopf", "--builtin", "sweedler", "--field", "F3317044064679887385961981"])
+    assert code == 2
+    assert "primality is decided only below" in capsys.readouterr().err
+
+
 def test_verify_dga_below_degree_2_is_a_usage_error(capsys):
     code = main(["verify-dga", "--builtin", "group:Z2", "--max-degree", "1"])
     err = capsys.readouterr().err
@@ -555,14 +582,14 @@ def _corrupt_differential(monkeypatch, degree, corrupt):
 
 
 def test_internal_invariant_failure_is_exit_3(capsys, monkeypatch):
-    # a wrong degree-1 differential makes the two curvature routes disagree
+    # a wrong degree-0 differential makes the two curvature routes disagree:
+    # d_X^1 reads D_1 L_1 = E (x) u - I_C (x) D_0 u, and D_0 u = d(1) = 0,
+    # so an entry in column 0 of D_0, the unit e_0 of Sweedler, changes it
     def bump(d):
-        f = d.field
         col = d.column(0)
-        k = min(col)
-        col[k] = f.add(col[k], f.one())
-        return with_column(d, 0, col)
-    _corrupt_differential(monkeypatch, 1, bump)
+        assert not col
+        return with_column(d, 0, {0: d.field.one()})
+    _corrupt_differential(monkeypatch, 0, bump)
     code = main(["check-module", "--builtin", "sweedler", "--module", "regular",
                  "--condition", "flat"])
     out, err = capsys.readouterr()

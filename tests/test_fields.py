@@ -34,6 +34,33 @@ def test_bad_field_characteristic():
     assert not is_prime(1) and not is_prime(9)
 
 
+def test_primality_matches_trial_division_on_small_numbers():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(-3, 20000) if is_prime(n)] == [n for n in range(20000) if trial(n)]
+
+
+def test_large_primes_and_strong_pseudoprimes():
+    # 2^61 - 1 hung trial division; Carmichael numbers fool the Fermat test
+    # to every base prime to them, and 3825123056546413051 is a strong
+    # pseudoprime to the bases 2..23; 318665857834031151167461 is one to the
+    # bases 2..37, and base 41 shows it composite
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1) and is_prime(4294967311)
+    assert str(Field.parse("F2305843009213693951")) == "F2305843009213693951"
+    for composite in (561, 41041, 9746347772161, (2**61 - 1) * 1000003,
+                      3825123056546413051, 318665857834031151167461):
+        assert not is_prime(composite)
+        with pytest.raises(ValueError, match="must be 0 or prime"):
+            Field(composite)
+
+
+def test_fields_past_the_certified_range_are_refused():
+    # the thirteen Miller-Rabin bases decide primality below 3.3e24 only
+    for p in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(ValueError, match="decided only below"):
+            Field(p)
+
+
 @given(rationals, rationals, rationals)
 def test_rational_field_laws(a, b, c):
     f = QQ

@@ -2,10 +2,12 @@ import argparse
 import ast
 import contextlib
 import io
+import itertools
 import json
 import pathlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from hopfcalc.fields import QQ, Field
 from hopfcalc.homology import (ChainComplex, HomologyTable, cobar_complex,
                                compare_cotor, homology_dims)
 from hopfcalc.hopf import BialgebraMorphism, permute_basis
+from hopfcalc.linalg import Matrix
 from hopfcalc.modules import BimoduleCoalgebra, regular_modcomod, trivial_modcomod
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -229,6 +232,50 @@ def test_normalized_ranks_match_the_full_oracle_off_a_basis_vector(normalized_ta
     assert len(normalized_tables) == 4
 
 
+def reference_normalized(cx, top):
+    """``homology._normalized`` with its guard and its quotient taken as two
+    ``submatrix`` results per degree: the entries of the kept rows in the
+    dropped columns must be 0, and the quotient keeps the other columns."""
+    g, f, xd = cx.basepoint, cx.field, cx.dims[0]
+    cd, j0 = cx.dims[1] // xd, min(g)
+    has_g = [np.zeros(1, dtype=bool)]
+    for _ in range(top):
+        has_g.append(((np.arange(cd) == j0)[:, None] | has_g[-1]).ravel())
+    has_g = [np.repeat(m, xd) for m in has_g]
+    diffs = cx.diffs[:top]
+    if g != {j0: f.one()}:
+        M = Matrix.from_columns([g if j == j0 else {j: f.one()} for j in range(cd)], cd, f)
+        lift, proj = (list(itertools.accumulate([A] * top, lambda P, A: A.kron(P),
+                                                initial=Matrix.identity(xd, f)))
+                      for A in (M, M.inverse()))
+        diffs = [proj[n + 1] @ d @ lift[n] for n, d in enumerate(diffs)]
+    for n, d in enumerate(diffs):
+        if not d.submatrix(~has_g[n + 1], has_g[n]).is_zero():
+            raise RuntimeError(f"tensors with a basepoint leg are not a subcomplex at degree {n}")
+    return ([int((~m).sum()) for m in has_g],
+            [d.submatrix(~has_g[n + 1], ~has_g[n]) for n, d in enumerate(diffs)])
+
+
+@pytest.mark.parametrize("name,field", [("group:S3", "Q"), ("sweedler", "Q"),
+                                        ("taft:3:2", "F7"), ("dualgroup:Z3", "Q"),
+                                        ("dualgroup:Z2", "F2")])
+def test_one_pass_normalization_matches_the_two_submatrix_form(name, field):
+    # cobar complexes and calculus complexes, with the basepoint a basis
+    # vector and off one (the dual group algebras)
+    H = cli.builtin_hopf(name, Field.parse(field))
+    degree = 3
+    complexes = [cobar_complex(H, X, degree) for X in (trivial_modcomod(H), regular_modcomod(H))]
+    for calc in (Calculus.k(H, degree), Calculus.khat(H, degree)):
+        complexes += [homology.calculus_complex(calc, X, degree)
+                      for X in (None, trivial_modcomod(H), regular_modcomod(H))]
+    for cx in complexes:
+        for top in range(1, degree + 1):
+            dims, diffs = homology._normalized(cx, top)
+            want_dims, want = reference_normalized(cx, top)
+            assert dims == want_dims
+            assert all(d == w and d.data == w.data for d, w in zip(diffs, want, strict=True))
+
+
 def test_degenerate_tensors_outside_a_subcomplex_are_an_internal_error():
     # C of dimension 2 with basepoint e_0 and X of dimension 1: d_1 sends
     # e_0, which has the basepoint leg, to e_1 (x) e_1, which has none;
@@ -237,8 +284,10 @@ def test_degenerate_tensors_outside_a_subcomplex_are_an_internal_error():
     d1 = from_rows([[0, 0], [0, 0], [0, 0], [1, 0]], QQ)
     cx = ChainComplex(QQ, [1, 2, 4], [d0, d1], {0: QQ.one()})
     assert reference_homology_dims(cx) == [0, 0]
-    with pytest.raises(RuntimeError, match="not a subcomplex"):
+    with pytest.raises(RuntimeError, match="not a subcomplex at degree 1"):
         homology_dims(cx)
+    with pytest.raises(RuntimeError, match="not a subcomplex at degree 1"):
+        reference_normalized(cx, 2)
 
 
 def test_negative_homology_dimension_is_an_internal_error():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 from fractions import Fraction
 from math import prod
 
@@ -152,6 +153,54 @@ def test_submatrix_matches_the_entries_it_selects(seed, kind, rows, cols, inner)
                    if keep_rows[i] and keep_cols[j]})
     got = m.submatrix(keep_rows, keep_cols)
     assert got == want and got.data == want.data
+
+
+@settings(max_examples=40)
+@given(*RANK_DRAWS)
+def test_a_closed_submatrix_refuses_exactly_the_entries_it_would_drop(seed, kind, rows,
+                                                                       cols, inner):
+    m = rank_matrix(seed, kind, rows, cols, inner)
+    rng = random.Random(seed)
+    keep_rows = np.array([rng.random() < 0.6 for _ in range(rows)], dtype=bool)
+    keep_cols = np.array([rng.random() < 0.6 for _ in range(cols)], dtype=bool)
+    dropped = m.submatrix(keep_rows, ~keep_cols)
+    if dropped.is_zero():
+        assert m.submatrix(keep_rows, keep_cols, closed=True) == m.submatrix(keep_rows,
+                                                                           keep_cols)
+    else:
+        with pytest.raises(ValueError, match="dropped column"):
+            m.submatrix(keep_rows, keep_cols, closed=True)
+
+
+def _with_alarm(seconds, call):
+    """``call()``, failed by a ``TimeoutError`` after ``seconds`` instead of
+    running on."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("columns", [
+    [{0: 1, 1: 2}, {0: 3, 2: 1}, {0: 5, 1: 1}],    # leads shared: _echelon reduces
+    [{0: 2, 1: 3}, {1: 5}],                        # distinct leads: back substitution does
+])
+def test_an_elimination_that_cancels_nothing_is_an_internal_error(monkeypatch, columns):
+    # a wrong inverse leaves each pivot 2 at its lead, so no reduction
+    # cancels the entry it should: the loop would run forever
+    inverse = linalg._inverse_mod
+    monkeypatch.setattr(linalg, "_inverse_mod", lambda a, p: inverse(a, p) * 2 % p)
+    m = Matrix.from_columns(columns, 3, F7)
+    with pytest.raises(RuntimeError, match="raised no column's lead|cleared no entry"):
+        _with_alarm(10, lambda: column_echelon(m))
+    if len({min(c) for c in columns}) < len(columns):
+        with pytest.raises(RuntimeError, match="raised no column's lead"):
+            _with_alarm(10, m.rank)
 
 
 def test_sparse_rank_with_non_unit_pivots():
@@ -532,6 +581,45 @@ def test_kron_kernel_matches_the_dict_loop(seed):
             for got, ref in ((a.kron(b), ra.kron(rb)), (b.kron(a), rb.kron(ra))):
                 assert_matches(got, ref)
                 assert got == ref.matrix()
+
+
+def reference_csr_kron(a: Matrix, b: Matrix):
+    """The CSR arrays of ``a (x) b`` through the counting pass of
+    ``coo_tocsr``, which ``_csr_kron`` skips when the entry order is
+    already canonical."""
+    (ap, aj, ax), (bp, bj, bx) = a._csr, b._csr
+    rows, p = a.rows * b.rows, a.field.char
+    row = ((np.arange(a.rows) * b.rows).repeat(np.diff(ap))[:, None]
+           + np.arange(b.rows).repeat(np.diff(bp))).ravel()
+    col = (aj[:, None] * b.cols + bj).ravel()
+    val = (ax[:, None] * bx).ravel() % p if p else (ax[:, None] * bx).ravel()
+    out = (np.empty(rows + 1, dtype=np.int64), np.empty(len(val), dtype=np.int64),
+           np.empty(len(val), dtype=np.int64))
+    linalg._sparsetools.coo_tocsr(rows, a.cols * b.cols, len(val), row, col, val, *out)
+    return out
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_kron_without_the_counting_pass_gives_the_same_arrays(seed):
+    # left factors with at most one entry per row (partial permutations with
+    # values, identities) and one-row right factors take the direct path;
+    # the rest take coo_tocsr; both must give the arrays coo_tocsr gives
+    rng = random.Random(seed)
+    for field in (QQ, F7, Field(2)):
+        rows, cols, brows, bcols = (rng.randint(0, 5) for _ in range(4))
+        sparse_rows = Matrix(rows, cols, field, {
+            (i, rng.randrange(cols)): field.of(rng.randint(1, 9))
+            for i in range(rows) if cols and rng.random() < 0.7})
+        lefts = [sparse_rows, Matrix.identity(rows, field),
+                 _random_matrix(rng, rows, cols, field, 0.5)]
+        rights = [_random_matrix(rng, 1, bcols, field, 0.6),
+                  _random_matrix(rng, brows, bcols, field, 0.5), Matrix.identity(brows, field)]
+        for a in lefts:
+            for b in rights:
+                got = a.kron(b)
+                assert all(np.array_equal(x, y) and x.dtype == y.dtype
+                           for x, y in zip(got._csr, reference_csr_kron(a, b))), (a, b)
 
 
 @settings(max_examples=30)
