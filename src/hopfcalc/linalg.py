@@ -233,23 +233,29 @@ def _csr_kron(a: CSR, a_shape: Tuple[int, int], b: CSR, b_shape: Tuple[int, int]
     Kronecker products of the coefficient complexes), or ``b`` has one
     row, the e-major list is already in row order: row i of ``a`` then
     gives the rows i * b_rows .. (i + 1) * b_rows - 1 in turn, or the one
-    row i.  So ptr is the running sum of the row counts, ``a``'s times
-    ``b``'s, and the counting pass is skipped."""
+    row i.  Then ptr is read off ``ap`` and ``bp`` directly, and the
+    counting pass and its scratch arrays are skipped."""
     ap, aj, ax = a
     bp, bj, bx = b
     (a_rows, a_cols), (b_rows, b_cols) = a_shape, b_shape
     rows = a_rows * b_rows
-    a_cnt, b_cnt = ap[1:] - ap[:-1], bp[1:] - bp[:-1]
+    a_cnt = ap[1:] - ap[:-1]
     col = (aj[:, None] * b_cols + bj).ravel()
     val = (ax[:, None] * bx).ravel()
     if p:
         val %= p
-    if b_rows == 1 or not (a_cnt > 1).any():
-        ptr = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum((a_cnt[:, None] * b_cnt).ravel(), out=ptr[1:])
+    # more entries than rows put two in some row, with no pass over a_cnt
+    if b_rows == 1 or len(ax) <= a_rows and not (a_cnt > 1).any():
+        # row (i, k) starts after ap[i] whole copies of b and a_cnt[i] copies
+        # of b's rows before k: ptr = ap[i] * nnz(b) + a_cnt[i] * bp[k]
+        ptr = np.empty(rows + 1, dtype=np.int64)
+        block = ptr[:-1].reshape(a_rows, b_rows)
+        np.multiply(a_cnt[:, None], bp[:-1], out=block)
+        block += ap[:-1, None] * len(bx)
+        ptr[-1] = len(val)
         return ptr, col, val
     row = ((np.arange(a_rows) * b_rows).repeat(a_cnt)[:, None]
-           + np.arange(b_rows).repeat(b_cnt)).ravel()
+           + np.arange(b_rows).repeat(bp[1:] - bp[:-1])).ravel()
     n = len(val)
     out = (np.empty(rows + 1, dtype=np.int64), np.empty(n, dtype=np.int64),
            np.empty(n, dtype=np.int64))
@@ -620,10 +626,10 @@ class Matrix:
         coordinates is such a submatrix.  One mask pass serves both."""
         ptr, idx, val = self._csr
         keep = np.repeat(rows, np.diff(ptr))
-        in_cols = cols[idx]
-        if closed and (keep & ~in_cols).any():
+        in_rows = np.count_nonzero(keep) if closed else 0
+        keep &= cols[idx]
+        if closed and np.count_nonzero(keep) != in_rows:
             raise ValueError("a kept row has an entry in a dropped column")
-        keep &= in_cols
         # the kept entries before each row, read at the rows kept and the end
         ptr = np.concatenate(([0], np.cumsum(keep)))[ptr][np.append(rows, True)]
         return Matrix._of_csr(int(rows.sum()), int(cols.sum()), self.field,
