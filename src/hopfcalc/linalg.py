@@ -90,6 +90,9 @@ CSR = Tuple[np.ndarray, np.ndarray, np.ndarray]
 # back to exact Python arithmetic.
 _INT64_SAFE = 2**62
 
+# Arrays up to this many entries in all are compared as bytes (``Matrix.__eq__``).
+_SMALL = 4096
+
 # The sparsetools routines the kernels call.
 _SPARSETOOLS_ROUTINES = ("coo_tocsr", "csr_matmat_maxnnz", "csr_matmat", "csr_plus_csr",
                          "csr_minus_csr", "csr_eliminate_zeros", "csr_sort_indices",
@@ -484,13 +487,15 @@ class Matrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        # the index arrays are int64 (``CSR``), and so are the values of most
-        # matrices: their bytes compare several times faster than
-        # np.array_equal on the small matrices of most verdicts
         (p, i, v), (q, j, w) = self._csr, other._csr
-        return (p.tobytes() == q.tobytes() and i.tobytes() == j.tobytes()
-                and (v.tobytes() == w.tobytes() if v.dtype == w.dtype == np.int64
-                     else np.array_equal(v, w)))
+        # the index arrays are int64 (``CSR``), and so are the values of most
+        # matrices: on the small matrices of most verdicts their bytes compare
+        # several times faster than np.array_equal; a large one compares in
+        # place, as its bytes would be a copy of each array
+        if v.dtype == w.dtype == np.int64 and len(p) + len(i) <= _SMALL:
+            return p.tobytes() == q.tobytes() and i.tobytes() == j.tobytes() and (
+                v.tobytes() == w.tobytes())
+        return np.array_equal(p, q) and np.array_equal(i, j) and np.array_equal(v, w)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self._combine(other, True)
