@@ -696,7 +696,7 @@ def column_defects(lhs: Matrix, rhs: Matrix, dims: Sequence[int],
         return {}
     d, f = lhs - rhs, lhs.field
     idx = d._csr[1]         # the column of each entry; not empty, as lhs != rhs
-    js = [int(idx.min())] if first else np.unique(idx).tolist()
+    js = [int(idx.min())] if first else sorted(set(idx.tolist()))
     return {tensor_decode(j, dims): {i: f.of(v) for i, v in d.column(j).items()}
             for j in js}
 
