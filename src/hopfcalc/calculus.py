@@ -137,6 +137,9 @@ class Calculus:
         self._prod: Dict[int, Matrix] = {}
         self._sandwich: Optional[Matrix] = None
         self._reduced_comul: Optional[Matrix] = None
+        # g, the basepoint as a C x 1 column: B's unit for the two Hopf calculi
+        self.basepoint_column = (B.unit_column() if C is None else
+                                 Matrix.from_columns([self.basepoint], self.cdim, self.field))
 
     # -- constructors --------------------------------------------------------
 
@@ -175,7 +178,7 @@ class Calculus:
         (module docstring)."""
         f = self.field
         if n == 0:
-            g = Matrix.from_columns([self.basepoint], self.cdim, f)
+            g = self.basepoint_column
             eye_b = Matrix.identity(self.B.dim, f)
             return self._sandwich_matrix() @ eye_b.kron(g) - g.kron(eye_b)
         # D_{n-1} is read from the cache, so a corrupted cached differential
@@ -252,9 +255,10 @@ class Calculus:
         (module docstring)."""
         if self._reduced_comul is None:
             f, cd = self.field, self.cdim
-            g, eye_c = Matrix.from_columns([self.basepoint], cd, f), Matrix.identity(cd, f)
-            self._reduced_comul = (Matrix.from_columns((self.C or self.B).comul, cd * cd, f)
-                                   - eye_c.kron(g) - g.kron(eye_c))
+            g, eye_c = self.basepoint_column, Matrix.identity(cd, f)
+            delta = (self.B.comul_matrix() if self.C is None
+                     else Matrix.from_columns(self.C.comul, cd * cd, f))
+            self._reduced_comul = delta - eye_c.kron(g) - g.kron(eye_c)
         return self._reduced_comul
 
     def __repr__(self):

@@ -18,8 +18,10 @@ that is not part of the canonical body.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import shutil
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
@@ -450,33 +452,41 @@ SUBCOMMANDS = ("verify-hopf", "verify-dga", "check-module", "homology", "tensor"
 
 
 def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The command line parser; with ``only``, one of ``SUBCOMMANDS``, the
-    parser of that subcommand alone.  A command line that starts with that
-    subcommand parses the same way, help and errors included, in a
-    quarter to a third of the time of the full build."""
-    ap = argparse.ArgumentParser(prog="hopfcalc",
-                                 description="exact checks for differential calculi "
-                                             "over finite-dimensional Hopf algebras")
-    # the usage line lists every subcommand also when one is built; the full
-    # parser sets no metavar, which its errors about the subcommand would
-    # name the argument by ("argument cmd: invalid choice ...")
-    every = None if only is None else "{" + ",".join(SUBCOMMANDS) + "}"
-    sub = ap.add_subparsers(dest="cmd", required=True, metavar=every)
+    """The command line parser.  With ``only``, one of ``SUBCOMMANDS``, it
+    is the parser of that subcommand alone, ``hopfcalc <only>``, built as
+    the full parser's ``add_parser`` builds it: it parses the words after
+    the subcommand with the same help and errors, and no other
+    subcommand's arguments are built.  Words it leaves over are reported
+    by the full parser (``main``), whose error names the whole command.
+    Each build reads the terminal width once, for every help formatter it
+    makes; argparse would read it again for each of them."""
+    fmt = functools.partial(argparse.HelpFormatter,
+                            width=shutil.get_terminal_size().columns - 2)
+    if only is None:
+        ap = argparse.ArgumentParser(prog="hopfcalc", formatter_class=fmt,
+                                     description="exact checks for differential calculi "
+                                                 "over finite-dimensional Hopf algebras")
+        sub = ap.add_subparsers(dest="cmd", required=True)
     wanted = SUBCOMMANDS if only is None else (only,)
 
+    def subcommand(name: str, text: str) -> argparse.ArgumentParser:
+        if only is None:
+            return sub.add_parser(name, help=text, formatter_class=fmt)
+        return argparse.ArgumentParser(prog=f"hopfcalc {name}", formatter_class=fmt)
+
     if "verify-hopf" in wanted:
-        p = sub.add_parser("verify-hopf", help="verify the Hopf algebra axioms")
+        p = subcommand("verify-hopf", "verify the Hopf algebra axioms")
         _add_hopf_args(p)
         p.set_defaults(fn=cmd_verify_hopf)
 
     if "verify-dga" in wanted:
-        p = sub.add_parser("verify-dga", help="verify d^2, Leibniz and associativity")
+        p = subcommand("verify-dga", "verify d^2, Leibniz and associativity")
         _add_hopf_args(p)
         _add_calculus_args(p)
         p.set_defaults(fn=cmd_verify_dga)
 
     if "check-module" in wanted:
-        p = sub.add_parser("check-module", help="compatibility conditions of a module")
+        p = subcommand("check-module", "compatibility conditions of a module")
         _add_hopf_args(p)
         p.add_argument("--module", required=True,
                        help="trivial|regular|coadjoint or a module spec file")
@@ -486,8 +496,7 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
         p.set_defaults(fn=cmd_check_module)
 
     if "homology" in wanted:
-        p = sub.add_parser("homology",
-                           help="homology dimensions, optionally vs the cobar oracle")
+        p = subcommand("homology", "homology dimensions, optionally vs the cobar oracle")
         _add_hopf_args(p)
         p.add_argument("--module", help="trivial|regular|coadjoint or a module spec file")
         _add_calculus_args(p)
@@ -495,24 +504,27 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
         p.set_defaults(fn=cmd_homology)
 
     if "tensor" in wanted:
-        p = sub.add_parser("tensor", help="tensor a YD-flat with an AYD-flat connection")
+        p = subcommand("tensor", "tensor a YD-flat with an AYD-flat connection")
         _add_hopf_args(p)
         p.add_argument("--yd-module", required=True)
         p.add_argument("--ayd-module", required=True)
         p.add_argument("--max-degree", type=_max_degree)
         p.set_defaults(fn=cmd_tensor)
-    return ap
+    return ap if only is None else p
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     started = time.time()
-    # a line that names its subcommand first needs only that parser; any
-    # other line (no arguments, -h, an unknown word, an option first) gets
-    # the full one, whose usage and errors list every subcommand
+    # a line that names its subcommand first is parsed by that subcommand's
+    # parser alone; any other line (no arguments, -h, an unknown word, an
+    # option first) by the full one, whose usage and errors list every
+    # subcommand; words left over are reported by the full one as well
     words = sys.argv[1:] if argv is None else argv
-    ap = build_parser(words[0] if words and words[0] in SUBCOMMANDS else None)
+    only = words[0] if words and words[0] in SUBCOMMANDS else None
     try:
-        args = ap.parse_args(argv)
+        args, rest = build_parser(only).parse_known_args(words[1:] if only else words)
+        if rest:
+            build_parser().parse_args(words)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -67,8 +67,7 @@ class Curvature:
 
 def _basepoint_term(calc: Calculus, xd: int) -> Matrix:
     """g (x) I_X: x -> I (x) x, with g the basepoint I as a C x 1 column."""
-    f = calc.field
-    return Matrix.from_columns([calc.basepoint], calc.cdim, f).kron(Matrix.identity(xd, f))
+    return calc.basepoint_column.kron(Matrix.identity(xd, calc.field))
 
 
 def connection_from_coaction(calc: Calculus, X: ModComod) -> Connection:
@@ -132,8 +131,8 @@ def sandwich_action(calc: Calculus, act: Matrix, n: int) -> Matrix:
     M_0 is ``act`` itself."""
     f, cd = calc.field, calc.cdim
     T = calc._sandwich_matrix()
-    S = Matrix.identity(calc.B.dim, f)
-    for k in range(1, n + 1):
+    S = T if n else Matrix.identity(calc.B.dim, f)      # S_1 = T
+    for k in range(2, n + 1):
         S = Matrix.identity(cd, f).kron(S) @ T.kron(Matrix.identity(cd ** (k - 1), f))
     return Matrix.identity(cd ** n, f).kron(act) @ S.kron(Matrix.identity(act.rows, f))
 

@@ -157,11 +157,12 @@ def cobar_complex(C: Union[HopfAlgebra, BimoduleCoalgebra], X: ModComod,
     dims = [cd ** n * xd for n in range(max_degree + 1)]
     diffs: List[Matrix] = []
     for n in range(max_degree):
-        d = g.kron(eye(dims[n])).scale(f.neg(f.one()))
         terms = [eye(cd ** j).kron(delta).kron(eye(dims[n - 1 - j])) for j in range(n)]
-        for j, term in enumerate(terms + [eye(cd ** n).kron(rho)]):
+        terms.append(eye(cd ** n).kron(rho))
+        d = terms[0]
+        for j, term in enumerate(terms[1:], 1):
             d = d - term if j % 2 else d + term
-        diffs.append(d)
+        diffs.append(d - g.kron(eye(dims[n])))
     return ChainComplex(f, dims, diffs, I)
 
 

@@ -3,23 +3,25 @@
 An algebra here is a basis together with sparse tensors for multiplication,
 unit, comultiplication, counit and antipode.  Every axiom is an identity of
 the structure matrices mu, u, Delta, eps and S: `verify_axioms` checks the
-thirteen of a Hopf algebra with an invertible antipode and
+thirteen of a Hopf algebra with an invertible antipode, two of them read
+off the others when those pass (its docstring has the proofs), and
 `verify_morphism` the equations of a bialgebra map, each witnessed by the
 first column in which its sides differ, decoded to the first failing basis
 tuple.  The per-tuple enumeration through the algebra's own maps is
 `reference_verify_axioms` in the tests, the oracle it is checked against.
 
 Every CLI verdict runs `verify_axioms`, and on tiny algebras a numpy call
-costs more than the arithmetic.  Per call, S^-1 included (best of 5 rounds
-of 7 x 200 on a 2-vCPU VM), the identities take 0.63-0.71 ms on k[Z2],
-k[Z3], k^Z2 and Sweedler, where the per-tuple scans of scalar tables they
-replaced took 0.16-0.36 ms, and 0.77 and 1.0 ms on k[S3] and
-Taft(3,2)/F7, where the scans took 0.72 and 1.7 ms.  On large algebras
-they are faster and hold more: `verify-hopf` on Taft(10,2)/F11 (d = 100)
-takes 0.5-0.6 s at 79 MB peak RSS, where the scans took 1.8-3.3 s at
-36 MB, and on Taft(12,2)/F13 (d = 144) 0.9-1.0 s at 165 MB against 6.2 s
-at 40 MB.  Their largest operands, in associativity, coassociativity and
-comul_is_algebra_map, have d^3 rows or columns.
+costs more than the arithmetic, so the number of matrix operations sets
+the cost.  Per call on a fresh algebra, its structure matrices and S^-1
+included (best of 5 rounds of 7 x 200, alternating with the previous
+version in one process, on a 2-vCPU VM shared with other work), the
+identities take 0.62-0.67 ms on k[Z2], k[Z3], k^Z2 and Sweedler, and
+0.85 and 0.98 ms on k[S3] and Taft(3,2)/F7.  On large algebras they are faster than per-tuple scans and hold
+more: `verify-hopf` on Taft(10,2)/F11 (d = 100) takes 0.6 s at 75 MB
+peak RSS, and on Taft(12,2)/F13 (d = 144) 1.1-1.2 s at 157 MB, where
+the scans took 1.8-3.3 s at 36 MB and 6.2 s at 40 MB.  Their largest
+operands, in associativity, coassociativity and comul_is_algebra_map,
+have d^3 rows or columns.
 """
 from __future__ import annotations
 
@@ -33,8 +35,27 @@ from .linalg import (Matrix, Vec, basis_vec, bilinear, bilinear_matrix, column_w
 from .reports import Report
 
 
+def memoized(owner, key: str, source, build):
+    """``build()``, kept in ``owner._memo`` under ``key`` for as long as
+    ``source``, the table it is built from, is the same object: rebinding
+    the table builds it anew.  A table changed in place is not seen."""
+    hit = owner._memo.get(key)
+    if hit is None or hit[0] is not source:
+        hit = owner._memo[key] = (source, build())
+    return hit[1]
+
+
 @dataclass
 class HopfAlgebra:
+    """The structure tensors of a Hopf algebra, and its structure matrices.
+
+    ``mul_matrix``, ``unit_column``, ``comul_matrix``, ``counit_row`` and
+    ``antipode_inverse`` build their matrix on the first call and keep it
+    (``memoized``), so that a verdict builds each one once however many
+    checks read it.  The memo lives as long as the algebra, which a verdict
+    builds from its input; it is not an argument of ``__init__``, so
+    ``dataclasses.replace`` starts the new algebra with an empty one."""
+
     field: Field
     dim: int
     basis: List[str]
@@ -44,7 +65,7 @@ class HopfAlgebra:
     counit: Dict[int, object]           # covector
     antipode: Matrix
     group_table: Optional[List[List[int]]] = None   # set by group builders
-    _antipode_inv: object = dc_field(default=False, repr=False)
+    _memo: dict = dc_field(init=False, default_factory=dict, repr=False, compare=False)
 
     # -- structure maps ------------------------------------------------------
 
@@ -53,21 +74,27 @@ class HopfAlgebra:
 
     def antipode_inverse(self) -> Optional[Matrix]:
         """Exact inverse of S, or None when S is singular."""
-        if self._antipode_inv is False:
-            self._antipode_inv = self.antipode.inverse()
-        return self._antipode_inv
+        return memoized(self, "antipode_inverse", self.antipode, self.antipode.inverse)
 
     def mul_matrix(self) -> Matrix:
         """The multiplication as the matrix H <- H (x) H."""
-        return bilinear_matrix(self.field, self.mul, self.dim, self.dim, self.dim)
+        return memoized(self, "mul", self.mul, lambda: bilinear_matrix(
+            self.field, self.mul, self.dim, self.dim, self.dim))
 
     def unit_column(self) -> Matrix:
         """The unit as an H x 1 column."""
-        return Matrix.from_columns([self.unit], self.dim, self.field)
+        return memoized(self, "unit", self.unit, lambda: Matrix.from_columns(
+            [self.unit], self.dim, self.field))
 
     def comul_matrix(self) -> Matrix:
         """The comultiplication as the matrix H (x) H <- H."""
-        return Matrix.from_columns(self.comul, self.dim * self.dim, self.field)
+        return memoized(self, "comul", self.comul, lambda: Matrix.from_columns(
+            self.comul, self.dim * self.dim, self.field))
+
+    def counit_row(self) -> Matrix:
+        """The counit as a 1 x H row."""
+        return memoized(self, "counit", self.counit, lambda: pairing_matrix(
+            self.field, self.counit, self.dim))
 
     def is_cocommutative(self) -> bool:
         delta = self.comul_matrix()
@@ -94,7 +121,7 @@ def verify_axioms(H: HopfAlgebra) -> Report:
     """Check every Hopf-algebra axiom as an identity of structure matrices.
 
     With mu = ``H.mul_matrix()``, u = ``H.unit_column()``, Delta =
-    ``H.comul_matrix()``, eps the counit as a 1 x d row, S the antipode and
+    ``H.comul_matrix()``, eps = ``H.counit_row()``, S the antipode and
     I = I_H, the lines are, in order:
 
     - associativity: mu(mu (x) I) = mu(I (x) mu)
@@ -124,21 +151,44 @@ def verify_axioms(H: HopfAlgebra) -> Report:
     first failing basis tuple in ``itertools.product`` order, and the
     column of lhs - rhs as the defect.
 
+    Two lines are inferred when the lines they follow from passed, and
+    computed in full, witness and all, when any of those failed:
+
+    - counit_of_unit follows from counit, comul_of_unit and unit.  Apply
+      (eps (x) I) to Delta u = u (x) u: the counit line gives u on the
+      left and the right side is (eps u) u.  So (eps u - 1) u = 0, and
+      u != 0, as mu(u (x) I) = I and d >= 1; hence eps u = 1.
+    - antipode_right follows from associativity, coassociativity, unit,
+      unit_right, counit, counit_right and antipode_left.  By the first
+      six, End(H) with the convolution f * g = mu(f (x) g)Delta is an
+      associative algebra with unit u eps, of finite dimension d^2
+      (Sweedler, *Hopf Algebras*, 1969, 4.0).  antipode_left says
+      S * id = u eps.  In a finite-dimensional unital associative algebra
+      ab = 1 implies ba = 1: x -> bx is injective, since bx = 0 gives
+      x = abx = 0, hence onto, so bc = 1 for some c, and a = a(bc) =
+      (ab)c = c.  With a = S and b = id, id * S = u eps, which is
+      antipode_right.
+
     The ``antipode_inverse`` line cannot fail.  ``H.antipode_inverse()`` is
-    ``Matrix.inverse``, which returns a matrix T only when the reduced
-    column echelon of the stacked columns [S; I] has the pivots 0..n-1.
-    Each of its basis vectors lies in their span {(S x, x)}, and basis
-    vector k is (e_k, T e_k); so S T e_k = e_k for every k.  The
-    elimination is exact, so S T = I holds exactly, and for a square
-    matrix over a field T S = I follows.  The line is still computed, as a
-    check on the elimination.
+    ``Matrix.inverse``.  For a monomial S with entries it can invert in
+    int64, T is the transpose of S with each entry inverted, and S T = I
+    entry by entry (its docstring).  Otherwise it returns a matrix T only
+    when the reduced column echelon of the stacked columns [S; I] has the
+    pivots 0..n-1.  Each of its basis vectors lies in their span
+    {(S x, x)}, and basis vector k is (e_k, T e_k); so S T e_k = e_k for
+    every k.  The elimination is exact, so S T = I holds exactly.  Either
+    way, for a square matrix over a field T S = I follows.  The line is
+    still computed, as a check on both routes.
     """
     f, d, rep = H.field, H.dim, Report()
     mu, u, delta, S = H.mul_matrix(), H.unit_column(), H.comul_matrix(), H.antipode
-    eps, I = pairing_matrix(f, H.counit, d), Matrix.identity(d, f)
+    eps, I = H.counit_row(), Matrix.identity(d, f)
 
     def check(name, lhs, rhs, k):
         _add_identity(rep, H.basis, name, lhs, rhs, [d] * k)
+
+    def holds(*names):
+        return all(c.passed for c in rep.checks if c.name in names)
 
     check("associativity", mu @ mu.kron(I), mu @ I.kron(mu), 3)
     check("unit", mu @ u.kron(I), I, 1)
@@ -152,10 +202,17 @@ def verify_axioms(H: HopfAlgebra) -> Report:
     check("comul_is_algebra_map", delta @ mu, rhs.regroup([d] * 4, [1, 0, 2, 3], 2), 2)
     check("comul_of_unit", delta @ u, u.kron(u), 0)
     check("counit_is_algebra_map", eps @ mu, eps.kron(eps), 2)
-    check("counit_of_unit", eps @ u, Matrix.identity(1, f), 0)
+    if d and holds("counit", "comul_of_unit", "unit"):
+        rep.add("counit_of_unit", True)
+    else:
+        check("counit_of_unit", eps @ u, Matrix.identity(1, f), 0)
     u_eps = u @ eps
     check("antipode_left", mu @ (S.kron(I) @ delta), u_eps, 1)
-    check("antipode_right", mu @ (I.kron(S) @ delta), u_eps, 1)
+    if holds("associativity", "coassociativity", "unit", "unit_right", "counit",
+             "counit_right", "antipode_left"):
+        rep.add("antipode_right", True)
+    else:
+        check("antipode_right", mu @ (I.kron(S) @ delta), u_eps, 1)
     sinv = H.antipode_inverse()
     if sinv is not None:
         ok = sinv @ S == I == S @ sinv
@@ -210,8 +267,7 @@ def verify_morphism(m: BialgebraMorphism) -> Report:
     rep.add("preserves_unit", F @ S.unit_column() == T.unit_column())
     _add_identity(rep, S.basis, "comultiplicative", T.comul_matrix() @ F,
                   FF @ S.comul_matrix(), [S.dim])
-    rep.add("preserves_counit", pairing_matrix(f, T.counit, T.dim) @ F
-            == pairing_matrix(f, S.counit, S.dim))
+    rep.add("preserves_counit", T.counit_row() @ F == S.counit_row())
     return rep
 
 

@@ -520,20 +520,9 @@ class Matrix:
         return Matrix(self.rows, self.cols, f, data)
 
     def scale(self, c) -> "Matrix":
-        """``c`` times the matrix, for a field scalar ``c``."""
-        f = self.field
-        a = self._to_csr()
-        if (a is not None and Fraction(c).denominator == 1
-                and abs(int(c)) * self._max_abs() < _INT64_SAFE):
-            c = int(c) % f.char if f.char else int(c)
-            if not c:
-                a = (np.zeros(self.rows + 1, dtype=np.int64), a[1][:0], a[2][:0])
-            # over F_p, c and every entry are units, so no product is 0
-            val = a[2] * c % f.char if f.char else a[2] * c
-            return Matrix._of_csr(self.rows, self.cols, f, (a[0], a[1], val),
-                                  abs(c) * self._max_abs())
-        return Matrix(self.rows, self.cols, f,
-                      {k: f.mul(c, v) for k, v in self.entries()})
+        """``c`` times the matrix, for a field scalar ``c``: its Kronecker
+        product with the 1 x 1 matrix (c)."""
+        return self.kron(Matrix.from_columns([{0: c}], 1, self.field))
 
     # -- products -----------------------------------------------------------
 
@@ -556,7 +545,7 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("field mismatch")
         a, b = self._to_csr(), other._to_csr()
         # crude overflow bound: |entry| <= maxA * maxB * inner_dim
@@ -587,10 +576,17 @@ class Matrix:
         return acc
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product, consistent with big-endian index flattening."""
-        if self.field != other.field:
+        """Kronecker product, consistent with big-endian index flattening.
+        Where the product is known, no kernel runs: X (x) I_1 and I_1 (x) X
+        are X, and I_m (x) I_n is I_mn."""
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("field mismatch")
         f = self.field
+        m, n = _identity_size(self), _identity_size(other)
+        if m == 1 or n == 1:
+            return other if m == 1 else self
+        if m and n:
+            return Matrix.identity(m * n, f)
         rows, cols = self.rows * other.rows, self.cols * other.cols
         a, b = self._to_csr(), other._to_csr()
         bound = self._max_abs() * other._max_abs() if a is not None and b is not None else None
@@ -614,8 +610,8 @@ class Matrix:
         if prod(dims) != self.rows * self.cols:
             raise ValueError("axis sizes do not match the shape")
         ptr, idx, val = self._csr
-        axes = np.unravel_index(np.repeat(np.arange(self.rows), np.diff(ptr)) * self.cols + idx,
-                                dims)
+        axes = np.unravel_index(np.repeat(np.arange(self.rows), ptr[1:] - ptr[:-1]) * self.cols
+                                + idx, dims)
         new = [dims[k] for k in order]
         flat = np.ravel_multi_index([axes[k] for k in order], new)
         perm = np.argsort(flat)
@@ -649,11 +645,25 @@ class Matrix:
         """Exact inverse, or None if singular.  The stacked columns [A; I]
         span the graph {(Ax, x)}; their reduced column echelon has the
         pivots 0..n-1 exactly when A is invertible, and then basis vector k
-        is (e_k, A^-1 e_k)."""
+        is (e_k, A^-1 e_k).
+
+        A monomial A, one entry in each row and each column (the antipode
+        of every built-in), needs no elimination when its int64 entries have
+        int64 inverses (any entry over F_p with p^2 below ``_INT64_SAFE``,
+        +-1 over Q): A^-1 is its transpose with each entry inverted, since
+        A[i, j] = a puts 1/a at (j, i) and nothing else in row j or column
+        i, so A A^-1 = I exactly."""
         n = self.rows
         if n != self.cols:
             return None
         (ptr, idx, val), (eptr, eidx, ones) = self._csr, _identity_csr(n)
+        p = self.field.char
+        if (len(val) == n and val.dtype == np.int64 and np.array_equal(ptr, eptr)
+                and (p * p < _INT64_SAFE if p else (abs(val) == 1).all())):
+            perm = idx.argsort()
+            if np.array_equal(idx[perm], eidx):
+                return Matrix._of_csr(n, n, self.field, (
+                    eptr, perm, _inverse_mod(val[perm], p) if p else val[perm]))
         basis, pivots = column_echelon(Matrix._of_csr(2 * n, n, self.field, (
             np.concatenate((ptr, ptr[-1] + eptr[1:])), np.concatenate((idx, eidx)),
             np.concatenate((val, ones)))))
@@ -672,6 +682,15 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field}, nnz={self._nnz()})"
+
+
+def _identity_size(m: Matrix) -> int:
+    """n when ``m`` is ``Matrix.identity(n)``, whose CSR is the shared
+    ``_identity_csr(n)``; else 0.  That tuple's indices are a view of its
+    ptr, which is tested first, so that no identity is built for a matrix
+    that is not one."""
+    csr, n = m._csr, m.rows
+    return n if n == m.cols and csr[1].base is csr[0] and csr is _identity_csr(n) else 0
 
 
 def bilinear_matrix(field: Field, table: Dict[Tuple[int, int], Vec], left: int,

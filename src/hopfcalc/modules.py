@@ -36,11 +36,11 @@ to be representable, so coassociativity is a separately reported check.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
 from .fields import Field
-from .hopf import BialgebraMorphism, HopfAlgebra
+from .hopf import BialgebraMorphism, HopfAlgebra, memoized
 from .linalg import (Matrix, Vec, basis_vec, bilinear, bilinear_matrix, column_defects,
                      column_echelon, column_witness, pairing, pairing_matrix)
 from .reports import Report
@@ -132,6 +132,8 @@ class ModComod:
 
     For the Hopf-algebra setting C = B = H and ``coalgebra`` is None; the
     generalized setting stores the bimodule coalgebra explicitly.
+    ``action_matrix`` and ``coaction_matrix`` keep their matrix in
+    ``_memo`` (``hopf.memoized``), as ``HopfAlgebra`` keeps its own.
     """
 
     algebra: HopfAlgebra
@@ -140,6 +142,7 @@ class ModComod:
     coaction: Optional[List[Vec]] = None                   # a -> C (x) X, flat
     coalgebra: Optional[BimoduleCoalgebra] = None
     label: str = ""
+    _memo: dict = dc_field(init=False, default_factory=dict, repr=False, compare=False)
 
     @property
     def field(self) -> Field:
@@ -199,10 +202,11 @@ class DefectReport:
 
 
 def action_matrix(X: ModComod) -> Matrix:
-    """The action as the matrix X <- B (x) X."""
+    """The action as the matrix X <- B (x) X, built once (``memoized``)."""
     if X.action is None:
         raise ValueError("module has no action")
-    return bilinear_matrix(X.field, X.action, X.algebra.dim, X.dim, X.dim)
+    return memoized(X, "action", X.action, lambda: bilinear_matrix(
+        X.field, X.action, X.algebra.dim, X.dim, X.dim))
 
 
 def add_action_axioms(rep: Report, name: str, B: HopfAlgebra, M: Matrix) -> None:
@@ -225,10 +229,11 @@ def check_module_axioms(X: ModComod) -> Report:
 
 
 def coaction_matrix(X: ModComod) -> Matrix:
-    """The coaction as the matrix C (x) X <- X."""
+    """The coaction as the matrix C (x) X <- X, built once (``memoized``)."""
     if X.coaction is None:
         raise ValueError("module has no coaction")
-    return Matrix.from_columns(X.coaction, X.codim * X.dim, X.field)
+    return memoized(X, "coaction", X.coaction, lambda: Matrix.from_columns(
+        X.coaction, X.codim * X.dim, X.field))
 
 
 def coassociativity_defects(X: ModComod) -> Dict[tuple, Vec]:
@@ -338,7 +343,7 @@ def is_grouplike(H: HopfAlgebra, sigma: Vec) -> bool:
     """sigma, an H x 1 column, has counit 1 and Delta sigma = sigma (x) sigma."""
     f = H.field
     s = Matrix.from_columns([sigma], H.dim, f)
-    return (pairing_matrix(f, H.counit, H.dim) @ s == Matrix.identity(1, f)
+    return (H.counit_row() @ s == Matrix.identity(1, f)
             and H.comul_matrix() @ s == s.kron(s))
 
 

@@ -756,19 +756,37 @@ VALID_LINES = {
 }
 
 
-def _parsed(parser, argv):
-    """Exit code, standard output and error, and namespace of one parse."""
+def _parsed(parse):
+    """Exit code, standard output and error, and namespace of one parse:
+    ``parse()`` returns the namespace as a dict, or exits."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            namespace, code = vars(parser.parse_args(argv)), 0
+            namespace, code = parse(), 0
         except SystemExit as e:
             namespace, code = None, e.code
     return code, out.getvalue(), err.getvalue(), namespace
 
 
 @pytest.mark.parametrize("command", cli.SUBCOMMANDS)
-def test_one_subcommand_parser_parses_as_the_full_one(command):
+def test_one_subcommand_parser_parses_as_the_full_one(command, monkeypatch):
+    # main runs what it parsed: every subcommand records its namespace instead
+    ran = []
+
+    def record(args, started):
+        ran.append(vars(args))
+        return 0
+
+    for name in cli.SUBCOMMANDS:
+        monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"), record)
+
+    def through_main(argv):
+        ran.clear()
+        code = cli.main(argv)
+        if code:
+            raise SystemExit(code)
+        return ran[0] if ran else None
+
     valid = [command] + VALID_LINES[command]
     # exit code of each line: only check-module and tensor require a module
     lines = [(valid, 0), ([command, "-h"], 0), (valid + ["--condition", "bogus"], 2),
@@ -777,9 +795,12 @@ def test_one_subcommand_parser_parses_as_the_full_one(command):
               else 0),
              (valid + ["--frobnicate"], 2), (valid + ["--max-degree", "0"], 2)]
     for argv, code in lines:
-        full = _parsed(cli.build_parser(), argv)
+        full = _parsed(lambda: vars(cli.build_parser().parse_args(argv)))
         assert full[0] == code, argv
-        assert _parsed(cli.build_parser(command), argv) == full, argv
+        if full[3] is not None:
+            # the one-subcommand parser sets no "cmd"
+            assert full[3].pop("cmd") == command
+        assert _parsed(lambda: through_main(argv)) == full, argv
 
 
 @pytest.mark.parametrize("argv,built", [
@@ -791,9 +812,10 @@ def test_one_subcommand_parser_parses_as_the_full_one(command):
 ])
 def test_main_builds_only_the_parser_it_runs(capsys, monkeypatch, argv, built):
     # main calls build_parser through the module global, which the
-    # benchmark's span recorder wraps
+    # benchmark's span recorder wraps; every subcommand's arguments start
+    # with the algebra's, so their calls count the subcommands built
     calls = count_calls(monkeypatch, cli, "build_parser")
-    subparsers = count_calls(monkeypatch, argparse._SubParsersAction, "add_parser")
+    subcommands = count_calls(monkeypatch, cli, "_add_hopf_args")
     main(argv)
     assert calls == [("check-module",) if built == 1 else (None,)]
-    assert len(subparsers) == built
+    assert len(subcommands) == built

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pathlib
 import random
 import tracemalloc
 
@@ -462,3 +464,60 @@ def test_single_entry_mutations_match_the_reference():
             pairing_matrix(H.field, H.counit, H.dim)))
     assert failed == set(_AXIOMS)
     assert exact >= 90
+
+
+def test_inferred_lines_make_no_operation_on_passing_input(monkeypatch):
+    # counit_of_unit and antipode_right are read off the lines they follow
+    # from when those pass, and computed in full, through column_witness,
+    # when any of them fails
+    import hopfcalc.hopf as hopf_module
+    calls = []
+    witness = hopf_module.column_witness
+    monkeypatch.setattr(hopf_module, "column_witness", lambda *a: calls.append(a) or witness(*a))
+    premises = {"counit_of_unit": ["unit", "counit", "comul_of_unit"],
+                "antipode_right": ["associativity", "coassociativity", "unit", "unit_right",
+                                   "counit", "counit_right", "antipode_left"]}
+    for H in _builtins():
+        calls.clear()
+        assert verify_axioms(H).passed and len(calls) == 10
+    rng, computed = random.Random(3), set()
+    for k in range(80):
+        calls.clear()
+        rep = verify_axioms(mutate_entry(named_algebra(("kS3", "sweedler")[k % 2]), rng,
+                                         [0, 1, -1, 2]))
+        status = {c.name: c.passed for c in rep.checks}
+        full = [name for name, names in premises.items() if not all(status[n] for n in names)]
+        assert len(calls) == 10 + len(full)
+        computed |= set(full)
+    assert computed == set(premises)
+
+
+def test_replace_and_rebinding_build_fresh_structure_matrices():
+    H = build_sweedler()
+    f, one = H.field, H.field.one()
+    mu, u, sinv = H.mul_matrix(), H.unit_column(), H.antipode_inverse()
+    assert H.mul_matrix() is mu and H.unit_column() is u and H.antipode_inverse() is sinv
+    mul = {k: dict(v) for k, v in H.mul.items()}
+    mul[(1, 1)] = {2: one}
+    B = dataclasses.replace(H, mul=mul)
+    assert B.mul_matrix() != mu
+    assert B.mul_matrix() == Matrix.from_columns(
+        [mul.get((i, j), {}) for i in range(4) for j in range(4)], 4, f)
+    B = dataclasses.replace(H, unit={1: one})
+    assert B.unit_column() == Matrix.from_columns([{1: one}], 4, f) != u
+    B = dataclasses.replace(H, antipode=Matrix.identity(4, f))
+    assert B.antipode_inverse() == Matrix.identity(4, f) != sinv
+    H.mul = mul
+    assert H.mul_matrix() == dataclasses.replace(H, mul=mul).mul_matrix() != mu
+
+
+def test_golden_hopf_files_match_the_reference():
+    # the --hopf inputs of the golden set, whose failing lines include the
+    # premises of both inferred lines
+    from hopfcalc.cli import load_hopf_file
+    tests = pathlib.Path(__file__).resolve().parent
+    failed = set()
+    for name in ("sweedler_bad_comul", "kz3_half_mul", "kz2_f5_bad_unit", "kz2_huge_unit"):
+        failed |= {c.name for c in _assert_matches_reference(
+            load_hopf_file(str(tests / f"{name}.json"))).failures()}
+    assert failed

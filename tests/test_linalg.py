@@ -345,6 +345,12 @@ def test_inverse_of_singular_is_none():
     assert m.inverse() is None
 
 
+def kernel_copy(m: Matrix) -> Matrix:
+    """``m`` as a kernel result: its Kronecker product with a 1 x 1 (1)
+    other than the shared I_1, for which ``kron`` returns ``m`` itself."""
+    return m.kron(from_rows([[1]], m.field))
+
+
 def reference_inverse(m: Matrix):
     """Dense Gauss-Jordan elimination in the field's arithmetic, or None
     when singular: the oracle for the echelon ``Matrix.inverse``."""
@@ -396,13 +402,33 @@ def test_inverse_matches_gauss_jordan(seed):
             assert (got is None) == (want is None)
             assert got == want
             # the same matrix as a kernel result
-            assert m.kron(Matrix.identity(1, field)).inverse() == want
+            assert kernel_copy(m).inverse() == want
             # and built from dense columns with their zeros, as from a
             # --hopf file that lists its antipode densely
             dense = Matrix.from_columns([{i: m.get(i, j) for i in range(n)}
                                          for j in range(n)], n, field)
             assert dense == m and dense.inverse() == want
     assert Matrix.zero(2, 3, QQ).inverse() is None
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_monomial_inverse_matches_gauss_jordan(seed):
+    # one entry per row and column: the transpose with inverted entries over
+    # F_p and for +-1 over Q, elimination for other rationals; a repeated
+    # column is singular
+    rng = random.Random(seed)
+    for field, values in ((QQ, (1, -1)), (QQ, (1, -1, 2, "1/3")), (F7, range(1, 7)),
+                          (Field(2), (1,)), (Field(2**31 - 1), (1, 5, 2**30))):
+        n = rng.randint(1, 6)
+        perm = rng.sample(range(n), n)
+        m = Matrix(n, n, field, {(i, perm[i]): field.of(rng.choice(values)) for i in range(n)})
+        inv = m.inverse()
+        assert inv == reference_inverse(m) and m @ inv == Matrix.identity(n, field)
+        assert all(type(v) is type(field.one()) for v in inv.data.values())
+        if n > 1:
+            perm[0] = perm[1]
+            assert Matrix(n, n, field, {(i, perm[i]): field.one() for i in range(n)}).inverse() is None
 
 
 @settings(max_examples=25)
@@ -564,7 +590,7 @@ def _kernel_operands(rng, field):
     density = rng.choice([0.0, 0.3, 0.7])
     a = _random_matrix(rng, shape[0], shape[1], field, density)
     b = _random_matrix(rng, shape[1], shape[2], field, density)
-    return a.kron(Matrix.identity(1, field)), Matrix.identity(1, field).kron(b)
+    return kernel_copy(a), from_rows([[1]], field).kron(b)
 
 
 @settings(max_examples=40)
@@ -620,6 +646,24 @@ def test_kron_without_the_counting_pass_gives_the_same_arrays(seed):
                 got = a.kron(b)
                 assert all(np.array_equal(x, y) and x.dtype == y.dtype
                            for x, y in zip(got._csr, reference_csr_kron(a, b))), (a, b)
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_kron_with_an_identity_returns_what_the_kernel_gives(seed):
+    # X (x) I_1 and I_1 (x) X are X itself and I_m (x) I_n is the shared
+    # I_mn, with no kernel call; each has the arrays the kernel gives
+    rng = random.Random(seed)
+    for field in (QQ, F7, Field(2)):
+        x = _random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), field, 0.5)
+        one, m, n = Matrix.identity(1, field), rng.randint(1, 5), rng.randint(1, 5)
+        assert x.kron(one) is x and one.kron(x) is x
+        eye = Matrix.identity(m, field).kron(Matrix.identity(n, field))
+        assert eye._csr is linalg._identity_csr(m * n)
+        for got, (a, b) in ((x, (x, one)), (x, (one, x)),
+                            (eye, (Matrix.identity(m, field), Matrix.identity(n, field)))):
+            assert all(np.array_equal(g, w) and g.dtype == w.dtype
+                       for g, w in zip(got._csr, reference_csr_kron(a, b)))
 
 
 @settings(max_examples=30)
@@ -706,7 +750,7 @@ def test_sums_and_multiples_of_csr_operands_stay_canonical_csr(seed):
     rng = random.Random(seed)
     for field in (QQ, F7, Field(2)):
         a, _ = _kernel_operands(rng, field)
-        b = _random_matrix(rng, a.rows, a.cols, field).kron(Matrix.identity(1, field))
+        b = kernel_copy(_random_matrix(rng, a.rows, a.cols, field))
         minus_one = field.neg(field.one())
         cases = [(a + b, b, field.one()), (a - b, b, minus_one), (a - a, a, minus_one)]
         cases += [(b.scale(c), None, c) for c in map(field.of, (0, 1, -1, 3))]
@@ -730,7 +774,7 @@ def test_sums_and_multiples_check_shapes_and_bounds():
     with pytest.raises(ValueError):
         a - Matrix.identity(1, QQ).kron(Matrix.zero(2, 3, QQ))
     # past the int64 bound, and for a non-integral multiple, the exact path
-    big = from_rows([[2**61, 1]], QQ).kron(Matrix.identity(1, QQ))
+    big = kernel_copy(from_rows([[2**61, 1]], QQ))
     assert (big + big).data == {(0, 0): Fraction(2**62), (0, 1): Fraction(2)}
     assert (big - big).is_zero()
     assert big.scale(QQ.of(4)).get(0, 0) == 2**63

@@ -745,3 +745,17 @@ def test_mutations_break_something():
         if not check_ayd(X).passed or coassociativity_defects(X):
             broken += 1
     assert broken >= 8
+
+
+def test_action_and_coaction_matrices_are_built_once_per_table():
+    # kept while the table is the same object, built anew when it is rebound
+    # (the coadjoint comodule gets its action after it is made) and for a copy
+    H = named_algebra("sweedler")
+    X = trivial_modcomod(H)
+    act, rho = action_matrix(X), coaction_matrix(X)
+    assert action_matrix(X) is act and coaction_matrix(X) is rho
+    Y = X.copy_with()
+    assert action_matrix(Y) is not act and action_matrix(Y) == act
+    X.action = {(i, 0): {} for i in range(H.dim)}
+    X.coaction = [{1: H.field.one()}]
+    assert action_matrix(X).is_zero() and coaction_matrix(X) != rho
