@@ -15,8 +15,9 @@ costs more than the arithmetic, so the number of matrix operations sets
 the cost.  Per call on a fresh algebra, its structure matrices and S^-1
 included (best of 5 rounds of 7 x 200, alternating with the previous
 version in one process, on a 2-vCPU VM shared with other work), the
-identities take 0.62-0.67 ms on k[Z2], k[Z3], k^Z2 and Sweedler, and
-0.85 and 0.98 ms on k[S3] and Taft(3,2)/F7.  On large algebras they are faster than per-tuple scans and hold
+identities take 0.55-0.60 ms on k[Z2], k[Z3], k^Z2 and Sweedler, and
+0.59 and 0.73 ms on k[S3] and Taft(3,2)/F7; timings on that VM move by
+10-30 % from run to run.  On large algebras they are faster than per-tuple scans and hold
 more: `verify-hopf` on Taft(10,2)/F11 (d = 100) takes 0.6 s at 75 MB
 peak RSS, and on Taft(12,2)/F13 (d = 144) 1.1-1.2 s at 157 MB, where
 the scans took 1.8-3.3 s at 36 MB and 6.2 s at 40 MB.  Their largest
