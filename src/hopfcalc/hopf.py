@@ -17,12 +17,12 @@ included (best of 5 rounds of 7 x 200, alternating with the previous
 version in one process, on a 2-vCPU VM shared with other work), the
 identities take 0.55-0.60 ms on k[Z2], k[Z3], k^Z2 and Sweedler, and
 0.59 and 0.73 ms on k[S3] and Taft(3,2)/F7; timings on that VM move by
-10-30 % from run to run.  On large algebras they are faster than per-tuple scans and hold
-more: `verify-hopf` on Taft(10,2)/F11 (d = 100) takes 0.6 s at 75 MB
-peak RSS, and on Taft(12,2)/F13 (d = 144) 1.1-1.2 s at 157 MB, where
-the scans took 1.8-3.3 s at 36 MB and 6.2 s at 40 MB.  Their largest
-operands, in associativity, coassociativity and comul_is_algebra_map,
-have d^3 rows or columns.
+10-30 % from run to run.  On large algebras they are faster than
+per-tuple scans and hold more: `verify-hopf` on Taft(10,2)/F11
+(d = 100) takes 0.6 s at 75 MB peak RSS, and on Taft(12,2)/F13
+(d = 144) 1.1-1.2 s at 157 MB, where the scans took 1.8-3.3 s at 36 MB
+and 6.2 s at 40 MB.  Their largest operands, in associativity,
+coassociativity and comul_is_algebra_map, have d^3 rows or columns.
 """
 from __future__ import annotations
 
