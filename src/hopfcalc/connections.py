@@ -171,10 +171,7 @@ def _coefficient_differential(calc: Calculus, act: Matrix, K: Matrix, n: int) ->
     def eye(k):
         return Matrix.identity(k, f)
 
-    dl = calc.differential_at_unit(n)
-    if act.rows > 1:        # dl (x) I_1 = dl: a trivial X copies nothing
-        dl = dl.kron(eye(act.rows))
-    d = eye(cd ** (n + 1)).kron(act) @ dl
+    d = eye(cd ** (n + 1)).kron(act) @ calc.differential_at_unit(n).kron(eye(act.rows))
     tail = eye(cd ** n).kron(K)
     return d - tail if n % 2 else d + tail
 
