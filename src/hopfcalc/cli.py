@@ -390,7 +390,12 @@ def cmd_homology(args, started: float) -> int:
         body["checks"] = rep.to_json()
         ok = rep.passed
     else:
-        table = homology_dims(calculus_complex(calc, X, max_degree), max_degree)
+        # the calculus caches every D_n: with it dropped, the complex is all
+        # that holds them, and it is handed over unnamed, so that the ranks
+        # run once homology_dims has let it go
+        held = [calculus_complex(calc, X, max_degree)]
+        del calc
+        table = homology_dims(held.pop(), max_degree)
     body["homology"] = {f"H_{n}": d for n, d in table.entries}
     return _emit(["homology"], body, ok, started)
 

@@ -70,10 +70,16 @@ def homology_dims(cx: ChainComplex, max_degree: Optional[int] = None) -> Homolog
 
     On a cobar complex (``basepoint`` set) the ranks are taken on the
     normalized complex, of dimension (cd - 1)^n * xd in degree n
-    (``_normalized``), and the dimensions are those of the full complex."""
+    (``_normalized``), and the dimensions are those of the full complex.
+
+    It takes over the complex its caller hands it: its own reference is
+    dropped once the quotients exist, so when the caller keeps none (as
+    ``cli.cmd_homology`` does) the full differentials are freed before the
+    first rank, and only the quotients are alive while they are ranked."""
     top = cx.max_degree if max_degree is None else min(max_degree, cx.max_degree)
     plain = cx.basepoint is None or not (top and cx.dims[0])
     dims, diffs = (cx.dims, cx.diffs[:top]) if plain else _normalized(cx, top)
+    del cx
     entries = []
     prev_rank = 0
     for n, d in enumerate(diffs):
@@ -140,8 +146,10 @@ def cobar_complex(C: Union[HopfAlgebra, BimoduleCoalgebra], X: ModComod,
 
     with g the basepoint as a C x 1 column.  It reads only the coproduct,
     the basepoint and the coaction: no calculus, and no recursion in n.
+    When C is a Hopf algebra, Delta is its ``comul_matrix``, built once from
+    the same table.
     """
-    I, cd, comul, f = _basepoint(C), C.dim, C.comul, C.field
+    I, cd, f = _basepoint(C), C.dim, C.field
     if X.coaction is None:
         raise ValueError("comodule has no coaction")
     if coassociativity_defects(X):
@@ -152,7 +160,8 @@ def cobar_complex(C: Union[HopfAlgebra, BimoduleCoalgebra], X: ModComod,
         return Matrix.identity(n, f)
 
     g = Matrix.from_columns([I], cd, f)
-    delta = Matrix.from_columns(comul, cd * cd, f)
+    delta = (C.comul_matrix() if isinstance(C, HopfAlgebra)
+             else Matrix.from_columns(C.comul, cd * cd, f))
     rho = Matrix.from_columns(X.coaction, cd * xd, f)
     dims = [cd ** n * xd for n in range(max_degree + 1)]
     diffs: List[Matrix] = []
@@ -217,7 +226,12 @@ def calculus_complex(calc, X: Optional[ModComod],
     basepoint of C, and carries it: the calculus itself by the paper's
     theorem, on an algebra that passed the Hopf axioms as every CLI input
     has, and the coefficient complex because it exists only for a flat,
-    that is coassociative, coaction."""
+    that is coassociative, coaction.
+
+    The bare complex shares its differentials with ``calc``, whose cache
+    holds every D_n, and the coefficient complex's d_X^n are built from
+    D_n L_n, which that cache holds too: a caller that ranks the complex
+    without the calculus beside it drops ``calc`` first."""
     from .connections import coefficient_complex, connection_from_coaction
 
     max_degree = calc.max_degree if max_degree is None else max_degree

@@ -58,6 +58,10 @@ matrix identity with the ``Matrix`` operators alone (``kron``, ``@``,
 witness is the first nonzero entry of the defect in row-major order,
 whichever value type the arithmetic took.
 
+``kron_minus_blocks`` builds A (x) B - I_c (x) P, the shape of the
+calculus's recursions, one run of I_c's row blocks at a time, so that
+neither Kronecker product exists at full size.
+
 Tensor indices over a list of factor dimensions are flattened big-endian
 lexicographically: ``flat = sum(idx[i] * prod(dims[i+1:]))``.  The same
 convention is used by every module in the package; differentials would
@@ -92,6 +96,10 @@ _INT64_SAFE = 2**62
 
 # Arrays up to this many entries in all are compared as bytes (``Matrix.__eq__``).
 _SMALL = 4096
+
+# ``kron_minus_blocks`` builds its result in runs of row blocks of about this
+# many entries each, so that a result no larger is one kernel call.
+_BLOCK = 1 << 17
 
 # The sparsetools routines the kernels call.
 _SPARSETOOLS_ROUTINES = ("coo_tocsr", "csr_matmat_maxnnz", "csr_matmat", "csr_plus_csr",
@@ -691,6 +699,64 @@ def _identity_size(m: Matrix) -> int:
     that is not one."""
     csr, n = m._csr, m.rows
     return n if n == m.cols and csr[1].base is csr[0] and csr is _identity_csr(n) else 0
+
+
+def kron_minus_blocks(a: Matrix, b: Matrix, c: int, p: Matrix) -> Matrix:
+    """A (x) B - I_c (x) P, the shape of both recursions of the calculus
+    (D_n and D_n L_n), without either Kronecker product at full size.
+    A's rows come in c blocks of r = A.rows / c, and P is A.rows * B.rows / c
+    by A.cols * B.cols / c (else ``ValueError``).
+
+    I_c (x) P is block diagonal (Van Loan, "The ubiquitous Kronecker
+    product", J. Comput. Appl. Math. 123, 2000): its row block k, rows
+    k P.rows .. (k + 1) P.rows - 1, is P at the columns k P.cols ..
+    (k + 1) P.cols - 1 and 0 elsewhere.  The same rows of A (x) B are
+    A_k (x) B, with A_k the rows k r .. (k + 1) r - 1 of A.  So
+
+        (A (x) B - I_c (x) P)[row block k] = A_k (x) B - e_k^T (x) P,
+
+    e_k^T the k-th unit row of length c.  Consecutive blocks k .. k + h - 1
+    are built together, as A_(k..k+h-1) (x) B minus I_h (x) P moved right
+    by k P.cols, with h chosen so that each run holds about ``_BLOCK``
+    entries; a result of at most ``_BLOCK`` entries is one run.  Each run's
+    ``csr_minus_csr`` writes straight into one set of output arrays, sized
+    for every operand entry and trimmed once at the end, so only one run's
+    operands exist beside them.
+
+    Over F_p the entries of both sides lie in [0, p), so ``csr_minus_csr``
+    leaves values in (-p, p) and drops the exact zeros.  a - b = 0 mod p
+    only when a = b, so the reduction mod p afterwards adds no zero.  When
+    an operand holds objects, or the int64 bounds of ``kron`` and
+    ``_combine`` (max|A| max|B| + max|P|) reach ``_INT64_SAFE``, the result
+    is ``A.kron(B) - I_c.kron(P)`` on the exact path."""
+    rows, cols, f = a.rows * b.rows, a.cols * b.cols, a.field
+    if c < 1 or a.rows % c or (rows, cols) != (c * p.rows, c * p.cols):
+        raise ValueError("shape mismatch")
+    csr_a, csr_b, csr_p = a._to_csr(), b._to_csr(), p._to_csr()
+    if (csr_a is None or csr_b is None or csr_p is None
+            or a._max_abs() * b._max_abs() + p._max_abs() >= _INT64_SAFE):
+        return a.kron(b) - Matrix.identity(c, f).kron(p)
+    (ap, aj, ax), r = csr_a, a.rows // c
+    size = len(ax) * len(csr_b[2]) + c * len(csr_p[2])
+    step = min(c, max(1, _BLOCK * c // max(size, 1)))
+    ptr = np.zeros(rows + 1, dtype=np.int64)
+    idx, val = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    for k in range(0, c, step):
+        h = min(step, c - k)
+        s, e = ap[k * r], ap[(k + h) * r]
+        left = _csr_kron((ap[k * r:(k + h) * r + 1] - s, aj[s:e], ax[s:e]), (h * r, a.cols),
+                         csr_b, (b.rows, b.cols), f.char)
+        pp, pj, px = (csr_p if h == 1 else
+                      _csr_kron(_identity_csr(h), (h, h), csr_p, (p.rows, p.cols), 0))
+        # the routine writes 0 at the block's first ptr, which the last block ended on
+        at, block = int(ptr[k * p.rows]), ptr[k * p.rows:(k + h) * p.rows + 1]
+        _sparsetools.csr_minus_csr(h * p.rows, cols, *left, pp, pj + k * p.cols, px,
+                                   block, idx[at:], val[at:])
+        block += at
+    ptr, idx, val = _trimmed(ptr, idx, val)
+    if f.char:
+        val %= f.char
+    return Matrix._of_csr(rows, cols, f, (ptr, idx, val))
 
 
 def bilinear_matrix(field: Field, table: Dict[Tuple[int, int], Vec], left: int,

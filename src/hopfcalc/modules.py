@@ -237,10 +237,12 @@ def coaction_matrix(X: ModComod) -> Matrix:
 
 
 def coassociativity_defects(X: ModComod) -> Dict[tuple, Vec]:
-    """Per-basis defect of (Delta_C (x) id) rho - (id (x) rho) rho."""
+    """Per-basis defect of (Delta_C (x) id) rho - (id (x) rho) rho; with no
+    ``coalgebra``, C = H and Delta_C is H's ``comul_matrix``."""
     f, cd, xd = X.field, X.codim, X.dim
     rho = coaction_matrix(X)
-    delta = Matrix.from_columns((X.coalgebra or X.algebra).comul, cd * cd, f)
+    delta = (X.algebra.comul_matrix() if X.coalgebra is None
+             else Matrix.from_columns(X.coalgebra.comul, cd * cd, f))
     return column_defects(delta.kron(Matrix.identity(xd, f)) @ rho,
                           Matrix.identity(cd, f).kron(rho) @ rho, [xd])
 

@@ -6,6 +6,8 @@ import itertools
 import json
 import pathlib
 import random
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -297,3 +299,48 @@ def test_negative_homology_dimension_is_an_internal_error():
     cx.diffs = [from_rows([[1]], QQ), from_rows([[1]], QQ)]
     with pytest.raises(RuntimeError, match="negative homology dimension"):
         homology_dims(cx)
+
+
+def _bare_homology(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv.split())
+    return code, json.loads(out.getvalue())
+
+
+def test_bare_homology_ranks_after_every_full_differential_is_released(monkeypatch):
+    # the calculus caches every D_n and the complex holds them too; neither
+    # is alive by the time a quotient is ranked.  A Matrix takes no weak
+    # reference, so each D_n is followed through its column index array,
+    # which lives at least as long as it does
+    refs, alive = [], []
+    build, rank = Calculus._build_differential, Matrix.rank
+
+    def built(calc, n):
+        d = build(calc, n)
+        refs.append(weakref.ref(d._csr[1]))
+        return d
+
+    def ranked(m):
+        alive.append(sum(ref() is not None for ref in refs))
+        return rank(m)
+    monkeypatch.setattr(Calculus, "_build_differential", built)
+    monkeypatch.setattr(Matrix, "rank", ranked)
+    code, doc = _bare_homology("homology --builtin taft:3:2 --field F7 --calculus k"
+                               " --max-degree 4")
+    assert code == 0 and doc["homology"] == {"H_0": 3, "H_1": 2, "H_2": 2, "H_3": 2}
+    assert len(refs) == 4 and alive == [0, 0, 0, 0]
+
+
+def test_bare_taft_homology_at_degree_5_stays_under_its_traced_peak():
+    # 43 MiB traced with every full differential alive at the top rank and
+    # D_4 built from E (x) I and I_C (x) D_3 at full size; ~29 MiB now, set
+    # by the top rank
+    tracemalloc.start()
+    try:
+        code, doc = _bare_homology("homology --builtin taft:3:2 --field F7 --calculus k"
+                                   " --max-degree 5")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and doc["homology"]["H_4"] == 2
+    assert peak < 32 * 2**20

@@ -667,6 +667,56 @@ def test_kron_with_an_identity_returns_what_the_kernel_gives(seed):
                        for g, w in zip(got._csr, reference_csr_kron(a, b)))
 
 
+# a field whose p^2 reaches _INT64_SAFE, so that its kernels take object values
+F_BIG = Field(4294967311)
+
+
+def _with_corner(m: Matrix, value) -> Matrix:
+    """``m`` with ``value`` at (0, 0), when it has that entry."""
+    if not (m.rows and m.cols):
+        return m
+    data = m.data
+    data[(0, 0)] = value
+    return Matrix(m.rows, m.cols, m.field, data)
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=4),
+       st.sampled_from([1, 3, 40, linalg._BLOCK]),
+       st.sampled_from([None, 2**31, 2**61, 2**62 - 1, -(2**62 - 1), Fraction(1, 2)]))
+def test_kron_minus_blocks_gives_the_arrays_of_the_full_products(seed, c, block, special):
+    # A (x) B - I_c (x) P built one run of I_c blocks at a time, with runs of
+    # one block up to all c, against the two full Kronecker products and
+    # their difference: empty blocks and matrices, entries near 2^62 and
+    # Fractions (over Q), and p^2 >= 2^62 included
+    rng = random.Random(seed)
+    old = linalg._BLOCK
+    linalg._BLOCK = block
+    try:
+        for field in (QQ, F7, Field(2), F_BIG):
+            r, q, brows, bcols = (rng.randint(0, 3) for _ in range(4))
+            a = _random_matrix(rng, c * r, c * q, field, rng.choice([0.0, 0.3, 0.8]))
+            b = _random_matrix(rng, brows, bcols, field, rng.choice([0.0, 0.5, 1.0]))
+            p = _random_matrix(rng, r * brows, q * bcols, field, rng.choice([0.0, 0.3, 0.8]))
+            if special is not None and field is QQ:
+                a, p = (_with_corner(m, special) if rng.random() < 0.5 else m for m in (a, p))
+            got = linalg.kron_minus_blocks(a, b, c, p)
+            want = a.kron(b) - Matrix.identity(c, field).kron(p)
+            assert (got.rows, got.cols) == (want.rows, want.cols)
+            assert all(np.array_equal(g, w) and g.dtype == w.dtype
+                       for g, w in zip(got._csr, want._csr)), (field, a, b, p)
+    finally:
+        linalg._BLOCK = old
+
+
+def test_kron_minus_blocks_checks_the_block_shapes():
+    a, b = Matrix.identity(4, F7), Matrix.identity(2, F7)
+    for c, p in [(3, Matrix.zero(2, 2, F7)), (2, Matrix.zero(4, 3, F7)),
+                 (0, Matrix.zero(0, 0, F7))]:
+        with pytest.raises(ValueError):
+            linalg.kron_minus_blocks(a, b, c, p)
+
+
 @settings(max_examples=30)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_regroup_moves_each_entry_to_its_permuted_index(seed):
