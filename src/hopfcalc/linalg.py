@@ -738,11 +738,11 @@ def kron_minus_blocks(a: Matrix, b: Matrix, c: int, p: Matrix) -> Matrix:
         return a.kron(b) - Matrix.identity(c, f).kron(p)
     (ap, aj, ax), r = csr_a, a.rows // c
     size = len(ax) * len(csr_b[2]) + c * len(csr_p[2])
-    step = min(c, max(1, _BLOCK * c // max(size, 1)))
+    per_run = min(c, max(1, _BLOCK * c // max(size, 1)))
     ptr = np.zeros(rows + 1, dtype=np.int64)
     idx, val = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-    for k in range(0, c, step):
-        h = min(step, c - k)
+    for k in range(0, c, per_run):
+        h = min(per_run, c - k)
         s, e = ap[k * r], ap[(k + h) * r]
         left = _csr_kron((ap[k * r:(k + h) * r + 1] - s, aj[s:e], ax[s:e]), (h * r, a.cols),
                          csr_b, (b.rows, b.cols), f.char)
@@ -750,8 +750,8 @@ def kron_minus_blocks(a: Matrix, b: Matrix, c: int, p: Matrix) -> Matrix:
                       _csr_kron(_identity_csr(h), (h, h), csr_p, (p.rows, p.cols), 0))
         # the routine writes 0 at the block's first ptr, which the last block ended on
         at, block = int(ptr[k * p.rows]), ptr[k * p.rows:(k + h) * p.rows + 1]
-        _sparsetools.csr_minus_csr(h * p.rows, cols, *left, pp, pj + k * p.cols, px,
-                                   block, idx[at:], val[at:])
+        _sparsetools.csr_minus_csr(h * p.rows, cols, *left, pp, pj + k * p.cols if k else pj,
+                                   px, block, idx[at:], val[at:])
         block += at
     ptr, idx, val = _trimmed(ptr, idx, val)
     if f.char:

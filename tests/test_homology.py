@@ -332,9 +332,9 @@ def test_bare_homology_ranks_after_every_full_differential_is_released(monkeypat
 
 
 def test_bare_taft_homology_at_degree_5_stays_under_its_traced_peak():
-    # 43 MiB traced with every full differential alive at the top rank and
-    # D_4 built from E (x) I and I_C (x) D_3 at full size; ~29 MiB now, set
-    # by the top rank
+    # with every full differential alive at the top rank, and D_4 built from
+    # E (x) I and I_C (x) D_3 at full size, this verdict takes 43 MiB traced;
+    # released and built in blocks it takes ~29 MiB, at its top rank
     tracemalloc.start()
     try:
         code, doc = _bare_homology("homology --builtin taft:3:2 --field F7 --calculus k"

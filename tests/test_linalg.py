@@ -667,7 +667,7 @@ def test_kron_with_an_identity_returns_what_the_kernel_gives(seed):
                        for g, w in zip(got._csr, reference_csr_kron(a, b)))
 
 
-# a field whose p^2 reaches _INT64_SAFE, so that its kernels take object values
+# a field whose p^2 reaches _INT64_SAFE: its Kronecker products take the exact path
 F_BIG = Field(4294967311)
 
 
