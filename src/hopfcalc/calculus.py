@@ -83,7 +83,11 @@ unit in every degree from A_1 and T (u (x) I_C) = I_C (x) u.  So
 D_1 and A_0..A_2, and computes the other lines only when one of them
 fails (its docstring has the proofs).  ``connections.coefficient_complex``
 uses product(n, 1) only through T and D_n only through D_n L_n, which
-``differential_at_unit`` builds from D_0 and E; it builds neither.
+``differential_at_unit`` builds from D_0 and E; it builds neither.  A
+bare ``homology`` verdict reads D_0, D_1, D_2 and E only: from them
+``homology.bare_quotient_complex`` builds the normalized quotient of every
+higher D_n by the same recursion on C/k.g, and stands the d^2 lines above
+degree 1 on Z, as ``verify_dga`` does.
 """
 from __future__ import annotations
 

@@ -36,7 +36,7 @@ from .modules import (BimoduleCoalgebra, ModComod, check_ayd, check_equivariant,
                       check_module_axioms, check_stable, check_yd, coadjoint_comodule,
                       regular_modcomod, trivial_modcomod, one_dim_modcomod)
 from .reports import Report
-from .homology import calculus_complex, compare_cotor, homology_dims
+from .homology import bare_quotient_complex, calculus_complex, compare_cotor, homology_dims
 
 
 class CliError(Exception):
@@ -390,10 +390,12 @@ def cmd_homology(args, started: float) -> int:
         body["checks"] = rep.to_json()
         ok = rep.passed
     else:
-        # the calculus caches every D_n: with it dropped, the complex is all
-        # that holds them, and it is handed over unnamed, so that the ranks
-        # run once homology_dims has let it go
-        held = [calculus_complex(calc, X, max_degree)]
+        # the calculus caches the D_n (D_0..D_2 for a bare complex, built
+        # quotient-first) and the D_n L_n of a coefficient complex: with it
+        # dropped, the complex is all that holds its differentials, and it is
+        # handed over unnamed, so that homology_dims lets each one go
+        held = [bare_quotient_complex(calc, max_degree) if X is None
+                else calculus_complex(calc, X, max_degree)]
         del calc
         table = homology_dims(held.pop(), max_degree)
     body["homology"] = {f"H_{n}": d for n, d in table.entries}

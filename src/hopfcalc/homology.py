@@ -7,6 +7,13 @@ of flat connections are compared (both at the chain level and in homology).
 Its differential in degree n is one closed sum of Kronecker products of
 the coproduct, the basepoint and the coaction (``cobar_complex``), where
 the calculus builds its own from the differential one degree below.
+
+Homology is ranked on the normalized quotient by the degenerate tensors,
+the ones with a leg at the basepoint.  A bare calculus builds that quotient
+by its own recursion (``bare_quotient_complex``); any other cobar complex
+is masked after it is built (``_normalized``).  Each rank skips the
+columns that the image of the differential below already spans
+(``homology_dims``).
 """
 from __future__ import annotations
 
@@ -18,7 +25,8 @@ import numpy as np
 
 from .fields import Field
 from .hopf import HopfAlgebra
-from .linalg import Matrix, Vec, basis_vec, identity_defect_witness, vec_add, vec_tensor
+from .linalg import (Matrix, Vec, basis_vec, identity_defect_witness, kron_minus_blocks,
+                     vec_add, vec_tensor)
 from .modules import BimoduleCoalgebra, ModComod, coassociativity_defects
 from .reports import Report
 
@@ -26,15 +34,18 @@ from .reports import Report
 @dataclass
 class ChainComplex:
     """Graded spaces with differentials raising degree by one; d^2 = 0 is
-    enforced at construction for every composable pair.  ``basepoint``
-    marks a cobar complex on C^n (x) X, so that dims[n] = (dim C)^n * dims[0]:
-    it is the grouplike basepoint g of C, and ``homology_dims`` then ranks
-    the normalized complex."""
+    enforced at construction for every composable pair, and ``checked``
+    records that it was.  ``basepoint`` marks a cobar complex on C^n (x) X,
+    so that dims[n] = (dim C)^n * dims[0]: it is the grouplike basepoint g
+    of C, and ``homology_dims`` then ranks the normalized complex.  The
+    quotient-first bare complex (``bare_quotient_complex``) is already
+    normalized and carries no basepoint."""
 
     field: Field
     dims: List[int]
     diffs: List[Matrix]             # diffs[n]: dims[n] -> dims[n+1]
     basepoint: Optional[Vec] = None
+    checked = False                 # not a field: set once d^2 = 0 was checked
 
     def __post_init__(self):
         if len(self.dims) != len(self.diffs) + 1:
@@ -46,6 +57,7 @@ class ChainComplex:
             pair = [self.diffs[n + 1], self.diffs[n]]
             if identity_defect_witness(self.field, [(1, pair)]) is not None:
                 raise ValueError(f"d^2 != 0 at degree {n}")
+        self.checked = True
 
     @property
     def max_degree(self) -> int:
@@ -72,23 +84,43 @@ def homology_dims(cx: ChainComplex, max_degree: Optional[int] = None) -> Homolog
     normalized complex, of dimension (cd - 1)^n * xd in degree n
     (``_normalized``), and the dimensions are those of the full complex.
 
+    Each rank but the first skips the columns that the image of the
+    differential below already spans.  Let U = im d_(n-1) in k^(dims[n]).
+    ``Matrix.rank`` of d_(n-1) hands back the leads L of its pivots, which
+    span U: the leads are distinct, and each pivot is 0 above its lead.
+    Ordered by lead, the pivots' rows at L form a triangular matrix with a
+    nonzero diagonal, so the projection onto the coordinates L is
+    injective on U.  Then U meets k^(L^c) in 0, and dim U = |L|, so
+    k^(dims[n]) = U (+) k^(L^c).  d_n d_(n-1) = 0 puts U in ker d_n, so
+    d_n(k^(dims[n])) = d_n(k^(L^c)): rank d_n = rank d_n[:, L^c], and the
+    leads of the restricted elimination serve the degree above in turn.
+    The argument needs d^2 = 0, so only a complex whose constructor
+    checked it (``checked``) is ranked this way; any other is ranked on
+    its full matrices, where a negative dimension still shows.
+
     It takes over the complex its caller hands it: its own reference is
-    dropped once the quotients exist, so when the caller keeps none (as
-    ``cli.cmd_homology`` does) the full differentials are freed before the
-    first rank, and only the quotients are alive while they are ranked."""
+    dropped once the differentials to rank are in hand, and each of them is
+    let go once its restricted copy exists.  So when the caller keeps no
+    reference (as ``cli.cmd_homology`` does), the full differentials of a
+    cobar complex are freed before the first rank, and no differential
+    outlives its rank."""
     top = cx.max_degree if max_degree is None else min(max_degree, cx.max_degree)
     plain = cx.basepoint is None or not (top and cx.dims[0])
+    restrict = cx.checked
     dims, diffs = (cx.dims, cx.diffs[:top]) if plain else _normalized(cx, top)
     del cx
     entries = []
-    prev_rank = 0
-    for n, d in enumerate(diffs):
-        r = d.rank()
+    prev_rank, spanned = 0, None
+    for n in range(len(diffs)):
+        d, diffs[n] = diffs[n], None
+        if spanned is not None:
+            d = d.submatrix(np.ones(d.rows, dtype=bool), ~spanned)
+        r, leads = d.rank(leads=True)
         h = (dims[n] - r) - prev_rank
         if h < 0:
             raise RuntimeError("negative homology dimension although d^2 = 0")
         entries.append((n, h))
-        prev_rank = r
+        prev_rank, spanned = r, leads if restrict else None
     return HomologyTable(entries)
 
 
@@ -96,7 +128,17 @@ def _normalized(cx: ChainComplex, top: int) -> Tuple[List[int], List[Matrix]]:
     """The dimensions and differentials d_0..d_(top-1) of the normalized
     complex C-bar^n (x) X, C-bar = C/k.g, of the cobar complex ``cx``
     (Ravenel, *Complex Cobordism and Stable Homotopy Groups of Spheres*,
-    A1.2.11-12).
+    A1.2.11-12), by ``_quotients``."""
+    xd = cx.dims[0]
+    return _quotients(cx.basepoint, cx.field, cx.dims[1] // xd, xd, cx.diffs[:top])
+
+
+def _quotients(g: Vec, f: Field, cd: int, xd: int, diffs: List[Matrix],
+               first: int = 0) -> Tuple[List[int], List[Matrix]]:
+    """The dimensions of degrees 0 .. first + len(diffs) and the quotient
+    differentials of ``diffs``, the differentials d_first, d_(first+1), ..
+    of a complex on C^n (x) X (dim C = cd, dim X = xd) with the grouplike
+    basepoint g of C, by the subcomplex of the tensors with a leg g.
 
     Let W be the span of the tensors with a leg g.  It is a subcomplex:
     every term of a cobar differential keeps the leg g, or doubles it, as
@@ -109,29 +151,107 @@ def _normalized(cx: ChainComplex, top: int) -> Tuple[List[int], List[Matrix]]:
     (M^-1)^(n+1) (x) I_X . d_n . M^n (x) I_X on the rows and columns with
     no leg j0.  An entry in a row with no leg j0 at a column with one
     would put W outside the subcomplex, which the argument above excludes:
-    it is an internal error (``RuntimeError``).  The check and the quotient
-    come from one mask pass over each differential (``submatrix`` with
-    ``closed``)."""
-    g, f, xd = cx.basepoint, cx.field, cx.dims[0]
-    cd, j0 = cx.dims[1] // xd, min(g)
+    it is an internal error (``RuntimeError``) that names the degree n.
+    The check and the quotient come from one mask pass over each
+    differential (``submatrix`` with ``closed``)."""
+    j0, top = min(g), first + len(diffs)
     has_g = [np.zeros(1, dtype=bool)]       # has_g[n][i]: C^n index i has a leg j0
     for _ in range(top):
         has_g.append(((np.arange(cd) == j0)[:, None] | has_g[-1]).ravel())
     has_g = [np.repeat(m, xd) for m in has_g]
-    diffs = cx.diffs[:top]
     if g != {j0: f.one()}:
         M = Matrix.from_columns([g if j == j0 else {j: f.one()} for j in range(cd)], cd, f)
         lift, proj = (list(accumulate([A] * top, lambda P, A: A.kron(P),
                                       initial=Matrix.identity(xd, f))) for A in (M, M.inverse()))
-        diffs = [proj[n + 1] @ d @ lift[n] for n, d in enumerate(diffs)]
+        diffs = [proj[n + 1] @ d @ lift[n] for n, d in enumerate(diffs, first)]
     quotients = []
-    for n, d in enumerate(diffs):
+    for n, d in enumerate(diffs, first):
         try:
             quotients.append(d.submatrix(~has_g[n + 1], ~has_g[n], closed=True))
         except ValueError:
             raise RuntimeError("tensors with a basepoint leg are not a subcomplex"
                                f" at degree {n}") from None
     return [int((~m).sum()) for m in has_g], quotients
+
+
+def bare_quotient_complex(calc, max_degree: Optional[int] = None) -> ChainComplex:
+    """The normalized complex C-bar^n (x) B, C-bar = C/k.g, of the bare
+    calculus ``calc`` up to ``max_degree``, built by its own recursion: no
+    D_n above degree 2 is built.  It holds the quotients of ``_quotients``,
+    checks d^2 = 0 on them at construction, and carries no basepoint, so
+    ``homology_dims`` ranks it as it is.  Its homology is that of the
+    calculus.
+
+    *The recursion.*  Write every matrix in the basis of ``_quotients``,
+    that is conjugated by M when g is not a basis vector: then g = e_j0,
+    and the conjugate of D_n = E (x) I - I_C (x) D_(n-1) (``calculus``
+    module docstring) is E' (x) I - I_C (x) D'_(n-1), with E' the conjugate
+    of E, as (M^-1)^(x)(n+1) (E (x) I) M^(x)n = (M^-1 (x) M^-1) E M (x) I.
+    The quotient keeps the coordinates with no leg j0, one mask per leg,
+    and a mask per leg passes through a Kronecker product:
+    (A (x) B)[R1 x R2, C1 x C2] = A[R1, C1] (x) B[R2, C2].  So
+
+        D-bar_n = E-bar (x) I - I_(C-bar) (x) D-bar_(n-1),
+        E-bar = E'[C-bar (x) C-bar, C-bar],
+
+    one ``kron_minus_blocks`` call per degree n >= 3, at (cd - 1)/cd of the
+    size per leg.  D_0, D_1 and D_2 are built by the calculus and masked
+    (``_quotients``); the recursion starts at D-bar_2.
+
+    *Closedness.*  The quotient of a D_n is a quotient map only when D_n
+    has no entry in a kept row and a dropped column.  For D_0, D_1 and D_2
+    the mask pass checks it.  For n >= 3 it follows by induction.  A kept
+    row of D_n is (a, b, w) with a, b != j0 and w a kept index of degree
+    n - 1.  The term E' (x) I has entries only at columns (c, w), and such
+    a column is dropped only at c = j0; E'[(a, b), j0] = 0, since
+    E(g) = Delta(g) - 2 g (x) g = -g (x) g, so E' e_j0 = -e_j0 (x) e_j0.
+    The term I_C (x) D'_(n-1) keeps the leg a != j0, so it meets a dropped
+    column only through D'_(n-1)[kept, dropped] = 0.  The same two terms
+    show that a D_2 built from D_1 is closed exactly when D_1 is and
+    E'[C-bar (x) C-bar, j0] = 0 (when cd >= 2; for cd = 1 every quotient
+    above degree 0 is 0 x 0).  So the mask pass over E-bar, which checks
+    that, cannot fail once D_2's has passed.
+
+    *d^2 = 0 on the full complex.*  For n >= 2, D_n and D_(n+1) both come
+    from the recursion, and multiplying out D_(n+1) D_n the two
+    E (x) D_(n-1) terms cancel:
+
+        D_(n+1) D_n = Z (x) I + I_C (x) D_n D_(n-1),
+        Z = (E (x) I_C - I_C (x) E) E.
+
+    So d^2[n] = 0 for every n >= 2 exactly when d^2[1] = 0 and Z = 0, and
+    the first failing degree is 2 when d^2[1] = 0 and Z != 0.  d^2[0] and
+    d^2[1] are computed from D_0, D_1 and D_2, so they hold for whatever
+    D_0, D_1 and E the cache holds; Z, a cd^3 x cd matrix, is computed when
+    there is a d^2[2].  These small identities stand for the d^2 checks of
+    the full complex, in the same order and with the same ``ValueError``,
+    and they come before the closedness checks, as when the full complex
+    was built first (``calculus_complex``).  A D_n with n >= 2 corrupted
+    in the cache by hand is not seen by them, as in ``verify_dga``.
+    d^2 = 0 on the whole complex makes it 0 on the quotient, and the
+    constructor checks that again on exactly the matrices that
+    ``homology_dims`` ranks, whose restricted ranks need it.
+
+    D_0, D_1 and D_2 stay in the calculus's cache: a caller that ranks the
+    complex without the calculus beside it drops ``calc`` first."""
+    top = calc.max_degree if max_degree is None else max_degree
+    f, cd, xd, g = calc.field, calc.cdim, calc.B.dim, _basepoint(_coalgebra(calc))
+    E, eye_c = calc._reduced_comul_matrix(), Matrix.identity(cd, f)
+    full = [calc.differential(n) for n in range(min(top, 3))]
+    squares = [[(1, [full[n + 1], full[n]])] for n in range(len(full) - 1)]
+    # Z stands for d^2 at every degree >= 2
+    squares += [[(1, [(E, eye_c), E]), (-1, [(eye_c, E), E])]] * (top > 3)
+    for n, terms in enumerate(squares):
+        if identity_defect_witness(f, terms) is not None:
+            raise ValueError(f"d^2 != 0 at degree {n}")
+    quotients = _quotients(g, f, cd, xd, full)[1]
+    e_bar = _quotients(g, f, cd, 1, [E], first=1)[1][0] if top > 3 else None
+    for _ in range(3, top):
+        # with cd = 1 every quotient above degree 0 is 0 x 0
+        p = quotients[-1]
+        quotients.append(kron_minus_blocks(e_bar, Matrix.identity(p.cols, f), cd - 1, p)
+                         if cd > 1 else p)
+    return ChainComplex(f, [(cd - 1) ** n * xd for n in range(top + 1)], quotients)
 
 
 def cobar_complex(C: Union[HopfAlgebra, BimoduleCoalgebra], X: ModComod,
@@ -228,10 +348,14 @@ def calculus_complex(calc, X: Optional[ModComod],
     has, and the coefficient complex because it exists only for a flat,
     that is coassociative, coaction.
 
-    The bare complex shares its differentials with ``calc``, whose cache
-    holds every D_n, and the coefficient complex's d_X^n are built from
-    D_n L_n, which that cache holds too: a caller that ranks the complex
-    without the calculus beside it drops ``calc`` first."""
+    The bare complex here is the full one, which ``compare_cotor`` compares
+    entry by entry with the oracle; a bare verdict without the oracle
+    ranks ``bare_quotient_complex``, which builds no full D_n above
+    degree 2.  The full bare complex shares its differentials with
+    ``calc``, whose cache then holds every D_n, and the coefficient
+    complex's d_X^n are built from D_n L_n, which that cache holds too: a
+    caller that ranks the complex without the calculus beside it drops
+    ``calc`` first."""
     from .connections import coefficient_complex, connection_from_coaction
 
     max_degree = calc.max_degree if max_degree is None else max_degree

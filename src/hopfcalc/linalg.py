@@ -48,7 +48,7 @@ Q a round that scales some column divides out the content of every column
 (``np.gcd.reduceat``), and once a bound on a round's products reaches
 ``_INT64_SAFE`` the values move from int64 to object arrays, on which the
 same numpy calls run in exact Python integers.  ``Matrix.rank`` counts
-the pivots; ``column_echelon`` reduces them, by back substitution in
+the pivots, and hands back their leads when asked; ``column_echelon`` reduces them, by back substitution in
 rounds of the same kernel, to the reduced column echelon basis behind
 ``Matrix.inverse`` and ``groupoid_decompose``.
 
@@ -646,8 +646,11 @@ class Matrix:
 
     # -- elimination ---------------------------------------------------------
 
-    def rank(self) -> int:
-        return int(np.count_nonzero(_echelon(self)[1]))
+    def rank(self, leads: bool = False):
+        """The rank; with ``leads``, (rank, mask) with the mask true at the
+        rows that are the leads of the pivots of ``_echelon``."""
+        mask = _echelon(self)[1] > 0
+        return (int(mask.sum()), mask) if leads else int(mask.sum())
 
     def inverse(self) -> "Matrix | None":
         """Exact inverse, or None if singular.  The stacked columns [A; I]

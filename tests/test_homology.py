@@ -20,8 +20,8 @@ from hopfcalc import cli, homology
 from hopfcalc.calculus import Calculus
 from hopfcalc.connections import connection_from_coaction, is_flat
 from hopfcalc.fields import QQ, Field
-from hopfcalc.homology import (ChainComplex, HomologyTable, cobar_complex,
-                               compare_cotor, homology_dims)
+from hopfcalc.homology import (ChainComplex, HomologyTable, bare_quotient_complex,
+                               cobar_complex, compare_cotor, homology_dims)
 from hopfcalc.hopf import BialgebraMorphism, permute_basis
 from hopfcalc.linalg import Matrix
 from hopfcalc.modules import BimoduleCoalgebra, regular_modcomod, trivial_modcomod
@@ -127,18 +127,36 @@ def reference_homology_dims(cx: ChainComplex, max_degree=None):
 @pytest.fixture
 def normalized_tables(monkeypatch):
     """Checks every ``homology_dims`` call, from the CLI and from
-    ``compare_cotor`` alike, against ``reference_homology_dims``; the list
-    it returns collects the tables of the calls on a cobar complex."""
-    seen = []
+    ``compare_cotor`` alike, against ``reference_homology_dims`` of the
+    full complex; the list it returns collects the tables of the calls on
+    a cobar complex.
+
+    A bare complex built quotient-first (``bare_quotient_complex``) is
+    checked against the path it replaced, ``reference_bare_complex``: its
+    dimensions and quotients must be those of the full complex, and its
+    table is checked against the full complex's ranks and collected."""
+    seen, full_of = [], {}
+
+    def quotient_first(calc, max_degree=None):
+        cx = bare_quotient_complex(calc, max_degree)
+        full, (dims, quotients) = reference_bare_complex(calc, max_degree)
+        assert cx.basepoint is None and cx.dims == dims
+        assert all(d == w and d.data == w.data for d, w in zip(cx.diffs, quotients, strict=True))
+        full_of[id(cx)] = full
+        return cx
 
     def checked(cx, max_degree=None):
+        full = full_of.pop(id(cx), cx)
+        want = reference_homology_dims(full, max_degree)
         table = homology_dims(cx, max_degree)
-        assert table.dims() == reference_homology_dims(cx, max_degree)
-        if cx.basepoint is not None:
+        assert table.dims() == want
+        if full.basepoint is not None:
             seen.append(table.dims())
         return table
     monkeypatch.setattr(homology, "homology_dims", checked)
     monkeypatch.setattr(cli, "homology_dims", checked)
+    monkeypatch.setattr(homology, "bare_quotient_complex", quotient_first)
+    monkeypatch.setattr(cli, "bare_quotient_complex", quotient_first)
     return seen
 
 
@@ -158,7 +176,9 @@ def _homology_verdict(H, calc_kind, coeffs, D, compare):
         rep, table = homology.compare_cotor(calc, X, D)
         assert rep.passed, str(rep)
         return table
-    return homology.homology_dims(homology.calculus_complex(calc, X, D), D)
+    cx = (homology.bare_quotient_complex(calc, D) if X is None
+          else homology.calculus_complex(calc, X, D))
+    return homology.homology_dims(cx, D)
 
 
 def test_normalized_ranks_match_the_full_oracle_on_the_golden_entries(normalized_tables):
@@ -258,6 +278,17 @@ def reference_normalized(cx, top):
             [d.submatrix(~has_g[n + 1], ~has_g[n]) for n, d in enumerate(diffs)])
 
 
+def reference_bare_complex(calc, max_degree=None):
+    """The path of a bare verdict before it was built quotient-first: the
+    full complex, with every D_n built by the calculus and d^2 checked on
+    every pair (``calculus_complex``), and its quotients taken by
+    ``reference_normalized``.  Returns the full complex and (dims,
+    quotients)."""
+    max_degree = calc.max_degree if max_degree is None else max_degree
+    full = homology.calculus_complex(calc, None, max_degree)
+    return full, reference_normalized(full, max_degree)
+
+
 @pytest.mark.parametrize("name,field", [("group:S3", "Q"), ("sweedler", "Q"),
                                         ("taft:3:2", "F7"), ("dualgroup:Z3", "Q"),
                                         ("dualgroup:Z2", "F2")])
@@ -308,11 +339,12 @@ def _bare_homology(argv):
 
 
 def test_bare_homology_ranks_after_every_full_differential_is_released(monkeypatch):
-    # the calculus caches every D_n and the complex holds them too; neither
-    # is alive by the time a quotient is ranked.  A Matrix takes no weak
-    # reference, so each D_n is followed through its column index array,
-    # which lives at least as long as it does
-    refs, alive = [], []
+    # a bare verdict builds D_0, D_1 and D_2 in full, which the calculus
+    # caches; none is alive by the time a quotient is ranked, and no
+    # matrix outlives its rank.  A Matrix takes no weak reference, so each
+    # is followed through its column index array, which lives at least as
+    # long as it does
+    refs, alive, ranked_refs, ranked_alive = [], [], [], []
     build, rank = Calculus._build_differential, Matrix.rank
 
     def built(calc, n):
@@ -320,15 +352,17 @@ def test_bare_homology_ranks_after_every_full_differential_is_released(monkeypat
         refs.append(weakref.ref(d._csr[1]))
         return d
 
-    def ranked(m):
+    def ranked(m, **kwargs):
         alive.append(sum(ref() is not None for ref in refs))
-        return rank(m)
+        ranked_alive.append(sum(ref() is not None for ref in ranked_refs))
+        ranked_refs.append(weakref.ref(m._csr[1]))
+        return rank(m, **kwargs)
     monkeypatch.setattr(Calculus, "_build_differential", built)
     monkeypatch.setattr(Matrix, "rank", ranked)
     code, doc = _bare_homology("homology --builtin taft:3:2 --field F7 --calculus k"
                                " --max-degree 4")
     assert code == 0 and doc["homology"] == {"H_0": 3, "H_1": 2, "H_2": 2, "H_3": 2}
-    assert len(refs) == 4 and alive == [0, 0, 0, 0]
+    assert len(refs) == 3 and alive == [0, 0, 0, 0] and ranked_alive == [0, 0, 0, 0]
 
 
 def test_bare_taft_homology_at_degree_5_stays_under_its_traced_peak():
@@ -344,3 +378,159 @@ def test_bare_taft_homology_at_degree_5_stays_under_its_traced_peak():
         tracemalloc.stop()
     assert code == 0 and doc["homology"]["H_4"] == 2
     assert peak < 32 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the quotient-first bare complex against the full one
+
+
+def _algebra(name):
+    """A named algebra of the tests, or a built-in one as ``name/field``."""
+    spec, _, field = name.partition("/")
+    return cli.builtin_hopf(spec, Field.parse(field)) if field else named_algebra(name)
+
+
+def _bare_calculi(H, D):
+    """The three calculi of ``H`` at degree ``D``; the generalized one with
+    alpha = id and beta = S."""
+    general = Calculus.general(BimoduleCoalgebra.from_hopf(H), BialgebraMorphism.identity(H),
+                               BialgebraMorphism.antipode(H), D)
+    return [Calculus.k(H, D), Calculus.khat(H, D), general]
+
+
+@pytest.mark.parametrize("name,D", [
+    ("kZ2", 5), ("kZ3", 5), ("kS3", 4), ("dualZ2", 5), ("sweedler", 6), ("taft327", 4),
+    ("kZ3_scaled", 4), ("dualZ2_F2", 5), ("dualgroup:Z3/Q", 4), ("dualgroup:S3/Q", 4),
+    ("group:Z1/Q", 4)])
+def test_quotient_first_bare_complex_matches_the_full_oracle(normalized_tables, name, D):
+    # the acceptance algebras, the exact path (kZ3_scaled), basepoints off a
+    # basis vector (the dual group algebras) and dim C = 1, at degrees where
+    # the recursion runs: quotients, dimensions and tables as on the full
+    # complex (the fixture)
+    calcs = _bare_calculi(_algebra(name), D)
+    for calc in calcs:
+        homology.homology_dims(homology.bare_quotient_complex(calc, D), D)
+    assert len(normalized_tables) == len(calcs)
+
+
+def _verdict(argv):
+    """(exit code, stdout without ``timing_ms``, stderr) of one CLI line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv.split())
+    return code, [line for line in out.getvalue().splitlines() if "timing_ms" not in line], \
+        err.getvalue()
+
+
+def _corrupted(m, seed):
+    """``m`` with a seeded corruption, by ``seed`` % 3: a nonzero scalar
+    added at a seeded entry, the whole matrix doubled, or a seeded row
+    added to another (which keeps d^2 = 0 below it)."""
+    rng, f = random.Random(seed), m.field
+    i, j = rng.randrange(m.rows), rng.randrange(m.cols)
+    if seed % 3 == 0:
+        return m + Matrix(m.rows, m.cols, f, {(i, j): f.of(rng.choice([1, -1, 3]))})
+    if seed % 3 == 1:
+        return m.scale(f.of(2))
+    k = rng.choice([r for r in range(m.rows) if r != i])
+    return (Matrix.identity(m.rows, f) + Matrix(m.rows, m.rows, f, {(i, k): f.one()})) @ m
+
+
+def _corrupt_root(monkeypatch, what, seed):
+    """Make every Calculus hold a seeded corruption of D_0, D_1 or E; with
+    ``what`` "E, D_1 = 0", of E, and D_1 = 0 as well."""
+    if what.startswith("E"):
+        reduced = Calculus._reduced_comul_matrix
+
+        def corrupted(calc):
+            if calc._reduced_comul is None:
+                calc._reduced_comul = _corrupted(reduced(calc), seed)
+            return calc._reduced_comul
+        monkeypatch.setattr(Calculus, "_reduced_comul_matrix", corrupted)
+        if what == "E":
+            return
+    build, degree = Calculus._build_differential, 1 if what.startswith("E") else int(what[-1])
+
+    def differential(calc, n):
+        d = build(calc, n)
+        if n != degree:
+            return d
+        return Matrix.zero(d.rows, d.cols, d.field) if what.startswith("E") else _corrupted(d, seed)
+    monkeypatch.setattr(Calculus, "_build_differential", differential)
+
+
+CORRUPTED_VERDICTS = [
+    "homology --builtin sweedler --calculus k --max-degree 4",
+    "homology --builtin sweedler --calculus k --max-degree 2",
+    "homology --builtin sweedler --calculus khat --max-degree 3",
+    "homology --builtin dualgroup:Z3 --calculus k --max-degree 2",
+    "homology --builtin group:S3 --calculus general --max-degree 4",
+    "homology --builtin dualgroup:Z3 --calculus khat --max-degree 4",
+    "homology --builtin taft:3:2 --field F7 --calculus k --max-degree 4",
+]
+
+
+@pytest.mark.parametrize("what", ["D_0", "D_1", "E", "E, D_1 = 0"])
+def test_bare_corruptions_exit_as_on_the_full_complex(monkeypatch, what):
+    # a seeded corruption of a root of the recursion gives the same exit
+    # code, report and error text on the quotient-first path as on the full
+    # complex, which builds every D_n, checks d^2 on each pair and masks
+    # them (the path it replaced).  With D_1 = 0, d^2 holds at degrees 0
+    # and 1 whatever E is, and a corrupted E fails first at degree 2, which
+    # only Z stands for
+    outcomes = set()
+    for argv in CORRUPTED_VERDICTS:
+        for seed in range(6):
+            runs = []
+            for full in (False, True):
+                with monkeypatch.context() as m:
+                    _corrupt_root(m, what, seed)
+                    if full:
+                        m.setattr(cli, "bare_quotient_complex",
+                                  lambda calc, D: homology.calculus_complex(calc, None, D))
+                    runs.append(_verdict(argv))
+            assert runs[0] == runs[1], (argv, seed)
+            outcomes.add((runs[0][0], runs[0][2].partition(" at degree ")[2][:1]))
+    # (exit code, failing degree): passes, d^2 failures (exit 2) and
+    # closedness failures (exit 3), which D_0 cannot cause, as every mask
+    # keeps degree 0 closed
+    assert outcomes == {"D_0": {(0, ""), (2, "0")},
+                        "D_1": {(0, ""), (2, "1"), (3, "1")},
+                        "E": {(0, ""), (2, "0"), (2, "1"), (3, "1")},
+                        "E, D_1 = 0": {(0, ""), (2, "2")}}[what]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6),
+       st.sampled_from([QQ, Field(2), Field(7), Field(2**32 + 15)]))
+def test_restricted_ranks_match_the_reference_on_random_complexes(seed, field):
+    # d_n = G_(n+1) N_n G_n^-1, with N_n zero on the coordinates that N_(n-1)
+    # maps into and mapping into coordinates that N_(n+1) is zero on, so
+    # d^2 = 0; G_n mixes the coordinates by elementary operations.  Zero
+    # differentials, empty degrees and D = 1 are drawn; over F_4294967311
+    # the elimination runs on object values
+    rng = random.Random(seed)
+    D = rng.randint(1, 4)
+    dims = [rng.randint(0, 6) for _ in range(D + 1)]
+    image = [set()] + [set(rng.sample(range(k), rng.randint(0, k))) for k in dims[1:]]
+
+    def scalar():
+        return field.of(rng.randint(1, field.char - 1) if field.char else rng.randint(-3, 3) or 1)
+
+    mixing = []
+    for k in dims:
+        g = ginv = Matrix.identity(k, field)
+        for _ in range(2 * k if k > 1 else 0):
+            i, j = rng.sample(range(k), 2)
+            e = Matrix(k, k, field, {(i, j): scalar()})
+            g, ginv = (Matrix.identity(k, field) + e) @ g, ginv @ (Matrix.identity(k, field) - e)
+        mixing.append((g, ginv))
+    diffs = []
+    for n in range(D):
+        density = rng.choice([0.0, 0.5, 1.0])
+        normal = Matrix(dims[n + 1], dims[n], field, {
+            (i, j): scalar() for i in image[n + 1] for j in range(dims[n])
+            if j not in image[n] and rng.random() < density})
+        diffs.append(mixing[n + 1][0] @ normal @ mixing[n][1])
+    cx = ChainComplex(field, dims, diffs)
+    assert homology_dims(cx).dims() == reference_homology_dims(cx)

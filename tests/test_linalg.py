@@ -489,6 +489,49 @@ def test_huge_entries_fall_back_to_exact_products():
     assert identity_defect_witness(QQ, [(1, [(half, half)])]) == (0, 0, QQ.of(2**80))
 
 
+def _exact_product(a: Matrix, b: Matrix):
+    """The entries of a b as field scalars, summed in Python integers."""
+    f, rows_a, rows_b = a.field, [[a.get(i, k) for k in range(a.cols)] for i in range(a.rows)], \
+        [[b.get(k, j) for j in range(b.cols)] for k in range(b.rows)]
+    return [[f.of(sum(x * y for x, y in zip(row, col))) for col in zip(*rows_b)] for row in rows_a]
+
+
+@pytest.mark.parametrize("field,entry,inner", [
+    (QQ, P31, 4), (QQ, -P31, 5), (QQ, P31, 9), (Field(P31), P31 - 1, 3), (Field(P31), P31 - 1, 8)])
+def test_products_whose_sums_leave_int64_are_exact(field, entry, inner):
+    # every single term a_ik b_kj of these int64 operands is below 2^62, but
+    # a sum of three or more of them is not: the bound of ``@`` counts the
+    # inner dimension, and the product agrees with exact Python sums (over
+    # F_2147483647 a wrapped sum reads 0 where the answer is ``inner``)
+    rng = random.Random(inner)
+    a = from_rows([[entry] * inner, [entry if rng.random() < 0.7 else 1 for _ in range(inner)]],
+                  field)
+    b = from_rows([[entry, rng.choice([entry, 1, 0])] for _ in range(inner)], field)
+    assert a._to_csr() is not None and b._to_csr() is not None
+    got = a @ b
+    assert got == from_rows(_exact_product(a, b), field)
+    assert got.get(0, 0) == field.of(inner * entry * entry)
+
+
+@pytest.mark.parametrize("field,entry,shift", [
+    (QQ, P31, 2**62 - 1), (QQ, -P31, -(2**62 - 1)), (QQ, 2**30, 2**61 - 1),
+    (Field(P31), P31 - 1, P31 - 1)])
+def test_kron_minus_blocks_at_its_bound_is_exact(field, entry, shift):
+    # max|A| max|B| + max|P| at or beyond 2^62 takes the exact path, below
+    # it the int64 one; either way A (x) B - I_c (x) P agrees entry by entry
+    # with exact Python arithmetic
+    c, rng = 2, random.Random(shift % 97)
+    a = from_rows([[entry, rng.choice([entry, 1])], [1, entry], [0, -entry], [entry, entry]], field)
+    b = from_rows([[entry, 1], [rng.choice([entry, 0]), entry]], field)
+    p = from_rows([[shift if (i + j) % 3 else -shift for j in range(2)] for i in range(4)], field)
+    got = linalg.kron_minus_blocks(a, b, c, p)
+    # block k of I_2 (x) P is P at rows 4k .. 4k + 3 and columns 2k, 2k + 1
+    want = [[field.of(a.get(i // 2, j // 2) * b.get(i % 2, j % 2)
+                      - (p.get(i % 4, j % 2) if i // 4 == j // 2 else 0))
+             for j in range(4)] for i in range(8)]
+    assert got == from_rows(want, field)
+
+
 def test_vec_tensor_layout():
     f = QQ
     v = vec_tensor(f, {1: f.of(2)}, {0: f.of(3)}, 4)
