@@ -82,12 +82,14 @@ unit in every degree from A_1 and T (u (x) I_C) = I_C (x) u.  So
 ``verify_dga`` computes these low identities, which read only T, D_0,
 D_1 and A_0..A_2, and computes the other lines only when one of them
 fails (its docstring has the proofs).  ``connections.coefficient_complex``
-uses product(n, 1) only through T and D_n only through D_n L_n, which
-``differential_at_unit`` builds from D_0 and E; it builds neither.  A
-bare ``homology`` verdict reads D_0, D_1, D_2 and E only: from them
-``homology.bare_quotient_complex`` builds the normalized quotient of every
-higher D_n by the same recursion on C/k.g, and stands the d^2 lines above
-degree 1 on Z, as ``verify_dga`` does.
+reads D_0, T and E only: its differentials obey the recursion of D_n with
+the module X in the place of B, d_X^n = E (x) I - I_C (x) d_X^(n-1), so it
+builds no D_n above degree 0 and no product(n, 1).  A bare ``homology``
+verdict reads D_0, D_1, D_2 and E only: from them, or from d_X^0, d_X^1 and
+d_X^2 for a coefficient complex, ``homology.quotient_complex`` builds the
+normalized quotient of every higher degree by the same recursion on
+C/k.g, and stands the d^2 lines above degree 2 on Z, as ``verify_dga``
+does.
 """
 from __future__ import annotations
 
@@ -138,7 +140,6 @@ class Calculus:
             self.cdim = C.dim
             self.basepoint = dict(C.grouplike)
         self._diff: Dict[int, Matrix] = {}
-        self._diff_at_unit: Dict[int, Matrix] = {}
         self._prod: Dict[int, Matrix] = {}
         self._sandwich: Optional[Matrix] = None
         self._reduced_comul: Optional[Matrix] = None
@@ -194,26 +195,6 @@ class Calculus:
         return kron_minus_blocks(self._reduced_comul_matrix(),
                                  Matrix.identity(self.degree_dim(n - 1), f), self.cdim,
                                  self.differential(n - 1))
-
-    def differential_at_unit(self, n: int) -> Matrix:
-        """D_n L_n: C^(n+1) (x) B <- C^n, L_n = I_(C^n) (x) u, from the cache;
-        dl_0 = D_0 u and dl_n = E (x) L_(n-1) - I_C (x) dl_(n-1)
-        (``connections._coefficient_differential`` has the proof), built
-        by ``kron_minus_blocks`` as D_n is.  D_n itself is not built for
-        n > 0."""
-        if not 0 <= n <= self.max_degree:
-            raise ValueError(f"degree {n} outside materialized range 0..{self.max_degree}")
-        dl = self._diff_at_unit.get(n)
-        if dl is None:
-            f, u = self.field, self.B.unit_column()
-            if n == 0:
-                dl = self.differential(0) @ u
-            else:
-                lift = Matrix.identity(self.cdim ** (n - 1), f).kron(u)
-                dl = kron_minus_blocks(self._reduced_comul_matrix(), lift, self.cdim,
-                                       self.differential_at_unit(n - 1))
-            self._diff_at_unit[n] = dl
-        return dl
 
     # -- the graded product ----------------------------------------------------
 

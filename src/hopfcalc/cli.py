@@ -36,7 +36,7 @@ from .modules import (BimoduleCoalgebra, ModComod, check_ayd, check_equivariant,
                       check_module_axioms, check_stable, check_yd, coadjoint_comodule,
                       regular_modcomod, trivial_modcomod, one_dim_modcomod)
 from .reports import Report
-from .homology import bare_quotient_complex, calculus_complex, compare_cotor, homology_dims
+from .homology import compare_cotor, homology_dims, quotient_complex
 
 
 class CliError(Exception):
@@ -390,12 +390,11 @@ def cmd_homology(args, started: float) -> int:
         body["checks"] = rep.to_json()
         ok = rep.passed
     else:
-        # the calculus caches the D_n (D_0..D_2 for a bare complex, built
-        # quotient-first) and the D_n L_n of a coefficient complex: with it
-        # dropped, the complex is all that holds its differentials, and it is
-        # handed over unnamed, so that homology_dims lets each one go
-        held = [bare_quotient_complex(calc, max_degree) if X is None
-                else calculus_complex(calc, X, max_degree)]
+        # the calculus caches D_0..D_2 of a bare complex and D_0 of a
+        # coefficient complex: with it dropped, the quotient complex is all
+        # that holds its differentials, and it is handed over unnamed, so
+        # that homology_dims lets each one go
+        held = [quotient_complex(calc, X, max_degree)]
         del calc
         table = homology_dims(held.pop(), max_degree)
     body["homology"] = {f"H_{n}": d for n, d in table.entries}

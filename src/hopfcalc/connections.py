@@ -14,11 +14,13 @@ B acts on Omega^n (x)_B X = C^n (x) X by left multiplication by
 Omega^0 = B in the calculus, read through the action: that is the
 sandwich action M_n (``sandwich_action``), the one construction of it,
 built from the calculus's sandwich matrix T alone.  The Leibniz check of
-a connection, the coefficient complex of a flat one, the extension of
-nabla behind its curvature, and the DG-module check are products of
-calculus matrices, D_0, D_n L_n and M_n, with the action and nabla; the
-tensor of a YD-flat with an AYD-flat connection is one of structure
-matrices, the two actions and the two connections (``tensor_connection``).
+a connection, the degree-0 differential of the coefficient complex of a
+flat one, and the DG-module check are products of calculus matrices, D_0
+and M_n, with the action and nabla; every higher coefficient differential,
+the one behind the curvature included, is one step of the recursion of
+D_n on the calculus's E (``coefficient_complex``).  The tensor of a
+YD-flat with an AYD-flat connection is a product of structure matrices,
+the two actions and the two connections (``tensor_connection``).
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from typing import List, Optional
 
 from .calculus import Calculus
 from .homology import ChainComplex
-from .linalg import Matrix, Vec, column_witness
+from .linalg import Matrix, Vec, column_witness, kron_minus_blocks
 from .modules import (DefectReport, ModComod, action_matrix, coaction_matrix,
                       coassociativity_defects)
 from .reports import Report
@@ -53,8 +55,8 @@ class Connection:
 @dataclass
 class Curvature:
     matrix: Matrix                  # X -> C (x) C (x) X
-    leibniz: Optional[Matrix] = None    # K and d_X^1 of the direct route,
-    d1: Optional[Matrix] = None         # None when nabla = 0
+    d0: Optional[Matrix] = None     # d_X^0 and d_X^1 of the direct route,
+    d1: Optional[Matrix] = None     # None when nabla = 0
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
@@ -142,38 +144,33 @@ def _leibniz_term(conn: Connection) -> Matrix:
     (c (x) 1) . nabla(x) of the graded Leibniz rule with its C^n prefix
     dropped."""
     calc = conn.calc
+    if conn.nabla.is_zero():        # then K = 0, of nabla's shape, without M_1
+        return conn.nabla
     return (conn.sandwich_action()
             @ calc.B.unit_column().kron(Matrix.identity(calc.cdim * conn.X.dim, calc.field))
             @ conn.nabla)
 
 
-def _coefficient_differential(calc: Calculus, act: Matrix, K: Matrix, n: int) -> Matrix:
-    """d_X^n = (I_(C^(n+1)) (x) act) (D_n L_n (x) I_X) + (-1)^n I_(C^n) (x) K
-    (``coefficient_complex``), with D_n L_n read from
-    ``Calculus.differential_at_unit``, which builds it by its own recursion
-    and never builds D_n for n > 0:
+def _coefficient_base(conn: Connection) -> Matrix:
+    """d_X^0 = (I_C (x) act) (D_0 u (x) I_X) + K (``coefficient_complex``).
+    The recursion above degree 0 needs a unital action, act (u (x) I_X) =
+    I_X, so that is checked here, once per complex: a ``ValueError``
+    otherwise, as for a connection that is not flat."""
+    calc, act = conn.calc, action_matrix(conn.X)
+    f, u, eye_x = calc.field, calc.B.unit_column(), Matrix.identity(conn.X.dim, calc.field)
+    if act @ u.kron(eye_x) != eye_x:
+        raise ValueError("module action is not unital")
+    return (Matrix.identity(calc.cdim, f).kron(act) @ (calc.differential(0) @ u).kron(eye_x)
+            + _leibniz_term(conn))
 
-        dl_0 = D_0 u,   dl_n = E (x) L_(n-1) - I_C (x) dl_(n-1).
 
-    Proof: D_n = E (x) I_(C^(n-1) (x) B) - I_C (x) D_(n-1) (calculus module
-    docstring) and L_n = I_C (x) L_(n-1), so by the mixed-product rule
-    (A (x) B)(C (x) D) = AC (x) BD (Van Loan, "The ubiquitous Kronecker
-    product", J. Comput. Appl. Math. 123, 2000)
-
-        D_n L_n = (E I_C) (x) (I L_(n-1)) - I_C (x) D_(n-1) L_(n-1)
-                = E (x) L_(n-1) - I_C (x) dl_(n-1).
-
-    dl_n reads E and D_0 only, the calculus's own data, never rho or K.
-    For Taft(3,2) at n = 4, D_4 is 531,441 x 59,049 with 547,581 entries
-    and D_4 L_4 is 531,441 x 6,561."""
-    f, cd = calc.field, calc.cdim
-
-    def eye(k):
-        return Matrix.identity(k, f)
-
-    d = eye(cd ** (n + 1)).kron(act) @ calc.differential_at_unit(n).kron(eye(act.rows))
-    tail = eye(cd ** n).kron(K)
-    return d - tail if n % 2 else d + tail
+def _coefficient_differential(calc: Calculus, below: Matrix) -> Matrix:
+    """d_X^n = E (x) I_(C^(n-1) (x) X) - I_C (x) d_X^(n-1) for n >= 1, with
+    d_X^(n-1) = ``below`` (``coefficient_complex`` has the proof), built by
+    ``kron_minus_blocks`` as D_n is: one run of I_C blocks at a time, from
+    the calculus's E and nothing else of it."""
+    return kron_minus_blocks(calc._reduced_comul_matrix(),
+                             Matrix.identity(below.cols, calc.field), calc.cdim, below)
 
 
 def curvature(conn: Connection) -> Curvature:
@@ -185,17 +182,16 @@ def curvature(conn: Connection) -> Curvature:
     defects = coassociativity_defects(coaction_from_connection(conn))
     R = Matrix.from_columns([defects.get((a,), {}) for a in range(X.dim)],
                             calc.cdim * calc.cdim * X.dim, calc.field)
-    K = d1 = None
+    d0 = d1 = None
     if conn.nabla.is_zero():        # then so is the direct route, without d_X^1
         direct = Matrix.zero(R.rows, R.cols, calc.field)
     else:
-        act = action_matrix(X)
-        K = _leibniz_term(conn)
-        d1 = _coefficient_differential(calc, act, K, 1)
+        d0 = _coefficient_base(conn)
+        d1 = _coefficient_differential(calc, d0)
         direct = d1 @ conn.nabla
     if direct != R:
         raise RuntimeError("curvature routes disagree; calculus is inconsistent")
-    return Curvature(R, K, d1)
+    return Curvature(R, d0, d1)
 
 
 def is_flat(conn: Connection) -> bool:
@@ -212,30 +208,57 @@ def coefficient_complex(conn: Connection, max_degree: Optional[int] = None) -> C
     C^(n+1) (x) X by acting with the B slot.  With u the unit as a B x 1
     column, L_n = I_(C^n) (x) u and ``act`` the action X <- B (x) X, that is
 
-        d_X^n = (I_(C^(n+1)) (x) act) (D_n L_n (x) I_X) + (-1)^n I_(C^n) (x) K,
+        d_X^n = G_n + (-1)^n I_(C^n) (x) K,
+        G_n = (I_(C^(n+1)) (x) act) (D_n L_n (x) I_X),
         K = M_1 (u (x) I_(C (x) X)) nabla,
 
     with M_1 the ``sandwich_action`` of B on C (x) X, because
-    product(n, 1) = I_(C^n) (x) product(0, 1).  Neither product(n, 1) nor
-    D_n for n > 0 is built: for Taft(3,2) at n = 4 the first has 8.3 M
-    entries and D_4 is 531,441 x 59,049, where D_4 L_4 has 6,561 columns
-    and comes from its own recursion on D_0 and E
-    (``_coefficient_differential``).  The calculus side goes through D_0,
-    E and the sandwich matrix T, never through the recursion of D_n with
-    rho in place of F_0: that recursion is the cobar oracle itself.  K and
-    d_X^1 are read from the flatness check's curvature when it built them."""
+    product(n, 1) = I_(C^n) (x) product(0, 1).  So d_X^0 = (I_C (x) act)
+    (D_0 u (x) I_X) + K (``_coefficient_base``).
+
+    *The recursion.*  For n >= 1,
+
+        d_X^n = E (x) I_(C^(n-1) (x) X) - I_C (x) d_X^(n-1),
+
+    the recursion of D_n itself (``calculus`` module docstring) with X in
+    the place of B.  Proof: D_n = E (x) I_(C^(n-1) (x) B) - I_C (x) D_(n-1)
+    and L_n = I_C (x) L_(n-1), so by the mixed-product rule
+    (A (x) B)(C (x) D) = AC (x) BD (Van Loan, "The ubiquitous Kronecker
+    product", J. Comput. Appl. Math. 123, 2000)
+
+        D_n L_n = E (x) L_(n-1) - I_C (x) D_(n-1) L_(n-1).
+
+    Tensor with I_X and apply I_(C^(n+1)) (x) act.  The first term becomes
+    E (x) I_(C^(n-1)) (x) act (u (x) I_X) = E (x) I_(C^(n-1) (x) X), as the
+    action is unital (act (u (x) I_X) = I_X, checked once by
+    ``_coefficient_base``); the second keeps its first C leg, and becomes
+    I_C (x) G_(n-1).  So G_n = E (x) I - I_C (x) G_(n-1).  Put
+    G_(n-1) = d_X^(n-1) - (-1)^(n-1) I_(C^(n-1)) (x) K in: the term
+    I_C (x) (-1)^n I_(C^(n-1)) (x) K that this gives cancels the
+    (-1)^n I_(C^n) (x) K of d_X^n, which leaves the recursion.  Neither
+    rho nor K enters above degree 0, and no D_n with n > 0, D_n L_n or
+    product(n, 1) is built: each d_X^n is one ``kron_minus_blocks`` call
+    (``_coefficient_differential``), as each D_n is.  The premise is
+    needed: with a non-unital action the first term keeps
+    act (u (x) I_X), and the recursion gives another matrix.
+
+    *What the cobar comparison still checks.*  ``compare_cotor`` compares
+    these matrices with ``homology.cobar_complex``, whose d_n is one closed
+    sum of Kronecker products of Delta_C, g and rho, with no recursion in n.
+    ``differential_equal[0]`` is the paper's theorem in degree 0: d_X^0,
+    built from D_0, T and the action, against rho - g (x) I.  The higher
+    degrees check the recursion on the calculus's E against that closed
+    sum, and the oracle is unchanged.  d_X^0 and d_X^1 are read from the
+    flatness check's curvature when it built them."""
     calc, R = conn.calc, curvature(conn)
     if not R.is_zero():
         raise ValueError("connection is not flat")
     max_degree = calc.max_degree if max_degree is None else max_degree
-    act = action_matrix(conn.X)
     dims = [calc.cdim ** n * conn.X.dim for n in range(max_degree + 1)]
-    diffs: List[Matrix] = []
-    for n in range(max_degree):
-        if n == 0:      # so that an empty complex builds no product
-            K = R.leibniz if R.leibniz is not None else _leibniz_term(conn)
-        diffs.append(R.d1 if n == 1 and R.d1 is not None
-                     else _coefficient_differential(calc, act, K, n))
+    # so that an empty complex builds nothing
+    diffs = ([R.d0, R.d1] if R.d0 is not None else [])[:max_degree]
+    for n in range(len(diffs), max_degree):
+        diffs.append(_coefficient_differential(calc, diffs[-1]) if n else _coefficient_base(conn))
     return ChainComplex(calc.field, dims, diffs)
 
 

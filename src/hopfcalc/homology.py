@@ -9,9 +9,10 @@ the coproduct, the basepoint and the coaction (``cobar_complex``), where
 the calculus builds its own from the differential one degree below.
 
 Homology is ranked on the normalized quotient by the degenerate tensors,
-the ones with a leg at the basepoint.  A bare calculus builds that quotient
-by its own recursion (``bare_quotient_complex``); any other cobar complex
-is masked after it is built (``_normalized``).  Each rank skips the
+the ones with a leg at the basepoint.  A calculus-side complex, bare or
+with coefficients, builds that quotient by its own recursion
+(``quotient_complex``); any other cobar complex is masked after it is
+built (``_normalized``).  Each rank skips the
 columns that the image of the differential below already spans
 (``homology_dims``).
 """
@@ -38,8 +39,8 @@ class ChainComplex:
     records that it was.  ``basepoint`` marks a cobar complex on C^n (x) X,
     so that dims[n] = (dim C)^n * dims[0]: it is the grouplike basepoint g
     of C, and ``homology_dims`` then ranks the normalized complex.  The
-    quotient-first bare complex (``bare_quotient_complex``) is already
-    normalized and carries no basepoint."""
+    quotient-first complex (``quotient_complex``) is already normalized and
+    carries no basepoint."""
 
     field: Field
     dims: List[int]
@@ -174,77 +175,95 @@ def _quotients(g: Vec, f: Field, cd: int, xd: int, diffs: List[Matrix],
     return [int((~m).sum()) for m in has_g], quotients
 
 
-def bare_quotient_complex(calc, max_degree: Optional[int] = None) -> ChainComplex:
-    """The normalized complex C-bar^n (x) B, C-bar = C/k.g, of the bare
-    calculus ``calc`` up to ``max_degree``, built by its own recursion: no
-    D_n above degree 2 is built.  It holds the quotients of ``_quotients``,
-    checks d^2 = 0 on them at construction, and carries no basepoint, so
-    ``homology_dims`` ranks it as it is.  Its homology is that of the
-    calculus.
+def quotient_complex(calc, X: Optional[ModComod],
+                     max_degree: Optional[int] = None) -> ChainComplex:
+    """The normalized complex C-bar^n (x) X, C-bar = C/k.g, of the
+    calculus-side complex ``calculus_complex(calc, X)`` up to ``max_degree``,
+    built by its own recursion from the first three full differentials d_0,
+    d_1 and d_2 and xd = dim X: D_0, D_1 and D_2 with xd = dim B for the bare
+    calculus (X None), d_X^0, d_X^1 and d_X^2 with xd = dim X for the
+    coefficient complex of X.  No degree above 2 is built in full.  It holds
+    the quotients of ``_quotients``, checks d^2 = 0 on them at construction,
+    and carries no basepoint, so ``homology_dims`` ranks it as it is.  Its
+    homology is that of the full complex.
+
+    Both complexes obey one recursion for n >= 1,
+
+        d_n = E (x) I_(C^(n-1) (x) X) - I_C (x) d_(n-1),
+
+    D_n by the ``calculus`` module docstring (X = B), and d_X^n by that of
+    ``connections.coefficient_complex``.  Everything below uses that and
+    nothing else of either complex.
 
     *The recursion.*  Write every matrix in the basis of ``_quotients``,
     that is conjugated by M when g is not a basis vector: then g = e_j0,
-    and the conjugate of D_n = E (x) I - I_C (x) D_(n-1) (``calculus``
-    module docstring) is E' (x) I - I_C (x) D'_(n-1), with E' the conjugate
-    of E, as (M^-1)^(x)(n+1) (E (x) I) M^(x)n = (M^-1 (x) M^-1) E M (x) I.
-    The quotient keeps the coordinates with no leg j0, one mask per leg,
-    and a mask per leg passes through a Kronecker product:
-    (A (x) B)[R1 x R2, C1 x C2] = A[R1, C1] (x) B[R2, C2].  So
+    and the conjugate of d_n = E (x) I - I_C (x) d_(n-1) is
+    E' (x) I - I_C (x) d'_(n-1), with E' the conjugate of E, as
+    ((M^-1)^(x)(n+1) (x) I_X) (E (x) I) (M^(x)n (x) I_X)
+    = (M^-1 (x) M^-1) E M (x) I.  The quotient keeps the coordinates with
+    no leg j0, one mask per C leg, and a mask per leg passes through a
+    Kronecker product: (A (x) B)[R1 x R2, C1 x C2] = A[R1, C1] (x) B[R2, C2].
+    So
 
-        D-bar_n = E-bar (x) I - I_(C-bar) (x) D-bar_(n-1),
+        d-bar_n = E-bar (x) I - I_(C-bar) (x) d-bar_(n-1),
         E-bar = E'[C-bar (x) C-bar, C-bar],
 
     one ``kron_minus_blocks`` call per degree n >= 3, at (cd - 1)/cd of the
-    size per leg.  D_0, D_1 and D_2 are built by the calculus and masked
-    (``_quotients``); the recursion starts at D-bar_2.
+    size per leg.  d_0, d_1 and d_2 are masked (``_quotients``); the
+    recursion starts at d-bar_2.
 
-    *Closedness.*  The quotient of a D_n is a quotient map only when D_n
-    has no entry in a kept row and a dropped column.  For D_0, D_1 and D_2
+    *Closedness.*  The quotient of a d_n is a quotient map only when d_n
+    has no entry in a kept row and a dropped column.  For d_0, d_1 and d_2
     the mask pass checks it.  For n >= 3 it follows by induction.  A kept
-    row of D_n is (a, b, w) with a, b != j0 and w a kept index of degree
+    row of d_n is (a, b, w) with a, b != j0 and w a kept index of degree
     n - 1.  The term E' (x) I has entries only at columns (c, w), and such
     a column is dropped only at c = j0; E'[(a, b), j0] = 0, since
     E(g) = Delta(g) - 2 g (x) g = -g (x) g, so E' e_j0 = -e_j0 (x) e_j0.
-    The term I_C (x) D'_(n-1) keeps the leg a != j0, so it meets a dropped
-    column only through D'_(n-1)[kept, dropped] = 0.  The same two terms
-    show that a D_2 built from D_1 is closed exactly when D_1 is and
+    The term I_C (x) d'_(n-1) keeps the leg a != j0, so it meets a dropped
+    column only through d'_(n-1)[kept, dropped] = 0.  The same two terms
+    show that a d_2 built from d_1 is closed exactly when d_1 is and
     E'[C-bar (x) C-bar, j0] = 0 (when cd >= 2; for cd = 1 every quotient
     above degree 0 is 0 x 0).  So the mask pass over E-bar, which checks
-    that, cannot fail once D_2's has passed.
+    that, cannot fail once d_2's has passed.
 
-    *d^2 = 0 on the full complex.*  For n >= 2, D_n and D_(n+1) both come
-    from the recursion, and multiplying out D_(n+1) D_n the two
-    E (x) D_(n-1) terms cancel:
+    *d^2 = 0 on the full complex.*  For n >= 1, d_(n+1) and d_n both come
+    from the recursion, and multiplying out d_(n+1) d_n the two
+    E (x) d_(n-1) terms cancel:
 
-        D_(n+1) D_n = Z (x) I + I_C (x) D_n D_(n-1),
+        d^2[n] = d_(n+1) d_n = Z (x) I + I_C (x) d^2[n-1],
         Z = (E (x) I_C - I_C (x) E) E.
+
+    For n >= 2 that holds whatever d_1 is, as d_2 is built from it, so
+    also when the calculus's cache holds a D_1 corrupted by hand.
 
     So d^2[n] = 0 for every n >= 2 exactly when d^2[1] = 0 and Z = 0, and
     the first failing degree is 2 when d^2[1] = 0 and Z != 0.  d^2[0] and
-    d^2[1] are computed from D_0, D_1 and D_2, so they hold for whatever
-    D_0, D_1 and E the cache holds; Z, a cd^3 x cd matrix, is computed when
-    there is a d^2[2].  These small identities stand for the d^2 checks of
-    the full complex, in the same order and with the same ``ValueError``,
-    and they come before the closedness checks, as when the full complex
-    was built first (``calculus_complex``).  A D_n with n >= 2 corrupted
-    in the cache by hand is not seen by them, as in ``verify_dga``.
-    d^2 = 0 on the whole complex makes it 0 on the quotient, and the
-    constructor checks that again on exactly the matrices that
-    ``homology_dims`` ranks, whose restricted ranks need it.
+    d^2[1] are computed on d_0, d_1 and d_2, by the constructor of the
+    complex of degree 3 that ``calculus_complex`` builds, so they hold for
+    whatever D_0, D_1 and E the calculus's cache holds; Z, a cd^3 x cd
+    matrix, is computed when there is a d^2[2].  These small identities
+    stand for the d^2 checks of the full complex, in the same order and
+    with the same ``ValueError``, and they come before the closedness
+    checks, as when the full complex was built first.  A D_n with n >= 2
+    corrupted in the cache by hand is not seen by them, as in
+    ``verify_dga``.  d^2 = 0 on the whole complex makes it 0 on the
+    quotient, and the constructor checks that again on exactly the
+    matrices that ``homology_dims`` ranks, whose restricted ranks need it.
 
-    D_0, D_1 and D_2 stay in the calculus's cache: a caller that ranks the
-    complex without the calculus beside it drops ``calc`` first."""
+    A bare complex's D_0, D_1 and D_2 stay in the calculus's cache: a
+    caller that ranks the complex without the calculus beside it drops
+    ``calc`` first.  A coefficient complex's d_X^0, d_X^1 and d_X^2 are let
+    go before the recursion runs."""
     top = calc.max_degree if max_degree is None else max_degree
-    f, cd, xd, g = calc.field, calc.cdim, calc.B.dim, _basepoint(_coalgebra(calc))
+    low = calculus_complex(calc, X, min(top, 3))
+    f, cd, xd, g = calc.field, calc.cdim, low.dims[0], low.basepoint
     E, eye_c = calc._reduced_comul_matrix(), Matrix.identity(cd, f)
-    full = [calc.differential(n) for n in range(min(top, 3))]
-    squares = [[(1, [full[n + 1], full[n]])] for n in range(len(full) - 1)]
     # Z stands for d^2 at every degree >= 2
-    squares += [[(1, [(E, eye_c), E]), (-1, [(eye_c, E), E])]] * (top > 3)
-    for n, terms in enumerate(squares):
-        if identity_defect_witness(f, terms) is not None:
-            raise ValueError(f"d^2 != 0 at degree {n}")
-    quotients = _quotients(g, f, cd, xd, full)[1]
+    if top > 3 and identity_defect_witness(
+            f, [(1, [(E, eye_c), E]), (-1, [(eye_c, E), E])]) is not None:
+        raise ValueError("d^2 != 0 at degree 2")
+    quotients = _quotients(g, f, cd, xd, low.diffs)[1]
+    del low
     e_bar = _quotients(g, f, cd, 1, [E], first=1)[1][0] if top > 3 else None
     for _ in range(3, top):
         # with cd = 1 every quotient above degree 0 is 0 x 0
@@ -348,14 +367,13 @@ def calculus_complex(calc, X: Optional[ModComod],
     has, and the coefficient complex because it exists only for a flat,
     that is coassociative, coaction.
 
-    The bare complex here is the full one, which ``compare_cotor`` compares
-    entry by entry with the oracle; a bare verdict without the oracle
-    ranks ``bare_quotient_complex``, which builds no full D_n above
-    degree 2.  The full bare complex shares its differentials with
-    ``calc``, whose cache then holds every D_n, and the coefficient
-    complex's d_X^n are built from D_n L_n, which that cache holds too: a
-    caller that ranks the complex without the calculus beside it drops
-    ``calc`` first."""
+    The complex here is the full one, which ``compare_cotor`` compares
+    entry by entry with the oracle; a verdict without the oracle ranks
+    ``quotient_complex``, which builds no full differential above degree
+    2.  The full bare complex shares its differentials with ``calc``, whose
+    cache then holds every D_n: a caller that ranks the complex without the
+    calculus beside it drops ``calc`` first.  The coefficient complex's
+    d_X^n are its own, and the cache holds only D_0 of them."""
     from .connections import coefficient_complex, connection_from_coaction
 
     max_degree = calc.max_degree if max_degree is None else max_degree

@@ -281,12 +281,15 @@ def test_tensor_builds_the_sandwich_action_once(capsys, monkeypatch, modules, co
 
 
 def test_coefficient_complex_builds_its_leibniz_term_once(capsys, monkeypatch):
-    # K and d_X^1 of the flatness check are the complex's own
+    # d_X^0 and d_X^1 of the flatness check are the complex's own, with the
+    # oracle comparison and quotient-first
     import hopfcalc.connections
-    calls = count_calls(monkeypatch, hopfcalc.connections, "_leibniz_term")
-    code, _ = run(capsys, "homology", "--builtin", "sweedler", "--module", "regular",
-                  "--compare-cotor", "--max-degree", "3")
-    assert code == 0 and len(calls) == 1
+    for compare in (["--compare-cotor"], []):
+        with monkeypatch.context() as m:
+            calls = count_calls(m, hopfcalc.connections, "_leibniz_term")
+            code, _ = run(capsys, "homology", "--builtin", "sweedler", "--module", "regular",
+                          *compare, "--max-degree", "3")
+        assert code == 0 and len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -295,11 +298,14 @@ def test_coefficient_complex_builds_its_leibniz_term_once(capsys, monkeypatch):
     ["homology", "--builtin", "taft:3:2", "--field", "F7", "--calculus", "khat",
      "--module", "trivial", "--compare-cotor", "--max-degree", "3"],
     ["check-module", "--builtin", "sweedler", "--module", "regular", "--condition", "flat"],
+    ["homology", "--builtin", "sweedler", "--module", "regular", "--max-degree", "5"],
+    ["homology", "--builtin", "taft:3:2", "--field", "F7", "--calculus", "k",
+     "--module", "coadjoint", "--max-degree", "4"],
 ])
 def test_a_coefficient_complex_builds_only_the_degree_zero_differential(
         capsys, monkeypatch, argv):
-    # D_n L_n comes from its own recursion on D_0 and E, so no D_n with
-    # n > 0 is built, while the oracle comparison still passes
+    # d_X^n comes from the recursion of D_n on d_X^(n-1) and E, so no D_n
+    # with n > 0 is built, with the oracle comparison or quotient-first
     builds = count_calls(monkeypatch, Calculus, "_build_differential")
     code, _ = run(capsys, *argv)
     assert code == 0 and [args[1] for args in builds] == [0]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import named_algebra
-from test_calculus import reference_differential, three_calculi
+from test_calculus import reference_differential, reference_product_form, three_calculi
 
 from hopfcalc import cli
 from hopfcalc.connections import coefficient_complex, connection_from_coaction
@@ -169,6 +169,18 @@ def assert_matches_references(calc, X, degree):
 @pytest.mark.parametrize("case", CASES, ids=["-".join(map(str, c)) for c in CASES])
 def test_cotor_builds_match_the_references(case):
     assert_matches_references(*build_case(*case, 3), 3)
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c[3]],
+                         ids=["-".join(map(str, c)) for c in CASES if c[3]])
+def test_coefficient_recursion_matches_both_references_at_degree_4(case):
+    # the 13 module cases of the benchmark: the recursion, its product form
+    # from the full D_n at the unit and the column-by-column reference agree
+    calc, X = build_case(*case, 4)
+    conn = connection_from_coaction(calc, X)
+    got = coefficient_complex(conn, 4).diffs
+    assert_same(got, reference_product_form(calc, conn, 4))
+    assert_same(got, reference_coefficient_complex(calc, conn, 4))
 
 
 def test_cotor_builds_match_the_references_at_degree_4():

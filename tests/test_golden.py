@@ -67,6 +67,11 @@ COMMANDS = [
     ["verify-hopf", "--hopf", "tests/kz2_huge_unit.json"],
     # the regular module of Sweedler's algebra is not stable
     ["check-module", "--builtin", "sweedler", "--module", "regular", "--condition", "stable"],
+    # coefficient complexes ranked without the cobar oracle
+    ["homology", "--builtin", "taft:3:2", "--field", "F7", "--calculus", "k",
+     "--module", "coadjoint", "--max-degree", "5"],
+    ["homology", "--builtin", "dualgroup:Z3", "--calculus", "general", "--module", "regular",
+     "--max-degree", "4"],
 ]
 
 

@@ -16,12 +16,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import (ACCEPTANCE_ALGEBRAS, base_corpus, from_rows, mutated_corpus,
                       named_algebra, reference_echelon, scaled_kZ3)
 
-from hopfcalc import cli, homology
+from hopfcalc import cli, connections, homology
 from hopfcalc.calculus import Calculus
 from hopfcalc.connections import connection_from_coaction, is_flat
 from hopfcalc.fields import QQ, Field
-from hopfcalc.homology import (ChainComplex, HomologyTable, bare_quotient_complex,
-                               cobar_complex, compare_cotor, homology_dims)
+from hopfcalc.homology import (ChainComplex, HomologyTable, cobar_complex, compare_cotor,
+                               homology_dims, quotient_complex)
 from hopfcalc.hopf import BialgebraMorphism, permute_basis
 from hopfcalc.linalg import Matrix
 from hopfcalc.modules import BimoduleCoalgebra, regular_modcomod, trivial_modcomod
@@ -131,15 +131,16 @@ def normalized_tables(monkeypatch):
     full complex; the list it returns collects the tables of the calls on
     a cobar complex.
 
-    A bare complex built quotient-first (``bare_quotient_complex``) is
-    checked against the path it replaced, ``reference_bare_complex``: its
-    dimensions and quotients must be those of the full complex, and its
-    table is checked against the full complex's ranks and collected."""
+    A complex built quotient-first (``quotient_complex``), bare or with
+    coefficients, is checked against the path it replaced,
+    ``reference_quotient_complex``: its dimensions and quotients must be
+    those of the full complex, and its table is checked against the full
+    complex's ranks and collected."""
     seen, full_of = [], {}
 
-    def quotient_first(calc, max_degree=None):
-        cx = bare_quotient_complex(calc, max_degree)
-        full, (dims, quotients) = reference_bare_complex(calc, max_degree)
+    def quotient_first(calc, X, max_degree=None):
+        cx = quotient_complex(calc, X, max_degree)
+        full, (dims, quotients) = reference_quotient_complex(calc, X, max_degree)
         assert cx.basepoint is None and cx.dims == dims
         assert all(d == w and d.data == w.data for d, w in zip(cx.diffs, quotients, strict=True))
         full_of[id(cx)] = full
@@ -155,8 +156,8 @@ def normalized_tables(monkeypatch):
         return table
     monkeypatch.setattr(homology, "homology_dims", checked)
     monkeypatch.setattr(cli, "homology_dims", checked)
-    monkeypatch.setattr(homology, "bare_quotient_complex", quotient_first)
-    monkeypatch.setattr(cli, "bare_quotient_complex", quotient_first)
+    monkeypatch.setattr(homology, "quotient_complex", quotient_first)
+    monkeypatch.setattr(cli, "quotient_complex", quotient_first)
     return seen
 
 
@@ -176,25 +177,23 @@ def _homology_verdict(H, calc_kind, coeffs, D, compare):
         rep, table = homology.compare_cotor(calc, X, D)
         assert rep.passed, str(rep)
         return table
-    cx = (homology.bare_quotient_complex(calc, D) if X is None
-          else homology.calculus_complex(calc, X, D))
-    return homology.homology_dims(cx, D)
+    return homology.homology_dims(homology.quotient_complex(calc, X, D), D)
 
 
 def test_normalized_ranks_match_the_full_oracle_on_the_golden_entries(normalized_tables):
     golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
     commands = [argv for argv in golden if argv.startswith("homology ")]
-    assert len(commands) == 5
+    assert len(commands) == 7
     for argv in commands:
         with contextlib.chdir(ROOT), contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv.split()) == golden[argv]["exit"]
-    assert len(normalized_tables) == 5
+    assert len(normalized_tables) == 7
 
 
 def test_normalized_ranks_match_the_full_oracle_on_the_acceptance_cases(normalized_tables):
-    # the coefficient complex is ranked as a cobar complex without the
-    # oracle beside it too, on the flat modules of the base corpus and of
-    # seeded mutations of its coactions
+    # the coefficient complex is ranked quotient-first without the oracle
+    # beside it too, on the flat modules of the base corpus and of seeded
+    # mutations of its coactions
     from test_acceptance import MAX_DEGREE, calc_for
     for name in ACCEPTANCE_ALGEBRAS:
         H = named_algebra(name)
@@ -207,7 +206,7 @@ def test_normalized_ranks_match_the_full_oracle_on_the_acceptance_cases(normaliz
                         and is_flat(connection_from_coaction(calc, X))):
                     rep, _ = compare_cotor(calc, X, MAX_DEGREE)
                     assert rep.passed, str(rep)
-                    homology.homology_dims(homology.calculus_complex(calc, X, MAX_DEGREE))
+                    homology.homology_dims(homology.quotient_complex(calc, X, MAX_DEGREE))
     D2 = named_algebra("dualZ2_F2")
     homology.homology_dims(cobar_complex(D2, trivial_modcomod(D2), MAX_DEGREE))
     for name in ("kZ2", "dualZ2"):
@@ -278,14 +277,15 @@ def reference_normalized(cx, top):
             [d.submatrix(~has_g[n + 1], ~has_g[n]) for n, d in enumerate(diffs)])
 
 
-def reference_bare_complex(calc, max_degree=None):
-    """The path of a bare verdict before it was built quotient-first: the
-    full complex, with every D_n built by the calculus and d^2 checked on
-    every pair (``calculus_complex``), and its quotients taken by
+def reference_quotient_complex(calc, X, max_degree=None):
+    """The path of a verdict without the oracle before it was built
+    quotient-first: the full complex, bare (X None) or with the
+    coefficients X, with every differential built in full and d^2 checked
+    on every pair (``calculus_complex``), and its quotients taken by
     ``reference_normalized``.  Returns the full complex and (dims,
     quotients)."""
     max_degree = calc.max_degree if max_degree is None else max_degree
-    full = homology.calculus_complex(calc, None, max_degree)
+    full = homology.calculus_complex(calc, X, max_degree)
     return full, reference_normalized(full, max_degree)
 
 
@@ -409,8 +409,37 @@ def test_quotient_first_bare_complex_matches_the_full_oracle(normalized_tables, 
     # complex (the fixture)
     calcs = _bare_calculi(_algebra(name), D)
     for calc in calcs:
-        homology.homology_dims(homology.bare_quotient_complex(calc, D), D)
+        homology.homology_dims(homology.quotient_complex(calc, None, D), D)
     assert len(normalized_tables) == len(calcs)
+
+
+@pytest.mark.parametrize("name,D", [
+    ("kZ2", 5), ("kZ3", 4), ("kS3", 4), ("dualZ2", 5), ("sweedler", 5), ("taft327", 4),
+    ("kZ3_scaled", 4), ("dualZ2_F2", 5), ("dualgroup:Z3/Q", 4), ("group:Z1/Q", 4)])
+def test_quotient_first_coefficient_complex_matches_the_full_oracle(normalized_tables, name, D):
+    # the trivial, regular and coadjoint modules of the acceptance algebras,
+    # the exact path (kZ3_scaled), basepoints off a basis vector and
+    # dim C = 1, over the three calculi, at degrees where the recursion runs
+    H = _algebra(name)
+    calcs = _bare_calculi(H, D)
+    for calc in calcs:
+        for coeffs in ("trivial", "regular", "coadjoint"):
+            X = cli.resolve_module(argparse.Namespace(module=coeffs), H)
+            homology.homology_dims(homology.quotient_complex(calc, X, D), D)
+    assert len(normalized_tables) == 3 * len(calcs)
+
+
+def test_a_non_unital_action_is_refused_before_the_recursion():
+    # the recursion of d_X^n reads act (u (x) I_X) = I_X; the trivial module
+    # of Sweedler's algebra with its action doubled gets past no loader
+    H = named_algebra("sweedler")
+    X = trivial_modcomod(H)
+    X.action = {k: {x: H.field.of(2) * c for x, c in v.items()} for k, v in X.action.items()}
+    for calc in _bare_calculi(H, 4):
+        with pytest.raises(ValueError, match="not unital"):
+            quotient_complex(calc, X, 4)
+        with pytest.raises(ValueError, match="not unital"):
+            compare_cotor(calc, X, 4)
 
 
 def _verdict(argv):
@@ -425,14 +454,15 @@ def _verdict(argv):
 def _corrupted(m, seed):
     """``m`` with a seeded corruption, by ``seed`` % 3: a nonzero scalar
     added at a seeded entry, the whole matrix doubled, or a seeded row
-    added to another (which keeps d^2 = 0 below it)."""
+    added to another (which keeps d^2 = 0 below it), or to itself when it
+    is the only one."""
     rng, f = random.Random(seed), m.field
     i, j = rng.randrange(m.rows), rng.randrange(m.cols)
     if seed % 3 == 0:
         return m + Matrix(m.rows, m.cols, f, {(i, j): f.of(rng.choice([1, -1, 3]))})
     if seed % 3 == 1:
         return m.scale(f.of(2))
-    k = rng.choice([r for r in range(m.rows) if r != i])
+    k = rng.choice([r for r in range(m.rows) if r != i] or [i])
     return (Matrix.identity(m.rows, f) + Matrix(m.rows, m.rows, f, {(i, k): f.one()})) @ m
 
 
@@ -486,8 +516,7 @@ def test_bare_corruptions_exit_as_on_the_full_complex(monkeypatch, what):
                 with monkeypatch.context() as m:
                     _corrupt_root(m, what, seed)
                     if full:
-                        m.setattr(cli, "bare_quotient_complex",
-                                  lambda calc, D: homology.calculus_complex(calc, None, D))
+                        m.setattr(cli, "quotient_complex", homology.calculus_complex)
                     runs.append(_verdict(argv))
             assert runs[0] == runs[1], (argv, seed)
             outcomes.add((runs[0][0], runs[0][2].partition(" at degree ")[2][:1]))
@@ -498,6 +527,104 @@ def test_bare_corruptions_exit_as_on_the_full_complex(monkeypatch, what):
                         "D_1": {(0, ""), (2, "1"), (3, "1")},
                         "E": {(0, ""), (2, "0"), (2, "1"), (3, "1")},
                         "E, D_1 = 0": {(0, ""), (2, "2")}}[what]
+
+
+def _corrupt_module(monkeypatch, what, seed):
+    """Make every coefficient complex read a seeded corruption of the
+    action (``what`` "act") or of nabla ("nabla"), or every Calculus one of
+    D_0 or E (``_corrupt_root``)."""
+    if what == "act":
+        action = connections.action_matrix
+        monkeypatch.setattr(connections, "action_matrix", lambda X: _corrupted(action(X), seed))
+    elif what == "nabla":
+        connect = connections.connection_from_coaction
+
+        def corrupted(calc, X):
+            conn = connect(calc, X)
+            conn.nabla = _corrupted(conn.nabla, seed)
+            return conn
+        monkeypatch.setattr(connections, "connection_from_coaction", corrupted)
+    else:
+        _corrupt_root(monkeypatch, what, seed)
+
+
+MODULE_VERDICTS = [
+    "homology --builtin sweedler --calculus k --module regular --max-degree 4",
+    "homology --builtin sweedler --calculus khat --module trivial --max-degree 3",
+    "homology --builtin sweedler --calculus general --module coadjoint --max-degree 4",
+    "homology --builtin group:S3 --calculus k --module coadjoint --max-degree 4",
+    "homology --builtin dualgroup:Z3 --calculus general --module regular --max-degree 4",
+    "homology --builtin dualgroup:Z3 --calculus k --module trivial --max-degree 2",
+    "homology --builtin taft:3:2 --field F7 --calculus k --module trivial --max-degree 4",
+]
+
+
+@pytest.mark.parametrize("what", ["D_0", "E", "act", "nabla"])
+def test_module_corruptions_exit_as_on_the_full_complex(monkeypatch, what):
+    # a seeded corruption of D_0, E, the action or nabla gives the same exit
+    # code, report and error text on the quotient-first path as on the full
+    # coefficient complex masked by _normalized (the path it replaced)
+    outcomes = set()
+    for argv in MODULE_VERDICTS:
+        for seed in range(6):
+            runs = []
+            for full in (False, True):
+                with monkeypatch.context() as m:
+                    _corrupt_module(m, what, seed)
+                    if full:
+                        m.setattr(cli, "quotient_complex", homology.calculus_complex)
+                    runs.append(_verdict(argv))
+            assert runs[0] == runs[1], (argv, seed)
+            outcomes.add((runs[0][0], runs[0][2].strip().rpartition(": ")[2]))
+    # (exit code, error): passes, failures of the checks at the API edge
+    # (exit 2), a curvature whose two routes disagree and a quotient that
+    # is not one (exit 3).  A corrupted E fails d^2 at degree 1 at the
+    # latest, as d^2[1] = Z (x) I + I_C (x) d^2[0]
+    curved = (3, "curvature routes disagree; calculus is inconsistent")
+    assert outcomes == {
+        "D_0": {(0, ""), (2, "ValueError('d^2 != 0 at degree 0')"), curved},
+        "E": {(0, ""), (2, "ValueError('d^2 != 0 at degree 1')"), curved,
+              (3, "tensors with a basepoint leg are not a subcomplex at degree 1")},
+        "act": {(0, ""), (2, "ValueError('module action is not unital')")},
+        "nabla": {(0, ""), (2, "ValueError('connection is not flat')")}}[what]
+
+
+def test_module_homology_ranks_after_every_full_differential_is_released(monkeypatch):
+    # d_X^0, d_X^1 and d_X^2 are built in full and nothing else is; none is
+    # alive by the time a quotient is ranked
+    refs, alive = [], []
+    rank = Matrix.rank
+    for name in ("_coefficient_base", "_coefficient_differential"):
+        build = getattr(connections, name)
+
+        def built(*args, build=build):
+            d = build(*args)
+            refs.append(weakref.ref(d._csr[1]))
+            return d
+        monkeypatch.setattr(connections, name, built)
+
+    def ranked(m, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        return rank(m, **kwargs)
+    monkeypatch.setattr(Matrix, "rank", ranked)
+    code, doc = _bare_homology("homology --builtin taft:3:2 --field F7 --calculus k"
+                               " --module coadjoint --max-degree 5")
+    assert code == 0 and doc["homology"]["H_4"] == 2
+    assert len(refs) == 3 and alive == [0] * 5
+
+
+def test_module_taft_homology_at_degree_5_stays_under_its_traced_peak():
+    # built in full and masked, this verdict takes ~116 MiB traced; built
+    # quotient-first ~26 MiB
+    tracemalloc.start()
+    try:
+        code, doc = _bare_homology("homology --builtin taft:3:2 --field F7 --calculus k"
+                                   " --module coadjoint --max-degree 5")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and doc["homology"]["H_4"] == 2
+    assert peak < 32 * 2**20
 
 
 @settings(max_examples=60, deadline=None)

@@ -532,6 +532,59 @@ def test_kron_minus_blocks_at_its_bound_is_exact(field, entry, shift):
     assert got == from_rows(want, field)
 
 
+M61 = 2**61 - 1     # prime: over F_M61 an entry p - 1 is in range, its square is not
+
+
+@pytest.mark.parametrize("field,entry", [
+    (QQ, 2**31 - 1), (QQ, 2**31), (QQ, -(2**40)), (QQ, 2**61), (Field(P31), P31 - 1),
+    (Field(M61), M61 - 1)])
+def test_kron_at_its_bound_is_exact(field, entry):
+    # every entry is below 2^62, but a product of two need not be:
+    # max|A| max|B| at or beyond 2^62 takes the exact path, below it the
+    # int64 one; either way A (x) B agrees entry by entry with exact Python
+    # products (2^40 2^40 wraps to 0 in int64)
+    rng = random.Random(entry % 97)
+    a = from_rows([[entry, rng.choice([entry, 1])], [0, -entry]], field)
+    b = from_rows([[entry, 3], [rng.choice([entry, 0]), 1]], field)
+    assert a._to_csr() is not None and b._to_csr() is not None
+    want = [[field.of(a.get(i // 2, j // 2) * b.get(i % 2, j % 2)) for j in range(4)]
+            for i in range(4)]
+    assert a.kron(b) == from_rows(want, field)
+
+
+@pytest.mark.parametrize("field,entry", [
+    (QQ, 2**62 - 1), (QQ, -(2**62 - 1)), (QQ, 2**61), (QQ, 2**60), (Field(M61), M61 - 1)])
+def test_sums_at_the_bound_of_combine_are_exact(field, entry):
+    # every entry is below 2^62, but a sum of two need not be, and one of
+    # three can leave int64: max|A| + max|B| at or beyond 2^62 takes the
+    # exact path, below it the int64 one.  Chained sums and differences
+    # agree entry by entry with exact Python sums
+    a = from_rows([[entry, 1], [entry, -entry]], field)
+    b = from_rows([[entry, entry], [0, -entry]], field)
+    c = from_rows([[-entry, 0], [entry, -entry]], field)
+    for got, signs in (((a + b) - c, (1, 1, -1)), ((a - c) + b, (1, 1, -1)),
+                       (c - (a + b), (-1, -1, 1)), ((a + b) + (b - c), (1, 2, -1))):
+        want = [[field.of(sum(s * m.get(i, j) for s, m in zip(signs, (a, b, c))))
+                 for j in range(2)] for i in range(2)]
+        assert got == from_rows(want, field), signs
+
+
+@pytest.mark.parametrize("a,c,d", [
+    (2**32, 1, 2**32), (2**32, 3, -(2**32)), (2**31 + 1, 2, 2**33 - 2), (3 * 2**40, 5, 2**30),
+    (2**30, 1, 2**30), (2**29, 3, 2**30)])
+def test_elimination_at_the_bound_of_reduce_is_exact(a, c, d):
+    # columns (a, 0, 1) and (c, d, 0) over Q: the second is reduced by the
+    # first to (0, (a/g) d, -c/g), g = gcd(a, c).  Every entry is below 2^62,
+    # but (a/g) d need not be: 2 max|source| max|column| at or beyond 2^62
+    # moves the values to objects first, below it they stay int64.  Rank and
+    # echelon basis agree with exact Python elimination (2^32 2^32 wraps to
+    # 0 in int64, which would read rank 1 for the first)
+    m = Matrix.from_columns([{0: QQ.of(a), 2: QQ.one()}, {0: QQ.of(c), 1: QQ.of(d)}], 3, QQ)
+    assert m._to_csr() is not None and m.rank() == 2
+    assert_echelon_matches(m)
+    assert_echelon_matches(transpose(m))
+
+
 def test_vec_tensor_layout():
     f = QQ
     v = vec_tensor(f, {1: f.of(2)}, {0: f.of(3)}, 4)
