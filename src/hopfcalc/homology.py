@@ -11,14 +11,14 @@ the calculus builds its own from the differential one degree below.
 Homology is ranked on the normalized quotient by the degenerate tensors,
 the ones with a leg at the basepoint.  A calculus-side complex, bare or
 with coefficients, builds that quotient by its own recursion
-(``quotient_complex``); any other cobar complex is masked after it is
-built (``_normalized``).  Each rank skips the
-columns that the image of the differential below already spans
-(``homology_dims``).
+(``quotient_complex``), and proves d^2 = 0 on it rather than multiplying
+it out; any other cobar complex is masked after it is built
+(``_normalized``).  Each rank skips the columns that the image of the
+differential below already spans (``homology_dims``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import accumulate
 from typing import List, Optional, Tuple, Union
 
@@ -34,21 +34,30 @@ from .reports import Report
 
 @dataclass
 class ChainComplex:
-    """Graded spaces with differentials raising degree by one; d^2 = 0 is
-    enforced at construction for every composable pair, and ``checked``
-    records that it was.  ``basepoint`` marks a cobar complex on C^n (x) X,
-    so that dims[n] = (dim C)^n * dims[0]: it is the grouplike basepoint g
-    of C, and ``homology_dims`` then ranks the normalized complex.  The
-    quotient-first complex (``quotient_complex``) is already normalized and
-    carries no basepoint."""
+    """Graded spaces with differentials raising degree by one.  Their
+    shapes are checked at construction, and so is d^2 = 0, for every
+    composable pair, unless the caller says otherwise (``d2``); ``checked``
+    records that d^2 = 0 is known.  ``basepoint`` marks a cobar complex on
+    C^n (x) X, so that dims[n] = (dim C)^n * dims[0]: it is the grouplike
+    basepoint g of C, and ``homology_dims`` then ranks the normalized
+    complex.  The quotient-first complex (``quotient_complex``) is already
+    normalized and carries no basepoint.
+
+    ``d2`` is "check" by default, which multiplies every pair out;
+    "proved" when the caller has proved d^2 = 0 (``quotient_complex``); and
+    "unchecked" when it is not known (the oracle of ``compare_cotor``, until
+    a differential differs from the calculus's)."""
 
     field: Field
     dims: List[int]
     diffs: List[Matrix]             # diffs[n]: dims[n] -> dims[n+1]
     basepoint: Optional[Vec] = None
-    checked = False                 # not a field: set once d^2 = 0 was checked
+    d2: InitVar[str] = "check"
+    checked = False                 # not a field: set once d^2 = 0 is known
 
-    def __post_init__(self):
+    def __post_init__(self, d2: str):
+        if d2 not in ("check", "proved", "unchecked"):
+            raise ValueError(f"unknown d^2 mode {d2!r}")
         if len(self.dims) != len(self.diffs) + 1:
             raise ValueError("need one differential per adjacent pair of degrees")
         for n, d in enumerate(self.diffs):
@@ -56,9 +65,9 @@ class ChainComplex:
                 raise ValueError(f"differential {n} has the wrong shape")
         for n in range(len(self.diffs) - 1):
             pair = [self.diffs[n + 1], self.diffs[n]]
-            if identity_defect_witness(self.field, [(1, pair)]) is not None:
+            if d2 == "check" and identity_defect_witness(self.field, [(1, pair)]) is not None:
                 raise ValueError(f"d^2 != 0 at degree {n}")
-        self.checked = True
+        self.checked = d2 != "unchecked"
 
     @property
     def max_degree(self) -> int:
@@ -78,7 +87,7 @@ class HomologyTable:
 
 def homology_dims(cx: ChainComplex, max_degree: Optional[int] = None) -> HomologyTable:
     """dim H_n = ker(d_n) - rank(d_{n-1}), degree by degree.  d^2 = 0 is
-    checked at construction, so rank d_(n-1) + rank d_n <= dims[n]: a
+    known from construction, so rank d_(n-1) + rank d_n <= dims[n]: a
     negative dimension is an internal error (``RuntimeError``).
 
     On a cobar complex (``basepoint`` set) the ranks are taken on the
@@ -95,16 +104,18 @@ def homology_dims(cx: ChainComplex, max_degree: Optional[int] = None) -> Homolog
     k^(dims[n]) = U (+) k^(L^c).  d_n d_(n-1) = 0 puts U in ker d_n, so
     d_n(k^(dims[n])) = d_n(k^(L^c)): rank d_n = rank d_n[:, L^c], and the
     leads of the restricted elimination serve the degree above in turn.
-    The argument needs d^2 = 0, so only a complex whose constructor
-    checked it (``checked``) is ranked this way; any other is ranked on
-    its full matrices, where a negative dimension still shows.
+    ``Matrix.rank`` takes L^c as its column mask, so no restricted matrix
+    is built.  The argument needs d^2 = 0, so only a complex on which it is
+    known (``checked``: multiplied out at construction, or proved by the
+    builder) is ranked this way; any other is ranked on its full matrices,
+    where a negative dimension still shows.
 
     It takes over the complex its caller hands it: its own reference is
     dropped once the differentials to rank are in hand, and each of them is
-    let go once its restricted copy exists.  So when the caller keeps no
-    reference (as ``cli.cmd_homology`` does), the full differentials of a
-    cobar complex are freed before the first rank, and no differential
-    outlives its rank."""
+    let go once it is ranked.  So when the caller keeps no reference (as
+    ``cli.cmd_homology`` does), the full differentials of a cobar complex
+    are freed before the first rank, and no differential outlives its
+    rank."""
     top = cx.max_degree if max_degree is None else min(max_degree, cx.max_degree)
     plain = cx.basepoint is None or not (top and cx.dims[0])
     restrict = cx.checked
@@ -114,9 +125,7 @@ def homology_dims(cx: ChainComplex, max_degree: Optional[int] = None) -> Homolog
     prev_rank, spanned = 0, None
     for n in range(len(diffs)):
         d, diffs[n] = diffs[n], None
-        if spanned is not None:
-            d = d.submatrix(np.ones(d.rows, dtype=bool), ~spanned)
-        r, leads = d.rank(leads=True)
+        r, leads = d.rank(leads=True, cols=None if spanned is None else ~spanned)
         h = (dims[n] - r) - prev_rank
         if h < 0:
             raise RuntimeError("negative homology dimension although d^2 = 0")
@@ -183,9 +192,10 @@ def quotient_complex(calc, X: Optional[ModComod],
     d_1 and d_2 and xd = dim X: D_0, D_1 and D_2 with xd = dim B for the bare
     calculus (X None), d_X^0, d_X^1 and d_X^2 with xd = dim X for the
     coefficient complex of X.  No degree above 2 is built in full.  It holds
-    the quotients of ``_quotients``, checks d^2 = 0 on them at construction,
-    and carries no basepoint, so ``homology_dims`` ranks it as it is.  Its
-    homology is that of the full complex.
+    the quotients of ``_quotients``, takes d^2 = 0 on them from the proof
+    below rather than multiplying it out, and carries no basepoint, so
+    ``homology_dims`` ranks it as it is.  Its homology is that of the full
+    complex.
 
     Both complexes obey one recursion for n >= 1,
 
@@ -246,9 +256,15 @@ def quotient_complex(calc, X: Optional[ModComod],
     with the same ``ValueError``, and they come before the closedness
     checks, as when the full complex was built first.  A D_n with n >= 2
     corrupted in the cache by hand is not seen by them, as in
-    ``verify_dga``.  d^2 = 0 on the whole complex makes it 0 on the
-    quotient, and the constructor checks that again on exactly the
-    matrices that ``homology_dims`` ranks, whose restricted ranks need it.
+    ``verify_dga``.
+
+    *d^2 = 0 on the quotient.*  Each d-bar_n is the quotient of d_n (the
+    recursion above), and each d_n is closed, so the quotient maps q_n
+    form a chain map: d-bar_n q_n = q_(n+1) d_n.  Then d-bar_(n+1) d-bar_n
+    q_n = q_(n+2) d_(n+1) d_n = 0, and q_n is onto, so d-bar_(n+1)
+    d-bar_n = 0.  The complex is built with ``d2="proved"``: marked
+    checked, which the restricted ranks of ``homology_dims`` need, with no
+    product multiplied out.  A tests-only oracle multiplies every pair out.
 
     A bare complex's D_0, D_1 and D_2 stay in the calculus's cache: a
     caller that ranks the complex without the calculus beside it drops
@@ -270,11 +286,12 @@ def quotient_complex(calc, X: Optional[ModComod],
         p = quotients[-1]
         quotients.append(kron_minus_blocks(e_bar, Matrix.identity(p.cols, f), cd - 1, p)
                          if cd > 1 else p)
-    return ChainComplex(f, [(cd - 1) ** n * xd for n in range(top + 1)], quotients)
+    dims = [(cd - 1) ** n * xd for n in range(top + 1)]
+    return ChainComplex(f, dims, quotients, d2="proved")
 
 
 def cobar_complex(C: Union[HopfAlgebra, BimoduleCoalgebra], X: ModComod,
-                  max_degree: int = 3) -> ChainComplex:
+                  max_degree: int = 3, check: bool = True) -> ChainComplex:
     """The unreduced two-sided cobar complex B(k, C, X): degree n space
     C^n (x) X, with k a C-comodule through the grouplike basepoint I and X
     through its (coassociative) coaction.  Its differential is the closed
@@ -286,7 +303,8 @@ def cobar_complex(C: Union[HopfAlgebra, BimoduleCoalgebra], X: ModComod,
     with g the basepoint as a C x 1 column.  It reads only the coproduct,
     the basepoint and the coaction: no calculus, and no recursion in n.
     When C is a Hopf algebra, Delta is its ``comul_matrix``, built once from
-    the same table.
+    the same table.  d^2 = 0 is checked at construction unless ``check`` is
+    false (``compare_cotor``, which checks it only where it can matter).
     """
     I, cd, f = _basepoint(C), C.dim, C.field
     if X.coaction is None:
@@ -311,7 +329,7 @@ def cobar_complex(C: Union[HopfAlgebra, BimoduleCoalgebra], X: ModComod,
         for j, term in enumerate(terms[1:], 1):
             d = d - term if j % 2 else d + term
         diffs.append(d - g.kron(eye(dims[n])))
-    return ChainComplex(f, dims, diffs, I)
+    return ChainComplex(f, dims, diffs, I, "check" if check else "unchecked")
 
 
 def _basepoint(C: Union[HopfAlgebra, BimoduleCoalgebra]) -> Vec:
@@ -401,30 +419,42 @@ def compare_cotor(calc, X: Optional[ModComod],
     every differential matches: equal matrices have equal ranks, so one
     table is computed and used for both sides.  A side whose differential
     differs is ranked on its full matrices.
+
+    The calculus side is checked (d^2 = 0) at construction.  The oracle is
+    built unchecked, and checked only when some differential differs: when
+    every one matches, its d^2 is the calculus side's, which has passed, and
+    the checked side is ranked in its place.  A d^2 failure of the oracle
+    therefore needs a differing differential, and it raises the same
+    ``ValueError`` before any report exists, as a check at construction
+    would.
     """
     max_degree = calc.max_degree if max_degree is None else max_degree
     rep = Report()
     side = calculus_complex(calc, X, max_degree)
     oracle_coeffs = _basepoint_coadjoint(calc) if X is None else X
-    oracle = cobar_complex(_coalgebra(calc), oracle_coeffs, max_degree)
+    oracle = cobar_complex(_coalgebra(calc), oracle_coeffs, max_degree, check=False)
 
     equal = side.dims == oracle.dims
     rep.add("degree_dims_equal", equal, {"calculus": side.dims, "cobar": oracle.dims})
     f = calc.field
     for n in range(max_degree):
-        a, b = side.diffs[n], oracle.diffs[n]
-        if a == b:
+        if side.diffs[n] == oracle.diffs[n]:
             rep.add(f"differential_equal[{n}]", True)
             continue
         equal = False
         side.basepoint = None   # the side is ranked on its full matrices
         # an entry read from int64 CSR is an int; over Q it prints as the
         # Fraction it stands for
-        i, j, v = (a - b).nonzero_witness()
+        i, j, v = (side.diffs[n] - oracle.diffs[n]).nonzero_witness()
         rep.add(f"differential_equal[{n}]", False,
                 {"degree": n, "entry": (i, j, f.of(v))})
-    ho = homology_dims(oracle, max_degree)
-    hs = ho if equal else homology_dims(side, max_degree)
+    if equal:
+        del oracle
+        ho = hs = homology_dims(side, max_degree)
+    else:
+        ho = homology_dims(ChainComplex(f, oracle.dims, oracle.diffs, oracle.basepoint),
+                           max_degree)
+        hs = homology_dims(side, max_degree)
     rep.add(f"homology_dims={hs.dims()}", hs.dims() == ho.dims(),
             {"calculus": hs.dims(), "cobar": ho.dims()})
     return rep, hs

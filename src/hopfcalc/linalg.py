@@ -37,19 +37,24 @@ character) and ``pairing_matrix`` turns it into a row.
 
 Elimination has one forward pass, ``_echelon``: exact sparse Gaussian
 elimination in integers, modular over F_p and fraction free over Q, run
-on a matrix's CSC arrays in rounds.  A column's lead is its first stored
-row.  A lead that no pivot has yet takes its lowest-indexed column as its
-pivot; then every other column is reduced by the pivot at its lead, all
-at once (``_reduce``): gather the pivot entries, scale them, sort by
-(column, row), sum each run with ``np.add.reduceat``, reduce mod p and
-drop the zeros.  Pivots never change and each reduction raises a
-column's lead, so the span is kept and at most ``rows`` rounds run.  Over
-Q a round that scales some column divides out the content of every column
-(``np.gcd.reduceat``), and once a bound on a round's products reaches
-``_INT64_SAFE`` the values move from int64 to object arrays, on which the
-same numpy calls run in exact Python integers.  ``Matrix.rank`` counts
-the pivots, and hands back their leads when asked; ``column_echelon`` reduces them, by back substitution in
-rounds of the same kernel, to the reduced column echelon basis behind
+on a matrix's CSC arrays in rounds, on the columns a boolean mask keeps
+when one is given.  A column's lead is its first stored row.  A lead that
+no pivot has yet takes its lowest-indexed column as its pivot; then every
+other column is reduced by the pivot at its lead, all at once
+(``_reduce``): gather the pivot entries, scale them, sort by (column,
+row), sum each run with ``np.add.reduceat``, reduce mod p and drop the
+zeros.  Pivots never change and each reduction raises a column's lead, so
+the span is kept and at most ``rows`` rounds run.  No pivot is copied
+wholesale: those of the first round stay in the arrays the elimination
+starts from, later ones go to a tail buffer that grows by doubling, and
+over F_p a pivot is kept as found, each reduced column taking c a^-1 of
+it.  Over Q a round that scales some column divides out the content of
+every column (``np.gcd.reduceat``), and once a bound on a round's
+products reaches ``_INT64_SAFE`` the values move from int64 to object
+arrays, on which the same numpy calls run in exact Python integers.
+``Matrix.rank`` counts the pivots, and hands back their leads when asked;
+``column_echelon`` normalizes them and reduces them, by back substitution
+in rounds of the same kernel, to the reduced column echelon basis behind
 ``Matrix.inverse`` and ``groupoid_decompose``.
 
 ``identity_defect_witness``, behind every DGA line, builds the defect of a
@@ -77,7 +82,7 @@ from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from itertools import accumulate, chain
 from math import prod
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -309,15 +314,18 @@ def _reduced(csr: CSR, rows: int, cols: int, p: int) -> CSR:
     return _trimmed(ptr, idx, val)
 
 
-def _transposed(rows: int, cols: int, ptr: np.ndarray, idx: np.ndarray) -> CSR:
-    """The CSR pattern (ptr, idx) of a rows x cols matrix transposed, indices
-    sorted, with the number of the entry each comes from in place of its
-    value: so it carries values of either type."""
-    n = len(idx)
+def _transposed(rows: int, cols: int, ptr: np.ndarray, idx: np.ndarray,
+                val: np.ndarray) -> CSR:
+    """The CSR (ptr, idx, val) of a rows x cols matrix transposed, indices
+    sorted.  ``csr_tocsc`` moves int64 values itself, in one call; object
+    values are gathered by the numbers of their entries, which it moves in
+    their place."""
+    n, obj = len(idx), val.dtype != np.int64
     out = (np.empty(cols + 1, dtype=np.int64), np.empty(n, dtype=np.int64),
            np.empty(n, dtype=np.int64))
-    _sparsetools.csr_tocsc(rows, cols, ptr, idx, np.arange(n, dtype=np.int64), *out)
-    return out
+    _sparsetools.csr_tocsc(rows, cols, ptr, idx, np.arange(n, dtype=np.int64) if obj else val,
+                           *out)
+    return (out[0], out[1], val[out[2]]) if obj else out
 
 
 def _trimmed(ptr, idx, val) -> CSR:
@@ -472,13 +480,19 @@ class Matrix:
             col = self._cols[j] = dict(zip(idx[s:e].tolist(), val[s:e].tolist()))
         return col
 
-    def _csc_arrays(self) -> CSR:
-        """The CSC form of the stored CSR, rows sorted within each column.
-        ``csr_tocsc`` moves the entry numbers, which then carry the values
-        of either type."""
+    def _csc_arrays(self, cols: "np.ndarray | None" = None) -> CSR:
+        """The CSC form of the stored CSR, rows sorted within each column,
+        cached.  With a boolean column mask ``cols``, that of the entries in
+        the columns where it holds, the other columns left empty, and not
+        cached: the mask is applied to the CSR, so only the kept entries are
+        transposed."""
+        if cols is not None:
+            ptr, idx, val = self._csr
+            keep = cols[idx]
+            ptr = np.concatenate(([0], np.cumsum(keep)))[ptr]
+            return _transposed(self.rows, self.cols, ptr, idx[keep], val[keep])
         if self._csc is None:
-            ptr, idx, perm = _transposed(self.rows, self.cols, *self._csr[:2])
-            self._csc = (ptr, idx, self._csr[2][perm])
+            self._csc = _transposed(self.rows, self.cols, *self._csr)
         return self._csc
 
     def get(self, i: int, j: int):
@@ -646,10 +660,11 @@ class Matrix:
 
     # -- elimination ---------------------------------------------------------
 
-    def rank(self, leads: bool = False):
-        """The rank; with ``leads``, (rank, mask) with the mask true at the
-        rows that are the leads of the pivots of ``_echelon``."""
-        mask = _echelon(self)[1] > 0
+    def rank(self, leads: bool = False, cols: "np.ndarray | None" = None):
+        """The rank, of the columns where the boolean mask ``cols`` holds
+        when it is given; with ``leads``, (rank, mask) with the mask true at
+        the rows that are the leads of the pivots of ``_echelon``."""
+        mask = _echelon(self, cols)[1] > 0
         return (int(mask.sum()), mask) if leads else int(mask.sum())
 
     def inverse(self) -> "Matrix | None":
@@ -854,26 +869,29 @@ def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _reduce(rows: int, p: int, col, row, val, first, cnt, coeff, lead, start, length,
-            src_row, src_val):
+def _grown(a: np.ndarray, used: int, size: int, dtype) -> np.ndarray:
+    """A buffer of ``size`` entries of ``dtype`` that starts with the first
+    ``used`` entries of ``a``."""
+    return np.concatenate((a[:used], np.empty(size - used, dtype=dtype)))
+
+
+def _reduce(rows: int, p: int, col, row, val, first, cnt, coeff, lead, length, add_row, add):
     """One elimination round on the columns of (col, row, val), sorted by
     (col, row).  Column k, its ``cnt[k]`` entries from ``first[k]`` on,
     becomes (a/g) * itself - (c/g) * its source, with c = ``coeff[k]``,
     a = ``lead[k]`` and g = gcd(a, c) of the sign of a; its source is the
-    entries start[k] .. start[k] + length[k] - 1 of (src_row, src_val).
-    ``lead`` is None when every source is 1 at its lead, and then a = g = 1.
-    Both parts are sorted by (col, row) together and each run is summed
-    (``np.add.reduceat``); the sums are reduced mod p and the zeros
-    dropped.  Over Q, when some a/g is not 1, every column's content (the
-    gcd of its entries) is divided out, which keeps the entries from
-    growing.
+    next ``length[k]`` entries of (add_row, add), which hold the sources of
+    the columns in turn.  ``lead`` is None when c is already the multiple
+    of the source to take away (over F_p), and then a = g = 1.  Both parts
+    are sorted by (col, row) together and each run is summed
+    (``np.add.reduceat``); the sums are reduced mod p and the zeros dropped.
+    Over Q, when some a/g is not 1, every column's content (the gcd of its
+    entries) is divided out, which keeps the entries from growing.
 
     Int64 values stay int64 while 2 * (largest source entry) * (largest
     entry of the columns), which bounds every product and sum of the
     round, is below ``_INT64_SAFE``; otherwise they become objects first,
     on which the same numpy calls run in exact Python integers."""
-    at = _spans(start, length)
-    add = src_val[at]
     if lead is None:
         add = -coeff.repeat(length) * add
     else:
@@ -882,7 +900,7 @@ def _reduce(rows: int, p: int, col, row, val, first, cnt, coeff, lead, start, le
         g = np.gcd(lead, coeff) * np.sign(lead)
         lead, coeff = lead // g, coeff // g
         val, add = val * lead.repeat(cnt), -coeff.repeat(length) * add
-    key = np.concatenate((col * rows + row, col[first].repeat(length) * rows + src_row[at]))
+    key = np.concatenate((col * rows + row, col[first].repeat(length) * rows + add_row))
     order = key.argsort(kind="stable")
     key = key[order]
     run = _runs(key)[0]
@@ -898,35 +916,48 @@ def _reduce(rows: int, p: int, col, row, val, first, cnt, coeff, lead, start, le
     return col, row, val
 
 
-def _echelon(m: Matrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _echelon(m: Matrix, cols: "np.ndarray | None" = None) -> Tuple[np.ndarray, np.ndarray,
+                                                                    Callable]:
     """The pivot columns of a forward Gaussian elimination of the columns of
-    ``m`` in integers, one per dimension of their span, as (start, length,
-    row, val): the pivot with lead i, if there is one, is entries start[i] ..
-    start[i] + length[i] - 1 of (row, val), rows ascending, so its lead, the
-    smallest row it touches, first.  Over F_p every pivot is 1 at its lead,
-    and the values are objects when p^2 reaches ``_INT64_SAFE``.  Over Q a
-    pivot is an integer vector in the span and no ``Fraction`` is built
-    (fraction free, in the manner of Bareiss): a column given in fractions is
-    first scaled by the lcm of its denominators.
+    ``m`` in integers, those where the boolean mask ``cols`` holds when it
+    is given, one per dimension of their span, as (start, length, take):
+    the pivot with lead i, if there is one, is the entries start[i] ..
+    start[i] + length[i] - 1 of the pivot store, rows ascending, so its
+    lead, the smallest row it touches, first; ``take(at)`` reads the rows
+    and the values of the store at the positions ``at``.  Over F_p a pivot
+    is kept as it was found, its leading entry a whatever it is, and the
+    values are objects when p^2 reaches ``_INT64_SAFE``.  Over Q a pivot
+    is an integer vector in the span and no ``Fraction`` is built
+    (fraction free, in the manner of Bareiss): a column given in fractions
+    is first scaled by the lcm of its denominators.
 
     The elimination runs on the CSC arrays in rounds.  Each active column's
     lead is its first stored row.  Where no pivot has that lead yet, the
-    lowest-indexed column with it becomes the pivot, over F_p divided by its
-    leading entry, and leaves the active columns.  Every other active column
-    is then reduced by the pivot at its lead, all at once (``_reduce``):
-    r <- (a/g) r - (c/g) pivot, with a the pivot's leading entry, c the
-    column's and g = gcd(a, c).  That is a nonzero multiple of r plus a
-    multiple of a pivot, so the span is preserved; the entry at the lead
-    cancels and no smaller row appears, so the lead rises, and a column that
-    reaches 0 leaves.  Pivots never change, so at most ``m.rows`` rounds
-    reduce, and at most as many make pivots, one or more each.  Over Q a
-    round that scales some column (a/g not 1) divides the content of every
-    column out, and a round whose products a bound cannot keep below
+    lowest-indexed column with it becomes the pivot and leaves the active
+    columns.  Every other active column is then reduced by the pivot at its
+    lead, all at once (``_reduce``): r <- (a/g) r - (c/g) pivot over Q,
+    with c the column's leading entry and g = gcd(a, c), and
+    r <- r - (c a^-1 mod p) pivot over F_p.  That is a nonzero multiple of
+    r plus a multiple of a pivot, so the span is preserved; the entry at the
+    lead cancels and no smaller row appears, so the lead rises, and a column
+    that reaches 0 leaves.  Pivots never change, so at most ``m.rows``
+    rounds reduce, and at most as many make pivots, one or more each.  Over
+    Q a round that scales some column (a/g not 1) divides the content of
+    every column out, and a round whose products a bound cannot keep below
     ``_INT64_SAFE`` moves the values to objects first (``_reduce``).  Only
     an arithmetic fault leaves every lead where it was, and then the loop
-    would never end: a round that raised no lead is a ``RuntimeError``."""
+    would never end: a round that raised no lead is a ``RuntimeError``.
+
+    The pivot store is never copied whole (Dumas & Villard, "Computing the
+    rank of large sparse matrices over finite fields", CASC 2002).  The
+    first round makes pivots only, as no lead has one yet, and its pivots
+    stay where they lie, in the arrays the elimination starts from: its
+    positions 0 .. n0 - 1 are those arrays, n0 their length.  The pivots
+    of later rounds go to a tail buffer, positions n0 on, which grows by
+    doubling.  Over F_p no pivot is scaled: c a^-1 is taken per reduced
+    column, on the few entries of its leading values alone."""
     p, rows = m.field.char, m.rows
-    ptr, row, val = m._csc_arrays()
+    ptr, row, val = m._csc_arrays(cols)
     col = np.arange(m.cols).repeat(ptr[1:] - ptr[:-1])
     if not p and val.dtype == object:
         first, cnt = _runs(col)
@@ -935,7 +966,25 @@ def _echelon(m: Matrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     elif p * p >= _INT64_SAFE:
         val = val.astype(object)
     start, length = np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64)
-    prow, pval = row[:0], val[:0]
+    # the store: base, set by the first round, and the first ``used`` entries
+    # of the tail buffer
+    base, tail_row, tail_val, used = (row[:0], val[:0]), row[:0], val[:0], 0
+
+    def take(at):
+        """The rows and the values of the store at the positions ``at``.
+        The values only ever move from int64 to objects, so the tail's
+        type covers the base's."""
+        n0 = len(base[0])
+        in_tail = at >= n0
+        if not in_tail.any():
+            return base[0][at], base[1][at]
+        got_row = np.empty(len(at), dtype=np.int64)
+        got_val = np.empty(len(at), dtype=tail_val.dtype)
+        got_row[~in_tail], got_val[~in_tail] = base[0][at[~in_tail]], base[1][at[~in_tail]]
+        at = at[in_tail] - n0
+        got_row[in_tail], got_val[in_tail] = tail_row[at], tail_val[at]
+        return got_row, got_val
+
     prev = None
     while len(col):
         first, cnt = _runs(col)
@@ -947,22 +996,36 @@ def _echelon(m: Matrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         prev = lead
         new = (length[lead] == 0).nonzero()[0]
         if not len(new):
-            at = start[lead]
-            col, row, val = _reduce(rows, p, col, row, val, first, cnt, val[first],
-                                    None if p else pval[at], at, length[lead], prow, pval)
+            src_len = length[lead]
+            add_row, add = take(_spans(start[lead], src_len))
+            a, c = add[src_len.cumsum() - src_len], val[first]
+            col, row, val = _reduce(rows, p, col, row, val, first, cnt,
+                                    c * _inverse_mod(a, p) % p if p else c, None if p else a,
+                                    src_len, add_row, add)
             continue
         # the lowest-indexed column at each lead without a pivot
         new = new[lead[new].argsort(kind="stable")]
         new = new[_runs(lead[new])[0]]
         new_lead, new_cnt = lead[new], cnt[new]
         at = _spans(first[new], new_cnt)
-        piv = val[at] * _inverse_mod(val[first[new]], p).repeat(new_cnt) % p if p else val[at]
-        start[new_lead], length[new_lead] = len(prow) + new_cnt.cumsum() - new_cnt, new_cnt
-        prow, pval = np.concatenate((prow, row[at])), np.concatenate((pval, piv))
+        if not len(base[0]):
+            base = row, val
+            start[new_lead] = first[new]
+        else:
+            size = used + len(at)
+            if size > len(tail_row) or val.dtype != tail_val.dtype:
+                # grow by doubling; over Q the values may have become objects
+                grow = max(size, 2 * len(tail_row))
+                tail_row, tail_val = (_grown(tail_row, used, grow, np.int64),
+                                      _grown(tail_val, used, grow, val.dtype))
+            tail_row[used:size], tail_val[used:size] = row[at], val[at]
+            start[new_lead] = len(base[0]) + used + new_cnt.cumsum() - new_cnt
+            used = size
+        length[new_lead] = new_cnt
         keep = np.ones(len(col), dtype=bool)
         keep[at] = False
         col, row, val = col[keep], row[keep], val[keep]
-    return start, length, prow, pval
+    return start, length, take
 
 
 def column_echelon(m: Matrix) -> Tuple[Matrix, List[int]]:
@@ -971,21 +1034,25 @@ def column_echelon(m: Matrix) -> Tuple[Matrix, List[int]]:
     k, the smallest row it touches, and 0 at every other pivot; sorted by
     pivot.  A subspace has exactly one such basis.
 
-    Back substitution runs on the pivot columns of ``_echelon`` in rounds
-    of ``_reduce`` as well: each pivot column that has an entry at another
-    pivot's lead is reduced, at the first such entry, by that pivot as the
-    round found it.  No lead changes, and an entry is cleared without
-    changing any above it, so the first such row rises and at most
+    The pivot columns of ``_echelon`` are read out of its store in lead
+    order, and over F_p each is divided by its leading entry, which
+    ``_echelon`` leaves as it found it.  Back substitution then runs on them
+    in rounds of ``_reduce`` as well: each pivot column that has an entry at
+    another pivot's lead is reduced, at the first such entry, by that pivot
+    as the round found it.  No lead changes, and an entry is cleared
+    without changing any above it, so the first such row rises and at most
     ``m.rows`` rounds run; a round after which none rose is a
-    ``RuntimeError``, as in ``_echelon``.  Each column is then divided by
-    its leading entry, over Q into ``Fraction``s only where a division is
-    not exact."""
+    ``RuntimeError``, as in ``_echelon``.  Over Q each column is then
+    divided by its leading entry, into ``Fraction``s only where a division
+    is not exact."""
     p, rows = m.field.char, m.rows
-    start, length, prow, pval = _echelon(m)
+    start, length, take = _echelon(m)
     leads = length.nonzero()[0]
     k, cnt = len(leads), length[leads]
-    at = _spans(start[leads], cnt)
-    col, row, val = np.arange(k).repeat(cnt), prow[at], pval[at]
+    row, val = take(_spans(start[leads], cnt))
+    col = np.arange(k).repeat(cnt)
+    if p:
+        val = val * _inverse_mod(val[cnt.cumsum() - cnt], p).repeat(cnt) % p
     pivot = (length > 0).cumsum() - 1     # at a lead row: the number of its pivot
     prev = None
     while True:
@@ -1003,11 +1070,12 @@ def column_echelon(m: Matrix) -> Tuple[Matrix, List[int]]:
         src_start, src_len = np.zeros_like(cnt), np.zeros_like(cnt)
         coeff[tgt], lead[tgt], src_start[tgt], src_len[tgt] = (val[hit], val[first[src]],
                                                                 first[src], cnt[src])
+        at = _spans(src_start, src_len)
         col, row, val = _reduce(rows, p, col, row, val, first, cnt, coeff, None if p else lead,
-                                src_start, src_len, row, val)
+                                src_len, row[at], val[at])
     if not p:
         lead = val[first].repeat(cnt)
         val = val // lead if not (val % lead).any() else np.frompyfunc(Fraction, 2, 1)(val, lead)
-    ptr, idx, perm = _transposed(k, rows, np.append(first, len(col)), row)
-    val = val[perm] if val.dtype == np.int64 else _value_array(val[perm].tolist())
+    ptr, idx, val = _transposed(k, rows, np.append(first, len(col)), row, val)
+    val = val if val.dtype == np.int64 else _value_array(val.tolist())
     return Matrix._of_csr(rows, k, m.field, (ptr, idx, val)), leads.tolist()

@@ -72,6 +72,10 @@ COMMANDS = [
      "--module", "coadjoint", "--max-degree", "5"],
     ["homology", "--builtin", "dualgroup:Z3", "--calculus", "general", "--module", "regular",
      "--max-degree", "4"],
+    # a bare complex at a size no other test reaches: its top quotient is
+    # 2,359,296 x 294,912
+    ["homology", "--builtin", "taft:3:2", "--field", "F7", "--calculus", "k",
+     "--max-degree", "6"],
 ]
 
 

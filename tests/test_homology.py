@@ -135,11 +135,12 @@ def normalized_tables(monkeypatch):
     coefficients, is checked against the path it replaced,
     ``reference_quotient_complex``: its dimensions and quotients must be
     those of the full complex, and its table is checked against the full
-    complex's ranks and collected."""
+    complex's ranks and collected; its d^2 = 0, which it takes from a
+    proof, is multiplied out (``proved_quotient_complex``)."""
     seen, full_of = [], {}
 
     def quotient_first(calc, X, max_degree=None):
-        cx = quotient_complex(calc, X, max_degree)
+        cx = proved_quotient_complex(calc, X, max_degree)
         full, (dims, quotients) = reference_quotient_complex(calc, X, max_degree)
         assert cx.basepoint is None and cx.dims == dims
         assert all(d == w and d.data == w.data for d, w in zip(cx.diffs, quotients, strict=True))
@@ -159,6 +160,16 @@ def normalized_tables(monkeypatch):
     monkeypatch.setattr(homology, "quotient_complex", quotient_first)
     monkeypatch.setattr(cli, "quotient_complex", quotient_first)
     return seen
+
+
+def proved_quotient_complex(calc, X, max_degree=None):
+    """``quotient_complex``, with d-bar_(n+1) d-bar_n multiplied out for
+    every pair: the oracle of the proof it marks the complex checked by."""
+    cx = quotient_complex(calc, X, max_degree)
+    assert cx.checked
+    for d, e in zip(cx.diffs, cx.diffs[1:]):
+        assert (e @ d).is_zero()
+    return cx
 
 
 def _cotor_cases():
@@ -182,7 +193,11 @@ def _homology_verdict(H, calc_kind, coeffs, D, compare):
 
 def test_normalized_ranks_match_the_full_oracle_on_the_golden_entries(normalized_tables):
     golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
-    commands = [argv for argv in golden if argv.startswith("homology ")]
+    # the bare Taft(3,2)/F7 entry at D = 6 is past what the dict-based
+    # reference elimination ranks in a test; the quotient-first bare path
+    # that it takes runs below, and at D = 5 on the cotor cases
+    commands = [argv for argv in golden if argv.startswith("homology ")
+                and argv != "homology --builtin taft:3:2 --field F7 --calculus k --max-degree 6"]
     assert len(commands) == 7
     for argv in commands:
         with contextlib.chdir(ROOT), contextlib.redirect_stdout(io.StringIO()):
@@ -505,7 +520,8 @@ def test_bare_corruptions_exit_as_on_the_full_complex(monkeypatch, what):
     # a seeded corruption of a root of the recursion gives the same exit
     # code, report and error text on the quotient-first path as on the full
     # complex, which builds every D_n, checks d^2 on each pair and masks
-    # them (the path it replaced).  With D_1 = 0, d^2 holds at degrees 0
+    # them (the path it replaced); where the quotient-first path returns,
+    # its d^2 = 0 is multiplied out.  With D_1 = 0, d^2 holds at degrees 0
     # and 1 whatever E is, and a corrupted E fails first at degree 2, which
     # only Z stands for
     outcomes = set()
@@ -515,8 +531,8 @@ def test_bare_corruptions_exit_as_on_the_full_complex(monkeypatch, what):
             for full in (False, True):
                 with monkeypatch.context() as m:
                     _corrupt_root(m, what, seed)
-                    if full:
-                        m.setattr(cli, "quotient_complex", homology.calculus_complex)
+                    m.setattr(cli, "quotient_complex",
+                              homology.calculus_complex if full else proved_quotient_complex)
                     runs.append(_verdict(argv))
             assert runs[0] == runs[1], (argv, seed)
             outcomes.add((runs[0][0], runs[0][2].partition(" at degree ")[2][:1]))
@@ -563,7 +579,8 @@ MODULE_VERDICTS = [
 def test_module_corruptions_exit_as_on_the_full_complex(monkeypatch, what):
     # a seeded corruption of D_0, E, the action or nabla gives the same exit
     # code, report and error text on the quotient-first path as on the full
-    # coefficient complex masked by _normalized (the path it replaced)
+    # coefficient complex masked by _normalized (the path it replaced);
+    # where the quotient-first path returns, its d^2 = 0 is multiplied out
     outcomes = set()
     for argv in MODULE_VERDICTS:
         for seed in range(6):
@@ -571,8 +588,8 @@ def test_module_corruptions_exit_as_on_the_full_complex(monkeypatch, what):
             for full in (False, True):
                 with monkeypatch.context() as m:
                     _corrupt_module(m, what, seed)
-                    if full:
-                        m.setattr(cli, "quotient_complex", homology.calculus_complex)
+                    m.setattr(cli, "quotient_complex",
+                              homology.calculus_complex if full else proved_quotient_complex)
                     runs.append(_verdict(argv))
             assert runs[0] == runs[1], (argv, seed)
             outcomes.add((runs[0][0], runs[0][2].strip().rpartition(": ")[2]))
@@ -587,6 +604,61 @@ def test_module_corruptions_exit_as_on_the_full_complex(monkeypatch, what):
               (3, "tensors with a basepoint leg are not a subcomplex at degree 1")},
         "act": {(0, ""), (2, "ValueError('module action is not unital')")},
         "nabla": {(0, ""), (2, "ValueError('connection is not flat')")}}[what]
+
+
+# (exit code, error) of --compare-cotor with one oracle differential
+# corrupted, per (degree, seed), as a check of the oracle's d^2 at its
+# construction gives them: "d2@n" is exit 2 with "d^2 != 0 at degree n",
+# "fail" exit 1 with that differential_equal line failing, "pass" exit 0
+ORACLE_CORRUPTIONS = {
+    "homology --builtin sweedler --calculus k --compare-cotor --max-degree 3":
+        ["d2@0", "fail", "d2@0", "d2@1", "fail", "d2@1", "d2@1", "fail", "fail"],
+    "homology --builtin sweedler --module regular --compare-cotor --max-degree 3":
+        ["d2@0", "fail", "d2@0", "d2@0", "fail", "d2@1", "fail", "fail", "fail"],
+    "homology --builtin group:S3 --calculus khat --compare-cotor --max-degree 3":
+        ["d2@0", "pass", "pass", "d2@1", "fail", "d2@1", "fail", "fail", "fail"],
+    "homology --builtin dualgroup:Z3 --calculus general --module regular --compare-cotor"
+    " --max-degree 3":
+        ["d2@0", "fail", "pass", "d2@0", "fail", "d2@1", "d2@1", "fail", "pass"],
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ORACLE_CORRUPTIONS))
+def test_a_corrupted_oracle_differential_exits_as_when_checked_at_construction(monkeypatch,
+                                                                              argv):
+    # compare_cotor checks the oracle's d^2 only when some differential
+    # differs from the calculus side's; a seeded corruption of one oracle
+    # differential still gets the exit code, error and report of a check at
+    # the oracle's construction (captured so).  Only cobar_complex hands its
+    # basepoint to the constructor, which corrupts each differential list
+    # once, so that wrapping the same list again for its check sees the
+    # same matrices
+    post_init, outcomes = ChainComplex.__post_init__, []
+    for degree in range(3):
+        for seed in range(3):
+            corrupted = []
+
+            def corrupting(self, *args):
+                if self.basepoint is not None and not any(d is self.diffs for d in corrupted):
+                    corrupted.append(self.diffs)
+                    self.diffs[degree] = _corrupted(self.diffs[degree], seed)
+                return post_init(self, *args)
+            out, err = io.StringIO(), io.StringIO()
+            with monkeypatch.context() as m, contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                m.setattr(ChainComplex, "__post_init__", corrupting)
+                code = cli.main(argv.split())
+            error = err.getvalue().strip().rpartition(": ")[2]
+            if code == 2:
+                assert error.startswith("ValueError('d^2 != 0 at degree ")
+                outcomes.append(f"d2@{error[-3]}")
+                continue
+            assert error == "" and code in (0, 1)
+            report = json.loads(out.getvalue())
+            failed = [c["name"] for c in report["checks"] if c["status"] == "fail"]
+            assert (f"differential_equal[{degree}]" in failed) == (code == 1)
+            outcomes.append("fail" if code else "pass")
+    assert outcomes == ORACLE_CORRUPTIONS[argv]
 
 
 def test_module_homology_ranks_after_every_full_differential_is_released(monkeypatch):

@@ -6,9 +6,10 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, note, settings, strategies as st
 
-from conftest import from_rows, kernel_dim, named_algebra, reference_column_echelon, transpose
+from conftest import (from_rows, kernel_dim, named_algebra, reference_column_echelon,
+                      reference_echelon, transpose)
 
 from hopfcalc import linalg
 from hopfcalc.fields import Field, QQ
@@ -284,6 +285,82 @@ def test_echelon_of_larger_sparse_matrices_takes_several_rounds(monkeypatch, kin
             del seen[:]
             assert_echelon_matches(x)
             assert len(seen) > 2
+
+
+# the draws of RANK_ENTRIES, and "wide" integers near 2**30 over Q, whose
+# fraction-free products leave int64 partway through an elimination
+SCALE_ENTRIES = {**RANK_ENTRIES, "wide": (QQ, lambda rng: rng.randrange(2**29, 2**30))}
+
+
+def scale_matrix(seed, kind, rows, cols):
+    """A sparse ``rows`` x ``cols`` matrix of ``kind`` with fill-in: every
+    column has an entry in the first few rows, so that the first round
+    makes few pivots and the reductions fill the rows below, and the later
+    rounds make the rest.  Half the draws are a product through an inner
+    dimension, whose rank is lower."""
+    field, entry = SCALE_ENTRIES[kind]
+    rng = random.Random(seed)
+    top, density = rng.randint(1, 4), rng.choice([0.05, 0.15, 0.3])
+
+    def rand(r, c):
+        data = {(i, j): entry(rng) for j in range(c) for i in range(r) if rng.random() < density}
+        data.update({(rng.randrange(min(top, r)), j): entry(rng) for j in range(c)})
+        return Matrix(r, c, field, {k: field.of(v) for k, v in data.items()})
+
+    inner = rng.choice([0, 0, 6, 20])
+    return rand(rows, inner)._matmul_python(rand(inner, cols)) if inner else rand(rows, cols)
+
+
+def assert_elimination_matches(m: Matrix, rng: random.Random) -> None:
+    """``rank`` with its leads, restricted to a drawn column mask or not, and
+    ``column_echelon`` of ``m`` against ``reference_echelon``,
+    ``fraction_rank`` and ``reference_column_echelon``; the restricted rank
+    also against the rank of the ``submatrix`` it stands for."""
+    rank, leads = m.rank(leads=True)
+    want = reference_echelon(m.field, m.columns())
+    assert rank == len(want) == fraction_rank(m.field, m.columns())
+    assert leads.nonzero()[0].tolist() == sorted(want)
+    mask = np.array([rng.random() < 0.6 for _ in range(m.cols)], dtype=bool)
+    sub = m.submatrix(np.ones(m.rows, dtype=bool), mask)
+    rank, leads = m.rank(leads=True, cols=mask)
+    want = sub.rank(leads=True)
+    assert rank == want[0] == len(reference_echelon(m.field, sub.columns()))
+    assert np.array_equal(leads, want[1])
+    basis, pivots = column_echelon(m)
+    want, want_pivots = reference_column_echelon(m.field, m.columns())
+    assert pivots == want_pivots and basis.columns() == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(sorted(SCALE_ENTRIES)),
+       st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=60))
+@example(3, "F2147483647", 40, 60).via("the largest int64 prime of the draws")
+@example(3, "F4294967311", 40, 60).via("object values")
+def test_elimination_at_scale_matches_the_references(seed, kind, rows, cols):
+    note(f"{kind} {rows} x {cols}")
+    assert_elimination_matches(scale_matrix(seed, kind, rows, cols), random.Random(seed))
+
+
+@pytest.mark.parametrize("kind", ["wide", "F7", "F2147483647", "F4294967311"])
+def test_the_pivot_store_grows_more_than_once(monkeypatch, kind):
+    # the pivots of the first round stay in the arrays the elimination
+    # starts from, and those of later rounds go to a tail buffer, which
+    # grows by doubling: a 40 x 60 draw with fill-in grows it past its first
+    # allocation, and over Q the values leave int64 partway, so the tail
+    # moves to objects as it grows
+    grown, grow = [], linalg._grown
+
+    def spy(a, used, size, dtype):
+        grown.append((size, np.dtype(dtype)))
+        return grow(a, used, size, dtype)
+    monkeypatch.setattr(linalg, "_grown", spy)
+    m = scale_matrix(1, kind, 40, 60)
+    m.rank()
+    growths = grown[1::2]       # a growth makes a row buffer, then a value buffer
+    assert len(growths) > 2 and [n for n, _ in growths] == sorted(n for n, _ in growths)
+    if kind == "wide":
+        assert {t for _, t in growths} == {np.dtype(np.int64), np.dtype(object)}
+    assert_elimination_matches(m, random.Random(1))
 
 
 @settings(max_examples=30)
