@@ -104,11 +104,12 @@ def homology_dims(cx: ChainComplex, max_degree: Optional[int] = None) -> Homolog
     k^(dims[n]) = U (+) k^(L^c).  d_n d_(n-1) = 0 puts U in ker d_n, so
     d_n(k^(dims[n])) = d_n(k^(L^c)): rank d_n = rank d_n[:, L^c], and the
     leads of the restricted elimination serve the degree above in turn.
-    ``Matrix.rank`` takes L^c as its column mask, so no restricted matrix
-    is built.  The argument needs d^2 = 0, so only a complex on which it is
-    known (``checked``: multiplied out at construction, or proved by the
-    builder) is ranked this way; any other is ranked on its full matrices,
-    where a negative dimension still shows.
+    ``Matrix.rank`` takes L^c as its column mask, the set of columns its
+    elimination works on in the matrix's own CSC arrays, so no restricted
+    or masked copy is built.  The argument needs d^2 = 0, so only a complex
+    on which it is known (``checked``: multiplied out at construction, or
+    proved by the builder) is ranked this way; any other is ranked on its
+    full matrices, where a negative dimension still shows.
 
     It takes over the complex its caller hands it: its own reference is
     dropped once the differentials to rank are in hand, and each of them is
@@ -303,13 +304,14 @@ def cobar_complex(C: Union[HopfAlgebra, BimoduleCoalgebra], X: ModComod,
     with g the basepoint as a C x 1 column.  It reads only the coproduct,
     the basepoint and the coaction: no calculus, and no recursion in n.
     When C is a Hopf algebra, Delta is its ``comul_matrix``, built once from
-    the same table.  d^2 = 0 is checked at construction unless ``check`` is
-    false (``compare_cotor``, which checks it only where it can matter).
+    the same table.  The coaction's coassociativity is checked first, and
+    d^2 = 0 at construction, unless ``check`` is false: ``compare_cotor``,
+    which checks each only where it can matter.
     """
     I, cd, f = _basepoint(C), C.dim, C.field
     if X.coaction is None:
         raise ValueError("comodule has no coaction")
-    if coassociativity_defects(X):
+    if check and coassociativity_defects(X):
         raise ValueError("coaction is not coassociative")
     xd = X.dim
 
@@ -426,13 +428,20 @@ def compare_cotor(calc, X: Optional[ModComod],
     the checked side is ranked in its place.  A d^2 failure of the oracle
     therefore needs a differing differential, and it raises the same
     ``ValueError`` before any report exists, as a check at construction
-    would.
+    would.  The coaction is checked for coassociativity once: a given X by
+    the calculus side, whose coefficient complex exists only for a flat
+    connection, and ``curvature`` is the coassociativity defect of X's
+    coaction, so a defect raises "connection is not flat" there first; the
+    basepoint-coadjoint comodule, which nothing else checks, here.
     """
     max_degree = calc.max_degree if max_degree is None else max_degree
     rep = Report()
     side = calculus_complex(calc, X, max_degree)
-    oracle_coeffs = _basepoint_coadjoint(calc) if X is None else X
-    oracle = cobar_complex(_coalgebra(calc), oracle_coeffs, max_degree, check=False)
+    if X is None:
+        X = _basepoint_coadjoint(calc)
+        if coassociativity_defects(X):
+            raise ValueError("coaction is not coassociative")
+    oracle = cobar_complex(_coalgebra(calc), X, max_degree, check=False)
 
     equal = side.dims == oracle.dims
     rep.add("degree_dims_equal", equal, {"calculus": side.dims, "cobar": oracle.dims})

@@ -44,15 +44,19 @@ other column is reduced by the pivot at its lead, all at once
 (``_reduce``): gather the pivot entries, scale them, sort by (column,
 row), sum each run with ``np.add.reduceat``, reduce mod p and drop the
 zeros.  Pivots never change and each reduction raises a column's lead, so
-the span is kept and at most ``rows`` rounds run.  No pivot is copied
-wholesale: those of the first round stay in the arrays the elimination
-starts from, later ones go to a tail buffer that grows by doubling, and
-over F_p a pivot is kept as found, each reduced column taking c a^-1 of
-it.  Over Q a round that scales some column divides out the content of
-every column (``np.gcd.reduceat``), and once a bound on a round's
-products reaches ``_INT64_SAFE`` the values move from int64 to object
-arrays, on which the same numpy calls run in exact Python integers.
-``Matrix.rank`` counts the pivots, and hands back their leads when asked;
+the span is kept and at most ``rows`` rounds run.  The elimination works
+in the storage it is given: it starts from the matrix's full CSC arrays,
+reads the mask as the set of live columns and takes the first round's
+pivots straight off the CSC pointers, where they stay, so only the
+columns still active after that round are gathered.  Later pivots go to
+a tail buffer that grows by doubling, and the bookkeeping (lead, start,
+length) is kept per pivot, never per row.  Over F_p a pivot is kept as
+found, each reduced column taking c a^-1 of it.  Over Q a round that
+scales some column divides out the content of every column
+(``np.gcd.reduceat``), and once a bound on a round's products reaches
+``_INT64_SAFE`` the values move from int64 to object arrays, on which the
+same numpy calls run in exact Python integers.  ``Matrix.rank`` counts
+the pivots, and hands back a mask of their leads when asked;
 ``column_echelon`` normalizes them and reduces them, by back substitution
 in rounds of the same kernel, to the reduced column echelon basis behind
 ``Matrix.inverse`` and ``groupoid_decompose``.
@@ -480,17 +484,9 @@ class Matrix:
             col = self._cols[j] = dict(zip(idx[s:e].tolist(), val[s:e].tolist()))
         return col
 
-    def _csc_arrays(self, cols: "np.ndarray | None" = None) -> CSR:
+    def _csc_arrays(self) -> CSR:
         """The CSC form of the stored CSR, rows sorted within each column,
-        cached.  With a boolean column mask ``cols``, that of the entries in
-        the columns where it holds, the other columns left empty, and not
-        cached: the mask is applied to the CSR, so only the kept entries are
-        transposed."""
-        if cols is not None:
-            ptr, idx, val = self._csr
-            keep = cols[idx]
-            ptr = np.concatenate(([0], np.cumsum(keep)))[ptr]
-            return _transposed(self.rows, self.cols, ptr, idx[keep], val[keep])
+        cached."""
         if self._csc is None:
             self._csc = _transposed(self.rows, self.cols, *self._csr)
         return self._csc
@@ -663,9 +659,15 @@ class Matrix:
     def rank(self, leads: bool = False, cols: "np.ndarray | None" = None):
         """The rank, of the columns where the boolean mask ``cols`` holds
         when it is given; with ``leads``, (rank, mask) with the mask true at
-        the rows that are the leads of the pivots of ``_echelon``."""
-        mask = _echelon(self, cols)[1] > 0
-        return (int(mask.sum()), mask) if leads else int(mask.sum())
+        the rows that are the leads of the pivots of ``_echelon``.  The
+        mask is built from the pivots' own leads, and is the only array of
+        the size of the rows that the rank makes."""
+        lead = _echelon(self, cols)[0]
+        if not leads:
+            return len(lead)
+        mask = np.zeros(self.rows, dtype=bool)
+        mask[lead] = True
+        return len(lead), mask
 
     def inverse(self) -> "Matrix | None":
         """Exact inverse, or None if singular.  The stacked columns [A; I]
@@ -917,19 +919,19 @@ def _reduce(rows: int, p: int, col, row, val, first, cnt, coeff, lead, length, a
 
 
 def _echelon(m: Matrix, cols: "np.ndarray | None" = None) -> Tuple[np.ndarray, np.ndarray,
-                                                                    Callable]:
+                                                                    np.ndarray, Callable]:
     """The pivot columns of a forward Gaussian elimination of the columns of
     ``m`` in integers, those where the boolean mask ``cols`` holds when it
-    is given, one per dimension of their span, as (start, length, take):
-    the pivot with lead i, if there is one, is the entries start[i] ..
-    start[i] + length[i] - 1 of the pivot store, rows ascending, so its
-    lead, the smallest row it touches, first; ``take(at)`` reads the rows
-    and the values of the store at the positions ``at``.  Over F_p a pivot
-    is kept as it was found, its leading entry a whatever it is, and the
-    values are objects when p^2 reaches ``_INT64_SAFE``.  Over Q a pivot
-    is an integer vector in the span and no ``Fraction`` is built
-    (fraction free, in the manner of Bareiss): a column given in fractions
-    is first scaled by the lcm of its denominators.
+    is given, one per dimension of their span, as (lead, start, length,
+    take), one entry per pivot, sorted by lead: the pivot with lead
+    lead[k], the smallest row it touches, is the entries start[k] ..
+    start[k] + length[k] - 1 of the pivot store, rows ascending; ``take(at)``
+    reads the rows and the values of the store at the positions ``at``.
+    Over F_p a pivot is kept as it was found, its leading entry a whatever
+    it is, and the values are objects when p^2 reaches ``_INT64_SAFE``.
+    Over Q a pivot is an integer vector in the span and no ``Fraction`` is
+    built (fraction free, in the manner of Bareiss): a column given in
+    fractions is first scaled by the lcm of its denominators.
 
     The elimination runs on the CSC arrays in rounds.  Each active column's
     lead is its first stored row.  Where no pivot has that lead yet, the
@@ -948,27 +950,43 @@ def _echelon(m: Matrix, cols: "np.ndarray | None" = None) -> Tuple[np.ndarray, n
     an arithmetic fault leaves every lead where it was, and then the loop
     would never end: a round that raised no lead is a ``RuntimeError``.
 
-    The pivot store is never copied whole (Dumas & Villard, "Computing the
-    rank of large sparse matrices over finite fields", CASC 2002).  The
-    first round makes pivots only, as no lead has one yet, and its pivots
-    stay where they lie, in the arrays the elimination starts from: its
-    positions 0 .. n0 - 1 are those arrays, n0 their length.  The pivots
-    of later rounds go to a tail buffer, positions n0 on, which grows by
-    doubling.  Over F_p no pivot is scaled: c a^-1 is taken per reduced
-    column, on the few entries of its leading values alone."""
+    The elimination works in the storage it is given (Dumas & Villard,
+    "Computing the rank of large sparse matrices over finite fields", CASC
+    2002; Davis, *Direct Methods for Sparse Linear Systems*, SIAM 2006).
+    Its store starts as the full CSC arrays of ``m``, and ``cols`` is read
+    as the set of live columns.  The first round makes pivots only, as no
+    lead has one yet, and it reads them off the CSC pointers: the
+    lowest-indexed live column at each lead, which stays where it lies, at
+    the store's positions 0 .. n0 - 1, n0 the number of entries.  Only the
+    other live columns are gathered, as the active columns of the second
+    round.  The pivots of later rounds go to a tail buffer, positions n0
+    on, which grows by doubling.  The bookkeeping is per pivot, at most
+    ``m.cols`` entries of each array, and a column's pivot is found by a
+    search of the sorted leads.  Over F_p no pivot is scaled: c a^-1 is
+    taken per reduced column, on the few entries of its leading values
+    alone."""
     p, rows = m.field.char, m.rows
-    ptr, row, val = m._csc_arrays(cols)
-    col = np.arange(m.cols).repeat(ptr[1:] - ptr[:-1])
+    ptr, row, val = m._csc_arrays()
+    height = ptr[1:] - ptr[:-1]
     if not p and val.dtype == object:
-        first, cnt = _runs(col)
+        filled = height.nonzero()[0]
         den = np.array([v.denominator for v in val], dtype=object)
-        val = _value_array([v.numerator for v in val * np.lcm.reduceat(den, first).repeat(cnt)])
+        val = _value_array([v.numerator for v in val * np.lcm.reduceat(
+            den, ptr[filled]).repeat(height[filled])])
     elif p * p >= _INT64_SAFE:
         val = val.astype(object)
-    start, length = np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64)
-    # the store: base, set by the first round, and the first ``used`` entries
-    # of the tail buffer
-    base, tail_row, tail_val, used = (row[:0], val[:0]), row[:0], val[:0], 0
+    # the first round: the lowest-indexed live column at each lead
+    live = (height > 0 if cols is None else (height > 0) & cols).nonzero()[0]
+    live = live[row[ptr[live]].argsort(kind="stable")]
+    first = _runs(row[ptr[live]])[0]
+    pivot = live[first]
+    lead, start, length = row[ptr[pivot]], ptr[pivot], height[pivot]
+    live = np.sort(np.delete(live, first))
+    at = _spans(ptr[live], height[live])
+    col, base, row, val = live.repeat(height[live]), (row, val), row[at], val[at]
+    # the store: base, the CSC arrays, and the first ``used`` entries of the
+    # tail buffer
+    tail_row, tail_val, used = row[:0], val[:0], 0
 
     def take(at):
         """The rows and the values of the store at the positions ``at``.
@@ -988,44 +1006,44 @@ def _echelon(m: Matrix, cols: "np.ndarray | None" = None) -> Tuple[np.ndarray, n
     prev = None
     while len(col):
         first, cnt = _runs(col)
-        lead = row[first]
+        at_lead = row[first]
         # no lead falls, whatever the values; and a pivot round removes a
         # column, so the same leads again mean a round that cancelled none
-        if prev is not None and np.array_equal(lead, prev):
+        if prev is not None and np.array_equal(at_lead, prev):
             raise RuntimeError("an elimination round raised no column's lead")
-        prev = lead
-        new = (length[lead] == 0).nonzero()[0]
+        prev = at_lead
+        # the pivot at each column's lead, where there is one
+        k = np.minimum(np.searchsorted(lead, at_lead), len(lead) - 1)
+        new = (lead[k] != at_lead).nonzero()[0]
         if not len(new):
-            src_len = length[lead]
-            add_row, add = take(_spans(start[lead], src_len))
+            src_len = length[k]
+            add_row, add = take(_spans(start[k], src_len))
             a, c = add[src_len.cumsum() - src_len], val[first]
             col, row, val = _reduce(rows, p, col, row, val, first, cnt,
                                     c * _inverse_mod(a, p) % p if p else c, None if p else a,
                                     src_len, add_row, add)
             continue
         # the lowest-indexed column at each lead without a pivot
-        new = new[lead[new].argsort(kind="stable")]
-        new = new[_runs(lead[new])[0]]
-        new_lead, new_cnt = lead[new], cnt[new]
+        new = new[at_lead[new].argsort(kind="stable")]
+        new = new[_runs(at_lead[new])[0]]
+        new_lead, new_cnt = at_lead[new], cnt[new]
         at = _spans(first[new], new_cnt)
-        if not len(base[0]):
-            base = row, val
-            start[new_lead] = first[new]
-        else:
-            size = used + len(at)
-            if size > len(tail_row) or val.dtype != tail_val.dtype:
-                # grow by doubling; over Q the values may have become objects
-                grow = max(size, 2 * len(tail_row))
-                tail_row, tail_val = (_grown(tail_row, used, grow, np.int64),
-                                      _grown(tail_val, used, grow, val.dtype))
-            tail_row[used:size], tail_val[used:size] = row[at], val[at]
-            start[new_lead] = len(base[0]) + used + new_cnt.cumsum() - new_cnt
-            used = size
-        length[new_lead] = new_cnt
+        size = used + len(at)
+        if size > len(tail_row) or val.dtype != tail_val.dtype:
+            # grow by doubling; over Q the values may have become objects
+            grow = max(size, 2 * len(tail_row))
+            tail_row, tail_val = (_grown(tail_row, used, grow, np.int64),
+                                  _grown(tail_val, used, grow, val.dtype))
+        tail_row[used:size], tail_val[used:size] = row[at], val[at]
+        new_start = len(base[0]) + used + new_cnt.cumsum() - new_cnt
+        used = size
+        k = np.searchsorted(lead, new_lead)
+        lead, start, length = (np.insert(lead, k, new_lead), np.insert(start, k, new_start),
+                               np.insert(length, k, new_cnt))
         keep = np.ones(len(col), dtype=bool)
         keep[at] = False
         col, row, val = col[keep], row[keep], val[keep]
-    return start, length, take
+    return lead, start, length, take
 
 
 def column_echelon(m: Matrix) -> Tuple[Matrix, List[int]]:
@@ -1044,20 +1062,21 @@ def column_echelon(m: Matrix) -> Tuple[Matrix, List[int]]:
     ``m.rows`` rounds run; a round after which none rose is a
     ``RuntimeError``, as in ``_echelon``.  Over Q each column is then
     divided by its leading entry, into ``Fraction``s only where a division
-    is not exact."""
+    is not exact.  An entry's pivot, where its row is a lead, is found by a
+    search of the sorted leads, so that nothing of the size of the rows is
+    made but the basis's row pointer."""
     p, rows = m.field.char, m.rows
-    start, length, take = _echelon(m)
-    leads = length.nonzero()[0]
-    k, cnt = len(leads), length[leads]
-    row, val = take(_spans(start[leads], cnt))
+    leads, start, cnt, take = _echelon(m)
+    k = len(leads)
+    row, val = take(_spans(start, cnt))
     col = np.arange(k).repeat(cnt)
     if p:
         val = val * _inverse_mod(val[cnt.cumsum() - cnt], p).repeat(cnt) % p
-    pivot = (length > 0).cumsum() - 1     # at a lead row: the number of its pivot
     prev = None
     while True:
         first, cnt = _runs(col)
-        hit = length[row] > 0
+        pivot = np.searchsorted(leads, row)     # at a lead row: the number of its pivot
+        hit = leads[np.minimum(pivot, k - 1)] == row
         hit[first] = False
         hit = hit.nonzero()[0]
         if not len(hit):
@@ -1065,7 +1084,7 @@ def column_echelon(m: Matrix) -> Tuple[Matrix, List[int]]:
         hit = hit[_runs(col[hit])[0]]       # the first per column
         if prev is not None and np.array_equal(row[hit], prev):
             raise RuntimeError("a back substitution round cleared no entry")
-        src, tgt, prev = pivot[row[hit]], col[hit], row[hit]
+        src, tgt, prev = pivot[hit], col[hit], row[hit]
         coeff, lead = np.zeros(k, dtype=val.dtype), np.ones(k, dtype=val.dtype)
         src_start, src_len = np.zeros_like(cnt), np.zeros_like(cnt)
         coeff[tgt], lead[tgt], src_start[tgt], src_len[tgt] = (val[hit], val[first[src]],

@@ -323,6 +323,40 @@ def test_flat_check_computes_the_coassociativity_defects_once(capsys, monkeypatc
     assert got == code and len(calls) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    "homology --builtin sweedler --module regular --compare-cotor --max-degree 3",
+    "homology --builtin group:S3 --calculus k --module coadjoint --compare-cotor --max-degree 3",
+    "homology --builtin dualgroup:Z3 --calculus general --module regular --compare-cotor"
+    " --max-degree 3",
+    "homology --builtin taft:3:2 --field F7 --calculus khat --module trivial --compare-cotor"
+    " --max-degree 3",
+    # bare: the oracle's basepoint-coadjoint comodule, which nothing else checks
+    "homology --builtin sweedler --calculus k --compare-cotor --max-degree 3",
+])
+def test_a_cotor_comparison_checks_the_coassociativity_once(capsys, monkeypatch, argv):
+    # the calculus side's curvature is the coassociativity defect of the
+    # module's coaction, so the oracle does not compute it again
+    import hopfcalc.modules
+    calls = count_calls(monkeypatch, hopfcalc.modules, "coassociativity_defects")
+    code, _ = run(capsys, *argv.split())
+    assert code == 0 and len(calls) == 1
+
+
+def test_a_coaction_that_is_not_coassociative_is_refused_as_before(capsys):
+    # through the CLI the calculus side refuses it first, as a connection
+    # that is not flat; the oracle built directly refuses it itself
+    from hopfcalc.homology import cobar_complex
+    with contextlib.chdir(ROOT):
+        code = main(["homology", "--builtin", "sweedler", "--module",
+                     "tests/sweedler_curved.json", "--compare-cotor", "--max-degree", "3"])
+        H = cli.builtin_hopf("sweedler", cli.Field.parse("Q"))
+        X = cli.load_module_file("tests/sweedler_curved.json", H)
+    err = capsys.readouterr().err
+    assert code == 2 and err == "error: unexpected failure: ValueError('connection is not flat')\n"
+    with pytest.raises(ValueError, match="^coaction is not coassociative$"):
+        cobar_complex(H, X, 3)
+
+
 def test_malformed_json_file_is_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -1,6 +1,7 @@
 import itertools
 import random
 import signal
+import tracemalloc
 from fractions import Fraction
 from math import prod
 
@@ -311,21 +312,39 @@ def scale_matrix(seed, kind, rows, cols):
     return rand(rows, inner)._matmul_python(rand(inner, cols)) if inner else rand(rows, cols)
 
 
+def edge_masks(m: Matrix):
+    """Fixed column masks of ``m``: every column kept, none, all but the
+    empty columns, and all but the lowest-indexed column at each lead, so
+    that the first round's pivot at a lead moves to the next column with
+    it (or the lead loses its pivot there)."""
+    ptr, row, _ = m._csc_arrays()
+    filled = ptr[1:] > ptr[:-1]
+    first = {}
+    for j in filled.nonzero()[0].tolist():
+        first.setdefault(int(row[ptr[j]]), j)
+    not_first = np.ones(m.cols, dtype=bool)
+    not_first[list(first.values())] = False
+    return [np.ones(m.cols, dtype=bool), np.zeros(m.cols, dtype=bool), filled, not_first]
+
+
 def assert_elimination_matches(m: Matrix, rng: random.Random) -> None:
-    """``rank`` with its leads, restricted to a drawn column mask or not, and
+    """``rank`` with its leads, restricted to a column mask or not, and
     ``column_echelon`` of ``m`` against ``reference_echelon``,
-    ``fraction_rank`` and ``reference_column_echelon``; the restricted rank
-    also against the rank of the ``submatrix`` it stands for."""
+    ``fraction_rank`` and ``reference_column_echelon``; each restricted
+    rank, on a drawn mask and on the ``edge_masks``, also against the rank
+    of the ``submatrix`` it stands for."""
     rank, leads = m.rank(leads=True)
     want = reference_echelon(m.field, m.columns())
     assert rank == len(want) == fraction_rank(m.field, m.columns())
     assert leads.nonzero()[0].tolist() == sorted(want)
-    mask = np.array([rng.random() < 0.6 for _ in range(m.cols)], dtype=bool)
-    sub = m.submatrix(np.ones(m.rows, dtype=bool), mask)
-    rank, leads = m.rank(leads=True, cols=mask)
-    want = sub.rank(leads=True)
-    assert rank == want[0] == len(reference_echelon(m.field, sub.columns()))
-    assert np.array_equal(leads, want[1])
+    drawn = np.array([rng.random() < 0.6 for _ in range(m.cols)], dtype=bool)
+    for mask in [drawn] + edge_masks(m):
+        sub = m.submatrix(np.ones(m.rows, dtype=bool), mask)
+        rank, leads = m.rank(leads=True, cols=mask)
+        want = sub.rank(leads=True)
+        ref = reference_echelon(m.field, sub.columns())
+        assert rank == want[0] == len(ref)
+        assert np.array_equal(leads, want[1]) and leads.nonzero()[0].tolist() == sorted(ref)
     basis, pivots = column_echelon(m)
     want, want_pivots = reference_column_echelon(m.field, m.columns())
     assert pivots == want_pivots and basis.columns() == want
@@ -339,6 +358,29 @@ def assert_elimination_matches(m: Matrix, rng: random.Random) -> None:
 def test_elimination_at_scale_matches_the_references(seed, kind, rows, cols):
     note(f"{kind} {rows} x {cols}")
     assert_elimination_matches(scale_matrix(seed, kind, rows, cols), random.Random(seed))
+
+
+def test_a_tall_thin_elimination_works_in_a_pivot_sized_set():
+    # 2**18 x 64 over F7, three entries a column, the leads among 16 rows so
+    # that reductions run: the elimination's bookkeeping is per pivot and
+    # it reads the column mask as a set of live columns, so neither the rank
+    # nor column_echelon allocates anything of the size of the rows beyond
+    # what it returns (the leads' mask, the basis's row pointer)
+    rng = random.Random(29)
+    rows = 2**18
+    m = Matrix(rows, 64, F7, {(i, j): F7.of(rng.randint(1, 6)) for j in range(64)
+                              for i in [rng.randrange(16)] + rng.sample(range(16, rows), 2)})
+    mask = np.array([j % 5 != 0 for j in range(64)])
+    for call in (lambda: m.rank(leads=True, cols=mask), lambda: column_echelon(m)):
+        tracemalloc.start()
+        try:
+            out = call()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 2**20
+        del out
+    assert m.rank() == 64 and m.rank(cols=mask) == 51
 
 
 @pytest.mark.parametrize("kind", ["wide", "F7", "F2147483647", "F4294967311"])

@@ -19,9 +19,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
     ["scripts/verify_builtins.py"],
     ["scripts/homology_survey.py", "--only", "Z/2", "--max-degree", "2"],
     ["scripts/src_lines.py"],
+    ["scripts/peak_rss.py", "homology", "--builtin", "sweedler", "--calculus", "k",
+     "--max-degree", "2"],
     # recomputes the benchmark's reference tables through the cobar oracle
     ["verdictbench/tables.py", "--check"],
-], ids=["verify_builtins", "homology_survey", "src_lines", "benchmark_tables_check"])
+], ids=["verify_builtins", "homology_survey", "src_lines", "peak_rss",
+        "benchmark_tables_check"])
 def test_script_exits_0(argv):
     # no bytecode is written, so nothing lands under verdictbench/
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
