@@ -13,10 +13,15 @@ of field scalars (``Fraction`` over Q) on each call, and writing to it
 changes nothing.
 
 The kernels work on the int64 arrays when both operands have them and a
-bound on the result stays below ``_INT64_SAFE``.  Otherwise they fall
-back to pure-Python sparse arithmetic, whose result goes through the
-constructor and so takes the value type its entries decide.  The kernels
-call scipy's compiled sparsetools routines on the arrays directly: the
+bound on the result stays below ``_INT64_SAFE``.  Otherwise ``@``,
+``kron``, ``+`` and ``-`` run the same index arithmetic on the same CSR
+arrays with the values as objects, cast before any multiply, so that no
+int64 product or sum can wrap: ``kron`` through ``_csr_kron`` itself, the
+others by listing their terms with their flat indices for
+``Matrix._of_entries``, which sums each index's terms by the sort and
+``np.add.reduceat`` that the elimination uses (``_summed``), takes each
+sum into the field, drops the zeros and lets the entries decide the value
+type.  No field operation runs entry by entry.  The kernels call scipy's compiled sparsetools routines on the arrays directly: the
 ``scipy.sparse`` classes wrap each call in checks and conversions that
 cost more than the arithmetic on the small matrices of most verdicts (a
 16 x 16 product on a 2-vCPU VM: ~110 us through ``csr_matrix``, ~9 us
@@ -84,7 +89,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import prod
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
@@ -244,10 +249,12 @@ def _identity_csr(n: int) -> CSR:
 def _csr_kron(a: CSR, a_shape: Tuple[int, int], b: CSR, b_shape: Tuple[int, int],
               p: int) -> CSR:
     """The Kronecker product of ``a`` and ``b`` in canonical form, entries
-    reduced mod ``p`` (0 over Q).  Entry e of ``a`` at (i, j) and entry f of
-    ``b`` at (k, l) give the entry at (i * b_rows + k, j * b_cols + l);
-    listed with e major, the entries of each row come in column order, so
-    the counting pass of ``coo_tocsr`` leaves them canonical.
+    reduced mod ``p`` (0 over Q); the operands' values are both int64 or
+    both objects, and the product's are the same.  Entry e of ``a`` at (i,
+    j) and entry f of ``b`` at (k, l) give the entry at (i * b_rows + k, j *
+    b_cols + l); listed with e major, the entries of each row come in
+    column order, so the counting pass of ``coo_tocsr`` leaves them
+    canonical (``_moved``).
 
     When every row of ``a`` has at most one entry (I (x) A, the largest
     Kronecker products of the coefficient complexes), or ``b`` has one
@@ -276,11 +283,8 @@ def _csr_kron(a: CSR, a_shape: Tuple[int, int], b: CSR, b_shape: Tuple[int, int]
         return ptr, col, val
     row = ((np.arange(a_rows) * b_rows).repeat(a_cnt)[:, None]
            + np.arange(b_rows).repeat(bp[1:] - bp[:-1])).ravel()
-    n = len(val)
-    out = (np.empty(rows + 1, dtype=np.int64), np.empty(n, dtype=np.int64),
-           np.empty(n, dtype=np.int64))
-    _sparsetools.coo_tocsr(rows, a_cols * b_cols, n, row, col, val, *out)
-    return out
+    return _moved(_sparsetools.coo_tocsr, rows + 1, (rows, a_cols * b_cols, len(val), row, col),
+                  val)
 
 
 def _csr_matmul(a: CSR, b: CSR, rows: int, cols: int, p: int) -> CSR:
@@ -321,14 +325,18 @@ def _reduced(csr: CSR, rows: int, cols: int, p: int) -> CSR:
 def _transposed(rows: int, cols: int, ptr: np.ndarray, idx: np.ndarray,
                 val: np.ndarray) -> CSR:
     """The CSR (ptr, idx, val) of a rows x cols matrix transposed, indices
-    sorted.  ``csr_tocsc`` moves int64 values itself, in one call; object
-    values are gathered by the numbers of their entries, which it moves in
-    their place."""
-    n, obj = len(idx), val.dtype != np.int64
-    out = (np.empty(cols + 1, dtype=np.int64), np.empty(n, dtype=np.int64),
-           np.empty(n, dtype=np.int64))
-    _sparsetools.csr_tocsc(rows, cols, ptr, idx, np.arange(n, dtype=np.int64) if obj else val,
-                           *out)
+    sorted."""
+    return _moved(_sparsetools.csr_tocsc, cols + 1, (rows, cols, ptr, idx), val)
+
+
+def _moved(routine: Callable, size: int, args: tuple, val: np.ndarray) -> CSR:
+    """The new CSR arrays, a ptr of ``size`` entries, that the sparsetools
+    ``routine`` writes from ``args`` and the values ``val``.  It moves int64
+    values itself, in one call; object values are gathered by the numbers
+    of their entries, which it moves in their place."""
+    n, obj = len(val), val.dtype != np.int64
+    out = tuple(np.empty(k, dtype=np.int64) for k in (size, n, n))
+    routine(*args, np.arange(n, dtype=np.int64) if obj else val, *out)
     return (out[0], out[1], val[out[2]]) if obj else out
 
 
@@ -367,20 +375,15 @@ class Matrix:
                  data: Dict[Tuple[int, int], object] | None = None):
         """The matrix with the entries ``{(row, col): value}`` of ``data``:
         every index is checked (``ValueError``), each value is taken into
-        the field and the zeros are dropped."""
+        the field and the zeros are dropped (``_of_entries``)."""
         data = data or {}
-        n = len(data)
-        ij = np.fromiter(chain.from_iterable(data), dtype=np.int64,
-                         count=2 * n).reshape(n, 2)
+        ij = np.array(list(data), dtype=np.int64).reshape(len(data), 2)
         # the sparsetools routines do not check indices
-        if n and (ij.min() < 0 or ij[:, 0].max() >= rows or ij[:, 1].max() >= cols):
+        if len(ij) and (ij.min() < 0 or ij[:, 0].max() >= rows or ij[:, 1].max() >= cols):
             raise ValueError("matrix entry index out of range")
-        val = _value_array([field.of(v) for v in data.values()])
-        order = np.argsort(ij[:, 0] * cols + ij[:, 1])
-        order = order[val[order] != 0]
-        ptr = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ij[order, 0], minlength=rows), out=ptr[1:])
-        self._store(rows, cols, field, (ptr, ij[order, 1], val[order]))
+        val = np.array(list(data.values()), dtype=object)
+        self._store(rows, cols, field,
+                    Matrix._of_entries(rows, cols, field, ij[:, 0] * cols + ij[:, 1], val)._csr)
 
     def _store(self, rows: int, cols: int, field: Field, csr: CSR,
                maxabs: int | None = None) -> None:
@@ -401,21 +404,38 @@ class Matrix:
         m._store(rows, cols, field, csr, maxabs)
         return m
 
+    @classmethod
+    def _of_entries(cls, rows: int, cols: int, field: Field, key: np.ndarray,
+                    val: np.ndarray) -> "Matrix":
+        """The matrix whose entry at the flat index ``row * cols + col`` is
+        the sum of the values ``val`` listed at that index in ``key``, in
+        any order: the one builder of the exact path, whose callers pass
+        object values wherever an int64 sum could wrap.  The values of each
+        index are summed (``_summed``), each sum is taken into the field
+        (``Field.of``: ``Fraction`` over Q), the zeros are dropped, and
+        ``_value_array`` chooses the value type."""
+        key, val = _summed(key, val)
+        val = _value_array([field.of(v) for v in val.tolist()])
+        key, val = key[val != 0], val[val != 0]
+        return cls._of_csr(rows, cols, field, (np.searchsorted(key, np.arange(rows + 1) * cols),
+                                               key % cols, val))
+
     @property
     def data(self) -> Dict[Tuple[int, int], object]:
         """The entries as a new dict ``{(row, col): scalar}`` of field
         scalars (``Fraction`` over Q) on each call; writing to it changes
         nothing."""
-        if self.field.char or self._to_csr() is None:
-            return dict(self.entries())
-        return {k: Fraction(v) for k, v in self.entries()}
+        return {k: self.field.of(v) for k, v in self.entries()}
 
     def entries(self) -> Iterable[Tuple[Tuple[int, int], object]]:
         """The nonzero entries as ``((row, col), scalar)`` pairs in row-major
         order; an int64 entry is read as a Python int."""
-        ptr, idx, val = self._csr
-        rows = np.repeat(np.arange(self.rows), ptr[1:] - ptr[:-1])
-        return zip(zip(rows.tolist(), idx.tolist()), val.tolist())
+        return zip(zip(self._entry_rows().tolist(), self._csr[1].tolist()), self._csr[2].tolist())
+
+    def _entry_rows(self) -> np.ndarray:
+        """The row of each stored entry, in row-major order."""
+        ptr = self._csr[0]
+        return np.repeat(np.arange(self.rows), ptr[1:] - ptr[:-1])
 
     def _nnz(self) -> int:
         return len(self._csr[2])
@@ -443,7 +463,9 @@ class Matrix:
         index is checked (``ValueError``).  Taken column by column, the
         entries of each row arrive in column order, so the int64 form needs
         no sort; a value that is not an integer below ``_INT64_SAFE`` in
-        absolute value sends the columns to the constructor instead."""
+        absolute value sends the entries to ``_of_entries`` instead, which
+        takes each into the field.  Over F_p each value is reduced mod p on
+        the way, which changes it by a multiple of p and so not its image."""
         p = field.char
         by_row: List[List[Tuple[int, object]]] = [[] for _ in range(rows)]
         for j, col in enumerate(cols):
@@ -456,12 +478,12 @@ class Matrix:
                     by_row[i].append((j, v))
         entries = [e for r in by_row for e in r]
         val = _value_array([v for _, v in entries])
-        if val.dtype == object:
-            return cls(rows, len(cols), field,
-                       {(i, j): v for j, col in enumerate(cols) for i, v in col.items()})
         ptr = np.array(list(accumulate((len(r) for r in by_row), initial=0)),
                        dtype=np.int64)
         idx = np.array([j for j, _ in entries], dtype=np.int64)
+        if val.dtype == object:
+            return cls._of_entries(rows, len(cols), field, np.arange(rows).repeat(
+                ptr[1:] - ptr[:-1]) * len(cols) + idx, val)
         return cls._of_csr(rows, len(cols), field, (ptr, idx, val))
 
     def column(self, j: int) -> Vec:
@@ -522,20 +544,23 @@ class Matrix:
         return self._combine(other, False)
 
     def _combine(self, other: "Matrix", minus: bool) -> "Matrix":
+        """``self + other``, or ``self - other`` when ``minus``: on the int64
+        arrays when a bound on the sums stays below ``_INT64_SAFE``, else
+        both operands' entries, the second's negated for ``minus``, summed
+        as objects (``_of_entries``)."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
+        if self.field is not other.field and self.field != other.field:
+            raise ValueError("field mismatch")
         f = self.field
         a, b = self._to_csr(), other._to_csr()
         if (a is not None and b is not None
                 and self._max_abs() + other._max_abs() < _INT64_SAFE):
-            ptr, idx, val = _reduced(_csr_add(a, b, self.rows, self.cols, minus),
-                                     self.rows, self.cols, f.char)
-            return Matrix._of_csr(self.rows, self.cols, f, (ptr, idx, val))
-        op = f.sub if minus else f.add
-        data = self.data
-        for k, v in other.entries():
-            data[k] = op(data.get(k, f.zero()), v)
-        return Matrix(self.rows, self.cols, f, data)
+            return Matrix._of_csr(self.rows, self.cols, f, _reduced(
+                _csr_add(a, b, self.rows, self.cols, minus), self.rows, self.cols, f.char))
+        return Matrix._of_entries(self.rows, self.cols, f, np.concatenate(
+            [m._entry_rows() * m.cols + m._csr[1] for m in (self, other)]), np.concatenate(
+            (self._csr[2], -other._csr[2] if minus else other._csr[2])).astype(object))
 
     def scale(self, c) -> "Matrix":
         """``c`` times the matrix, for a field scalar ``c``: its Kronecker
@@ -561,6 +586,13 @@ class Matrix:
         return self._maxabs
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product: on the int64 arrays when a bound on its sums stays
+        below ``_INT64_SAFE``, else by expand-sort-compress (Dalton, Olson &
+        Bell, "Optimizing sparse matrix-matrix multiplication for the GPU",
+        ACM TOMS 41(4), 2015): each entry a_ik meets the entries of row k of
+        ``other``, gathered by ``_spans``; their products are taken on
+        object values (numpy casts the int64 side to Python ints), and
+        ``_of_entries`` sums them by their place in the result."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         if self.field is not other.field and self.field != other.field:
@@ -572,18 +604,11 @@ class Matrix:
             ptr, idx, val = _csr_matmul(a, b, self.rows, other.cols, self.field.char)
             _sparsetools.csr_sort_indices(self.rows, ptr, idx, val)
             return Matrix._of_csr(self.rows, other.cols, self.field, (ptr, idx, val))
-        return self._matmul_python(other)
-
-    def _matmul_python(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        cols_of_self = self.columns()
-        out_cols: List[Vec] = []
-        for col in other.columns():
-            acc: Vec = {}
-            for k, c in col.items():
-                vec_add(f, acc, cols_of_self[k], c)
-            out_cols.append(acc)
-        return Matrix.from_columns(out_cols, self.rows, f)
+        (ap, aj, ax), (bp, bj, bx) = self._csr, other._csr
+        n = (bp[1:] - bp[:-1])[aj]
+        at = _spans(bp[aj], n)
+        return Matrix._of_entries(self.rows, other.cols, self.field, self._entry_rows().repeat(n)
+                                  * other.cols + bj[at], ax.astype(object).repeat(n) * bx[at])
 
     def apply(self, v: Vec) -> Vec:
         """Matrix-vector product on a sparse vector."""
@@ -596,7 +621,11 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, consistent with big-endian index flattening.
         Where the product is known, no kernel runs: X (x) I_1 and I_1 (x) X
-        are X, and I_m (x) I_n is I_mn."""
+        are X, and I_m (x) I_n is I_mn.  ``_csr_kron`` serves both value
+        types: on the int64 arrays when a bound on the products stays below
+        ``_INT64_SAFE``, else on both operands' values as objects, each
+        product then taken into the field.  A product of nonzero scalars is
+        not zero, so no entry is dropped and none is summed."""
         if self.field is not other.field and self.field != other.field:
             raise ValueError("field mismatch")
         f = self.field
@@ -612,12 +641,10 @@ class Matrix:
             # over Q the bound is the largest entry of the product
             return Matrix._of_csr(rows, cols, f, _csr_kron(
                 a, (self.rows, self.cols), b, (other.rows, other.cols), f.char), bound)
-        theirs = list(other.entries())
-        data = {}
-        for (i, j), u in self.entries():
-            for (k, l), v in theirs:
-                data[(i * other.rows + k, j * other.cols + l)] = f.mul(u, v)
-        return Matrix(rows, cols, f, data)
+        (ap, aj, ax), (bp, bj, bx) = self._csr, other._csr
+        ptr, idx, val = _csr_kron((ap, aj, ax.astype(object)), (self.rows, self.cols),
+                                  (bp, bj, bx.astype(object)), (other.rows, other.cols), f.char)
+        return Matrix._of_csr(rows, cols, f, (ptr, idx, _value_array([f.of(v) for v in val])))
 
     def regroup(self, dims: Sequence[int], order: Sequence[int], nrows: int) -> "Matrix":
         """The same entries with the tensor axes permuted.  Read as a tensor
@@ -627,15 +654,14 @@ class Matrix:
         its columns.  No value changes, so one path serves both value types."""
         if prod(dims) != self.rows * self.cols:
             raise ValueError("axis sizes do not match the shape")
-        ptr, idx, val = self._csr
-        axes = np.unravel_index(np.repeat(np.arange(self.rows), ptr[1:] - ptr[:-1]) * self.cols
-                                + idx, dims)
+        axes = np.unravel_index(self._entry_rows() * self.cols + self._csr[1], dims)
         new = [dims[k] for k in order]
         flat = np.ravel_multi_index([axes[k] for k in order], new)
         perm = np.argsort(flat)
         flat, rows, cols = flat[perm], prod(new[:nrows]), prod(new[nrows:])
-        ptr = np.searchsorted(flat, np.arange(0, (rows + 1) * cols, cols))
-        return Matrix._of_csr(rows, cols, self.field, (ptr, flat % cols, val[perm]), self._maxabs)
+        ptr = np.searchsorted(flat, np.arange(rows + 1) * cols)
+        return Matrix._of_csr(rows, cols, self.field, (ptr, flat % cols, self._csr[2][perm]),
+                              self._maxabs)
 
     def submatrix(self, rows: np.ndarray, cols: np.ndarray, closed: bool = False) -> "Matrix":
         """The entries in the rows and the columns where the boolean masks
@@ -753,6 +779,8 @@ def kron_minus_blocks(a: Matrix, b: Matrix, c: int, p: Matrix) -> Matrix:
     rows, cols, f = a.rows * b.rows, a.cols * b.cols, a.field
     if c < 1 or a.rows % c or (rows, cols) != (c * p.rows, c * p.cols):
         raise ValueError("shape mismatch")
+    if not f == b.field == p.field:
+        raise ValueError("field mismatch")
     csr_a, csr_b, csr_p = a._to_csr(), b._to_csr(), p._to_csr()
     if (csr_a is None or csr_b is None or csr_p is None
             or a._max_abs() * b._max_abs() + p._max_abs() >= _INT64_SAFE):
@@ -855,6 +883,19 @@ def _runs(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return edge[:-1], edge[1:] - edge[:-1]
 
 
+def _summed(key: np.ndarray, val: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``key``, sorted, and the sum of the values
+    ``val`` at each: one stable sort, then ``np.add.reduceat`` over each
+    run.  A key array that the caller holds no reference to is freed once
+    sorted, and so is the value array once gathered."""
+    order = key.argsort(kind="stable")
+    key = key[order]
+    val = val[order]
+    del order
+    run = _runs(key)[0]
+    return key[run], np.add.reduceat(val, run)
+
+
 def _spans(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     """The positions start[k] .. start[k] + length[k] - 1, for each k in turn."""
     end = length.cumsum()
@@ -885,8 +926,8 @@ def _reduce(rows: int, p: int, col, row, val, first, cnt, coeff, lead, length, a
     next ``length[k]`` entries of (add_row, add), which hold the sources of
     the columns in turn.  ``lead`` is None when c is already the multiple
     of the source to take away (over F_p), and then a = g = 1.  Both parts
-    are sorted by (col, row) together and each run is summed
-    (``np.add.reduceat``); the sums are reduced mod p and the zeros dropped.
+    are sorted by (col, row) together and each run is summed (``_summed``);
+    the sums are reduced mod p and the zeros dropped.
     Over Q, when some a/g is not 1, every column's content (the gcd of its
     entries) is divided out, which keeps the entries from growing.
 
@@ -902,15 +943,12 @@ def _reduce(rows: int, p: int, col, row, val, first, cnt, coeff, lead, length, a
         g = np.gcd(lead, coeff) * np.sign(lead)
         lead, coeff = lead // g, coeff // g
         val, add = val * lead.repeat(cnt), -coeff.repeat(length) * add
-    key = np.concatenate((col * rows + row, col[first].repeat(length) * rows + add_row))
-    order = key.argsort(kind="stable")
-    key = key[order]
-    run = _runs(key)[0]
-    val = np.add.reduceat(np.concatenate((val, add))[order], run)
+    key, val = _summed(np.concatenate((col * rows + row, col[first].repeat(length) * rows
+                                       + add_row)), np.concatenate((val, add)))
     if p:
         val %= p
     nonzero = val != 0
-    col, row = np.divmod(key[run[nonzero]], rows)
+    col, row = np.divmod(key[nonzero], rows)
     val = val[nonzero]
     if lead is not None and (lead != 1).any():
         first, cnt = _runs(col)

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 
 from hopfcalc.calculus import Calculus
@@ -53,6 +54,55 @@ def transpose(m: Matrix) -> Matrix:
 
 def kernel_dim(m: Matrix) -> int:
     return m.cols - m.rank()
+
+
+class Ref:
+    """The tests-only dict reference for ``Matrix``: the nonzero entries
+    ``{(row, col): scalar}`` of a rows x cols matrix, with every operation
+    computed entry by entry in the field's arithmetic."""
+
+    def __init__(self, field, rows, cols, data):
+        self.f, self.rows, self.cols = field, rows, cols
+        self.d = {k: field.of(v) for k, v in data.items() if not field.is_zero(field.of(v))}
+
+    def matrix(self) -> Matrix:
+        return Matrix(self.rows, self.cols, self.f, self.d)
+
+    def kron(self, o: "Ref") -> "Ref":
+        return Ref(self.f, self.rows * o.rows, self.cols * o.cols,
+                   {(i * o.rows + k, j * o.cols + l): self.f.mul(u, v)
+                    for (i, j), u in self.d.items() for (k, l), v in o.d.items()})
+
+    def __matmul__(self, o: "Ref") -> "Ref":
+        f, out, rows_of_o = self.f, {}, {}
+        for (k, j), v in o.d.items():
+            rows_of_o.setdefault(k, []).append((j, v))
+        for (i, k), u in self.d.items():
+            for j, v in rows_of_o.get(k, ()):
+                out[(i, j)] = f.add(out.get((i, j), f.zero()), f.mul(u, v))
+        return Ref(f, self.rows, o.cols, out)
+
+    def plus(self, o: "Ref", c) -> "Ref":
+        """``self + c * o``."""
+        out = dict(self.d)
+        for k, v in o.d.items():
+            out[k] = self.f.add(out.get(k, self.f.zero()), self.f.mul(c, v))
+        return Ref(self.f, self.rows, self.cols, out)
+
+    def columns(self):
+        out = [{} for _ in range(self.cols)]
+        for (i, j), v in self.d.items():
+            out[j][i] = v
+        return out
+
+    def witness(self):
+        """The first nonzero entry in row-major order, or None."""
+        return min(((i, j, v) for (i, j), v in self.d.items()), default=None)
+
+    def value_type(self):
+        """The value type a Matrix with these entries must have."""
+        ints = all(v.denominator == 1 and abs(v) < 2**62 for v in self.d.values())
+        return np.int64 if ints else object
 
 
 def reference_echelon(field: Field, cols):

@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import (ACCEPTANCE_ALGEBRAS, comultiply_iter, degree_dims, from_rows,
+from conftest import (ACCEPTANCE_ALGEBRAS, Ref, comultiply_iter, degree_dims, from_rows,
                       named_algebra, product_apply, unit_element, with_column)
 
 from hopfcalc import cli, connections
@@ -403,7 +403,7 @@ def test_golden_dga_lines_match_the_full_oracle():
 def test_defect_witnesses_are_the_first_entry_in_row_major_order():
     # the four failing associativity lines of a golden entry whose int64
     # witnesses were once the first entry in scipy's unsorted column order:
-    # each is the first entry of the defect built with the Python product
+    # each is the first entry of the defect built with the dict reference
     argv = ["verify-dga", "--builtin", "sweedler", "--calculus", "general", "--alpha", "s",
             "--beta", "sinv", "--max-degree", "2"]
     args = cli.build_parser().parse_args(argv)
@@ -413,11 +413,14 @@ def test_defect_witnesses_are_the_first_entry_in_row_major_order():
     def eye(n):
         return Matrix.identity(calc.degree_dim(n), f)
 
+    def ref(x):
+        return Ref(f, x.rows, x.cols, x.data)
+
     for (n, m, l), column in [((0, 0, 1), (1, 2, 5)), ((0, 0, 2), (1, 2, 21)),
                               ((0, 1, 1), (1, 2, 5)), ((1, 0, 1), (1, 2, 5))]:
-        lhs = product(n + m, l)._matmul_python(product(n, m).kron(eye(l)))
-        rhs = product(n, m + l)._matmul_python(eye(n).kron(product(m, l)))
-        defect = (lhs - rhs).data
+        lhs = ref(product(n + m, l)) @ ref(product(n, m).kron(eye(l)))
+        rhs = ref(product(n, m + l)) @ ref(eye(n).kron(product(m, l)))
+        defect = lhs.plus(rhs, f.neg(f.one())).d
         first = min(defect)
         w = identity_defect_witness(f, [(1, [product(n + m, l), (product(n, m), eye(l))]),
                                         (-1, [product(n, m + l), (eye(n), product(m, l))])])

@@ -76,6 +76,11 @@ COMMANDS = [
     # 2,359,296 x 294,912
     ["homology", "--builtin", "taft:3:2", "--field", "F7", "--calculus", "k",
      "--max-degree", "6"],
+    # the exact path: a prime above the int64 bounds of products and krons
+    ["homology", "--builtin", "sweedler", "--calculus", "k", "--max-degree", "7",
+     "--compare-cotor", "--field", "F2147483647"],
+    ["verify-dga", "--builtin", "sweedler", "--calculus", "khat", "--max-degree", "3",
+     "--field", "F4294967311"],
 ]
 
 

@@ -198,11 +198,11 @@ def test_normalized_ranks_match_the_full_oracle_on_the_golden_entries(normalized
     # that it takes runs below, and at D = 5 on the cotor cases
     commands = [argv for argv in golden if argv.startswith("homology ")
                 and argv != "homology --builtin taft:3:2 --field F7 --calculus k --max-degree 6"]
-    assert len(commands) == 7
+    assert len(commands) == 8
     for argv in commands:
         with contextlib.chdir(ROOT), contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv.split()) == golden[argv]["exit"]
-    assert len(normalized_tables) == 7
+    assert len(normalized_tables) == 8
 
 
 def test_normalized_ranks_match_the_full_oracle_on_the_acceptance_cases(normalized_tables):

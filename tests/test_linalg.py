@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, note, settings, strategies as st
 
-from conftest import (from_rows, kernel_dim, named_algebra, reference_column_echelon,
+from conftest import (Ref, from_rows, kernel_dim, named_algebra, reference_column_echelon,
                       reference_echelon, transpose)
 
 from hopfcalc import linalg
@@ -131,7 +131,7 @@ def rank_matrix(seed, kind, rows, cols, inner):
         return Matrix(r, c, field, {(i, j): field.of(entry(rng)) for i in range(r)
                                     for j in range(c) if rng.random() < 0.6})
 
-    return rand(rows, inner)._matmul_python(rand(inner, cols)) if inner else rand(rows, cols)
+    return rand(rows, inner) @ rand(inner, cols) if inner else rand(rows, cols)
 
 
 @settings(max_examples=60)
@@ -309,7 +309,7 @@ def scale_matrix(seed, kind, rows, cols):
         return Matrix(r, c, field, {k: field.of(v) for k, v in data.items()})
 
     inner = rng.choice([0, 0, 6, 20])
-    return rand(rows, inner)._matmul_python(rand(inner, cols)) if inner else rand(rows, cols)
+    return rand(rows, inner) @ rand(inner, cols) if inner else rand(rows, cols)
 
 
 def edge_masks(m: Matrix):
@@ -410,9 +410,9 @@ def test_the_pivot_store_grows_more_than_once(monkeypatch, kind):
 def test_matmul_scipy_matches_python(seed):
     rng = random.Random(seed)
     for field in (QQ, F7):
-        a = _random_matrix(rng, 6, 5, field)
-        b = _random_matrix(rng, 5, 7, field)
-        assert a @ b == a._matmul_python(b)
+        ra = Ref(field, 6, 5, _random_entries(rng, 6, 5, field))
+        rb = Ref(field, 5, 7, _random_entries(rng, 5, 7, field))
+        assert_matches(ra.matrix() @ rb.matrix(), ra @ rb)
 
 
 @settings(max_examples=30)
@@ -726,54 +726,6 @@ def test_a_write_to_data_changes_nothing():
         assert identity_defect_witness(QQ, [(1, [m]), (-1, [eye])]) == before[2]
 
 
-class Ref:
-    """The tests-only dict reference for ``Matrix``: the nonzero entries
-    ``{(row, col): scalar}`` of a rows x cols matrix, with every operation
-    computed entry by entry in the field's arithmetic."""
-
-    def __init__(self, field, rows, cols, data):
-        self.f, self.rows, self.cols = field, rows, cols
-        self.d = {k: field.of(v) for k, v in data.items() if not field.is_zero(field.of(v))}
-
-    def matrix(self) -> Matrix:
-        return Matrix(self.rows, self.cols, self.f, self.d)
-
-    def kron(self, o: "Ref") -> "Ref":
-        return Ref(self.f, self.rows * o.rows, self.cols * o.cols,
-                   {(i * o.rows + k, j * o.cols + l): self.f.mul(u, v)
-                    for (i, j), u in self.d.items() for (k, l), v in o.d.items()})
-
-    def __matmul__(self, o: "Ref") -> "Ref":
-        f, out = self.f, {}
-        for (i, k), u in self.d.items():
-            for (k2, j), v in o.d.items():
-                if k == k2:
-                    out[(i, j)] = f.add(out.get((i, j), f.zero()), f.mul(u, v))
-        return Ref(f, self.rows, o.cols, out)
-
-    def plus(self, o: "Ref", c) -> "Ref":
-        """``self + c * o``."""
-        out = dict(self.d)
-        for k, v in o.d.items():
-            out[k] = self.f.add(out.get(k, self.f.zero()), self.f.mul(c, v))
-        return Ref(self.f, self.rows, self.cols, out)
-
-    def columns(self):
-        out = [{} for _ in range(self.cols)]
-        for (i, j), v in self.d.items():
-            out[j][i] = v
-        return out
-
-    def witness(self):
-        """The first nonzero entry in row-major order, or None."""
-        return min(((i, j, v) for (i, j), v in self.d.items()), default=None)
-
-    def value_type(self):
-        """The value type a Matrix with these entries must have."""
-        ints = all(v.denominator == 1 and abs(v) < 2**62 for v in self.d.values())
-        return np.int64 if ints else object
-
-
 def assert_matches(got: Matrix, ref: Ref) -> None:
     """``got`` has the entries, the field scalars and the value type of ``ref``."""
     assert (got.rows, got.cols) == (ref.rows, ref.cols)
@@ -925,9 +877,12 @@ def test_kron_minus_blocks_gives_the_arrays_of_the_full_products(seed, c, block,
 
 
 def test_kron_minus_blocks_checks_the_block_shapes():
-    a, b = Matrix.identity(4, F7), Matrix.identity(2, F7)
-    for c, p in [(3, Matrix.zero(2, 2, F7)), (2, Matrix.zero(4, 3, F7)),
-                 (0, Matrix.zero(0, 0, F7))]:
+    eye4, eye2 = Matrix.identity(4, F7), Matrix.identity(2, F7)
+    for a, b, c, p in [(eye4, eye2, 3, Matrix.zero(2, 2, F7)),
+                       (eye4, eye2, 2, Matrix.zero(4, 3, F7)),
+                       (eye4, eye2, 0, Matrix.zero(0, 0, F7)),
+                       # the shapes fit, but P is over F5: its 4 was read as an F7 value
+                       (eye2, Matrix.identity(1, F7), 2, Matrix(1, 1, Field(5), {(0, 0): 4}))]:
         with pytest.raises(ValueError):
             linalg.kron_minus_blocks(a, b, c, p)
 
@@ -956,6 +911,9 @@ def test_regroup_moves_each_entry_to_its_permuted_index(seed):
 def test_regroup_checks_the_axis_sizes_and_turns_the_identity_into_the_flip():
     with pytest.raises(ValueError):
         Matrix.identity(4, QQ).regroup([2, 3, 4], [1, 0, 2], 2)
+    # a result with no columns used to divide by zero
+    assert Matrix.zero(2, 0, QQ).regroup([2, 0], [0, 1], 1) == Matrix.zero(2, 0, QQ)
+    assert Matrix.zero(0, 2, QQ).regroup([0, 2], [1, 0], 1) == Matrix.zero(2, 0, QQ)
     for m, n in [(1, 1), (1, 3), (2, 3), (3, 2)]:
         flip = Matrix(m * n, m * n, F7, {(j * m + i, i * n + j): 1
                                           for i in range(m) for j in range(n)})
@@ -963,22 +921,39 @@ def test_regroup_checks_the_axis_sizes_and_turns_the_identity_into_the_flip():
         assert Matrix.identity(m * n, F7).regroup([m, n, m * n], [1, 0, 2], 2) == flip
 
 
+# the operand kinds of the dict twin: those of KINDS, and int64 operands whose
+# products leave int64, by an entry p - 1 over F_2147483647 (whose products
+# pass 2^62 once summed) and by any entry over F_4294967311
+TWIN_KINDS = [(field, SPECIAL[kind]) for field, kind in KINDS] + [(Field(P31), P31 - 1),
+                                                                   (F_BIG, None)]
+
+
 @settings(max_examples=30)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_a_csr_result_equals_its_dict_twin(seed):
-    # every operation on int64 operands and on object ones (a 2**62 or a
-    # 1/2 entry in the first operand), against the dict reference
+    # every operation against the dict reference: on int64 operands, on
+    # object ones (a 2**62 or a 1/2 entry in the first operand, the second
+    # or both), on int64 ones whose products leave int64, and on operands
+    # with no rows, no inner dimension, no columns, or no entry
     rng = random.Random(seed)
-    for field, kind in KINDS:
-        r, k, c = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 4)
-        ra = _ref(rng, field, r, k, SPECIAL[kind])
-        rb, rc, rd = _ref(rng, field, k, c), _ref(rng, field, r, k), _ref(rng, field, r, c)
+    draws = itertools.product(TWIN_KINDS, ("first", "second", "both"))
+    for draw, ((field, special), where) in enumerate(draws):
+        # ``empty`` 0, 1 or 2 zeroes that one of (rows, inner, cols); 3 leaves
+        # the first operand with no entry
+        dims, empty = [rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 4)], (seed + draw) % 5
+        if empty < 3:
+            dims[empty] = 0
+        r, k, c = dims
+        ra = _ref(rng, field, r, k, None if where == "second" else special,
+                  0.0 if empty == 3 else None)
+        rb, rc = (_ref(rng, field, rows, cols, None if where == "first" else special)
+                  for rows, cols in ((k, c), (r, k)))
+        rd = _ref(rng, field, r, c)
         a, b, cm, d = (x.matrix() for x in (ra, rb, rc, rd))
-        assert a._csr[2].dtype == (np.int64 if kind == "int64" else object)
-        cases = [(a @ b, ra @ rb), (a._matmul_python(b), ra @ rb),
-                 (a.kron(b), ra.kron(rb)), (b.kron(a), rb.kron(ra)),
-                 (a + cm, ra.plus(rc, field.one())), (cm - a, rc.plus(ra, field.neg(field.one()))),
-                 (a - a, ra.plus(ra, field.neg(field.one())))]
+        one = field.one()
+        cases = [(a @ b, ra @ rb), (a.kron(b), ra.kron(rb)), (b.kron(a), rb.kron(ra)),
+                 (a + cm, ra.plus(rc, one)), (cm - a, rc.plus(ra, field.neg(one))),
+                 (a - a, ra.plus(ra, field.neg(one))), (cm + a, rc.plus(ra, one))]
         cases += [(a.scale(x), Ref(field, r, k, {}).plus(ra, x))
                   for x in map(field.of, (0, 1, -1, 3, "1/3", 2**62))]
         for got, ref in cases:
@@ -996,8 +971,8 @@ def test_a_csr_result_equals_its_dict_twin(seed):
         rs = Ref(field, n, n, {**{(i, i): field.one() for i in range(n)},
                                **{(i, j): field.of(rng.randint(-3, 3))
                                   for i in range(n) for j in range(i + 1, n)}})
-        if SPECIAL[kind] is not None:
-            rs.d[(0, 0)] = field.of(SPECIAL[kind])
+        if special is not None:
+            rs.d[(0, 0)] = field.of(special)
         s = rs.matrix()
         inv, want = s.inverse(), reference_inverse(s)
         assert want is not None and inv == want
@@ -1033,6 +1008,41 @@ def test_sums_and_multiples_of_csr_operands_stay_canonical_csr(seed):
             assert all(type(v) is type(field.one()) for v in got.data.values())
 
 
+def test_sums_and_differences_check_the_fields():
+    # F7 (3) + F5 (4) used to return the zero matrix over F7, as 3 + 4 = 0 mod 7
+    for a, b in [(Matrix(1, 1, F7, {(0, 0): 3}), Matrix(1, 1, Field(5), {(0, 0): 4})),
+                 (Matrix(1, 1, QQ, {(0, 0): Fraction(1, 2)}), Matrix(1, 1, F7, {(0, 0): 2})),
+                 (Matrix(1, 1, F_BIG, {(0, 0): 3}), Matrix(1, 1, F7, {(0, 0): 4}))]:
+        for got in (lambda: a + b, lambda: a - b, lambda: b + a, lambda: b - a):
+            with pytest.raises(ValueError, match="field mismatch"):
+                got()
+
+
+def test_matrix_arithmetic_takes_no_field_arithmetic(monkeypatch):
+    # the exact path of @, kron, + and - runs numpy calls on object arrays;
+    # with Field.add, sub and mul raising, object operands over Q (Fractions
+    # and 2^62) and int64 operands over F_4294967311 (whose products pass
+    # 2^64) still give the dict reference's entries
+    rng, pairs = random.Random(11), []
+    for field, special in [(QQ, Fraction(1, 3)), (QQ, 2**62), (F_BIG, None)]:
+        for n in range(4):
+            ra, rb = (_ref(rng, field, 3, 3, special if n & bit else None, 0.7) for bit in (1, 2))
+            pairs.append((ra, rb, ra.matrix(), rb.matrix()))
+    refs = [(ra @ rb, ra.kron(rb), ra.plus(rb, ra.f.one()), ra.plus(rb, ra.f.neg(ra.f.one())))
+            for ra, rb, _, _ in pairs]
+
+    def field_arithmetic(*args):
+        raise AssertionError("Matrix called Field arithmetic")
+
+    with monkeypatch.context() as patch:
+        for name in ("add", "sub", "mul"):
+            patch.setattr(Field, name, field_arithmetic)
+        got = [(a @ b, a.kron(b), a + b, a - b) for _, _, a, b in pairs]
+    for results, wants in zip(got, refs):
+        for result, want in zip(results, wants):
+            assert_matches(result, want)
+
+
 def test_sums_and_multiples_check_shapes_and_bounds():
     a = Matrix.identity(2, QQ)
     with pytest.raises(ValueError):
@@ -1064,6 +1074,11 @@ def test_an_entry_outside_the_shape_is_rejected_on_the_exact_path():
     for key in ((2, 0), (0, 1)):
         with pytest.raises(ValueError):
             Matrix(2, 1, QQ, {key: Fraction(1, 2)})
+    # an index that is not a (row, col) pair: {(0, 0, 0): 1, (1, 0, 0): 2}
+    # used to be read as a flat list of numbers, entries at (0, 0) and (0, 1)
+    for data in ({(0,): 1, (1,): 2}, {(0, 0, 0): 1, (1, 0, 0): 2}, {(0, 0): 1, (1, 0, 0): 2}):
+        with pytest.raises(ValueError):
+            Matrix(2, 2, QQ, data)
 
 
 def test_an_unreduced_residue_equals_its_reduction():
