@@ -25,11 +25,11 @@ the two actions and the two connections (``tensor_connection``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 from .calculus import Calculus
 from .homology import ChainComplex
-from .linalg import Matrix, Vec, column_witness, kron_minus_blocks
+from .linalg import Matrix, column_witness, kron_minus_blocks
 from .modules import (DefectReport, ModComod, action_matrix, coaction_matrix,
                       coassociativity_defects)
 from .reports import Report
@@ -85,14 +85,9 @@ def _coaction(conn: Connection) -> Matrix:
     return conn.nabla + _basepoint_term(conn.calc, conn.X.dim)
 
 
-def _field_columns(m: Matrix) -> List[Vec]:
-    """The columns of ``m`` as a tensor table stores them: field scalars."""
-    return [{i: m.field.of(v) for i, v in col.items()} for col in m.columns()]
-
-
 def coaction_from_connection(conn: Connection) -> ModComod:
     """Inverse direction: rho = nabla + g (x) I_X."""
-    out = conn.X.copy_with(coaction=_field_columns(_coaction(conn)))
+    out = conn.X.copy_with(coaction=_coaction(conn).columns())
     out.coalgebra = conn.calc.C
     return out
 
@@ -296,14 +291,14 @@ def tensor_connection(conn_yd: Connection, conn_ayd: Connection) -> Connection:
     nabla = (conn_yd.nabla.kron(eye(dy))
              + (switch + flip_xh).kron(eye(dy)) @ eye(dx).kron(conn_ayd.nabla))
 
-    action = {divmod(j, dx * dy): col for j, col in enumerate(_field_columns(act))}
+    action = {divmod(j, dx * dy): col for j, col in enumerate(act.columns())}
     Xt = ModComod(H, dx * dy, action, None, label=f"tensor({X.label},{Xp.label})")
     conn = Connection(conn_ayd.calc, Xt, nabla)
     rho = _coaction(conn)
     if rho != (H.mul_matrix().kron(eye(dx * dy)) @ eye(hd).kron(flip_xh).kron(eye(dy))
                @ _coaction(conn_yd).kron(_coaction(conn_ayd))):
         raise RuntimeError("tensor coaction disagrees with the product formula")
-    Xt.coaction = _field_columns(rho)
+    Xt.coaction = rho.columns()
     return conn
 
 

@@ -26,8 +26,7 @@ import numpy as np
 
 from .fields import Field
 from .hopf import HopfAlgebra
-from .linalg import (Matrix, Vec, basis_vec, identity_defect_witness, kron_minus_blocks,
-                     vec_add, vec_tensor)
+from .linalg import Matrix, Vec, bilinear_matrix, identity_defect_witness, kron_minus_blocks
 from .modules import BimoduleCoalgebra, ModComod, coassociativity_defects
 from .reports import Report
 
@@ -348,33 +347,34 @@ def _coalgebra(calc) -> Union[HopfAlgebra, BimoduleCoalgebra]:
 
 def _basepoint_coadjoint(calc) -> ModComod:
     """The comodule structure on B itself whose cobar complex matches the
-    bare calculus: rho(b) = alpha(b_(1)) I beta(b_(3)) (x) b_(2), built
-    from the structure maps directly (conjugation by S or S^-1 for the
-    Hopf calculi)."""
-    B = calc.B
-    f = B.field
+    bare calculus: rho(b) = W(b_(1), b_(3)) (x) b_(2), that is
+
+        rho = (W (x) I_B) (I_B (x) flip_(B,B)) (I_B (x) Delta) Delta,
+
+    with W: C <- B (x) B the wrap of the outer legs around the basepoint,
+    b1 b3 -> b1 conj(b3) for the Hopf calculi, W = mu (I_B (x) conj) with
+    conj = S^-1 for ``k`` and S for ``khat``, and b1 b3 -> alpha(b1) . I .
+    beta(b3) for ``general``, W = R (L (alpha (x) g) (x) beta) with L and R
+    the actions of B on C and g the basepoint I as a C x 1 column.
+
+    It is built from the structure tables and maps alone, never from the
+    calculus's sandwich matrix, products or differentials: T (I_B (x) g),
+    the first term of D_0, is this same matrix, so reading it would make
+    the cobar oracle of ``compare_cotor`` check the calculus against
+    itself."""
+    B, f, bd = calc.B, calc.field, calc.B.dim
+    eye = Matrix.identity(bd, f)
     if calc.kind == "general":
-        C, alpha, beta, I = calc.C, calc.alpha, calc.beta, calc.C.grouplike
-        def wrap(b1: int, b3: int) -> Vec:
-            return C.ract(C.lact(alpha.apply(basis_vec(f, b1)), I),
-                          beta.apply(basis_vec(f, b3)))
+        C, cd = calc.C, calc.C.dim
+        g = Matrix.from_columns([C.grouplike], cd, f)
+        L = bilinear_matrix(f, C.left, bd, cd, cd)
+        R = bilinear_matrix(f, C.right, cd, bd, cd)
+        W = R @ (L @ calc.alpha.matrix.kron(g)).kron(calc.beta.matrix)
     else:
-        conj = calc._conj
-        def wrap(b1: int, b3: int) -> Vec:
-            return B.multiply(basis_vec(f, b1), conj.apply(basis_vec(f, b3)))
-    coaction: List[Vec] = []
-    for i in range(B.dim):
-        acc: Vec = {}
-        # the legs of (I (x) Delta) Delta (e_i)
-        for fl, c in B.comul[i].items():
-            b1, b23 = divmod(fl, B.dim)
-            for fl2, c2 in B.comul[b23].items():
-                b2, b3 = divmod(fl2, B.dim)
-                vec_add(f, acc, vec_tensor(f, wrap(b1, b3), basis_vec(f, b2), B.dim),
-                        f.mul(c, c2))
-        coaction.append(acc)
-    return ModComod(B, B.dim, None, coaction,
-                    coalgebra=calc.C, label="basepoint-coadjoint")
+        W = B.mul_matrix() @ eye.kron(calc._conj)
+    delta = B.comul_matrix()
+    rho = W.kron(eye) @ eye.kron(Matrix.flip(bd, bd, f)) @ eye.kron(delta) @ delta
+    return ModComod(B, bd, None, rho.columns(), coalgebra=calc.C, label="basepoint-coadjoint")
 
 
 def calculus_complex(calc, X: Optional[ModComod],

@@ -31,8 +31,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import Field
-from .linalg import (Matrix, Vec, basis_vec, bilinear, bilinear_matrix, column_witness,
-                     pairing_matrix, vec_scale, vec_tensor)
+from .linalg import Matrix, Vec, bilinear_matrix, column_witness, pairing_matrix
 from .reports import Report
 
 
@@ -69,9 +68,6 @@ class HopfAlgebra:
     _memo: dict = dc_field(init=False, default_factory=dict, repr=False, compare=False)
 
     # -- structure maps ------------------------------------------------------
-
-    def multiply(self, u: Vec, v: Vec) -> Vec:
-        return bilinear(self.field, self.mul, u, v)
 
     def antipode_inverse(self) -> Optional[Matrix]:
         """Exact inverse of S, or None when S is singular."""
@@ -234,9 +230,6 @@ class BialgebraMorphism:
     matrix: Matrix
     variant: str = "plain"      # "plain" | "opcop"
 
-    def apply(self, v: Vec) -> Vec:
-        return self.matrix.apply(v)
-
     @classmethod
     def identity(cls, H: HopfAlgebra) -> "BialgebraMorphism":
         return cls(H, H, Matrix.identity(H.dim, H.field), "plain")
@@ -387,8 +380,19 @@ def build_taft(n: int, q, field: Field) -> HopfAlgebra:
     """Taft algebra of dimension n^2: g^n = 1, x^n = 0, xg = q gx.
 
     q must be a primitive n-th root of unity in the coefficient field.  The
-    coproduct and antipode on monomials g^i x^j are computed from the
-    generator values (Delta multiplicatively, S anti-multiplicatively).
+    coproduct and antipode on the monomials g^i x^j are products of the
+    structure matrices, from the generator values: Delta multiplicatively,
+
+        Delta(g^i x^j) = by_x^j by_g^i (u (x) u),
+
+    where right multiplication by Delta(g) = g (x) g is by_g = R_g (x) R_g
+    and by Delta(x) = x (x) 1 + g (x) x is by_x = R_x (x) I + R_g (x) R_x,
+    with R_s = mu (I (x) s) right multiplication by s on H and u the unit;
+    and S anti-multiplicatively, the x-part first,
+
+        S(g^i x^j) = R_S(g)^i R_S(x)^j u,
+
+    with S(g) = g^(n-1) and S(x) = -S(g) x.
     """
     f = field
     q = f.of(q)
@@ -419,36 +423,37 @@ def build_taft(n: int, q, field: Field) -> HopfAlgebra:
     unit = {mono(0, 0): one}
     counit = {mono(i, 0): one for i in range(n)}
 
-    # assemble a provisional algebra so we can compute Delta and S by
-    # multiplying out generator images: Delta(g^i x^j) = Delta(g)^i
-    # Delta(x)^j, right multiplication by a (x) b in H (x) H being R_a (x) R_b
-    # with R_h = mu (I (x) h) right multiplication by h on H
+    # a provisional algebra, for its multiplication and unit matrices
     H = HopfAlgebra(f, dim, [], mul, unit, [], counit, Matrix.identity(dim, f))
-    mu, eye = H.mul_matrix(), Matrix.identity(dim, f)
+    mu, u, eye = H.mul_matrix(), H.unit_column(), Matrix.identity(dim, f)
 
-    def right(i: int, j: int) -> Matrix:
-        return mu @ eye.kron(Matrix.from_columns([{mono(i, j): one}], dim, f))
+    def e(i: int, j: int) -> Matrix:
+        return Matrix.from_columns([{mono(i, j): one}], dim, f)
 
-    if n > 1:       # Taft(1) is the ground field: no g or x to multiply by
-        by_g = right(1, 0).kron(right(1, 0))
-        by_x = right(0, 1).kron(eye) + right(1, 0).kron(right(0, 1))
-    s_g = basis_vec(f, mono((n - 1) % n, 0))
-    s_x = vec_scale(f, H.multiply(s_g, basis_vec(f, mono(0, 1))), f.neg(one))
-    comul: List[Vec] = []
-    antipode: List[Vec] = []
-    for i in range(n):
-        for j in range(n):
-            t, img = vec_tensor(f, unit, unit, dim), unit
-            for _ in range(i):
-                t = by_g.apply(t)
-            for _ in range(j):
-                t = by_x.apply(t)
-                img = H.multiply(img, s_x)     # S is an anti-homomorphism: x-part first
-            for _ in range(i):
-                img = H.multiply(img, s_g)
-            comul.append(t)
-            antipode.append(img)
-    H.comul, H.antipode = comul, Matrix.from_columns(antipode, dim, f)
+    def right(s: Matrix) -> Matrix:
+        return mu @ eye.kron(s)
+
+    def powers(m: Matrix, v: Matrix) -> List[Matrix]:
+        """v, m v, ..., m^(n-1) v."""
+        out = [v]
+        for _ in range(n - 1):
+            out.append(m @ out[-1])
+        return out
+
+    def side_by_side(cols: List[Matrix]) -> Matrix:
+        return Matrix.from_columns([c.columns()[0] for c in cols], cols[0].rows, f)
+
+    # the generators as columns; in Taft(1), the ground field, g = 1 and x = 0
+    g, x = e(1 % n, 0), e(0, 1) if n > 1 else Matrix.zero(dim, 1, f)
+    r_g, r_x = right(g), right(x)
+    by_g, by_x = r_g.kron(r_g), r_x.kron(eye) + r_g.kron(r_x)
+    s_g = e(n - 1, 0)
+    r_sg, r_sx = right(s_g), right((mu @ s_g.kron(x)).scale(f.of(-1)))
+    # column i of comul[j] is Delta(g^i x^j), column j of antipode[i] is S(g^i x^j)
+    comul = [m.columns() for m in powers(by_x, side_by_side(powers(by_g, u.kron(u))))]
+    antipode = powers(r_sg, side_by_side(powers(r_sx, u)))
+    H.comul = [comul[j][i] for i in range(n) for j in range(n)]
+    H.antipode = Matrix.from_columns([c for m in antipode for c in m.columns()], dim, f)
 
     names = []
     for i in range(n):
@@ -472,9 +477,14 @@ def build_sweedler(field: Field = None) -> HopfAlgebra:
 
 def permute_basis(H: HopfAlgebra, perm: Sequence[int],
                   names: Optional[List[str]] = None) -> HopfAlgebra:
-    """Relabel the basis: new e'_a = old e_{perm[a]}."""
+    """Relabel the basis: new e'_a = old e_{perm[a]}.  The tables are
+    renumbered, and the antipode becomes P^-1 S P with P the permutation
+    matrix e'_a -> e_{perm[a]}; a ``perm`` that is not a permutation of
+    range(dim) is a ``ValueError``."""
     f = H.field
     d = H.dim
+    if sorted(perm) != list(range(d)):
+        raise ValueError("perm is not a permutation of the basis")
     inv = [0] * d
     for a, p in enumerate(perm):
         inv[p] = a
@@ -488,7 +498,8 @@ def permute_basis(H: HopfAlgebra, perm: Sequence[int],
     mul = {(a, b): rv(H.mul.get((perm[a], perm[b]), {})) for a in range(d) for b in range(d)}
     comul = [rt(H.comul[perm[a]]) for a in range(d)]
     counit = {inv[i]: c for i, c in H.counit.items()}
-    antipode = Matrix.from_columns([rv(H.antipode.column(p)) for p in perm], d, f)
+    P = Matrix.from_columns([{p: f.one()} for p in perm], d, f)
+    antipode = P.inverse() @ H.antipode @ P
     table = None
     if H.group_table is not None:
         table = [[inv[H.group_table[perm[a]][perm[b]]] for b in range(d)] for a in range(d)]

@@ -7,10 +7,9 @@ its entries decide.  It is int64, reduced to [0, p) over F_p, when every
 entry is an integer below ``_INT64_SAFE`` in absolute value (always true
 for the structure constants of the built-in algebras); otherwise it is an
 object array of field scalars, the exact fallback.  Reads (``entries``,
-``columns``, ``apply``, ``get``, ``==``, ...) give an int64 entry as a
-Python int.  ``Matrix.data`` builds a new dict ``{(row, col): scalar}``
-of field scalars (``Fraction`` over Q) on each call, and writing to it
-changes nothing.
+``get``, ``==``, ...) give an int64 entry as a Python int.  ``columns``
+and ``Matrix.data`` give field scalars (``Fraction`` over Q) in new dicts
+on each call, and writing to those changes nothing.
 
 The kernels work on the int64 arrays when both operands have them and a
 bound on the result stays below ``_INT64_SAFE``.  Otherwise ``@``,
@@ -33,12 +32,16 @@ start-up still costs is numpy (90-130 ms), ``site`` (45-60 ms, the
 environment's ``.pth`` files) and, where no valid ``__pycache__``
 exists, 50-90 ms compiling hopfcalc's sources, on a 2-vCPU VM.
 
-On sparse vectors each operation has one kernel: ``bilinear`` applies a
-bilinear map given on basis pairs (a multiplication, an action) and
-``bilinear_matrix`` turns the same table into a matrix,
-``Matrix.from_columns`` a linear map given by its basis images (a
-coproduct, a coaction), ``pairing`` evaluates a covector (a counit, a
-character) and ``pairing_matrix`` turns it into a row.
+Structure tensors are applied only as matrices.  A table enters once,
+as a ``Matrix``: ``bilinear_matrix`` turns a bilinear map given on basis
+pairs (a multiplication, an action) into one, ``Matrix.from_columns`` a
+linear map given by its basis images (a coproduct, a coaction) and
+``pairing_matrix`` a covector (a counit, a character).  Every element is
+then a column and every map a product of these matrices, so there is no
+vector arithmetic beside ``Matrix``; a result that a table must hold is
+read back with ``columns``.  The per-entry dict arithmetic that the tests'
+oracles run lives in the tests, so that no oracle shares a kernel with
+the code it checks.
 
 Elimination has one forward pass, ``_echelon``: exact sparse Gaussian
 elimination in integers, modular over F_p and fraction free over Q, run
@@ -178,62 +181,6 @@ def tensor_decode(flat: int, dims: Sequence[int]) -> Tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# sparse vectors
-
-
-def vec_add(field: Field, dst: Vec, src: Vec, coeff=None) -> None:
-    """In-place ``dst += coeff * src`` (coeff defaults to 1), pruning zeros."""
-    if coeff is not None and field.is_zero(coeff):
-        return
-    for i, c in src.items():
-        c2 = field.mul(coeff, c) if coeff is not None else c
-        acc = field.add(dst.get(i, field.zero()), c2)
-        if field.is_zero(acc):
-            dst.pop(i, None)
-        else:
-            dst[i] = acc
-
-
-def vec_scale(field: Field, v: Vec, coeff) -> Vec:
-    if field.is_zero(coeff):
-        return {}
-    return {i: field.mul(coeff, c) for i, c in v.items()}
-
-
-def vec_tensor(field: Field, a: Vec, b: Vec, dim_b: int) -> Vec:
-    """Tensor product of sparse vectors, b indexed within a block of dim_b."""
-    out: Vec = {}
-    for i, ci in a.items():
-        for j, cj in b.items():
-            out[i * dim_b + j] = field.mul(ci, cj)
-    return out
-
-
-def basis_vec(field: Field, i: int) -> Vec:
-    return {i: field.one()}
-
-
-def bilinear(field: Field, table: Dict[Tuple[int, int], Vec], u: Vec, v: Vec) -> Vec:
-    """The bilinear map with ``table[(i, j)]`` the image of the basis pair
-    (i, j), applied to ``(u, v)``; a missing pair maps to 0."""
-    out: Vec = {}
-    for i, ci in u.items():
-        for j, cj in v.items():
-            img = table.get((i, j))
-            if img:
-                vec_add(field, out, img, field.mul(ci, cj))
-    return out
-
-
-def pairing(field: Field, w: Dict[int, object], v: Vec):
-    """The covector with values ``w`` on the basis, evaluated at ``v``."""
-    acc = field.zero()
-    for i, c in v.items():
-        acc = field.add(acc, field.mul(w.get(i, field.zero()), c))
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # int64 CSR kernels
 #
 # Each takes and returns int64 CSR triples.  They never write to an operand: a
@@ -369,7 +316,7 @@ class Matrix:
     """Zero-omitting sparse matrix over an exact field, stored as canonical
     CSR with int64 or object values (module docstring)."""
 
-    __slots__ = ("rows", "cols", "field", "_csr", "_maxabs", "_csc", "_cols")
+    __slots__ = ("rows", "cols", "field", "_csr", "_maxabs", "_csc")
 
     def __init__(self, rows: int, cols: int, field: Field,
                  data: Dict[Tuple[int, int], object] | None = None):
@@ -394,7 +341,7 @@ class Matrix:
             a.setflags(write=False)
         self.rows, self.cols, self.field = rows, cols, field
         self._csr, self._maxabs = csr, maxabs
-        self._csc = self._cols = None
+        self._csc = None
 
     @classmethod
     def _of_csr(cls, rows: int, cols: int, field: Field, csr: CSR,
@@ -486,25 +433,11 @@ class Matrix:
                 ptr[1:] - ptr[:-1]) * len(cols) + idx, val)
         return cls._of_csr(rows, len(cols), field, (ptr, idx, val))
 
-    def column(self, j: int) -> Vec:
-        return dict(self._column(j))
-
     def columns(self) -> List[Vec]:
-        """The columns as new dicts."""
+        """The columns as new dicts of field scalars (``Fraction`` over Q)."""
+        of = self.field.of
         ptr, idx, val = (a.tolist() for a in self._csc_arrays())
-        return [dict(zip(idx[s:e], val[s:e])) for s, e in zip(ptr, ptr[1:])]
-
-    def _column(self, j: int) -> Vec:
-        """Column j, cached and not to be written; only the columns asked
-        for are converted."""
-        if self._cols is None:
-            self._cols = [None] * self.cols
-        col = self._cols[j]
-        if col is None:
-            ptr, idx, val = self._csc_arrays()
-            s, e = ptr[j], ptr[j + 1]
-            col = self._cols[j] = dict(zip(idx[s:e].tolist(), val[s:e].tolist()))
-        return col
+        return [{i: of(v) for i, v in zip(idx[s:e], val[s:e])} for s, e in zip(ptr, ptr[1:])]
 
     def _csc_arrays(self) -> CSR:
         """The CSC form of the stored CSR, rows sorted within each column,
@@ -514,6 +447,10 @@ class Matrix:
         return self._csc
 
     def get(self, i: int, j: int):
+        """The entry at (i, j); an index outside the shape is a
+        ``ValueError``, as in ``__init__``."""
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise ValueError("matrix entry index out of range")
         ptr, idx, val = self._csr
         s, e = ptr[i], ptr[i + 1]
         k = s + int(np.searchsorted(idx[s:e], j))
@@ -609,14 +546,6 @@ class Matrix:
         at = _spans(bp[aj], n)
         return Matrix._of_entries(self.rows, other.cols, self.field, self._entry_rows().repeat(n)
                                   * other.cols + bj[at], ax.astype(object).repeat(n) * bx[at])
-
-    def apply(self, v: Vec) -> Vec:
-        """Matrix-vector product on a sparse vector."""
-        f = self.field
-        acc: Vec = {}
-        for k, c in v.items():
-            vec_add(f, acc, self._column(k), c)
-        return acc
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, consistent with big-endian index flattening.
@@ -810,14 +739,15 @@ def kron_minus_blocks(a: Matrix, b: Matrix, c: int, p: Matrix) -> Matrix:
 
 def bilinear_matrix(field: Field, table: Dict[Tuple[int, int], Vec], left: int,
                     right: int, rows: int) -> Matrix:
-    """The bilinear map of ``table`` (``bilinear``) as the matrix
-    rows <- left (x) right."""
+    """The bilinear map with ``table[(i, j)]`` the image of the basis pair
+    (i, j), a missing pair mapping to 0, as the matrix rows <- left (x)
+    right."""
     return Matrix.from_columns([table.get((i, j), {}) for i in range(left)
                                     for j in range(right)], rows, field)
 
 
 def pairing_matrix(field: Field, w: Dict[int, object], dim: int) -> Matrix:
-    """The covector ``w`` of ``pairing`` as a 1 x dim row."""
+    """The covector with the values ``w`` on the basis as a 1 x dim row."""
     return Matrix.from_columns([{0: w.get(i, field.zero())} for i in range(dim)], 1, field)
 
 
@@ -825,14 +755,16 @@ def column_defects(lhs: Matrix, rhs: Matrix, dims: Sequence[int],
                    first: bool = False) -> Dict[tuple, Vec]:
     """The nonzero columns of lhs - rhs, only the first when ``first``,
     each keyed by its index decoded over ``dims``, values through
-    ``field.of``; lhs - rhs is computed only when the sides differ."""
+    ``field.of``; lhs - rhs is computed only when the sides differ, and its
+    columns are read off its CSC arrays."""
     if lhs == rhs:
         return {}
-    d, f = lhs - rhs, lhs.field
-    idx = d._csr[1]         # the column of each entry; not empty, as lhs != rhs
-    js = [int(idx.min())] if first else sorted(set(idx.tolist()))
-    return {tensor_decode(j, dims): {i: f.of(v) for i, v in d.column(j).items()}
-            for j in js}
+    d, of = lhs - rhs, lhs.field.of
+    ptr, idx, val = d._csc_arrays()
+    js = np.flatnonzero(ptr[1:] != ptr[:-1])    # not empty, as lhs != rhs
+    return {tensor_decode(j, dims): {i: of(v) for i, v in zip(idx[ptr[j]:ptr[j + 1]].tolist(),
+                                                              val[ptr[j]:ptr[j + 1]].tolist())}
+            for j in (js[:1] if first else js).tolist()}
 
 
 def column_witness(lhs: Matrix, rhs: Matrix, dims: Sequence[int]) -> "dict | None":

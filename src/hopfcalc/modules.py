@@ -41,8 +41,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .fields import Field
 from .hopf import BialgebraMorphism, HopfAlgebra, memoized
-from .linalg import (Matrix, Vec, basis_vec, bilinear, bilinear_matrix, column_defects,
-                     column_echelon, column_witness, pairing, pairing_matrix)
+from .linalg import (Matrix, Vec, bilinear_matrix, column_defects, column_echelon,
+                     column_witness, pairing_matrix)
 from .reports import Report
 
 
@@ -70,12 +70,6 @@ class BimoduleCoalgebra:
         mul_r = {(a, i): dict(H.mul.get((a, i), {})) for a in range(H.dim) for i in range(H.dim)}
         return cls(H, H.dim, [dict(t) for t in H.comul], dict(H.counit),
                    mul, mul_r, dict(H.unit))
-
-    def lact(self, b: Vec, c: Vec) -> Vec:
-        return bilinear(self.field, self.left, b, c)
-
-    def ract(self, c: Vec, b: Vec) -> Vec:
-        return bilinear(self.field, self.right, c, b)
 
 
 def verify_bimodule_coalgebra(C: BimoduleCoalgebra) -> Report:
@@ -119,7 +113,7 @@ def verify_bimodule_coalgebra(C: BimoduleCoalgebra) -> Report:
     rep.add("comul_is_bimodule_map", w is None, w)
 
     rep.add("basepoint_grouplike", delta @ g == g.kron(g))
-    eps_g = pairing(f, C.counit, C.grouplike)
+    eps_g = (eps @ g).get(0, 0)
     # a coalgebra map k -> C forces counit value 1 on the basepoint; report
     # the value as a warning rather than a failure
     rep.add(f"basepoint_counit_value={f.to_str(eps_g)}", True)
@@ -151,11 +145,6 @@ class ModComod:
     @property
     def codim(self) -> int:
         return self.coalgebra.dim if self.coalgebra is not None else self.algebra.dim
-
-    def act(self, h: Vec, x: Vec) -> Vec:
-        if self.action is None:
-            raise ValueError("module has no action")
-        return bilinear(self.field, self.action, h, x)
 
     def copy_with(self, action=None, coaction=None, label=None) -> "ModComod":
         return ModComod(self.algebra, self.dim,
@@ -511,7 +500,7 @@ def groupoid_decompose(X: ModComod) -> GroupoidReport:
     act = action_matrix(X) if dims else None
     blocks: Dict[Tuple[int, int], Matrix] = {}
     for h in range(n):
-        e_h = Matrix.from_columns([basis_vec(f, h)], n, f)
+        e_h = Matrix(n, 1, f, {(h, 0): 1})
         for g in dims:
             target = table[table[h][g]][inverse[h]]
             img = act @ e_h.kron(B[g])
@@ -521,8 +510,7 @@ def groupoid_decompose(X: ModComod) -> GroupoidReport:
                     False,
                     f"action of {H.basis[h]} does not map grade {H.basis[g]} "
                     f"into grade {H.basis[target]}")
-    basis = {g: [{i: f.of(v) for i, v in col.items()} for col in b.columns()]
-             for g, b in enumerate(B)}
+    basis = {g: b.columns() for g, b in enumerate(B)}
     return GroupoidReport(True, data=GroupoidData(dims, blocks), grading_basis=basis)
 
 
@@ -550,8 +538,6 @@ def modcomod_from_groupoid(H: HopfAlgebra, data: GroupoidData) -> ModComod:
     for h in range(H.dim):
         for g in grades:
             target = table[table[h][g]][inverse[h]]
-            block = data.blocks[(h, g)]
-            for k in range(data.dims[g]):
-                col = block.column(k)
+            for k, col in enumerate(data.blocks[(h, g)].columns()):
                 action[(h, offset[g] + k)] = {offset[target] + r: c for r, c in col.items()}
     return ModComod(H, dim, action, coaction, label="groupoid")

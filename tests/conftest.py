@@ -1,4 +1,11 @@
-"""Shared builders and the adversarial module corpus.
+"""Shared builders, the tests' per-vector arithmetic and the adversarial
+module corpus.
+
+The package applies structure tensors only as matrices.  The oracles here
+and in the test modules keep the dict arithmetic of sparse vectors
+``{index: scalar}``, one ``Field`` call per entry (``vec_add``,
+``bilinear``, ``apply``, ``multiply``, ``lact``, ``act``, ...), so that no
+oracle shares a kernel with the code it checks.
 
 The corpus for the correspondence theorems is: trivial, every (delta,
 sigma) one-dimensional pair, the coadjoint comodule (with the regular
@@ -18,13 +25,103 @@ from hopfcalc.connections import sandwich_action
 from hopfcalc.fields import QQ, Field
 from hopfcalc.hopf import (HopfAlgebra, build_dual_group_algebra, build_group_algebra,
                            build_sweedler, build_taft, cyclic_table, symmetric_table)
-from hopfcalc.linalg import (Matrix, Vec, pairing, pairing_matrix, tensor_decode, vec_add,
-                             vec_tensor)
-from hopfcalc.modules import (ModComod, action_matrix, add_action_axioms, check_ayd,
-                              coadjoint_comodule, coaction_matrix, coassociativity_defects,
-                              enumerate_characters, enumerate_grouplikes, one_dim_modcomod,
-                              regular_modcomod, trivial_modcomod)
+from hopfcalc.linalg import Matrix, Vec, pairing_matrix, tensor_decode
+from hopfcalc.modules import (BimoduleCoalgebra, ModComod, action_matrix, add_action_axioms,
+                              check_ayd, coadjoint_comodule, coaction_matrix,
+                              coassociativity_defects, enumerate_characters,
+                              enumerate_grouplikes, one_dim_modcomod, regular_modcomod,
+                              trivial_modcomod)
 from hopfcalc.reports import Report
+
+
+# per-vector arithmetic that only the tests' oracles use: dicts {index:
+# scalar} without zeros, one Field call per entry
+
+
+def vec_add(field: Field, dst: Vec, src: Vec, coeff=None) -> None:
+    """In-place ``dst += coeff * src`` (coeff defaults to 1), pruning zeros."""
+    if coeff is not None and field.is_zero(coeff):
+        return
+    for i, c in src.items():
+        c2 = field.mul(coeff, c) if coeff is not None else c
+        acc = field.add(dst.get(i, field.zero()), c2)
+        if field.is_zero(acc):
+            dst.pop(i, None)
+        else:
+            dst[i] = acc
+
+
+def vec_scale(field: Field, v: Vec, coeff) -> Vec:
+    if field.is_zero(coeff):
+        return {}
+    return {i: field.mul(coeff, c) for i, c in v.items()}
+
+
+def vec_tensor(field: Field, a: Vec, b: Vec, dim_b: int) -> Vec:
+    """Tensor product of sparse vectors, b indexed within a block of dim_b."""
+    out: Vec = {}
+    for i, ci in a.items():
+        for j, cj in b.items():
+            out[i * dim_b + j] = field.mul(ci, cj)
+    return out
+
+
+def basis_vec(field: Field, i: int) -> Vec:
+    return {i: field.one()}
+
+
+def bilinear(field: Field, table, u: Vec, v: Vec) -> Vec:
+    """The bilinear map with ``table[(i, j)]`` the image of the basis pair
+    (i, j), applied to ``(u, v)``; a missing pair maps to 0."""
+    out: Vec = {}
+    for i, ci in u.items():
+        for j, cj in v.items():
+            img = table.get((i, j))
+            if img:
+                vec_add(field, out, img, field.mul(ci, cj))
+    return out
+
+
+def pairing(field: Field, w, v: Vec):
+    """The covector with values ``w`` on the basis, evaluated at ``v``."""
+    acc = field.zero()
+    for i, c in v.items():
+        acc = field.add(acc, field.mul(w.get(i, field.zero()), c))
+    return acc
+
+
+def column(m: Matrix, j: int) -> Vec:
+    """Column j of ``m`` as a new dict of field scalars, read off its CSC
+    arrays."""
+    ptr, idx, val = m._csc_arrays()
+    s, e = ptr[j], ptr[j + 1]
+    return {i: m.field.of(v) for i, v in zip(idx[s:e].tolist(), val[s:e].tolist())}
+
+
+def apply(m: Matrix, v: Vec) -> Vec:
+    """The matrix ``m`` applied to the sparse vector ``v``, column by column."""
+    out: Vec = {}
+    for k, c in v.items():
+        vec_add(m.field, out, column(m, k), c)
+    return out
+
+
+def multiply(H: HopfAlgebra, u: Vec, v: Vec) -> Vec:
+    return bilinear(H.field, H.mul, u, v)
+
+
+def lact(C: BimoduleCoalgebra, b: Vec, c: Vec) -> Vec:
+    return bilinear(C.field, C.left, b, c)
+
+
+def ract(C: BimoduleCoalgebra, c: Vec, b: Vec) -> Vec:
+    return bilinear(C.field, C.right, c, b)
+
+
+def act(X: ModComod, h: Vec, x: Vec) -> Vec:
+    if X.action is None:
+        raise ValueError("module has no action")
+    return bilinear(X.field, X.action, h, x)
 
 
 # matrix operations that only the tests use
@@ -264,11 +361,41 @@ def degree_dims(calc: Calculus, n: int):
 
 def product_apply(calc: Calculus, u: Vec, n: int, v: Vec, m: int) -> Vec:
     """The graded product of u in degree n and v in degree m."""
-    return calc.product(n, m).apply(vec_tensor(calc.field, u, v, calc.degree_dim(m)))
+    return apply(calc.product(n, m), vec_tensor(calc.field, u, v, calc.degree_dim(m)))
 
 
 def unit_element(calc: Calculus) -> Vec:
     return dict(calc.B.unit)
+
+
+def reference_basepoint_coadjoint(calc: Calculus):
+    """The coaction table of ``homology._basepoint_coadjoint``, one basis
+    vector at a time: rho(b) = alpha(b_(1)) I beta(b_(3)) (x) b_(2) for the
+    generalized calculus, b_(1) conj(b_(3)) (x) b_(2) for the Hopf calculi,
+    from the structure tables and maps directly."""
+    B = calc.B
+    f = B.field
+    if calc.kind == "general":
+        C, I = calc.C, calc.C.grouplike
+
+        def wrap(b1: int, b3: int) -> Vec:
+            return ract(C, lact(C, apply(calc.alpha.matrix, basis_vec(f, b1)), I),
+                        apply(calc.beta.matrix, basis_vec(f, b3)))
+    else:
+        def wrap(b1: int, b3: int) -> Vec:
+            return multiply(B, basis_vec(f, b1), apply(calc._conj, basis_vec(f, b3)))
+    coaction = []
+    for i in range(B.dim):
+        acc: Vec = {}
+        # the legs of (I (x) Delta) Delta (e_i)
+        for fl, c in B.comul[i].items():
+            b1, b23 = divmod(fl, B.dim)
+            for fl2, c2 in B.comul[b23].items():
+                b2, b3 = divmod(fl2, B.dim)
+                vec_add(f, acc, vec_tensor(f, wrap(b1, b3), basis_vec(f, b2), B.dim),
+                        f.mul(c, c2))
+        coaction.append(acc)
+    return coaction
 
 
 # module checks that only the tests use

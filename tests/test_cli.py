@@ -9,7 +9,7 @@ import tempfile
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import with_column
+from conftest import column, with_column
 
 from hopfcalc import cli
 from hopfcalc.calculus import Calculus, verify_dga
@@ -625,7 +625,7 @@ def test_internal_invariant_failure_is_exit_3(capsys, monkeypatch):
     # d_X^1 reads D_1 L_1 = E (x) u - I_C (x) D_0 u, and D_0 u = d(1) = 0,
     # so an entry in column 0 of D_0, the unit e_0 of Sweedler, changes it
     def bump(d):
-        col = d.column(0)
+        col = column(d, 0)
         assert not col
         return with_column(d, 0, {0: d.field.one()})
     _corrupt_differential(monkeypatch, 0, bump)
@@ -663,7 +663,7 @@ def test_differential_that_breaks_the_degenerate_subcomplex_is_exit_3(capsys, mo
     # with the basepoint leg outside the span of such tensors
     def shear(d):
         f = d.field
-        k = min(d.column(0))
+        k = min(column(d, 0))
         i = (1 * 4 + 1) * 4       # e_1 (x) e_1 (x) e_0 in C (x) C (x) B
         return (Matrix.identity(d.rows, f) + Matrix(d.rows, d.rows, f, {(i, k): 1})) @ d
     _corrupt_differential(monkeypatch, 1, shear)
@@ -688,7 +688,7 @@ def test_witness_of_an_entry_only_the_calculus_side_holds_prints_as_a_string(
 
     def add_lone_entry(d):
         f = d.field
-        rows.append(min(set(range(d.rows)) - set(d.column(0))))
+        rows.append(min(set(range(d.rows)) - set(column(d, 0))))
         return d + Matrix(d.rows, d.cols, f, {(rows[0], 0): f.of(3)})
     _corrupt_differential(monkeypatch, 0, add_lone_entry)
     code, doc = run(capsys, "homology", "--builtin", "sweedler", "--calculus", "k",

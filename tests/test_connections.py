@@ -1,7 +1,7 @@
 import pytest
 
-from conftest import (ACCEPTANCE_ALGEBRAS, base_corpus, mutated_corpus, named_algebra,
-                      vec_sub)
+from conftest import (ACCEPTANCE_ALGEBRAS, apply, base_corpus, basis_vec, column,
+                      mutated_corpus, named_algebra, vec_add, vec_sub, vec_tensor)
 from test_modules import Slot, checks, reference_oslash_action, reference_sandwich_compat
 
 from hopfcalc.calculus import Calculus
@@ -10,7 +10,7 @@ from hopfcalc.connections import (check_connection, check_dg_module_structure,
                                   connection_from_coaction, curvature, is_flat,
                                   tensor_connection)
 from hopfcalc.hopf import BialgebraMorphism
-from hopfcalc.linalg import Matrix, basis_vec, vec_add, vec_tensor
+from hopfcalc.linalg import Matrix
 from hopfcalc.modules import (BimoduleCoalgebra, check_ayd, check_equivariant,
                               check_yd, coassociativity_defects, one_dim_modcomod,
                               trivial_modcomod)
@@ -181,13 +181,13 @@ def reference_tensor_connection(conn_yd, conn_ayd):
 
     cols = []
     for a in range(dx):
-        na = conn_yd.nabla.column(a)
+        na = column(conn_yd.nabla, a)
         for b in range(dy):
             col = {}
             for fl, c in na.items():
                 h, a2 = divmod(fl, dx)
                 col[h * dim + a2 * dy + b] = c
-            for fl, c in conn_ayd.nabla.column(b).items():
+            for fl, c in column(conn_ayd.nabla, b).items():
                 hp, b2 = divmod(fl, dy)
                 # sigma(x (x) h') (x) x': first summand conjugates through
                 # the components of nabla_X, the second passes x through
@@ -301,8 +301,8 @@ def reference_dg_module(calc, conn, max_degree=2):
         for i in range(H.dim):
             for fl in range(cx.dims[n]):
                 t = basis_vec(f, fl)
-                lhs = d.apply(reference_oslash_action(slots, basis_vec(f, i), t, calc._conj))
-                rhs = reference_oslash_action(slots_up, basis_vec(f, i), d.apply(t), calc._conj)
+                lhs = apply(d, reference_oslash_action(slots, basis_vec(f, i), t, calc._conj))
+                rhs = reference_oslash_action(slots_up, basis_vec(f, i), apply(d, t), calc._conj)
                 dd = vec_sub(f, lhs, rhs)
                 if dd:
                     ok, wit = False, {"basis": (i, fl), "degree": n, "defect": dd}

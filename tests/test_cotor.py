@@ -7,19 +7,24 @@ from the formulas, one ``vec_add`` at a time; the two must agree entry for
 entry and in scalar type (``Fraction`` over Q, int over F_p).
 """
 import argparse
+import dataclasses
 
 import numpy as np
 import pytest
 
-from conftest import named_algebra
+from conftest import (ACCEPTANCE_ALGEBRAS, apply, column, named_algebra,
+                      reference_basepoint_coadjoint, vec_add, vec_tensor)
 from test_calculus import reference_differential, reference_product_form, three_calculi
 
 from hopfcalc import cli
+from hopfcalc.calculus import Calculus
 from hopfcalc.connections import coefficient_complex, connection_from_coaction
 from hopfcalc.fields import Field
 from hopfcalc.homology import _basepoint_coadjoint, cobar_complex
-from hopfcalc.linalg import Matrix, Vec, tensor_decode, vec_add, vec_tensor
-from hopfcalc.modules import coadjoint_comodule, regular_modcomod, trivial_modcomod
+from hopfcalc.hopf import BialgebraMorphism, permute_basis
+from hopfcalc.linalg import Matrix, Vec, tensor_decode
+from hopfcalc.modules import (BimoduleCoalgebra, coadjoint_comodule, regular_modcomod,
+                              trivial_modcomod)
 
 # (algebra, field, calculus, coefficients) of the verdicts of the
 # cotor_homology benchmark workload; None is the bare calculus complex
@@ -66,13 +71,13 @@ def reference_coefficient_complex(calc, conn, max_degree):
         for col in range(dims[n]):
             head, x = divmod(col, xd)
             rep: Vec = {head * bd + u: cu for u, cu in calc.B.unit.items()}
-            dpart = calc.differential(n).apply(rep)
+            dpart = apply(calc.differential(n), rep)
             acc = identify(calc, X, {fl * xd + x: c for fl, c in dpart.items()})
-            for fl2, c2 in conn.nabla.column(x).items():
+            for fl2, c2 in column(conn.nabla, x).items():
                 ci, x2 = divmod(fl2, xd)
                 rep2: Vec = {ci * bd + u: cu for u, cu in calc.B.unit.items()}
                 lifted = {fl3 * xd + x2: c3 for fl3, c3 in
-                          prod.apply(vec_tensor(f, rep, rep2, calc.degree_dim(1))).items()}
+                          apply(prod, vec_tensor(f, rep, rep2, calc.degree_dim(1))).items()}
                 vec_add(f, acc, identify(calc, X, lifted), f.mul(sign, c2))
             cols.append(acc)
         diffs.append(Matrix.from_columns(cols, dims[n + 1], f))
@@ -230,3 +235,60 @@ def test_integral_cotor_builds_are_born_in_csr(case):
     mats += cobar_complex(C_or_H, X or _basepoint_coadjoint(calc), 3).diffs
     for m in mats:
         assert m._csr[2].dtype == np.int64, (case, m)
+
+
+def every_calculus(H):
+    """k, khat, and the generalized calculus over the regular bimodule
+    coalgebra with alpha and beta each one of id, S and S^-1."""
+    C = BimoduleCoalgebra.from_hopf(H)
+    maps = [BialgebraMorphism.identity(H), BialgebraMorphism.antipode(H),
+            BialgebraMorphism.antipode_inverse(H)]
+    return [Calculus.k(H), Calculus.khat(H)] + [Calculus.general(C, a, b)
+                                                for a in maps for b in maps]
+
+
+def typed(table):
+    return [sorted((i, type(v), v) for i, v in col.items()) for col in table]
+
+
+@pytest.mark.parametrize("name", ACCEPTANCE_ALGEBRAS + ["kZ3_scaled"])
+def test_the_basepoint_coadjoint_matches_its_reference(name, monkeypatch):
+    # the coaction table, scalar types included, equals the per-basis loop
+    # over the dict tables; and it is built without the calculus's sandwich
+    # matrix, products or differentials, which it is the oracle for
+    calls = []
+    for method in ("_sandwich_matrix", "product", "differential"):
+        monkeypatch.setattr(Calculus, method, lambda *args, method=method: calls.append(method))
+    for calc in every_calculus(named_algebra(name)):
+        X = _basepoint_coadjoint(calc)
+        assert typed(X.coaction) == typed(reference_basepoint_coadjoint(calc)), calc
+        assert X.coalgebra is calc.C and X.dim == calc.B.dim and X.action is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["taft327", "kZ3_scaled", "sweedler"])
+def test_the_coadjoint_and_a_relabeling_take_no_field_arithmetic(name, monkeypatch):
+    # both are products of the structure matrices, so they run with
+    # Field.add, sub and mul raising; each algebra is a copy with an empty
+    # memo, so that its structure matrices and S^-1 are built under the patch
+    H, G = (dataclasses.replace(named_algebra(name)) for _ in range(2))
+    general = Calculus.general(BimoduleCoalgebra.from_hopf(G), BialgebraMorphism.antipode(G),
+                               BialgebraMorphism.antipode_inverse(G))
+    want_k = reference_basepoint_coadjoint(Calculus.k(dataclasses.replace(H)))
+    want_general = reference_basepoint_coadjoint(general)
+    perm = list(range(H.dim))[::-1]
+    inv = {p: a for a, p in enumerate(perm)}
+    want_s = [{inv[i]: c for i, c in column(H.antipode, p).items()} for p in perm]
+
+    def field_arithmetic(*args):
+        raise AssertionError("called Field arithmetic")
+
+    with monkeypatch.context() as patch:
+        for method in ("add", "sub", "mul"):
+            patch.setattr(Field, method, field_arithmetic)
+        X = coadjoint_comodule(H)
+        Y = _basepoint_coadjoint(general)
+        P = permute_basis(H, perm)
+    assert typed(X.coaction) == typed(want_k)
+    assert typed(Y.coaction) == typed(want_general)
+    assert [column(P.antipode, a) for a in range(H.dim)] == want_s

@@ -7,16 +7,16 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (named_algebra, ACCEPTANCE_ALGEBRAS, comultiply, comultiply_iter, counit_of,
-                      expand_slot, is_commutative, vec_eq, vec_sub)
+from conftest import (named_algebra, ACCEPTANCE_ALGEBRAS, apply, basis_vec, comultiply,
+                      comultiply_iter, counit_of, expand_slot, is_commutative, multiply,
+                      vec_add, vec_eq, vec_scale, vec_sub, vec_tensor)
 
 from hopfcalc.fields import Field, QQ
 from hopfcalc.hopf import (BialgebraMorphism, HopfAlgebra, build_dual_group_algebra,
                            build_group_algebra, build_sweedler, build_taft,
                            check_group_table, cyclic_table, permute_basis, symmetric_table,
                            verify_axioms, verify_morphism)
-from hopfcalc.linalg import (Matrix, Vec, basis_vec, pairing_matrix, vec_add, vec_scale,
-                             vec_tensor)
+from hopfcalc.linalg import Matrix, Vec, pairing_matrix
 from hopfcalc.modules import enumerate_characters, enumerate_grouplikes
 from hopfcalc.reports import Report
 
@@ -45,14 +45,14 @@ def test_sweedler_structure():
     one, g, x, gx = (basis_vec(f, i) for i in range(4))
     # S^2 != id: S^2(x) = -x
     s2 = H.antipode @ H.antipode
-    assert s2.apply(x) == {2: f.of(-1)}
+    assert apply(s2, x) == {2: f.of(-1)}
     # S and S^-1 genuinely differ
     sinv = H.antipode_inverse()
-    assert H.antipode.apply(x) != sinv.apply(x)
-    assert sinv.apply(x) == {3: f.one()}
+    assert apply(H.antipode, x) != apply(sinv, x)
+    assert apply(sinv, x) == {3: f.one()}
     # x g = -g x
-    assert H.multiply(x, g) == {3: f.of(-1)}
-    assert H.multiply(g, x) == {3: f.one()}
+    assert multiply(H, x, g) == {3: f.of(-1)}
+    assert multiply(H, g, x) == {3: f.one()}
 
 
 def test_sweedler_rejects_characteristic_two():
@@ -150,6 +150,15 @@ def test_axioms_stable_under_basis_permutation(perm):
     assert verify_axioms(H).passed
 
 
+def test_a_relabeling_must_be_a_permutation():
+    # a repeated or missing index used to give a table with a basis vector
+    # lost; the antipode is now P^-1 S P, and P has no inverse
+    H = named_algebra("sweedler")
+    for perm in ([0, 0, 1, 2], [0, 1, 2], [1, 2, 3, 4], [0, 1, 2, 3, 3]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            permute_basis(H, perm)
+
+
 def test_morphisms():
     H = named_algebra("sweedler")
     assert verify_morphism(BialgebraMorphism.identity(H)).passed
@@ -165,13 +174,13 @@ def reference_verify_morphism(m: BialgebraMorphism) -> Report:
     rep = Report()
     opcop = m.variant == "opcop"
     ebasis = [basis_vec(f, i) for i in range(S.dim)]
-    fb = [m.apply(e) for e in ebasis]
+    fb = [apply(m.matrix, e) for e in ebasis]
 
     ok, wit = True, None
     for i in range(S.dim):
         for j in range(S.dim):
-            lhs = m.apply(S.mul.get((i, j), {}))
-            rhs = T.multiply(fb[j], fb[i]) if opcop else T.multiply(fb[i], fb[j])
+            lhs = apply(m.matrix, S.mul.get((i, j), {}))
+            rhs = multiply(T, fb[j], fb[i]) if opcop else multiply(T, fb[i], fb[j])
             if not vec_eq(f, lhs, rhs):
                 ok, wit = False, {"basis": [S.basis[i], S.basis[j]],
                                   "defect": vec_sub(f, lhs, rhs)}
@@ -179,7 +188,7 @@ def reference_verify_morphism(m: BialgebraMorphism) -> Report:
         if not ok:
             break
     rep.add("multiplicative", ok, wit)
-    rep.add("preserves_unit", vec_eq(f, m.apply(S.unit), T.unit))
+    rep.add("preserves_unit", vec_eq(f, apply(m.matrix, S.unit), T.unit))
 
     ok, wit = True, None
     dT = T.dim
@@ -292,12 +301,12 @@ def reference_verify_axioms(H):
 
     idx = range(d)
     scan("associativity", itertools.product(idx, idx, idx),
-         lambda i, j, k: H.multiply(H.mul.get((i, j), {}), ebasis[k]),
-         lambda i, j, k: H.multiply(ebasis[i], H.mul.get((j, k), {})))
+         lambda i, j, k: multiply(H, H.mul.get((i, j), {}), ebasis[k]),
+         lambda i, j, k: multiply(H, ebasis[i], H.mul.get((j, k), {})))
     scan("unit", itertools.product(idx),
-         lambda i: H.multiply(H.unit, ebasis[i]), lambda i: ebasis[i])
+         lambda i: multiply(H, H.unit, ebasis[i]), lambda i: ebasis[i])
     scan("unit_right", itertools.product(idx),
-         lambda i: H.multiply(ebasis[i], H.unit), lambda i: ebasis[i])
+         lambda i: multiply(H, ebasis[i], H.unit), lambda i: ebasis[i])
     scan("coassociativity", itertools.product(idx),
          lambda i: expand_slot(H, H.comul[i], 2, 0),
          lambda i: expand_slot(H, H.comul[i], 2, 1))
@@ -330,9 +339,9 @@ def reference_verify_axioms(H):
         for fl, c in H.comul[i].items():
             a, b = divmod(fl, d)
             if left:
-                term = H.multiply(H.antipode.apply(ebasis[a]), ebasis[b])
+                term = multiply(H, apply(H.antipode, ebasis[a]), ebasis[b])
             else:
-                term = H.multiply(ebasis[a], H.antipode.apply(ebasis[b]))
+                term = multiply(H, ebasis[a], apply(H.antipode, ebasis[b]))
             vec_add(f, out, term, c)
         return out
 

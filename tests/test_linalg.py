@@ -10,12 +10,12 @@ import pytest
 from hypothesis import example, given, note, settings, strategies as st
 
 from conftest import (Ref, from_rows, kernel_dim, named_algebra, reference_column_echelon,
-                      reference_echelon, transpose)
+                      reference_echelon, transpose, vec_tensor)
 
 from hopfcalc import linalg
 from hopfcalc.fields import Field, QQ
 from hopfcalc.linalg import (Matrix, column_echelon, identity_defect_witness,
-                             tensor_decode, tensor_encode, vec_add, vec_tensor)
+                             tensor_decode, tensor_encode)
 
 F7 = Field(7)
 
@@ -704,6 +704,16 @@ def test_elimination_at_the_bound_of_reduce_is_exact(a, c, d):
     assert_echelon_matches(transpose(m))
 
 
+def test_get_checks_its_indices():
+    # get(-2, 2) read row 1's entry, as ptr[-2] and ptr[-1] bound row 1, and
+    # get(1, -1) and get(0, 5) read 0
+    m = Matrix(2, 3, QQ, {(0, 0): 5, (1, 2): 7})
+    assert (m.get(0, 0), m.get(1, 2), m.get(1, 1)) == (5, 7, 0)
+    for i, j in [(-2, 2), (1, -1), (0, 5), (2, 0), (0, 3), (-1, -1)]:
+        with pytest.raises(ValueError, match="matrix entry index out of range"):
+            m.get(i, j)
+
+
 def test_vec_tensor_layout():
     f = QQ
     v = vec_tensor(f, {1: f.of(2)}, {0: f.of(3)}, 4)
@@ -960,7 +970,6 @@ def test_a_csr_result_equals_its_dict_twin(seed):
             assert_matches(got, ref)
             assert got == ref.matrix() and ref.matrix() == got
             assert got.columns() == ref.columns()
-            assert [got.column(j) for j in range(got.cols)] == ref.columns()
             assert got.nonzero_witness() == ref.witness()
             doubled = got.kron(from_rows([[2]], field))
             assert (got == doubled) == (not ref.d)
@@ -1092,20 +1101,22 @@ def test_an_unreduced_residue_equals_its_reduction():
 
 @settings(max_examples=30)
 @given(st.integers(min_value=0, max_value=10**6))
-def test_apply_keeps_values_and_scalar_types(seed):
-    # a kernel result used to be a dict of ints; apply on it gave Fractions
-    # over Q and ints over F_p, and still does from the CSR
+def test_columns_keep_values_and_scalar_types(seed):
+    # the columns are field scalars, Fractions over Q and ints over F_p,
+    # whether the CSR holds int64 values or objects
     rng = random.Random(seed)
     for field in (QQ, F7):
         a, b = _kernel_operands(rng, field)
         m = a @ b
         twin = Matrix(m.rows, m.cols, field, {k: int(v) for k, v in m.entries()})
-        v = {j: field.of(rng.randint(-3, 3)) for j in range(m.cols) if rng.random() < 0.6}
-        v = {j: c for j, c in v.items() if not field.is_zero(c)}
-        got, want = m.apply(v), twin.apply(v)
-        assert got == want
-        assert [type(x) for x in got.values()] == [type(x) for x in want.values()]
-        assert all(type(x) is (int if field.char else Fraction) for x in got.values())
+        assert twin.columns() == m.columns()
+        # over Q a third of an entry that 3 does not divide is an object value
+        inv3 = field.inv(field.of(3))
+        third = m.scale(inv3)
+        assert third.columns() == [{i: field.mul(v, inv3) for i, v in col.items()}
+                                   for col in m.columns()]
+        assert all(type(x) is (int if field.char else Fraction)
+                   for mat in (m, twin, third) for col in mat.columns() for x in col.values())
 
 
 @settings(max_examples=30)
@@ -1130,7 +1141,7 @@ def test_no_kernel_writes_to_an_operand():
         eye = Matrix.identity(6, field)
         one = Matrix.identity(1, field)
         before = [[x.copy() for x in m._csr] for m in (a, b, eye)]
-        _ = (a @ b, a.kron(b), b.kron(eye), a.apply({0: field.one()}), a.columns(),
+        _ = (a @ b, a.kron(b), b.kron(eye), a.columns(),
              a.get(1, 2), a == b, a.nonzero_witness(), a - a,
              identity_defect_witness(field, [(1, [a, b]), (-1, [a, (b, one)]),
                                              (3, [(eye, one), a @ b])]))

@@ -1,10 +1,12 @@
 """The scripts under ``scripts/`` run end to end on a small input, and
 ``verdictbench/tables.py --check`` recomputes the benchmark's reference
-tables and finds them unchanged.
+tables and finds them unchanged.  ``scripts/bench_inputs.py`` writes
+round 0 of every workload into a temporary folder.
 
 No other test imports them, so a change to the package that breaks one
 would otherwise go unnoticed.
 """
+import json
 import os
 import pathlib
 import subprocess
@@ -26,6 +28,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 ], ids=["verify_builtins", "homology_survey", "src_lines", "peak_rss",
         "benchmark_tables_check"])
 def test_script_exits_0(argv):
+    run(argv)
+
+
+def run(argv):
     # no bytecode is written, so nothing lands under verdictbench/
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
@@ -33,3 +39,16 @@ def test_script_exits_0(argv):
     proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_bench_inputs_writes_round_0_of_every_workload(tmp_path):
+    run(["scripts/bench_inputs.py", "3001", str(tmp_path)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["dga_certify", "module_corpus", "cotor_homology"])
+    for folder in tmp_path.iterdir():
+        verdicts = json.loads((folder / "verdicts.json").read_text())
+        assert verdicts and all(v["expect"] and v["label"] for v in verdicts)
+        inputs = {a for v in verdicts for a in v["argv"] if a.endswith(".json")}
+        assert inputs and all((folder / a).is_file() for a in inputs)
+        # the input files and verdicts.json, nothing else
+        assert len(inputs) + 1 == len(list(folder.iterdir()))
