@@ -15,7 +15,7 @@ from hopfcalc.fields import Field
 from hopfcalc.homology import cobar_complex, compare_cotor, homology_dims
 from hopfcalc.hopf import (build_dual_group_algebra, build_group_algebra,
                            build_sweedler, build_taft, cyclic_table, symmetric_table)
-from hopfcalc.modules import trivial_modcomod
+from hopfcalc.modules import BimoduleCoalgebra, trivial_modcomod
 
 
 @dataclass
@@ -46,7 +46,8 @@ def run(cfg: SurveyConfig) -> int:
         calc = Calculus.khat(H, cfg.max_degree)
         rep, table = compare_cotor(calc, None, cfg.max_degree)
         bare = table.dims()
-        cx = cobar_complex(H, trivial_modcomod(H), cfg.max_degree)
+        C = BimoduleCoalgebra.from_hopf(H)
+        cx = cobar_complex(C, trivial_modcomod(H), cfg.max_degree)
         triv = homology_dims(cx).dims()
         agree = "ok" if rep.passed else "MISMATCH vs cobar"
         bad += not rep.passed

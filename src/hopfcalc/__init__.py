@@ -22,7 +22,7 @@ from .modules import (BimoduleCoalgebra, GroupoidData, ModComod, check_ayd,
                       coassociativity_defects, enumerate_characters, enumerate_grouplikes,
                       groupoid_decompose, modcomod_from_groupoid, one_dim_modcomod,
                       regular_modcomod, trivial_modcomod, verify_bimodule_coalgebra)
-from .calculus import Calculus, specialization_check, verify_dga
+from .calculus import Calculus, verify_dga
 from .homology import ChainComplex, HomologyTable, cobar_complex, compare_cotor, homology_dims
 from .connections import (Connection, Curvature, check_connection,
                           check_dg_module_structure, coaction_from_connection,

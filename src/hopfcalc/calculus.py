@@ -1,10 +1,17 @@
-"""The three differential calculi, materialized degreewise.
+"""The differential calculus over (C, alpha, beta), materialized degreewise.
 
-Degree n lives on C^{(x)n} (x) B (for the two Hopf calculi C = B = H, so
-degree n is H^{(x)(n+1)} with the last tensor factor in the B role).  The
-differential and the graded product are sparse matrices per degree; the DGA
-axioms (d^2 = 0, graded Leibniz, associativity) are verified as exact matrix
-identities.
+One construction builds all three calculi.  A calculus holds a bimodule
+coalgebra C over a Hopf algebra B (``modules.BimoduleCoalgebra``, its
+structure matrices) and two bialgebra maps alpha, beta of B; ``kind``
+only names it.  The S^-1 calculus K = ``Calculus.k(H)`` is the one at
+(H, id, S^-1) and the S calculus K-hat = ``Calculus.khat(H)`` the one at
+(H, id, S), with H a bimodule coalgebra over itself
+(``BimoduleCoalgebra.from_hopf``); ``Calculus.general`` takes any
+(C, alpha, beta).  Degree n lives on C^{(x)n} (x) B (for K and K-hat,
+H^{(x)(n+1)} with the last tensor factor in the B role).  The
+differential and the graded product are sparse matrices per degree; the
+DGA axioms (d^2 = 0, graded Leibniz, associativity) are verified as exact
+matrix identities.
 
 The differential is
 
@@ -13,13 +20,12 @@ The differential is
         + sum_j (-1)^(j-1) (... c^j_(1) (x) c^j_(2) ...)
         + (-1)^n (c^1 (x) ... (x) c^n (x) sand(b_(1), I, b_(3)) (x) b_(2))
 
-where sand(a, c, z) is a . c . S^-1(z) for the S^-1 calculus, a . c . S(z)
-for the S calculus, and alpha(a) . c . beta(z) through the bimodule actions
-in the generalized case.  Each differential is built from the one below
-it.  With g the basepoint I as a C x 1 column, the basepoint term is
-g (x) I, so that D_n = F_n - g (x) I_(Omega^n) with F_0(b) =
-sand(b_(1), I, b_(3)) (x) b_(2) and, peeling off the first C leg of the
-formula above,
+where sand(a, c, z) = alpha(a) . c . beta(z) through the bimodule actions:
+a . c . S^-1(z) for K and a . c . S(z) for K-hat.  Each differential is
+built from the one below it.  With g the basepoint I as a C x 1 column,
+the basepoint term is g (x) I, so that D_n = F_n - g (x) I_(Omega^n) with
+F_0(b) = sand(b_(1), I, b_(3)) (x) b_(2) and, peeling off the first C leg
+of the formula above,
 
     F_n(c (x) w) = Delta(c) (x) w - c (x) F_{n-1}(w),
 
@@ -63,8 +69,9 @@ T itself is a product of structure matrices, built once:
         (I_B (x) flip_(B,C)) (Delta_B (x) I_C),
 
 with flip the tensor flip, L(a (x) c) = alpha(a) c and R(c (x) z) =
-c beta(z) (L = mu and R = mu (I (x) S^-1), resp. mu (I (x) S), for the two
-Hopf calculi); its legs come in the bracketing (I (x) Delta) Delta.  So
+c beta(z), that is L = C.left (alpha (x) I_C) and R = C.right
+(I_C (x) beta) (mu and mu (I (x) S^-1), resp. mu (I (x) S), for K and
+K-hat); its legs come in the bracketing (I (x) Delta) Delta.  So
 every differential and every product is a Kronecker product, a sum or a
 matrix product of structure matrices and identities, and stays in int64
 CSR whenever they are integral.  T is the one copy of the sandwich: the
@@ -97,8 +104,7 @@ from typing import Dict, Optional
 
 from .fields import Field
 from .hopf import BialgebraMorphism, HopfAlgebra
-from .linalg import (Matrix, Vec, bilinear_matrix, identity_defect_witness, kron_minus_blocks,
-                     tensor_decode)
+from .linalg import Matrix, identity_defect_witness, kron_minus_blocks, tensor_decode
 from .modules import BimoduleCoalgebra
 from .reports import Report
 
@@ -106,62 +112,44 @@ DEFAULT_MAX_DEGREE = 3
 
 
 class Calculus:
-    """One of the three differential graded algebras, built lazily per degree."""
+    """The differential graded algebra over (C, alpha, beta), built lazily
+    per degree; ``kind`` names it (module docstring)."""
 
-    def __init__(self, kind: str, B: HopfAlgebra, *,
-                 C: Optional[BimoduleCoalgebra] = None,
-                 alpha: Optional[BialgebraMorphism] = None,
-                 beta: Optional[BialgebraMorphism] = None,
-                 max_degree: int = DEFAULT_MAX_DEGREE):
+    def __init__(self, kind: str, C: BimoduleCoalgebra, alpha: BialgebraMorphism,
+                 beta: BialgebraMorphism, max_degree: int = DEFAULT_MAX_DEGREE):
         if kind not in ("k", "khat", "general"):
             raise ValueError(f"unknown calculus kind {kind!r}")
-        self.kind = kind
-        self.B = B
-        self.field: Field = B.field
+        self.kind, self.C, self.alpha, self.beta = kind, C, alpha, beta
+        self.B = C.B
+        self.field: Field = C.field
         self.max_degree = max_degree
-        self.C = C
-        self.alpha = alpha
-        self.beta = beta
-        if kind == "k":
-            conj = B.antipode_inverse()
-            if conj is None:
-                raise ValueError("the S^-1 calculus needs an invertible antipode")
-            self._conj = conj
-            self.cdim = B.dim
-            self.basepoint: Vec = dict(B.unit)
-        elif kind == "khat":
-            self._conj = B.antipode
-            self.cdim = B.dim
-            self.basepoint = dict(B.unit)
-        else:
-            if C is None or alpha is None or beta is None:
-                raise ValueError("the generalized calculus needs (C, alpha, beta)")
-            self._conj = None
-            self.cdim = C.dim
-            self.basepoint = dict(C.grouplike)
+        self.cdim = C.dim
         self._diff: Dict[int, Matrix] = {}
         self._prod: Dict[int, Matrix] = {}
         self._sandwich: Optional[Matrix] = None
         self._reduced_comul: Optional[Matrix] = None
-        # g, the basepoint as a C x 1 column: B's unit for the two Hopf calculi
-        self.basepoint_column = (B.unit_column() if C is None else
-                                 Matrix.from_columns([self.basepoint], self.cdim, self.field))
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def k(cls, H: HopfAlgebra, max_degree: int = DEFAULT_MAX_DEGREE) -> "Calculus":
-        return cls("k", H, max_degree=max_degree)
+        """The S^-1 calculus: (H, id, S^-1)."""
+        if H.antipode_inverse() is None:
+            raise ValueError("the S^-1 calculus needs an invertible antipode")
+        return cls("k", BimoduleCoalgebra.from_hopf(H), BialgebraMorphism.identity(H),
+                   BialgebraMorphism.antipode_inverse(H), max_degree)
 
     @classmethod
     def khat(cls, H: HopfAlgebra, max_degree: int = DEFAULT_MAX_DEGREE) -> "Calculus":
-        return cls("khat", H, max_degree=max_degree)
+        """The S calculus: (H, id, S)."""
+        return cls("khat", BimoduleCoalgebra.from_hopf(H), BialgebraMorphism.identity(H),
+                   BialgebraMorphism.antipode(H), max_degree)
 
     @classmethod
     def general(cls, C: BimoduleCoalgebra, alpha: BialgebraMorphism,
                 beta: BialgebraMorphism,
                 max_degree: int = DEFAULT_MAX_DEGREE) -> "Calculus":
-        return cls("general", C.B, C=C, alpha=alpha, beta=beta, max_degree=max_degree)
+        return cls("general", C, alpha, beta, max_degree)
 
     # -- degree bookkeeping --------------------------------------------------
 
@@ -187,7 +175,7 @@ class Calculus:
         the build peaks at ~16 MiB traced over its inputs."""
         f = self.field
         if n == 0:
-            g = self.basepoint_column
+            g = self.C.grouplike
             eye_b = Matrix.identity(self.B.dim, f)
             return self._sandwich_matrix() @ eye_b.kron(g) - g.kron(eye_b)
         # D_{n-1} is read from the cache, so a corrupted cached differential
@@ -228,13 +216,8 @@ class Calculus:
             def eye(n):
                 return Matrix.identity(n, f)
 
-            if self.kind == "general":
-                C = self.C
-                L = bilinear_matrix(f, C.left, bd, cd, cd) @ self.alpha.matrix.kron(eye(cd))
-                R = bilinear_matrix(f, C.right, cd, bd, cd) @ eye(cd).kron(self.beta.matrix)
-            else:
-                L = B.mul_matrix()
-                R = L @ eye(bd).kron(self._conj)
+            L = self.C.left @ self.alpha.matrix.kron(eye(cd))
+            R = self.C.right @ eye(cd).kron(self.beta.matrix)
             delta = B.comul_matrix()
             self._sandwich = (R.kron(eye(bd)) @ eye(cd).kron(Matrix.flip(bd, bd, f))
                               @ L.kron(delta) @ eye(bd).kron(Matrix.flip(bd, cd, f))
@@ -246,10 +229,8 @@ class Calculus:
         (module docstring)."""
         if self._reduced_comul is None:
             f, cd = self.field, self.cdim
-            g, eye_c = self.basepoint_column, Matrix.identity(cd, f)
-            delta = (self.B.comul_matrix() if self.C is None
-                     else Matrix.from_columns(self.C.comul, cd * cd, f))
-            self._reduced_comul = delta - eye_c.kron(g) - g.kron(eye_c)
+            g, eye_c = self.C.grouplike, Matrix.identity(cd, f)
+            self._reduced_comul = self.C.comul - eye_c.kron(g) - g.kron(eye_c)
         return self._reduced_comul
 
     def __repr__(self):
@@ -455,31 +436,3 @@ def _witness(calc: Calculus, w, degs):
     row, col, val = w
     dims = [calc.degree_dim(d) for d in degs]
     return {"degrees": degs, "column": tensor_decode(col, dims), "value": val}
-
-
-# ---------------------------------------------------------------------------
-# specialization of the generalized calculus to the two Hopf calculi
-
-
-def specialization_check(H: HopfAlgebra, max_degree: int = DEFAULT_MAX_DEGREE) -> Report:
-    """The generalized calculus with alpha = id, beta = S (resp. S^-1) over
-    C = B = H must reproduce the S (resp. S^-1) calculus matrix-for-matrix."""
-    rep = Report()
-    C = BimoduleCoalgebra.from_hopf(H)
-    ident = BialgebraMorphism.identity(H)
-
-    pairs = [("khat", Calculus.khat(H, max_degree),
-              Calculus.general(C, ident, BialgebraMorphism.antipode(H), max_degree))]
-    if H.antipode_inverse() is not None:
-        pairs.append(("k", Calculus.k(H, max_degree),
-                      Calculus.general(C, ident, BialgebraMorphism.antipode_inverse(H),
-                                       max_degree)))
-    for name, direct, general in pairs:
-        ok_d = all(direct.differential(n) == general.differential(n)
-                   for n in range(max_degree + 1))
-        rep.add(f"{name}_differentials_match", ok_d)
-        # product(n, m) = I_(C^n) (x) product(0, m), and I (x) - is injective
-        ok_p = all(direct.product(0, m) == general.product(0, m)
-                   for m in range(max_degree + 1))
-        rep.add(f"{name}_products_match", ok_p)
-    return rep

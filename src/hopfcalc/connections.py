@@ -69,7 +69,7 @@ class Curvature:
 
 def _basepoint_term(calc: Calculus, xd: int) -> Matrix:
     """g (x) I_X: x -> I (x) x, with g the basepoint I as a C x 1 column."""
-    return calc.basepoint_column.kron(Matrix.identity(xd, calc.field))
+    return calc.C.grouplike.kron(Matrix.identity(xd, calc.field))
 
 
 def connection_from_coaction(calc: Calculus, X: ModComod) -> Connection:

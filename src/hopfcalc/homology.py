@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from itertools import accumulate
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .fields import Field
 from .hopf import HopfAlgebra
-from .linalg import Matrix, Vec, bilinear_matrix, identity_defect_witness, kron_minus_blocks
+from .linalg import Matrix, Vec, identity_defect_witness, kron_minus_blocks
 from .modules import BimoduleCoalgebra, ModComod, coassociativity_defects
 from .reports import Report
 
@@ -290,7 +290,7 @@ def quotient_complex(calc, X: Optional[ModComod],
     return ChainComplex(f, dims, quotients, d2="proved")
 
 
-def cobar_complex(C: Union[HopfAlgebra, BimoduleCoalgebra], X: ModComod,
+def cobar_complex(C: BimoduleCoalgebra, X: ModComod,
                   max_degree: int = 3, check: bool = True) -> ChainComplex:
     """The unreduced two-sided cobar complex B(k, C, X): degree n space
     C^n (x) X, with k a C-comodule through the grouplike basepoint I and X
@@ -300,14 +300,17 @@ def cobar_complex(C: Union[HopfAlgebra, BimoduleCoalgebra], X: ModComod,
         d_n = -(g (x) I) + sum_(j<n) (-1)^j I_(C^j) (x) Delta (x) I
               + (-1)^n I_(C^n) (x) rho
 
-    with g the basepoint as a C x 1 column.  It reads only the coproduct,
-    the basepoint and the coaction: no calculus, and no recursion in n.
-    When C is a Hopf algebra, Delta is its ``comul_matrix``, built once from
-    the same table.  The coaction's coassociativity is checked first, and
+    with g = ``C.grouplike`` and Delta = ``C.comul``.  It reads only the
+    coproduct, the basepoint and the coaction: no calculus, and no
+    recursion in n.  A Hopf algebra H passed for C stands for
+    ``BimoduleCoalgebra.from_hopf(H)``, as ``verdictbench/tables.py``
+    passes it.  The coaction's coassociativity is checked first, and
     d^2 = 0 at construction, unless ``check`` is false: ``compare_cotor``,
     which checks each only where it can matter.
     """
-    I, cd, f = _basepoint(C), C.dim, C.field
+    if isinstance(C, HopfAlgebra):
+        C = BimoduleCoalgebra.from_hopf(C)
+    cd, f, g, delta = C.dim, C.field, C.grouplike, C.comul
     if X.coaction is None:
         raise ValueError("comodule has no coaction")
     if check and coassociativity_defects(X):
@@ -317,9 +320,6 @@ def cobar_complex(C: Union[HopfAlgebra, BimoduleCoalgebra], X: ModComod,
     def eye(n):
         return Matrix.identity(n, f)
 
-    g = Matrix.from_columns([I], cd, f)
-    delta = (C.comul_matrix() if isinstance(C, HopfAlgebra)
-             else Matrix.from_columns(C.comul, cd * cd, f))
     rho = Matrix.from_columns(X.coaction, cd * xd, f)
     dims = [cd ** n * xd for n in range(max_degree + 1)]
     diffs: List[Matrix] = []
@@ -330,51 +330,31 @@ def cobar_complex(C: Union[HopfAlgebra, BimoduleCoalgebra], X: ModComod,
         for j, term in enumerate(terms[1:], 1):
             d = d - term if j % 2 else d + term
         diffs.append(d - g.kron(eye(dims[n])))
-    return ChainComplex(f, dims, diffs, I, "check" if check else "unchecked")
-
-
-def _basepoint(C: Union[HopfAlgebra, BimoduleCoalgebra]) -> Vec:
-    """The grouplike basepoint g of C, without the zeros a file may list:
-    ``_normalized`` reads its support."""
-    g = C.grouplike if isinstance(C, BimoduleCoalgebra) else C.unit
-    return {i: c for i, c in g.items() if not C.field.is_zero(c)}
-
-
-def _coalgebra(calc) -> Union[HopfAlgebra, BimoduleCoalgebra]:
-    """The coalgebra C of the calculus's C^n, which the cobar oracle reads."""
-    return calc.C if calc.kind == "general" else calc.B
+    return ChainComplex(f, dims, diffs, g.columns()[0], "check" if check else "unchecked")
 
 
 def _basepoint_coadjoint(calc) -> ModComod:
     """The comodule structure on B itself whose cobar complex matches the
-    bare calculus: rho(b) = W(b_(1), b_(3)) (x) b_(2), that is
+    bare calculus: rho(b) = alpha(b_(1)) . I . beta(b_(3)) (x) b_(2), that is
 
         rho = (W (x) I_B) (I_B (x) flip_(B,B)) (I_B (x) Delta) Delta,
 
-    with W: C <- B (x) B the wrap of the outer legs around the basepoint,
-    b1 b3 -> b1 conj(b3) for the Hopf calculi, W = mu (I_B (x) conj) with
-    conj = S^-1 for ``k`` and S for ``khat``, and b1 b3 -> alpha(b1) . I .
-    beta(b3) for ``general``, W = R (L (alpha (x) g) (x) beta) with L and R
-    the actions of B on C and g the basepoint I as a C x 1 column.
+    with W = R (L (alpha (x) g) (x) beta): C <- B (x) B the wrap of the
+    outer legs around the basepoint, L and R the actions of B on C
+    (``C.left``, ``C.right``) and g the basepoint I as a C x 1 column.  For
+    K and K-hat, C = B = H and W = mu (I_B (x) S^-1), resp. mu (I_B (x) S).
 
-    It is built from the structure tables and maps alone, never from the
+    It is built from the structure matrices and maps alone, never from the
     calculus's sandwich matrix, products or differentials: T (I_B (x) g),
     the first term of D_0, is this same matrix, so reading it would make
     the cobar oracle of ``compare_cotor`` check the calculus against
     itself."""
-    B, f, bd = calc.B, calc.field, calc.B.dim
+    B, C, f, bd = calc.B, calc.C, calc.field, calc.B.dim
     eye = Matrix.identity(bd, f)
-    if calc.kind == "general":
-        C, cd = calc.C, calc.C.dim
-        g = Matrix.from_columns([C.grouplike], cd, f)
-        L = bilinear_matrix(f, C.left, bd, cd, cd)
-        R = bilinear_matrix(f, C.right, cd, bd, cd)
-        W = R @ (L @ calc.alpha.matrix.kron(g)).kron(calc.beta.matrix)
-    else:
-        W = B.mul_matrix() @ eye.kron(calc._conj)
+    W = C.right @ (C.left @ calc.alpha.matrix.kron(C.grouplike)).kron(calc.beta.matrix)
     delta = B.comul_matrix()
     rho = W.kron(eye) @ eye.kron(Matrix.flip(bd, bd, f)) @ eye.kron(delta) @ delta
-    return ModComod(B, bd, None, rho.columns(), coalgebra=calc.C, label="basepoint-coadjoint")
+    return ModComod(B, bd, None, rho.columns(), coalgebra=C, label="basepoint-coadjoint")
 
 
 def calculus_complex(calc, X: Optional[ModComod],
@@ -400,7 +380,7 @@ def calculus_complex(calc, X: Optional[ModComod],
     cx = (ChainComplex(calc.field, [calc.degree_dim(n) for n in range(max_degree + 1)],
                        [calc.differential(n) for n in range(max_degree)]) if X is None
           else coefficient_complex(connection_from_coaction(calc, X), max_degree))
-    cx.basepoint = _basepoint(_coalgebra(calc))
+    cx.basepoint = calc.C.grouplike.columns()[0]
     return cx
 
 
@@ -441,7 +421,7 @@ def compare_cotor(calc, X: Optional[ModComod],
         X = _basepoint_coadjoint(calc)
         if coassociativity_defects(X):
             raise ValueError("coaction is not coassociative")
-    oracle = cobar_complex(_coalgebra(calc), X, max_degree, check=False)
+    oracle = cobar_complex(calc.C, X, max_degree, check=False)
 
     equal = side.dims == oracle.dims
     rep.add("degree_dims_equal", equal, {"calculus": side.dims, "cobar": oracle.dims})

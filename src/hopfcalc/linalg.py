@@ -20,14 +20,15 @@ others by listing their terms with their flat indices for
 ``Matrix._of_entries``, which sums each index's terms by the sort and
 ``np.add.reduceat`` that the elimination uses (``_summed``), takes each
 sum into the field, drops the zeros and lets the entries decide the value
-type.  No field operation runs entry by entry.  The kernels call scipy's compiled sparsetools routines on the arrays directly: the
-``scipy.sparse`` classes wrap each call in checks and conversions that
-cost more than the arithmetic on the small matrices of most verdicts (a
-16 x 16 product on a 2-vCPU VM: ~110 us through ``csr_matrix``, ~9 us
-direct).  That compiled ``_sparsetools`` extension is all scipy supplies.
-It is loaded by file path (``_load_sparsetools``), which skips the
-``scipy.sparse`` package init, ~300 ms of a command's start-up, and
-falls back to the package import when the direct load fails.  What
+type.  No field operation runs entry by entry.  The kernels call scipy's
+compiled sparsetools routines on the arrays directly: the ``scipy.sparse``
+classes wrap each call in checks and conversions that cost more than the
+arithmetic on the small matrices of most verdicts (a 16 x 16 product on a
+2-vCPU VM: ~110 us through ``csr_matrix``, ~9 us direct).  That
+compiled ``_sparsetools`` extension is all scipy supplies.  It is loaded
+by file path (``_load_sparsetools``), which skips the ``scipy.sparse``
+package init, ~300 ms of a command's start-up, and falls back to the
+package import when the direct load fails.  What
 start-up still costs is numpy (90-130 ms), ``site`` (45-60 ms, the
 environment's ``.pth`` files) and, where no valid ``__pycache__``
 exists, 50-90 ms compiling hopfcalc's sources, on a 2-vCPU VM.

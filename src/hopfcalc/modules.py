@@ -11,8 +11,10 @@ An action is also a matrix, X <- B (x) X (``action_matrix``), and
 identities on it.  The B-module structure on the coefficient spaces
 C^n (x) X of a connection is left multiplication by Omega^0 = B in the
 calculus, read through the action (``connections.sandwich_action``); it
-is checked by the same function, and the bimodule coalgebra behind the
-generalized calculus by matrix identities too (``verify_bimodule_coalgebra``).
+is checked by the same function.  A bimodule coalgebra holds its
+structure matrices (``BimoduleCoalgebra``); every calculus is built over
+one, K and K-hat over H itself (``BimoduleCoalgebra.from_hopf``), and
+``verify_bimodule_coalgebra`` checks its axioms as matrix identities too.
 
 Each compatibility check is one matrix identity on B (x) X,
 
@@ -49,15 +51,25 @@ from .reports import Report
 @dataclass
 class BimoduleCoalgebra:
     """A coalgebra C carrying a compatible B-bimodule structure and a
-    distinguished grouplike element (the basepoint of the differentials)."""
+    distinguished grouplike element (the basepoint of the differentials),
+    held as its structure matrices:
+
+    * ``comul``, Delta_C: C (x) C <- C;
+    * ``counit``, eps_C: a 1 x C row;
+    * ``left``, L: C <- B (x) C, L(b (x) c) = b . c;
+    * ``right``, R: C <- C (x) B, R(c (x) b) = c . b;
+    * ``grouplike``, g: a C x 1 column.
+
+    Every map of a calculus over C is a product of these and B's own
+    matrices; no table is kept beside them."""
 
     B: HopfAlgebra
     dim: int
-    comul: List[Vec]                        # c -> C (x) C, flat
-    counit: Dict[int, object]
-    left: Dict[Tuple[int, int], Vec]        # (b_i, c_a) -> b_i . c_a
-    right: Dict[Tuple[int, int], Vec]       # (c_a, b_i) -> c_a . b_i
-    grouplike: Vec
+    comul: Matrix
+    counit: Matrix
+    left: Matrix
+    right: Matrix
+    grouplike: Matrix
 
     @property
     def field(self) -> Field:
@@ -65,11 +77,10 @@ class BimoduleCoalgebra:
 
     @classmethod
     def from_hopf(cls, H: HopfAlgebra) -> "BimoduleCoalgebra":
-        """H as a bimodule coalgebra over itself (regular actions, I = 1)."""
-        mul = {(i, j): dict(v) for (i, j), v in H.mul.items()}
-        mul_r = {(a, i): dict(H.mul.get((a, i), {})) for a in range(H.dim) for i in range(H.dim)}
-        return cls(H, H.dim, [dict(t) for t in H.comul], dict(H.counit),
-                   mul, mul_r, dict(H.unit))
+        """H as a bimodule coalgebra over itself: H's own structure matrices,
+        the multiplication as both actions and the unit as the basepoint."""
+        mu = H.mul_matrix()
+        return cls(H, H.dim, H.comul_matrix(), H.counit_row(), mu, mu, H.unit_column())
 
 
 def verify_bimodule_coalgebra(C: BimoduleCoalgebra) -> Report:
@@ -94,9 +105,8 @@ def verify_bimodule_coalgebra(C: BimoduleCoalgebra) -> Report:
     def eye(n):
         return Matrix.identity(n, f)
 
-    delta, eps = Matrix.from_columns(C.comul, d * d, f), pairing_matrix(f, C.counit, d)
-    L, R = bilinear_matrix(f, C.left, bd, d, d), bilinear_matrix(f, C.right, d, bd, d)
-    mu, u, g = B.mul_matrix(), B.unit_column(), Matrix.from_columns([C.grouplike], d, f)
+    delta, eps, L, R, g = C.comul, C.counit, C.left, C.right, C.grouplike
+    mu, u = B.mul_matrix(), B.unit_column()
 
     w = column_witness(delta.kron(eye(d)) @ delta, eye(d).kron(delta) @ delta, [d])
     rep.add("coassociativity", w is None, w and {**w, "basis": w["basis"][0]})
@@ -124,8 +134,8 @@ def verify_bimodule_coalgebra(C: BimoduleCoalgebra) -> Report:
 class ModComod:
     """A vector space with an action of B and/or a coaction of C.
 
-    For the Hopf-algebra setting C = B = H and ``coalgebra`` is None; the
-    generalized setting stores the bimodule coalgebra explicitly.
+    ``coalgebra`` is the bimodule coalgebra C of the coaction, or None,
+    meaning the algebra itself (C = B = H).
     ``action_matrix`` and ``coaction_matrix`` keep their matrix in
     ``_memo`` (``hopf.memoized``), as ``HopfAlgebra`` keeps its own.
     """
@@ -230,8 +240,7 @@ def coassociativity_defects(X: ModComod) -> Dict[tuple, Vec]:
     ``coalgebra``, C = H and Delta_C is H's ``comul_matrix``."""
     f, cd, xd = X.field, X.codim, X.dim
     rho = coaction_matrix(X)
-    delta = (X.algebra.comul_matrix() if X.coalgebra is None
-             else Matrix.from_columns(X.coalgebra.comul, cd * cd, f))
+    delta = X.algebra.comul_matrix() if X.coalgebra is None else X.coalgebra.comul
     return column_defects(delta.kron(Matrix.identity(xd, f)) @ rho,
                           Matrix.identity(cd, f).kron(rho) @ rho, [xd])
 

@@ -5,7 +5,10 @@ The package applies structure tensors only as matrices.  The oracles here
 and in the test modules keep the dict arithmetic of sparse vectors
 ``{index: scalar}``, one ``Field`` call per entry (``vec_add``,
 ``bilinear``, ``apply``, ``multiply``, ``lact``, ``act``, ...), so that no
-oracle shares a kernel with the code it checks.
+oracle shares a kernel with the code it checks.  A bimodule coalgebra,
+which the package holds as matrices, has a dict twin here
+(``DictCoalgebra``) for them to read, and the sandwich of K and K-hat
+takes its conj from the Hopf algebra itself (``hopf_conj``).
 
 The corpus for the correspondence theorems is: trivial, every (delta,
 sigma) one-dimensional pair, the coadjoint comodule (with the regular
@@ -14,6 +17,7 @@ of their coactions.  Mutations are seeded so runs are reproducible.
 """
 import functools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -25,7 +29,7 @@ from hopfcalc.connections import sandwich_action
 from hopfcalc.fields import QQ, Field
 from hopfcalc.hopf import (HopfAlgebra, build_dual_group_algebra, build_group_algebra,
                            build_sweedler, build_taft, cyclic_table, symmetric_table)
-from hopfcalc.linalg import Matrix, Vec, pairing_matrix, tensor_decode
+from hopfcalc.linalg import Matrix, Vec, bilinear_matrix, pairing_matrix, tensor_decode
 from hopfcalc.modules import (BimoduleCoalgebra, ModComod, action_matrix, add_action_axioms,
                               check_ayd, coadjoint_comodule, coaction_matrix,
                               coassociativity_defects, enumerate_characters,
@@ -110,12 +114,55 @@ def multiply(H: HopfAlgebra, u: Vec, v: Vec) -> Vec:
     return bilinear(H.field, H.mul, u, v)
 
 
-def lact(C: BimoduleCoalgebra, b: Vec, c: Vec) -> Vec:
+@dataclass
+class DictCoalgebra:
+    """The dict twin of a ``BimoduleCoalgebra``: its structure matrices
+    read off column by column (``of``), as the tables that the oracles
+    apply one sparse vector at a time."""
+
+    B: HopfAlgebra
+    dim: int
+    comul: list                 # c -> C (x) C, flat
+    counit: dict                # c -> eps(c)
+    left: dict                  # (b_i, c_a) -> b_i . c_a
+    right: dict                 # (c_a, b_i) -> c_a . b_i
+    grouplike: Vec
+
+    @property
+    def field(self) -> Field:
+        return self.B.field
+
+    @classmethod
+    def of(cls, C: BimoduleCoalgebra) -> "DictCoalgebra":
+        d, bd = C.dim, C.B.dim
+        return cls(C.B, d, C.comul.columns(),
+                   {a: col[0] for a, col in enumerate(C.counit.columns()) if col},
+                   {divmod(j, d): col for j, col in enumerate(C.left.columns())},
+                   {divmod(j, bd): col for j, col in enumerate(C.right.columns())},
+                   C.grouplike.columns()[0])
+
+    def matrices(self) -> BimoduleCoalgebra:
+        """The ``BimoduleCoalgebra`` with these tables."""
+        f, d, bd = self.field, self.dim, self.B.dim
+        return BimoduleCoalgebra(self.B, d, Matrix.from_columns(self.comul, d * d, f),
+                                 pairing_matrix(f, self.counit, d),
+                                 bilinear_matrix(f, self.left, bd, d, d),
+                                 bilinear_matrix(f, self.right, d, bd, d),
+                                 Matrix.from_columns([self.grouplike], d, f))
+
+
+def lact(C: DictCoalgebra, b: Vec, c: Vec) -> Vec:
     return bilinear(C.field, C.left, b, c)
 
 
-def ract(C: BimoduleCoalgebra, c: Vec, b: Vec) -> Vec:
+def ract(C: DictCoalgebra, c: Vec, b: Vec) -> Vec:
     return bilinear(C.field, C.right, c, b)
+
+
+def hopf_conj(kind: str, H: HopfAlgebra) -> Matrix:
+    """conj of the sandwich a . c . conj(z), from H itself: S^-1 for K
+    (``kind`` "k") and S for K-hat ("khat")."""
+    return H.antipode_inverse() if kind == "k" else H.antipode
 
 
 def act(X: ModComod, h: Vec, x: Vec) -> Vec:
@@ -372,18 +419,22 @@ def reference_basepoint_coadjoint(calc: Calculus):
     """The coaction table of ``homology._basepoint_coadjoint``, one basis
     vector at a time: rho(b) = alpha(b_(1)) I beta(b_(3)) (x) b_(2) for the
     generalized calculus, b_(1) conj(b_(3)) (x) b_(2) for the Hopf calculi,
-    from the structure tables and maps directly."""
+    from the structure tables and maps directly (conj from B itself,
+    ``hopf_conj``)."""
     B = calc.B
     f = B.field
     if calc.kind == "general":
-        C, I = calc.C, calc.C.grouplike
+        C = DictCoalgebra.of(calc.C)
+        I = C.grouplike
 
         def wrap(b1: int, b3: int) -> Vec:
             return ract(C, lact(C, apply(calc.alpha.matrix, basis_vec(f, b1)), I),
                         apply(calc.beta.matrix, basis_vec(f, b3)))
     else:
+        conj = hopf_conj(calc.kind, B)
+
         def wrap(b1: int, b3: int) -> Vec:
-            return multiply(B, basis_vec(f, b1), apply(calc._conj, basis_vec(f, b3)))
+            return multiply(B, basis_vec(f, b1), apply(conj, basis_vec(f, b3)))
     coaction = []
     for i in range(B.dim):
         acc: Vec = {}
@@ -410,7 +461,8 @@ def check_comodule_axioms(X: ModComod) -> Report:
     rep.add("coaction_coassociative", not defects,
             None if not defects else {"basis": min(defects), "defect": defects[min(defects)]})
     # (eps (x) id) rho = id, with eps the counit as a 1 x C row
-    eps = pairing_matrix(f, (X.coalgebra or X.algebra).counit, X.codim)
+    counit = X.algebra.counit if X.coalgebra is None else DictCoalgebra.of(X.coalgebra).counit
+    eps = pairing_matrix(f, counit, X.codim)
     eye = Matrix.identity(X.dim, f)
     rep.add("coaction_counital", eps.kron(eye) @ coaction_matrix(X) == eye)
     return rep

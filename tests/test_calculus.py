@@ -5,16 +5,18 @@ import functools
 import itertools
 import pathlib
 import random
+import types
 
 import numpy as np
 import pytest
 
-from conftest import (ACCEPTANCE_ALGEBRAS, Ref, apply, basis_vec, column, comultiply_iter,
-                      degree_dims, from_rows, lact, multiply, named_algebra, product_apply, ract,
-                      unit_element, vec_add, vec_tensor, with_column)
+from conftest import (ACCEPTANCE_ALGEBRAS, DictCoalgebra, Ref, apply, basis_vec, column,
+                      comultiply_iter, degree_dims, from_rows, hopf_conj, lact, multiply,
+                      named_algebra, product_apply, ract, unit_element, vec_add, vec_tensor,
+                      with_column)
 
-from hopfcalc import cli, connections
-from hopfcalc.calculus import Calculus, _witness, specialization_check, verify_dga
+from hopfcalc import calculus, cli, connections, homology, hopf, linalg, modules
+from hopfcalc.calculus import Calculus, _witness, verify_dga
 from hopfcalc.fields import Field
 from hopfcalc.hopf import BialgebraMorphism, permute_basis
 from hopfcalc.linalg import Matrix, Vec, identity_defect_witness, tensor_decode, tensor_encode
@@ -24,25 +26,50 @@ from hopfcalc.modules import BimoduleCoalgebra, action_matrix, trivial_modcomod
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def reference_sand(calc: Calculus, a: int, c: int, z: int) -> Vec:
-    """alpha(e_a) . e_c . beta(e_z) in C, through the structure maps one
-    basis vector at a time: the sandwich on one slot (a . c . S^-1(z) for
-    the S^-1 calculus, a . c . S(z) for the S calculus)."""
-    f = calc.field
+def hopf_oracle(kind: str, H):
+    """What the per-entry references below read of K (``kind`` "k") or
+    K-hat ("khat") over H: its kind and H, with no calculus built."""
+    return types.SimpleNamespace(kind=kind, B=H)
+
+
+def reference_tables(calc):
+    """(cd, comul, g): the dimension, coproduct table and basepoint of C
+    that the references read, H's own tables for K and K-hat and the dict
+    twin of C for the generalized calculus."""
     if calc.kind == "general":
-        C = calc.C
-        return ract(C, lact(C, apply(calc.alpha.matrix, basis_vec(f, a)), basis_vec(f, c)),
-                    apply(calc.beta.matrix, basis_vec(f, z)))
-    return multiply(calc.B, multiply(calc.B, basis_vec(f, a), basis_vec(f, c)),
-                    apply(calc._conj, basis_vec(f, z)))
+        C = DictCoalgebra.of(calc.C)
+        return C.dim, C.comul, C.grouplike
+    return calc.B.dim, calc.B.comul, calc.B.unit
 
 
-def reference_sandwich_matrix(calc: Calculus) -> Matrix:
+def reference_sand(calc):
+    """sand(a, c, z) = alpha(e_a) . e_c . beta(e_z) in C, through the
+    structure maps one basis vector at a time: a . c . S^-1(z) for K and
+    a . c . S(z) for K-hat, with conj from H itself (``hopf_conj``), and
+    through the dict twin of C and alpha, beta for the generalized
+    calculus."""
+    f = calc.B.field
+    if calc.kind == "general":
+        C, alpha, beta = DictCoalgebra.of(calc.C), calc.alpha.matrix, calc.beta.matrix
+
+        def sand(a, c, z):
+            return ract(C, lact(C, apply(alpha, basis_vec(f, a)), basis_vec(f, c)),
+                        apply(beta, basis_vec(f, z)))
+    else:
+        H, conj = calc.B, hopf_conj(calc.kind, calc.B)
+
+        def sand(a, c, z):
+            return multiply(H, multiply(H, basis_vec(f, a), basis_vec(f, c)),
+                            apply(conj, basis_vec(f, z)))
+    return functools.cache(sand)
+
+
+def reference_sandwich_matrix(calc) -> Matrix:
     """The sandwich matrix column by column, the oracle for
     ``Calculus._sandwich_matrix``: column (b, c) is the sum of
-    reference_sand(b_(1), c, b_(3)) (x) b_(2) over Delta^(2)(b)."""
-    f = calc.field
-    cd, bd = calc.cdim, calc.B.dim
+    sand(b_(1), c, b_(3)) (x) b_(2) over Delta^(2)(b)."""
+    f, bd, sand = calc.B.field, calc.B.dim, reference_sand(calc)
+    cd = reference_tables(calc)[0]
     cols = []
     for b in range(bd):
         legs = comultiply_iter(calc.B, basis_vec(f, b), 2)
@@ -51,34 +78,31 @@ def reference_sandwich_matrix(calc: Calculus) -> Matrix:
             for fl, cl in legs.items():
                 b12, b3 = divmod(fl, bd)
                 b1, b2 = divmod(b12, bd)
-                vec_add(f, col, {s * bd + b2: v
-                                 for s, v in reference_sand(calc, b1, c, b3).items()}, cl)
+                vec_add(f, col, {s * bd + b2: v for s, v in sand(b1, c, b3).items()}, cl)
             cols.append(col)
     return Matrix.from_columns(cols, cd * bd, f)
 
 
-def reference_product(calc: Calculus, n: int, m: int) -> Matrix:
+def reference_product(calc, n: int, m: int) -> Matrix:
     """The graded product by direct enumeration, the oracle for
     ``Calculus.product``: for u = prefix (x) b and v = c_1 (x) ... (x) c_m (x) w,
     sum over the legs l_0 (x) ... (x) l_2m of Delta^(2m)(b) of
 
         prefix (x) sand(l_0, c_1, l_2m) (x) ... (x) sand(l_(m-1), c_m, l_(m+1))
                (x) l_m w."""
-    f = calc.field
-    cd, bd = calc.cdim, calc.B.dim
-    sand = functools.cache(functools.partial(reference_sand, calc))
-    dim_u, dim_v = calc.degree_dim(n), calc.degree_dim(m)
+    f, bd, sand = calc.B.field, calc.B.dim, reference_sand(calc)
+    cd = reference_tables(calc)[0]
     cols = []
-    for cu in range(dim_u):
-        uidx = tensor_decode(cu, degree_dims(calc, n))
+    for cu in range(cd ** n * bd):
+        uidx = tensor_decode(cu, [cd] * n + [bd])
         prefix = 0
         for a in uidx[:n]:
             prefix = prefix * cd + a
         b = uidx[n]
         comul = comultiply_iter(calc.B, basis_vec(f, b), 2 * m)
         legs = [(tensor_decode(fl, [bd] * (2 * m + 1)), c) for fl, c in comul.items()]
-        for cv in range(dim_v):
-            vidx = tensor_decode(cv, degree_dims(calc, m))
+        for cv in range(cd ** m * bd):
+            vidx = tensor_decode(cv, [cd] * m + [bd])
             acc: Vec = {}
             for l, cl in legs:
                 term: Vec = {prefix: cl}
@@ -88,28 +112,26 @@ def reference_product(calc: Calculus, n: int, m: int) -> Matrix:
                 final = calc.B.mul.get((l[m], vidx[m]), {})
                 vec_add(f, acc, vec_tensor(f, term, final, bd))
             cols.append(acc)
-    return Matrix.from_columns(cols, calc.degree_dim(n + m), f)
+    return Matrix.from_columns(cols, cd ** (n + m) * bd, f)
 
 
-def reference_differential(calc: Calculus, n: int) -> Matrix:
+def reference_differential(calc, n: int) -> Matrix:
     """The differential by direct enumeration, the oracle for
     ``Calculus.differential``: column by column, the basepoint term, the
     interior coproducts with alternating signs and the sandwich on the B
     slot, as in the module docstring of ``hopfcalc.calculus``."""
-    f = calc.field
-    cd, bd = calc.cdim, calc.B.dim
-    comul_c = calc.C.comul if calc.kind == "general" else calc.B.comul
+    f, bd = calc.B.field, calc.B.dim
+    cd, comul_c, basepoint = reference_tables(calc)
     sandwich = reference_sandwich_matrix(calc)
-    dims = degree_dims(calc, n)
-    src = calc.degree_dim(n)
+    dims = [cd] * n + [bd]
     front_stride = cd ** n * bd
     neg = f.neg(f.one())
     sign_n = f.one() if n % 2 == 0 else neg
     cols = []
-    for col in range(src):
+    for col in range(front_stride):
         idx = tensor_decode(col, dims)
         acc: Vec = {}
-        for u, cu in calc.basepoint.items():
+        for u, cu in basepoint.items():
             vec_add(f, acc, {u * front_stride + col: f.mul(neg, cu)})
         sign = f.one()
         for j in range(n):
@@ -129,11 +151,11 @@ def reference_differential(calc: Calculus, n: int) -> Matrix:
         for a in idx[:n]:
             prefix = prefix * cd + a
         # sand(b_(1), I, b_(3)) (x) b_(2): the sandwich at the basepoint
-        for u, cu in calc.basepoint.items():
+        for u, cu in basepoint.items():
             for fl2, c2 in column(sandwich, idx[n] * cd + u).items():
                 vec_add(f, acc, {prefix * cd * bd + fl2: f.mul(sign_n, f.mul(cu, c2))})
         cols.append(acc)
-    return Matrix.from_columns(cols, calc.degree_dim(n + 1), f)
+    return Matrix.from_columns(cols, cd ** (n + 1) * bd, f)
 
 
 def reference_graded_unit(calc: Calculus, max_degree: int) -> bool:
@@ -504,13 +526,12 @@ def _corrupted_calculi(rng: random.Random):
                             ("unit", dataclasses.replace(H, unit=unit))):
                 for calc in four_calculi(B):
                     yield f"{name} {what}", calc, D
-            comul = [dict(v) for v in C.comul]
+            comul = C.comul.columns()
             c, t = rng.randrange(C.dim), rng.randrange(C.dim ** 2)
             comul[c][t] = f.add(comul[c].get(t, f.zero()), f.one())
+            bad = dataclasses.replace(C, comul=Matrix.from_columns(comul, C.dim ** 2, f))
             for calc in four_calculi(H)[2:]:
-                yield (f"{name} Delta_C",
-                       Calculus.general(dataclasses.replace(C, comul=comul), calc.alpha, calc.beta),
-                       D)
+                yield f"{name} Delta_C", Calculus.general(bad, calc.alpha, calc.beta), D
 
 
 def test_corruptions_at_the_root_match_the_full_oracle():
@@ -647,12 +668,6 @@ def test_scaled_kZ3_products_take_the_exact_path():
             assert any(v.denominator != 1 for _, v in p.entries()), (calc, nm)
 
 
-def test_specializations_match_matrix_for_matrix():
-    for name in ("kZ3", "dualZ2", "sweedler"):
-        rep = specialization_check(named_algebra(name), max_degree=2)
-        assert rep.passed, str(rep)
-
-
 def test_h4_calculi_differ():
     # over H4 the antipode is not an involution, so the two calculi have
     # genuinely different differentials (already in low degree)
@@ -709,7 +724,53 @@ def test_verify_dga_rejects_degrees_above_the_calculus():
 
 def test_rejects_unknown_kind_and_missing_antipode_inverse():
     H = named_algebra("sweedler")
-    with pytest.raises(ValueError):
-        Calculus("weird", H)
-    with pytest.raises(ValueError):
-        Calculus("general", H)
+    ident = BialgebraMorphism.identity(H)
+    with pytest.raises(ValueError, match="unknown calculus kind 'weird'"):
+        Calculus("weird", BimoduleCoalgebra.from_hopf(H), ident, ident)
+    # a hand-built algebra whose antipode is singular has no S^-1 calculus
+    singular = dataclasses.replace(H, antipode=Matrix.zero(H.dim, H.dim, H.field))
+    with pytest.raises(ValueError, match=r"^the S\^-1 calculus needs an invertible antipode$"):
+        Calculus.k(singular)
+
+
+@pytest.mark.parametrize("name", ["kZ3", "sweedler", "dualZ2_F2", "kZ3_scaled", "taft327"])
+def test_k_and_khat_are_the_calculus_at_h_id_and_an_antipode(name):
+    # K is (H, id, S^-1) and K-hat is (H, id, S), over H as a bimodule
+    # coalgebra over itself, which holds H's own structure matrices
+    H = named_algebra(name)
+    C = BimoduleCoalgebra.from_hopf(H)
+    assert C.B is H and C.dim == H.dim
+    assert C.comul is H.comul_matrix() and C.counit is H.counit_row()
+    assert C.left is C.right is H.mul_matrix() and C.grouplike is H.unit_column()
+    k, khat = Calculus.k(H), Calculus.khat(H)
+    assert (k.kind, khat.kind) == ("k", "khat") and k.C.B is H and khat.C.B is H
+    assert k.alpha.matrix == khat.alpha.matrix == Matrix.identity(H.dim, H.field)
+    assert k.beta.matrix is H.antipode_inverse() and khat.beta.matrix is H.antipode
+
+
+def test_a_calculus_over_h_rebuilds_no_structure_matrix(monkeypatch):
+    # the sandwich matrix, E and the basepoint-coadjoint coaction of a
+    # calculus over H read H's own structure matrices: a spy on the table
+    # builders sees no call once H's matrices exist
+    H = dataclasses.replace(named_algebra("sweedler"))
+    ident, sinv = BialgebraMorphism.identity(H), BialgebraMorphism.antipode_inverse(H)
+    C = BimoduleCoalgebra.from_hopf(H)
+    calls = []
+
+    def spy(name, real):
+        def built(*args):
+            calls.append(name)
+            return real(*args)
+        return built
+
+    monkeypatch.setattr(Matrix, "from_columns", staticmethod(spy("from_columns",
+                                                                 Matrix.from_columns)))
+    for module in (linalg, hopf, modules, calculus, homology):
+        for name in ("bilinear_matrix", "pairing_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    for calc in (Calculus.general(C, ident, sinv), Calculus.k(H), Calculus.khat(H)):
+        calc._sandwich_matrix()
+        calc._reduced_comul_matrix()
+        homology._basepoint_coadjoint(calc)
+    assert calls == []

@@ -346,6 +346,7 @@ def test_a_coaction_that_is_not_coassociative_is_refused_as_before(capsys):
     # through the CLI the calculus side refuses it first, as a connection
     # that is not flat; the oracle built directly refuses it itself
     from hopfcalc.homology import cobar_complex
+    from hopfcalc.modules import BimoduleCoalgebra
     with contextlib.chdir(ROOT):
         code = main(["homology", "--builtin", "sweedler", "--module",
                      "tests/sweedler_curved.json", "--compare-cotor", "--max-degree", "3"])
@@ -354,7 +355,7 @@ def test_a_coaction_that_is_not_coassociative_is_refused_as_before(capsys):
     err = capsys.readouterr().err
     assert code == 2 and err == "error: unexpected failure: ValueError('connection is not flat')\n"
     with pytest.raises(ValueError, match="^coaction is not coassociative$"):
-        cobar_complex(H, X, 3)
+        cobar_complex(BimoduleCoalgebra.from_hopf(H), X, 3)
 
 
 def test_malformed_json_file_is_exit_2(capsys, tmp_path):

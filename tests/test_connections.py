@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import (ACCEPTANCE_ALGEBRAS, apply, base_corpus, basis_vec, column,
+from conftest import (ACCEPTANCE_ALGEBRAS, apply, base_corpus, basis_vec, column, hopf_conj,
                       mutated_corpus, named_algebra, vec_add, vec_sub, vec_tensor)
 from test_modules import Slot, checks, reference_oslash_action, reference_sandwich_compat
 
@@ -292,6 +292,7 @@ def reference_dg_module(calc, conn, max_degree=2):
     with the sandwich action of ``reference_oslash_action``."""
     rep = Report()
     H, X, f = calc.B, conn.X, calc.field
+    conj = hopf_conj(calc.kind, H)
     cx = coefficient_complex(conn, max_degree + 1)
     for n in range(max_degree + 1):
         slots = [Slot.regular(H)] * n + [Slot.from_left_module(X)]
@@ -301,8 +302,8 @@ def reference_dg_module(calc, conn, max_degree=2):
         for i in range(H.dim):
             for fl in range(cx.dims[n]):
                 t = basis_vec(f, fl)
-                lhs = apply(d, reference_oslash_action(slots, basis_vec(f, i), t, calc._conj))
-                rhs = reference_oslash_action(slots_up, basis_vec(f, i), apply(d, t), calc._conj)
+                lhs = apply(d, reference_oslash_action(slots, basis_vec(f, i), t, conj))
+                rhs = reference_oslash_action(slots_up, basis_vec(f, i), apply(d, t), conj)
                 dd = vec_sub(f, lhs, rhs)
                 if dd:
                     ok, wit = False, {"basis": (i, fl), "degree": n, "defect": dd}

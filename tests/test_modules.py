@@ -5,8 +5,8 @@ from typing import Dict, List, Optional, Tuple
 
 import pytest
 
-from conftest import (ACCEPTANCE_ALGEBRAS, act, apply, base_corpus, basis_vec, bilinear,
-                      check_comodule_axioms, check_lemma_sandwich_action, column,
+from conftest import (ACCEPTANCE_ALGEBRAS, DictCoalgebra, act, apply, base_corpus, basis_vec,
+                      bilinear, check_comodule_axioms, check_lemma_sandwich_action, column,
                       comultiply_iter, lact, linear, multiply, mutate_coaction, mutated_corpus,
                       named_algebra, pairing, ract, reference_column_echelon, vec_add, vec_eq,
                       vec_scale, vec_sub, vec_tensor)
@@ -413,7 +413,8 @@ def test_bimodule_coalgebra_from_hopf():
 def reference_verify_bimodule_coalgebra(C: BimoduleCoalgebra) -> Report:
     """The oracle for ``verify_bimodule_coalgebra``: every axiom basis
     tuple by basis tuple, through the actions and the coproduct applied to
-    one sparse vector at a time."""
+    one sparse vector at a time, on the dict twin of C."""
+    C = DictCoalgebra.of(C)
     f = C.field
     B = C.B
     d = C.dim
@@ -510,11 +511,11 @@ _BIMODULE_COALGEBRA_CHECKS = ["coassociativity", "counit", "left_action_associat
 def mutate_bimodule_coalgebra(C: BimoduleCoalgebra, rng: random.Random,
                               values) -> BimoduleCoalgebra:
     """A copy of C with one seeded entry of the left or right action, the
-    coproduct, the counit or the basepoint set to one of ``values``."""
+    coproduct, the counit or the basepoint set to one of ``values``, set in
+    its dict twin."""
     f, bd, d = C.field, C.B.dim, C.dim
-    left = {k: dict(v) for k, v in C.left.items()}
-    right = {k: dict(v) for k, v in C.right.items()}
-    comul, counit, g = [dict(t) for t in C.comul], dict(C.counit), dict(C.grouplike)
+    T = DictCoalgebra.of(C)
+    left, right, comul, counit, g = T.left, T.right, T.comul, T.counit, T.grouplike
     c = f.of(rng.choice(values))
     which = rng.choice(["left", "right", "comul", "counit", "grouplike"])
     if which == "left":
@@ -527,7 +528,7 @@ def mutate_bimodule_coalgebra(C: BimoduleCoalgebra, rng: random.Random,
         counit[rng.randrange(d)] = c
     else:
         g[rng.randrange(d)] = c
-    return BimoduleCoalgebra(C.B, d, comul, counit, left, right, g)
+    return T.matrices()
 
 
 @pytest.mark.parametrize("name", ["kZ2", "kZ3", "kS3", "dualZ2", "sweedler", "kZ3_scaled",
