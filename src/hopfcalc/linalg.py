@@ -18,19 +18,25 @@ arrays with the values as objects, cast before any multiply, so that no
 int64 product or sum can wrap: ``kron`` through ``_csr_kron`` itself, the
 others by listing their terms with their flat indices for
 ``Matrix._of_entries``, which sums each index's terms by the sort and
-``np.add.reduceat`` that the elimination uses (``_summed``), takes each
-sum into the field, drops the zeros and lets the entries decide the value
-type.  No field operation runs entry by entry.  The kernels call scipy's
-compiled sparsetools routines on the arrays directly: the ``scipy.sparse``
-classes wrap each call in checks and conversions that cost more than the
-arithmetic on the small matrices of most verdicts (a 16 x 16 product on a
-2-vCPU VM: ~110 us through ``csr_matrix``, ~9 us direct).  That
-compiled ``_sparsetools`` extension is all scipy supplies.  It is loaded
-by file path (``_load_sparsetools``), which skips the ``scipy.sparse``
-package init, ~300 ms of a command's start-up, and falls back to the
-package import when the direct load fails.  What
-start-up still costs is numpy (90-130 ms), ``site`` (45-60 ms, the
-environment's ``.pth`` files) and, where no valid ``__pycache__``
+``np.add.reduceat`` that the elimination uses (``_summed``) and drops the
+zeros.  Exact values enter a value array one way, ``_field_values``, which
+takes them into the field and lets them decide the value type by whole
+array operations: ``% p`` over F_p, an int64 cast and its check over Q, and
+a ``Fraction`` only for a value that stays an object.  ``_of_entries``,
+``kron``, ``from_columns`` and ``column_echelon`` all use it; only
+``Matrix.__init__``, which takes outside input, maps ``Field.of`` over its
+entries first.  No kernel runs a field operation entry by entry.
+
+The kernels call scipy's compiled sparsetools routines on the arrays
+directly: the ``scipy.sparse`` classes wrap each call in checks and
+conversions that cost more than the arithmetic on the small matrices of
+most verdicts (a 16 x 16 product on a 2-vCPU VM: ~110 us through
+``csr_matrix``, ~9 us direct).  That compiled ``_sparsetools`` extension
+is all scipy supplies.  It is loaded by file path (``_load_sparsetools``),
+which skips the ``scipy.sparse`` package init, ~300 ms of a command's
+start-up, and falls back to the package import when the direct load
+fails.  What start-up still costs is numpy (90-130 ms), ``site`` (45-60
+ms, the environment's ``.pth`` files) and, where no valid ``__pycache__``
 exists, 50-90 ms compiling hopfcalc's sources, on a 2-vCPU VM.
 
 Structure tensors are applied only as matrices.  A table enters once,
@@ -303,14 +309,25 @@ def _trimmed(ptr, idx, val) -> CSR:
 # matrices
 
 
-def _value_array(vals: List) -> np.ndarray:
-    """Field scalars as an int64 array when each is an integer below
-    ``_INT64_SAFE`` in absolute value, otherwise as an object array."""
-    nums = [v.numerator for v in vals
-            if v.denominator == 1 and -_INT64_SAFE < v.numerator < _INT64_SAFE]
-    if len(nums) == len(vals):
-        return np.array(nums, dtype=np.int64)
-    return np.array(vals, dtype=object)
+def _field_values(field: Field, val: np.ndarray) -> np.ndarray:
+    """The value array of a Matrix whose entries are the exact values
+    ``val`` (ints, and ``Fraction``s over Q) taken into the field, by whole
+    array operations.  Over F_p: one ``val % p``, cast to int64 when p is at
+    most ``_INT64_SAFE`` or every value lies below it.  Over Q: int64 when
+    every value is an integer below ``_INT64_SAFE`` in absolute value, else
+    ``Fraction``s, made only then.  The cast truncates a ``Fraction``,
+    which its comparison with ``val`` finds, and fails past 2^63.  A value
+    the map sends to 0 stays, as 0; the caller drops it."""
+    p = field.char
+    if p:
+        val = val % p
+        return val.astype(np.int64) if p <= _INT64_SAFE or val.max(initial=0) < _INT64_SAFE else val
+    try:
+        ints = val.astype(np.int64)
+    except OverflowError:       # a value past 2^63
+        return np.frompyfunc(Fraction, 1, 1)(val)
+    fits = (ints == val).all() and ((ints > -_INT64_SAFE) & (ints < _INT64_SAFE)).all()
+    return ints if fits else np.frompyfunc(Fraction, 1, 1)(val)
 
 
 class Matrix:
@@ -322,14 +339,16 @@ class Matrix:
     def __init__(self, rows: int, cols: int, field: Field,
                  data: Dict[Tuple[int, int], object] | None = None):
         """The matrix with the entries ``{(row, col): value}`` of ``data``:
-        every index is checked (``ValueError``), each value is taken into
-        the field and the zeros are dropped (``_of_entries``)."""
+        every index is checked (``ValueError``), and each value, an int, a
+        ``Fraction`` or a "p/q" string, is taken into the field by
+        ``Field.of``, the one per-entry field map of this module's write
+        side, before ``_of_entries`` drops the zeros."""
         data = data or {}
         ij = np.array(list(data), dtype=np.int64).reshape(len(data), 2)
         # the sparsetools routines do not check indices
         if len(ij) and (ij.min() < 0 or ij[:, 0].max() >= rows or ij[:, 1].max() >= cols):
             raise ValueError("matrix entry index out of range")
-        val = np.array(list(data.values()), dtype=object)
+        val = np.array([field.of(v) for v in data.values()], dtype=object)
         self._store(rows, cols, field,
                     Matrix._of_entries(rows, cols, field, ij[:, 0] * cols + ij[:, 1], val)._csr)
 
@@ -359,11 +378,11 @@ class Matrix:
         the sum of the values ``val`` listed at that index in ``key``, in
         any order: the one builder of the exact path, whose callers pass
         object values wherever an int64 sum could wrap.  The values of each
-        index are summed (``_summed``), each sum is taken into the field
-        (``Field.of``: ``Fraction`` over Q), the zeros are dropped, and
-        ``_value_array`` chooses the value type."""
+        index are summed (``_summed``), the sums are taken into the field
+        and given their value type by ``_field_values``, and the zeros are
+        dropped."""
         key, val = _summed(key, val)
-        val = _value_array([field.of(v) for v in val.tolist()])
+        val = _field_values(field, val)
         key, val = key[val != 0], val[val != 0]
         return cls._of_csr(rows, cols, field, (np.searchsorted(key, np.arange(rows + 1) * cols),
                                                key % cols, val))
@@ -407,31 +426,24 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, cols: List[Vec], rows: int, field: Field) -> "Matrix":
-        """The matrix with the columns ``cols`` of field scalars; every row
-        index is checked (``ValueError``).  Taken column by column, the
-        entries of each row arrive in column order, so the int64 form needs
-        no sort; a value that is not an integer below ``_INT64_SAFE`` in
-        absolute value sends the entries to ``_of_entries`` instead, which
-        takes each into the field.  Over F_p each value is reduced mod p on
-        the way, which changes it by a multiple of p and so not its image."""
-        p = field.char
+        """The matrix with the columns ``cols`` of field scalars (ints over
+        F_p, which may be unreduced); every row index is checked
+        (``ValueError``).  Taken column by column, the entries of each row
+        arrive in column order, so bucketing them by row needs no sort;
+        ``_field_values`` then types all the values at once, and the zeros
+        it makes are dropped: a row's pointer counts the nonzero entries
+        before it."""
         by_row: List[List[Tuple[int, object]]] = [[] for _ in range(rows)]
         for j, col in enumerate(cols):
             for i, v in col.items():
                 if not 0 <= i < rows:
                     raise ValueError("matrix entry index out of range")
-                if p:
-                    v %= p
-                if v:
-                    by_row[i].append((j, v))
-        entries = [e for r in by_row for e in r]
-        val = _value_array([v for _, v in entries])
-        ptr = np.array(list(accumulate((len(r) for r in by_row), initial=0)),
-                       dtype=np.int64)
-        idx = np.array([j for j, _ in entries], dtype=np.int64)
-        if val.dtype == object:
-            return cls._of_entries(rows, len(cols), field, np.arange(rows).repeat(
-                ptr[1:] - ptr[:-1]) * len(cols) + idx, val)
+                by_row[i].append((j, v))
+        val = _field_values(field, np.array([v for r in by_row for _, v in r], dtype=object))
+        ptr = np.array(list(accumulate(map(len, by_row), initial=0)), dtype=np.int64)
+        idx = np.array([j for r in by_row for j, _ in r], dtype=np.int64)
+        if not val.all():
+            ptr, idx, val = np.append(0, (val != 0).cumsum())[ptr], idx[val != 0], val[val != 0]
         return cls._of_csr(rows, len(cols), field, (ptr, idx, val))
 
     def columns(self) -> List[Vec]:
@@ -492,8 +504,7 @@ class Matrix:
             raise ValueError("field mismatch")
         f = self.field
         a, b = self._to_csr(), other._to_csr()
-        if (a is not None and b is not None
-                and self._max_abs() + other._max_abs() < _INT64_SAFE):
+        if a is not None and b is not None and self._max_abs() + other._max_abs() < _INT64_SAFE:
             return Matrix._of_csr(self.rows, self.cols, f, _reduced(
                 _csr_add(a, b, self.rows, self.cols, minus), self.rows, self.cols, f.char))
         return Matrix._of_entries(self.rows, self.cols, f, np.concatenate(
@@ -501,8 +512,8 @@ class Matrix:
             (self._csr[2], -other._csr[2] if minus else other._csr[2])).astype(object))
 
     def scale(self, c) -> "Matrix":
-        """``c`` times the matrix, for a field scalar ``c``: its Kronecker
-        product with the 1 x 1 matrix (c)."""
+        """``c`` times the matrix, for a field scalar or an int ``c``: its
+        Kronecker product with the 1 x 1 matrix (c)."""
         return self.kron(Matrix.from_columns([{0: c}], 1, self.field))
 
     # -- products -----------------------------------------------------------
@@ -530,11 +541,15 @@ class Matrix:
         ACM TOMS 41(4), 2015): each entry a_ik meets the entries of row k of
         ``other``, gathered by ``_spans``; their products are taken on
         object values (numpy casts the int64 side to Python ints), and
-        ``_of_entries`` sums them by their place in the result."""
+        ``_of_entries`` sums them by their place in the result.  Where an
+        operand is ``Matrix.identity`` (``_identity_size``), the product is
+        the other operand and no kernel runs."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         if self.field is not other.field and self.field != other.field:
             raise ValueError("field mismatch")
+        if _identity_size(self) or _identity_size(other):
+            return other if _identity_size(self) else self
         a, b = self._to_csr(), other._to_csr()
         # crude overflow bound: |entry| <= maxA * maxB * inner_dim
         if (a is not None and b is not None and self._max_abs()
@@ -553,9 +568,10 @@ class Matrix:
         Where the product is known, no kernel runs: X (x) I_1 and I_1 (x) X
         are X, and I_m (x) I_n is I_mn.  ``_csr_kron`` serves both value
         types: on the int64 arrays when a bound on the products stays below
-        ``_INT64_SAFE``, else on both operands' values as objects, each
-        product then taken into the field.  A product of nonzero scalars is
-        not zero, so no entry is dropped and none is summed."""
+        ``_INT64_SAFE``, else on both operands' values as objects, the
+        products then taken into the field and typed by ``_field_values``.
+        A product of nonzero scalars is not zero, so no entry is dropped
+        and none is summed."""
         if self.field is not other.field and self.field != other.field:
             raise ValueError("field mismatch")
         f = self.field
@@ -573,8 +589,8 @@ class Matrix:
                 a, (self.rows, self.cols), b, (other.rows, other.cols), f.char), bound)
         (ap, aj, ax), (bp, bj, bx) = self._csr, other._csr
         ptr, idx, val = _csr_kron((ap, aj, ax.astype(object)), (self.rows, self.cols),
-                                  (bp, bj, bx.astype(object)), (other.rows, other.cols), f.char)
-        return Matrix._of_csr(rows, cols, f, (ptr, idx, _value_array([f.of(v) for v in val])))
+                                  (bp, bj, bx.astype(object)), (other.rows, other.cols), 0)
+        return Matrix._of_csr(rows, cols, f, (ptr, idx, _field_values(f, val)))
 
     def regroup(self, dims: Sequence[int], order: Sequence[int], nrows: int) -> "Matrix":
         """The same entries with the tensor axes permuted.  Read as a tensor
@@ -659,10 +675,12 @@ class Matrix:
 
     def nonzero_witness(self) -> Tuple[int, int, object] | None:
         """The first nonzero entry (row, col, value) in row-major order, or
-        None if the matrix is 0."""
-        for (i, j), v in self.entries():
-            return (i, j, v)
-        return None
+        None if the matrix is 0: entry 0 of the CSR, in the last row whose
+        pointer is 0; an int64 value is read as a Python int."""
+        ptr, idx, val = self._csr
+        if not len(idx):
+            return None
+        return int(np.searchsorted(ptr, 0, "right")) - 1, int(idx[0]), val.item(0)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field}, nnz={self._nnz()})"
@@ -796,7 +814,7 @@ def identity_defect_witness(field: Field, terms) -> "Tuple[int, int, object] | N
             fac = fac[0].kron(fac[1]) if isinstance(fac, tuple) else fac
             m = fac if m is None else m @ fac
         if abs(coeff) != 1:
-            m = m.scale(field.of(abs(coeff)))
+            m = m.scale(abs(coeff))
         k = coeff < 0
         sides[k] = m if sides[k] is None else sides[k] + m
     some = sides[0] if sides[0] is not None else sides[1]
@@ -902,7 +920,8 @@ def _echelon(m: Matrix, cols: "np.ndarray | None" = None) -> Tuple[np.ndarray, n
     it is, and the values are objects when p^2 reaches ``_INT64_SAFE``.
     Over Q a pivot is an integer vector in the span and no ``Fraction`` is
     built (fraction free, in the manner of Bareiss): a column given in
-    fractions is first scaled by the lcm of its denominators.
+    fractions is first scaled by the lcm of its denominators, into integer
+    objects for ``np.gcd``, int64 where they fit.
 
     The elimination runs on the CSC arrays in rounds.  Each active column's
     lead is its first stored row.  Where no pivot has that lead yet, the
@@ -942,8 +961,8 @@ def _echelon(m: Matrix, cols: "np.ndarray | None" = None) -> Tuple[np.ndarray, n
     if not p and val.dtype == object:
         filled = height.nonzero()[0]
         den = np.array([v.denominator for v in val], dtype=object)
-        val = _value_array([v.numerator for v in val * np.lcm.reduceat(
-            den, ptr[filled]).repeat(height[filled])])
+        val = val * np.lcm.reduceat(den, ptr[filled]).repeat(height[filled]) // 1
+        val = val.astype(np.int64) if abs(val).max(initial=0) < _INT64_SAFE else val
     elif p * p >= _INT64_SAFE:
         val = val.astype(object)
     # the first round: the lowest-indexed live column at each lead
@@ -1066,6 +1085,5 @@ def column_echelon(m: Matrix) -> Tuple[Matrix, List[int]]:
     if not p:
         lead = val[first].repeat(cnt)
         val = val // lead if not (val % lead).any() else np.frompyfunc(Fraction, 2, 1)(val, lead)
-    ptr, idx, val = _transposed(k, rows, np.append(first, len(col)), row, val)
-    val = val if val.dtype == np.int64 else _value_array(val.tolist())
-    return Matrix._of_csr(rows, k, m.field, (ptr, idx, val)), leads.tolist()
+    csr = _transposed(k, rows, np.append(first, len(col)), row, _field_values(m.field, val))
+    return Matrix._of_csr(rows, k, m.field, csr), leads.tolist()

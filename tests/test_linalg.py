@@ -13,7 +13,7 @@ from conftest import (Ref, from_rows, kernel_dim, named_algebra, reference_colum
                       reference_echelon, transpose, vec_tensor)
 
 from hopfcalc import linalg
-from hopfcalc.fields import Field, QQ
+from hopfcalc.fields import Field, QQ, _PRIME_LIMIT, is_prime
 from hopfcalc.linalg import (Matrix, column_echelon, identity_defect_witness,
                              tensor_decode, tensor_encode)
 
@@ -1027,29 +1027,83 @@ def test_sums_and_differences_check_the_fields():
                 got()
 
 
+# a prime above 2^62: its values at or past 2^62 stay objects
+P_HUGE = next(n for n in range(2**62 + 1, _PRIME_LIMIT, 2) if is_prime(n))
+
+
 def test_matrix_arithmetic_takes_no_field_arithmetic(monkeypatch):
     # the exact path of @, kron, + and - runs numpy calls on object arrays;
-    # with Field.add, sub and mul raising, object operands over Q (Fractions
-    # and 2^62) and int64 operands over F_4294967311 (whose products pass
-    # 2^64) still give the dict reference's entries
+    # with Field.add, sub, mul and of raising, object operands over Q
+    # (Fractions and 2^62), int64 operands over F_4294967311 (whose products
+    # pass 2^64) and the values of a prime above 2^62 still give the dict
+    # reference's entries, and so does the exact tail of column_echelon
+    # behind the inverse of a non-monomial matrix over Q
     rng, pairs = random.Random(11), []
-    for field, special in [(QQ, Fraction(1, 3)), (QQ, 2**62), (F_BIG, None)]:
+    for field, special in [(QQ, Fraction(1, 3)), (QQ, 2**62), (F_BIG, None),
+                           (Field(P_HUGE), None), (Field(P_HUGE), 2**62 + 5)]:
         for n in range(4):
             ra, rb = (_ref(rng, field, 3, 3, special if n & bit else None, 0.7) for bit in (1, 2))
             pairs.append((ra, rb, ra.matrix(), rb.matrix()))
     refs = [(ra @ rb, ra.kron(rb), ra.plus(rb, ra.f.one()), ra.plus(rb, ra.f.neg(ra.f.one())))
             for ra, rb, _, _ in pairs]
+    square = from_rows([[2, 1, 0], [Fraction(1, 3), 1, 5], [0, 4, 1]], QQ)
+    inverse = reference_inverse(square)
 
     def field_arithmetic(*args):
         raise AssertionError("Matrix called Field arithmetic")
 
     with monkeypatch.context() as patch:
-        for name in ("add", "sub", "mul"):
+        for name in ("add", "sub", "mul", "of"):
             patch.setattr(Field, name, field_arithmetic)
         got = [(a @ b, a.kron(b), a + b, a - b) for _, _, a, b in pairs]
+        got_inverse = square.inverse()
     for results, wants in zip(got, refs):
         for result, want in zip(results, wants):
             assert_matches(result, want)
+    assert any(r._csr[2].dtype == object for rs in got[-8:] for r in rs)
+    assert got_inverse == inverse and got_inverse._csr[2].dtype == object
+    assert got_inverse.data == inverse.data
+
+
+def test_the_witness_is_read_off_the_arrays():
+    # the first item of entries(), int64 values read as Python ints, past
+    # any number of empty leading rows
+    for field, value in [(QQ, 3), (QQ, Fraction(1, 2)), (QQ, 2**63), (F7, 3), (F_BIG, 2**32),
+                         (Field(P_HUGE), -1)]:
+        for empty in range(4):
+            m = Matrix(empty + 2, 3, field, {(empty, 2): value, (empty + 1, 0): 5})
+            (i, j), v = next(iter(m.entries()))
+            w = m.nonzero_witness()
+            assert w == (i, j, v) == (empty, 2, m.get(empty, 2))
+            assert [type(x) for x in w] == [int, int, type(v)]
+            big = m.kron(Matrix.identity(2, field)) @ Matrix(6, 1, field, {(4, 0): 1})
+            (i, j), v = next(iter(big.entries()))
+            assert big.nonzero_witness() == (i, j, v) == (2 * empty, 0, big.get(2 * empty, 0))
+        assert Matrix.zero(3, 2, field).nonzero_witness() is None
+
+
+def test_a_product_with_an_identity_is_the_other_operand():
+    rng = random.Random(5)
+    for field in (QQ, F7, F_BIG):
+        a = _random_matrix(rng, 3, 4, field, 0.6)
+        assert a @ Matrix.identity(4, field) is a and Matrix.identity(3, field) @ a is a
+        # an identity built entry by entry is not the shared one: the kernel runs
+        eye = Matrix(4, 4, field, {(i, i): 1 for i in range(4)})
+        assert a @ eye == a and a @ eye is not a
+        for bad in (lambda: a @ Matrix.identity(3, field), lambda: Matrix.identity(4, field) @ a,
+                    lambda: a @ Matrix.identity(4, Field(5)),
+                    lambda: Matrix.identity(3, Field(5)) @ a):
+            with pytest.raises(ValueError):
+                bad()
+
+
+def test_from_columns_drops_the_values_the_field_sends_to_zero():
+    m = Matrix.from_columns([{0: 7, 1: 3}, {1: 14, 0: -1}], 2, F7)
+    assert m.data == {(1, 0): 3, (0, 1): 6} and m._nnz() == 2
+    assert Matrix.from_columns([{1: P31}], 2, Field(P31)).is_zero()
+    q = Matrix.from_columns([{0: Fraction(4, 2), 1: 2**62}, {0: Fraction(0, 5)}], 2, QQ)
+    assert q._nnz() == 2 and q._csr[2].dtype == object
+    assert q.data == {(0, 0): Fraction(2), (1, 0): Fraction(2**62)}
 
 
 def test_sums_and_multiples_check_shapes_and_bounds():
