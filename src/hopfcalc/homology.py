@@ -105,7 +105,9 @@ def homology_dims(cx: ChainComplex, max_degree: Optional[int] = None) -> Homolog
     leads of the restricted elimination serve the degree above in turn.
     ``Matrix.rank`` takes L^c as its column mask, the set of columns its
     elimination works on in the matrix's own CSC arrays, so no restricted
-    or masked copy is built.  The argument needs d^2 = 0, so only a complex
+    or masked copy is built; a quotient of ``quotient_complex`` above
+    degree 2 is born column-major, so those arrays are its only copy, and
+    its CSR is never built.  The argument needs d^2 = 0, so only a complex
     on which it is known (``checked``: multiplied out at construction, or
     proved by the builder) is ranked this way; any other is ranked on its
     full matrices, where a negative dimension still shows.
@@ -218,9 +220,25 @@ def quotient_complex(calc, X: Optional[ModComod],
         d-bar_n = E-bar (x) I - I_(C-bar) (x) d-bar_(n-1),
         E-bar = E'[C-bar (x) C-bar, C-bar],
 
-    one ``kron_minus_blocks`` call per degree n >= 3, at (cd - 1)/cd of the
-    size per leg.  d_0, d_1 and d_2 are masked (``_quotients``); the
-    recursion starts at d-bar_2.
+    at (cd - 1)/cd of the size per leg.  d_0, d_1 and d_2 are masked
+    (``_quotients``); the recursion starts at d-bar_2.
+
+    *Column-major.*  The rank reads only a matrix's CSC arrays, and those
+    are the CSR arrays of its transpose.  So the recursion runs on the
+    transposes T_n = d-bar_n^T.  (A (x) B)^T = A^T (x) B^T and
+    (A - B)^T = A^T - B^T, so
+
+        T_n = E-bar^T (x) I_(dims[n-1]) - I_(C-bar) (x) T_(n-1),
+
+    one ``kron_minus_blocks`` call per degree n >= 3, with A = E-bar^T,
+    whose cd - 1 rows make cd - 1 blocks of one row each, B the identity
+    of T_(n-1).rows = dims[n-1] and P = T_(n-1).  It starts from the CSC
+    arrays of d-bar_2 and E-bar, taken once.  The CSR arrays of T_n are
+    exactly the canonical CSC arrays of d-bar_n, rows sorted within each
+    column, and d-bar_n is born column-major on them
+    (``Matrix._of_csc``): its CSR is built only if something reads it,
+    which the ranks of ``homology_dims`` do not.  So no d-bar_n above
+    degree 2 is held twice, and no CSC is transposed out of its CSR.
 
     *Closedness.*  The quotient of a d_n is a quotient map only when d_n
     has no entry in a kept row and a dropped column.  For d_0, d_1 and d_2
@@ -280,12 +298,14 @@ def quotient_complex(calc, X: Optional[ModComod],
         raise ValueError("d^2 != 0 at degree 2")
     quotients = _quotients(g, f, cd, xd, low.diffs)[1]
     del low
-    e_bar = _quotients(g, f, cd, 1, [E], first=1)[1][0] if top > 3 else None
-    for _ in range(3, top):
-        # with cd = 1 every quotient above degree 0 is 0 x 0
-        p = quotients[-1]
-        quotients.append(kron_minus_blocks(e_bar, Matrix.identity(p.cols, f), cd - 1, p)
-                         if cd > 1 else p)
+    if top > 3:
+        e_bar = _quotients(g, f, cd, 1, [E], first=1)[1][0]
+        # on the transposes T_n; with cd = 1 every quotient above degree 0 is 0 x 0
+        e_t, t = (Matrix._of_csr(m.cols, m.rows, f, m._csc_arrays())
+                  for m in (e_bar, quotients[-1]))
+        for _ in range(3, top):
+            t = kron_minus_blocks(e_t, Matrix.identity(t.rows, f), cd - 1, t) if cd > 1 else t
+            quotients.append(Matrix._of_csc(t.cols, t.rows, f, t._csr))
     dims = [(cd - 1) ** n * xd for n in range(top + 1)]
     return ChainComplex(f, dims, quotients, d2="proved")
 

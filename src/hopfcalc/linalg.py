@@ -1,8 +1,15 @@
 """Sparse exact linear and multilinear algebra.
 
 Vectors are zero-omitting dicts ``{index: scalar}``.  A ``Matrix`` is
-stored one way, as canonical CSR: column indices sorted within each row,
-no duplicate and no zero.  Its value array has one of two types, which
+stored as canonical CSR: column indices sorted within each row, no
+duplicate and no zero.  The one exception is a matrix born column-major
+(``Matrix._of_csc``), which the quotient complex of ``homology`` ranks: it
+stores its canonical CSC, rows sorted within each column, and builds its
+canonical CSR from it only when something first reads it
+(``_ColumnMajor``), so that its rank, which reads only the CSC,
+never holds it twice.  Either way every read sees the same matrix, and
+the CSC of a CSR-born matrix is built when first read and cached
+(``_csc_arrays``).  A matrix's value array has one of two types, which
 its entries decide.  It is int64, reduced to [0, p) over F_p, when every
 entry is an integer below ``_INT64_SAFE`` in absolute value (always true
 for the structure constants of the built-in algebras); otherwise it is an
@@ -332,7 +339,8 @@ def _field_values(field: Field, val: np.ndarray) -> np.ndarray:
 
 class Matrix:
     """Zero-omitting sparse matrix over an exact field, stored as canonical
-    CSR with int64 or object values (module docstring)."""
+    CSR, or born column-major as canonical CSC, with int64 or object values
+    (module docstring)."""
 
     __slots__ = ("rows", "cols", "field", "_csr", "_maxabs", "_csc")
 
@@ -353,15 +361,14 @@ class Matrix:
                     Matrix._of_entries(rows, cols, field, ij[:, 0] * cols + ij[:, 1], val)._csr)
 
     def _store(self, rows: int, cols: int, field: Field, csr: CSR,
-               maxabs: int | None = None) -> None:
-        """Store the canonical CSR ``csr``, made read-only; ``maxabs`` is its
-        largest absolute entry when already known, read over Q only
-        (``_max_abs``)."""
+               maxabs: int | None = None, csc: "CSR | None" = None) -> None:
+        """Store the canonical CSR ``csr``, made read-only, and its CSC
+        ``csc`` when already built; ``maxabs`` is its largest absolute entry
+        when already known, read over Q only (``_max_abs``)."""
         for a in csr:
             a.setflags(write=False)
         self.rows, self.cols, self.field = rows, cols, field
-        self._csr, self._maxabs = csr, maxabs
-        self._csc = None
+        self._csr, self._maxabs, self._csc = csr, maxabs, csc
 
     @classmethod
     def _of_csr(cls, rows: int, cols: int, field: Field, csr: CSR,
@@ -369,6 +376,17 @@ class Matrix:
         """A matrix stored as the canonical CSR ``csr`` (``_store``)."""
         m = cls.__new__(cls)
         m._store(rows, cols, field, csr, maxabs)
+        return m
+
+    @staticmethod
+    def _of_csc(rows: int, cols: int, field: Field, csc: CSR) -> "Matrix":
+        """A matrix born column-major: it stores the canonical CSC ``csc``,
+        made read-only, and leaves its ``_csr`` slot empty until something
+        first reads it (``_ColumnMajor``).  ``csc`` is the CSR of the cols x
+        rows transpose."""
+        m = _ColumnMajor._of_csr(cols, rows, field, csc)
+        m.rows, m.cols, m._csc = rows, cols, m._csr
+        del m._csr
         return m
 
     @classmethod
@@ -453,8 +471,9 @@ class Matrix:
         return [{i: of(v) for i, v in zip(idx[s:e], val[s:e])} for s, e in zip(ptr, ptr[1:])]
 
     def _csc_arrays(self) -> CSR:
-        """The CSC form of the stored CSR, rows sorted within each column,
-        cached."""
+        """The CSC arrays, rows sorted within each column: those a matrix
+        born column-major stores, else built from the CSR when first read
+        and cached."""
         if self._csc is None:
             self._csc = _transposed(self.rows, self.cols, *self._csr)
         return self._csc
@@ -684,6 +703,23 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field}, nnz={self._nnz()})"
+
+
+class _ColumnMajor(Matrix):
+    """A matrix born column-major (``Matrix._of_csc``).  Its own class holds
+    the ``__getattr__`` that builds the CSR, so that an attribute read of a
+    matrix born row-major takes no detour through it."""
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        """Called only for a missing attribute.  For the empty ``_csr`` slot,
+        the CSR is built from the CSC, canonical and read-only, and kept;
+        any other name is an ``AttributeError``."""
+        if name != "_csr":
+            raise AttributeError(name)
+        self._store(self.rows, self.cols, self.field,
+                    _transposed(self.cols, self.rows, *self._csc), self._maxabs, self._csc)
+        return self._csr
 
 
 def _identity_size(m: Matrix) -> int:

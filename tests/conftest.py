@@ -196,6 +196,16 @@ def transpose(m: Matrix) -> Matrix:
     return Matrix(m.cols, m.rows, m.field, {(j, i): v for (i, j), v in m.entries()})
 
 
+def holds_csr(m: Matrix) -> bool:
+    """Whether ``m`` holds its CSR, read off its slot without building the
+    CSR of a matrix born column-major."""
+    try:
+        Matrix._csr.__get__(m)
+    except AttributeError:
+        return False
+    return True
+
+
 def kernel_dim(m: Matrix) -> int:
     return m.cols - m.rank()
 

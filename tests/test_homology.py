@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (ACCEPTANCE_ALGEBRAS, base_corpus, from_rows, mutated_corpus,
+from conftest import (ACCEPTANCE_ALGEBRAS, base_corpus, from_rows, holds_csr, mutated_corpus,
                       named_algebra, reference_echelon, scaled_kZ3)
 
-from hopfcalc import cli, connections, homology
+from hopfcalc import cli, connections, homology, linalg
 from hopfcalc.calculus import Calculus
 from hopfcalc.connections import connection_from_coaction, is_flat
 from hopfcalc.fields import QQ, Field
@@ -388,7 +388,9 @@ def test_bare_taft_homology_at_degree_5_stays_under_its_traced_peak():
     # E (x) I and I_C (x) D_3 at full size, this verdict takes 43 MiB traced;
     # released and built in blocks it takes ~29 MiB, at its top rank, and
     # ~23 MiB ranked on a masked copy of the columns with per-row pivot
-    # bookkeeping; ranked in the CSC with per-pivot bookkeeping, ~16 MiB
+    # bookkeeping; ranked in the CSC with per-pivot bookkeeping, ~15 MiB, as
+    # the top quotient was built as a CSR and its CSC taken from it; built
+    # column-major, ~9 MiB
     tracemalloc.start()
     try:
         code, doc = _bare_homology("homology --builtin taft:3:2 --field F7 --calculus k"
@@ -397,7 +399,45 @@ def test_bare_taft_homology_at_degree_5_stays_under_its_traced_peak():
     finally:
         tracemalloc.stop()
     assert code == 0 and doc["homology"]["H_4"] == 2
-    assert peak < 20 * 2**20
+    assert peak < 11 * 2**20
+
+
+@pytest.mark.parametrize("module", ["", " --module coadjoint"])
+def test_no_quotient_above_degree_2_is_held_row_major(monkeypatch, module):
+    # each d-bar_n with n >= 3 is born column-major: its rank reads the CSC
+    # it was born with, no CSC is transposed out of a CSR of it, and its CSR
+    # is never built; the ranked shapes, whose columns linalg.rank_cols
+    # sums, stay those of the normalized complex
+    transposed, lazy, ranked = [], [], []
+    transpose, getattr_, rank = (linalg._transposed, linalg._ColumnMajor.__getattr__,
+                                 Matrix.rank)
+
+    def spy_transposed(rows, cols, *csr):
+        transposed.append((rows, cols))
+        return transpose(rows, cols, *csr)
+
+    def spy_getattr(m, name):
+        lazy.append((m.rows, m.cols))
+        return getattr_(m, name)
+
+    def spy_rank(m, **kwargs):
+        held = holds_csr(m)
+        out = rank(m, **kwargs)
+        ranked.append((m.rows, m.cols, held, holds_csr(m)))
+        return out
+    monkeypatch.setattr(linalg, "_transposed", spy_transposed)
+    monkeypatch.setattr(linalg._ColumnMajor, "__getattr__", spy_getattr)
+    monkeypatch.setattr(Matrix, "rank", spy_rank)
+    code, doc = _bare_homology("homology --builtin taft:3:2 --field F7 --calculus k"
+                               " --max-degree 5" + module)
+    assert code == 0 and doc["homology"]["H_4"] == 2
+    # (dim C - 1)^n * dim X, with dim C = dim X = 9
+    dims = [8 ** n * 9 for n in range(6)]
+    assert [r[:2] for r in ranked] == [(dims[n + 1], dims[n]) for n in range(5)]
+    for rows, cols, *held in ranked[3:]:
+        assert held == [False, False]
+        assert (rows, cols) not in transposed and (cols, rows) not in transposed
+        assert (rows, cols) not in lazy
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +461,13 @@ def _bare_calculi(H, D):
 @pytest.mark.parametrize("name,D", [
     ("kZ2", 5), ("kZ3", 5), ("kS3", 4), ("dualZ2", 5), ("sweedler", 6), ("taft327", 4),
     ("kZ3_scaled", 4), ("dualZ2_F2", 5), ("dualgroup:Z3/Q", 4), ("dualgroup:S3/Q", 4),
-    ("group:Z1/Q", 4)])
+    ("group:Z1/Q", 4), ("sweedler/F4294967311", 5)])
 def test_quotient_first_bare_complex_matches_the_full_oracle(normalized_tables, name, D):
     # the acceptance algebras, the exact path (kZ3_scaled), basepoints off a
-    # basis vector (the dual group algebras) and dim C = 1, at degrees where
-    # the recursion runs: quotients, dimensions and tables as on the full
-    # complex (the fixture)
+    # basis vector (the dual group algebras), dim C = 1 and a prime whose
+    # elimination runs on object values, at degrees where the recursion
+    # runs: quotients, dimensions and tables as on the full complex (the
+    # fixture)
     calcs = _bare_calculi(_algebra(name), D)
     for calc in calcs:
         homology.homology_dims(homology.quotient_complex(calc, None, D), D)
@@ -435,11 +476,13 @@ def test_quotient_first_bare_complex_matches_the_full_oracle(normalized_tables, 
 
 @pytest.mark.parametrize("name,D", [
     ("kZ2", 5), ("kZ3", 4), ("kS3", 4), ("dualZ2", 5), ("sweedler", 5), ("taft327", 4),
-    ("kZ3_scaled", 4), ("dualZ2_F2", 5), ("dualgroup:Z3/Q", 4), ("group:Z1/Q", 4)])
+    ("kZ3_scaled", 4), ("dualZ2_F2", 5), ("dualgroup:Z3/Q", 4), ("group:Z1/Q", 4),
+    ("sweedler/F4294967311", 5)])
 def test_quotient_first_coefficient_complex_matches_the_full_oracle(normalized_tables, name, D):
     # the trivial, regular and coadjoint modules of the acceptance algebras,
-    # the exact path (kZ3_scaled), basepoints off a basis vector and
-    # dim C = 1, over the three calculi, at degrees where the recursion runs
+    # the exact path (kZ3_scaled), basepoints off a basis vector, dim C = 1
+    # and a prime whose elimination runs on object values, over the three
+    # calculi, at degrees where the recursion runs
     H = _algebra(name)
     calcs = _bare_calculi(H, D)
     for calc in calcs:
@@ -693,7 +736,8 @@ def test_module_homology_ranks_after_every_full_differential_is_released(monkeyp
 def test_module_taft_homology_at_degree_5_stays_under_its_traced_peak():
     # built in full and masked, this verdict takes ~116 MiB traced; built
     # quotient-first ~26 MiB, and ~23 MiB with its top rank on a masked copy
-    # of the columns; ranked in the CSC with per-pivot bookkeeping, ~16 MiB
+    # of the columns; ranked in the CSC with per-pivot bookkeeping, ~15 MiB;
+    # with the quotients above degree 2 built column-major, ~9 MiB
     tracemalloc.start()
     try:
         code, doc = _bare_homology("homology --builtin taft:3:2 --field F7 --calculus k"
@@ -702,7 +746,7 @@ def test_module_taft_homology_at_degree_5_stays_under_its_traced_peak():
     finally:
         tracemalloc.stop()
     assert code == 0 and doc["homology"]["H_4"] == 2
-    assert peak < 20 * 2**20
+    assert peak < 11 * 2**20
 
 
 @settings(max_examples=60, deadline=None)

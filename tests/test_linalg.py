@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, note, settings, strategies as st
 
-from conftest import (Ref, from_rows, kernel_dim, named_algebra, reference_column_echelon,
-                      reference_echelon, transpose, vec_tensor)
+from conftest import (Ref, from_rows, holds_csr, kernel_dim, named_algebra,
+                      reference_column_echelon, reference_echelon, transpose, vec_tensor)
 
 from hopfcalc import linalg
 from hopfcalc.fields import Field, QQ, _PRIME_LIMIT, is_prime
@@ -1185,6 +1185,43 @@ def test_fp_entries_stay_reduced(seed):
         # the zeros a reduction drops leave no scratch space alive in the result
         for m in (a @ b, a + a, a - a):
             assert all(x.base is None for x in m._csr[1:])
+
+
+@pytest.mark.parametrize("field", [F7, F_BIG, QQ], ids=str)
+def test_a_matrix_born_column_major_equals_its_csr_twin(field):
+    # over F_4294967311 the elimination runs on object values, and over Q
+    # the entries are Fractions; empty and zero shapes, and zero columns
+    rng = random.Random(34)
+
+    def entry():
+        return field.of(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if field is QQ
+                        else rng.randrange(field.char))
+
+    for rows, cols, density in [(0, 0, 0), (0, 4, 0), (4, 0, 0), (3, 5, 0), (1, 1, 1),
+                                (3, 5, 0.5), (7, 4, 0.6), (5, 9, 0.3), (12, 12, 0.2)]:
+        twin = Matrix(rows, cols, field, {(i, j): entry() for i in range(rows)
+                                          for j in range(cols) if rng.random() < density})
+        m = Matrix._of_csc(rows, cols, field, linalg._transposed(rows, cols, *twin._csr))
+        assert (m.rows, m.cols) == (rows, cols) and not holds_csr(m)
+        mask = np.array([rng.random() < 0.7 for _ in range(cols)], dtype=bool)
+        assert m.rank() == twin.rank()
+        for kwargs in ({"leads": True}, {"leads": True, "cols": mask}):
+            (r, leads), (r_twin, leads_twin) = m.rank(**kwargs), twin.rank(**kwargs)
+            assert r == r_twin and np.array_equal(leads, leads_twin)
+        # the rank reads the CSC only
+        assert not holds_csr(m)
+        assert m == twin and twin == m and m.data == twin.data
+        assert list(m.entries()) == list(twin.entries())
+        assert m.nonzero_witness() == twin.nonzero_witness()
+        assert holds_csr(m) and m._csr is m._csr
+        # the CSR built from the CSC is canonical and read-only
+        for a, b in zip(m._csr, twin._csr):
+            assert a.dtype == b.dtype and np.array_equal(a, b) and not a.flags.writeable
+        ptr, idx, val = m._csr
+        assert all((np.diff(idx[s:e]) > 0).all() for s, e in zip(ptr, ptr[1:]))
+        assert (val != 0).all()
+        with pytest.raises(AttributeError):
+            m.no_such_attribute
 
 
 def test_no_kernel_writes_to_an_operand():
