@@ -95,8 +95,8 @@ builds no D_n above degree 0 and no product(n, 1).  A bare ``homology``
 verdict reads D_0, D_1, D_2 and E only: from them, or from d_X^0, d_X^1 and
 d_X^2 for a coefficient complex, ``homology.quotient_complex`` builds the
 normalized quotient of every higher degree by the same recursion on
-C/k.g, and stands the d^2 lines above degree 2 on Z, as ``verify_dga``
-does.
+C/k.g, split into blocks by a weight grading, and stands the d^2 lines
+above degree 2 on Z, as ``verify_dga`` does.
 """
 from __future__ import annotations
 

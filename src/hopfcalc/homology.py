@@ -11,22 +11,25 @@ the calculus builds its own from the differential one degree below.
 Homology is ranked on the normalized quotient by the degenerate tensors,
 the ones with a leg at the basepoint.  A calculus-side complex, bare or
 with coefficients, builds that quotient by its own recursion
-(``quotient_complex``), and proves d^2 = 0 on it rather than multiplying
-it out; any other cobar complex is masked after it is built
-(``_normalized``).  Each rank skips the columns that the image of the
-differential below already spans (``homology_dims``).
+(``quotient_complex``), split by a weight grading into blocks, and proves
+d^2 = 0 on it rather than multiplying it out; any other cobar complex is
+masked after it is built (``_quotients``).  Each rank skips the columns
+that the image of the differential below already spans, and the top
+degree of a graded complex is built and ranked one chunk at a time
+(``homology_dims``).
 """
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from itertools import accumulate
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .fields import Field
+from .fields import QQ, Field
 from .hopf import HopfAlgebra
-from .linalg import Matrix, Vec, identity_defect_witness, kron_minus_blocks
+from .linalg import (_BLOCK, _INT64_SAFE, Matrix, Vec, _echelon, _spans,
+                     identity_defect_witness)
 from .modules import BimoduleCoalgebra, ModComod, coassociativity_defects
 from .reports import Report
 
@@ -91,7 +94,9 @@ def homology_dims(cx: ChainComplex, max_degree: Optional[int] = None) -> Homolog
 
     On a cobar complex (``basepoint`` set) the ranks are taken on the
     normalized complex, of dimension (cd - 1)^n * xd in degree n
-    (``_normalized``), and the dimensions are those of the full complex.
+    (``_quotients``; Ravenel, *Complex Cobordism and Stable Homotopy Groups
+    of Spheres*, A1.2.11-12), and the dimensions are those of the full
+    complex.
 
     Each rank but the first skips the columns that the image of the
     differential below already spans.  Let U = im d_(n-1) in k^(dims[n]).
@@ -112,6 +117,20 @@ def homology_dims(cx: ChainComplex, max_degree: Optional[int] = None) -> Homolog
     proved by the builder) is ranked this way; any other is ranked on its
     full matrices, where a negative dimension still shows.
 
+    The top of a graded quotient complex, a ``ChunkedDifferential``, is
+    ranked one chunk at a time, and each chunk is dropped once ranked.  Its
+    chunks partition its columns into runs of whole weights, each chunk
+    with every row, and d_n is block diagonal over weights
+    (``quotient_complex``): columns of different chunks have their entries
+    in disjoint sets of rows, those of their weights.  So d_n[:, L^c] is
+    block diagonal over the chunks as well, and the rank of a block
+    diagonal matrix is the sum of its blocks' ranks: rank d_n[:, L^c] is
+    the sum of the chunks' ranks, each on its slice of L^c.  Leads stay in
+    their weight, as a chunk's pivots live in its rows, so the chunks'
+    leads together would serve the degree above as one elimination's do;
+    the top has no degree above, and none is kept.  Splitting the columns
+    changes neither d^2 = 0 nor closedness, which are the complex's.
+
     It takes over the complex its caller hands it: its own reference is
     dropped once the differentials to rank are in hand, and each of them is
     let go once it is ranked.  So when the caller keeps no reference (as
@@ -121,28 +140,26 @@ def homology_dims(cx: ChainComplex, max_degree: Optional[int] = None) -> Homolog
     top = cx.max_degree if max_degree is None else min(max_degree, cx.max_degree)
     plain = cx.basepoint is None or not (top and cx.dims[0])
     restrict = cx.checked
-    dims, diffs = (cx.dims, cx.diffs[:top]) if plain else _normalized(cx, top)
+    dims, diffs = (cx.dims, cx.diffs[:top]) if plain else _quotients(
+        cx.basepoint, cx.field, cx.dims[1] // cx.dims[0], cx.dims[0], cx.diffs[:top])
     del cx
     entries = []
     prev_rank, spanned = 0, None
     for n in range(len(diffs)):
         d, diffs[n] = diffs[n], None
-        r, leads = d.rank(leads=True, cols=None if spanned is None else ~spanned)
+        if isinstance(d, Matrix):
+            r, leads = d.rank(leads=True, cols=None if spanned is None else ~spanned)
+        else:
+            r, leads = 0, None
+            for at, chunk in d.chunks():
+                r += chunk.rank(cols=None if spanned is None else ~spanned[at:at + chunk.cols])
+                del chunk
         h = (dims[n] - r) - prev_rank
         if h < 0:
             raise RuntimeError("negative homology dimension although d^2 = 0")
         entries.append((n, h))
         prev_rank, spanned = r, leads if restrict else None
     return HomologyTable(entries)
-
-
-def _normalized(cx: ChainComplex, top: int) -> Tuple[List[int], List[Matrix]]:
-    """The dimensions and differentials d_0..d_(top-1) of the normalized
-    complex C-bar^n (x) X, C-bar = C/k.g, of the cobar complex ``cx``
-    (Ravenel, *Complex Cobordism and Stable Homotopy Groups of Spheres*,
-    A1.2.11-12), by ``_quotients``."""
-    xd = cx.dims[0]
-    return _quotients(cx.basepoint, cx.field, cx.dims[1] // xd, xd, cx.diffs[:top])
 
 
 def _quotients(g: Vec, f: Field, cd: int, xd: int, diffs: List[Matrix],
@@ -165,12 +182,11 @@ def _quotients(g: Vec, f: Field, cd: int, xd: int, diffs: List[Matrix],
     would put W outside the subcomplex, which the argument above excludes:
     it is an internal error (``RuntimeError``) that names the degree n.
     The check and the quotient come from one mask pass over each
-    differential (``submatrix`` with ``closed``)."""
+    differential (``submatrix`` with ``closed``); has_g[n][i] says whether
+    index i of C^n (x) X has a leg j0."""
     j0, top = min(g), first + len(diffs)
-    has_g = [np.zeros(1, dtype=bool)]       # has_g[n][i]: C^n index i has a leg j0
-    for _ in range(top):
-        has_g.append(((np.arange(cd) == j0)[:, None] | has_g[-1]).ravel())
-    has_g = [np.repeat(m, xd) for m in has_g]
+    has_g = [np.repeat(m, xd) for m in accumulate(range(top), lambda h, _: (
+        (np.arange(cd) == j0)[:, None] | h).ravel(), initial=np.zeros(1, dtype=bool))]
     if g != {j0: f.one()}:
         M = Matrix.from_columns([g if j == j0 else {j: f.one()} for j in range(cd)], cd, f)
         lift, proj = (list(accumulate([A] * top, lambda P, A: A.kron(P),
@@ -193,11 +209,14 @@ def quotient_complex(calc, X: Optional[ModComod],
     built by its own recursion from the first three full differentials d_0,
     d_1 and d_2 and xd = dim X: D_0, D_1 and D_2 with xd = dim B for the bare
     calculus (X None), d_X^0, d_X^1 and d_X^2 with xd = dim X for the
-    coefficient complex of X.  No degree above 2 is built in full.  It holds
-    the quotients of ``_quotients``, takes d^2 = 0 on them from the proof
-    below rather than multiplying it out, and carries no basepoint, so
-    ``homology_dims`` ranks it as it is.  Its homology is that of the full
-    complex.
+    coefficient complex of X.  No degree above 2 is built in full, and
+    above degree 3 the top quotient is not held whole: it is a
+    ``ChunkedDifferential`` (rows, cols, chunks), whose ``chunks()`` builds
+    it anew one chunk at a time.  The complex holds the quotients of
+    ``_quotients``, each degree from 2 on in its weight order (below),
+    takes d^2 = 0 on them from the proof below rather than multiplying it
+    out, and carries no basepoint, so ``homology_dims`` ranks it as it is.
+    Its homology is that of the full complex.
 
     Both complexes obey one recursion for n >= 1,
 
@@ -223,22 +242,57 @@ def quotient_complex(calc, X: Optional[ModComod],
     at (cd - 1)/cd of the size per leg.  d_0, d_1 and d_2 are masked
     (``_quotients``); the recursion starts at d-bar_2.
 
-    *Column-major.*  The rank reads only a matrix's CSC arrays, and those
-    are the CSR arrays of its transpose.  So the recursion runs on the
-    transposes T_n = d-bar_n^T.  (A (x) B)^T = A^T (x) B^T and
-    (A - B)^T = A^T - B^T, so
+    *The grading* (Ravenel, *Complex Cobordism and Stable Homotopy Groups
+    of Spheres*, A1.2, where cobar complexes of graded comodules split by
+    internal degree; Bruner, "Calculation of large Ext modules", 1989,
+    which computes Ext one internal degree at a time).  Give each basis
+    vector a of C-bar an integer weight w(a), each basis vector x of X a
+    weight v(x), and the tensor a_1 (x) .. (x) a_n (x) x the weight
+    w(a_1) + .. + w(a_n) + v(x).  A matrix between two such spaces is
+    homogeneous when each nonzero entry joins a row and a column of one
+    weight; each entry of E-bar and of d-bar_2 asks one linear condition of
+    (w, v), its row's legs minus its column's, and ``grading`` takes (w, v)
+    in the integer kernel of them all.  The recursion reads E-bar and
+    d-bar_2 and nothing else, so every d-bar_n with n >= 2 is homogeneous,
+    by induction: an entry of E-bar (x) I joins the row (a, b, t) and the
+    column (e, t) with w(a) + w(b) = w(e), and an entry of
+    I_(C-bar) (x) d-bar_(n-1) joins (a, s) and (a, t) with s and t of one
+    weight.  The conditions come from every entry that is built, a
+    corrupted one included, so no homogeneity is checked.  So d-bar_n maps
+    the tensors of weight w of degree n into those of weight w of degree
+    n + 1, and once each degree is sorted by weight it is block diagonal.
+    With every weight 0 it is one block, the whole-matrix recursion's
+    arithmetic; on k[G], E-bar(g) = g (x) g, so w = 0 on C-bar and the
+    blocks are those of the weights of X.
 
-        T_n = E-bar^T (x) I_(dims[n-1]) - I_(C-bar) (x) T_(n-1),
+    *The order.*  Degrees 2 and 3 are sorted stably by weight, which
+    permutes the rows of d-bar_1 and both sides of d-bar_2; degrees 0 and 1
+    keep their order, as nothing graded reads them.  A stable sort of the
+    flat indices orders the tensors of weight w of degree n by their first
+    leg a, then by the rest: B_n(w) is the union over a of
+    {a} (x) B_(n-1)(w - w(a)), in that order.  The degrees above are built
+    in that order.  So a table per degree of where each weight starts, and
+    where its a-part starts within it, places every tensor, and nothing of
+    the size of a degree above 3 is made to order it (``_graded``).
 
-    one ``kron_minus_blocks`` call per degree n >= 3, with A = E-bar^T,
-    whose cd - 1 rows make cd - 1 blocks of one row each, B the identity
-    of T_(n-1).rows = dims[n-1] and P = T_(n-1).  It starts from the CSC
-    arrays of d-bar_2 and E-bar, taken once.  The CSR arrays of T_n are
-    exactly the canonical CSC arrays of d-bar_n, rows sorted within each
-    column, and d-bar_n is born column-major on them
-    (``Matrix._of_csc``): its CSR is built only if something reads it,
-    which the ranks of ``homology_dims`` do not.  So no d-bar_n above
-    degree 2 is held twice, and no CSC is transposed out of its CSR.
+    *The blocks.*  The columns of weight w of d-bar_n are e (x) t, over
+    the legs e and then the columns t of weight w - w(e) of degree n - 1.
+    E-bar (x) I puts each entry E-bar[(a, b), e] at the row (a, b, t): a
+    shifted identity of the size of B_(n-1)(w - w(e)) per entry of E-bar.
+    I_(C-bar) (x) d-bar_(n-1) puts column t of d-bar_(n-1), whose rows s
+    lie in B_n(w - w(e)), at the rows (e, s): its blocks at the weights
+    w - w(e), one per e, on the diagonal.  Both are read off the tables and
+    the CSC arrays of d-bar_(n-1), and each column's rows come sorted, as
+    the a-parts follow a and E-bar's entries (a, b); one merge of their
+    transposes sums them (``Matrix`` subtraction) into the canonical CSC
+    arrays the rank reads, and the block is born column-major on them
+    (``Matrix._of_csc``), its CSR never built.  d-bar_3 .. d-bar_(top-2),
+    which the recursion reads whole, are built in chunks that are joined;
+    the top's chunks are runs of consecutive weights packed to about
+    ``_BLOCK`` entries with the two parts they are summed from, each chunk
+    every row and its run's columns, and ``homology_dims`` ranks them one
+    at a time.  So the top is never held whole, and no d-bar_n above degree
+    2 is held twice.
 
     *Closedness.*  The quotient of a d_n is a quotient map only when d_n
     has no entry in a kept row and a dropped column.  For d_0, d_1 and d_2
@@ -280,7 +334,11 @@ def quotient_complex(calc, X: Optional[ModComod],
     recursion above), and each d_n is closed, so the quotient maps q_n
     form a chain map: d-bar_n q_n = q_(n+1) d_n.  Then d-bar_(n+1) d-bar_n
     q_n = q_(n+2) d_(n+1) d_n = 0, and q_n is onto, so d-bar_(n+1)
-    d-bar_n = 0.  The complex is built with ``d2="proved"``: marked
+    d-bar_n = 0.  Sorting a degree by weight is a change of its basis,
+    P_(n+1) d-bar_n P_n^-1, which keeps d^2 = 0, every rank and, with the
+    closedness above, the homology.  The weight order does not change the
+    recursion's entries, only where they lie, so the closedness argument
+    holds as it is.  The complex is built with ``d2="proved"``: marked
     checked, which the restricted ranks of ``homology_dims`` need, with no
     product multiplied out.  A tests-only oracle multiplies every pair out.
 
@@ -298,16 +356,144 @@ def quotient_complex(calc, X: Optional[ModComod],
         raise ValueError("d^2 != 0 at degree 2")
     quotients = _quotients(g, f, cd, xd, low.diffs)[1]
     del low
-    if top > 3:
-        e_bar = _quotients(g, f, cd, 1, [E], first=1)[1][0]
-        # on the transposes T_n; with cd = 1 every quotient above degree 0 is 0 x 0
-        e_t, t = (Matrix._of_csr(m.cols, m.rows, f, m._csc_arrays())
-                  for m in (e_bar, quotients[-1]))
-        for _ in range(3, top):
-            t = kron_minus_blocks(e_t, Matrix.identity(t.rows, f), cd - 1, t) if cd > 1 else t
-            quotients.append(Matrix._of_csc(t.cols, t.rows, f, t._csr))
     dims = [(cd - 1) ** n * xd for n in range(top + 1)]
-    return ChainComplex(f, dims, quotients, d2="proved")
+    return ChainComplex(f, dims, quotients if top <= 3 else _graded(
+        _quotients(g, f, cd, 1, [E], first=1)[1][0], quotients, dims), d2="proved")
+
+
+ChunkedDifferential = NamedTuple("ChunkedDifferential",
+                                 [("rows", int), ("cols", int), ("chunks", object)])
+
+
+def grading(e_bar: Matrix, d2: Matrix, xd: int, top: int) -> Tuple[np.ndarray, np.ndarray]:
+    """One integer weight per basis vector of C-bar and of X, (w, v), such
+    that every nonzero entry of ``e_bar`` and of ``d2`` joins tensors of one
+    weight (``quotient_complex``), tensors of degree up to ``top``.
+
+    An entry's leg pattern counts its row's legs minus its column's, one
+    coordinate per basis vector of C-bar and then of X (an X leg has sign
+    +-2 in ``sign``); the weights must be 0 on every pattern.  K has a row
+    per distinct pattern, told apart by its counts read as balanced base-8
+    digits, exact in int64 up to 20 coordinates and in Python ints above.
+    The kernel of K is read off the package's own elimination of [K; I],
+    as ``Matrix.inverse`` reads an inverse off [A; I]: ``_echelon``, the
+    forward elimination that ``column_echelon`` starts from, is enough.
+    The columns of [K; I] are independent, so there are dim C-bar + xd
+    pivots.  A pivot is 0 above its lead, so one whose lead lies in I is
+    (0, y) with Ky = 0.  The pivots with a lead in K have distinct leads
+    there, so their parts on K are independent, and there are at most
+    rank K of them.  So at least the kernel's dimension of pivots have their
+    lead in I: independent, they are a basis of it, of integers, as the
+    elimination is fraction free, and two tensors have one weight under
+    every kernel vector exactly when they have under these.
+
+    The kernel's columns are taken in a mixed radix.  A tensor of degree at
+    most top has at most top + 1 legs, so coordinate k of its weight vector
+    lies within (top + 1) max|column k| of 0, a range of width
+    2 (top + 1) max|column k| + 1, and with the product of the widths
+    before it as column k's radix, no two weight vectors of such tensors
+    meet, and every weight lies below 2^61.  A column that would take the
+    radix to 2^62 is left out with those after it, which coarsens the
+    grading: a coarser grading is still one."""
+    c, key, val, m = e_bar.cols, [], [], 0
+    digit = np.array([8 ** j for j in range(c + xd)], dtype=np.int64 if c + xd <= 20 else object)
+    for d, sign in ((e_bar, np.array([1, 1, -1])), (d2, np.array([1, 1, 1, 2, -1, -1, -2]))):
+        x = abs(sign) == 2
+        at = np.array(np.unravel_index(d._entry_rows() * d.cols + d._csr[1], np.where(x, xd, c)))
+        at += c * x[:, None]
+        at = at[:, np.unique(np.sign(sign) @ digit[at], return_index=True)[1]]
+        key.append(((m + np.arange(at.shape[1])) * (c + xd) + at).ravel())
+        val.append(np.sign(sign).repeat(at.shape[1]))
+        m += at.shape[1]
+    key.append(np.arange(c + xd) * (c + xd + 1) + m * (c + xd))
+    lead, start, length, take = _echelon(Matrix._of_entries(
+        m + c + xd, c + xd, QQ, np.concatenate(key), np.concatenate(val + [np.ones(c + xd, int)])))
+    row, val = take(_spans(start[lead >= m], length[lead >= m]))
+    W = np.zeros((c + xd, int((lead >= m).sum())), dtype=object)
+    W[row - m, np.arange(W.shape[1]).repeat(length[lead >= m])] = val
+    width = 2 * (top + 1) * abs(W).max(0, initial=0) + 1
+    radix = np.cumprod(np.append(1, width))
+    kappa = W[:, radix[1:] < _INT64_SAFE] @ radix[:-1][radix[1:] < _INT64_SAFE]
+    return kappa[:c].astype(np.int64), kappa[c:].astype(np.int64)
+
+
+def _graded(e_bar: Matrix, quotients: List[Matrix], dims: List[int]) -> list:
+    """The quotients d-bar_0 .. d-bar_(top-1) of ``quotient_complex``,
+    from its masked d-bar_0, d-bar_1 and d-bar_2 (``quotients``) and
+    E-bar, in the weight-ordered bases, the top a ``ChunkedDifferential``.
+
+    The weights of every degree up to top are sorted in ``keys``, a weight
+    g named by its place there, and G stands for one that does not occur,
+    with no tensor of it in any degree.  below[g, a] is the weight
+    g - w(a), or G.  Per degree, offs[n][g] is where the tensors of weight
+    g start and sub[n][g, a] where their a-part, the tensors a (x) t,
+    starts."""
+    f, c, top = e_bar.field, e_bar.cols, len(dims) - 1
+    wc, wx = grading(e_bar, quotients[2], dims[0], top)
+    w2 = (wc[:, None] + (wc[:, None] + wx).ravel()).ravel()
+    o2, o3 = np.argsort(w2, kind="stable"), np.argsort((wc[:, None] + w2).ravel(), kind="stable")
+    p2, p3, q2 = (Matrix._of_csr(len(o), len(o), f, (np.arange(len(o) + 1), o, np.ones_like(o)))
+                  for o in (o2, o3, np.argsort(o2)))
+    quotients[1], quotients[2] = p2 @ quotients[1], p3 @ quotients[2] @ q2
+    keys = list(accumulate(range(top), lambda k, _: np.unique(
+        np.append(k, k[:, None] + wc), return_index=True)[0], initial=wx))[-1]
+    G = len(keys)
+    at = np.minimum(np.searchsorted(keys, keys[:, None] - wc), G - 1)
+    below = np.vstack((np.where(keys[at] == keys[:, None] - wc, at, G), np.full((1, c), G)))
+    offs = [np.append(0, np.bincount(np.searchsorted(keys, wx), minlength=G + 1).cumsum())]
+    sub = [None]
+    for n in range(1, top + 1):
+        part = np.diff(offs[-1])[below]
+        offs.append(np.append(0, part.sum(1).cumsum()))
+        sub.append(offs[-1][:-1, None] + part.cumsum(1) - part)
+    (e_ptr, e_row, e_val), e_cnt = e_bar._csc_arrays(), np.diff(e_bar._csc_arrays()[0])
+
+    def block(n, prev, g0, g1):
+        """The columns of the weights g0 .. g1 - 1 of d-bar_n, column-major,
+        per weight and leg e of C-bar the columns e (x) t, t the columns of
+        degree n - 1 of the weight below.  E-bar (x) I puts entry (a, b) of
+        column e of E-bar at the row (a, b, t), and I (x) d-bar_(n-1) column
+        t of d-bar_(n-1), its rows moved into the e-part."""
+        pptr, prow, pval = prev
+        i, e = np.divmod(np.arange(g0 * c, g1 * c), c)
+        length, first = np.diff(offs[n - 1])[below[i, e]], offs[n - 1][below[i, e]]
+        seg = np.arange(len(e)).repeat(length)
+        t = np.arange(len(seg)) - (length.cumsum() - length)[seg]
+        m = e_cnt[e]
+        k = _spans(e_ptr[e], m)
+        (a, b), ik = np.divmod(e_row[k], c), i.repeat(m)
+        base = sub[n + 1][ik, a] + (sub[n] - offs[n][:-1, None])[below[ik, a], b]
+        at = _spans((m.cumsum() - m)[seg], m[seg])
+        comul = (m[seg], base[at] + t.repeat(m[seg]), e_val[k[at]])
+        cnt = pptr[first[seg] + t + 1] - pptr[first[seg] + t]
+        k = _spans(pptr[first[seg] + t], cnt)
+        ident = (cnt, prow[k] + (sub[n + 1] - offs[n][below])[i, e][seg].repeat(cnt), pval[k])
+        t1, t2 = (Matrix._of_csr(len(seg), dims[n + 1], f, (np.append(0, x[0].cumsum()), *x[1:]))
+                  for x in (comul, ident))
+        return Matrix._of_csc(dims[n + 1], len(seg), f, (t1 - t2)._csr)
+
+    def chunks(n, prev):
+        """(first column, chunk) of d-bar_n: runs of weights packed so that
+        each chunk, with the two parts it is summed from, holds about
+        ``_BLOCK`` entries, by a bound on the entries of each weight."""
+        est = (np.diff(offs[n - 1])[below] * e_cnt + np.diff(prev[0][offs[n - 1]])[below]).sum(1)
+        starts = np.flatnonzero(np.diff((est.cumsum() - est) // (_BLOCK // 2), prepend=-1))
+        for g0, g1 in zip(starts, np.append(starts[1:], G + 1)):
+            yield int(offs[n][g0]), block(n, prev, g0, g1)
+
+    def whole(n, prev):
+        """d-bar_n, its chunks joined."""
+        parts = [m._csc_arrays() for _, m in chunks(n, prev)]
+        nnz = np.cumsum([0] + [len(p[1]) for p in parts])
+        return Matrix._of_csc(dims[n + 1], dims[n], f, (
+            np.concatenate([[0]] + [p[0][1:] + k for p, k in zip(parts, nnz)]),
+            *(np.concatenate([p[k] for p in parts]) for k in (1, 2))))
+
+    for n in range(3, top - 1):
+        quotients.append(whole(n, quotients[-1]._csc_arrays()))
+    prev = quotients[-1]._csc_arrays()
+    quotients.append(ChunkedDifferential(dims[top], dims[top - 1], lambda: chunks(top - 1, prev)))
+    return quotients
 
 
 def cobar_complex(C: BimoduleCoalgebra, X: ModComod,
@@ -344,12 +530,11 @@ def cobar_complex(C: BimoduleCoalgebra, X: ModComod,
     dims = [cd ** n * xd for n in range(max_degree + 1)]
     diffs: List[Matrix] = []
     for n in range(max_degree):
-        terms = [eye(cd ** j).kron(delta).kron(eye(dims[n - 1 - j])) for j in range(n)]
-        terms.append(eye(cd ** n).kron(rho))
-        d = terms[0]
-        for j, term in enumerate(terms[1:], 1):
+        d = eye(cd ** n).kron(rho).scale((-1) ** n) - g.kron(eye(dims[n]))
+        for j in range(n):
+            term = eye(cd ** j).kron(delta).kron(eye(dims[n - 1 - j]))
             d = d - term if j % 2 else d + term
-        diffs.append(d - g.kron(eye(dims[n])))
+        diffs.append(d)
     return ChainComplex(f, dims, diffs, g.columns()[0], "check" if check else "unchecked")
 
 

@@ -732,9 +732,9 @@ def _identity_size(m: Matrix) -> int:
 
 
 def kron_minus_blocks(a: Matrix, b: Matrix, c: int, p: Matrix) -> Matrix:
-    """A (x) B - I_c (x) P, the shape of the recursion of D_n, of the
-    coefficient differentials d_X^n and of their normalized quotients,
-    without either Kronecker product at full size.
+    """A (x) B - I_c (x) P, the shape of the recursion of D_n and of the
+    coefficient differentials d_X^n, without either Kronecker product at
+    full size.
     A's rows come in c blocks of r = A.rows / c, and P is A.rows * B.rows / c
     by A.cols * B.cols / c (else ``ValueError``).
 

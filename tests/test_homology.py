@@ -132,18 +132,23 @@ def normalized_tables(monkeypatch):
     a cobar complex.
 
     A complex built quotient-first (``quotient_complex``), bare or with
-    coefficients, is checked against the path it replaced,
-    ``reference_quotient_complex``: its dimensions and quotients must be
-    those of the full complex, and its table is checked against the full
-    complex's ranks and collected; its d^2 = 0, which it takes from a
-    proof, is multiplied out (``proved_quotient_complex``)."""
+    coefficients, is checked against the paths it replaced: the masked
+    full complex (``reference_quotient_complex``) must have the quotients
+    of the whole-matrix recursion (``whole_quotient_complex``), and the
+    graded complex must have those, permuted to its weight order, degree
+    by degree and, at the top, chunk by chunk (``assert_graded_matches``).
+    Its table is checked against the full complex's ranks and collected;
+    its d^2 = 0, which it takes from a proof, is multiplied out
+    (``proved_quotient_complex``)."""
     seen, full_of = [], {}
 
     def quotient_first(calc, X, max_degree=None):
         cx = proved_quotient_complex(calc, X, max_degree)
         full, (dims, quotients) = reference_quotient_complex(calc, X, max_degree)
+        whole = whole_quotient_complex(calc, X, max_degree)
         assert cx.basepoint is None and cx.dims == dims
-        assert all(d == w and d.data == w.data for d, w in zip(cx.diffs, quotients, strict=True))
+        assert all(d == w and d.data == w.data for d, w in zip(whole, quotients, strict=True))
+        assert_graded_matches(cx, whole)
         full_of[id(cx)] = full
         return cx
 
@@ -162,12 +167,43 @@ def normalized_tables(monkeypatch):
     return seen
 
 
+def joined(d, f):
+    """A differential of a quotient complex over ``f`` as one matrix: a
+    ``ChunkedDifferential``'s chunks side by side."""
+    if isinstance(d, Matrix):
+        return d
+    parts = [m._csc_arrays() for _, m in d.chunks()]
+    nnz = np.cumsum([0] + [len(p[1]) for p in parts])
+    empty = np.zeros(0, dtype=np.int64)
+    return Matrix._of_csc(d.rows, d.cols, f, (
+        np.concatenate([[0]] + [p[0][1:] + k for p, k in zip(parts, nnz)]),
+        *(np.concatenate([p[k] for p in parts] + [empty]) for k in (1, 2))))
+
+
+def graded_complex(calc, X, max_degree=None):
+    """``quotient_complex(calc, X, max_degree)``, and the arguments of its
+    ``homology.grading`` call (None when it makes none); the weights that
+    call returned, (C-bar, X), are kept as the complex's ``weights``."""
+    calls, grading = [], homology.grading
+
+    def spy(*args):
+        calls.append((args, grading(*args)))
+        return calls[-1][1]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(homology, "grading", spy)
+        cx = quotient_complex(calc, X, max_degree)
+    cx.weights = calls[0][1] if calls else None
+    return cx, calls[0][0] if calls else None
+
+
 def proved_quotient_complex(calc, X, max_degree=None):
-    """``quotient_complex``, with d-bar_(n+1) d-bar_n multiplied out for
-    every pair: the oracle of the proof it marks the complex checked by."""
-    cx = quotient_complex(calc, X, max_degree)
+    """``quotient_complex`` (``graded_complex``), with d-bar_(n+1) d-bar_n
+    multiplied out for every pair, the top's chunks joined: the oracle of
+    the proof it marks the complex checked by."""
+    cx = graded_complex(calc, X, max_degree)[0]
     assert cx.checked
-    for d, e in zip(cx.diffs, cx.diffs[1:]):
+    diffs = [joined(d, cx.field) for d in cx.diffs]
+    for d, e in zip(diffs, diffs[1:]):
         assert (e @ d).is_zero()
     return cx
 
@@ -271,9 +307,10 @@ def test_normalized_ranks_match_the_full_oracle_off_a_basis_vector(normalized_ta
 
 
 def reference_normalized(cx, top):
-    """``homology._normalized`` with its guard and its quotient taken as two
-    ``submatrix`` results per degree: the entries of the kept rows in the
-    dropped columns must be 0, and the quotient keeps the other columns."""
+    """The normalization of ``homology_dims`` (``homology._quotients``) with
+    its guard and its quotient taken as two ``submatrix`` results per
+    degree: the entries of the kept rows in the dropped columns must be 0,
+    and the quotient keeps the other columns."""
     g, f, xd = cx.basepoint, cx.field, cx.dims[0]
     cd, j0 = cx.dims[1] // xd, min(g)
     has_g = [np.zeros(1, dtype=bool)]
@@ -306,6 +343,76 @@ def reference_quotient_complex(calc, X, max_degree=None):
     return full, reference_normalized(full, max_degree)
 
 
+def whole_quotient_complex(calc, X, max_degree=None):
+    """The quotients d-bar_0 .. d-bar_(top-1) of ``quotient_complex`` by
+    the whole-matrix recursion that it ran before the weight grading split
+    it, in the basis of ``homology._quotients``: d_0, d_1 and d_2 masked,
+    then T_n = E-bar^T (x) I - I_(C-bar) (x) T_(n-1) on the transposes, one
+    ``kron_minus_blocks`` call per degree, each d-bar_n born column-major."""
+    top = calc.max_degree if max_degree is None else max_degree
+    low = homology.calculus_complex(calc, X, min(top, 3))
+    f, cd, g = calc.field, calc.cdim, low.basepoint
+    quotients = homology._quotients(g, f, cd, low.dims[0], low.diffs)[1]
+    if top > 3:
+        e_bar = homology._quotients(g, f, cd, 1, [calc._reduced_comul_matrix()], first=1)[1][0]
+        e_t, t = (Matrix._of_csr(m.cols, m.rows, f, m._csc_arrays())
+                  for m in (e_bar, quotients[-1]))
+        for _ in range(3, top):
+            if cd > 1:
+                t = linalg.kron_minus_blocks(e_t, Matrix.identity(t.rows, f), cd - 1, t)
+            quotients.append(Matrix._of_csc(t.cols, t.rows, f, t._csr))
+    return quotients
+
+
+def degree_weights(cx):
+    """The weight of every basis tensor of each degree of the graded
+    complex ``cx``, in the order of ``homology._quotients``, and the order
+    of each degree in ``cx``: degrees 0 and 1 as they are, the others
+    sorted stably by weight."""
+    wc, wx = cx.weights
+    weights, orders = [wx], []
+    for n in range(cx.max_degree + 1):
+        orders.append(np.argsort(weights[-1], kind="stable") if n >= 2
+                      else np.arange(len(weights[-1])))
+        weights.append((wc[:, None] + weights[-1]).ravel())
+    return weights[:-1], orders
+
+
+def permuted(m, rows, cols):
+    """``m`` with its rows in the order ``rows`` and its columns in the
+    order ``cols``: entry (i, j) of the result is m[rows[i], cols[j]]."""
+    r, c = np.argsort(rows)[m._entry_rows()], np.argsort(cols)[m._csr[1]]
+    return Matrix._of_entries(m.rows, m.cols, m.field, r * m.cols + c, m._csr[2])
+
+
+def assert_graded_matches(cx, whole):
+    """The quotient complex ``cx`` has the quotients ``whole`` of the
+    whole-matrix recursion.  A complex of degree 3 or less is not graded
+    and equals them.  A graded one equals them permuted to its weight
+    order: each differential below the top entry by entry, and the top
+    chunk by chunk, the chunks a partition of its columns into runs of
+    whole weights (a run may hold none), each chunk holding every row."""
+    top = cx.diffs[-1] if cx.diffs else None
+    if not isinstance(top, homology.ChunkedDifferential):
+        assert all(d == w and d.data == w.data for d, w in zip(cx.diffs, whole, strict=True))
+        return
+    weights, orders = degree_weights(cx)
+    want = [permuted(w, orders[n + 1], orders[n]) for n, w in enumerate(whole)]
+    for d, w in zip(cx.diffs[:-1], want, strict=False):
+        assert d == w and d.data == w.data
+    w, col_weight = want[-1], weights[-2][orders[-2]]
+    at = 0
+    for first, chunk in top.chunks():
+        assert first == at and chunk.rows == top.rows
+        assert not 0 < at < w.cols or col_weight[at - 1] != col_weight[at]
+        cols = np.zeros(w.cols, dtype=bool)
+        cols[at:at + chunk.cols] = True
+        part = w.submatrix(np.ones(w.rows, dtype=bool), cols)
+        assert chunk == part and chunk.data == part.data
+        at += chunk.cols
+    assert at == top.cols == w.cols
+
+
 @pytest.mark.parametrize("name,field", [("group:S3", "Q"), ("sweedler", "Q"),
                                         ("taft:3:2", "F7"), ("dualgroup:Z3", "Q"),
                                         ("dualgroup:Z2", "F2")])
@@ -321,7 +428,8 @@ def test_one_pass_normalization_matches_the_two_submatrix_form(name, field):
                       for X in (None, trivial_modcomod(H), regular_modcomod(H))]
     for cx in complexes:
         for top in range(1, degree + 1):
-            dims, diffs = homology._normalized(cx, top)
+            dims, diffs = homology._quotients(cx.basepoint, cx.field, cx.dims[1] // cx.dims[0],
+                                              cx.dims[0], cx.diffs[:top])
             want_dims, want = reference_normalized(cx, top)
             assert dims == want_dims
             assert all(d == w and d.data == w.data for d, w in zip(diffs, want, strict=True))
@@ -383,6 +491,17 @@ def test_bare_homology_ranks_after_every_full_differential_is_released(monkeypat
     assert len(refs) == 3 and alive == [0, 0, 0, 0] and ranked_alive == [0, 0, 0, 0]
 
 
+def _traced_peak(argv):
+    """(exit code, report, tracemalloc peak in bytes) of one CLI line."""
+    tracemalloc.start()
+    try:
+        code, doc = _bare_homology(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, doc, peak
+
+
 def test_bare_taft_homology_at_degree_5_stays_under_its_traced_peak():
     # with every full differential alive at the top rank, and D_4 built from
     # E (x) I and I_C (x) D_3 at full size, this verdict takes 43 MiB traced;
@@ -390,24 +509,40 @@ def test_bare_taft_homology_at_degree_5_stays_under_its_traced_peak():
     # ~23 MiB ranked on a masked copy of the columns with per-row pivot
     # bookkeeping; ranked in the CSC with per-pivot bookkeeping, ~15 MiB, as
     # the top quotient was built as a CSR and its CSC taken from it; built
-    # column-major, ~9 MiB
-    tracemalloc.start()
-    try:
-        code, doc = _bare_homology("homology --builtin taft:3:2 --field F7 --calculus k"
+    # column-major, ~9 MiB; split by weight, its top built and ranked one
+    # chunk at a time, ~4.1 MiB
+    code, doc, peak = _traced_peak("homology --builtin taft:3:2 --field F7 --calculus k"
                                    " --max-degree 5")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert code == 0 and doc["homology"]["H_4"] == 2
-    assert peak < 11 * 2**20
+    assert peak < 6 * 2**20
+
+
+def test_bare_taft_homology_at_degree_6_stays_under_its_traced_peak():
+    # ranked whole, the 2,359,296 x 294,912 top quotient takes ~66 MiB
+    # traced; split by weight, built and ranked one chunk at a time, ~10 MiB
+    code, doc, peak = _traced_peak("homology --builtin taft:3:2 --field F7 --calculus k"
+                                   " --max-degree 6")
+    assert code == 0 and doc["homology"]["H_5"] == 2
+    assert peak < 16 * 2**20
+
+
+def test_taft_compare_verdict_at_degree_5_stays_under_its_traced_peak():
+    # the cobar oracle's d_4 was a sum of five Kronecker terms built at full
+    # size before the first sum, ~7.7 MiB traced; as a running sum, one term
+    # beside the partial sum, ~4.7 MiB
+    code, doc, peak = _traced_peak("homology --builtin taft:3:2 --field F7 --calculus k"
+                                   " --module trivial --compare-cotor --max-degree 5")
+    assert code == 0 and doc["homology"] == {"H_0": 1, "H_1": 0, "H_2": 1, "H_3": 0, "H_4": 1}
+    assert peak < 5.5 * 2**20
 
 
 @pytest.mark.parametrize("module", ["", " --module coadjoint"])
 def test_no_quotient_above_degree_2_is_held_row_major(monkeypatch, module):
-    # each d-bar_n with n >= 3 is born column-major: its rank reads the CSC
-    # it was born with, no CSC is transposed out of a CSR of it, and its CSR
-    # is never built; the ranked shapes, whose columns linalg.rank_cols
-    # sums, stay those of the normalized complex
+    # each d-bar_n with n >= 3, and each chunk of the top, is born
+    # column-major: its rank reads the CSC it was born with, no CSC is
+    # transposed out of a CSR of it, and its CSR is never built; the ranked
+    # columns, which linalg.rank_cols sums, stay those of the normalized
+    # complex
     transposed, lazy, ranked = [], [], []
     transpose, getattr_, rank = (linalg._transposed, linalg._ColumnMajor.__getattr__,
                                  Matrix.rank)
@@ -431,9 +566,12 @@ def test_no_quotient_above_degree_2_is_held_row_major(monkeypatch, module):
     code, doc = _bare_homology("homology --builtin taft:3:2 --field F7 --calculus k"
                                " --max-degree 5" + module)
     assert code == 0 and doc["homology"]["H_4"] == 2
-    # (dim C - 1)^n * dim X, with dim C = dim X = 9
+    # (dim C - 1)^n * dim X, with dim C = dim X = 9; the top is ranked in
+    # chunks of every row, whose columns partition its columns
     dims = [8 ** n * 9 for n in range(6)]
-    assert [r[:2] for r in ranked] == [(dims[n + 1], dims[n]) for n in range(5)]
+    assert [r[:2] for r in ranked[:4]] == [(dims[n + 1], dims[n]) for n in range(4)]
+    assert len(ranked) > 5 and {r[0] for r in ranked[4:]} == {dims[5]}
+    assert sum(r[1] for r in ranked[4:]) == dims[4]
     for rows, cols, *held in ranked[3:]:
         assert held == [False, False]
         assert (rows, cols) not in transposed and (cols, rows) not in transposed
@@ -490,6 +628,133 @@ def test_quotient_first_coefficient_complex_matches_the_full_oracle(normalized_t
             X = cli.resolve_module(argparse.Namespace(module=coeffs), H)
             homology.homology_dims(homology.quotient_complex(calc, X, D), D)
     assert len(normalized_tables) == 3 * len(calcs)
+
+
+GRADED_CASES = [("kZ3", 5), ("sweedler", 5), ("taft327", 4), ("kZ3_scaled", 4),
+                 ("dualgroup:Z3/Q", 4), ("group:Z1/Q", 4), ("sweedler/F4294967311", 5)]
+
+
+@pytest.mark.parametrize("forced", ["one block", "tiny chunks"])
+@pytest.mark.parametrize("name,D", GRADED_CASES)
+def test_forced_gradings_match_the_full_oracle(normalized_tables, monkeypatch, forced, name, D):
+    # the grading forced to one block, which is the whole-matrix recursion's
+    # arithmetic in one chunk, and chunks packed to a few entries, so that
+    # nearly every weight of the top is a chunk of its own: the same
+    # quotients, chunk by chunk, and the same tables (the fixture)
+    if forced == "one block":
+        monkeypatch.setattr(homology, "grading", lambda e_bar, d2, xd, top: (
+            np.zeros(e_bar.cols, dtype=np.int64), np.zeros(xd, dtype=np.int64)))
+    else:
+        monkeypatch.setattr(homology, "_BLOCK", 8)
+    H = _algebra(name)
+    calcs = _bare_calculi(H, D)
+    for calc in calcs:
+        for coeffs in (None, "regular", "coadjoint"):
+            X = cli.resolve_module(argparse.Namespace(module=coeffs), H) if coeffs else None
+            cx = homology.quotient_complex(calc, X, D)
+            chunks = list(cx.diffs[-1].chunks())
+            if forced == "one block":
+                assert not any(w.any() for w in cx.weights) and len(chunks) <= 1
+            homology.homology_dims(cx, D)
+    assert len(normalized_tables) == 3 * len(calcs)
+
+
+def reference_kernel(e_bar, d2, xd):
+    """A basis of the integer kernel of the leg patterns of ``e_bar`` and
+    ``d2``, the weights' constraints, as rows of a (dim C-bar + xd) x r
+    matrix: each entry's legs counted one at a time, and the kernel of the
+    distinct patterns read off ``reference_echelon`` of [K; I] by the pivots
+    whose lead lies in I."""
+    c, patterns = e_bar.cols, set()
+    for m, shape, x_legs, signs in ((e_bar, (c, c, c), (), (1, 1, -1)),
+                                    (d2, (c, c, c, xd, c, c, xd), (3, 6),
+                                     (1, 1, 1, 1, -1, -1, -1))):
+        for (i, j), _ in m.entries():
+            pattern = [0] * (c + xd)
+            legs = np.unravel_index(i * m.cols + j, shape)
+            for k, (leg, sign) in enumerate(zip(legs, signs)):
+                pattern[int(leg) + (c if k in x_legs else 0)] += sign
+            patterns.add(tuple(pattern))
+    K = sorted(patterns)
+    cols = [{r: QQ.of(v) for r, v in enumerate([row[j] for row in K] + [int(j == k) for k in
+                                                                          range(c + xd)]) if v}
+            for j in range(c + xd)]
+    kernel = [{r - len(K): a, **{i - len(K): v for i, v in rest.items()}}
+              for r, (a, rest) in reference_echelon(QQ, cols).items() if r >= len(K)]
+    return np.array([[v.get(r, 0) for v in kernel] for r in range(c + xd)], dtype=np.int64)
+
+
+def test_grading_facts():
+    # Taft(3,2)/F7 with the K calculus: a grading of rank 4, whose
+    # degree-n tensors fall into 15, 41, 86, 155 and 253 weights for
+    # n = 1..5, as by the kernel's weight vectors themselves: the one
+    # integer weight per basis vector leaves none of them out
+    calc = Calculus.k(cli.builtin_hopf("taft:3:2", Field(7)), 5)
+    cx, (e_bar, d2, xd, _) = graded_complex(calc, None, 5)
+    kernel = reference_kernel(e_bar, d2, xd)
+    assert kernel.shape == (8 + 9, 4)
+    vectors = [kernel[8:]]
+    for _ in range(5):
+        vectors.append((kernel[:8, None] + vectors[-1]).reshape(-1, 4))
+    weights = degree_weights(cx)[0]
+    assert [len(np.unique(w)) for w in weights[1:]] == [15, 41, 86, 155, 253]
+    assert [len(np.unique(v, axis=0)) for v in vectors] == [len(np.unique(w)) for w in weights]
+    # every k[G]: E-bar(g) = g (x) g on C-bar = k[G]/k.1, so 2 w(g) = w(g)
+    # and every weight of C-bar is 0; the blocks are the weights of X
+    for spec in ("group:Z2", "group:Z3", "group:S3", "group:Z4"):
+        H = cli.builtin_hopf(spec, QQ)
+        for calc in _bare_calculi(H, 4):
+            for coeffs in (None, "trivial", "regular", "coadjoint"):
+                X = cli.resolve_module(argparse.Namespace(module=coeffs), H) if coeffs else None
+                cx, (e_bar, d2, xd, _) = graded_complex(calc, X, 4)
+                assert not cx.weights[0].any()
+                assert not reference_kernel(e_bar, d2, xd)[:H.dim - 1].any()
+
+
+def test_a_grading_of_more_than_twenty_coordinates_keys_its_patterns_in_python_ints():
+    # Taft(4,5)/F13: 15 basis vectors of C-bar and 16 of X, past the 20
+    # coordinates whose base-8 pattern keys fit in int64; the one integer
+    # weight per basis vector splits each degree as the kernel's weight
+    # vectors do, and the complex is the whole-matrix recursion's
+    calc = Calculus.k(cli.builtin_hopf("taft:4:5", Field(13)), 4)
+    cx, (e_bar, d2, xd, _) = graded_complex(calc, None, 4)
+    assert e_bar.cols + xd == 31
+    kernel, (wc, wx) = reference_kernel(e_bar, d2, xd), cx.weights
+    vectors, weights = kernel[15:], wx
+    for _ in range(4):
+        pairs = np.column_stack([vectors, weights])
+        assert len(np.unique(vectors, axis=0)) == len(np.unique(weights)) == len(
+            np.unique(pairs, axis=0))
+        vectors = (kernel[:15, None] + vectors).reshape(-1, kernel.shape[1])
+        weights = (wc[:, None] + weights).ravel()
+    assert_graded_matches(cx, whole_quotient_complex(calc, None, 4))
+    assert homology_dims(cx, 4).dims() == [4, 3, 3, 3]
+
+
+@pytest.mark.parametrize("what", ["D_0", "D_1", "E"])
+def test_graded_complex_matches_the_whole_recursion_under_corruptions(monkeypatch, what):
+    # a seeded corruption of a root of the recursion is graded by the
+    # entries it has: where the graded complex is built, it is the
+    # whole-matrix recursion's, chunk by chunk, and so is its table
+    built = 0
+    for spec, field, kind, D in [("sweedler", "Q", "k", 4), ("group:S3", "Q", "general", 4),
+                                 ("dualgroup:Z3", "Q", "khat", 4), ("taft:3:2", "F7", "k", 4),
+                                 ("sweedler", "Q", "khat", 5)]:
+        H = cli.builtin_hopf(spec, Field.parse(field))
+        for seed in range(6):
+            with monkeypatch.context() as m:
+                _corrupt_root(m, what, seed)
+                calc = cli.build_cli_calculus(argparse.Namespace(calculus=kind), H, D)
+                try:
+                    cx = graded_complex(calc, None, D)[0]
+                except (ValueError, RuntimeError):
+                    continue
+                whole = whole_quotient_complex(calc, None, D)
+            built += 1
+            assert_graded_matches(cx, whole)
+            want = homology_dims(ChainComplex(cx.field, cx.dims, whole, d2="proved"), D)
+            assert homology_dims(cx, D).dims() == want.dims()
+    assert built >= 5
 
 
 def test_a_non_unital_action_is_refused_before_the_recursion():
@@ -627,7 +892,7 @@ MODULE_VERDICTS = [
 def test_module_corruptions_exit_as_on_the_full_complex(monkeypatch, what):
     # a seeded corruption of D_0, E, the action or nabla gives the same exit
     # code, report and error text on the quotient-first path as on the full
-    # coefficient complex masked by _normalized (the path it replaced);
+    # coefficient complex masked by homology._quotients (the path it replaced);
     # where the quotient-first path returns, its d^2 = 0 is multiplied out
     outcomes = set()
     for argv in MODULE_VERDICTS:
@@ -711,7 +976,7 @@ def test_a_corrupted_oracle_differential_exits_as_when_checked_at_construction(m
 
 def test_module_homology_ranks_after_every_full_differential_is_released(monkeypatch):
     # d_X^0, d_X^1 and d_X^2 are built in full and nothing else is; none is
-    # alive by the time a quotient is ranked
+    # alive by the time a quotient, or a chunk of the top, is ranked
     refs, alive = [], []
     rank = Matrix.rank
     for name in ("_coefficient_base", "_coefficient_differential"):
@@ -730,23 +995,20 @@ def test_module_homology_ranks_after_every_full_differential_is_released(monkeyp
     code, doc = _bare_homology("homology --builtin taft:3:2 --field F7 --calculus k"
                                " --module coadjoint --max-degree 5")
     assert code == 0 and doc["homology"]["H_4"] == 2
-    assert len(refs) == 3 and alive == [0] * 5
+    # four whole quotients, then the top's chunks
+    assert len(refs) == 3 and len(alive) > 5 and not any(alive)
 
 
 def test_module_taft_homology_at_degree_5_stays_under_its_traced_peak():
     # built in full and masked, this verdict takes ~116 MiB traced; built
     # quotient-first ~26 MiB, and ~23 MiB with its top rank on a masked copy
     # of the columns; ranked in the CSC with per-pivot bookkeeping, ~15 MiB;
-    # with the quotients above degree 2 built column-major, ~9 MiB
-    tracemalloc.start()
-    try:
-        code, doc = _bare_homology("homology --builtin taft:3:2 --field F7 --calculus k"
+    # with the quotients above degree 2 built column-major, ~9 MiB; split by
+    # weight, its top built and ranked one chunk at a time, ~4.1 MiB
+    code, doc, peak = _traced_peak("homology --builtin taft:3:2 --field F7 --calculus k"
                                    " --module coadjoint --max-degree 5")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert code == 0 and doc["homology"]["H_4"] == 2
-    assert peak < 11 * 2**20
+    assert peak < 6 * 2**20
 
 
 @settings(max_examples=60, deadline=None)
