@@ -244,7 +244,22 @@ def coefficient_complex(conn: Connection, max_degree: Optional[int] = None) -> C
     built from D_0, T and the action, against rho - g (x) I.  The higher
     degrees check the recursion on the calculus's E against that closed
     sum, and the oracle is unchanged.  d_X^0 and d_X^1 are read from the
-    flatness check's curvature when it built them."""
+    flatness check's curvature when it built them.
+
+    *d^2 = 0.*  Every d_X^n with n >= 1 comes from the recursion (d_X^1 as
+    well, in ``curvature``), so multiplying out d_X^(n+1) d_X^n the two
+    E (x) d_X^(n-1) terms cancel, as for D_n (``homology.quotient_complex``):
+
+        d^2[n] = Z (x) I_(C^(n-1) (x) X) + I_C (x) d^2[n-1],  n >= 1,
+        Z = (E (x) I_C - I_C (x) E) E.
+
+    So once d^2[0] = 0, d^2[1] = Z (x) I_X, which is 0 exactly when Z is
+    (or X is 0), and then d^2[n] = 0 for every n by induction.  Only d^2[0] and
+    d^2[1] are multiplied out, by the constructor of the complex of degree
+    3; they fail where the check of every pair would first fail, with the
+    same ``ValueError``, and the complex is marked proved, so no product of
+    two higher differentials is built.
+    """
     calc, R = conn.calc, curvature(conn)
     if not R.is_zero():
         raise ValueError("connection is not flat")
@@ -254,7 +269,8 @@ def coefficient_complex(conn: Connection, max_degree: Optional[int] = None) -> C
     diffs = ([R.d0, R.d1] if R.d0 is not None else [])[:max_degree]
     for n in range(len(diffs), max_degree):
         diffs.append(_coefficient_differential(calc, diffs[-1]) if n else _coefficient_base(conn))
-    return ChainComplex(calc.field, dims, diffs)
+    ChainComplex(calc.field, dims[:4], diffs[:3])
+    return ChainComplex(calc.field, dims, diffs, d2="proved")
 
 
 def tensor_connection(conn_yd: Connection, conn_ayd: Connection) -> Connection:

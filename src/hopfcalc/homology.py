@@ -28,8 +28,8 @@ import numpy as np
 
 from .fields import QQ, Field
 from .hopf import HopfAlgebra
-from .linalg import (_BLOCK, _INT64_SAFE, Matrix, Vec, _echelon, _spans,
-                     identity_defect_witness)
+from .linalg import (_BLOCK, _INT64_SAFE, Matrix, Vec, _echelon, _field_values, _sparsetools,
+                     _spans, _transposed, _trimmed, identity_defect_witness, kron_sum)
 from .modules import BimoduleCoalgebra, ModComod, coassociativity_defects
 from .reports import Report
 
@@ -267,13 +267,17 @@ def quotient_complex(calc, X: Optional[ModComod],
 
     *The order.*  Degrees 2 and 3 are sorted stably by weight, which
     permutes the rows of d-bar_1 and both sides of d-bar_2; degrees 0 and 1
-    keep their order, as nothing graded reads them.  A stable sort of the
-    flat indices orders the tensors of weight w of degree n by their first
-    leg a, then by the rest: B_n(w) is the union over a of
-    {a} (x) B_(n-1)(w - w(a)), in that order.  The degrees above are built
-    in that order.  So a table per degree of where each weight starts, and
-    where its a-part starts within it, places every tensor, and nothing of
-    the size of a degree above 3 is made to order it (``_graded``).
+    keep their order, as nothing graded reads them.  The sort is an index
+    map, not a product with permutation matrices: the rows of d-bar_1 and
+    of d-bar_2 are gathered in weight order, the columns of d-bar_2 renamed
+    to their places, and one transpose sorts each column and leaves both
+    born column-major.  A stable sort of the flat indices orders the
+    tensors of weight w of degree n by their first leg a, then by the rest:
+    B_n(w) is the union over a of {a} (x) B_(n-1)(w - w(a)), in that order.
+    The degrees above are built in that order.  So a table per degree of
+    where each weight starts, and where its a-part starts within it,
+    places every tensor, and nothing of the size of a degree above 3 is
+    made to order it (``_graded``).
 
     *The blocks.*  The columns of weight w of d-bar_n are e (x) t, over
     the legs e and then the columns t of weight w - w(e) of degree n - 1.
@@ -284,15 +288,17 @@ def quotient_complex(calc, X: Optional[ModComod],
     w - w(e), one per e, on the diagonal.  Both are read off the tables and
     the CSC arrays of d-bar_(n-1), and each column's rows come sorted, as
     the a-parts follow a and E-bar's entries (a, b); one merge of their
-    transposes sums them (``Matrix`` subtraction) into the canonical CSC
-    arrays the rank reads, and the block is born column-major on them
-    (``Matrix._of_csc``), its CSR never built.  d-bar_3 .. d-bar_(top-2),
-    which the recursion reads whole, are built in chunks that are joined;
-    the top's chunks are runs of consecutive weights packed to about
-    ``_BLOCK`` entries with the two parts they are summed from, each chunk
-    every row and its run's columns, and ``homology_dims`` ranks them one
-    at a time.  So the top is never held whole, and no d-bar_n above degree
-    2 is held twice.
+    transposes (``csr_minus_csr``) sums them into the canonical CSC arrays
+    the rank reads, and the block is born column-major on them
+    (``Matrix._of_csc``), its CSR never built.  The weights are packed into
+    runs of consecutive weights of about ``_BLOCK`` entries with the two
+    parts they are summed from, by a bound read off E-bar's column counts
+    and d-bar_(n-1)'s pointers; a small degree is one run.  d-bar_3 ..
+    d-bar_(top-2), which the recursion reads whole, are written run after
+    run into one set of arrays sized by that bound and trimmed once; the
+    top's chunks are its runs, each chunk every row and its run's columns,
+    and ``homology_dims`` ranks them one at a time.  So the top is never
+    held whole, and no d-bar_n above degree 2 is held twice.
 
     *Closedness.*  The quotient of a d_n is a quotient map only when d_n
     has no entry in a kept row and a dropped column.  For d_0, d_1 and d_2
@@ -427,72 +433,111 @@ def _graded(e_bar: Matrix, quotients: List[Matrix], dims: List[int]) -> list:
     with no tensor of it in any degree.  below[g, a] is the weight
     g - w(a), or G.  Per degree, offs[n][g] is where the tensors of weight
     g start and sub[n][g, a] where their a-part, the tensors a (x) t,
-    starts."""
+    starts.  ``np.unique`` is asked for its indices, which keeps it off the
+    masked-array check whose first call imports ``numpy.ma`` (~15 ms)."""
     f, c, top = e_bar.field, e_bar.cols, len(dims) - 1
     wc, wx = grading(e_bar, quotients[2], dims[0], top)
+
+    def reordered(m, rows, cols):
+        """``m`` with its row rows[i] as row i and its column j at cols[j],
+        born column-major: the rows are gathered and their columns renamed,
+        and the one transpose sorts them."""
+        (ptr, idx, val), cnt = m._csr, np.diff(m._csr[0])[rows]
+        at = _spans(ptr[rows], cnt)
+        return Matrix._of_csc(m.rows, m.cols, f, _transposed(
+            m.rows, m.cols, np.append(0, cnt.cumsum()), cols[idx[at]], val[at]))
     w2 = (wc[:, None] + (wc[:, None] + wx).ravel()).ravel()
-    o2, o3 = np.argsort(w2, kind="stable"), np.argsort((wc[:, None] + w2).ravel(), kind="stable")
-    p2, p3, q2 = (Matrix._of_csr(len(o), len(o), f, (np.arange(len(o) + 1), o, np.ones_like(o)))
-                  for o in (o2, o3, np.argsort(o2)))
-    quotients[1], quotients[2] = p2 @ quotients[1], p3 @ quotients[2] @ q2
+    o2 = np.argsort(w2, kind="stable")
+    quotients[1:3] = reordered(quotients[1], o2, np.arange(dims[1])), reordered(
+        quotients[2], np.argsort((wc[:, None] + w2).ravel(), kind="stable"), np.argsort(o2))
     keys = list(accumulate(range(top), lambda k, _: np.unique(
-        np.append(k, k[:, None] + wc), return_index=True)[0], initial=wx))[-1]
+        k[:, None] + np.append(0, wc), return_index=True)[0], initial=wx))[-1]
     G = len(keys)
     at = np.minimum(np.searchsorted(keys, keys[:, None] - wc), G - 1)
     below = np.vstack((np.where(keys[at] == keys[:, None] - wc, at, G), np.full((1, c), G)))
-    offs = [np.append(0, np.bincount(np.searchsorted(keys, wx), minlength=G + 1).cumsum())]
-    sub = [None]
+    cnt = [np.bincount(np.searchsorted(keys, wx), minlength=G + 1)]
+    offs, sub = [np.append(0, cnt[0].cumsum())], [None]
     for n in range(1, top + 1):
-        part = np.diff(offs[-1])[below]
-        offs.append(np.append(0, part.sum(1).cumsum()))
+        part = cnt[-1][below]
+        cnt.append(part.sum(1))
+        offs.append(np.append(0, cnt[-1].cumsum()))
         sub.append(offs[-1][:-1, None] + part.cumsum(1) - part)
     (e_ptr, e_row, e_val), e_cnt = e_bar._csc_arrays(), np.diff(e_bar._csc_arrays()[0])
+    ea, eb = np.divmod(e_row, c)
 
-    def block(n, prev, g0, g1):
-        """The columns of the weights g0 .. g1 - 1 of d-bar_n, column-major,
-        per weight and leg e of C-bar the columns e (x) t, t the columns of
-        degree n - 1 of the weight below.  E-bar (x) I puts entry (a, b) of
-        column e of E-bar at the row (a, b, t), and I (x) d-bar_(n-1) column
-        t of d-bar_(n-1), its rows moved into the e-part."""
-        pptr, prow, pval = prev
-        i, e = np.divmod(np.arange(g0 * c, g1 * c), c)
-        length, first = np.diff(offs[n - 1])[below[i, e]], offs[n - 1][below[i, e]]
-        seg = np.arange(len(e)).repeat(length)
-        t = np.arange(len(seg)) - (length.cumsum() - length)[seg]
-        m = e_cnt[e]
-        k = _spans(e_ptr[e], m)
-        (a, b), ik = np.divmod(e_row[k], c), i.repeat(m)
-        base = sub[n + 1][ik, a] + (sub[n] - offs[n][:-1, None])[below[ik, a], b]
-        at = _spans((m.cumsum() - m)[seg], m[seg])
-        comul = (m[seg], base[at] + t.repeat(m[seg]), e_val[k[at]])
-        cnt = pptr[first[seg] + t + 1] - pptr[first[seg] + t]
-        k = _spans(pptr[first[seg] + t], cnt)
-        ident = (cnt, prow[k] + (sub[n + 1] - offs[n][below])[i, e][seg].repeat(cnt), pval[k])
-        t1, t2 = (Matrix._of_csr(len(seg), dims[n + 1], f, (np.append(0, x[0].cumsum()), *x[1:]))
-                  for x in (comul, ident))
-        return Matrix._of_csc(dims[n + 1], len(seg), f, (t1 - t2)._csr)
-
-    def chunks(n, prev):
-        """(first column, chunk) of d-bar_n: runs of weights packed so that
-        each chunk, with the two parts it is summed from, holds about
-        ``_BLOCK`` entries, by a bound on the entries of each weight."""
-        est = (np.diff(offs[n - 1])[below] * e_cnt + np.diff(prev[0][offs[n - 1]])[below]).sum(1)
+    def runs(n, m):
+        """The CSC arrays of d-bar_(n-1) = ``m``, whether every sum of
+        d-bar_n stays within the int64 bound of ``_combine``, and est[g], the
+        entries of E-bar (x) I and of I (x) d-bar_(n-1) that the columns of
+        weight g of d-bar_n read, a bound on their entries; and the runs
+        (g0, g1) of weights packed to about ``_BLOCK`` of those each."""
+        ptr, row, v = m._csc_arrays()
+        fast = v.dtype == e_val.dtype == np.int64 and e_bar._max_abs() + (
+            f.char - 1 if f.char else int(abs(v).max(initial=0))) < _INT64_SAFE
+        est = (cnt[n - 1][below] * e_cnt + np.diff(ptr[offs[n - 1]])[below]).sum(1)
         starts = np.flatnonzero(np.diff((est.cumsum() - est) // (_BLOCK // 2), prepend=-1))
-        for g0, g1 in zip(starts, np.append(starts[1:], G + 1)):
-            yield int(offs[n][g0]), block(n, prev, g0, g1)
+        return (ptr, row, v, fast, est), list(zip(starts, np.append(starts[1:], G + 1)))
 
-    def whole(n, prev):
-        """d-bar_n, its chunks joined."""
-        parts = [m._csc_arrays() for _, m in chunks(n, prev)]
-        nnz = np.cumsum([0] + [len(p[1]) for p in parts])
-        return Matrix._of_csc(dims[n + 1], dims[n], f, (
-            np.concatenate([[0]] + [p[0][1:] + k for p, k in zip(parts, nnz)]),
-            *(np.concatenate([p[k] for p in parts]) for k in (1, 2))))
+    def built(n, low, every):
+        """The columns of the weights of the runs ``every`` of d-bar_n,
+        column-major, written run after run into one set of arrays sized by
+        ``est`` and trimmed once, so that no second copy is made.
 
-    for n in range(3, top - 1):
-        quotients.append(whole(n, quotients[-1]._csc_arrays()))
-    prev = quotients[-1]._csc_arrays()
-    quotients.append(ChunkedDifferential(dims[top], dims[top - 1], lambda: chunks(top - 1, prev)))
+        Per weight i and leg e of C-bar (the pair (i, e) a segment) the
+        columns are e (x) t, t the L columns of degree n - 1 of the weight
+        below, from F on, col their numbers there.  E-bar (x) I puts entry
+        (a, b) of column e of E-bar at the row (a, b, t), R[i, (a, b)] + t,
+        and I (x) d-bar_(n-1) column t of d-bar_(n-1) at its rows moved into
+        the e-part: the L columns of one segment are one run, k, of
+        d-bar_(n-1)'s storage.  When ``fast`` the two sides are merged by
+        ``csr_minus_csr`` straight into the arrays, so no run's result is
+        copied.  Over F_p both sides lie in [0, p), so a difference is 0 mod
+        p only where it is 0, and the routine drops those
+        (``kron_minus_blocks``); the values left lie in (-p, p), and adding p
+        to the negative ones of each run, by their sign bit, reduces them
+        mod p with no division, no zero added and no ``eliminate_zeros``
+        pass.  Otherwise ``Matrix`` subtraction sums them on the exact path,
+        into objects that ``_field_values`` types at the end as every exact
+        result is typed (int64 wherever the values allow).  Each run's
+        pointers are written from the place where the last run's ended,
+        shifted by the entries before it."""
+        (pptr, prow, pval, fast, est), (g0, g1) = low, (every[0][0], every[-1][1])
+        ptr = np.empty(offs[n][g1] - offs[n][g0] + 1, dtype=np.int64)
+        idx, at = np.empty(int(est[g0:g1].sum()), dtype=np.int64), 0
+        val = np.empty(len(idx), dtype=np.int64 if fast else object)
+        for h0, h1 in every:
+            B, out = below[h0:h1], ptr[offs[n][h0] - offs[n][g0]:offs[n][h1] - offs[n][g0] + 1]
+            L, F = cnt[n - 1][B].ravel(), offs[n - 1][B].ravel()
+            seg, col = np.arange(len(L)).repeat(L), _spans(F, L)
+            t, m, s0, s1 = col - F[seg], np.tile(e_cnt, h1 - h0)[seg], pptr[F], pptr[F + L]
+            R = sub[n + 1][h0:h1, ea] + (sub[n] - offs[n][:-1, None])[B[:, ea], eb]
+            q = _spans((np.arange(h1 - h0)[:, None] * len(ea) + e_ptr[:-1]).ravel()[seg], m)
+            k = _spans(s0, s1 - s0)
+            sides = [(np.append(0, m.cumsum()), R.ravel()[q] + t.repeat(m),
+                      np.tile(e_val, h1 - h0)[q]),
+                     (np.append(0, (pptr[col + 1] - pptr[col]).cumsum()),
+                      prow[k] + (sub[n + 1][h0:h1] - offs[n][B]).ravel().repeat(s1 - s0), pval[k])]
+            del q, k
+            if fast:
+                _sparsetools.csr_minus_csr(len(col), dims[n + 1], *sides[0], *sides[1], out,
+                                           idx[at:], val[at:])
+                if f.char:
+                    val[at:at + out[-1]] += (val[at:at + out[-1]] >> 63) & f.char
+            else:
+                d = (Matrix._of_csr(len(col), dims[n + 1], f, sides[0])
+                     - Matrix._of_csr(len(col), dims[n + 1], f, sides[1]))._csr
+                out[:], idx[at:at + len(d[1])], val[at:at + len(d[1])] = d
+            out += at
+            at = int(out[-1])
+        if not fast:
+            val = _field_values(f, val[:at])
+        return Matrix._of_csc(dims[n + 1], len(ptr) - 1, f, _trimmed(ptr, idx, val))
+
+    for n in range(3, top):
+        low, every = runs(n, quotients[-1])
+        quotients.append(built(n, low, every) if n < top - 1 else ChunkedDifferential(
+            dims[top], dims[top - 1], lambda: ((int(offs[top - 1][r[0]]), built(top - 1, low, [r]))
+                                               for r in every)))
     return quotients
 
 
@@ -508,7 +553,21 @@ def cobar_complex(C: BimoduleCoalgebra, X: ModComod,
 
     with g = ``C.grouplike`` and Delta = ``C.comul``.  It reads only the
     coproduct, the basepoint and the coaction: no calculus, and no
-    recursion in n.  A Hopf algebra H passed for C stands for
+    recursion in n.
+
+    Each d_n is summed in one pass (``kron_sum``): the entries of its
+    n + 2 terms are listed in one set of index arrays and compressed once,
+    so no term is built as a matrix and no partial sum is reread.  A term
+    has at most one entry at any place, so every entry of d_n is at most
+    max|g| + n max|Delta| + max|rho| in absolute value, (n + 2)(p - 1) over
+    F_p; the sums are int64 while that bound stays below 2^62, and exact
+    (``Matrix._of_entries``) otherwise.  The sum is the closed formula read
+    term by term, not the recursion d_n = E (x) I - I_C (x) d_(n-1) that
+    the calculus side runs, so the oracle still shares no construction with
+    the complexes it checks: only the listing and compressing of entries,
+    which knows nothing of either.
+
+    A Hopf algebra H passed for C stands for
     ``BimoduleCoalgebra.from_hopf(H)``, as ``verdictbench/tables.py``
     passes it.  The coaction's coassociativity is checked first, and
     d^2 = 0 at construction, unless ``check`` is false: ``compare_cotor``,
@@ -521,20 +580,11 @@ def cobar_complex(C: BimoduleCoalgebra, X: ModComod,
         raise ValueError("comodule has no coaction")
     if check and coassociativity_defects(X):
         raise ValueError("coaction is not coassociative")
-    xd = X.dim
-
-    def eye(n):
-        return Matrix.identity(n, f)
-
-    rho = Matrix.from_columns(X.coaction, cd * xd, f)
-    dims = [cd ** n * xd for n in range(max_degree + 1)]
-    diffs: List[Matrix] = []
-    for n in range(max_degree):
-        d = eye(cd ** n).kron(rho).scale((-1) ** n) - g.kron(eye(dims[n]))
-        for j in range(n):
-            term = eye(cd ** j).kron(delta).kron(eye(dims[n - 1 - j]))
-            d = d - term if j % 2 else d + term
-        diffs.append(d)
+    rho = Matrix.from_columns(X.coaction, cd * X.dim, f)
+    dims = [cd ** n * X.dim for n in range(max_degree + 1)]
+    diffs = [kron_sum([(-1, 1, g, dims[n])] + [((-1) ** j, cd ** j, delta, dims[n - 1 - j])
+                                               for j in range(n)] + [((-1) ** n, cd ** n, rho, 1)],
+                      dims[n + 1], dims[n], f) for n in range(max_degree)]
     return ChainComplex(f, dims, diffs, g.columns()[0], "check" if check else "unchecked")
 
 

@@ -91,7 +91,9 @@ whichever value type the arithmetic took.
 
 ``kron_minus_blocks`` builds A (x) B - I_c (x) P, the shape of the
 calculus's recursions, one run of I_c's row blocks at a time, so that
-neither Kronecker product exists at full size.
+neither Kronecker product exists at full size.  ``kron_sum`` sums any
+number of terms I_a (x) A (x) I_b in one pass: their entries are listed
+once and compressed once, with no partial sum.
 
 Tensor indices over a list of factor dimensions are flattened big-endian
 lexicographically: ``flat = sum(idx[i] * prod(dims[i+1:]))``.  The same
@@ -135,7 +137,7 @@ _BLOCK = 1 << 17
 # The sparsetools routines the kernels call.
 _SPARSETOOLS_ROUTINES = ("coo_tocsr", "csr_matmat_maxnnz", "csr_matmat", "csr_plus_csr",
                          "csr_minus_csr", "csr_eliminate_zeros", "csr_sort_indices",
-                         "csr_tocsc")
+                         "csr_sum_duplicates", "csr_tocsc")
 
 
 def _load_sparsetools():
@@ -790,6 +792,52 @@ def kron_minus_blocks(a: Matrix, b: Matrix, c: int, p: Matrix) -> Matrix:
     if f.char:
         val %= f.char
     return Matrix._of_csr(rows, cols, f, (ptr, idx, val))
+
+
+def kron_sum(terms: Sequence[Tuple[int, int, Matrix, int]], rows: int, cols: int,
+             field: Field) -> Matrix:
+    """The rows x cols matrix sum_t s_t I_(a_t) (x) A_t (x) I_(b_t) of the
+    ``terms`` (s_t, a_t, A_t, b_t), s_t = +-1, each A_t a matrix over
+    ``field`` of a_t A_t.rows b_t rows and a_t A_t.cols b_t columns (else
+    ``ValueError``, as the routines do not check indices), in one pass over
+    their entries.
+
+    Entry e of A_t at (r, c), with i < a_t and k < b_t, lies at the row
+    (i A_t.rows + r) b_t + k and the column (i A_t.cols + c) b_t + k.  All
+    the terms' entries are listed in one set of index arrays, and only
+    then compressed: the counting pass of ``coo_tocsr``, a sort of each
+    row, a sum of each run of equal columns, and the removal of the zeros,
+    after the reduction mod p over F_p (``_reduced``), so no partial sum is
+    built or reread.
+
+    A term has at most one entry at any place, so every sum is at most
+    sum_t max|A_t| in absolute value (p - 1 per term over F_p, where every
+    entry lies in [0, p), ``_max_abs``).  When every term is int64 and that
+    bound stays below ``_INT64_SAFE`` the sums are int64; otherwise the
+    listed entries, as objects, are summed by ``_of_entries``."""
+    if any(m.field != field or (a * m.rows * b, a * m.cols * b) != (rows, cols)
+           for _, a, m, b in terms):
+        raise ValueError("shape or field mismatch")
+    fast = all(m._to_csr() is not None for _, _, m, _ in terms) and sum(
+        m._max_abs() for _, _, m, _ in terms) < _INT64_SAFE
+    terms = [t for t in terms if t[1] * t[2]._nnz() * t[3]]     # those with entries
+    sizes = [a * m._nnz() * b for _, a, m, b in terms]
+    row, col, val = (np.empty(sum(sizes), dtype=t)
+                     for t in (np.int64, np.int64, np.int64 if fast else object))
+    for (s, a, m, b), at, size in zip(terms, accumulate(sizes, initial=0), sizes):
+        for out, first, n in ((row, m._entry_rows(), m.rows), (col, m._csr[1], m.cols)):
+            np.add(np.add.outer(np.arange(0, a * n * b, n * b), first * b)[:, :, None],
+                   np.arange(b), out=out[at:at + size].reshape(a, m._nnz(), b))
+        val[at:at + size].reshape(a, m._nnz(), b)[:] = s * m._csr[2][:, None]
+    if not fast:
+        return Matrix._of_entries(rows, cols, field, row * cols + col, val)
+    ptr, idx, val = _moved(_sparsetools.coo_tocsr, rows + 1, (rows, cols, len(val), row, col), val)
+    del row, col
+    _sparsetools.csr_sort_indices(rows, ptr, idx, val)
+    _sparsetools.csr_sum_duplicates(rows, cols, ptr, idx, val)
+    if not field.char:
+        _sparsetools.csr_eliminate_zeros(rows, cols, ptr, idx, val)
+    return Matrix._of_csr(rows, cols, field, _reduced((ptr, idx, val), rows, cols, field.char))
 
 
 def bilinear_matrix(field: Field, table: Dict[Tuple[int, int], Vec], left: int,

@@ -19,7 +19,7 @@ from test_calculus import reference_differential, reference_product_form, three_
 from hopfcalc import cli
 from hopfcalc.calculus import Calculus
 from hopfcalc.connections import coefficient_complex, connection_from_coaction
-from hopfcalc.fields import Field
+from hopfcalc.fields import _PRIME_LIMIT, Field, is_prime
 from hopfcalc.homology import _basepoint_coadjoint, cobar_complex
 from hopfcalc.hopf import BialgebraMorphism, permute_basis
 from hopfcalc.linalg import Matrix, Vec, tensor_decode
@@ -28,7 +28,7 @@ from hopfcalc.modules import (BimoduleCoalgebra, coadjoint_comodule, regular_mod
 
 # (algebra, field, calculus, coefficients) of the verdicts of the
 # cotor_homology benchmark workload; None is the bare calculus complex
-CASES = [
+BENCH_CASES = [
     ("group:Z3", "Q", "khat", "trivial"), ("dualgroup:Z3", "Q", "k", "trivial"),
     ("sweedler", "Q", "k", "trivial"), ("sweedler", "Q", "khat", "trivial"),
     ("group:S3", "Q", "khat", "trivial"), ("taft:3:2", "F7", "k", "trivial"),
@@ -39,6 +39,12 @@ CASES = [
     ("group:Z4", "Q", "general", None), ("sweedler", "Q", "k", None),
     ("taft:3:2", "F7", "k", None),
 ]
+# a prime above 2^62, whose entries p - 1 are objects, and kZ3_scaled over Q,
+# whose coproduct is not integral: every cobar differential above degree 0
+# is summed on the exact path of ``kron_sum``
+P_HUGE = next(n for n in range(2**62 + 1, _PRIME_LIMIT, 2) if is_prime(n))
+CASES = BENCH_CASES + [("sweedler", f"F{P_HUGE}", "k", "regular"),
+                       ("kZ3_scaled", "Q", "khat", "coadjoint")]
 
 
 def identify(calc, X, v: Vec) -> Vec:
@@ -132,8 +138,9 @@ def reference_cobar_complex(comul, I, cd, X, max_degree):
 
 def build_case(name, field, kind, coeffs, degree):
     """The calculus and the module (None for the bare complex) of one case,
-    built as the ``homology`` command line builds them."""
-    H = cli.builtin_hopf(name, Field.parse(field))
+    built as the ``homology`` command line builds them (``kZ3_scaled`` is the
+    tests' own algebra)."""
+    H = named_algebra(name) if name == "kZ3_scaled" else cli.builtin_hopf(name, Field.parse(field))
     args = argparse.Namespace(calculus=kind, module=coeffs, coalgebra="regular",
                               alpha=None, beta=None)
     calc = cli.build_cli_calculus(args, H, degree)
@@ -178,8 +185,18 @@ def test_cotor_builds_match_the_references(case):
     assert_matches_references(*build_case(*case, 3), 3)
 
 
-@pytest.mark.parametrize("case", [c for c in CASES if c[3]],
-                         ids=["-".join(map(str, c)) for c in CASES if c[3]])
+@pytest.mark.parametrize("case", CASES[len(BENCH_CASES):],
+                         ids=["-".join(map(str, c)) for c in CASES[len(BENCH_CASES):]])
+def test_exact_path_cotor_builds_hold_objects(case):
+    # the cases past the benchmark's: the oracle's sums above degree 0 are
+    # object arrays (test_cotor_builds_match_the_references holds them to the
+    # column-by-column references)
+    calc, X = build_case(*case, 3)
+    assert all(d._csr[2].dtype == object for d in cobar_complex(calc.C, X, 3).diffs[1:])
+
+
+@pytest.mark.parametrize("case", [c for c in BENCH_CASES if c[3]],
+                         ids=["-".join(map(str, c)) for c in BENCH_CASES if c[3]])
 def test_coefficient_recursion_matches_both_references_at_degree_4(case):
     # the 13 module cases of the benchmark: the recursion, its product form
     # from the full D_n at the unit and the column-by-column reference agree
@@ -224,7 +241,7 @@ def test_scaled_kZ3_cotor_builds_take_the_exact_path():
             assert any(v.denominator != 1 for _, v in m.entries()), calc
 
 
-@pytest.mark.parametrize("case", CASES, ids=["-".join(map(str, c)) for c in CASES])
+@pytest.mark.parametrize("case", BENCH_CASES, ids=["-".join(map(str, c)) for c in BENCH_CASES])
 def test_integral_cotor_builds_are_born_in_csr(case):
     # no silent fallback: on integral structure constants every
     # differential, coefficient complex and cobar complex is stored as

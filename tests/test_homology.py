@@ -659,6 +659,48 @@ def test_forced_gradings_match_the_full_oracle(normalized_tables, monkeypatch, f
     assert len(normalized_tables) == 3 * len(calcs)
 
 
+def test_graded_blocks_summed_on_the_exact_path_keep_int64_values(normalized_tables):
+    # over a prime just above 2^61 a sum of two entries can reach 2^62, so
+    # every block is summed on the exact path; its values, below p < 2^62,
+    # are stored as int64, as the whole-matrix recursion stores them, and
+    # the tables are the full oracle's (the fixture)
+    for calc in _bare_calculi(_algebra("sweedler/F2305843009213693967"), 5):
+        cx = homology.quotient_complex(calc, None, 5)
+        assert all(d._csc_arrays()[2].dtype == np.int64 for d in cx.diffs[3:-1])
+        assert all(chunk._csc[2].dtype == np.int64 for _, chunk in cx.diffs[-1].chunks())
+        homology.homology_dims(cx, 5)
+    assert len(normalized_tables) == 3
+
+
+def test_a_complex_whose_top_is_one_block_pays_no_generic_matrix_arithmetic(monkeypatch):
+    # bare S3 `general` at D = 5, a verdict of the benchmark: its top holds
+    # fewer than _BLOCK entries.  Degrees 2 and 3 are put in weight order by
+    # index maps, d-bar_3 and the top are each one block whose two sides are
+    # merged straight into its arrays, so no Matrix product or sum runs
+    # between the grading and the last rank; each of d-bar_1 .. d-bar_4 is
+    # born column-major once, and _echelon runs once for the grading and
+    # once per degree.  Counted from the grading on, after the calculus side
+    # has built D_0 .. D_2
+    H = cli.builtin_hopf("group:S3", QQ)
+    calc = cli.build_cli_calculus(argparse.Namespace(calculus="general"), H, 5)
+    calls, grading = [], homology.grading
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return spy
+    monkeypatch.setattr(homology, "grading", lambda *args: (calls.clear(), grading(*args))[1])
+    for name in ("__matmul__", "_combine", "kron"):
+        monkeypatch.setattr(Matrix, name, counted(name, getattr(Matrix, name)))
+    monkeypatch.setattr(Matrix, "_of_csc", staticmethod(counted("_of_csc", Matrix._of_csc)))
+    monkeypatch.setattr(linalg, "_echelon", counted("_echelon", linalg._echelon))
+    monkeypatch.setattr(homology, "_echelon", counted("_echelon", homology._echelon))
+    cx = homology.quotient_complex(calc, None, 5)
+    assert homology.homology_dims(cx, 5).dims() == [6, 0, 0, 0, 0]
+    assert sorted(calls) == ["_echelon"] * 6 + ["_of_csc"] * 4
+
+
 def reference_kernel(e_bar, d2, xd):
     """A basis of the integer kernel of the leg patterns of ``e_bar`` and
     ``d2``, the weights' constraints, as rows of a (dim C-bar + xd) x r
@@ -917,6 +959,48 @@ def test_module_corruptions_exit_as_on_the_full_complex(monkeypatch, what):
               (3, "tensors with a basepoint leg are not a subcomplex at degree 1")},
         "act": {(0, ""), (2, "ValueError('module action is not unital')")},
         "nabla": {(0, ""), (2, "ValueError('connection is not flat')")}}[what]
+
+
+@pytest.mark.parametrize("what", ["none", "D_0", "E", "act", "nabla"])
+def test_coefficient_complexes_fail_as_with_every_pair_multiplied_out(monkeypatch, what):
+    # the coefficient complex multiplies out d^2[0] and d^2[1] only and
+    # takes every higher degree from the recursion: on seeded corruptions of
+    # its roots it fails exactly when, and as, the complex of the same
+    # differentials with every pair multiplied out, and when it passes it
+    # has multiplied out two pairs, not D - 1
+    D, outcomes = 5, set()
+    for name, coeffs, seed in itertools.product(("sweedler", "dualgroup:Z3"),
+                                                ("trivial", "regular", "coadjoint"), range(4)):
+        H = cli.builtin_hopf(name, QQ)
+        with monkeypatch.context() as m:
+            if what != "none":
+                _corrupt_module(m, what, seed)
+            calc = Calculus.k(H, D)
+            X = cli.resolve_module(argparse.Namespace(module=coeffs), H)
+            conn = connections.connection_from_coaction(calc, X)
+
+            def every_pair():
+                if not connections.curvature(conn).is_zero():
+                    raise ValueError("connection is not flat")
+                diffs = [connections._coefficient_base(conn)]
+                for _ in range(1, D):
+                    diffs.append(connections._coefficient_differential(calc, diffs[-1]))
+                ChainComplex(calc.field, [calc.cdim ** n * X.dim for n in range(D + 1)], diffs)
+            pairs, witness = [], homology.identity_defect_witness
+            m.setattr(homology, "identity_defect_witness",
+                      lambda *args: pairs.append(args) or witness(*args))
+            runs = []
+            for build in (every_pair, lambda: connections.coefficient_complex(conn, D)):
+                pairs.clear()
+                try:
+                    build()
+                    runs.append(("pass", len(pairs)))
+                except (ValueError, RuntimeError) as e:
+                    runs.append((repr(e), None))
+            assert runs[0][0] == runs[1][0], (name, coeffs, seed)
+            assert runs[0][0] != "pass" or runs == [("pass", D - 1), ("pass", 2)]
+            outcomes.add(runs[1][0])
+    assert "pass" in outcomes and (what == "none") == (outcomes == {"pass"})
 
 
 # (exit code, error) of --compare-cotor with one oracle differential

@@ -651,6 +651,8 @@ def test_kron_minus_blocks_at_its_bound_is_exact(field, entry, shift):
     assert got == from_rows(want, field)
 
 
+# a prime above 2^62: its values at or past 2^62 stay objects
+P_HUGE = next(n for n in range(2**62 + 1, _PRIME_LIMIT, 2) if is_prime(n))
 M61 = 2**61 - 1     # prime: over F_M61 an entry p - 1 is in range, its square is not
 
 
@@ -686,6 +688,70 @@ def test_sums_at_the_bound_of_combine_are_exact(field, entry):
         want = [[field.of(sum(s * m.get(i, j) for s, m in zip(signs, (a, b, c))))
                  for j in range(2)] for i in range(2)]
         assert got == from_rows(want, field), signs
+
+
+def _dense_kron(m, a, b):
+    """I_a (x) m (x) I_b as a list of rows of exact entries."""
+    dense = [[m.get(i, j) for j in range(m.cols)] for i in range(m.rows)]
+    return [[dense[i // b % m.rows][j // b % m.cols] if (i // (b * m.rows) == j // (b * m.cols)
+                                                         and i % b == j % b) else 0
+             for j in range(a * m.cols * b)] for i in range(a * m.rows * b)]
+
+
+@pytest.mark.parametrize("field,entry", [
+    (QQ, 2**61 - 1), (QQ, -(2**61 - 1)), (QQ, 2**61), (QQ, 2**60), (QQ, -(2**60)),
+    (Field(M61), M61 - 1), (Field(P31), P31 - 1)])
+def test_kron_sum_at_its_bound_is_exact(field, entry):
+    # three terms of one 4 x 2 shape, -(G (x) I_2) + A - I_2 (x) B, whose
+    # entries meet at (0, 0) and (3, 1) with one sign: every entry is below
+    # 2^62, and so is a sum of two of them, but the sum of all three need not
+    # be.  sum_t max|A_t| at or beyond 2^62 takes the exact path, below it
+    # the int64 one; either way each entry is the exact Python sum, and an
+    # int64 result holds no entry of 2^62 or more (a bound that leaves out
+    # one term stores 3 (2^61 - 1) in int64)
+    g = from_rows([[-entry], [1]], field)
+    a = from_rows([[entry, 0], [0, 2], [1, -1], [0, entry]], field)
+    b = from_rows([[-entry], [3]], field)
+    terms = [(-1, 1, g, 2), (1, 1, a, 1), (-1, 2, b, 1)]
+    got = linalg.kron_sum(terms, 4, 2, field)
+    parts = [(s, _dense_kron(m, k, n)) for s, k, m, n in terms]
+    want = [[field.of(sum(s * p[i][j] for s, p in parts)) for j in range(2)] for i in range(4)]
+    assert got == from_rows(want, field) and got.data == from_rows(want, field).data
+    assert got.get(0, 0) == field.of(3 * entry)
+    if got._to_csr() is not None:
+        assert int(abs(got._csr[2]).max()) < linalg._INT64_SAFE
+    assert (got._to_csr() is None) == any(abs(v) >= linalg._INT64_SAFE for r in want for v in r)
+
+
+@pytest.mark.parametrize("field,special", [(QQ, Fraction(1, 3)), (QQ, 2**63),
+                                           (Field(P_HUGE), P_HUGE - 1), (Field(P_HUGE), 5)])
+def test_kron_sum_of_object_terms_is_exact(field, special):
+    # a term with a Fraction or a value past int64, or over a prime whose
+    # p - 1 reaches 2^62, is summed on the object path, by ``_of_entries``;
+    # a sum of terms that cancels leaves no entry, and the value types are
+    # those of ``_field_values``
+    g = from_rows([[special], [1]], field)
+    a = from_rows([[special, 0], [0, 2], [1, -1], [0, special]], field)
+    terms = [(1, 1, g, 2), (-1, 1, a, 1), (1, 2, g, 1), (-1, 1, a, 1)]
+    got = linalg.kron_sum(terms, 4, 2, field)
+    parts = [(s, _dense_kron(m, k, n)) for s, k, m, n in terms]
+    want = from_rows([[field.of(sum(s * p[i][j] for s, p in parts)) for j in range(2)]
+                      for i in range(4)], field)
+    assert got == want and got.data == want.data
+    assert got._csr[2].dtype == want._csr[2].dtype
+    assert linalg.kron_sum(terms[:2] + [(-1, 1, g, 2), (1, 1, a, 1)], 4, 2, field).is_zero()
+
+
+def test_kron_sum_checks_shapes_and_fields():
+    # the routines do not check indices: a term of another shape, or over
+    # another field, is a ValueError before any entry is listed
+    a = from_rows([[1, 2], [3, 4]], QQ)
+    for terms, field in (([(1, 2, a, 1), (1, 1, a, 1)], QQ), ([(1, 2, a, 1)], Field(7)),
+                         ([(1, 1, a, 2), (-1, 2, a, 2)], QQ)):
+        with pytest.raises(ValueError):
+            linalg.kron_sum(terms, 4, 4, field)
+    # a factor of size 0, as a comodule of dimension 0 gives, lists nothing
+    assert linalg.kron_sum([(1, 3, a, 0), (-1, 0, a, 2)], 0, 0, QQ).is_zero()
 
 
 @pytest.mark.parametrize("a,c,d", [
@@ -1025,10 +1091,6 @@ def test_sums_and_differences_check_the_fields():
         for got in (lambda: a + b, lambda: a - b, lambda: b + a, lambda: b - a):
             with pytest.raises(ValueError, match="field mismatch"):
                 got()
-
-
-# a prime above 2^62: its values at or past 2^62 stay objects
-P_HUGE = next(n for n in range(2**62 + 1, _PRIME_LIMIT, 2) if is_prime(n))
 
 
 def test_matrix_arithmetic_takes_no_field_arithmetic(monkeypatch):

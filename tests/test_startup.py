@@ -36,6 +36,22 @@ def test_importing_the_cli_leaves_scipy_out():
     assert loaded == []
 
 
+def test_homology_verdicts_leave_numpy_ma_out():
+    # numpy.ma takes ~15 ms to import, more than a whole small verdict:
+    # neither a graded bare complex nor a coefficient complex with its
+    # cobar oracle asks for it (np.unique without return_index would, on
+    # its first call)
+    loaded = _python("import contextlib, io, json, sys\n"
+                     "from hopfcalc import cli\n"
+                     "with contextlib.redirect_stdout(io.StringIO()):\n"
+                     "    for argv in ('--calculus general --max-degree 5',\n"
+                     "                 '--module regular --compare-cotor --max-degree 4'):\n"
+                     "        cli.main(('homology --builtin group:S3 ' + argv).split())\n"
+                     "print(json.dumps(sorted(k for k in sys.modules\n"
+                     "                        if k.split('.')[:2] == ['numpy', 'ma'])))")
+    assert loaded == []
+
+
 def test_importing_the_package_loads_every_submodule():
     # verdictbench's span recorder wraps entry points in every submodule
     # after ``import hopfcalc``; the command line front end is imported by
