@@ -11,18 +11,22 @@ tuple.  The per-tuple enumeration through the algebra's own maps is
 `reference_verify_axioms` in the tests, the oracle it is checked against.
 
 Every CLI verdict runs `verify_axioms`, and on tiny algebras a numpy call
-costs more than the arithmetic, so the number of matrix operations sets
-the cost.  Per call on a fresh algebra, its structure matrices and S^-1
-included (best of 5 rounds of 7 x 200, alternating with the previous
-version in one process, on a 2-vCPU VM shared with other work), the
-identities take 0.55-0.60 ms on k[Z2], k[Z3], k^Z2 and Sweedler, and
-0.59 and 0.73 ms on k[S3] and Taft(3,2)/F7; timings on that VM move by
-10-30 % from run to run.  On large algebras they are faster than
-per-tuple scans and hold more: `verify-hopf` on Taft(10,2)/F11
-(d = 100) takes 0.6 s at 75 MB peak RSS, and on Taft(12,2)/F13
-(d = 144) 1.1-1.2 s at 157 MB, where the scans took 1.8-3.3 s at 36 MB
-and 6.2 s at 40 MB.  Their largest operands, in associativity,
-coassociativity and comul_is_algebra_map, have d^3 rows or columns.
+costs more than the arithmetic, so the number of calls sets the cost.
+The sparse lines make ~40 `Matrix` operations, at 6-20 us of overhead
+each: 0.40-0.47 ms a call on k[Z2] .. k[Z8] with the structure matrices
+built and 0.53 ms on Taft(3,2)/F7 (best of 5 rounds of 200 on a 2-vCPU
+VM shared with other work, where timings move by 10-30 % from run to
+run).  So on algebras of dimension up to `_DENSE` a passing input is
+first checked by ~25 products of dense int64 arrays: 0.10 ms at d <= 4,
+0.17 at d = 6, 0.25 at d = 7 and 0.39 at d = 8, where its one d^6
+contraction (integer matmul has no BLAS) brings it near the sparse
+cost; at d = 9 it takes 0.70-0.88 ms.  On large algebras the sparse
+lines are faster than per-tuple scans and hold more: `verify-hopf` on
+Taft(10,2)/F11 (d = 100) takes 0.36-0.41 s at 75 MB peak RSS, and on
+Taft(12,2)/F13 (d = 144) 0.69-0.84 s at 156.5 MB, as a subprocess,
+where the scans took 1.8-3.3 s at 36 MB and 6.2 s at 40 MB.  Their
+largest operands, in associativity, coassociativity and
+comul_is_algebra_map, have d^3 rows or columns.
 """
 from __future__ import annotations
 
@@ -30,9 +34,19 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .fields import Field
-from .linalg import Matrix, Vec, bilinear_matrix, column_witness, pairing_matrix
+from .linalg import _INT64_SAFE, Matrix, Vec, bilinear_matrix, column_witness, pairing_matrix
 from .reports import Report
+
+# The largest dimension on which ``verify_axioms`` runs ``_dense_lines`` first.
+_DENSE = 8
+
+# The lines of ``verify_axioms`` but antipode_inverse, in the report's order.
+_LINES = ("associativity", "unit", "unit_right", "coassociativity", "counit", "counit_right",
+          "comul_is_algebra_map", "comul_of_unit", "counit_is_algebra_map", "counit_of_unit",
+          "antipode_left", "antipode_right")
 
 
 def memoized(owner, key: str, source, build):
@@ -114,6 +128,55 @@ def _add_identity(rep: Report, names: Sequence[str], name: str, lhs: Matrix, rhs
     rep.add(name, w is None, w and {**w, "basis": [names[i] for i in w["basis"]]})
 
 
+def _dense_lines(d: int, p: int, mats: Sequence[Matrix]) -> "List[bool] | None":
+    """Whether each computed line of ``verify_axioms`` holds, in its order,
+    antipode_inverse last when S^-1 is given: evaluated on dense int64
+    copies of ``mats`` = (mu, u, Delta, eps, S[, S^-1]) with a reduction mod
+    ``p`` (0 over Q) after each product.  None, with nothing evaluated, when
+    d is 0 or above ``_DENSE``, a matrix holds objects, or the bound of
+    ``verify_axioms``'s docstring reaches ``_INT64_SAFE``.
+
+    The arrays are mu and Delta with their axes regrouped, rows | columns:
+    mu_r [m i|k] and mu_t [m k|i] hold mu_m(e_i e_k), delta_a [a|b i] and
+    delta_b [b|a i] the coefficient of e_a (x) e_b in Delta(e_i), and the
+    right side of comul_is_algebra_map, Delta(e_i) Delta(e_j), is
+    contracted over a (``left``) and y' (``right``), then over (b, y) at
+    once.  That last product, d^2 x d^2 by d^2 x d^2, sets the cap: integer
+    matmul has no BLAS, and ``_DENSE`` is where the pass stops being faster
+    than the sparse lines."""
+    if not 0 < d <= _DENSE or any(m._to_csr() is None for m in mats):
+        return None
+    if (d * max(m._max_abs() for m in mats)) ** (2 if p else 4) >= _INT64_SAFE:
+        return None
+    dense = [np.zeros((m.rows, m.cols), dtype=np.int64) for m in mats]
+    for a, m in zip(dense, mats):
+        a[m._entry_rows(), m._csr[1]] = m._csr[2]
+    mu, u, delta, eps, S, *sinv = dense
+
+    def mm(a, b):
+        c = a @ b
+        return c % p if p else c
+
+    def four(a, order=(0, 1, 2, 3)):
+        return a.reshape(d, d, d, d).transpose(order)
+
+    I, dd = np.eye(d, dtype=np.int64), (d, d)
+    mu_r, mu_t = mu.reshape(d * d, d), mu.reshape(d, d, d).transpose(0, 2, 1).reshape(d * d, d)
+    delta_a = delta.reshape(d, d * d)
+    delta_b = delta.reshape(d, d, d).transpose(1, 0, 2).reshape(d, d * d)
+    left = four(mm(mu_t, delta_a), (0, 3, 2, 1)).reshape(d * d, d * d)     # [m i|b y]
+    right = four(mm(mu_r, delta_b), (1, 2, 0, 3)).reshape(d * d, d * d)    # [b y|m' j]
+    sides = [(four(mm(mu_t, mu), (0, 2, 3, 1)), four(mm(mu_r, mu))),
+             (mm(mu_t, u).reshape(dd), I), (mm(mu_r, u).reshape(dd), I),
+             (four(mm(delta, delta_a)), four(mm(delta, delta_b), (2, 0, 1, 3))),
+             (mm(eps, delta_a).reshape(dd), I), (mm(eps, delta_b).reshape(dd), I),
+             (four(mm(delta, mu), (0, 2, 1, 3)), four(mm(left, right))),
+             (mm(delta, u).reshape(dd), mm(u, u.T)), (mm(eps, mu).reshape(dd), mm(eps.T, eps)),
+             (mm(mu, mm(S, delta_a).reshape(d * d, d)), mm(u, eps))]
+    sides += [(np.hstack((mm(t, S), mm(S, t))), np.hstack((I, I))) for t in sinv]
+    return [np.array_equal(a, b) for a, b in sides]
+
+
 def verify_axioms(H: HopfAlgebra) -> Report:
     """Check every Hopf-algebra axiom as an identity of structure matrices.
 
@@ -176,10 +239,41 @@ def verify_axioms(H: HopfAlgebra) -> Report:
     every k.  The elimination is exact, so S T = I holds exactly.  Either
     way, for a square matrix over a field T S = I follows.  The line is
     still computed, as a check on both routes.
+
+    On a small algebra a dense pass runs first (``_dense_lines``), and when
+    every computed line holds there it returns the all-pass report: every
+    line but the two inferred ones passes, and those are inferred, their
+    premises having passed and d being at least 1.  It runs when 1 <= d <=
+    ``_DENSE``, each of mu, u, Delta, eps, S and S^-1 (when S is invertible)
+    has int64 values, and, with M the bound ``Matrix._max_abs`` of their
+    entries (p - 1 over F_p), (d M)^2 over F_p, or (d M)^4 over Q, is below
+    ``_INT64_SAFE``.  It copies each matrix into a zero int64 array and
+    evaluates the same sides as products of those arrays, in another
+    grouping and axis order (the right side of comul_is_algebra_map
+    contracted over a and y' in two products, then over (b, y) in one),
+    reducing mod p after each product over F_p.  As long as no int64 sum
+    wraps, each dense side is the exact integer matrix of the sparse side,
+    reduced into [0, p) over F_p, so a dense line holds exactly when its
+    sparse line does.  No sum wraps: over F_p a product sums at most d^2
+    terms (its inner dimension, largest in the (b, y) contraction), each a
+    product of two values in [0, p), so every partial sum is at most
+    d^2 (p - 1)^2 < 2^62.  Over Q nothing is reduced, and every entry of an
+    intermediate or a side is a sum of at most d^4 products of at most four
+    structure entries (comul_is_algebra_map's right side; the other lines
+    take fewer of both), so no partial sum passes d^4 M^4 < 2^62.  Hence the
+    all-pass report is the one the sparse lines give.  In every other case,
+    a failing line, an object value, a bound reached or d above the cap,
+    the sparse lines above run as they are and build every witness, so
+    every failing report is theirs.
     """
     f, d, rep = H.field, H.dim, Report()
     mu, u, delta, S = H.mul_matrix(), H.unit_column(), H.comul_matrix(), H.antipode
-    eps, I = H.counit_row(), Matrix.identity(d, f)
+    eps, I, sinv = H.counit_row(), Matrix.identity(d, f), H.antipode_inverse()
+    dense = _dense_lines(d, f.char, [mu, u, delta, eps, S] + [sinv] * (sinv is not None))
+    if dense is not None and all(dense):
+        for name in _LINES + ("antipode_inverse",) * (sinv is not None):
+            rep.add(name, True)
+        return rep
 
     def check(name, lhs, rhs, k):
         _add_identity(rep, H.basis, name, lhs, rhs, [d] * k)
@@ -210,7 +304,6 @@ def verify_axioms(H: HopfAlgebra) -> Report:
         rep.add("antipode_right", True)
     else:
         check("antipode_right", mu @ (I.kron(S) @ delta), u_eps, 1)
-    sinv = H.antipode_inverse()
     if sinv is not None:
         ok = sinv @ S == I == S @ sinv
         rep.add("antipode_inverse", ok, None if ok else {"defect": "S^-1 S != id"})

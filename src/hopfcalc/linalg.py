@@ -758,7 +758,11 @@ def kron_minus_blocks(a: Matrix, b: Matrix, c: int, p: Matrix) -> Matrix:
 
     Over F_p the entries of both sides lie in [0, p), so ``csr_minus_csr``
     leaves values in (-p, p) and drops the exact zeros.  a - b = 0 mod p
-    only when a = b, so the reduction mod p afterwards adds no zero.  When
+    only when a = b, so the reduction mod p afterwards adds no zero.  It is
+    ``v += (v >> 63) & p``: the shift is -1, all bits set, for a negative v
+    and 0 otherwise, so p is added exactly to the values in (-p, 0), which
+    land in (0, p), and the others, in [0, p), stay; a division would cost
+    several times more.  When
     an operand holds objects, or the int64 bounds of ``kron`` and
     ``_combine`` (max|A| max|B| + max|P|) reach ``_INT64_SAFE``, the result
     is ``A.kron(B) - I_c.kron(P)`` on the exact path."""
@@ -790,7 +794,7 @@ def kron_minus_blocks(a: Matrix, b: Matrix, c: int, p: Matrix) -> Matrix:
         block += at
     ptr, idx, val = _trimmed(ptr, idx, val)
     if f.char:
-        val %= f.char
+        val += (val >> 63) & f.char
     return Matrix._of_csr(rows, cols, f, (ptr, idx, val))
 
 

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import itertools
 import pathlib
@@ -9,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (named_algebra, ACCEPTANCE_ALGEBRAS, apply, basis_vec, comultiply,
                       comultiply_iter, counit_of, expand_slot, is_commutative, multiply,
-                      vec_add, vec_eq, vec_scale, vec_sub, vec_tensor)
+                      scaled_kZ3, vec_add, vec_eq, vec_scale, vec_sub, vec_tensor)
 
+import hopfcalc.hopf as hopf_module
 from hopfcalc.fields import Field, QQ
 from hopfcalc.hopf import (BialgebraMorphism, HopfAlgebra, build_dual_group_algebra,
                            build_group_algebra, build_sweedler, build_taft,
@@ -401,7 +403,15 @@ def test_comul_is_algebra_map_holds_no_operand_of_d4_entries():
     assert peak < 32 * 2**20
 
 
-def test_builtins_and_relabelings_match_the_reference():
+def on_both_paths(monkeypatch):
+    """Yields twice: with the dense pass of ``verify_axioms`` at its cap,
+    then with the cap forced to 0, so that only the sparse lines run."""
+    yield "dense"
+    monkeypatch.setattr(hopf_module, "_DENSE", 0)
+    yield "sparse"
+
+
+def test_builtins_and_relabelings_match_the_reference(monkeypatch):
     algebras = _builtins()
     rng = random.Random(11)
     for _ in range(20):
@@ -409,8 +419,9 @@ def test_builtins_and_relabelings_match_the_reference():
         perm = list(range(H.dim))
         rng.shuffle(perm)
         algebras.append(permute_basis(H, perm))
-    for H in algebras:
-        assert _assert_matches_reference(H).passed
+    for _ in on_both_paths(monkeypatch):
+        for H in algebras:
+            assert _assert_matches_reference(H).passed
 
 
 _AXIOMS = ["associativity", "unit", "unit_right", "coassociativity", "counit",
@@ -443,62 +454,146 @@ def mutate_entry(H, rng, values):
                        Matrix(d, d, f, antipode))
 
 
-def test_single_entry_mutations_match_the_reference():
+def test_single_entry_mutations_match_the_reference(monkeypatch):
     F7 = Field(7)
     rational = [0, 1, -1, 2, "1/2", "-3/2"]
     cases = ([(named_algebra(n), rational)
               for n in ("kZ2", "kZ3", "kS3", "dualZ2", "sweedler")]
              + [(named_algebra("taft327"), range(7)), (build_sweedler(F7), range(7)),
                 (build_dual_group_algebra(cyclic_table(3), F7), range(7))])
-    rng = random.Random(5)
-    failed, failing = set(), 0
-    for k in range(600):
-        H, values = cases[k % len(cases)]
-        rep = _assert_matches_reference(mutate_entry(H, rng, values))
-        failed |= {c.name for c in rep.failures()}
-        failing += not rep.passed
-    assert failed == set(_AXIOMS)
-    assert failing >= 400
+    for _ in on_both_paths(monkeypatch):
+        rng = random.Random(5)
+        failed, failing = set(), 0
+        for k in range(600):
+            H, values = cases[k % len(cases)]
+            rep = _assert_matches_reference(mutate_entry(H, rng, values))
+            failed |= {c.name for c in rep.failures()}
+            failing += not rep.passed
+        assert failed == set(_AXIOMS)
+        assert failing >= 400
 
-    # entries of 2^62 and beyond leave int64 for object values, so the
-    # exact fallback of kron, @, == and column_defects meets the reference
-    huge = [2**62, -2**62, -2**63, 3 * 2**61]
-    failed, exact = set(), 0
-    for k in range(100):
-        H = mutate_entry(cases[k % 5][0], rng, huge)
-        rep = _assert_matches_reference(H)
-        failed |= {c.name for c in rep.failures()}
-        exact += any(m._to_csr() is None for m in (
-            H.mul_matrix(), H.unit_column(), H.comul_matrix(), H.antipode,
-            pairing_matrix(H.field, H.counit, H.dim)))
-    assert failed == set(_AXIOMS)
-    assert exact >= 90
+        # entries of 2^62 and beyond leave int64 for object values, so the
+        # exact fallback of kron, @, == and column_defects meets the reference
+        huge = [2**62, -2**62, -2**63, 3 * 2**61]
+        failed, exact = set(), 0
+        for k in range(100):
+            H = mutate_entry(cases[k % 5][0], rng, huge)
+            rep = _assert_matches_reference(H)
+            failed |= {c.name for c in rep.failures()}
+            exact += any(m._to_csr() is None for m in (
+                H.mul_matrix(), H.unit_column(), H.comul_matrix(), H.antipode,
+                pairing_matrix(H.field, H.counit, H.dim)))
+        assert failed == set(_AXIOMS)
+        assert exact >= 90
 
 
 def test_inferred_lines_make_no_operation_on_passing_input(monkeypatch):
     # counit_of_unit and antipode_right are read off the lines they follow
     # from when those pass, and computed in full, through column_witness,
-    # when any of them fails
-    import hopfcalc.hopf as hopf_module
+    # when any of them fails.  With the dense pass on, a passing algebra
+    # within its cap makes no column_witness call at all; a failing one
+    # runs the sparse lines as they are
     calls = []
     witness = hopf_module.column_witness
     monkeypatch.setattr(hopf_module, "column_witness", lambda *a: calls.append(a) or witness(*a))
     premises = {"counit_of_unit": ["unit", "counit", "comul_of_unit"],
                 "antipode_right": ["associativity", "coassociativity", "unit", "unit_right",
                                    "counit", "counit_right", "antipode_left"]}
-    for H in _builtins():
-        calls.clear()
-        assert verify_axioms(H).passed and len(calls) == 10
-    rng, computed = random.Random(3), set()
-    for k in range(80):
-        calls.clear()
-        rep = verify_axioms(mutate_entry(named_algebra(("kS3", "sweedler")[k % 2]), rng,
-                                         [0, 1, -1, 2]))
-        status = {c.name: c.passed for c in rep.checks}
-        full = [name for name, names in premises.items() if not all(status[n] for n in names)]
-        assert len(calls) == 10 + len(full)
-        computed |= set(full)
-    assert computed == set(premises)
+    for path in on_both_paths(monkeypatch):
+        for H in _builtins():
+            calls.clear()
+            dense = path == "dense" and H.dim <= hopf_module._DENSE
+            assert verify_axioms(H).passed and len(calls) == (0 if dense else 10)
+        rng, computed = random.Random(3), set()
+        for k in range(80):
+            calls.clear()
+            rep = verify_axioms(mutate_entry(named_algebra(("kS3", "sweedler")[k % 2]), rng,
+                                             [0, 1, -1, 2]))
+            status = {c.name: c.passed for c in rep.checks}
+            full = [name for name, names in premises.items() if not all(status[n] for n in names)]
+            assert len(calls) == (0 if rep.passed and path == "dense" else 10 + len(full))
+            computed |= set(full)
+        assert computed == set(premises)
+
+
+def test_dense_lines_agree_with_the_sparse_lines_one_by_one(monkeypatch):
+    # on single-entry mutations of algebras within the cap, each line of the
+    # dense pass holds exactly when the sparse line of that name does, so
+    # the pass can neither miss nor drop a failing line
+    computed = [n for n in _AXIOMS if n not in ("counit_of_unit", "antipode_right")]
+    F7, rng, failed, evaluated = Field(7), random.Random(17), set(), 0
+    cases = [(named_algebra(n), [0, 1, -1, 2]) for n in ("kZ2", "kS3", "dualZ2", "sweedler")]
+    cases += [(build_sweedler(F7), range(7)), (build_dual_group_algebra(cyclic_table(3), F7),
+                                                range(7))]
+    for k in range(300):
+        base, values = cases[k % len(cases)]
+        H = mutate_entry(base, rng, values)
+        with monkeypatch.context() as m:
+            m.setattr(hopf_module, "_DENSE", 0)
+            status = {c.name: c.passed for c in verify_axioms(H).checks}
+        sinv = H.antipode_inverse()
+        mats = [H.mul_matrix(), H.unit_column(), H.comul_matrix(), H.counit_row(),
+                H.antipode] + [sinv] * (sinv is not None)
+        lines = hopf_module._dense_lines(H.dim, H.field.char, mats)
+        if lines is None:   # an S^-1 with a non-integral entry holds objects
+            assert sinv._to_csr() is None
+            continue
+        assert lines == [status[n] for n in computed + ["antipode_inverse"] * (sinv is not None)]
+        failed |= {n for n in computed if not status[n]}
+        evaluated += 1
+    assert failed == set(computed) and evaluated >= 250
+
+
+def _benchmark_algebras():
+    """The (algebra, field) pairs of the benchmark's ``DGA_CASES``,
+    ``MODULE_ALGEBRAS`` and ``COTOR_CASES``, read from its source without
+    importing it."""
+    tree = ast.parse((pathlib.Path(__file__).resolve().parent.parent / "verdictbench"
+                      / "workloads.py").read_text())
+    lists = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None)
+             in ("DGA_CASES", "MODULE_ALGEBRAS", "COTOR_CASES")}
+    assert len(lists) == 3
+    return sorted({case[:2] for cases in lists.values() for case in cases})
+
+
+def test_dense_pass_takes_the_small_algebras_and_declines_the_rest(monkeypatch):
+    # every benchmark algebra within the cap is certified by the dense pass
+    # after a relabeling; on object values, on a prime where d^2 (p - 1)^2
+    # reaches 2^62 and above the cap it declines, and the sparse lines give
+    # the reference's reports
+    from hopfcalc.cli import builtin_hopf, load_hopf_file
+    seen, dense_lines = [], hopf_module._dense_lines
+
+    def spy(*args):
+        lines = dense_lines(*args)
+        seen.append(None if lines is None else all(lines))
+        return lines
+
+    monkeypatch.setattr(hopf_module, "_dense_lines", spy)
+    rng, small = random.Random(37), 0
+    for name, field in _benchmark_algebras():
+        H = builtin_hopf(name, Field.parse(field))
+        seen.clear()
+        assert verify_axioms(permute_basis(H, rng.sample(range(H.dim), H.dim))).passed
+        assert seen == [True if H.dim <= hopf_module._DENSE else None], (name, field)
+        small += H.dim <= hopf_module._DENSE
+    assert small >= 10
+
+    s3, names = symmetric_table(3)
+    below, above = 357913931, 357913951     # primes either side of 6 (p - 1) = 2^31
+    assert (6 * (below - 1)) ** 2 < 2**62 <= (6 * (above - 1)) ** 2
+    tests = pathlib.Path(__file__).resolve().parent
+    for H, dense in [(build_group_algebra(s3, Field(below), names), True),
+                     (build_group_algebra(s3, Field(above), names), None),
+                     (scaled_kZ3(), None), (load_hopf_file(str(tests / "kz2_huge_unit.json")), None),
+                     (named_algebra("taft327"), None), (build_group_algebra(cyclic_table(9)), None)]:
+        seen.clear()
+        _assert_matches_reference(H)
+        assert seen == [dense], H
+    # the fixtures with object values hold them where the pass looks
+    assert scaled_kZ3().mul_matrix()._to_csr() is None
+    assert load_hopf_file(str(tests / "kz2_huge_unit.json")).unit_column()._to_csr() is None
 
 
 def test_replace_and_rebinding_build_fresh_structure_matrices():
@@ -520,13 +615,37 @@ def test_replace_and_rebinding_build_fresh_structure_matrices():
     assert H.mul_matrix() == dataclasses.replace(H, mul=mul).mul_matrix() != mu
 
 
-def test_golden_hopf_files_match_the_reference():
+def test_golden_hopf_files_match_the_reference(monkeypatch):
     # the --hopf inputs of the golden set, whose failing lines include the
     # premises of both inferred lines
     from hopfcalc.cli import load_hopf_file
     tests = pathlib.Path(__file__).resolve().parent
-    failed = set()
-    for name in ("sweedler_bad_comul", "kz3_half_mul", "kz2_f5_bad_unit", "kz2_huge_unit"):
-        failed |= {c.name for c in _assert_matches_reference(
-            load_hopf_file(str(tests / f"{name}.json"))).failures()}
-    assert failed
+    for _ in on_both_paths(monkeypatch):
+        failed = set()
+        for name in ("sweedler_bad_comul", "kz3_half_mul", "kz2_f5_bad_unit", "kz2_huge_unit"):
+            failed |= {c.name for c in _assert_matches_reference(
+                load_hopf_file(str(tests / f"{name}.json"))).failures()}
+        assert failed
+
+
+# a loop of order 5 that is not a group: every element is its own inverse,
+# but (1 * 1) * 2 = 0 * 2 = 2 while 1 * (1 * 2) = 1 * 3 = 4
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def test_a_loop_fails_one_line_alone_on_both_paths(monkeypatch):
+    # k[L] breaks associativity alone and k^L coassociativity alone, so a
+    # pass that skipped either line would certify them
+    one, n = QQ.one(), len(LOOP5)
+    names = [f"l{i}" for i in range(n)]
+    k_loop = HopfAlgebra(QQ, n, names, {(i, j): {LOOP5[i][j]: one} for i in range(n)
+                                        for j in range(n)}, {0: one},
+                         [{i * n + i: one} for i in range(n)], {i: one for i in range(n)},
+                         Matrix.identity(n, QQ))
+    k_dual = HopfAlgebra(QQ, n, names, {(i, i): {i: one} for i in range(n)},
+                         {i: one for i in range(n)},
+                         [{a * n + b: one for a in range(n) for b in range(n) if LOOP5[a][b] == g}
+                          for g in range(n)], {0: one}, Matrix.identity(n, QQ))
+    for _ in on_both_paths(monkeypatch):
+        for H, line in ((k_loop, "associativity"), (k_dual, "coassociativity")):
+            assert [c.name for c in _assert_matches_reference(H).failures()] == [line]

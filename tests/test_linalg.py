@@ -952,6 +952,20 @@ def test_kron_minus_blocks_gives_the_arrays_of_the_full_products(seed, c, block,
         linalg._BLOCK = old
 
 
+def test_kron_minus_blocks_lifts_negative_differences_over_fp(monkeypatch):
+    # A (x) B is I_6 and I_3 (x) P has 5 everywhere in its blocks, so every
+    # run of one block leaves 1 - 5 and -5 from csr_minus_csr; over F_7 the
+    # result holds 3 on the diagonal and 2 beside it, never a negative value
+    monkeypatch.setattr(linalg, "_BLOCK", 4)
+    a, b = Matrix.identity(6, F7), from_rows([[1]], F7)
+    p = from_rows([[5, 5], [5, 5]], F7)
+    got = linalg.kron_minus_blocks(a, b, 3, p)
+    want = [[(3 if i == j else 2) if i // 2 == j // 2 else 0 for j in range(6)]
+            for i in range(6)]
+    assert got == from_rows(want, F7) == a.kron(b) - Matrix.identity(3, F7).kron(p)
+    assert got._csr[2].min() >= 0
+
+
 def test_kron_minus_blocks_checks_the_block_shapes():
     eye4, eye2 = Matrix.identity(4, F7), Matrix.identity(2, F7)
     for a, b, c, p in [(eye4, eye2, 3, Matrix.zero(2, 2, F7)),
