@@ -30,7 +30,7 @@ from .fields import QQ, Field
 from .hopf import HopfAlgebra
 from .linalg import (_BLOCK, _INT64_SAFE, Matrix, Vec, _echelon, _field_values, _sparsetools,
                      _spans, _transposed, _trimmed, identity_defect_witness, kron_sum)
-from .modules import BimoduleCoalgebra, ModComod, coassociativity_defects
+from .modules import BimoduleCoalgebra, ModComod, coaction_matrix, coassociativity_defects
 from .reports import Report
 
 
@@ -551,9 +551,11 @@ def cobar_complex(C: BimoduleCoalgebra, X: ModComod,
         d_n = -(g (x) I) + sum_(j<n) (-1)^j I_(C^j) (x) Delta (x) I
               + (-1)^n I_(C^n) (x) rho
 
-    with g = ``C.grouplike`` and Delta = ``C.comul``.  It reads only the
-    coproduct, the basepoint and the coaction: no calculus, and no
-    recursion in n.
+    with g = ``C.grouplike``, Delta = ``C.comul`` and rho =
+    ``coaction_matrix(X)``, built once per comodule: on every
+    ``compare_cotor`` path the coassociativity check or the flatness check
+    before it has built it already.  It reads only the coproduct, the
+    basepoint and the coaction: no calculus, and no recursion in n.
 
     Each d_n is summed in one pass (``kron_sum``): the entries of its
     n + 2 terms are listed in one set of index arrays and compressed once,
@@ -580,7 +582,7 @@ def cobar_complex(C: BimoduleCoalgebra, X: ModComod,
         raise ValueError("comodule has no coaction")
     if check and coassociativity_defects(X):
         raise ValueError("coaction is not coassociative")
-    rho = Matrix.from_columns(X.coaction, cd * X.dim, f)
+    rho = coaction_matrix(X)
     dims = [cd ** n * X.dim for n in range(max_degree + 1)]
     diffs = [kron_sum([(-1, 1, g, dims[n])] + [((-1) ** j, cd ** j, delta, dims[n - 1 - j])
                                                for j in range(n)] + [((-1) ** n, cd ** n, rho, 1)],

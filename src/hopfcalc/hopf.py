@@ -12,21 +12,23 @@ tuple.  The per-tuple enumeration through the algebra's own maps is
 
 Every CLI verdict runs `verify_axioms`, and on tiny algebras a numpy call
 costs more than the arithmetic, so the number of calls sets the cost.
-The sparse lines make ~40 `Matrix` operations, at 6-20 us of overhead
-each: 0.40-0.47 ms a call on k[Z2] .. k[Z8] with the structure matrices
-built and 0.53 ms on Taft(3,2)/F7 (best of 5 rounds of 200 on a 2-vCPU
-VM shared with other work, where timings move by 10-30 % from run to
-run).  So on algebras of dimension up to `_DENSE` a passing input is
-first checked by ~25 products of dense int64 arrays: 0.10 ms at d <= 4,
-0.17 at d = 6, 0.25 at d = 7 and 0.39 at d = 8, where its one d^6
-contraction (integer matmul has no BLAS) brings it near the sparse
-cost; at d = 9 it takes 0.70-0.88 ms.  On large algebras the sparse
-lines are faster than per-tuple scans and hold more: `verify-hopf` on
-Taft(10,2)/F11 (d = 100) takes 0.36-0.41 s at 75 MB peak RSS, and on
-Taft(12,2)/F13 (d = 144) 0.69-0.84 s at 156.5 MB, as a subprocess,
-where the scans took 1.8-3.3 s at 36 MB and 6.2 s at 40 MB.  Their
-largest operands, in associativity, coassociativity and
-comul_is_algebra_map, have d^3 rows or columns.
+Its lines are written once, in `_sides`, as ~40 products and regroupings
+of the structure matrices, none larger than d^2 x d^2, and evaluated on
+one of two representations.  On `Matrix`, with the comparisons, they make
+~50 operations at 6-20 us of overhead each: 0.44-0.49 ms a call on k[Z2],
+k[Z4] and k[Z8] with the structure matrices built and 0.54 ms on
+Taft(3,2)/F7 (best of 5 rounds of 200 on a 2-vCPU VM shared with other
+work, where timings move by 10-30 % from run to run).  So on algebras of
+dimension up to `_DENSE` a passing input is first checked on dense int64
+arrays: 0.09-0.10 ms at d <= 4, 0.17 at d = 6 and 0.40 at d = 8, where
+the one d^2 x d^2 by d^2 x d^2 product of comul_is_algebra_map (integer
+matmul has no BLAS) brings it near the sparse cost.  On large algebras
+the sparse lines are faster than per-tuple scans: `verify-hopf` on
+Taft(10,2)/F11 (d = 100) takes 0.27-0.31 s at 52.5 MB peak RSS, and on
+Taft(12,2)/F13 (d = 144) 0.50-0.53 s at 88 MB, as a subprocess, where the
+scans took 1.8-3.3 s at 36 MB and 6.2 s at 40 MB.  Their largest
+operands are the d^2 x d^2 sides of associativity; mu (x) I and
+Delta (x) I, with d^3 rows, are never built.
 """
 from __future__ import annotations
 
@@ -38,15 +40,15 @@ import numpy as np
 
 from .fields import Field
 from .linalg import _INT64_SAFE, Matrix, Vec, bilinear_matrix, column_witness, pairing_matrix
-from .reports import Report
+from .reports import Check, Report
 
 # The largest dimension on which ``verify_axioms`` runs ``_dense_lines`` first.
 _DENSE = 8
 
-# The lines of ``verify_axioms`` but antipode_inverse, in the report's order.
+# The lines of ``verify_axioms``, in the report's order.
 _LINES = ("associativity", "unit", "unit_right", "coassociativity", "counit", "counit_right",
           "comul_is_algebra_map", "comul_of_unit", "counit_is_algebra_map", "counit_of_unit",
-          "antipode_left", "antipode_right")
+          "antipode_left", "antipode_right", "antipode_inverse")
 
 
 def memoized(owner, key: str, source, build):
@@ -128,22 +130,46 @@ def _add_identity(rep: Report, names: Sequence[str], name: str, lhs: Matrix, rhs
     rep.add(name, w is None, w and {**w, "basis": [names[i] for i in w["basis"]]})
 
 
-def _dense_lines(d: int, p: int, mats: Sequence[Matrix]) -> "List[bool] | None":
-    """Whether each computed line of ``verify_axioms`` holds, in its order,
-    antipode_inverse last when S^-1 is given: evaluated on dense int64
-    copies of ``mats`` = (mu, u, Delta, eps, S[, S^-1]) with a reduction mod
-    ``p`` (0 over Q) after each product.  None, with nothing evaluated, when
-    d is 0 or above ``_DENSE``, a matrix holds objects, or the bound of
-    ``verify_axioms``'s docstring reaches ``_INT64_SAFE``.
+def _sides(mm, regroup, d: int, I, mu, u, delta, eps, S, *sinv):
+    """Yield (name, k, lhs, rhs) for each computed line of ``verify_axioms``
+    in its order, antipode_inverse last when S^-1 is given: both sides as
+    products ``mm`` and regroupings ``regroup`` (``Matrix.regroup``'s
+    arguments) of mu, u, Delta, eps, S, S^-1 and the identity ``I``, and
+    k, the number of basis indices of a column of the line's witness.  The
+    comments name the axes, rows | columns; every operand has at most d^2
+    rows and d^2 columns.  A generator, so that the sparse lines hold the
+    sides of one line at a time."""
+    def g(x, order, nrows):
+        return regroup(x, [d] * len(order), order, nrows)
 
-    The arrays are mu and Delta with their axes regrouped, rows | columns:
-    mu_r [m i|k] and mu_t [m k|i] hold mu_m(e_i e_k), delta_a [a|b i] and
-    delta_b [b|a i] the coefficient of e_a (x) e_b in Delta(e_i), and the
-    right side of comul_is_algebra_map, Delta(e_i) Delta(e_j), is
-    contracted over a (``left``) and y' (``right``), then over (b, y) at
-    once.  That last product, d^2 x d^2 by d^2 x d^2, sets the cap: integer
-    matmul has no BLAS, and ``_DENSE`` is where the pass stops being faster
-    than the sparse lines."""
+    mu_r, mu_t = g(mu, [0, 1, 2], 2), g(mu, [0, 2, 1], 2)              # [m i|k], [m k|i]
+    delta_a, delta_b = g(delta, [0, 1, 2], 1), g(delta, [1, 0, 2], 1)  # [a|b i], [b|a i]
+    # associativity [m a|b k], coassociativity [x y|b i], the rest in the witness layout
+    yield "associativity", 3, g(mm(mu_t, mu), [0, 2, 3, 1], 2), mm(mu_r, mu)
+    yield "unit", 1, g(mm(mu_t, u), [0, 1], 1), I
+    yield "unit_right", 1, g(mm(mu_r, u), [0, 1], 1), I
+    yield "coassociativity", 1, mm(delta, delta_a), g(mm(delta, delta_b), [2, 0, 1, 3], 2)
+    yield "counit", 1, g(mm(eps, delta_a), [0, 1], 1), I
+    yield "counit_right", 1, g(mm(eps, delta_b), [0, 1], 1), I
+    left = g(mm(mu_t, delta_a), [0, 3, 2, 1], 2)        # [m i|b y]
+    right = g(mm(mu_r, delta_b), [1, 2, 0, 3], 2)       # [b y|m' j], left right [m i|m' j]
+    yield "comul_is_algebra_map", 2, mm(delta, mu), g(mm(left, right), [0, 2, 1, 3], 2)
+    yield "comul_of_unit", 0, mm(delta, u), g(mm(u, g(u, [0], 0)), [0, 1], 2)
+    yield "counit_is_algebra_map", 2, mm(eps, mu), g(mm(g(eps, [0], 1), eps), [0, 1], 0)
+    yield "antipode_left", 1, mm(mu, g(mm(S, delta_a), [0, 1, 2], 2)), mm(u, eps)
+    for t in sinv:
+        yield "antipode_inverse", 0, (mm(t, S), mm(S, t)), (I, I)
+
+
+def _dense_lines(d: int, p: int, mats: Sequence[Matrix]) -> "List[bool] | None":
+    """Whether each line of ``_sides`` holds, evaluated on dense int64
+    copies of ``mats`` = (mu, u, Delta, eps, S[, S^-1]) with a reduction
+    mod ``p`` (0 over Q) after each product and a regrouping by reshape and
+    transpose.  None, with nothing evaluated, when d is 0 or above
+    ``_DENSE``, a matrix holds objects, or the bound of ``verify_axioms``'s
+    docstring reaches ``_INT64_SAFE``.  The d^2 x d^2 by d^2 x d^2 product
+    of comul_is_algebra_map sets the cap: integer matmul has no BLAS, and
+    ``_DENSE`` is where the pass stops being faster than the sparse lines."""
     if not 0 < d <= _DENSE or any(m._to_csr() is None for m in mats):
         return None
     if (d * max(m._max_abs() for m in mats)) ** (2 if p else 4) >= _INT64_SAFE:
@@ -151,30 +177,15 @@ def _dense_lines(d: int, p: int, mats: Sequence[Matrix]) -> "List[bool] | None":
     dense = [np.zeros((m.rows, m.cols), dtype=np.int64) for m in mats]
     for a, m in zip(dense, mats):
         a[m._entry_rows(), m._csr[1]] = m._csr[2]
-    mu, u, delta, eps, S, *sinv = dense
 
     def mm(a, b):
-        c = a @ b
-        return c % p if p else c
+        return a @ b % p if p else a @ b
 
-    def four(a, order=(0, 1, 2, 3)):
-        return a.reshape(d, d, d, d).transpose(order)
+    def regroup(a, dims, order, nrows):     # every axis of size d
+        return a.reshape(dims).transpose(order).reshape(d ** nrows, -1)
 
-    I, dd = np.eye(d, dtype=np.int64), (d, d)
-    mu_r, mu_t = mu.reshape(d * d, d), mu.reshape(d, d, d).transpose(0, 2, 1).reshape(d * d, d)
-    delta_a = delta.reshape(d, d * d)
-    delta_b = delta.reshape(d, d, d).transpose(1, 0, 2).reshape(d, d * d)
-    left = four(mm(mu_t, delta_a), (0, 3, 2, 1)).reshape(d * d, d * d)     # [m i|b y]
-    right = four(mm(mu_r, delta_b), (1, 2, 0, 3)).reshape(d * d, d * d)    # [b y|m' j]
-    sides = [(four(mm(mu_t, mu), (0, 2, 3, 1)), four(mm(mu_r, mu))),
-             (mm(mu_t, u).reshape(dd), I), (mm(mu_r, u).reshape(dd), I),
-             (four(mm(delta, delta_a)), four(mm(delta, delta_b), (2, 0, 1, 3))),
-             (mm(eps, delta_a).reshape(dd), I), (mm(eps, delta_b).reshape(dd), I),
-             (four(mm(delta, mu), (0, 2, 1, 3)), four(mm(left, right))),
-             (mm(delta, u).reshape(dd), mm(u, u.T)), (mm(eps, mu).reshape(dd), mm(eps.T, eps)),
-             (mm(mu, mm(S, delta_a).reshape(d * d, d)), mm(u, eps))]
-    sides += [(np.hstack((mm(t, S), mm(S, t))), np.hstack((I, I))) for t in sinv]
-    return [np.array_equal(a, b) for a, b in sides]
+    return [np.array_equal(lhs, rhs) for _, _, lhs, rhs in
+            _sides(mm, regroup, d, np.eye(d, dtype=np.int64), *dense)]
 
 
 def verify_axioms(H: HopfAlgebra) -> Report:
@@ -195,24 +206,45 @@ def verify_axioms(H: HopfAlgebra) -> Report:
     - antipode_left, antipode_right: mu(S (x) I)Delta = u eps = mu(I (x) S)Delta
     - antipode_inverse: S^-1 S = I = S S^-1, when S is invertible.
 
-    The right side of comul_is_algebra_map is contracted one index at a time
-    rather than multiplied out: its column (i, j) is the sum of
-    mu(e_a, e_y) (x) mu(e_b, e_y') over the terms e_a (x) e_b of Delta(e_i)
-    and e_y (x) e_y' of Delta(e_j), summed over a, then y, then (b, y'),
-    with ``Matrix.regroup`` moving the free axes between rows and columns
-    (the comments list them, rows | columns).  No operand has more than
-    d^3 rows or columns.  In a monomial basis such as Taft's, where a
-    product of basis elements has at most one term, none has more than
-    d nnz(Delta) or nnz(Delta)^2 entries, while mu (x) mu and
-    I (x) flip (x) I would hold d^4.
+    Every line but the two inferred ones below is written once, in
+    ``_sides``, and evaluated there either way: on ``Matrix`` here, on
+    int64 arrays by ``_dense_lines``.  No Kronecker product with I is
+    built: a product with X (x) I or I (x) X is a contraction of X over one
+    axis, a matrix product once ``Matrix.regroup`` (reshape and transpose
+    on arrays) has moved that axis between rows and columns.  The
+    operands are mu_r [m i|k] and mu_t [m k|i], both holding the
+    coefficient of e_m in e_i e_k, and Delta_a [a|b i] and Delta_b [b|a i],
+    both holding that of e_a (x) e_b in Delta(e_i); the comments of
+    ``_sides`` name the axes of each side, rows | columns.  So the left
+    side of associativity, the coefficient of e_m in (e_a e_b) e_k, is
+    mu_t mu [m k|a b], regrouped to [m a|b k], where the right side mu_r mu
+    lies.  The right side of comul_is_algebra_map, at column (i, j), is
+    the sum of mu(e_a, e_y) (x) mu(e_b, e_y') over the terms e_a (x) e_b of
+    Delta(e_i) and e_y (x) e_y' of Delta(e_j): summed over a (left
+    [m i|b y]) and y' (right [b y|m' j]) first, then over (b, y) in one
+    product, and regrouped to [m m'|i j].  No operand has more than d^2
+    rows or columns, where mu (x) I and Delta (x) I have d^3; in a
+    monomial basis such as Taft's, where a product of basis elements has
+    at most one term, left and right hold at most d nnz(Delta) entries
+    each, where mu (x) mu and I (x) flip (x) I would hold d^4.
 
     A failing line's witness is its first differing column (``_add_identity``):
     the column index decoded over [d]*k into basis names, which is the
     first failing basis tuple in ``itertools.product`` order, and the
-    column of lhs - rhs as the defect.
+    column of lhs - rhs as the defect.  Every side but those of
+    associativity and coassociativity comes in this layout.  Those two
+    are compared as d^2 x d^2 matrices, [m a|b k] and [x y|b i], and
+    regrouped to [m|a b k] and [x y b|i] only when they differ.  That
+    regrouping keeps the axis order, and with it the flat index
+    row * cols + col of every entry: the d x d^3 sides it gives are
+    mu(mu (x) I) and mu(I (x) mu) entry for entry, and the d^3 x d ones
+    (Delta (x) I)Delta and (I (x) Delta)Delta.  So the first differing
+    column, its basis tuple and its defect are those of the axioms as
+    written above.
 
     Two lines are inferred when the lines they follow from passed, and
-    computed in full, witness and all, when any of those failed:
+    computed in full, witness and all, when any of those failed (after the
+    others; the report is then sorted into the order above):
 
     - counit_of_unit follows from counit, comul_of_unit and unit.  Apply
       (eps (x) I) to Delta u = u (x) u: the counit line gives u on the
@@ -227,7 +259,8 @@ def verify_axioms(H: HopfAlgebra) -> Report:
       ab = 1 implies ba = 1: x -> bx is injective, since bx = 0 gives
       x = abx = 0, hence onto, so bc = 1 for some c, and a = a(bc) =
       (ab)c = c.  With a = S and b = id, id * S = u eps, which is
-      antipode_right.
+      antipode_right.  Computed, its left side is mu applied to
+      S Delta_b [s|a i] regrouped to [a s|i].
 
     The ``antipode_inverse`` line cannot fail.  ``H.antipode_inverse()`` is
     ``Matrix.inverse``.  For a monomial S with entries it can invert in
@@ -240,73 +273,64 @@ def verify_axioms(H: HopfAlgebra) -> Report:
     way, for a square matrix over a field T S = I follows.  The line is
     still computed, as a check on both routes.
 
-    On a small algebra a dense pass runs first (``_dense_lines``), and when
-    every computed line holds there it returns the all-pass report: every
-    line but the two inferred ones passes, and those are inferred, their
-    premises having passed and d being at least 1.  It runs when 1 <= d <=
-    ``_DENSE``, each of mu, u, Delta, eps, S and S^-1 (when S is invertible)
-    has int64 values, and, with M the bound ``Matrix._max_abs`` of their
-    entries (p - 1 over F_p), (d M)^2 over F_p, or (d M)^4 over Q, is below
+    On a small algebra ``_dense_lines`` runs first, and when every line
+    holds there the all-pass report is returned: every line but the two
+    inferred ones passes, and those are inferred, their premises having
+    passed and d being at least 1.  It runs when 1 <= d <= ``_DENSE``,
+    each of mu, u, Delta, eps, S and S^-1 (when S is invertible) has int64
+    values, and, with M the bound ``Matrix._max_abs`` of their entries
+    (p - 1 over F_p), (d M)^2 over F_p, or (d M)^4 over Q, is below
     ``_INT64_SAFE``.  It copies each matrix into a zero int64 array and
-    evaluates the same sides as products of those arrays, in another
-    grouping and axis order (the right side of comul_is_algebra_map
-    contracted over a and y' in two products, then over (b, y) in one),
-    reducing mod p after each product over F_p.  As long as no int64 sum
-    wraps, each dense side is the exact integer matrix of the sparse side,
-    reduced into [0, p) over F_p, so a dense line holds exactly when its
-    sparse line does.  No sum wraps: over F_p a product sums at most d^2
-    terms (its inner dimension, largest in the (b, y) contraction), each a
-    product of two values in [0, p), so every partial sum is at most
+    evaluates the sides of ``_sides`` on them, reducing mod p after each
+    product over F_p; a regrouping moves values and changes none.  As
+    long as no int64 sum wraps, each dense side is then the exact integer
+    matrix of the sparse side, reduced into [0, p) over F_p, so a dense
+    line holds exactly when its sparse line does.  No sum wraps.  Over F_p
+    a product sums at most d^2 terms (its inner dimension, d^2 in
+    left right and in antipode_left's product with mu), each a product of
+    two values in [0, p), so every partial sum is at most
     d^2 (p - 1)^2 < 2^62.  Over Q nothing is reduced, and every entry of an
-    intermediate or a side is a sum of at most d^4 products of at most four
-    structure entries (comul_is_algebra_map's right side; the other lines
-    take fewer of both), so no partial sum passes d^4 M^4 < 2^62.  Hence the
-    all-pass report is the one the sparse lines give.  In every other case,
-    a failing line, an object value, a bound reached or d above the cap,
-    the sparse lines above run as they are and build every witness, so
-    every failing report is theirs.
+    intermediate or a side is a sum of at most d^4 products of at most
+    four structure entries (left right: d^2 products of an entry of left
+    and one of right, each a sum of d products of two entries; the other
+    sides take fewer of both), so no partial sum passes d^4 M^4 < 2^62.
+    Hence the all-pass report is the one the sparse lines give.  In every
+    other case, a failing line, an object value, a bound reached or d
+    above the cap, the sparse lines run and build every witness, so every
+    failing report is theirs.
     """
     f, d, rep = H.field, H.dim, Report()
     mu, u, delta, S = H.mul_matrix(), H.unit_column(), H.comul_matrix(), H.antipode
-    eps, I, sinv = H.counit_row(), Matrix.identity(d, f), H.antipode_inverse()
-    dense = _dense_lines(d, f.char, [mu, u, delta, eps, S] + [sinv] * (sinv is not None))
-    if dense is not None and all(dense):
-        for name in _LINES + ("antipode_inverse",) * (sinv is not None):
-            rep.add(name, True)
-        return rep
+    eps, sinv = H.counit_row(), H.antipode_inverse()
+    mats = [mu, u, delta, eps, S] + [sinv] * (sinv is not None)
+    if all(_dense_lines(d, f.char, mats) or [False]):     # [False] when the pass declines
+        return Report([Check(name, True) for name in _LINES[:len(_LINES) - (sinv is None)]])
 
-    def check(name, lhs, rhs, k):
+    def check(name, k, lhs, rhs):
+        if lhs.cols != d**k and lhs != rhs:     # to [m|a b k], resp. [x y b|i]
+            lhs, rhs = (x.regroup([x.rows * x.cols // d**k, d**k], [0, 1], 1) for x in (lhs, rhs))
         _add_identity(rep, H.basis, name, lhs, rhs, [d] * k)
 
     def holds(*names):
         return all(c.passed for c in rep.checks if c.name in names)
 
-    check("associativity", mu @ mu.kron(I), mu @ I.kron(mu), 3)
-    check("unit", mu @ u.kron(I), I, 1)
-    check("unit_right", mu @ I.kron(u), I, 1)
-    check("coassociativity", delta.kron(I) @ delta, I.kron(delta) @ delta, 1)
-    check("counit", eps.kron(I) @ delta, I, 1)
-    check("counit_right", I.kron(eps) @ delta, I, 1)
-    rhs = mu.regroup([d] * 3, [0, 2, 1], 2) @ delta.regroup([d] * 3, [0, 1, 2], 1)  # [m y|b i]
-    rhs = I.kron(delta.regroup([d] * 3, [1, 2, 0], 2)) @ rhs          # [m y' j|b i]
-    rhs = mu @ rhs.regroup([d] * 5, [3, 1, 0, 4, 2], 2)               # [m'|m i j]
-    check("comul_is_algebra_map", delta @ mu, rhs.regroup([d] * 4, [1, 0, 2, 3], 2), 2)
-    check("comul_of_unit", delta @ u, u.kron(u), 0)
-    check("counit_is_algebra_map", eps @ mu, eps.kron(eps), 2)
+    for name, k, lhs, rhs in _sides(Matrix.__matmul__, Matrix.regroup, d,
+                                    Matrix.identity(d, f), *mats):
+        if name == "antipode_inverse":
+            rep.add(name, lhs == rhs, {"defect": "S^-1 S != id"})
+        else:
+            check(name, k, lhs, rhs)
     if d and holds("counit", "comul_of_unit", "unit"):
         rep.add("counit_of_unit", True)
     else:
-        check("counit_of_unit", eps @ u, Matrix.identity(1, f), 0)
-    u_eps = u @ eps
-    check("antipode_left", mu @ (S.kron(I) @ delta), u_eps, 1)
+        check("counit_of_unit", 0, eps @ u, Matrix.identity(1, f))
     if holds("associativity", "coassociativity", "unit", "unit_right", "counit",
              "counit_right", "antipode_left"):
         rep.add("antipode_right", True)
-    else:
-        check("antipode_right", mu @ (I.kron(S) @ delta), u_eps, 1)
-    if sinv is not None:
-        ok = sinv @ S == I == S @ sinv
-        rep.add("antipode_inverse", ok, None if ok else {"defect": "S^-1 S != id"})
+    else:                                                               # [a s|i]
+        right = (S @ delta.regroup([d] * 3, [1, 0, 2], 1)).regroup([d] * 3, [1, 0, 2], 2)
+        check("antipode_right", 1, mu @ right, u @ eps)
+    rep.checks.sort(key=lambda c: _LINES.index(c.name))
     return rep
 
 

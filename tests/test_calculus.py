@@ -596,14 +596,13 @@ def test_leibniz_without_a_right_unit_takes_the_full_path():
 
 
 def test_graded_unit_reads_the_sandwich_at_the_unit():
-    # T corrupted at u (x) c after A_1 is cached: A_1 (u (x) I) = I still
-    # holds, and the left unit fails from A_2 on, which only
-    # T (u (x) I_C) = I_C (x) u among the low identities sees.  A_1 is no
-    # longer built from T, so only this line is compared with its oracle
+    # T corrupted at u (x) c before A_1 is built from it: with the right
+    # unit, A_1 (u (x) I_C (x) u) = T (u (x) I_C), so the left unit on A_1
+    # fails, and the line fails with its oracle
     for name in ("kZ3", "sweedler"):
         for calc in three_calculi(named_algebra(name)):
-            calc.product(0, 1)
             T = calc._sandwich_matrix()
+            assert not calc._prod
             col = column(T, 0)
             col[1] = calc.field.add(col.get(1, calc.field.zero()), calc.field.one())
             calc._sandwich = with_column(T, 0, col)
@@ -613,14 +612,14 @@ def test_graded_unit_reads_the_sandwich_at_the_unit():
 
 def test_verify_dga_infers_the_higher_associativity_lines(monkeypatch):
     # d_squared_zero[0] and Z + leibniz[0,0] and leibniz[0,1] + the two low
-    # associativity lines + the right unit + the left unit on mu and A_1 and
-    # T (u (x) I_C) = I_C (x) u; every line passes
+    # associativity lines + the right unit + the left unit on mu and A_1;
+    # every line passes
     import hopfcalc.linalg
     from test_cli import count_calls
     calls = count_calls(monkeypatch, hopfcalc.linalg, "identity_defect_witness")
     rep = verify_dga(Calculus.khat(named_algebra("sweedler"), 4), 4)
     assert rep.passed and len(rep.checks) == 4 + 10 + 35 + 1
-    assert len(calls) == 10
+    assert len(calls) == 9
 
 
 def test_a_passing_verify_dga_builds_only_the_degree_zero_products(monkeypatch):
