@@ -34,10 +34,24 @@ once.
 A coaction candidate is *not* required to be coassociative at construction
 time: the flat-connection correspondence needs non-coassociative candidates
 to be representable, so coassociativity is a separately reported check.
+
+A one-dimensional module-comodule is a character delta and a grouplike
+sigma (``one_dim_modcomod``), a modular pair when delta(sigma) = 1
+(Connes and Moscovici, Comm. Math. Phys. 198, 1998).  A character of H is
+a grouplike of the dual H* (Sweedler, *Hopf Algebras*, 1969): as the
+column v = delta^T, delta mu = delta (x) delta and delta u = 1 read
+mu^T v = v (x) v and u^T v = 1.  So ``enumerate_grouplikes`` and
+``enumerate_characters`` are one search, ``_grouplike_solutions``, over
+(Delta, eps) and over (mu^T, u^T).  It lists the solutions with
+coordinates in a finite candidate set in the lexicographic order of their
+tuples; any depth-first search over the candidates in this order that
+cuts only branches holding no solution lists them in the same order, so
+the order does not depend on which equations the search checks first.
 """
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
@@ -352,19 +366,32 @@ def enumerate_characters(H: HopfAlgebra) -> List[Dict[int, object]]:
 
     A finite-candidate search: complete for the built-in algebras (whose
     character values are roots of unity or zero), used to supply corpora.
+    A character is a grouplike of the dual H* (module docstring), so the
+    solver of ``enumerate_grouplikes`` finds them with (mu^T, u^T) in
+    place of (Delta, eps).  Each is a dict over the whole basis, listed in
+    the lexicographic order of the value tuples, the order of any
+    depth-first search over the candidates that cuts only branches
+    holding no solution (``_grouplike_solutions``).
     """
-    return [dict(zip(range(H.dim), sol)) for sol in _backtrack_solutions(H, _char_ok)]
+    d = H.dim
+    # mu^T at (i d + j, m) is the coefficient of e_m in e_i e_j
+    mu_t = [((i * d + j, m), c) for (i, j), v in H.mul.items() for m, c in v.items()]
+    u_t = [((0, i), c) for i, c in H.unit.items()]
+    return [dict(enumerate(v)) for v in _grouplike_solutions(H.field, d, mu_t, u_t)]
 
 
 def enumerate_grouplikes(H: HopfAlgebra) -> List[Vec]:
-    """All grouplike elements with coordinates from the same candidate set."""
-    out = []
+    """All grouplike elements with coordinates from the same candidate set:
+    the solutions of Delta v = v (x) v and eps v = 1, by the solver that
+    also finds the characters, the grouplikes of H*.  Each is a dict
+    without its zero coordinates, listed in the lexicographic order of the
+    coordinate tuples, as the characters are (``_grouplike_solutions``)."""
     f = H.field
-    for sol in _backtrack_solutions(H, _grouplike_partial_ok):
-        v = {i: c for i, c in enumerate(sol) if not f.is_zero(c)}
-        if is_grouplike(H, v):
-            out.append(v)
-    return out
+    # Delta at (a d + b, i) is the coefficient of e_a (x) e_b in Delta(e_i)
+    delta = [((fl, i), c) for i, t in enumerate(H.comul) for fl, c in t.items()]
+    eps = [((0, i), c) for i, c in H.counit.items()]
+    return [{i: c for i, c in enumerate(v) if not f.is_zero(c)}
+            for v in _grouplike_solutions(f, H.dim, delta, eps)]
 
 
 def _candidate_values(f: Field):
@@ -373,71 +400,50 @@ def _candidate_values(f: Field):
     return [f.of(0), f.of(1), f.of(-1)]
 
 
-def _backtrack_solutions(H: HopfAlgebra, partial_ok):
-    f = H.field
-    values = _candidate_values(f)
-    sols = []
-    assign: List[object] = []
+def _grouplike_solutions(f: Field, d: int, M, ell) -> List[tuple]:
+    """Every v, d x 1 with coordinates in ``_candidate_values(f)``, with
+    M v = v (x) v and ell v = 1, for M a d^2 x d and ell a 1 x d matrix
+    given by their entries ((row, col), value), as ``Matrix.entries``
+    lists them: the grouplikes of a coalgebra with comultiplication M and
+    counit ell.
 
-    def rec():
-        if len(assign) == H.dim:
-            sols.append(tuple(assign))
+    A depth-first search sets v_0, v_1, ... in turn, each to the candidates
+    in their order.  Each equation, row (a, b) of M v = v_a v_b or
+    ell v = 1, is checked once, at the depth where the last of its
+    variables (v_a, v_b and those it has a coefficient on) is set, and a
+    branch where it fails is cut.  Below that depth nothing it reads
+    changes, so a cut branch holds no solution, and at a leaf every
+    equation has been checked.  So the list holds every solution, in the
+    lexicographic order of the candidate tuples, as does any search over
+    these candidates in this order that cuts only failing branches."""
+    def exact(c):
+        """An integral int or Fraction as an int: an operation on Fractions
+        costs ~1 us, and would set the search's time."""
+        return c.numerator if c.denominator == 1 else c
+
+    values = [exact(x) for x in _candidate_values(f)]
+    terms: Dict[int, list] = defaultdict(list)      # row of M -> [(i, M[row, i])]
+    for (r, i), c in M:
+        terms[r].append((i, exact(c)))
+    eqs: Dict[int, list] = defaultdict(list)        # last variable -> [(terms, a, b)]
+    for r in range(d * d):
+        a, b = divmod(r, d)
+        eqs[max([a, b] + [i for i, _ in terms[r]])].append((terms[r], a, b))
+    counit = [(i, exact(c)) for (_, i), c in ell]
+    eqs[max((i for i, _ in counit), default=0)].append((counit, d, d))
+    out, v = [], [0] * d + [1]          # v[d] = 1, so ell v = v[d] v[d]
+
+    def search(k):
+        if k == d:
+            out.append(tuple(map(f.of, v[:d])))
             return
-        for v in values:
-            assign.append(v)
-            if partial_ok(H, assign):
-                rec()
-            assign.pop()
+        for x in values:
+            v[k] = x
+            if all(f.is_zero(sum(c * v[i] for i, c in t) - v[a] * v[b]) for t, a, b in eqs[k]):
+                search(k + 1)
 
-    rec()
-    return sols
-
-
-def _partial_val(f: Field, assign: List[object], v: Vec):
-    acc = f.zero()
-    for i, c in v.items():
-        if i >= len(assign):
-            return None
-        acc = f.add(acc, f.mul(assign[i], c))
-    return acc
-
-
-def _char_ok(H: HopfAlgebra, assign: List[object]) -> bool:
-    f = H.field
-    k = len(assign)
-    one = _partial_val(f, assign, H.unit)
-    if one is not None and not f.is_zero(f.sub(one, f.one())):
-        return False
-    for i in range(k):
-        for j in range(k):
-            lhs = _partial_val(f, assign, H.mul.get((i, j), {}))
-            if lhs is None:
-                continue
-            if not f.is_zero(f.sub(lhs, f.mul(assign[i], assign[j]))):
-                return False
-    return True
-
-
-def _grouplike_partial_ok(H: HopfAlgebra, assign: List[object]) -> bool:
-    f = H.field
-    d = H.dim
-    k = len(assign)
-    # Delta(sigma)[a,b] must equal sigma_a sigma_b for all assigned (a, b)
-    for a in range(k):
-        for b in range(k):
-            acc = f.zero()
-            complete = True
-            for i in range(d):
-                c = H.comul[i].get(a * d + b)
-                if c is None:
-                    continue
-                if i >= k:
-                    complete = False
-                    break
-                acc = f.add(acc, f.mul(assign[i], c))
-            if complete and not f.is_zero(f.sub(acc, f.mul(assign[a], assign[b]))):
-                return False
-    return True
+    search(0)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,11 @@ COMMANDS = [
     # Taft(4,2) over F5 (d = 16, above the dense cap) with x x and one term of
     # Delta(x) changed: associativity and coassociativity fail on the sparse lines
     ["verify-hopf", "--hopf", "tests/taft4_f5_bad_mul_comul.json"],
+    # a Cayley file with element names (the quaternion group): the names key
+    # the report's "character" and "grouplike"
+    ["verify-hopf", "--builtin", "group:tests/q8.json"],
+    ["tensor", "--builtin", "group:tests/q8.json", "--yd-module", "trivial",
+     "--ayd-module", "trivial"],
 ]
 
 

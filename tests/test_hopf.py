@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import itertools
+import json
 import pathlib
 import random
 import tracemalloc
@@ -38,6 +39,207 @@ def test_group_table_checker():
     assert inv == [0, 3, 2, 1]
     with pytest.raises(ValueError):
         check_group_table([[1, 0], [1, 0]])
+
+
+# ---------------------------------------------------------------------------
+# the builders against the constructions they replaced
+
+
+def reference_check_group_table(table):
+    """A Cayley table checked by loops over its entries, the triple loop
+    for associativity included, then the identity-first rule of the group
+    builders: the same checks in the same order as ``check_group_table``."""
+    n = len(table)
+    for row in table:
+        if len(row) != n or any(not 0 <= x < n for x in row):
+            raise ValueError("Cayley table is not square over {0..n-1}")
+    ident = None
+    for e in range(n):
+        if all(table[e][j] == j and table[j][e] == j for j in range(n)):
+            ident = e
+            break
+    if ident is None:
+        raise ValueError("Cayley table has no identity element")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    raise ValueError(f"Cayley table is not associative at {(i, j, k)}")
+    inverses = []
+    for i in range(n):
+        inv = next((j for j in range(n) if table[i][j] == ident and table[j][i] == ident), None)
+        if inv is None:
+            raise ValueError(f"element {i} has no inverse")
+        inverses.append(inv)
+    if ident != 0:
+        raise ValueError("Cayley tables must list the identity first")
+    return ident, inverses
+
+
+def reference_build_taft(n: int, q, field: Field) -> HopfAlgebra:
+    """Taft(n, q) with Delta and S as products of structure matrices, from
+    the generator values, through a provisional algebra for mu and u:
+
+        Delta(g^i x^j) = by_x^j by_g^i (u (x) u),  S(g^i x^j) = R_S(g)^i R_S(x)^j u,
+
+    with R_s = mu (I (x) s) right multiplication by s, by_g = R_g (x) R_g
+    right multiplication by Delta(g), by_x = R_x (x) I + R_g (x) R_x by
+    Delta(x), S(g) = g^(n-1) and S(x) = -S(g) x."""
+    f = field
+    q = f.of(q)
+    if n < 1:
+        raise ValueError("n must be positive")
+    if not hopf_module._is_primitive_root(f, q, n):
+        raise ValueError(f"{q} is not a primitive {n}-th root of unity in {f}")
+    dim = n * n
+    one = f.one()
+
+    def mono(i: int, j: int) -> int:
+        return i * n + j
+
+    qpow = [f.one()]
+    for _ in range(n * n):
+        qpow.append(f.mul(qpow[-1], q))
+    mul = {}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    if j + l >= n:
+                        mul[(mono(i, j), mono(k, l))] = {}
+                        continue
+                    mul[(mono(i, j), mono(k, l))] = {mono((i + k) % n, j + l): qpow[j * k]}
+    unit = {mono(0, 0): one}
+    counit = {mono(i, 0): one for i in range(n)}
+    H = HopfAlgebra(f, dim, [], mul, unit, [], counit, Matrix.identity(dim, f))
+    mu, u, eye = H.mul_matrix(), H.unit_column(), Matrix.identity(dim, f)
+
+    def e(i: int, j: int) -> Matrix:
+        return Matrix.from_columns([{mono(i, j): one}], dim, f)
+
+    def right(s: Matrix) -> Matrix:
+        return mu @ eye.kron(s)
+
+    def powers(m: Matrix, v: Matrix):
+        out = [v]
+        for _ in range(n - 1):
+            out.append(m @ out[-1])
+        return out
+
+    def side_by_side(cols):
+        return Matrix.from_columns([c.columns()[0] for c in cols], cols[0].rows, f)
+
+    # the generators as columns; in Taft(1), the ground field, g = 1 and x = 0
+    g, x = e(1 % n, 0), e(0, 1) if n > 1 else Matrix.zero(dim, 1, f)
+    r_g, r_x = right(g), right(x)
+    by_g, by_x = r_g.kron(r_g), r_x.kron(eye) + r_g.kron(r_x)
+    s_g = e(n - 1, 0)
+    r_sg, r_sx = right(s_g), right((mu @ s_g.kron(x)).scale(f.of(-1)))
+    # column i of comul[j] is Delta(g^i x^j), column j of antipode[i] is S(g^i x^j)
+    comul = [m.columns() for m in powers(by_x, side_by_side(powers(by_g, u.kron(u))))]
+    antipode = powers(r_sg, side_by_side(powers(r_sx, u)))
+    H.comul = [comul[j][i] for i in range(n) for j in range(n)]
+    H.antipode = Matrix.from_columns([c for m in antipode for c in m.columns()], dim, f)
+    names = []
+    for i in range(n):
+        for j in range(n):
+            gpart = "" if i == 0 else ("g" if i == 1 else f"g{i}")
+            xpart = "" if j == 0 else ("x" if j == 1 else f"x{j}")
+            names.append((gpart + xpart) or "1")
+    H.basis = names
+    return H
+
+
+def typed_tables(H: HopfAlgebra):
+    """Every table of H, each dict as its (key, scalar type, scalar) items
+    in order, and the antipode's entries and value type."""
+    def items(v):
+        return [(k, type(c), c) for k, c in v.items()]
+    return (H.field, H.dim, H.basis, [(k, items(v)) for k, v in H.mul.items()], items(H.unit),
+            [items(v) for v in H.comul], items(H.counit), list(H.antipode.entries()),
+            H.antipode._csr[2].dtype, H.group_table)
+
+
+def primitive_roots(n: int, p: int):
+    """Every primitive n-th root of unity in F_p."""
+    return [q for q in range(1, p)
+            if pow(q, n, p) == 1 and all(pow(q, k, p) != 1 for k in range(1, n))]
+
+
+# n = 1..6 with every primitive n-th root in two primes p = 1 mod n, Q where
+# it has one, and the two largest Taft algebras of the tests
+TAFT_CASES = ([(n, q, Field(p)) for n, primes in [(1, (2, 3)), (2, (3, 5)), (3, (7, 13)),
+                                                   (4, (5, 13)), (5, (11, 31)), (6, (7, 13))]
+               for p in primes for q in primitive_roots(n, p)]
+              + [(1, 1, QQ), (2, -1, QQ), (10, 2, Field(11)), (12, 2, Field(13))])
+
+
+@pytest.mark.parametrize("n,q,f", TAFT_CASES, ids=[f"{n}-{q}-{f}" for n, q, f in TAFT_CASES])
+def test_taft_closed_forms_match_the_matrix_construction(n, q, f):
+    assert typed_tables(build_taft(n, q, f)) == typed_tables(reference_build_taft(n, q, f))
+
+
+def test_taft_is_built_without_matrix_products(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("build_taft multiplied matrices")
+    for name in ("__matmul__", "kron", "columns"):
+        monkeypatch.setattr(Matrix, name, refuse)
+    H = build_taft(4, 2, Field(5))
+    monkeypatch.undo()
+    assert typed_tables(H) == typed_tables(reference_build_taft(4, 2, Field(5)))
+
+
+def group_table_cases():
+    """Valid Cayley tables, their seeded relabelings and corruptions of
+    each kind the checker names."""
+    q8 = json.loads((pathlib.Path(__file__).parent / "q8.json").read_text())["table"]
+    klein = [[a ^ b for b in range(4)] for a in range(4)]
+    groups = [cyclic_table(n) for n in range(1, 8)] + [symmetric_table(3)[0],
+                                                       symmetric_table(4)[0], q8, klein]
+    rng = random.Random(3901)
+    cases = list(groups)
+    for t in groups:
+        n = len(t)
+        perm = rng.sample(range(n), n)             # new a = old perm[a]
+        inv = {p: a for a, p in enumerate(perm)}
+        cases.append([[inv[t[perm[a]][perm[b]]] for b in range(n)] for a in range(n)])
+        for _ in range(3):                         # one entry changed, in range
+            c = [list(r) for r in t]
+            c[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            cases.append(c)
+    cases += [
+        [[0, 1], [1]], [[0, 1], [1, 0], [0, 1]], [[0, 1, 2], [1, 2, 0]],      # not square
+        [[0, 1], [1, 2]], [[0, 1], [1, -1]],                                 # out of range
+        [], [[1, 1], [1, 1]], [[1, 0], [1, 0]],                              # no identity
+        [[0, 1, 2], [1, 0, 0], [2, 0, 0]],                                   # not associative
+        [[0, 1], [1, 1]], [[0, 1, 2], [1, 1, 1], [2, 1, 2]],                 # no inverse
+    ]
+    return cases
+
+
+def test_group_table_checker_matches_the_loops():
+    def outcome(check, table):
+        try:
+            return check(table)
+        except ValueError as e:
+            return str(e)
+    got = [outcome(check_group_table, t) for t in group_table_cases()]
+    assert got == [outcome(reference_check_group_table, t) for t in group_table_cases()]
+    kinds = {g.split(" at ")[0] if isinstance(g, str) else "valid" for g in got}
+    assert kinds >= {"valid", "Cayley table is not square over {0..n-1}",
+                     "Cayley table has no identity element", "Cayley table is not associative",
+                     "Cayley tables must list the identity first"}
+    assert any(isinstance(g, str) and g.endswith("has no inverse") for g in got)
+
+
+def test_group_table_checker_builds_no_cube():
+    # S5, n = 120: an n^3 int64 array would take 13.8 MB
+    table, _ = symmetric_table(5)
+    tracemalloc.start()
+    check_group_table(table)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_sweedler_structure():

@@ -1,4 +1,6 @@
+import ast
 import itertools
+import pathlib
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -12,9 +14,11 @@ from conftest import (ACCEPTANCE_ALGEBRAS, DictCoalgebra, act, apply, base_corpu
                       vec_scale, vec_sub, vec_tensor)
 from test_hopf import checks_typed
 
+from hopfcalc import cli
 from hopfcalc.calculus import Calculus
 from hopfcalc.connections import sandwich_action
-from hopfcalc.hopf import BialgebraMorphism, HopfAlgebra
+from hopfcalc.fields import Field
+from hopfcalc.hopf import BialgebraMorphism, HopfAlgebra, permute_basis
 from hopfcalc.linalg import Matrix, Vec, tensor_decode
 from hopfcalc.modules import (BimoduleCoalgebra, ModComod, action_matrix, check_ayd,
                               check_equivariant, check_module_axioms,
@@ -23,8 +27,11 @@ from hopfcalc.modules import (BimoduleCoalgebra, ModComod, action_matrix, check_
                               modcomod_from_groupoid, one_dim_modcomod, regular_modcomod,
                               trivial_modcomod, verify_bimodule_coalgebra,
                               coaction_matrix, enumerate_characters, enumerate_grouplikes,
-                              pairing_matrix, GroupoidData, GroupoidReport)
+                              pairing_matrix, GroupoidData, GroupoidReport,
+                              _candidate_values, _grouplike_solutions, is_grouplike)
 from hopfcalc.reports import Report
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -760,3 +767,144 @@ def test_action_and_coaction_matrices_are_built_once_per_table():
     X.action = {(i, 0): {} for i in range(H.dim)}
     X.coaction = [{1: H.field.one()}]
     assert action_matrix(X).is_zero() and coaction_matrix(X) != rho
+
+
+# ---------------------------------------------------------------------------
+# the enumerations against the dict backtracking they replaced
+
+
+def reference_backtrack(H: HopfAlgebra, partial_ok):
+    """Every tuple of ``_candidate_values`` that ``partial_ok`` accepts at
+    each of its prefixes, depth first, in the candidates' order."""
+    values = _candidate_values(H.field)
+    sols, assign = [], []
+
+    def rec():
+        if len(assign) == H.dim:
+            sols.append(tuple(assign))
+            return
+        for v in values:
+            assign.append(v)
+            if partial_ok(H, assign):
+                rec()
+            assign.pop()
+
+    rec()
+    return sols
+
+
+def reference_partial_val(f, assign, v: Vec):
+    """sum v_i assign[i], or None while some i of v is unassigned."""
+    acc = f.zero()
+    for i, c in v.items():
+        if i >= len(assign):
+            return None
+        acc = f.add(acc, f.mul(assign[i], c))
+    return acc
+
+
+def reference_char_ok(H: HopfAlgebra, assign) -> bool:
+    """delta(1) = 1 and delta(e_i e_j) = delta_i delta_j, wherever the
+    assigned values decide them, read off the dict tables."""
+    f, k = H.field, len(assign)
+    one = reference_partial_val(f, assign, H.unit)
+    if one is not None and not f.is_zero(f.sub(one, f.one())):
+        return False
+    for i in range(k):
+        for j in range(k):
+            lhs = reference_partial_val(f, assign, H.mul.get((i, j), {}))
+            if lhs is not None and not f.is_zero(f.sub(lhs, f.mul(assign[i], assign[j]))):
+                return False
+    return True
+
+
+def reference_grouplike_partial_ok(H: HopfAlgebra, assign) -> bool:
+    """Delta(sigma)[a, b] = sigma_a sigma_b wherever the assigned values
+    decide it, read off the dict tables."""
+    f, d, k = H.field, H.dim, len(assign)
+    for a in range(k):
+        for b in range(k):
+            acc, complete = f.zero(), True
+            for i in range(d):
+                c = H.comul[i].get(a * d + b)
+                if c is None:
+                    continue
+                if i >= k:
+                    complete = False
+                    break
+                acc = f.add(acc, f.mul(assign[i], c))
+            if complete and not f.is_zero(f.sub(acc, f.mul(assign[a], assign[b]))):
+                return False
+    return True
+
+
+def reference_characters(H: HopfAlgebra):
+    return [dict(zip(range(H.dim), sol)) for sol in reference_backtrack(H, reference_char_ok)]
+
+
+def reference_grouplikes(H: HopfAlgebra):
+    f, out = H.field, []
+    for sol in reference_backtrack(H, reference_grouplike_partial_ok):
+        v = {i: c for i, c in enumerate(sol) if not f.is_zero(c)}
+        if is_grouplike(H, v):
+            out.append(v)
+    return out
+
+
+def workload_builtins():
+    """Every (algebra, field) that the benchmark's workloads name, read from
+    their source without importing the benchmark."""
+    tree = ast.parse((ROOT / "verdictbench" / "workloads.py").read_text())
+    lists = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+             and node.targets[0].id in ("DGA_CASES", "MODULE_ALGEBRAS", "TENSOR_ALGEBRAS",
+                                        "COTOR_CASES")}
+    assert len(lists) == 4
+    return sorted({case[:2] for cases in lists.values() for case in cases})
+
+
+def typed(vs):
+    return [[(k, type(c), c) for k, c in v.items()] for v in vs]
+
+
+@pytest.mark.parametrize("name,field", workload_builtins())
+def test_enumerations_match_the_backtracking(name, field):
+    # the list, its order and the scalar types, on the algebra and on two
+    # seeded relabelings of its basis
+    H = cli.builtin_hopf(name, Field.parse(field))
+    rng = random.Random(f"{name}/{field}")
+    for K in [H] + [permute_basis(H, rng.sample(range(H.dim), H.dim)) for _ in range(2)]:
+        assert typed(enumerate_characters(K)) == typed(reference_characters(K))
+        assert typed(enumerate_grouplikes(K)) == typed(reference_grouplikes(K))
+
+
+@pytest.mark.parametrize("field", ["Q", "F3"])
+def test_grouplike_solutions_match_a_brute_force_search(field):
+    # seeded random systems [M; ell] with d = 1..3, each made so that a
+    # random candidate tuple v fails exactly one chosen equation: the
+    # search must list every tuple, in order, that solves M v = v (x) v and
+    # ell v = 1, so a search that skipped the chosen equation would list v
+    f = Field.parse(field)
+    values, rng = _candidate_values(f), random.Random(3902)
+
+    def column(v):
+        return Matrix(len(v), 1, f, {(i, 0): c for i, c in enumerate(v)})
+    for d, target, _ in itertools.product([1, 2, 3], range(10), range(4)):
+        if target > d * d:          # row d * d is ell
+            continue
+        v, i0 = [rng.choice(values) for _ in range(d)], rng.randrange(d)
+        v[i0] = f.one()
+        rows = [{i: rng.choice(values) for i in range(d) if rng.random() < 0.5}
+                for _ in range(d * d + 1)]
+        for r, row in enumerate(rows):         # the coefficient at i0 sets the defect
+            rhs = f.mul(v[r // d], v[r % d]) if r < d * d else f.one()
+            row[i0] = f.add(f.sub(rhs, sum(c * v[i] for i, c in row.items() if i != i0)),
+                            f.of(int(r == target)))
+        M = Matrix(d * d, d, f, {(r, i): c for r, row in enumerate(rows[:-1])
+                                 for i, c in row.items()})
+        ell = Matrix(1, d, f, {(0, i): c for i, c in rows[-1].items()})
+        want = [w for w in itertools.product(values, repeat=d)
+                if M @ column(w) == column(w).kron(column(w))
+                and ell @ column(w) == Matrix.identity(1, f)]
+        assert tuple(v) not in want
+        assert _grouplike_solutions(f, d, M.entries(), ell.entries()) == want
