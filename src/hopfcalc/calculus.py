@@ -82,16 +82,18 @@ checks that with ``verify_axioms`` before it builds a calculus.  The block
 structure also makes every Leibniz, associativity and right-unit line at
 n > 0 equal to +-I_{C^(x)n} (x) its line at n = 0, and the recursions make
 the rest follow from a few low identities: every (0, m, l) associativity
-line from (0, 0, 0) and (0, 0, 1), every leibniz[0,m] from leibniz[0,0]
-and leibniz[0,1], both when mu has the unit on the right; every d^2 line
-from the one at degree 0 and Z = (E (x) I_C - I_C (x) E) E; and the left
-unit in every degree from the right unit, mu and A_1.  So
-``verify_dga`` computes these low identities, which read only T, D_0,
-D_1 and A_0..A_2, and computes the other lines only when one of them
-fails (its docstring has the proofs).  ``connections.coefficient_complex``
-reads D_0, T and E only: its differentials obey the recursion of D_n with
-the module X in the place of B, d_X^n = E (x) I - I_C (x) d_X^(n-1), so it
-builds no D_n above degree 0 and no product(n, 1).  A bare ``homology``
+line from (0, 0, 0) and the multiplicativity of T, an identity on
+B (x) B (x) C; every leibniz[0,m] from leibniz[0,0] and one identity K = 0
+on B (x) C, both once the cached A_1 and D_1 are checked against their
+recursions; every d^2 line from the one at degree 0, the recursion of D_1
+and Z = (E (x) I_C - I_C (x) E) E; and the left unit in every degree from the
+right unit, mu and A_1.  So ``verify_dga`` computes these low identities,
+which read only T, D_0, D_1, A_0 and A_1, and computes the other lines
+only when one of them fails (its docstring has the proofs).
+``connections.coefficient_complex`` reads D_0, T and E only: its
+differentials obey the recursion of D_n with the module X in the place of
+B, d_X^n = E (x) I - I_C (x) d_X^(n-1), so it builds no D_n above degree
+0 and no product(n, 1).  A bare ``homology``
 verdict reads D_0, D_1, D_2 and E only: from them, or from d_X^0, d_X^1 and
 d_X^2 for a coefficient complex, ``homology.quotient_complex`` builds the
 normalized quotient of every higher degree by the same recursion on
@@ -264,17 +266,33 @@ def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
       P(n, m) = I_(C^n) (x) A_m.  For n >= 1, expand D_{n+m} and D_n by
       D_k = E (x) I - I_C (x) D_{k-1}: the two E (x) P(n-1, m) terms
       cancel, and what is left is L(n, m) = -I_C (x) L(n-1, m).  So
-      L(n, m) = (-1)^n I_(C^n) (x) L(0, m).
+      L(n, m) = (-1)^n I_(C^n) (x) L(0, m).  The step at n = 1 reads the
+      recursion of the cached D_1, which is premise (c) below; when (c)
+      fails, every leibniz[n,m] with n >= 1 is computed in full.
 
-    Associativity at n = 0 follows from its two lowest lines and the right
-    unit.  With mu = A_0 and T the sandwich matrix, so that
-    A_m = (I_C (x) A_{m-1}) (T (x) I):
+    Associativity at n = 0 follows from associativity[0,0,0] and two
+    identities with at most dim(B (x) B (x) C) columns.  With mu = A_0 and
+    T the sandwich matrix, so that A_m = (I_C (x) A_{m-1}) (T (x) I):
 
     * associativity[0,0,0] is mu (mu (x) I) = mu (I (x) mu);
-    * associativity[0,0,1] is A_1 (mu (x) I) = A_1 (I_B (x) A_1).  Put the
-      unit u in its last B slot: with mu (I_B (x) u) = I, A_1 (I (x) u) = T,
-      and what is left is the multiplicativity of T,
-      T (mu (x) I_C) = (I_C (x) mu) (T (x) I_B) (I_B (x) T);
+    * premise (a) is A_1 = (I_C (x) mu) (T (x) I_B): the cached A_1 obeys
+      its recursion;
+    * premise (b) is T (mu (x) I_C) = A_1 (I_B (x) T).  Given (a), it is the
+      multiplicativity of T, T (mu (x) I_C) = (I_C (x) mu) (T (x) I_B)
+      (I_B (x) T);
+    * associativity[0,0,1] is A_1 (mu (x) I) = A_1 (I_B (x) A_1).  Unfold
+      the A_1 on the left by (a), move mu through T by (b), and unfold the
+      A_1 that (b) brings by (a) again:
+
+          A_1 (mu (x) I_C (x) I_B) = (I_C (x) mu) (T (mu (x) I_C) (x) I_B)
+            = (I_C (x) mu (mu (x) I_B)) (T (x) I_(B (x) B)) (I_B (x) T (x) I_B).
+
+      associativity[0,0,0] turns I_C (x) mu (mu (x) I_B) into
+      (I_C (x) mu) (I_(C (x) B) (x) mu).  The factor I_(C (x) B) (x) mu acts
+      on other legs than T (x) I_(B (x) B), so the two commute, and it
+      meets I_B (x) T (x) I_B as I_B (x) (I_C (x) mu) (T (x) I_B), which is
+      I_B (x) A_1 by (a).  What is left, (I_C (x) mu) (T (x) I_B), is A_1
+      by (a), so the left side is A_1 (I_B (x) A_1), the right side;
     * then induction on l along A_l = (I_C (x) A_{l-1}) (T (x) I) gives
       A_l (mu (x) I) = A_l (I_B (x) A_l), that is every associativity[0,0,l]:
       multiplicativity moves mu through T, the induction hypothesis through
@@ -286,12 +304,13 @@ def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
       associativity[0,m,l] are then I_(C^m) (x) (a side of
       associativity[0,0,l]) after T_m (x) I, so it holds.
 
-    So the two low lines and the right unit are computed first; when all
-    three hold, every other associativity line passes without being
-    computed, and when one fails, every line at n = 0 is.
+    So associativity[0,0,0], (a) and (b) are computed first, (b) only when
+    the other two hold; when all three hold, every other associativity line
+    passes without being computed, and when one fails, every line at n = 0
+    is.  Neither the unit nor coassociativity is used.
 
-    Leibniz at n = 0 follows from leibniz[0,0], leibniz[0,1] and the right
-    unit.  Let K: B (x) C -> C (x) C (x) B be
+    Leibniz at n = 0 follows from leibniz[0,0] and an identity with
+    dim(B (x) C) columns.  Let K: B (x) C -> C (x) C (x) B be
 
         K = (E (x) I_B) T - (I_C (x) T) (D_0 (x) I_C)
             - (I_C (x) T) (T (x) I_C) (I_B (x) E) - (I_C (x) D_0) T,
@@ -304,13 +323,23 @@ def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
         L(0, m) = (I_(C (x) C) (x) A_{m-1}) (K (x) I)
                   - (I_C (x) L(0, m-1)) (T (x) I).
 
-    With L(0, 0) = 0, L(0, 1) = (I_(C (x) C) (x) mu) (K (x) I_B); put u in
-    its last B slot and mu (I_B (x) u) = I gives back K.  So
-    L(0, 0) = L(0, 1) = 0 forces K = 0, and then every L(0, m) = 0 by
-    induction on m.  Neither coassociativity nor associativity is used.
-    So leibniz[0,0] and leibniz[0,1] are computed; when both hold with the
-    right unit, every other leibniz[0,m] passes without being computed,
-    and when one fails, every one is.
+    The step at m reads the recursions of D_m, A_m and A_{m+1}.  Those of
+    A_{m+1}, and of D_m and A_m for m >= 2, hold as ``Calculus`` builds
+    them; those of the cached D_1 and A_1 are premises (c) below and (a).
+    So when L(0, 0) = 0 and K = 0, every L(0, m) = 0 by induction on m; at
+    m = 1 that is L(0, 1) = (I_(C (x) C) (x) mu) (K (x) I_B)
+    - (I_C (x) L(0, 0)) (T (x) I_B) = 0.  K is read off two premises:
+
+    * premise (c) is D_1 = E (x) I_B - I_C (x) D_0: the cached D_1 obeys
+      its recursion;
+    * premise (d) is D_1 T = (I_C (x) T) ((D_0 (x) I_C)
+      + (T (x) I_C) (I_B (x) E)).  Given (c), (E (x) I_B) T - (I_C (x) D_0) T
+      is D_1 T, so (d) is K = 0.
+
+    So leibniz[0,0], (a), (c) and (d) are computed, (d) only when the other
+    three hold; when all four hold, every leibniz[0,m] with
+    m >= 1 passes without being computed, and when one fails, every one is.
+    Neither coassociativity, associativity nor the unit is used.
 
     d^2 = 0 follows from d_squared_zero[0] and one identity on C.  Write
     D_{n+1} D_n with D_k = E (x) I - I_C (x) D_{k-1} for both factors and
@@ -319,18 +348,21 @@ def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
         D_{n+1} D_n = Z (x) I + I_C (x) D_n D_{n-1},
         Z = (E (x) I_C - I_C (x) E) E: C -> C (x) C (x) C.
 
-    This holds for any D_0, so when d_squared_zero[0] holds and Z = 0,
-    every d_squared_zero[n] passes by induction without being computed;
-    when one of the two fails, every d_squared_zero[n] is.  Z is no line
-    of the report.
+    This holds for any D_0, but at n = 1 it reads the recursion of the
+    cached D_1, premise (c).  So when d_squared_zero[0], (c) and Z = 0
+    hold, every d_squared_zero[n] passes by induction without being
+    computed; when one of the three fails, every d_squared_zero[n] is.  Z
+    is no line of the report.
 
     The inference covers the differentials and products built by the
     recursions of ``Calculus``, which includes every CLI input.  The lines
-    it computes read T, D_0, D_1 and A_0..A_2 only.  A cached D_n with
-    n >= 2, or A_m with m >= 3, corrupted by hand is not seen by the
-    inferred lines; a corrupted D_1, A_1 or A_2 is read by the computed
-    ones, and a corrupted A_1 is checked by associativity[0,0,1] and by the
-    left unit.
+    and premises it computes read T, D_0, D_1, A_0 and A_1 only.  D_1 and
+    A_1 are checked against their recursions, by (c) and (a), so a cached
+    D_1 or A_1 corrupted by hand sends every line whose inference reads
+    its recursion to the full path; a corrupted A_1 is also read by the
+    left unit.  A_m with m >= 2 is never built on the passing path, and a
+    cached D_n with n >= 2, or A_m with m >= 2, corrupted by hand is not
+    seen by the inferred lines.
 
     The ``graded_unit`` line cannot fail on input the CLI accepts.  It is
     mu (I_B (x) u) = I together with A_n (u (x) I) = I for every n; the CLI
@@ -369,11 +401,16 @@ def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
     def eye(n):
         return Matrix.identity(calc.degree_dim(n), f)
 
-    def leibniz_defect(m):
+    T, mu, A1 = calc._sandwich_matrix(), calc.product(0, 0), calc.product(0, 1)
+    D0, D1, E = calc.differential(0), calc.differential(1), calc._reduced_comul_matrix()
+    # I_C (x) mu, shared by leibniz[0,0] and premise (a)
+    eye_c, p10 = Matrix.identity(calc.cdim, f), calc.product(1, 0)
+
+    def leibniz_defect(n, m):
         return identity_defect_witness(f, [
-            (1, [calc.differential(m), calc.product(0, m)]),
-            (-1, [calc.product(1, m), (calc.differential(0), eye(m))]),
-            (-1, [calc.product(0, m + 1), (eye(0), calc.differential(m))]),
+            (1, [calc.differential(n + m), calc.product(n, m)]),
+            (-1, [calc.product(n + 1, m) if n + m else p10, (calc.differential(n), eye(m))]),
+            ((-1) ** (n + 1), [calc.product(n, m + 1), (eye(n), calc.differential(m))]),
         ])
 
     def associativity_defect(m, l):
@@ -402,30 +439,39 @@ def verify_dga(calc: Calculus, max_degree: Optional[int] = None) -> Report:
         return identity_defect_witness(
             f, [(1, [calc.product(0, n), side]), (-1, [eye(n)])]) is None
 
-    # (m, l) -> witness of associativity[0,m,l], the two low lines first
-    at_zero = {(0, l): associativity_defect(0, l) for l in (0, 1)}
+    # premises (a) and (c): the cached A_1 and D_1 obey their recursions
+    a_holds = A1 == p10 @ T.kron(eye(0))
+    c_holds = D1 == kron_minus_blocks(E, eye(0), calc.cdim, D0)
+
+    # (m, l) -> witness of associativity[0,m,l]: with (a) and (b), T
+    # multiplicative, associativity[0,0,0] gives every line
+    at_zero = {(0, 0): associativity_defect(0, 0)}
     right_unit = unit_holds(0, (eye(0), u))
-    inferred = right_unit and all(w is None for w in at_zero.values())
+    inferred = (at_zero[0, 0] is None and a_holds
+                and T @ mu.kron(eye_c) == A1 @ eye(0).kron(T))
 
     def d_squared(n):
         return identity_defect_witness(f, [(1, [calc.differential(n + 1), calc.differential(n)])])
 
-    # d_squared_zero[n >= 1] follows from d_squared_zero[0] and Z = 0
-    E, eye_c = calc._reduced_comul_matrix(), Matrix.identity(calc.cdim, f)
+    # d_squared_zero[n >= 1] follows from d_squared_zero[0], (c) and Z = 0
     squares = [d_squared(0)]
-    z_holds = squares[0] is None and identity_defect_witness(
+    z_holds = squares[0] is None and c_holds and identity_defect_witness(
         f, [(1, [(E, eye_c), E]), (-1, [(eye_c, E), E])]) is None
     squares += [None if z_holds else d_squared(n) for n in range(1, max_degree)]
     for n, w in enumerate(squares):
         add("d_squared_zero", (n,), w)
 
-    # leibniz[0,m >= 2] follows from leibniz[0,0], leibniz[0,1] and the right unit
-    leibniz_at_zero = [leibniz_defect(m) for m in (0, 1)]
-    k_holds = right_unit and leibniz_at_zero == [None, None]
-    leibniz_at_zero += [None if k_holds else leibniz_defect(m) for m in range(2, max_degree)]
+    # leibniz[0,m >= 1] follows from leibniz[0,0], (a), (c) and (d), K = 0
+    leibniz_at_zero = [leibniz_defect(0, 0)]
+    k_zero = (leibniz_at_zero[0] is None and a_holds and c_holds
+              and D1 @ T == eye_c.kron(T) @ (D0.kron(eye_c) + T.kron(eye_c) @ eye(0).kron(E)))
+    leibniz_at_zero += [None if k_zero else leibniz_defect(0, m) for m in range(1, max_degree)]
     for n in range(max_degree):
         for m in range(max_degree - n):
-            add_lifted("leibniz", leibniz_at_zero[m], n, m)
+            if n and not c_holds:   # the lift reads the recursion of D_1
+                add("leibniz", (n, m), leibniz_defect(n, m))
+            else:
+                add_lifted("leibniz", leibniz_at_zero[m], n, m)
 
     for n in range(max_degree + 1):
         for m in range(max_degree + 1 - n):

@@ -618,17 +618,20 @@ class Matrix:
         whose axes have the sizes ``dims``, those of the row index first,
         each index big-endian (``tensor_encode``), the result has the axes
         ``order``: the first ``nrows`` of them index its rows and the rest
-        its columns.  No value changes, so one path serves both value types."""
+        its columns.  No value changes, so one path serves both value types.
+        An identity ``order`` is a reshape: every entry keeps its flat index,
+        and the CSR already lists them in that order, so nothing is sorted."""
         if prod(dims) != self.rows * self.cols:
             raise ValueError("axis sizes do not match the shape")
-        axes = np.unravel_index(self._entry_rows() * self.cols + self._csr[1], dims)
-        new = [dims[k] for k in order]
-        flat = np.ravel_multi_index([axes[k] for k in order], new)
-        perm = np.argsort(flat)
-        flat, rows, cols = flat[perm], prod(new[:nrows]), prod(new[nrows:])
+        flat, val, new = self._entry_rows() * self.cols + self._csr[1], self._csr[2], dims
+        if list(order) != list(range(len(dims))):
+            axes, new = np.unravel_index(flat, dims), [dims[k] for k in order]
+            flat = np.ravel_multi_index([axes[k] for k in order], new)
+            perm = np.argsort(flat)
+            flat, val = flat[perm], val[perm]
+        rows, cols = prod(new[:nrows]), prod(new[nrows:])
         ptr = np.searchsorted(flat, np.arange(rows + 1) * cols)
-        return Matrix._of_csr(rows, cols, self.field, (ptr, flat % cols, self._csr[2][perm]),
-                              self._maxabs)
+        return Matrix._of_csr(rows, cols, self.field, (ptr, flat % cols, val), self._maxabs)
 
     def submatrix(self, rows: np.ndarray, cols: np.ndarray, closed: bool = False) -> "Matrix":
         """The entries in the rows and the columns where the boolean masks

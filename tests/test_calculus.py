@@ -374,9 +374,10 @@ def inferred_lines(calc: Calculus, max_degree: int):
 
 
 def takes_the_inferred_path(calc: Calculus) -> bool:
-    """The hypotheses of ``verify_dga``'s associativity inference, computed
-    here: the two lowest associativity lines and the right unit
-    mu (I_B (x) u) = I."""
+    """The two lowest associativity lines and the right unit
+    mu (I_B (x) u) = I, computed here.  On a calculus whose A_1 obeys its
+    recursion they give the multiplicativity of T, so every associativity
+    line holds (``verify_dga`` docstring)."""
     f, bd = calc.field, calc.B.dim
     low = reference_inferred_lines(calc, 1)
     right_unit = (calc.product(0, 0) @ Matrix.identity(bd, f).kron(calc.B.unit_column())
@@ -564,6 +565,63 @@ def test_corruptions_at_the_root_match_the_full_oracle():
     assert any(what.endswith("Delta_C") for what in squares_above_zero)
 
 
+def _corrupted_caches(rng: random.Random):
+    """(what, calculus) with a cache corrupted by hand, not at the root:
+    one seeded entry of A_1 or of D_1; a D_1 set to X T^-1 over a Delta_C
+    corrupted at the root, with X the right side of premise (d), so that
+    (d) holds although K != 0 and D_1 is not its recursion; and an A_1 set
+    to Y (I_B (x) T)^-1, with Y = T (mu (x) I_C) the left side of premise
+    (b), so that (b) holds although A_1 is not its recursion."""
+    for name in ("kZ3", "sweedler", "dualZ2", "kS3"):
+        H = named_algebra(name)
+        f = H.field
+        for calc in four_calculi(H):
+            calc._prod[1] = _add_one(rng, calc.product(0, 1))
+            yield f"{name} A_1", calc
+        for calc in four_calculi(H):
+            calc._diff[1] = _add_one(rng, calc.differential(1))
+            yield f"{name} D_1", calc
+        C = BimoduleCoalgebra.from_hopf(H)
+        bad = dataclasses.replace(C, comul=_add_one(rng, C.comul))
+        for other in four_calculi(H)[2:]:
+            calc = Calculus.general(bad, other.alpha, other.beta)
+            T, E, D0 = calc._sandwich_matrix(), calc._reduced_comul_matrix(), calc.differential(0)
+            eye_b, eye_c = Matrix.identity(H.dim, f), Matrix.identity(C.dim, f)
+            X = eye_c.kron(T) @ (D0.kron(eye_c) + T.kron(eye_c) @ eye_b.kron(E))
+            calc._diff[1] = X @ T.inverse()
+            yield f"{name} D_1 = X T^-1", calc
+        # alpha = S, beta = S^-1, where T need not be multiplicative; C = B
+        calc = four_calculi(H)[3]
+        T, eye = calc._sandwich_matrix(), Matrix.identity(H.dim, f)
+        calc._prod[1] = T @ calc.product(0, 0).kron(eye) @ eye.kron(T.inverse())
+        yield f"{name} A_1 = Y (I (x) T)^-1", calc
+
+
+def test_corrupted_caches_match_the_full_oracle():
+    # premises (a) and (c) check the cached A_1 and D_1 against their
+    # recursions, which the inferred lines read: without (a) a corrupted
+    # A_1 passes leibniz[0,1] or associativity[0,0,1] where they fail, and
+    # without (c) a corrupted D_1 passes d_squared_zero[n >= 1], a
+    # leibniz[n >= 1, m] or, for X T^-1, a leibniz[0, m >= 1] where they
+    # fail
+    seen = set()
+    for what, calc in _corrupted_caches(random.Random(3)):
+        status = {name: s for name, s, _ in assert_lines_match_the_oracle(calc, 3)}
+        if what.endswith("A_1") and status["leibniz[0,0]"] == "pass" and (
+                status["leibniz[0,1]"] == "fail" or status["associativity[0,0,1]"] == "fail"):
+            seen.add("A_1")
+        if what.endswith("D_1") and status["d_squared_zero[0]"] == status["leibniz[0,0]"] == (
+                "pass") and "fail" in (status["d_squared_zero[1]"], status["leibniz[1,0]"]):
+            seen.add("D_1")
+        if what.endswith("X T^-1") and status["leibniz[0,0]"] == "pass" and "fail" in (
+                status["leibniz[0,1]"], status["leibniz[0,2]"]):
+            seen.add("X T^-1")
+        if what.endswith("(I (x) T)^-1") and status["associativity[0,0,0]"] == "pass" and any(
+                name.startswith("associativity") and s == "fail" for name, s in status.items()):
+            seen.add("Y (I (x) T)^-1")
+    assert seen == {"A_1", "D_1", "X T^-1", "Y (I (x) T)^-1"}
+
+
 def test_a_product_without_a_right_unit_takes_the_full_path():
     # mu(e_0 (x) e_0) = e_0 and 0 otherwise is associative but has no right
     # unit; with this T both low lines hold and associativity[0,0,2] fails,
@@ -611,19 +669,20 @@ def test_graded_unit_reads_the_sandwich_at_the_unit():
 
 
 def test_verify_dga_infers_the_higher_associativity_lines(monkeypatch):
-    # d_squared_zero[0] and Z + leibniz[0,0] and leibniz[0,1] + the two low
-    # associativity lines + the right unit + the left unit on mu and A_1;
-    # every line passes
+    # d_squared_zero[0] and Z + leibniz[0,0] + associativity[0,0,0] + the
+    # right unit + the left unit on mu and A_1; every line passes, and the
+    # premises (a)-(d) of leibniz[0,1] and associativity[0,0,1] are plain
+    # matrix comparisons
     import hopfcalc.linalg
     from test_cli import count_calls
     calls = count_calls(monkeypatch, hopfcalc.linalg, "identity_defect_witness")
     rep = verify_dga(Calculus.khat(named_algebra("sweedler"), 4), 4)
     assert rep.passed and len(rep.checks) == 4 + 10 + 35 + 1
-    assert len(calls) == 9
+    assert len(calls) == 7
 
 
 def test_a_passing_verify_dga_builds_only_the_degree_zero_products(monkeypatch):
-    # A_0..A_2, D_0 and D_1 and nothing else, whatever the degree: no
+    # A_0, A_1, D_0 and D_1 and nothing else, whatever the degree: no
     # product(n, m) with n > 0 is cached
     from test_cli import count_calls
     products = count_calls(monkeypatch, Calculus, "_build_product")
@@ -631,8 +690,48 @@ def test_a_passing_verify_dga_builds_only_the_degree_zero_products(monkeypatch):
     for D in (4, 6):
         calc = Calculus.khat(named_algebra("sweedler"), D)
         assert verify_dga(calc, D).passed
-        assert sorted(calc._prod) == [0, 1, 2] and sorted(calc._diff) == [0, 1]
-    assert len(products) == 2 * 3 and len(differentials) == 2 * 2
+        assert sorted(calc._prod) == [0, 1] and sorted(calc._diff) == [0, 1]
+    assert len(products) == 2 * 2 and len(differentials) == 2 * 2
+
+
+def _matmul_and_kron(monkeypatch):
+    """The (name, operand columns) of each ``Matrix.__matmul__`` and
+    ``Matrix.kron`` call from here on."""
+    calls = []
+    for name in ("__matmul__", "kron"):
+        def wrapper(a, b, orig=getattr(Matrix, name), name=name):
+            calls.append((name, a.cols, b.cols))
+            return orig(a, b)
+        monkeypatch.setattr(Matrix, name, wrapper)
+    return calls
+
+
+def test_a_passing_verify_dga_on_taft_multiplies_nothing_wider_than_b_b_c(monkeypatch):
+    # associativity[0,0,1] and leibniz[0,1] are read off identities on
+    # B (x) B (x) C and B (x) C: no operand of a product has more than
+    # d_B^2 d_C = 729 columns, where A_2 and A_1 (mu (x) I) had d^4 = 6,561
+    calls = _matmul_and_kron(monkeypatch)
+    for D in (2, 3):
+        for calc in three_calculi(named_algebra("taft327")):
+            assert calc.B.dim ** 2 * calc.cdim == 729
+            calls.clear()
+            assert verify_dga(calc, D).passed, calc
+            assert max(max(b, c) for name, b, c in calls if name == "__matmul__") <= 729
+            assert sorted(calc._prod) == [0, 1], calc
+
+
+@pytest.mark.parametrize("name", ["kZ2", "sweedler", "kS3"])
+def test_a_passing_verify_dga_makes_no_more_products_than_before(monkeypatch, name):
+    # 25 products and 30 Kronecker products per verdict, building T, D_0,
+    # D_1, A_0 and A_1 included: what computing associativity[0,0,1],
+    # leibniz[0,1] and A_2 took, and the premises that replace them take no
+    # more
+    calls = _matmul_and_kron(monkeypatch)
+    for kind in ("k", "khat"):
+        calc = getattr(Calculus, kind)(named_algebra(name), 3)
+        calls.clear()
+        assert verify_dga(calc, 3).passed
+        assert len(calls) <= 25 + 30, (kind, len(calls))
 
 
 @pytest.mark.parametrize("name", ["kZ2", "kZ3", "kZ4", "kS3", "dualZ2", "dualZ2_F2",

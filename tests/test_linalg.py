@@ -981,21 +981,23 @@ def test_kron_minus_blocks_checks_the_block_shapes():
 @given(st.integers(min_value=0, max_value=10**6))
 def test_regroup_moves_each_entry_to_its_permuted_index(seed):
     # int64 and object values; the reference reads the indices off
-    # itertools.product, which lists multi-indices big-endian
+    # itertools.product, which lists multi-indices big-endian.  The identity
+    # order, a reshape that sorts nothing, is always among the orders
     rng = random.Random(seed)
     for field, kind in KINDS:
         dims = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
         split = rng.randint(0, len(dims))
         ra = _ref(rng, field, prod(dims[:split]), prod(dims[split:]), SPECIAL[kind])
-        order, nrows = rng.sample(range(len(dims)), len(dims)), rng.randint(0, len(dims))
-        new = [dims[k] for k in order]
-        old = list(itertools.product(*map(range, dims)))
-        pos = {t: k for k, t in enumerate(itertools.product(*map(range, new)))}
-        cols = prod(new[nrows:])
-        want = {divmod(pos[tuple(old[i * ra.cols + j][k] for k in order)], cols): v
-                for (i, j), v in ra.d.items()}
-        assert_matches(ra.matrix().regroup(dims, order, nrows),
-                       Ref(field, prod(new[:nrows]), cols, want))
+        drawn, nrows = rng.sample(range(len(dims)), len(dims)), rng.randint(0, len(dims))
+        for order in (drawn, list(range(len(dims)))):
+            new = [dims[k] for k in order]
+            old = list(itertools.product(*map(range, dims)))
+            pos = {t: k for k, t in enumerate(itertools.product(*map(range, new)))}
+            cols = prod(new[nrows:])
+            want = {divmod(pos[tuple(old[i * ra.cols + j][k] for k in order)], cols): v
+                    for (i, j), v in ra.d.items()}
+            assert_matches(ra.matrix().regroup(dims, order, nrows),
+                           Ref(field, prod(new[:nrows]), cols, want))
 
 
 def test_regroup_checks_the_axis_sizes_and_turns_the_identity_into_the_flip():
