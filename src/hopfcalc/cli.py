@@ -423,7 +423,7 @@ def cmd_tensor(args, started: float) -> int:
     d = check_connection(conn)
     rep.add("tensor_connection", d.passed, d.witness())
     rep.add("tensor_flat", is_flat(conn))
-    d = check_ayd(conn.X, conn.calc, conn.sandwich_action())
+    d = check_ayd(conn.X, conn.calc)
     rep.add("tensor_ayd", d.passed, d.witness())
     body: dict = {"checks": rep.to_json(), "result_dim": conn.X.dim}
     if conn.X.dim == 1:

@@ -20,16 +20,21 @@ Each compatibility check is one matrix identity on B (x) X,
 
     rho . act = M_1 (I_B (x) rho),
 
-with M_1 the sandwich action of its calculus on C (x) X
-(``connections.sandwich_action``), which reads the sandwich matrix that
-builds the calculus's products: AYD (S^-1) over K = ``Calculus.k``, YD (S)
-over K-hat = ``Calculus.khat``, and (alpha, beta)-equivariance over
-``Calculus.general``.  So a module passes exactly when its connection
-satisfies the Leibniz rule there (``connections.check_connection``
-reads the same M_1).  Column (b, x) of the difference of the two sides is
-the defect rho(b x) - b . rho(x).  ``check_ayd`` also takes the S^-1
+with M_1 = (I_C (x) act) (T (x) I_X) the sandwich action of its calculus
+on C (x) X and T the sandwich matrix that builds the calculus's products:
+AYD (S^-1) over K = ``Calculus.k``, YD (S) over K-hat = ``Calculus.khat``,
+and (alpha, beta)-equivariance over ``Calculus.general``.  Its right side
+is the contraction
+
+    [c' x' | b w] = sum over b', c, x of T[c' b' | b c] act[x' | b' x] rho[c x | w]
+
+of ``connections.apply_sandwich``, so neither M_1 nor I_B (x) rho is
+built.  A module passes exactly when its connection satisfies the Leibniz
+rule there (``connections.check_connection`` applies the sandwich to
+nabla in the same way).  Column (b, x) of the difference of the two sides
+is the defect rho(b x) - b . rho(x).  ``check_ayd`` also takes the S^-1
 calculus a caller already holds, so that its sandwich matrix is built
-once.
+once; a calculus over another algebra than X's is a ``ValueError``.
 
 A coaction candidate is *not* required to be coassociative at construction
 time: the flat-connection correspondence needs non-coassociative candidates
@@ -263,25 +268,22 @@ def coassociativity_defects(X: ModComod) -> Dict[tuple, Vec]:
 # compatibility conditions
 
 
-def _compat_defects(calc, X: ModComod, name: str, m1: Optional[Matrix] = None) -> DefectReport:
+def _compat_defects(calc, X: ModComod, name: str) -> DefectReport:
     """rho . act = M_1 (I_B (x) rho): rho(b x) against b . rho(x) =
     sand(b_(1), x_(-1), b_(3)) (x) b_(2) x_(0), for every basis pair
-    (b, x) at once.  ``m1`` is M_1 of ``calc`` on C (x) X when the caller
-    has built it."""
-    from .connections import sandwich_action
+    (b, x) at once, the right side by ``connections.apply_sandwich``."""
+    from .connections import apply_sandwich
+    if calc.B is not X.algebra:
+        raise ValueError("calculus and module live over different algebras")
     act, rho = action_matrix(X), coaction_matrix(X)
-    f, bd = X.field, X.algebra.dim
-    if m1 is None:
-        m1 = sandwich_action(calc, act, 1)
-    return DefectReport(name, rho @ act, m1 @ Matrix.identity(bd, f).kron(rho), [bd, X.dim])
+    return DefectReport(name, rho @ act, apply_sandwich(calc, act, rho), [X.algebra.dim, X.dim])
 
 
-def check_ayd(X: ModComod, calc=None, m1: Optional[Matrix] = None) -> DefectReport:
+def check_ayd(X: ModComod, calc=None) -> DefectReport:
     """The S^-1 sandwich compatibility (coefficients of Hopf-cyclic theory),
-    over ``calc``, an S^-1 calculus over X's algebra, or a new one, with
-    its sandwich action ``m1`` when the caller has it."""
+    over ``calc``, an S^-1 calculus over X's algebra, or a new one."""
     from .calculus import Calculus
-    return _compat_defects(calc or Calculus.k(X.algebra), X, "ayd", m1)
+    return _compat_defects(calc or Calculus.k(X.algebra), X, "ayd")
 
 
 def check_yd(X: ModComod) -> DefectReport:

@@ -15,8 +15,12 @@ sigma) one-dimensional pair, the coadjoint comodule (with the regular
 action attached), the regular module-comodule, and single-entry mutations
 of their coactions.  Mutations are seeded so runs are reproducible.
 """
+import contextlib
 import functools
+import io
+import json
 import random
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -24,6 +28,7 @@ from math import gcd, lcm
 import numpy as np
 import pytest
 
+from hopfcalc import cli
 from hopfcalc.calculus import Calculus
 from hopfcalc.connections import sandwich_action
 from hopfcalc.fields import QQ, Field
@@ -169,6 +174,24 @@ def act(X: ModComod, h: Vec, x: Vec) -> Vec:
     if X.action is None:
         raise ValueError("module has no action")
     return bilinear(X.field, X.action, h, x)
+
+
+def cli_report(argv: str):
+    """(exit code, report) of one CLI line, run in this process."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv.split())
+    return code, json.loads(out.getvalue())
+
+
+def traced_peak(argv: str):
+    """(exit code, report, tracemalloc peak in bytes) of one CLI line."""
+    tracemalloc.start()
+    try:
+        code, doc = cli_report(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, doc, peak
 
 
 # matrix operations that only the tests use
@@ -582,3 +605,27 @@ def sweedler():
 @pytest.fixture(scope="session")
 def kS3():
     return named_algebra("kS3")
+
+
+@pytest.fixture(scope="session")
+def doubled_sweedler() -> BimoduleCoalgebra:
+    """C = H (+) H over Sweedler's algebra H, the bimodule coalgebra with
+    dim C = 8 != dim B = 4: each copy H_k carries H's own actions, Delta
+    and eps, so Delta_C(h_k) = (h_(1))_k (x) (h_(2))_k, and the basepoint
+    is (1, 0).  A contraction that mixes up a B leg and a C leg fails on
+    it, by a shape error or a wrong matrix, where C = H hides it."""
+    H = named_algebra("sweedler")
+    d = H.dim
+
+    def moved(v: Vec, k: int) -> Vec:
+        return {k * d + i: c for i, c in v.items()}
+
+    comul = [{(k * d + a) * 2 * d + k * d + b: c
+              for fl, c in H.comul[h].items() for a, b in [divmod(fl, d)]}
+             for k in range(2) for h in range(d)]
+    counit = {k * d + h: c for k in range(2) for h, c in H.counit.items()}
+    left = {(i, k * d + h): moved(H.mul.get((i, h), {}), k)
+            for i in range(d) for k in range(2) for h in range(d)}
+    right = {(k * d + h, i): moved(H.mul.get((h, i), {}), k)
+             for i in range(d) for k in range(2) for h in range(d)}
+    return DictCoalgebra(H, 2 * d, comul, counit, left, right, dict(H.unit)).matrices()

@@ -10,18 +10,19 @@ import types
 import numpy as np
 import pytest
 
-from conftest import (ACCEPTANCE_ALGEBRAS, DictCoalgebra, Ref, apply, basis_vec, column,
-                      comultiply_iter, degree_dims, from_rows, hopf_conj, lact, multiply,
-                      named_algebra, product_apply, ract, unit_element, vec_add, vec_tensor,
-                      with_column)
+from conftest import (ACCEPTANCE_ALGEBRAS, DictCoalgebra, Ref, act, apply, basis_vec, column,
+                      comultiply_iter, degree_dims, from_rows, hopf_conj, lact, linear,
+                      multiply, named_algebra, product_apply, ract, unit_element, vec_add,
+                      vec_sub, vec_tensor, with_column)
 
 from hopfcalc import calculus, cli, connections, homology, hopf, linalg, modules
 from hopfcalc.calculus import Calculus, _witness, verify_dga
 from hopfcalc.fields import Field
 from hopfcalc.hopf import BialgebraMorphism, permute_basis
 from hopfcalc.linalg import Matrix, Vec, identity_defect_witness, tensor_decode, tensor_encode
-from hopfcalc.connections import coefficient_complex, connection_from_coaction
-from hopfcalc.modules import BimoduleCoalgebra, action_matrix, trivial_modcomod
+from hopfcalc.connections import check_connection, coefficient_complex, connection_from_coaction
+from hopfcalc.modules import (BimoduleCoalgebra, ModComod, action_matrix, check_equivariant,
+                              trivial_modcomod)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -261,6 +262,75 @@ def test_differentials_match_the_reference_enumeration(name):
             # the same scalar type too: Fraction over Q, int over F_p
             ref_data = ref.data
             assert all(type(v) is type(ref_data[k]) for k, v in d.data.items())
+
+
+def doubled_calculi(C: BimoduleCoalgebra):
+    """``Calculus.general`` over C with (alpha, beta) = (id, S) and
+    (S, S^-1)."""
+    H = C.B
+    return [Calculus.general(C, BialgebraMorphism.identity(H), BialgebraMorphism.antipode(H)),
+            Calculus.general(C, BialgebraMorphism.antipode(H),
+                             BialgebraMorphism.antipode_inverse(H))]
+
+
+def test_general_calculus_over_a_larger_coalgebra_matches_the_references(doubled_sweedler):
+    # dim C = 8 and dim B = 4, so a B leg read as a C leg in a contraction
+    # is a shape error or a wrong matrix.  alpha = S is no bialgebra map,
+    # so (S, S^-1) fails d^2 = 0 here as it does over C = H; its lines are
+    # held to the full oracle
+    passing, failing = doubled_calculi(doubled_sweedler)
+    for calc in (passing, failing):
+        assert calc._sandwich_matrix() == reference_sandwich_matrix(calc), calc
+        for n in range(3):
+            for m in range(3 - n):
+                assert calc.product(n, m) == reference_product(calc, n, m), (calc, n, m)
+            assert calc.differential(n) == reference_differential(calc, n), (calc, n)
+    assert verify_dga(passing).passed
+    assert "fail" in {status for _, status, _ in assert_lines_match_the_oracle(failing, 3)}
+
+
+def reference_equivariance_defects(calc: Calculus, X: ModComod):
+    """The defects of rho(b x) against sand(b_(1), x_(-1), b_(3)) (x)
+    b_(2) x_(0), one basis pair (b, x) at a time through ``reference_sand``:
+    the per-entry oracle of ``check_equivariant`` over any bimodule
+    coalgebra."""
+    f, H, sand, xd = calc.field, calc.B, reference_sand(calc), X.dim
+    defects = {}
+    for i in range(H.dim):
+        legs = comultiply_iter(H, basis_vec(f, i), 2)
+        for a in range(xd):
+            lhs = linear(f, X.coaction, act(X, basis_vec(f, i), basis_vec(f, a)))
+            rhs: Vec = {}
+            for fl, c in legs.items():
+                b12, b3 = divmod(fl, H.dim)
+                b1, b2 = divmod(b12, H.dim)
+                for fl2, c2 in X.coaction[a].items():
+                    xm, x0 = divmod(fl2, xd)
+                    vec_add(f, rhs, vec_tensor(f, sand(b1, xm, b3),
+                                               act(X, basis_vec(f, b2), basis_vec(f, x0)), xd),
+                            f.mul(c, c2))
+            d = vec_sub(f, lhs, rhs)
+            if d:
+                defects[(i, a)] = d
+    return defects
+
+
+def test_equivariance_over_a_larger_coalgebra_matches_the_reference(doubled_sweedler):
+    # the trivial module with the coaction x -> 1_k (x) x into either copy
+    # of H in C = H (+) H, whose 1_k is grouplike
+    C = doubled_sweedler
+    H, f = C.B, C.field
+    trivial, verdicts = trivial_modcomod(H), []
+    for calc in doubled_calculi(C):
+        for k in range(2):
+            X = ModComod(H, 1, trivial.action, [{k * H.dim + i: c for i, c in H.unit.items()}],
+                         C, label=f"trivial_{k}")
+            got = check_equivariant(X, C, calc.alpha, calc.beta)
+            assert got.defects == reference_equivariance_defects(calc, X), (calc, k)
+            conn = connection_from_coaction(calc, X)
+            assert check_connection(conn).defects == got.defects, (calc, k)
+            verdicts.append(got.passed)
+    assert any(verdicts) and not all(verdicts)
 
 
 def reference_product_form(calc: Calculus, conn, max_degree: int):

@@ -9,7 +9,7 @@ import tempfile
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import column, with_column
+from conftest import column, traced_peak, with_column
 
 from hopfcalc import cli
 from hopfcalc.calculus import Calculus, verify_dga
@@ -271,13 +271,40 @@ def test_tensor_builds_the_sandwich_matrix_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("modules,code", [(("group:S3", "coadjoint", "trivial"), 0),
                                           (("sweedler", "trivial", "trivial"), 1)])
-def test_tensor_builds_the_sandwich_action_once(capsys, monkeypatch, modules, code):
-    # check_connection and check_ayd read the one M_1 of the tensor connection
+def test_tensor_applies_the_sandwich_without_m1(capsys, monkeypatch, modules, code):
+    # check_connection, the flatness checks and check_ayd apply the sandwich
+    # by contraction: each calculus builds its T once, and no T (x) I_X,
+    # the factor of M_1 = (I_C (x) act) (T (x) I_X), is built
     import hopfcalc.connections
-    calls = count_calls(monkeypatch, hopfcalc.connections, "sandwich_action")
+    builds = count_calls(monkeypatch, Calculus, "_sandwich_matrix",
+                         lambda calc: calc._sandwich is None)
+    actions = count_calls(monkeypatch, hopfcalc.connections, "sandwich_action")
+    kron, krons = Matrix.kron, []
+
+    def spy_kron(a, b):
+        krons.append(a)
+        return kron(a, b)
+
+    monkeypatch.setattr(Matrix, "kron", spy_kron)
     name, yd, ayd = modules
     got, _ = run(capsys, "tensor", "--builtin", name, "--yd-module", yd, "--ayd-module", ayd)
-    assert got == code and len(calls) == 1
+    calcs = [calc for (calc,) in builds]
+    assert got == code and calcs and len({id(c) for c in calcs}) == len(calcs)
+    assert not actions and not any(a is c._sandwich for a in krons for c in calcs)
+
+
+@pytest.mark.parametrize("condition,code", [("ayd", 0), ("yd", 1), ("connection", 0),
+                                            ("flat", 0)])
+def test_taft_module_verdicts_stay_under_their_traced_peak(condition, code):
+    # with T from a Kronecker chain through d^3 columns and M_1 =
+    # (I_C (x) act) (T (x) I_X) built, each verdict took 91-93 MiB traced;
+    # with T and the sandwich applied by contraction, 12-23 MiB: the
+    # coadjoint module's own build sets the peak at ~12 MiB, and the
+    # flatness check's Matrix.from_columns of the curvature, one list per
+    # row of its 262,144, at ~22.5 MiB
+    got, _, peak = traced_peak("check-module --builtin taft:8:2 --field F17 --module coadjoint"
+                               f" --calculus k --condition {condition}")
+    assert got == code and peak <= 24 * 2**20
 
 
 def test_coefficient_complex_builds_its_leibniz_term_once(capsys, monkeypatch):

@@ -6,15 +6,14 @@ import itertools
 import json
 import pathlib
 import random
-import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (ACCEPTANCE_ALGEBRAS, base_corpus, from_rows, holds_csr, mutated_corpus,
-                      named_algebra, reference_echelon, scaled_kZ3)
+from conftest import (ACCEPTANCE_ALGEBRAS, base_corpus, cli_report, from_rows, holds_csr,
+                      mutated_corpus, named_algebra, reference_echelon, scaled_kZ3, traced_peak)
 
 from hopfcalc import cli, connections, homology, linalg
 from hopfcalc.calculus import Calculus
@@ -458,12 +457,6 @@ def test_negative_homology_dimension_is_an_internal_error():
         homology_dims(cx)
 
 
-def _bare_homology(argv):
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        code = cli.main(argv.split())
-    return code, json.loads(out.getvalue())
-
-
 def test_bare_homology_ranks_after_every_full_differential_is_released(monkeypatch):
     # a bare verdict builds D_0, D_1 and D_2 in full, which the calculus
     # caches; none is alive by the time a quotient is ranked, and no
@@ -485,21 +478,10 @@ def test_bare_homology_ranks_after_every_full_differential_is_released(monkeypat
         return rank(m, **kwargs)
     monkeypatch.setattr(Calculus, "_build_differential", built)
     monkeypatch.setattr(Matrix, "rank", ranked)
-    code, doc = _bare_homology("homology --builtin taft:3:2 --field F7 --calculus k"
-                               " --max-degree 4")
+    code, doc = cli_report("homology --builtin taft:3:2 --field F7 --calculus k"
+                           " --max-degree 4")
     assert code == 0 and doc["homology"] == {"H_0": 3, "H_1": 2, "H_2": 2, "H_3": 2}
     assert len(refs) == 3 and alive == [0, 0, 0, 0] and ranked_alive == [0, 0, 0, 0]
-
-
-def _traced_peak(argv):
-    """(exit code, report, tracemalloc peak in bytes) of one CLI line."""
-    tracemalloc.start()
-    try:
-        code, doc = _bare_homology(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return code, doc, peak
 
 
 def test_bare_taft_homology_at_degree_5_stays_under_its_traced_peak():
@@ -511,8 +493,8 @@ def test_bare_taft_homology_at_degree_5_stays_under_its_traced_peak():
     # the top quotient was built as a CSR and its CSC taken from it; built
     # column-major, ~9 MiB; split by weight, its top built and ranked one
     # chunk at a time, ~4.1 MiB
-    code, doc, peak = _traced_peak("homology --builtin taft:3:2 --field F7 --calculus k"
-                                   " --max-degree 5")
+    code, doc, peak = traced_peak("homology --builtin taft:3:2 --field F7 --calculus k"
+                                  " --max-degree 5")
     assert code == 0 and doc["homology"]["H_4"] == 2
     assert peak < 6 * 2**20
 
@@ -520,8 +502,8 @@ def test_bare_taft_homology_at_degree_5_stays_under_its_traced_peak():
 def test_bare_taft_homology_at_degree_6_stays_under_its_traced_peak():
     # ranked whole, the 2,359,296 x 294,912 top quotient takes ~66 MiB
     # traced; split by weight, built and ranked one chunk at a time, ~10 MiB
-    code, doc, peak = _traced_peak("homology --builtin taft:3:2 --field F7 --calculus k"
-                                   " --max-degree 6")
+    code, doc, peak = traced_peak("homology --builtin taft:3:2 --field F7 --calculus k"
+                                  " --max-degree 6")
     assert code == 0 and doc["homology"]["H_5"] == 2
     assert peak < 16 * 2**20
 
@@ -530,8 +512,8 @@ def test_taft_compare_verdict_at_degree_5_stays_under_its_traced_peak():
     # the cobar oracle's d_4 was a sum of five Kronecker terms built at full
     # size before the first sum, ~7.7 MiB traced; as a running sum, one term
     # beside the partial sum, ~4.7 MiB
-    code, doc, peak = _traced_peak("homology --builtin taft:3:2 --field F7 --calculus k"
-                                   " --module trivial --compare-cotor --max-degree 5")
+    code, doc, peak = traced_peak("homology --builtin taft:3:2 --field F7 --calculus k"
+                                  " --module trivial --compare-cotor --max-degree 5")
     assert code == 0 and doc["homology"] == {"H_0": 1, "H_1": 0, "H_2": 1, "H_3": 0, "H_4": 1}
     assert peak < 5.5 * 2**20
 
@@ -563,8 +545,8 @@ def test_no_quotient_above_degree_2_is_held_row_major(monkeypatch, module):
     monkeypatch.setattr(linalg, "_transposed", spy_transposed)
     monkeypatch.setattr(linalg._ColumnMajor, "__getattr__", spy_getattr)
     monkeypatch.setattr(Matrix, "rank", spy_rank)
-    code, doc = _bare_homology("homology --builtin taft:3:2 --field F7 --calculus k"
-                               " --max-degree 5" + module)
+    code, doc = cli_report("homology --builtin taft:3:2 --field F7 --calculus k"
+                           " --max-degree 5" + module)
     assert code == 0 and doc["homology"]["H_4"] == 2
     # (dim C - 1)^n * dim X, with dim C = dim X = 9; the top is ranked in
     # chunks of every row, whose columns partition its columns
@@ -1076,8 +1058,8 @@ def test_module_homology_ranks_after_every_full_differential_is_released(monkeyp
         alive.append(sum(ref() is not None for ref in refs))
         return rank(m, **kwargs)
     monkeypatch.setattr(Matrix, "rank", ranked)
-    code, doc = _bare_homology("homology --builtin taft:3:2 --field F7 --calculus k"
-                               " --module coadjoint --max-degree 5")
+    code, doc = cli_report("homology --builtin taft:3:2 --field F7 --calculus k"
+                           " --module coadjoint --max-degree 5")
     assert code == 0 and doc["homology"]["H_4"] == 2
     # four whole quotients, then the top's chunks
     assert len(refs) == 3 and len(alive) > 5 and not any(alive)
@@ -1089,8 +1071,8 @@ def test_module_taft_homology_at_degree_5_stays_under_its_traced_peak():
     # of the columns; ranked in the CSC with per-pivot bookkeeping, ~15 MiB;
     # with the quotients above degree 2 built column-major, ~9 MiB; split by
     # weight, its top built and ranked one chunk at a time, ~4.1 MiB
-    code, doc, peak = _traced_peak("homology --builtin taft:3:2 --field F7 --calculus k"
-                                   " --module coadjoint --max-degree 5")
+    code, doc, peak = traced_peak("homology --builtin taft:3:2 --field F7 --calculus k"
+                                  " --module coadjoint --max-degree 5")
     assert code == 0 and doc["homology"]["H_4"] == 2
     assert peak < 6 * 2**20
 

@@ -269,6 +269,18 @@ def test_compat_check_of_a_comodule_without_action_is_a_value_error():
         check_ayd(coadjoint_comodule(named_algebra("kS3")))
 
 
+def test_compat_check_over_a_calculus_of_another_algebra_is_a_value_error():
+    # kZ2 and dualZ2 both have dimension 2, so every shape would match
+    H, G = named_algebra("kZ2"), named_algebra("dualZ2")
+    for X in (trivial_modcomod(H), regular_modcomod(H)):
+        with pytest.raises(ValueError, match="different algebras"):
+            check_ayd(X, Calculus.k(G))
+    C = BimoduleCoalgebra.from_hopf(G)
+    with pytest.raises(ValueError, match="different algebras"):
+        check_equivariant(regular_modcomod(H), C, BialgebraMorphism.identity(G),
+                          BialgebraMorphism.antipode(G))
+
+
 def test_check_ayd_reads_the_calculus_it_is_given():
     # a held S^-1 calculus gives the report of a fresh one
     H = named_algebra("sweedler")
@@ -415,6 +427,13 @@ def test_bimodule_coalgebra_from_hopf():
     for name in ("kZ3", "sweedler"):
         C = BimoduleCoalgebra.from_hopf(named_algebra(name))
         assert verify_bimodule_coalgebra(C).passed
+
+
+def test_bimodule_coalgebra_larger_than_its_algebra(doubled_sweedler):
+    # C = H (+) H over Sweedler's algebra, dim C = 8 != dim B = 4
+    got = verify_bimodule_coalgebra(doubled_sweedler)
+    assert got.passed
+    assert got.to_json() == reference_verify_bimodule_coalgebra(doubled_sweedler).to_json()
 
 
 def reference_verify_bimodule_coalgebra(C: BimoduleCoalgebra) -> Report:
